@@ -15,7 +15,6 @@ from .core import (
     EnergyReport,
     ExtendedChain,
     WeightedSeminorm,
-    backward_diff,
     discrete_energy,
     forward_diff,
     forward_diff_m,

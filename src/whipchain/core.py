@@ -28,34 +28,14 @@ from scipy.special import gammaln
 def forward_diff(f, n: int) -> np.ndarray:
     """(D+ f)_k = n (f_{k+1} - f_k); output is one shorter than the input.
 
-    The entry ``out[i]`` carries the chain index of ``f[i]``.
+    The entry ``out[i]`` carries the chain index of ``f[i]``.  The same array
+    is the backward difference (D- f)_k = n (f_k - f_{k-1}) with ``out[i]``
+    carrying the index of ``f[i+1]`` instead (D- = E^{-1} D+).
     """
     f = np.asarray(f, dtype=float)
     if f.shape[0] < 2:
         raise ValueError(f"forward_diff needs a sequence of length >= 2, got {f.shape[0]}")
     return n * (f[1:] - f[:-1])
-
-
-def backward_diff(f, n: int) -> np.ndarray:
-    """(D- f)_k = n (f_k - f_{k-1}); ``out[i]`` carries the index of ``f[i+1]``.
-
-    Numerically the same array as :func:`forward_diff`; only the index
-    attachment differs (D- = E^{-1} D+).
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape[0] < 2:
-        raise ValueError(f"backward_diff needs a sequence of length >= 2, got {f.shape[0]}")
-    return n * (f[1:] - f[:-1])
-
-
-def shift_forward(f) -> np.ndarray:
-    """(E f)_k = f_{k+1}: drop the leading entry."""
-    return np.asarray(f)[1:]
-
-
-def shift_backward(f) -> np.ndarray:
-    """(E^{-1} f)_k = f_{k-1}: drop the trailing entry."""
-    return np.asarray(f)[:-1]
 
 
 def forward_diff_m(f, n: int, m: int) -> np.ndarray:

@@ -88,6 +88,7 @@ def adaptive_dt(chain: ChainState, sigma, cfg: IntegratorConfig) -> float:
 
 
 def _raw_dt(n: int, sigma, cfg: IntegratorConfig) -> float:
+    """The unclamped CFL step cfl / (n sqrt(max sigma) + eps)."""
     sig = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
     top = max(float(np.max(sig)), 0.0)
     return cfg.cfl / (n * np.sqrt(top) + 1e-12)
@@ -151,17 +152,27 @@ def _advance(eta, eta_dot, n, dt, scheme):
     return new_eta, new_dot
 
 
+def _step_arrays(eta, eta_dot, n, t, dt, cfg: IntegratorConfig):
+    """One full step on raw arrays: advance, reject non-finite state, project.
+
+    Returns the new (eta, eta_dot) and the largest particle displacement the
+    projection made (0.0 when cfg.project is off).
+    """
+    eta, eta_dot = _advance(eta, eta_dot, n, dt, cfg.scheme)
+    if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(eta_dot))):
+        raise NumericError(f"non-finite state after step at t={t:.6g}")
+    if not cfg.project:
+        return eta, eta_dot, 0.0
+    peta, pdot = _project_arrays(eta, eta_dot, n)
+    return peta, pdot, float(np.max(np.linalg.norm(peta - eta, axis=1)))
+
+
 def step(chain: ChainState, cfg: IntegratorConfig, dt: float | None = None) -> ChainState:
     """Advance one step.  dt defaults to the adaptive CFL value; the result is
     projected when cfg.project is set.  Raises NumericError on NaN state."""
     if dt is None:
-        sigma = _solve_sigma_arrays(chain.eta, chain.eta_dot, chain.n)
-        dt = _clamp_dt(cfg.cfl / (chain.n * np.sqrt(max(float(np.max(sigma)), 0.0)) + 1e-12), cfg)
-    eta, eta_dot = _advance(chain.eta, chain.eta_dot, chain.n, dt, cfg.scheme)
-    if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(eta_dot))):
-        raise NumericError(f"non-finite state after step at t={chain.time:.6g}")
-    if cfg.project:
-        eta, eta_dot = _project_arrays(eta, eta_dot, chain.n)
+        dt = adaptive_dt(chain, _solve_sigma_arrays(chain.eta, chain.eta_dot, chain.n), cfg)
+    eta, eta_dot, _ = _step_arrays(chain.eta, chain.eta_dot, chain.n, chain.time, dt, cfg)
     return ChainState(chain.n, chain.d, eta, eta_dot, chain.time + dt)
 
 
@@ -226,16 +237,19 @@ _SERIES_FIELDS = (
 )
 
 
+def _maxima(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> tuple[float, float]:
+    """max_k |D+ eta_dot_k| (angular velocity) and max_k |D+^2 eta_k|
+    (curvature, 0 for a single link)."""
+    ang = float(np.max(np.linalg.norm(n * (eta_dot[1:] - eta_dot[:-1]), axis=1)))
+    if n < 2:
+        return ang, 0.0
+    curv_vecs = np.diff(n * (eta[1:] - eta[:-1]), axis=0) * n
+    return ang, float(np.max(np.linalg.norm(curv_vecs, axis=1)))
+
+
 def _series_row(snap: Snapshot) -> dict:
     st, sol, rep = snap.state, snap.tension, snap.report
-    n = st.n
-    td = st.link_dirs_dot()
-    ang = float(np.max(np.linalg.norm(td, axis=1)))
-    if n >= 2:
-        curv_vecs = np.diff(st.link_dirs(), axis=0) * n
-        curv = float(np.max(np.linalg.norm(curv_vecs, axis=1)))
-    else:
-        curv = 0.0
+    ang, curv = _maxima(st.eta, st.eta_dot, st.n)
     row = {"t": st.time, "u0": rep.u0, "v0": rep.v0, "a": rep.a, "b": rep.b, "c": rep.c,
            "min_sigma": sol.min_sigma, "max_ang_vel": ang, "max_curvature": curv,
            "constraint_drift": rep.constraint_drift}
@@ -254,52 +268,38 @@ def run(initial: ChainState, cfg: IntegratorConfig) -> Trajectory:
     ``report_stride`` steps, and at termination.
     """
     initial.validate()
-    chain = initial
-    snapshots = [_make_snapshot(chain)]
+    n, d = initial.n, initial.d
+    eta, eta_dot, t = initial.eta, initial.eta_dot, initial.time
+    snapshots = [_make_snapshot(initial)]
+    snapped = True   # the current state is snapshots[-1]'s, tension included
     proj_log: list[float] = []
     termination = "t_end_reached"
-    n_steps = 0
     tiny = 1e-14 * max(cfg.t_end, 1.0)
 
-    while chain.time < cfg.t_end - tiny:
-        sol = snapshots[-1].tension if snapshots[-1].state is chain else None
-        sigma = sol.sigma if sol is not None else _solve_sigma_arrays(chain.eta, chain.eta_dot, chain.n)
-
+    while t < cfg.t_end - tiny:
+        sigma = snapshots[-1].tension.sigma if snapped else _solve_sigma_arrays(eta, eta_dot, n)
         if cfg.halt_on_negative_tension and float(np.min(sigma[1:])) <= 0.0:
             termination = "negative_tension"
             break
-        td = chain.link_dirs_dot()
-        ang = float(np.max(np.linalg.norm(td, axis=1)))
-        curv = 0.0
-        if chain.n >= 2:
-            curv = float(np.max(np.linalg.norm(np.diff(chain.link_dirs(), axis=0) * chain.n, axis=1)))
-        if max(ang, curv) > cfg.blowup_threshold:
+        if max(_maxima(eta, eta_dot, n)) > cfg.blowup_threshold:
             termination = "blowup_suspected"
             break
-
-        raw = _raw_dt(chain.n, sigma, cfg)
+        raw = _raw_dt(n, sigma, cfg)
         if raw < cfg.dt_min:
             termination = "dt_underflow"
             break
-        dt = min(_clamp_dt(raw, cfg), cfg.t_end - chain.time)
+        dt = min(_clamp_dt(raw, cfg), cfg.t_end - t)
 
-        eta, eta_dot = _advance(chain.eta, chain.eta_dot, chain.n, dt, cfg.scheme)
-        if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(eta_dot))):
-            raise NumericError(f"non-finite state after step at t={chain.time:.6g}")
-        if cfg.project:
-            peta, pdot = _project_arrays(eta, eta_dot, chain.n)
-            proj_log.append(float(np.max(np.linalg.norm(peta - eta, axis=1))))
-            eta, eta_dot = peta, pdot
-        else:
-            proj_log.append(0.0)
-        chain = ChainState(chain.n, chain.d, eta, eta_dot, chain.time + dt)
-        n_steps += 1
-        if n_steps % cfg.report_stride == 0:
-            snapshots.append(_make_snapshot(chain))
+        eta, eta_dot, moved = _step_arrays(eta, eta_dot, n, t, dt, cfg)
+        proj_log.append(moved)
+        t = t + dt
+        snapped = len(proj_log) % cfg.report_stride == 0
+        if snapped:
+            snapshots.append(_make_snapshot(ChainState(n, d, eta, eta_dot, t)))
 
-    if snapshots[-1].state is not chain:
-        snapshots.append(_make_snapshot(chain))
-    return Trajectory(snapshots, termination, n_steps, np.array(proj_log))
+    if not snapped:
+        snapshots.append(_make_snapshot(ChainState(n, d, eta, eta_dot, t)))
+    return Trajectory(snapshots, termination, len(proj_log), np.array(proj_log))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ class ConfigError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Raised when integration or a linear solve produces NaN/Inf state."""
+    """Raised when integration or a linear solve fails: NaN/Inf state, a
+    tension system that is not positive definite, or a broken solve check."""
 
 
 class FitRejected(Exception):

@@ -24,6 +24,7 @@ import hashlib
 import json
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from importlib.metadata import version as _pkg_version
 from pathlib import Path
@@ -382,13 +383,21 @@ def _run_single(cfg: ExperimentConfig, seed: int, tag: str) -> tuple[list, str, 
     return files, traj.termination, traj
 
 
+def _seed_run(job) -> tuple[list, str]:
+    files, termination, _ = _run_single(*job)
+    return files, termination
+
+
 def _kind_run(cfg: ExperimentConfig, manifest: RunManifest) -> None:
-    termination = None
-    for seed in cfg.seeds:
-        tag = f"series_seed{seed}" if len(cfg.seeds) > 1 else "series"
-        files, termination, _ = _run_single(cfg, seed, tag)
-        manifest.files += files
-    manifest.termination = termination
+    """One trajectory per seed; with workers > 1 the seeds run in a process
+    pool, each writing its own series files."""
+    multi = len(cfg.seeds) > 1
+    jobs = [(cfg, seed, f"series_seed{seed}" if multi else "series") for seed in cfg.seeds]
+    parallel = cfg.workers > 1 and multi
+    with ProcessPoolExecutor(max_workers=cfg.workers) if parallel else nullcontext() as pool:
+        for files, termination in (pool.map if parallel else map)(_seed_run, jobs):
+            manifest.files += files
+            manifest.termination = termination
     manifest.summary["seeds"] = list(cfg.seeds)
 
 
@@ -626,12 +635,6 @@ _KIND_RUNNERS = {
 }
 
 
-def _worker_run(args) -> tuple[list, str]:
-    cfg, seed, tag = args
-    files, termination, _ = _run_single(cfg, seed, tag)
-    return files, termination
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Execute one experiment; writes outputs plus manifest.json into
     cfg.output_dir and returns the manifest.  Partial outputs are flushed
@@ -643,17 +646,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         started=_now(),
     )
     try:
-        if cfg.kind == "run" and cfg.workers > 1 and len(cfg.seeds) > 1:
-            jobs = [
-                (cfg, seed, f"series_seed{seed}") for seed in cfg.seeds
-            ]
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                for files, termination in pool.map(_worker_run, jobs):
-                    manifest.files += files
-                    manifest.termination = termination
-            manifest.summary["seeds"] = list(cfg.seeds)
-        else:
-            _KIND_RUNNERS[cfg.kind](cfg, manifest)
+        _KIND_RUNNERS[cfg.kind](cfg, manifest)
         manifest.status = "complete"
     finally:
         manifest.finished = _now()

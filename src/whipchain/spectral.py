@@ -136,16 +136,6 @@ def discrete_symmetric_inner(f, g, j: int, n: int) -> float:
     return float(np.sum(w * df[:kmax] * dg[:kmax]) / n)
 
 
-def continuous_symmetric_inner(f, g, j: int, order: int = 160) -> float:
-    """<<f, g>>_{rho, j} = int_0^1 rho(s)^{j+1} f^{(j)} g^{(j)} ds by
-    Gauss-Legendre quadrature; f, g are callables returning the j-th
-    derivative values when called as f(s, j)."""
-    x, w = npleg.leggauss(order)
-    s = 0.5 * (x + 1.0)
-    rho = s * (2.0 - s)
-    return float(0.5 * np.sum(w * rho ** (j + 1) * f(s, j) * g(s, j)))
-
-
 def r_coefficient(m: int, j: int) -> float:
     """r_mj = (2m+j)! / ((2m-j-2)! 2m (2m-1)); zero when 2m-j-2 < 0
     (reciprocal factorial of a negative integer)."""
@@ -246,17 +236,6 @@ def evaluate_discrete(coeffs, n: int) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     mm = min(n, coeffs.shape[0])
     return coeffs[:mm] @ basis_q_table(n)[:mm, :n]
-
-
-def evaluate_continuous(coeffs, s) -> np.ndarray:
-    """theta(s) = sum_m A_m Q_m(s)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    for m, A in enumerate(coeffs, start=1):
-        if A != 0.0:
-            out = out + A * basis_Q(m, s)
-    return out
 
 
 def continuize_Gn(angles: AngleState) -> tuple[SpectralCoeffs, SpectralCoeffs]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dptsv
 
 from .core import (
     ChainState,
@@ -79,9 +79,16 @@ def alpha_beta_from_alpha(alpha) -> AlphaBeta:
 
 def compute_alpha_beta(chain: ChainState) -> AlphaBeta:
     """alpha_i = <D+ eta_{i+1}, D+ eta_i> for i = 1..n-1, plus the beta recursion."""
-    t = chain.link_dirs()
-    alpha = np.einsum("kd,kd->k", t[1:], t[:-1])
+    alpha, _ = _alpha_w(chain.eta, chain.eta_dot, chain.n)
     return AlphaBeta(alpha, beta_recursion(alpha))
+
+
+def _alpha_w(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tension system's data on raw arrays: the cosines alpha_1..alpha_{n-1}
+    and the source w_k = |D+ eta_dot_k|^2 for k = 1..n."""
+    t = n * (eta[1:] - eta[:-1])
+    td = n * (eta_dot[1:] - eta_dot[:-1])
+    return np.einsum("kd,kd->k", t[1:], t[:-1]), np.sum(td * td, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +100,14 @@ class GreenMatrix:
     """Explicit inverse of the tension operator: G[k-1, j-1] = G_kj.
 
     Always symmetric with |G_kj| <= min(j,k)/n.  When every alpha_i > 0 all
-    entries are positive and the sharp upper bounds hold; ``upsilon`` is the
-    smallest admissible curvature bound of the generating state (None when
-    unknown or when it exceeds 2 sqrt(n)/5).
+    entries are positive and the sharp upper bounds hold; ``alpha_beta`` is
+    the data G was built from, and ``upsilon`` is the smallest admissible
+    curvature bound of the generating state (None when unknown or when it
+    exceeds 2 sqrt(n)/5).
     """
 
     G: np.ndarray
-    all_alpha_positive: bool
+    alpha_beta: AlphaBeta
     upsilon: float | None = None
 
     def __post_init__(self):
@@ -108,6 +116,10 @@ class GreenMatrix:
     @property
     def n(self) -> int:
         return self.G.shape[0]
+
+    @property
+    def all_alpha_positive(self) -> bool:
+        return bool(np.all(self.alpha_beta.alpha > 0))
 
 
 def green_matrix(ab: AlphaBeta, n: int | None = None, upsilon: float | None = None) -> GreenMatrix:
@@ -130,7 +142,7 @@ def green_matrix(ab: AlphaBeta, n: int | None = None, upsilon: float | None = No
         M[i, i:] = row
     M /= np.sqrt(ab.beta)[:, None]
     G = (M.T @ M) / n
-    return GreenMatrix(G, bool(np.all(ab.alpha > 0)), upsilon)
+    return GreenMatrix(G, ab, upsilon)
 
 
 def upsilon_threehalves(chain: ChainState) -> float:
@@ -173,31 +185,25 @@ class TensionSolution:
         return self.sigma.shape[0] - 1
 
 
-def _angular_velocity_sq(chain: ChainState) -> np.ndarray:
-    """w_k = |D+ eta_dot_k|^2 for k = 1..n."""
-    return _sq(chain.link_dirs_dot())
-
-
 def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """Solve A sigma = w for the interior tensions sigma_1..sigma_n.
 
     A is symmetric positive definite whenever |alpha| <= 1 (diagonally
-    dominant with pivots n^2 beta_i >= n^2), so a banded Cholesky solve
-    applies; losing definiteness means the state left the constraint
-    manifold badly and is reported as a numeric failure.
+    dominant with pivots n^2 beta_i >= n^2), so LAPACK's tridiagonal LDL^T
+    solve ``dptsv`` applies; losing definiteness means the state left the
+    constraint manifold badly and is reported as a numeric failure.  The
+    n^2 scale multiplies the entries as ``x * n * n``: ``x * (n * n)`` rounds
+    differently when n is not a power of two.
     """
     diag = np.full(n, 2.0)
     diag[-1] = 1.0
-    band = np.zeros((2, n))
-    band[0, 1:] = -alpha
-    band[1, :] = diag
-    try:
-        return solveh_banded(band * n * n, w)
-    except np.linalg.LinAlgError as exc:
+    _, _, sigma, info = dptsv(diag * n * n, -alpha * n * n, w)
+    if info > 0:
         raise NumericError(
             f"tension system not positive definite (max |alpha| = {np.max(np.abs(alpha)):.3f}); "
             "the state has left the constraint manifold"
-        ) from exc
+        )
+    return sigma
 
 
 def _solve_sigma_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> np.ndarray:
@@ -205,10 +211,7 @@ def _solve_sigma_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> np.ndar
 
     Internal fast path for integrator stages (skips state construction).
     """
-    t = n * (eta[1:] - eta[:-1])
-    td = n * (eta_dot[1:] - eta_dot[:-1])
-    alpha = np.einsum("kd,kd->k", t[1:], t[:-1])
-    w = np.sum(td * td, axis=-1)
+    alpha, w = _alpha_w(eta, eta_dot, n)
     sigma = np.empty(n + 1)
     sigma[0] = 0.0
     sigma[1:] = _solve_tridiagonal(alpha, w, n)
@@ -218,27 +221,24 @@ def _solve_sigma_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> np.ndar
 def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
     """Solve the tridiagonal constraint system A sigma = w.
 
-    ``direct`` runs the O(n) banded elimination; ``green`` assembles the
-    explicit Green function and applies sigma_k = (1/n) sum_j G_kj w_j.  Both
-    satisfy the residual contract |A sigma - w| <= 1e-10 |w| and agree with
-    each other to the same relative tolerance.
+    ``direct`` runs the O(n) LAPACK tridiagonal solve; ``green`` assembles
+    the explicit Green function and applies sigma_k = (1/n) sum_j G_kj w_j.
+    Both satisfy the residual contract |A sigma - w| <= 1e-10 |w| and agree
+    with each other to the same relative tolerance.
     """
     n = chain.n
-    w = _angular_velocity_sq(chain)
+    alpha, w = _alpha_w(chain.eta, chain.eta_dot, n)
     if method == "direct":
-        ab = compute_alpha_beta(chain)
-        interior = _solve_tridiagonal(ab.alpha, w, n)
+        interior = _solve_tridiagonal(alpha, w, n)
     elif method == "green":
-        gm = green_matrix_for_chain(chain)
-        ab = compute_alpha_beta(chain)
-        interior = gm.G @ w / n
+        interior = green_matrix_for_chain(chain).G @ w / n
     else:
         raise ValueError(f"unknown tension method {method!r}; use 'direct' or 'green'")
 
-    resid = _tridiagonal_residual(ab.alpha, interior, w, n)
+    resid = _tridiagonal_residual(alpha, interior, w, n)
     wnorm = float(np.linalg.norm(w))
     if not np.isfinite(resid) or resid > SOLVE_RTOL * max(wnorm, 1e-300):
-        raise RuntimeError(
+        raise NumericError(
             f"tension solve residual {resid:.3e} exceeds {SOLVE_RTOL:.0e} * |w| = {SOLVE_RTOL * wnorm:.3e}"
         )
 
@@ -270,7 +270,7 @@ def tension_residual(chain: ChainState, sigma) -> float:
     flux = np.concatenate([np.zeros((1, chain.d)), sig[1:, None] * t_ext])  # j = 0..n+1
     second = n * n * (flux[2:] - 2.0 * flux[1:-1] + flux[:-2])  # k = 1..n
     lhs = np.einsum("kd,kd->k", t_ext[:-1], second)
-    return float(np.max(np.abs(lhs + _angular_velocity_sq(chain))))
+    return float(np.max(np.abs(lhs + _alpha_w(chain.eta, chain.eta_dot, n)[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +299,10 @@ def solve_sigma_dot(chain: ChainState, sigma) -> np.ndarray:
     rhs = 3.0 * np.einsum("kd,kd->k", td_ext[:-1], second_pos) + np.einsum(
         "kd,kd->k", t_ext[:-1], second_vel
     )
-    ab = compute_alpha_beta(chain)
+    alpha, _ = _alpha_w(chain.eta, chain.eta_dot, n)
     sd = np.empty(n + 1)
     sd[0] = 0.0
-    sd[1:] = _solve_tridiagonal(ab.alpha, rhs, n)
+    sd[1:] = _solve_tridiagonal(alpha, rhs, n)
     return sd
 
 
@@ -329,9 +329,9 @@ def diagnostics_abc(chain: ChainState, sol: TensionSolution, sigma_dot: np.ndarr
         b = float(np.max(s / interior))
     slack = 1e-8
     if np.max(interior / s) > a * (1 + slack) + slack:
-        raise RuntimeError("sigma_k/s_k exceeded max |D- sigma|; inconsistent solve")
+        raise NumericError("sigma_k/s_k exceeded max |D- sigma|; inconsistent solve")
     if np.max(np.abs(np.asarray(sigma_dot)[1:]) / s) > c * (1 + slack) + slack:
-        raise RuntimeError("sigma_dot_k/s_k exceeded max |D- sigma_dot|; inconsistent solve")
+        raise NumericError("sigma_dot_k/s_k exceeded max |D- sigma_dot|; inconsistent solve")
     return a, b, c
 
 
@@ -395,9 +395,8 @@ def certify_bounds(gm: GreenMatrix, chain: ChainState) -> GreenCertificate:
     """
     n = gm.n
     G = gm.G
-    ab = compute_alpha_beta(chain)
+    ab = gm.alpha_beta
     all_nonneg = bool(np.all(ab.alpha >= 0))
-    all_pos = bool(np.all(ab.alpha > 0))
 
     kk = np.arange(1, n + 1)[:, None]
     jj = np.arange(1, n + 1)[None, :]
@@ -426,7 +425,7 @@ def certify_bounds(gm: GreenMatrix, chain: ChainState) -> GreenCertificate:
     return GreenCertificate(
         n=n,
         all_alpha_nonneg=all_nonneg,
-        all_alpha_positive=all_pos,
+        all_alpha_positive=gm.all_alpha_positive,
         max_abs_green_diff=max_abs_diff,
         max_upper_ratio=max_upper,
         min_lower_ratio=min_lower,

@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from whipchain.core import (
     ChainState,
     WeightedSeminorm,
-    backward_diff,
     discrete_energy,
     forward_diff,
     forward_diff_m,
     odd_extend,
     rising_weight,
     sigma_weighted_energy,
-    shift_backward,
-    shift_forward,
     u0_v0,
     weighted_seminorm_sq,
     weighted_supnorm,
@@ -49,17 +46,6 @@ class TestDifferences:
     def test_too_short(self):
         with pytest.raises(ValueError):
             forward_diff([1.0], 3)
-        with pytest.raises(ValueError):
-            backward_diff([1.0], 3)
-
-    def test_backward_is_shifted_forward(self):
-        f = np.array([0.0, 1.0, 4.0, 9.0])
-        assert np.array_equal(backward_diff(f, 2), forward_diff(f, 2))
-
-    def test_shifts(self):
-        f = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(shift_forward(f), [2.0, 3.0])
-        assert np.array_equal(shift_backward(f), [1.0, 2.0])
 
     def test_vector_valued(self):
         f = np.array([[0.0, 1.0], [1.0, 3.0]])
@@ -67,12 +53,13 @@ class TestDifferences:
 
 
 def test_summation_by_parts(rng):
-    # (1/n) sum_{k=0}^{n-1} g_k D+f_k = -(1/n) sum_{k=1}^{n} f_k D-g_k + f_n g_n - f_0 g_0
+    # (1/n) sum_{k=0}^{n-1} g_k D+f_k = -(1/n) sum_{k=1}^{n} f_k D-g_k + f_n g_n - f_0 g_0,
+    # with (D- g)_k for k = 1..n read off forward_diff(g) (D- = E^{-1} D+)
     for n in (2, 5, 16):
         f = rng.normal(size=n + 1)
         g = rng.normal(size=n + 1)
         lhs = np.sum(g[:-1] * forward_diff(f, n)) / n
-        rhs = -np.sum(f[1:] * backward_diff(g, n)) / n + f[-1] * g[-1] - f[0] * g[0]
+        rhs = -np.sum(f[1:] * forward_diff(g, n)) / n + f[-1] * g[-1] - f[0] * g[0]
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
 

@@ -281,6 +281,39 @@ class TestRun:
         assert np.all(np.isfinite(gron))
 
 
+class TestSteppingCore:
+    @pytest.mark.parametrize("project_on", [True, False])
+    def test_run_snapshots_are_step_results(self, project_on):
+        # every snapshot but the last (whose dt is cut to reach t_end) is one
+        # step() of the previous one, bitwise and with the same time
+        cfg = IntegratorConfig(t_end=0.0125, report_stride=1, project=project_on)
+        traj = run(perturbed_vertical(12, amplitude=0.3), cfg)
+        states = [snap.state for snap in traj.snapshots]
+        assert len(states) == traj.n_steps + 1 >= 4
+        for prev, cur in zip(states[:-2], states[1:-1]):
+            nxt = step(prev, cfg)
+            assert nxt.time == cur.time
+            assert np.array_equal(nxt.eta, cur.eta)
+            assert np.array_equal(nxt.eta_dot, cur.eta_dot)
+
+    def test_negative_tension_halt_between_strides_snapshots_halting_state(self):
+        traj = run(near_loop(48), IntegratorConfig(t_end=5.0, report_stride=10**9))
+        assert traj.termination == "negative_tension"
+        assert traj.n_steps > 0
+        assert len(traj.snapshots) == 2
+        assert traj.snapshots[-1].tension.min_sigma <= 0.0
+
+    def test_blowup_halt_between_strides_snapshots_halting_state(self):
+        cfg = IntegratorConfig(
+            t_end=5.0, blowup_threshold=80.0, report_stride=10**9, halt_on_negative_tension=False
+        )
+        traj = run(near_loop(48), cfg)
+        assert traj.termination == "blowup_suspected"
+        assert len(traj.snapshots) == 2
+        cols = traj.series()
+        assert max(cols["max_ang_vel"][-1], cols["max_curvature"][-1]) > cfg.blowup_threshold
+
+
 def test_snapshot_report_fields():
     ch = make_random_chain(12, seed=8)
     sol = solve_tension(ch)

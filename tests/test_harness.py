@@ -225,15 +225,16 @@ class TestRunExperiment:
         assert manifest["status"] == "incomplete"
 
     def test_multi_seed_parallel_workers(self, tmp_path):
-        text = (
+        base = (
             "kind = run\ninitial.generator = random\ninitial.n = 8\n"
-            "integrator.t_end = 0.005\nseeds = 1,2\nworkers = 2\n"
-            f"output.formats = csv\noutput.dir = {tmp_path/'par'}\n"
+            "integrator.t_end = 0.005\nseeds = 1,2\noutput.formats = csv\n"
         )
-        manifest = run_experiment(parse_config(write_cfg(tmp_path, text)))
-        assert manifest.status == "complete"
-        assert (tmp_path / "par" / "series_seed1.csv").exists()
-        assert (tmp_path / "par" / "series_seed2.csv").exists()
+        for workers in (2, 1):
+            text = base + f"workers = {workers}\noutput.dir = {tmp_path / f'w{workers}'}\n"
+            manifest = run_experiment(parse_config(write_cfg(tmp_path, text, name=f"w{workers}.cfg")))
+            assert manifest.status == "complete"
+        for name in ("series_seed1.csv", "series_seed2.csv"):
+            assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
 
     def test_blowup_hunt_reports(self, tmp_path):
         text = (
@@ -273,6 +274,13 @@ class TestCli:
         out = tmp_path / "ovr"
         assert cli_main(["run", str(path), "--output-dir", str(out), "--seed", "9", "--quiet"]) == 0
         assert (out / "series.csv").exists()
+
+    def test_exit_3_on_numeric_failure(self, tmp_path, monkeypatch):
+        import whipchain.tension as tension
+
+        monkeypatch.setattr(tension, "SOLVE_RTOL", -1.0)
+        path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'nf'}\noutput.formats = csv\n")
+        assert cli_main(["run", str(path), "--quiet"]) == 3
 
     def test_console_script(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'cs'}\noutput.formats = csv\n")

@@ -6,6 +6,7 @@ import pytest
 
 from whipchain.core import ChainState, u0_v0
 from whipchain.dynamics import _advance
+from whipchain.errors import NumericError
 from whipchain.initial_data import (
     folded_chain,
     rigid_rotation,
@@ -418,3 +419,31 @@ def test_u0_conservation_identity():
         total = np.sum(np.einsum("kd,kd->k", ch.eta_dot[:-1], acc[:-1])) / ch.n
         u0, _ = u0_v0(ch)
         assert abs(total) <= 1e-12 * max(1.0, u0 * np.max(np.abs(sol.sigma)) * ch.n**2)
+
+
+# ---------------------------------------------------------------------------
+# typed numeric failures
+
+
+class TestNumericErrors:
+    def test_inconsistent_sigma_dot_raises(self):
+        # a constant sigma_dot has max |D- sigma_dot| = 0 but sigma_dot_k/s_k > 0
+        n = 8
+        ch = rigid_rotation(n, 1.0)
+        with pytest.raises(NumericError, match="sigma_dot"):
+            diagnostics_abc(ch, solve_tension(ch), np.ones(n + 1))
+
+    def test_residual_contract_raises(self, monkeypatch):
+        import whipchain.tension as tension
+
+        monkeypatch.setattr(tension, "SOLVE_RTOL", -1.0)
+        with pytest.raises(NumericError, match="residual"):
+            solve_tension(rigid_rotation(8, 1.0))
+
+    def test_off_manifold_system_not_positive_definite(self):
+        # doubled link lengths give alpha_i = 4: the 2 / -alpha stencil loses
+        # diagonal dominance and definiteness
+        ch = rigid_rotation(8, 1.0)
+        off = ChainState(ch.n, ch.d, 2.0 * ch.eta, ch.eta_dot)
+        with pytest.raises(NumericError, match="not positive definite"):
+            solve_tension(off)
