@@ -36,8 +36,6 @@ def main(argv=None) -> int:
         if args.output_dir is not None:
             cfg = replace(cfg, output_dir=Path(args.output_dir))
         if args.workers is not None:
-            if args.workers < 1:
-                raise ConfigError(f"--workers must be >= 1, got {args.workers}")
             cfg = replace(cfg, workers=args.workers)
         if args.seed is not None:
             cfg = replace(cfg, seeds=(args.seed,))

@@ -136,9 +136,10 @@ def _stage_rhs(eta: np.ndarray, eta_dot: np.ndarray, n: int):
     return eta_dot, _acceleration_arrays(eta, sigma, n)
 
 
-def _advance(eta, eta_dot, n, dt, scheme):
-    """One explicit step of the free ODE (no projection)."""
-    k1x, k1v = _stage_rhs(eta, eta_dot, n)
+def _advance(eta, eta_dot, sigma, n, dt, scheme):
+    """One explicit step of the free ODE (no projection); ``sigma`` is the
+    tension of (eta, eta_dot), so the first stage solves nothing."""
+    k1x, k1v = eta_dot, _acceleration_arrays(eta, sigma, n)
     if scheme == "heun":
         k2x, k2v = _stage_rhs(eta + dt * k1x, eta_dot + dt * k1v, n)
         new_eta = eta + dt * (k1x + k2x) / 2.0
@@ -152,13 +153,14 @@ def _advance(eta, eta_dot, n, dt, scheme):
     return new_eta, new_dot
 
 
-def _step_arrays(eta, eta_dot, n, t, dt, cfg: IntegratorConfig):
-    """One full step on raw arrays: advance, reject non-finite state, project.
+def _step_arrays(eta, eta_dot, sigma, n, t, dt, cfg: IntegratorConfig):
+    """One full step on raw arrays from a state with tension ``sigma``:
+    advance, reject non-finite state, project.
 
     Returns the new (eta, eta_dot) and the largest particle displacement the
     projection made (0.0 when cfg.project is off).
     """
-    eta, eta_dot = _advance(eta, eta_dot, n, dt, cfg.scheme)
+    eta, eta_dot = _advance(eta, eta_dot, sigma, n, dt, cfg.scheme)
     if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(eta_dot))):
         raise NumericError(f"non-finite state after step at t={t:.6g}")
     if not cfg.project:
@@ -170,9 +172,10 @@ def _step_arrays(eta, eta_dot, n, t, dt, cfg: IntegratorConfig):
 def step(chain: ChainState, cfg: IntegratorConfig, dt: float | None = None) -> ChainState:
     """Advance one step.  dt defaults to the adaptive CFL value; the result is
     projected when cfg.project is set.  Raises NumericError on NaN state."""
+    sigma = _solve_sigma_arrays(chain.eta, chain.eta_dot, chain.n)
     if dt is None:
-        dt = adaptive_dt(chain, _solve_sigma_arrays(chain.eta, chain.eta_dot, chain.n), cfg)
-    eta, eta_dot, _ = _step_arrays(chain.eta, chain.eta_dot, chain.n, chain.time, dt, cfg)
+        dt = adaptive_dt(chain, sigma, cfg)
+    eta, eta_dot, _ = _step_arrays(chain.eta, chain.eta_dot, sigma, chain.n, chain.time, dt, cfg)
     return ChainState(chain.n, chain.d, eta, eta_dot, chain.time + dt)
 
 
@@ -290,7 +293,7 @@ def run(initial: ChainState, cfg: IntegratorConfig) -> Trajectory:
             break
         dt = min(_clamp_dt(raw, cfg), cfg.t_end - t)
 
-        eta, eta_dot, moved = _step_arrays(eta, eta_dot, n, t, dt, cfg)
+        eta, eta_dot, moved = _step_arrays(eta, eta_dot, sigma, n, t, dt, cfg)
         proj_log.append(moved)
         t = t + dt
         snapped = len(proj_log) % cfg.report_stride == 0

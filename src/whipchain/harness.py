@@ -25,9 +25,10 @@ import json
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib.metadata import version as _pkg_version
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .initial_data import GENERATORS, make_initial, random_chain
 from .spectral import eta_to_theta
 from .tension import certify_bounds, green_matrix_for_chain
 
-KINDS = ("run", "convergence", "inequality_suite", "green_certify", "blowup_hunt")
 FORMATS = ("csv", "jsonl")
 
 _FLOAT = "%.17g"
@@ -50,58 +50,105 @@ _FLOAT = "%.17g"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment.  The field defaults are the defaults of the config
+    keys; every range check lives in ``__post_init__``, so a config changed
+    with ``dataclasses.replace`` is checked again."""
+
     kind: str
-    generator: str | None
-    n_list: tuple
-    generator_params: dict
-    integrator: IntegratorConfig
-    seeds: tuple
-    output_dir: Path
-    formats: tuple
+    generator: str | None = None
+    n_list: tuple = ()
+    generator_params: dict = field(default_factory=dict)
+    integrator: IntegratorConfig = IntegratorConfig(t_end=1.0)
+    seeds: tuple = (0,)
+    output_dir: Path = Path("out")
+    formats: tuple = FORMATS
     workers: int = 1
     suite_samples: int = 10000
     suite_n_values: tuple = (4, 16, 64)
     suite_r_values: tuple = (0.5, 1.0, 1.5, 2.0)
     config_bytes: bytes = b""
 
+    def __post_init__(self):
+        chain_kind = self.kind in _GENERATOR_KINDS
+        for ok, key, rule, value in (
+            (self.kind in _KIND_RUNNERS, "kind", f"one of {', '.join(_KIND_RUNNERS)}", self.kind),
+            (self.generator in (None, *GENERATORS), "initial.generator",
+             f"one of {', '.join(sorted(GENERATORS))}", self.generator),
+            (self.generator or not chain_kind, "initial.generator", f"set for kind {self.kind!r}", None),
+            (self.n_list or not chain_kind, "initial.n", f"set for kind {self.kind!r}", None),
+            (all(nv >= 2 for nv in self.n_list), "initial.n", "integers >= 2", self.n_list),
+            (len(self.n_list) >= 2 or self.kind != "convergence", "initial.n",
+             "two resolutions or more for convergence", self.n_list),
+            (self.workers >= 1, "workers", "an integer >= 1", self.workers),
+            (set(self.formats) <= set(FORMATS), "output.formats", "csv and/or jsonl", self.formats),
+            (self.suite_samples >= 0, "suite.samples", "an integer >= 0", self.suite_samples),
+            (all(nv >= 2 for nv in self.suite_n_values), "suite.n_values", "integers >= 2", self.suite_n_values),
+            (all(r > 0 for r in self.suite_r_values), "suite.r_values", "numbers > 0", self.suite_r_values),
+        ):
+            if not ok:
+                raise ConfigError(f"key {key!r} must be {rule}, got {value!r}")
+
     @property
     def n(self) -> int:
         return self.n_list[0]
 
 
-_INTEGRATOR_KEYS = {
-    "scheme": str,
-    "cfl": float,
-    "dt_max": float,
-    "dt_min": float,
-    "project": bool,
-    "halt_on_negative_tension": bool,
-    "t_end": float,
-    "report_stride": int,
-    "blowup_threshold": float,
-}
-
-_TOP_KEYS = {"kind", "seeds", "workers"}
-_OUTPUT_KEYS = {"output.dir", "output.formats"}
-_SUITE_KEYS = {"suite.samples", "suite.n_values", "suite.r_values"}
-
-
-def _parse_bool(raw: str, key: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "on", "yes", "1"):
         return True
     if low in ("false", "off", "no", "0"):
         return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
+    raise ValueError("not a boolean")
 
 
-def _parse_scalar(raw: str, typ, key: str):
+def _ints(raw: str) -> tuple:
+    return tuple(int(tok) for tok in raw.split(","))
+
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.split(","))
+
+
+def _names(raw: str) -> tuple:
+    return tuple(tok.strip() for tok in raw.split(","))
+
+
+#: config key -> (ExperimentConfig field, parser of the raw text)
+_SCHEMA = {
+    "kind": ("kind", str),
+    "initial.generator": ("generator", str),
+    "initial.n": ("n_list", _ints),
+    "seeds": ("seeds", _ints),
+    "workers": ("workers", int),
+    "output.dir": ("output_dir", Path),
+    "output.formats": ("formats", _names),
+    "suite.samples": ("suite_samples", int),
+    "suite.n_values": ("suite_n_values", _ints),
+    "suite.r_values": ("suite_r_values", _floats),
+}
+
+#: parsers of the annotated types ``initial.*`` and ``integrator.*`` keys may have
+_TYPE_PARSERS = {int: int, float: float, bool: _parse_bool, str: str}
+
+
+def _parse(parser, raw: str, key: str):
     try:
-        if typ is bool:
-            return _parse_bool(raw, key)
-        return typ(raw)
+        return parser(raw)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {typ.__name__}") from exc
+        raise ConfigError(f"key {key!r}: cannot parse {raw!r}: {exc}") from exc
+
+
+def _section(pairs: dict, prefix: str, types: dict) -> dict:
+    """Pop every ``prefix<name>`` key of ``pairs``, parsed by the type of
+    ``name`` in ``types``; a name without a parseable type is unknown."""
+    values = {}
+    for key in [k for k in pairs if k.startswith(prefix)]:
+        name = key[len(prefix):]
+        if types.get(name) not in _TYPE_PARSERS:
+            raise ConfigError(f"unknown key {key!r}")
+        values[name] = _parse(_TYPE_PARSERS[types[name]], pairs.pop(key), key)
+    return values
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -135,107 +182,26 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def build_config(pairs: dict, config_bytes: bytes = b"") -> ExperimentConfig:
+    """Build a config from raw ``key -> value`` text pairs.  An absent key
+    keeps its ExperimentConfig default; ``initial.<param>`` keys take the
+    generator's type hints and ``integrator.*`` keys IntegratorConfig's."""
     pairs = dict(pairs)
+    values = {}
+    for key, (name, parser) in _SCHEMA.items():
+        if key in pairs:
+            values[name] = _parse(parser, pairs.pop(key), key)
+    cfg = ExperimentConfig(kind=values.pop("kind", None), config_bytes=config_bytes, **values)
 
-    kind = pairs.pop("kind", None)
-    if kind is None:
-        raise ConfigError("missing required key 'kind'")
-    if kind not in KINDS:
-        raise ConfigError(f"key 'kind': unknown experiment kind {kind!r}; known: {', '.join(KINDS)}")
-
-    generator = pairs.pop("initial.generator", None)
-    if generator is not None and generator not in GENERATORS:
-        known = ", ".join(sorted(GENERATORS))
-        raise ConfigError(f"key 'initial.generator': unknown generator {generator!r}; known: {known}")
-    needs_generator = kind in ("run", "convergence", "blowup_hunt")
-    if needs_generator and generator is None:
-        raise ConfigError(f"experiment kind {kind!r} requires key 'initial.generator'")
-
-    raw_n = pairs.pop("initial.n", None)
-    if needs_generator and raw_n is None:
-        raise ConfigError(f"experiment kind {kind!r} requires key 'initial.n'")
-    n_list: tuple = ()
-    if raw_n is not None:
-        try:
-            n_list = tuple(int(tok) for tok in raw_n.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"key 'initial.n': expected integer(s), got {raw_n!r}") from exc
-        if any(nv < 2 for nv in n_list):
-            raise ConfigError(f"key 'initial.n': every resolution must be >= 2, got {raw_n!r}")
-        if kind == "convergence" and len(n_list) < 2:
-            raise ConfigError("key 'initial.n': convergence needs at least two resolutions")
-
-    gen_params: dict = {}
-    import inspect
-
-    sig = inspect.signature(GENERATORS[generator]) if generator else None
-    for key in [k for k in pairs if k.startswith("initial.")]:
-        param = key[len("initial."):]
-        if sig is None or param not in sig.parameters:
-            raise ConfigError(f"unknown key {key!r}")
-        raw = pairs.pop(key)
-        ann = sig.parameters[param].annotation
-        typ = int if ann is int else float
-        gen_params[param] = _parse_scalar(raw, typ, key)
-
-    integ_kwargs: dict = {}
-    for key in [k for k in pairs if k.startswith("integrator.")]:
-        param = key[len("integrator."):]
-        if param not in _INTEGRATOR_KEYS:
-            raise ConfigError(f"unknown key {key!r}")
-        integ_kwargs[param] = _parse_scalar(pairs.pop(key), _INTEGRATOR_KEYS[param], key)
-    integ_kwargs.setdefault("t_end", 1.0)
-    try:
-        integrator = IntegratorConfig(**integ_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"integrator settings invalid: {exc}") from exc
-
-    seeds_raw = pairs.pop("seeds", "0")
-    try:
-        seeds = tuple(int(tok) for tok in seeds_raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"key 'seeds': expected integer(s), got {seeds_raw!r}") from exc
-
-    workers_raw = pairs.pop("workers", "1")
-    workers = _parse_scalar(workers_raw, int, "workers")
-    if workers < 1:
-        raise ConfigError(f"key 'workers': must be >= 1, got {workers}")
-
-    output_dir = Path(pairs.pop("output.dir", "out"))
-    formats_raw = pairs.pop("output.formats", "csv,jsonl")
-    formats = tuple(tok.strip() for tok in formats_raw.split(","))
-    for fmt in formats:
-        if fmt not in FORMATS:
-            raise ConfigError(f"key 'output.formats': unknown format {fmt!r}; known: csv, jsonl")
-
-    samples = _parse_scalar(pairs.pop("suite.samples", "10000"), int, "suite.samples")
-    n_values = tuple(
-        _parse_scalar(tok, int, "suite.n_values")
-        for tok in pairs.pop("suite.n_values", "4,16,64").split(",")
-    )
-    r_values = tuple(
-        _parse_scalar(tok, float, "suite.r_values")
-        for tok in pairs.pop("suite.r_values", "0.5,1,1.5,2").split(",")
-    )
-
+    gen_types = get_type_hints(GENERATORS[cfg.generator]) if cfg.generator else {}
+    gen_params = _section(pairs, "initial.", gen_types)
+    integ_kwargs = _section(pairs, "integrator.", get_type_hints(IntegratorConfig))
     if pairs:
         raise ConfigError(f"unknown key {sorted(pairs)[0]!r}")
-
-    return ExperimentConfig(
-        kind=kind,
-        generator=generator,
-        n_list=n_list,
-        generator_params=gen_params,
-        integrator=integrator,
-        seeds=seeds,
-        output_dir=output_dir,
-        formats=formats,
-        workers=workers,
-        suite_samples=samples,
-        suite_n_values=n_values,
-        suite_r_values=r_values,
-        config_bytes=config_bytes,
-    )
+    try:
+        integrator = replace(cfg.integrator, **integ_kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"integrator settings invalid: {exc}") from exc
+    return replace(cfg, generator_params=gen_params, integrator=integrator)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +222,8 @@ class RunManifest:
 
     def write(self, output_dir: Path) -> Path:
         path = output_dir / "manifest.json"
-        payload = {
-            "config_hash": self.config_hash,
-            "code_version": self.code_version,
-            "started": self.started,
-            "finished": self.finished,
-            "status": self.status,
-            "termination": self.termination,
-            "violations": self.violations,
-            "files": sorted(self.files),
-            "summary": self.summary,
-        }
+        payload = asdict(self)
+        payload["files"].sort()
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return path
 
@@ -368,16 +325,17 @@ def snapshot_state_from_json(obj: dict) -> ChainState:
 # experiment kinds
 
 
+def _initial(cfg: ExperimentConfig, n: int, seed: int) -> ChainState:
+    """The configured generator's state at n links; ``random`` draws from ``seed``."""
+    seeding = {"rng": seed} if cfg.generator == "random" else {}
+    return make_initial(cfg.generator, n, **cfg.generator_params, **seeding)
+
+
 def _run_single(cfg: ExperimentConfig, seed: int, tag: str) -> tuple[list, str, Trajectory]:
-    params = dict(cfg.generator_params)
-    if cfg.generator == "random":
-        params["rng"] = seed
-    initial = make_initial(cfg.generator, cfg.n, **params)
-    traj = run(initial, cfg.integrator)
+    traj = run(_initial(cfg, cfg.n, seed), cfg.integrator)
     files = []
     for fmt in cfg.formats:
-        suffix = "csv" if fmt == "csv" else "jsonl"
-        path = cfg.output_dir / f"{tag}.{suffix}"
+        path = cfg.output_dir / f"{tag}.{fmt}"
         emit_series(traj, fmt, path)
         files.append(path.name)
     return files, traj.termination, traj
@@ -415,7 +373,7 @@ def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
 
     n_list = sorted(cfg.n_list)
     n_ref = 2 * n_list[-1]
-    ref = make_initial(cfg.generator, n_ref, **cfg.generator_params)
+    ref = _initial(cfg, n_ref, cfg.seeds[0])
     coeff_pos, coeff_vel = continuize_Gn(eta_to_theta(ref))
     finals = {}
     for nv in n_list:
@@ -575,7 +533,7 @@ def _kind_green_certify(cfg: ExperimentConfig, manifest: RunManifest) -> None:
         "minmax_failures": 0,
     }
     for i in range(count):
-        nv = max(int(n_values[i % len(n_values)]), 2)
+        nv = n_values[i % len(n_values)]
         turn = 1.45 if i % 2 == 0 else 0.6 * nv**-0.75
         chain = random_chain(nv, rng, max_turn=turn, vel_scale=2.0)
         cert = certify_bounds(green_matrix_for_chain(chain), chain)
@@ -633,6 +591,8 @@ _KIND_RUNNERS = {
     "green_certify": _kind_green_certify,
     "blowup_hunt": _kind_blowup_hunt,
 }
+#: the kinds that integrate a chain, so need initial.generator and initial.n
+_GENERATOR_KINDS = ("run", "convergence", "blowup_hunt")
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:

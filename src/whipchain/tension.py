@@ -101,14 +101,11 @@ class GreenMatrix:
 
     Always symmetric with |G_kj| <= min(j,k)/n.  When every alpha_i > 0 all
     entries are positive and the sharp upper bounds hold; ``alpha_beta`` is
-    the data G was built from, and ``upsilon`` is the smallest admissible
-    curvature bound of the generating state (None when unknown or when it
-    exceeds 2 sqrt(n)/5).
+    the data G was built from.
     """
 
     G: np.ndarray
     alpha_beta: AlphaBeta
-    upsilon: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "G", _frozen_array(self.G))
@@ -122,7 +119,7 @@ class GreenMatrix:
         return bool(np.all(self.alpha_beta.alpha > 0))
 
 
-def green_matrix(ab: AlphaBeta, n: int | None = None, upsilon: float | None = None) -> GreenMatrix:
+def green_matrix(ab: AlphaBeta, n: int | None = None) -> GreenMatrix:
     """Build G_kj = (1/n) sum_{i=1}^{min(j,k)} p_ij p_ik / beta_i with
     p_ij = prod_{m=i}^{j-1} alpha_m / beta_{m+1} (empty product = 1).
 
@@ -142,7 +139,7 @@ def green_matrix(ab: AlphaBeta, n: int | None = None, upsilon: float | None = No
         M[i, i:] = row
     M /= np.sqrt(ab.beta)[:, None]
     G = (M.T @ M) / n
-    return GreenMatrix(G, ab, upsilon)
+    return GreenMatrix(G, ab)
 
 
 def upsilon_threehalves(chain: ChainState) -> float:
@@ -156,12 +153,8 @@ def upsilon_threehalves(chain: ChainState) -> float:
 
 
 def green_matrix_for_chain(chain: ChainState) -> GreenMatrix:
-    """Green matrix of a chain, with the curvature certificate attached when
-    it is admissible (upsilon <= 2 sqrt(n)/5)."""
-    ups = upsilon_threehalves(chain)
-    admissible = ups <= 2.0 * np.sqrt(chain.n) / 5.0
-    ab = compute_alpha_beta(chain)
-    return green_matrix(ab, upsilon=ups if admissible else None)
+    """Green matrix of a chain."""
+    return green_matrix(compute_alpha_beta(chain))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +398,8 @@ def certify_bounds(gm: GreenMatrix, chain: ChainState) -> GreenCertificate:
     diffG = n * (G0[1:] - G0[:-1])
     max_abs_diff = float(np.max(np.abs(diffG)))
     max_upper = float(np.max(n * G / kk))
-    min_lower = float(np.min(n * n * G / (jj * kk)))
+    F = n * n * G / (jj * kk)
+    min_lower = float(np.min(F))
 
     ups = upsilon_threehalves(chain)
     admissible = ups <= 2.0 * np.sqrt(n) / 5.0
@@ -415,9 +409,8 @@ def certify_bounds(gm: GreenMatrix, chain: ChainState) -> GreenCertificate:
     ratio_ok = bool(max_upper <= 1.0 + _BOUND_SLACK) if all_nonneg else None
     lower_ok = bool(min_lower >= np.exp(-2.0 * ups) - _BOUND_SLACK) if admissible else None
 
-    F = n * n * G / (jj * kk)
     F1n = float(F[0, -1])
-    corner_gap = float(np.min(F) - F1n)
+    corner_gap = min_lower - F1n
     prod_formula = float(np.prod(ab.alpha / ab.beta[1:]) / ab.beta[0])
     corner_ok = None
     if all_nonneg:

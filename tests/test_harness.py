@@ -98,6 +98,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="two resolutions"):
             parse_config(write_cfg(tmp_path, text))
 
+    @pytest.mark.parametrize("generator", ["straight", "rigid_rotation"])
+    def test_integer_generator_param_parses_as_int(self, tmp_path, generator):
+        text = MINIMAL.replace("rigid_rotation", generator) + "initial.d = 3\n"
+        params = parse_config(write_cfg(tmp_path, text)).generator_params
+        assert params == {"d": 3} and type(params["d"]) is int
+
+    def test_rng_is_not_a_key(self, tmp_path):
+        # the random generator is seeded from `seeds`, never from initial.rng
+        text = MINIMAL.replace("rigid_rotation", "random") + "initial.rng = 5\n"
+        with pytest.raises(ConfigError, match="initial.rng"):
+            parse_config(write_cfg(tmp_path, text))
+
 
 # ---------------------------------------------------------------------------
 # emission
@@ -211,6 +223,18 @@ class TestRunExperiment:
         errs = manifest.summary["errors"]
         assert errs["8"] > errs["16"] > errs["32"]
 
+    def test_convergence_random_byte_identical(self, tmp_path):
+        text = (
+            "kind = convergence\ninitial.generator = random\ninitial.n = 8,16\n"
+            "integrator.t_end = 0.01\nseeds = 4\n"
+        )
+        outs = []
+        for sub in ("a", "b"):
+            cfg = parse_config(write_cfg(tmp_path, text + f"output.dir = {tmp_path/sub}\n", name=f"{sub}.cfg"))
+            run_experiment(cfg)
+            outs.append((tmp_path / sub / "convergence.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_interrupted_run_marked_incomplete(self, tmp_path, monkeypatch):
         import whipchain.harness as hz
 
@@ -264,6 +288,30 @@ class TestCli:
 
     def test_exit_2_on_missing_file(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "none.cfg"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("inequality_suite", "suite.r_values", "0"),
+            ("inequality_suite", "suite.r_values", "-0.5"),
+            ("inequality_suite", "suite.samples", "-3"),
+            ("green_certify", "suite.n_values", "1,4"),
+        ],
+    )
+    def test_exit_2_on_bad_suite_value(self, tmp_path, capsys, kind, key, value):
+        path = write_cfg(tmp_path, f"kind = {kind}\n{key} = {value}\noutput.dir = {tmp_path/'s'}\n")
+        assert cli_main(["run", str(path), "--quiet"]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_exit_2_on_zero_workers_override(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'w'}\n")
+        assert cli_main(["run", str(path), "--workers", "0", "--quiet"]) == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_integer_generator_param_run_exits_0(self, tmp_path):
+        text = MINIMAL.replace("rigid_rotation", "straight") + "initial.d = 3\noutput.formats = csv\n"
+        path = write_cfg(tmp_path, text + f"output.dir = {tmp_path/'d3'}\n")
+        assert cli_main(["run", str(path), "--quiet"]) == 0
 
     def test_output_dir_and_seed_overrides(self, tmp_path):
         path = write_cfg(

@@ -327,7 +327,7 @@ class TestSigmaDot:
         h = 1e-5
         out = {}
         for sign in (+1, -1):
-            eta, eta_dot = _advance(ch.eta, ch.eta_dot, ch.n, sign * h, "rk4")
+            eta, eta_dot = _advance(ch.eta, ch.eta_dot, sol.sigma, ch.n, sign * h, "rk4")
             out[sign] = solve_tension(ChainState(ch.n, 2, eta, eta_dot)).sigma
         fd = (out[+1] - out[-1]) / (2 * h)
         scale = max(np.max(np.abs(sd)), 1e-30)
