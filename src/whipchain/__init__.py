@@ -12,9 +12,7 @@ states between resolutions while preserving the weighted Sobolev norms.
 
 from .core import (
     ChainState,
-    EnergyReport,
     ExtendedChain,
-    WeightedSeminorm,
     discrete_energy,
     forward_diff,
     forward_diff_m,
@@ -22,13 +20,12 @@ from .core import (
     rising_weight,
     sigma_weighted_energy,
     u0_v0,
-    weighted_seminorm,
     weighted_seminorm_sq,
-    weighted_supnorm,
     weighted_supnorm_sq,
 )
 from .dynamics import (
     BlowupFit,
+    EnergyReport,
     IntegratorConfig,
     Snapshot,
     Trajectory,

@@ -16,6 +16,7 @@ All functions here are pure; states are immutable once constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -109,53 +110,12 @@ def weighted_seminorm_sq(f, r: float, m: int, n: int, first_index: int = 1) -> f
     return float(np.sum(w * _sq(df)) / n)
 
 
-def weighted_seminorm(f, r: float, m: int, n: int, first_index: int = 1) -> float:
-    """Square root of :func:`weighted_seminorm_sq`."""
-    return float(np.sqrt(weighted_seminorm_sq(f, r, m, n, first_index)))
-
-
 def weighted_supnorm_sq(f, r: float, m: int, n: int, first_index: int = 1) -> float:
     """Squared weighted sup seminorm max_k s_k^{(r)} |D+^m f_k|^2."""
     df = forward_diff_m(f, n, m)
     ks = first_index + np.arange(df.shape[0])
     w = rising_weight(ks, r, n)
     return float(np.max(w * _sq(df)))
-
-
-def weighted_supnorm(f, r: float, m: int, n: int, first_index: int = 1) -> float:
-    """Square root of :func:`weighted_supnorm_sq`."""
-    return float(np.sqrt(weighted_supnorm_sq(f, r, m, n, first_index)))
-
-
-@dataclass(frozen=True)
-class WeightedSeminorm:
-    """A labeled seminorm evaluation: weight exponent r > -1, difference
-    order m >= 0, and the squared value (the primitive the energy sums use,
-    avoiding needless square roots)."""
-
-    r: float
-    m: int
-    value: float
-
-    def __post_init__(self):
-        if self.r <= -1:
-            raise ValueError(f"weight exponent must be > -1, got r={self.r}")
-        if self.m < 0:
-            raise ValueError(f"difference order must be >= 0, got m={self.m}")
-        if not self.value >= 0.0:
-            raise ValueError(f"seminorm value must be nonnegative, got {self.value}")
-
-    @classmethod
-    def sobolev(cls, f, r: float, m: int, n: int, first_index: int = 1) -> "WeightedSeminorm":
-        return cls(r, m, weighted_seminorm_sq(f, r, m, n, first_index))
-
-    @classmethod
-    def supremum(cls, f, r: float, m: int, n: int, first_index: int = 1) -> "WeightedSeminorm":
-        return cls(r, m, weighted_supnorm_sq(f, r, m, n, first_index))
-
-    @property
-    def root(self) -> float:
-        return float(np.sqrt(self.value))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +191,7 @@ class ChainState:
 # odd/even extensions
 
 
-@dataclass(frozen=True)
-class ExtendedChain:
+class ExtendedChain(NamedTuple):
     """Chain extended through the fixed end: eta odd, sigma even.
 
     eta_ext / eta_dot_ext hold particles k = 1..2n+1 (row k-1) with
@@ -240,26 +199,9 @@ class ExtendedChain:
     with sigma_k = sigma_{2n+1-k}.
     """
 
-    base: ChainState
     eta_ext: np.ndarray
     eta_dot_ext: np.ndarray
     sigma_ext: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta_ext", _frozen_array(self.eta_ext))
-        object.__setattr__(self, "eta_dot_ext", _frozen_array(self.eta_dot_ext))
-        if self.sigma_ext is not None:
-            object.__setattr__(self, "sigma_ext", _frozen_array(self.sigma_ext))
-
-
-def odd_reflect(values: np.ndarray) -> np.ndarray:
-    """Extend eta-like data (rows k = 1..n+1) oddly to k = 1..2n+1."""
-    return np.concatenate([values, -values[-2::-1]], axis=0)
-
-
-def even_reflect_sigma(sigma: np.ndarray) -> np.ndarray:
-    """Extend sigma_0..sigma_n evenly to sigma_0..sigma_2n (sigma_k = sigma_{2n+1-k})."""
-    return np.concatenate([sigma, sigma[-1:0:-1]])
 
 
 def odd_extend(chain: ChainState, sigma=None) -> ExtendedChain:
@@ -268,53 +210,71 @@ def odd_extend(chain: ChainState, sigma=None) -> ExtendedChain:
     ``sigma`` may be an array sigma_0..sigma_n or any object with a
     ``.sigma`` attribute (a tension solution).
     """
-    eta_ext = odd_reflect(chain.eta)
-    eta_dot_ext = odd_reflect(chain.eta_dot)
-    sigma_ext = None
-    if sigma is not None:
-        sig = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
-        if sig.shape != (chain.n + 1,):
-            raise ValueError(f"sigma must hold sigma_0..sigma_n, expected shape ({chain.n + 1},)")
-        sigma_ext = even_reflect_sigma(sig)
-    return ExtendedChain(chain, eta_ext, eta_dot_ext, sigma_ext)
+    eta_ext = np.concatenate([chain.eta, -chain.eta[-2::-1]])
+    eta_dot_ext = np.concatenate([chain.eta_dot, -chain.eta_dot[-2::-1]])
+    if sigma is None:
+        return ExtendedChain(eta_ext, eta_dot_ext)
+    sig = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
+    if sig.shape != (chain.n + 1,):
+        raise ValueError(f"sigma must hold sigma_0..sigma_n, expected shape ({chain.n + 1},)")
+    return ExtendedChain(eta_ext, eta_dot_ext, np.concatenate([sig, sig[-1:0:-1]]))
 
 
 # ---------------------------------------------------------------------------
 # discrete energies
 
 
-def u0_v0(chain: ChainState) -> tuple[float, float]:
-    """The two conserved pieces of e_0: u_0 = (1/n) sum |eta_dot_k|^2 and
-    v_0 = (1/n) sum s_k |D+ eta_k|^2 (= 1/2 + 1/2n on the manifold)."""
-    n = chain.n
-    u0 = float(np.sum(_sq(chain.eta_dot[:-1])) / n)
-    s = np.arange(1, n + 1) / n
-    v0 = float(np.sum(s * _sq(chain.link_dirs())) / n)
-    return u0, v0
-
-
-def _energy_terms(vel_ext: np.ndarray, pos_ext: np.ndarray, weights, n: int, m_max: int):
-    """Per-order energy contributions using weights(k_array, order) -> array.
-
-    Term l sums k = 1..n - floor(l/2) of
-    w(k, l) |D+^l eta_dot_k|^2 + w(k, l+1) |D+^{l+1} eta_k|^2.
-    """
-    terms = np.zeros(m_max + 1)
-    dvel = vel_ext
-    dpos = forward_diff(pos_ext, n)
+def _squared_differences(ext: ExtendedChain, n: int, m_max: int) -> list:
+    """Pairs (|D+^l eta_dot_k|^2, |D+^{l+1} eta_k|^2) on k = 1..n - floor(l/2)
+    for l = 0..m_max, differences beyond the fixed end taken through ``ext``."""
+    out = []
+    dvel = ext.eta_dot_ext
+    dpos = forward_diff(ext.eta_ext, n)
     for ell in range(m_max + 1):
         kmax = n - ell // 2
         if kmax < 1:
             raise ValueError(f"energy order {ell} needs n > {2 * (ell // 2)}")
-        ks = np.arange(1, kmax + 1)
-        terms[ell] = (
-            np.sum(weights(ks, ell) * _sq(dvel[:kmax]))
-            + np.sum(weights(ks, ell + 1) * _sq(dpos[:kmax]))
-        ) / n
+        out.append((_sq(dvel[:kmax]), _sq(dpos[:kmax])))
         if ell < m_max:
             dvel = forward_diff(dvel, n)
             dpos = forward_diff(dpos, n)
-    return terms
+    return out
+
+
+def _energy_sums(sq: list, weight) -> np.ndarray:
+    """Row l holds sum_k w(k, l) |D+^l eta_dot_k|^2 and sum_k w(k, l+1) |D+^{l+1} eta_k|^2
+    over the ranges of :func:`_squared_differences`.
+
+    ``weight(r, count)`` gives w(k, r) for k = 1..count; it is called once per
+    order r, on the widest range that order is summed over.
+    """
+    w = [weight(r, len(sq[max(r - 1, 0)][0])) for r in range(len(sq) + 1)]
+    return np.array(
+        [[np.sum(w[ell][: len(v)] * v), np.sum(w[ell + 1][: len(p)] * p)] for ell, (v, p) in enumerate(sq)]
+    )
+
+
+def _s_weight(n: int):
+    """The rising weights s_k^{(r)} in the form :func:`_energy_sums` takes."""
+    return lambda r, count: rising_weight(np.arange(1, count + 1), r, n)
+
+
+def _sigma_weight(sigma_ext: np.ndarray):
+    """The tension products sigma_k^{(r)} in the form :func:`_energy_sums` takes."""
+    return lambda r, count: sigma_rising_product(sigma_ext, 1, count, r)
+
+
+def _energies(sums: np.ndarray, n: int) -> np.ndarray:
+    """e_0..e_{m_max} from the rows of :func:`_energy_sums`."""
+    return np.cumsum((sums[:, 0] + sums[:, 1]) / n)
+
+
+def u0_v0(chain: ChainState) -> tuple[float, float]:
+    """The two conserved pieces of e_0: u_0 = (1/n) sum |eta_dot_k|^2 and
+    v_0 = (1/n) sum s_k |D+ eta_k|^2 (= 1/2 + 1/2n on the manifold)."""
+    n = chain.n
+    u0, v0 = _energy_sums(_squared_differences(odd_extend(chain), n, 0), _s_weight(n))[0] / n
+    return float(u0), float(v0)
 
 
 def discrete_energy(chain: ChainState, m_max: int = 3) -> np.ndarray:
@@ -327,14 +287,8 @@ def discrete_energy(chain: ChainState, m_max: int = 3) -> np.ndarray:
     """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
-    ext = odd_extend(chain)
     n = chain.n
-
-    def w(ks, order):
-        return rising_weight(ks, order, n)
-
-    terms = _energy_terms(ext.eta_dot_ext, ext.eta_ext, w, n, m_max)
-    return np.cumsum(terms)
+    return _energies(_energy_sums(_squared_differences(odd_extend(chain), n, m_max), _s_weight(n)), n)
 
 
 def sigma_rising_product(sigma_ext: np.ndarray, k_start: int, count: int, r: int) -> np.ndarray:
@@ -356,43 +310,6 @@ def sigma_weighted_energy(chain: ChainState, sigma, m_max: int = 3) -> np.ndarra
         raise ValueError("sigma_weighted_energy requires a solved tension")
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
-    ext = odd_extend(chain, sigma)
     n = chain.n
-    sig_ext = ext.sigma_ext
-
-    def w(ks, order):
-        return sigma_rising_product(sig_ext, int(ks[0]), len(ks), order)
-
-    terms = _energy_terms(ext.eta_dot_ext, ext.eta_ext, w, n, m_max)
-    return np.cumsum(terms)
-
-
-# ---------------------------------------------------------------------------
-# energy report
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Full diagnostic record at one time instant.
-
-    e[m] and e_tilde[m] are the s- and sigma-weighted energies for
-    m = 0..m_max; d[m-1] is the tension Sobolev norm d_m for m = 1..d_max
-    (NaN where n is too small for the required differences); b is inf when
-    some tension is nonpositive.
-    """
-
-    e: np.ndarray
-    e_tilde: np.ndarray
-    u0: float
-    v0: float
-    a: float
-    b: float
-    c: float
-    d: np.ndarray
-    constraint_drift: float
-    time: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "e", _frozen_array(self.e))
-        object.__setattr__(self, "e_tilde", _frozen_array(self.e_tilde))
-        object.__setattr__(self, "d", _frozen_array(self.d))
+    ext = odd_extend(chain, sigma)
+    return _energies(_energy_sums(_squared_differences(ext, n, m_max), _sigma_weight(ext.sigma_ext)), n)

@@ -15,14 +15,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import ChainState, EnergyReport, _frozen_array, discrete_energy, sigma_weighted_energy, u0_v0
+from .core import (
+    ChainState,
+    _energies,
+    _energy_sums,
+    _frozen_array,
+    _s_weight,
+    _sigma_weight,
+    _squared_differences,
+    odd_extend,
+)
 from .errors import FitRejected, NumericError
 from .tension import (
     TensionSolution,
+    _sigma_dot_extended,
     _solve_sigma_arrays,
     diagnostics_abc,
     sigma_sobolev,
-    solve_sigma_dot,
     solve_tension,
 )
 
@@ -184,6 +193,33 @@ def step(chain: ChainState, cfg: IntegratorConfig, dt: float | None = None) -> C
 
 
 @dataclass(frozen=True)
+class EnergyReport:
+    """Full diagnostic record at one time instant.
+
+    e[m] and e_tilde[m] are the s- and sigma-weighted energies for m = 0..3;
+    d[m-1] is the tension Sobolev norm d_m for m = 1..3 (NaN where n is too
+    small for the required differences); b is inf when some tension is
+    nonpositive.
+    """
+
+    e: np.ndarray
+    e_tilde: np.ndarray
+    u0: float
+    v0: float
+    a: float
+    b: float
+    c: float
+    d: np.ndarray
+    constraint_drift: float
+    time: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "e", _frozen_array(self.e))
+        object.__setattr__(self, "e_tilde", _frozen_array(self.e_tilde))
+        object.__setattr__(self, "d", _frozen_array(self.d))
+
+
+@dataclass(frozen=True)
 class Snapshot:
     state: ChainState
     tension: TensionSolution
@@ -212,16 +248,21 @@ class Trajectory:
         return {k: np.array(v) for k, v in cols.items()}
 
 
-def snapshot_report(chain: ChainState, sol: TensionSolution, m_max: int = 3, d_max: int = 3) -> EnergyReport:
-    """Assemble the full energy/diagnostic record for one state."""
-    e = discrete_energy(chain, m_max)
-    et = sigma_weighted_energy(chain, sol, m_max)
-    u0, v0 = u0_v0(chain)
-    sd = solve_sigma_dot(chain, sol)
-    a, b, c = diagnostics_abc(chain, sol, sd)
-    d = sigma_sobolev(sol, chain.n, d_max)
+def snapshot_report(chain: ChainState, sol: TensionSolution) -> EnergyReport:
+    """Assemble the full energy/diagnostic record for one state.
+
+    One odd/even extension and one list of squared differences feed both
+    energy weightings, u0/v0 (the l = 0 sums) and the sigma_dot solve.
+    """
+    n = chain.n
+    ext = odd_extend(chain, sol)
+    sq = _squared_differences(ext, n, 3)
+    sums = _energy_sums(sq, _s_weight(n))
+    u0, v0 = sums[0] / n
+    a, b, c = diagnostics_abc(chain, sol, _sigma_dot_extended(ext, n))
     return EnergyReport(
-        e=e, e_tilde=et, u0=u0, v0=v0, a=a, b=b, c=c, d=d,
+        e=_energies(sums, n), e_tilde=_energies(_energy_sums(sq, _sigma_weight(ext.sigma_ext)), n),
+        u0=float(u0), v0=float(v0), a=a, b=b, c=c, d=sigma_sobolev(sol, n),
         constraint_drift=chain.constraint_drift(), time=chain.time,
     )
 
@@ -257,10 +298,10 @@ def _series_row(snap: Snapshot) -> dict:
            "min_sigma": sol.min_sigma, "max_ang_vel": ang, "max_curvature": curv,
            "constraint_drift": rep.constraint_drift}
     for m in range(4):
-        row[f"e{m}"] = rep.e[m] if m < len(rep.e) else np.nan
-        row[f"et{m}"] = rep.e_tilde[m] if m < len(rep.e_tilde) else np.nan
+        row[f"e{m}"] = rep.e[m]
+        row[f"et{m}"] = rep.e_tilde[m]
     for m in (1, 2, 3):
-        row[f"d{m}"] = rep.d[m - 1] if m - 1 < len(rep.d) else np.nan
+        row[f"d{m}"] = rep.d[m - 1]
     return row
 
 
@@ -281,7 +322,7 @@ def run(initial: ChainState, cfg: IntegratorConfig) -> Trajectory:
 
     while t < cfg.t_end - tiny:
         sigma = snapshots[-1].tension.sigma if snapped else _solve_sigma_arrays(eta, eta_dot, n)
-        if cfg.halt_on_negative_tension and float(np.min(sigma[1:])) <= 0.0:
+        if cfg.halt_on_negative_tension and float(np.min(sigma[1:])) < 0.0:
             termination = "negative_tension"
             break
         if max(_maxima(eta, eta_dot, n)) > cfg.blowup_threshold:

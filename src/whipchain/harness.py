@@ -79,6 +79,7 @@ class ExperimentConfig:
             (all(nv >= 2 for nv in self.n_list), "initial.n", "integers >= 2", self.n_list),
             (len(self.n_list) >= 2 or self.kind != "convergence", "initial.n",
              "two resolutions or more for convergence", self.n_list),
+            (all(seed >= 0 for seed in self.seeds), "seeds", "integers >= 0", self.seeds),
             (self.workers >= 1, "workers", "an integer >= 1", self.workers),
             (set(self.formats) <= set(FORMATS), "output.formats", "csv and/or jsonl", self.formats),
             (self.suite_samples >= 0, "suite.samples", "an integer >= 0", self.suite_samples),

@@ -26,7 +26,7 @@ from math import factorial
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .core import ChainState, _frozen_array, forward_diff_m
+from .core import ChainState, _frozen_array, forward_diff_m, weighted_seminorm_sq
 
 
 @dataclass(frozen=True)
@@ -282,8 +282,6 @@ def theta_eta_norms(chain: ChainState) -> tuple[float, float]:
     """The pair (A, B) of squared third-order weighted norms of the angle
     function and the position function; bounded by polynomial expressions in
     each other with constants the theory does not pin down."""
-    from .core import rising_weight  # local import to keep module deps one-way
-
     n = chain.n
     angles = eta_to_theta(chain)
     A = 0.0
@@ -291,10 +289,7 @@ def theta_eta_norms(chain: ChainState) -> tuple[float, float]:
     for j in (1, 2, 3):
         if n - j < 1:
             continue
-        dth = forward_diff_m(angles.theta, n, j)
-        ks = np.arange(1, n - j + 1)
-        A += float(np.sum(rising_weight(ks, j + 1, n) * dth**2) / n)
+        A += weighted_seminorm_sq(angles.theta, j + 1, j, n)
         # position differences of order j+1 at k = 1..n-j need no extension
-        dpos = forward_diff_m(chain.eta, n, j + 1)[: n - j]
-        B += float(np.sum(rising_weight(ks, j + 1, n) * np.sum(dpos * dpos, axis=-1)) / n)
+        B += weighted_seminorm_sq(chain.eta, j + 1, j + 1, n)
     return A, B

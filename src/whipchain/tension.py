@@ -23,6 +23,7 @@ from scipy.linalg.lapack import dptsv
 
 from .core import (
     ChainState,
+    ExtendedChain,
     _frozen_array,
     _sq,
     forward_diff,
@@ -119,17 +120,14 @@ class GreenMatrix:
         return bool(np.all(self.alpha_beta.alpha > 0))
 
 
-def green_matrix(ab: AlphaBeta, n: int | None = None) -> GreenMatrix:
+def green_matrix(ab: AlphaBeta) -> GreenMatrix:
     """Build G_kj = (1/n) sum_{i=1}^{min(j,k)} p_ij p_ik / beta_i with
     p_ij = prod_{m=i}^{j-1} alpha_m / beta_{m+1} (empty product = 1).
 
     Writing M[i, j] = p_ij / sqrt(beta_i) on the upper triangle gives
     G = M^T M / n, manifestly symmetric.
     """
-    if n is None:
-        n = ab.n
-    elif n != ab.n:
-        raise ValueError(f"n={n} does not match AlphaBeta size {ab.n}")
+    n = ab.n
     c = ab.alpha / ab.beta[1:]
     M = np.zeros((n, n))
     for i in range(n):
@@ -168,7 +166,6 @@ class TensionSolution:
     sigma: np.ndarray
     min_sigma: float
     positivity: bool
-    method: str
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", _frozen_array(self.sigma))
@@ -237,7 +234,7 @@ def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
 
     sigma = np.concatenate([[0.0], interior])
     min_sigma = float(np.min(interior))
-    return TensionSolution(sigma, min_sigma, min_sigma > 0.0, method)
+    return TensionSolution(sigma, min_sigma, min_sigma > 0.0)
 
 
 def _tridiagonal_residual(alpha: np.ndarray, sigma_int: np.ndarray, w: np.ndarray, n: int) -> float:
@@ -250,6 +247,13 @@ def _tridiagonal_residual(alpha: np.ndarray, sigma_int: np.ndarray, w: np.ndarra
     return float(np.max(np.abs(r - w)))
 
 
+def _flux_second_difference(sig: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
+    """D-D+ (sigma f)_k for k = 1..n from sigma_0..sigma_{n+1} and f_1..f_{n+1},
+    with (sigma f)_0 = 0."""
+    flux = np.concatenate([np.zeros((1, f.shape[1])), sig[1:, None] * f])  # j = 0..n+1
+    return n * n * (flux[2:] - 2.0 * flux[1:-1] + flux[:-2])
+
+
 def tension_residual(chain: ChainState, sigma) -> float:
     """max_k | <D+ eta_k, D-D+ (sigma D+ eta)_k> + |D+ eta_dot_k|^2 |.
 
@@ -258,10 +262,8 @@ def tension_residual(chain: ChainState, sigma) -> float:
     """
     n = chain.n
     ext = odd_extend(chain, sigma)
-    sig = ext.sigma_ext[: n + 2]
     t_ext = forward_diff(ext.eta_ext[: n + 2], n)  # D+ eta_j for j = 1..n+1
-    flux = np.concatenate([np.zeros((1, chain.d)), sig[1:, None] * t_ext])  # j = 0..n+1
-    second = n * n * (flux[2:] - 2.0 * flux[1:-1] + flux[:-2])  # k = 1..n
+    second = _flux_second_difference(ext.sigma_ext[: n + 2], t_ext, n)
     lhs = np.einsum("kd,kd->k", t_ext[:-1], second)
     return float(np.max(np.abs(lhs + _alpha_w(chain.eta, chain.eta_dot, n)[1])))
 
@@ -277,22 +279,19 @@ def solve_sigma_dot(chain: ChainState, sigma) -> np.ndarray:
 
     Returns sigma_dot_0..sigma_dot_n with sigma_dot_0 = 0.
     """
-    n = chain.n
-    ext = odd_extend(chain, sigma)
+    return _sigma_dot_extended(odd_extend(chain, sigma), chain.n)
+
+
+def _sigma_dot_extended(ext: ExtendedChain, n: int) -> np.ndarray:
+    """:func:`solve_sigma_dot` on an extension that carries sigma; alpha comes
+    from the extension's D+ eta."""
     sig = ext.sigma_ext[: n + 2]  # sigma_0..sigma_{n+1} (even: sigma_{n+1} = sigma_n)
     t_ext = forward_diff(ext.eta_ext[: n + 2], n)  # D+ eta_j, j = 1..n+1
     td_ext = forward_diff(ext.eta_dot_ext[: n + 2], n)  # D+ eta_dot_j, j = 1..n+1
-
-    zero = np.zeros((1, chain.d))
-    flux_pos = np.concatenate([zero, sig[1:, None] * t_ext])  # (sigma D+ eta)_j, j = 0..n+1
-    flux_vel = np.concatenate([zero, sig[1:, None] * td_ext])
-    second_pos = n * n * (flux_pos[2:] - 2.0 * flux_pos[1:-1] + flux_pos[:-2])  # k = 1..n
-    second_vel = n * n * (flux_vel[2:] - 2.0 * flux_vel[1:-1] + flux_vel[:-2])
-
-    rhs = 3.0 * np.einsum("kd,kd->k", td_ext[:-1], second_pos) + np.einsum(
-        "kd,kd->k", t_ext[:-1], second_vel
+    rhs = 3.0 * np.einsum("kd,kd->k", td_ext[:-1], _flux_second_difference(sig, t_ext, n)) + np.einsum(
+        "kd,kd->k", t_ext[:-1], _flux_second_difference(sig, td_ext, n)
     )
-    alpha, _ = _alpha_w(chain.eta, chain.eta_dot, n)
+    alpha = np.einsum("kd,kd->k", t_ext[1:n], t_ext[: n - 1])
     sd = np.empty(n + 1)
     sd[0] = 0.0
     sd[1:] = _solve_tridiagonal(alpha, rhs, n)

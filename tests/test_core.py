@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from whipchain.core import (
     ChainState,
-    WeightedSeminorm,
     discrete_energy,
     forward_diff,
     forward_diff_m,
@@ -18,7 +17,6 @@ from whipchain.core import (
     sigma_weighted_energy,
     u0_v0,
     weighted_seminorm_sq,
-    weighted_supnorm,
     weighted_supnorm_sq,
 )
 from whipchain.initial_data import rigid_rotation, straight_chain
@@ -188,23 +186,6 @@ class TestSeminorms:
             [oracle_weight(k, 1.0, n) * (n * (f[k] - f[k - 1])) ** 2 for k in ks]
         )
         assert weighted_supnorm_sq(f, 1.0, 1, n) == pytest.approx(expect, rel=1e-12)
-
-    def test_seminorm_record_type(self):
-        f = np.full(5, 2.0)
-        rec = WeightedSeminorm.sobolev(f, 0.0, 0, 5)
-        assert rec.value == pytest.approx(4.0)  # m = 0, constant: squared constant
-        assert rec.root == pytest.approx(2.0)
-        assert WeightedSeminorm.supremum(f, 1.0, 1, 5).value == 0.0
-        with pytest.raises(ValueError):
-            WeightedSeminorm(-1.5, 0, 1.0)
-        with pytest.raises(ValueError):
-            WeightedSeminorm(1.0, 0, -0.1)
-
-    def test_supnorm_root_companion(self, rng):
-        f = rng.normal(size=7)
-        assert weighted_supnorm(f, 1.0, 1, 7) == pytest.approx(
-            np.sqrt(weighted_supnorm_sq(f, 1.0, 1, 7))
-        )
 
     def test_product_norm_bound(self, rng):
         # |fg|^2_{p+q,0} <= [Gamma(p+q+1)/(Gamma(p+1)Gamma(q+1))] [f]^2_{p,0} |g|^2_{q,0}

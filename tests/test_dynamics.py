@@ -226,6 +226,13 @@ class TestRun:
         assert traj.n_steps == 0
         assert len(traj.snapshots) == 1
 
+    def test_chain_at_rest_does_not_halt(self):
+        # zero tension is not negative tension: a straight chain at rest runs to t_end
+        traj = run(straight_chain(8), IntegratorConfig(t_end=0.01))
+        assert traj.termination == "t_end_reached"
+        assert traj.n_steps == 10
+        assert all(np.all(snap.state.eta_dot == 0.0) for snap in traj.snapshots)
+
     def test_dt_underflow(self):
         ch = make_random_chain(8, seed=7, vel_scale=3.0)
         cfg = IntegratorConfig(t_end=1.0, dt_min=1.0, dt_max=1.0, cfl=1e-6)

@@ -290,17 +290,27 @@ class TestCli:
         assert cli_main(["run", str(tmp_path / "none.cfg"), "--quiet"]) == 2
 
     @pytest.mark.parametrize(
-        "kind, key, value",
+        "kind, key, value, args",
         [
-            ("inequality_suite", "suite.r_values", "0"),
-            ("inequality_suite", "suite.r_values", "-0.5"),
-            ("inequality_suite", "suite.samples", "-3"),
-            ("green_certify", "suite.n_values", "1,4"),
+            ("inequality_suite", "suite.r_values", "0", []),
+            ("inequality_suite", "suite.r_values", "-0.5", []),
+            ("inequality_suite", "suite.samples", "-3", []),
+            ("green_certify", "suite.n_values", "1,4", []),
+            ("inequality_suite", "seeds", "-1", []),
+            ("green_certify", "seeds", "0", ["--seed", "-1"]),
+        ],
+        ids=[
+            "inequality_suite-suite.r_values-0",
+            "inequality_suite-suite.r_values--0.5",
+            "inequality_suite-suite.samples--3",
+            "green_certify-suite.n_values-1,4",
+            "inequality_suite-seeds--1",
+            "green_certify-seed_override--1",
         ],
     )
-    def test_exit_2_on_bad_suite_value(self, tmp_path, capsys, kind, key, value):
+    def test_exit_2_on_bad_suite_value(self, tmp_path, capsys, kind, key, value, args):
         path = write_cfg(tmp_path, f"kind = {kind}\n{key} = {value}\noutput.dir = {tmp_path/'s'}\n")
-        assert cli_main(["run", str(path), "--quiet"]) == 2
+        assert cli_main(["run", str(path), "--quiet", *args]) == 2
         assert key in capsys.readouterr().err
 
     def test_exit_2_on_zero_workers_override(self, tmp_path, capsys):

@@ -102,11 +102,6 @@ class TestGreenMatrix:
             gm = green_matrix_for_chain(ch)
             assert gm.G == pytest.approx(oracle_green(ch), rel=1e-10, abs=1e-12)
 
-    def test_n_mismatch(self):
-        ab = alpha_beta_from_alpha(np.ones(3))
-        with pytest.raises(ValueError):
-            green_matrix(ab, n=7)
-
     def test_minmax_bound_with_negative_alpha(self):
         # |G_kj| <= min(j,k)/n holds even when entries go negative
         for seed in range(8):
