@@ -25,7 +25,7 @@ from whipchain import (
     theta_to_eta,
     transfer_resolution,
 )
-from whipchain.initial_data import rigid_rotation
+from whipchain.initial_data import rigid_rotation, rigid_rotation_exact
 from whipchain.spectral import basis_q_table
 
 print("=== discrete orthonormality and the r_mj ladder (n = 8) ===")
@@ -47,7 +47,7 @@ ang = AngleState(n, theta, np.zeros(n))
 coeffs, _ = continuize_Gn(ang)
 back = discretize_Fn(coeffs, n)
 print(f"F_n o G_n identity error: {np.max(np.abs(back.theta - theta)):.2e}")
-print(f"sum a_m^2 = {np.sum(coeffs.coeffs**2):.12f}")
+print(f"sum a_m^2 = {np.sum(coeffs**2):.12f}")
 print(f"<<theta, theta>>_0 = {discrete_symmetric_inner(theta, theta, 0, n):.12f}")
 
 print("\n=== resolution transfer preserves the constraint exactly ===")
@@ -65,9 +65,8 @@ for nv in (16, 32, 64):
     chain = theta_to_eta(discretize_Fn(cp, nv, cv))
     traj = run(chain, IntegratorConfig(t_end=t_end, report_stride=10**9))
     fin = traj.snapshots[-1].state
-    s = np.arange(1, nv + 2) / nv
-    u = np.array([np.cos(t_end), np.sin(t_end)])
-    exact = np.outer(1.0 - np.minimum(s, 1.0), u)
+    # particle k sits at arclength (k-1)/n from the free end of the whip
+    exact = rigid_rotation_exact(nv, t_end).eta
     err = np.max(np.linalg.norm(fin.eta - exact, axis=1))
     ratio = "" if prev is None else f"   ratio {prev / err:.2f}"
     print(f"n = {nv:3d}: max position error vs continuum at t = {t_end}: {err:.5f}{ratio}")

@@ -55,8 +55,6 @@ from .initial_data import (
 )
 from .spectral import (
     AngleState,
-    SpectralCoeffs,
-    basis_Q,
     basis_q,
     continuize_Gn,
     discrete_symmetric_inner,

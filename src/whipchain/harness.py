@@ -35,8 +35,8 @@ import numpy as np
 from .core import ChainState, rising_weight, weighted_seminorm_sq, weighted_supnorm_sq
 from .dynamics import IntegratorConfig, Trajectory, detect_blowup, run
 from .errors import ConfigError, FitRejected
-from .initial_data import GENERATORS, make_initial, random_chain
-from .spectral import eta_to_theta
+from .initial_data import GENERATORS, make_initial, random_chain, rigid_rotation_exact
+from .spectral import angle_coefficients, continuize_Gn, discretize_Fn, eta_to_theta, theta_to_eta
 from .tension import certify_bounds, green_matrix_for_chain
 
 FORMATS = ("csv", "jsonl")
@@ -70,6 +70,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         chain_kind = self.kind in _GENERATOR_KINDS
+        d = self.generator_params.get("d", 2)
         for ok, key, rule, value in (
             (self.kind in _KIND_RUNNERS, "kind", f"one of {', '.join(_KIND_RUNNERS)}", self.kind),
             (self.generator in (None, *GENERATORS), "initial.generator",
@@ -79,6 +80,8 @@ class ExperimentConfig:
             (all(nv >= 2 for nv in self.n_list), "initial.n", "integers >= 2", self.n_list),
             (len(self.n_list) >= 2 or self.kind != "convergence", "initial.n",
              "two resolutions or more for convergence", self.n_list),
+            (d >= 2, "initial.d", "an integer >= 2", d),
+            (d == 2 or self.kind != "convergence", "initial.d", "2 for convergence (the angle maps are planar)", d),
             (all(seed >= 0 for seed in self.seeds), "seeds", "integers >= 0", self.seeds),
             (self.workers >= 1, "workers", "an integer >= 1", self.workers),
             (set(self.formats) <= set(FORMATS), "output.formats", "csv and/or jsonl", self.formats),
@@ -327,9 +330,13 @@ def snapshot_state_from_json(obj: dict) -> ChainState:
 
 
 def _initial(cfg: ExperimentConfig, n: int, seed: int) -> ChainState:
-    """The configured generator's state at n links; ``random`` draws from ``seed``."""
+    """The configured generator's state at n links; ``random`` draws from
+    ``seed``.  A parameter outside the generator's domain is a ConfigError."""
     seeding = {"rng": seed} if cfg.generator == "random" else {}
-    return make_initial(cfg.generator, n, **cfg.generator_params, **seeding)
+    try:
+        return make_initial(cfg.generator, n, **cfg.generator_params, **seeding)
+    except ValueError as exc:
+        raise ConfigError(f"generator {cfg.generator!r}: {exc}") from exc
 
 
 def _run_single(cfg: ExperimentConfig, seed: int, tag: str) -> tuple[list, str, Trajectory]:
@@ -365,13 +372,13 @@ def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     the spectral maps, integrated to t_end.
 
     The datum is the generator state at a reference resolution 2 max(n),
-    continuized; each chain is its n-mode discretization.  Per-n errors are
-    measured against the continuum rigid-rotation closed form when available,
-    else pairwise between consecutive resolutions through the isometric
+    continuized; each chain is its n-mode discretization.  For
+    rigid_rotation the per-n error is max_k |eta_k - ((n+1-k)/n) u(t_end)|:
+    particle k against the rotating whip at its arclength (k-1)/n from the
+    free end, which is ``rigid_rotation_exact``.  Other generators are
+    compared pairwise between consecutive resolutions through the isometric
     coefficient representation.
     """
-    from .spectral import angle_coefficients, continuize_Gn, discretize_Fn, theta_to_eta
-
     n_list = sorted(cfg.n_list)
     n_ref = 2 * n_list[-1]
     ref = _initial(cfg, n_ref, cfg.seeds[0])
@@ -385,11 +392,8 @@ def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     rows = []
     t_end = cfg.integrator.t_end
     if cfg.generator == "rigid_rotation":
-        omega = cfg.generator_params.get("omega", 1.0)
-        u = np.array([np.cos(omega * t_end), np.sin(omega * t_end)])
         for nv in n_list:
-            s = np.arange(1, nv + 2) / nv  # grid points k/n, k = 1..n+1
-            exact = np.outer(1.0 - np.minimum(s, 1.0), u)
+            exact = rigid_rotation_exact(nv, t_end, **cfg.generator_params).eta
             err = float(np.max(np.linalg.norm(finals[nv].eta - exact, axis=1)))
             rows.append((nv, err))
     else:

@@ -47,24 +47,6 @@ class AngleState:
         object.__setattr__(self, "theta_dot", theta_dot)
 
 
-@dataclass(frozen=True)
-class SpectralCoeffs:
-    """Expansion coefficients in one of the two orthonormal bases.
-
-    ``basis`` is "hahn_derived" (discrete a_m, with source resolution n) or
-    "legendre_derived" (continuous-target A_m, n = None).
-    """
-
-    coeffs: np.ndarray
-    basis: str
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.basis not in ("hahn_derived", "legendre_derived"):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        object.__setattr__(self, "coeffs", _frozen_array(self.coeffs))
-
-
 # ---------------------------------------------------------------------------
 # angle <-> position
 
@@ -150,20 +132,12 @@ def r_coefficient(m: int, j: int) -> float:
 # the two bases
 
 
-def basis_Q(m: int, s) -> np.ndarray:
-    """Legendre-derived mode Q_m(s) = K_m P'_{2m-1}(1-s) on [0, 2], even
-    through s = 1, orthonormal at j = 0 for the rho-weighted inner product."""
+def basis_Q_deriv(m: int, s, j: int) -> np.ndarray:
+    """j-th derivative of the Legendre-derived mode Q_m(s) = K_m P'_{2m-1}(1-s)
+    on [0, 2] (j = 0 gives Q_m itself): even through s = 1, orthonormal at
+    j = 0 for the rho-weighted inner product."""
     if m < 1:
         raise ValueError(f"mode index must be >= 1, got {m}")
-    coeffs = np.zeros(2 * m)
-    coeffs[2 * m - 1] = 1.0
-    dP = npleg.legder(coeffs)
-    K = np.sqrt((4 * m - 1) / (2.0 * m * (2 * m - 1)))
-    return K * npleg.legval(1.0 - np.asarray(s, dtype=float), dP)
-
-
-def basis_Q_deriv(m: int, s, j: int) -> np.ndarray:
-    """j-th derivative of Q_m (for quadrature oracles)."""
     coeffs = np.zeros(2 * m)
     coeffs[2 * m - 1] = 1.0
     dP = npleg.legder(coeffs, j + 1)
@@ -176,33 +150,25 @@ def basis_q_table(n: int) -> np.ndarray:
     """All discrete modes q_m(k/n), m = 1..n, k = 1..2n, as a read-only
     (n, 2n) array.
 
-    Built by the three-term recurrence for orthogonal polynomials of the
-    discrete measure rho_k on k = 1..2n (with full reorthogonalization, so
-    orthonormality holds to round-off for every m <= n).  The even-degree
-    members are the symmetric family; signs follow the continuous basis,
-    q_m(1/n) > 0.
+    q_m is even through the fixed end, so on the half grid k = 1..n it is
+    the degree m-1 orthonormal polynomial in x = (k - n - 1/2)^2 for the
+    weight rho_k / n (the symmetric-measure reduction of the Hahn family).
+    Row m+1 is x q_m Gram-Schmidt orthogonalized against rows 1..m, twice
+    for round-off, so every mode keeps a positive leading coefficient in x,
+    as Q_m does in (1-s)^2; hence q_m(1) has the sign (-1)^(m-1).  The
+    second half is the mirror image of the first.
     """
-    k = np.arange(1, 2 * n + 1, dtype=float)
-    y = k - (2 * n + 1) / 2.0                     # centered variable; reflection is y -> -y
-    w = k * (2 * n + 1 - k) / n**2 / (2.0 * n)    # half-range-normalized measure
-    ps = []
-    p_prev = np.zeros_like(y)
-    p_cur = np.ones_like(y) / np.sqrt(np.sum(w))
-    b_prev = 0.0
-    for _ in range(2 * n - 2):
-        ps.append(p_cur)
-        t = y * p_cur - b_prev * p_prev           # symmetric measure: diagonal recurrence term is 0
-        P = np.array(ps)
+    k = np.arange(1, n + 1, dtype=float)
+    x = (k - n - 0.5) ** 2
+    w = symmetric_weight(n, 1, n) / n
+    half = np.empty((n, n))
+    half[0] = 1.0 / np.sqrt(np.sum(w))
+    for m in range(1, n):
+        t = x * half[m - 1]
         for _ in range(2):                        # twice-is-enough reorthogonalization
-            t = t - P.T @ (P @ (w * t))
-        b_cur = np.sqrt(np.sum(w * t * t))
-        p_prev, p_cur, b_prev = p_cur, t / b_cur, b_cur
-    ps.append(p_cur)
-    table = np.empty((n, 2 * n))
-    for m in range(1, n + 1):
-        q = ps[2 * m - 2]
-        q = 0.5 * (q + q[::-1])  # make the reflection identity bitwise exact
-        table[m - 1] = q if q[0] > 0 else -q
+            t = t - half[:m].T @ (half[:m] @ (w * t))
+        half[m] = t / np.sqrt(np.sum(w * t * t))
+    table = np.hstack([half, half[:, ::-1]])
     table.setflags(write=False)
     return table
 
@@ -221,14 +187,12 @@ def basis_q(m: int, n: int) -> np.ndarray:
 
 
 def angle_coefficients(values, n: int) -> np.ndarray:
-    """a_m = <<theta, q_m>>_{rho,0} = (1/n) sum_k rho_k theta_k q_m(k/n)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] == n:
-        values = even_extend_theta(values, n)
-    k = np.arange(1, n + 1, dtype=float)
-    rho = k * (2 * n + 1 - k) / n**2
-    table = basis_q_table(n)[:, :n]
-    return table @ (rho * values[:n]) / n
+    """a_m = <<theta, q_m>>_{rho,0} = (1/n) sum_k rho_k theta_k q_m(k/n).
+
+    ``values`` is theta_1..theta_n or its even extension to k = 1..2n, of
+    which only the first half is read."""
+    values = np.asarray(values, dtype=float)[:n]
+    return basis_q_table(n)[:, :n] @ (symmetric_weight(n, 1, n) * values) / n
 
 
 def evaluate_discrete(coeffs, n: int) -> np.ndarray:
@@ -238,25 +202,17 @@ def evaluate_discrete(coeffs, n: int) -> np.ndarray:
     return coeffs[:mm] @ basis_q_table(n)[:mm, :n]
 
 
-def continuize_Gn(angles: AngleState) -> tuple[SpectralCoeffs, SpectralCoeffs]:
-    """Discrete angles -> continuous-target coefficients (theta and theta_dot
-    paths); an isometry in every (rho, j) seminorm."""
-    a = angle_coefficients(angles.theta, angles.n)
-    ad = angle_coefficients(angles.theta_dot, angles.n)
-    return (
-        SpectralCoeffs(a, "hahn_derived", angles.n),
-        SpectralCoeffs(ad, "hahn_derived", angles.n),
-    )
+def continuize_Gn(angles: AngleState) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete angles -> continuous-target coefficient arrays a_m (theta and
+    theta_dot paths); an isometry in every (rho, j) seminorm."""
+    return angle_coefficients(angles.theta, angles.n), angle_coefficients(angles.theta_dot, angles.n)
 
 
 def discretize_Fn(coeffs, n: int, coeffs_dot=None, time: float = 0.0) -> AngleState:
     """Coefficients -> discrete angles at resolution n, truncating to the
     first n modes; inverse of continuize_Gn on n-mode data."""
-    theta = evaluate_discrete(np.asarray(getattr(coeffs, "coeffs", coeffs), dtype=float), n)
-    if coeffs_dot is None:
-        theta_dot = np.zeros(n)
-    else:
-        theta_dot = evaluate_discrete(np.asarray(getattr(coeffs_dot, "coeffs", coeffs_dot), dtype=float), n)
+    theta = evaluate_discrete(coeffs, n)
+    theta_dot = np.zeros(n) if coeffs_dot is None else evaluate_discrete(coeffs_dot, n)
     return AngleState(n, theta, theta_dot, time)
 
 

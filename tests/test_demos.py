@@ -1,5 +1,5 @@
 """The demos still match the package API: every imported name resolves, and
-the weighted-energy demo runs to completion."""
+the weighted-energy and spectral-transfer demos run to completion."""
 
 import ast
 import importlib
@@ -34,10 +34,9 @@ def test_demo_imports_resolve(path):
     assert not missing
 
 
-def test_weighted_energies_demo_runs():
+@pytest.mark.parametrize("name", ["03_weighted_energies.py", "04_spectral_transfer.py"])
+def test_demo_runs(name):
     src = str(Path(whipchain.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(DEMOS / "03_weighted_energies.py")], capture_output=True, env=env, timeout=120
-    )
+    proc = subprocess.run([sys.executable, str(DEMOS / name)], capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()

@@ -18,7 +18,8 @@ from whipchain.harness import (
     run_experiment,
     snapshot_state_from_json,
 )
-from whipchain.initial_data import perturbed_vertical
+from whipchain.initial_data import perturbed_vertical, rigid_rotation, rigid_rotation_exact
+from whipchain.spectral import continuize_Gn, discretize_Fn, eta_to_theta, theta_to_eta
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -312,6 +313,41 @@ class TestCli:
         path = write_cfg(tmp_path, f"kind = {kind}\n{key} = {value}\noutput.dir = {tmp_path/'s'}\n")
         assert cli_main(["run", str(path), "--quiet", *args]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, generator, n, key, value, named",
+        [
+            ("convergence", "rigid_rotation", "8,16", "d", "3", "initial.d"),
+            ("run", "rigid_rotation", "8", "d", "1", "initial.d"),
+            ("run", "theta_power", "8", "q", "-1", "theta_power"),
+            ("run", "theta_power", "8", "q", "0", "theta_power"),
+        ],
+        ids=["convergence-d-3", "rigid_rotation-d-1", "theta_power-q--1", "theta_power-q-0"],
+    )
+    def test_exit_2_on_generator_domain_error(self, tmp_path, capsys, kind, generator, n, key, value, named):
+        text = (
+            f"kind = {kind}\ninitial.generator = {generator}\ninitial.n = {n}\ninitial.{key} = {value}\n"
+            f"integrator.t_end = 0.01\noutput.dir = {tmp_path/'g'}\n"
+        )
+        assert cli_main(["run", str(write_cfg(tmp_path, text)), "--quiet"]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_convergence_error_is_distance_to_closed_form(self, tmp_path):
+        # each reported error is max_k |eta_k - exact_k| of the chain the kind
+        # integrates, against the rotating chain's closed form at t_end
+        omega, t_end = 1.5, 0.1
+        text = (
+            f"kind = convergence\ninitial.generator = rigid_rotation\ninitial.n = 8,16\n"
+            f"initial.omega = {omega}\nintegrator.t_end = {t_end}\noutput.dir = {tmp_path/'cv'}\n"
+        )
+        assert cli_main(["run", str(write_cfg(tmp_path, text)), "--quiet"]) == 0
+        errors = json.loads((tmp_path / "cv" / "manifest.json").read_text())["summary"]["errors"]
+        cp, cv = continuize_Gn(eta_to_theta(rigid_rotation(32, omega)))
+        for n in (8, 16):
+            chain = theta_to_eta(discretize_Fn(cp, n, cv))
+            fin = run(chain, IntegratorConfig(t_end=t_end)).snapshots[-1].state
+            exact = rigid_rotation_exact(n, t_end, omega).eta
+            assert errors[str(n)] == pytest.approx(np.max(np.linalg.norm(fin.eta - exact, axis=1)), abs=1e-14)
 
     def test_exit_2_on_zero_workers_override(self, tmp_path, capsys):
         path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'w'}\n")

@@ -11,9 +11,7 @@ from whipchain.core import ChainState, discrete_energy
 from whipchain.initial_data import straight_chain, theta_power
 from whipchain.spectral import (
     AngleState,
-    SpectralCoeffs,
     angle_coefficients,
-    basis_Q,
     basis_Q_deriv,
     basis_q,
     basis_q_table,
@@ -139,7 +137,7 @@ class TestBasisQ:
 
     def test_Q1_constant_and_r11_zero(self):
         s = np.linspace(0, 2, 11)
-        q1 = basis_Q(1, s)
+        q1 = basis_Q_deriv(1, s, 0)
         assert np.max(np.abs(q1 - q1[0])) == 0.0
         assert r_coefficient(1, 1) == 0.0
 
@@ -150,7 +148,7 @@ class TestBasisQ:
     def test_symmetry(self):
         s = np.linspace(0, 1, 23)
         for m in (1, 2, 3, 5):
-            assert basis_Q(m, 2.0 - s) == pytest.approx(basis_Q(m, s), abs=1e-10)
+            assert basis_Q_deriv(m, 2.0 - s, 0) == pytest.approx(basis_Q_deriv(m, s, 0), abs=1e-10)
 
     def test_orthonormality_and_rmj(self):
         for j in range(4):
@@ -162,7 +160,7 @@ class TestBasisQ:
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            basis_Q(0, np.array([0.5]))
+            basis_Q_deriv(0, np.array([0.5]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +207,16 @@ class TestBasisQDiscrete:
         errs = []
         for n in (8, 16, 32):
             s = np.arange(1, 2 * n + 1) / n
-            errs.append(np.max(np.abs(basis_q(2, n) - basis_Q(2, s))))
+            errs.append(np.max(np.abs(basis_q(2, n) - basis_Q_deriv(2, s, 0))))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.5
+
+    def test_sign_convention_at_the_fixed_end(self):
+        # q_m(1) has the sign of Q_m(1) = K_m P'_{2m-1}(0), (-1)^(m-1); the
+        # centre value is never small, unlike q_m(1/n) for high modes
+        for n in (64, 128):
+            centre = basis_q_table(n)[:, n - 1]
+            assert np.array_equal(np.sign(centre), (-1.0) ** np.arange(n))
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
@@ -284,7 +289,7 @@ class TestTransferMaps:
         a, _ = continuize_Gn(ang)
         fine = discretize_Fn(a, 2 * n)
         a2 = angle_coefficients(fine.theta, 2 * n)
-        assert a2[:n] == pytest.approx(a.coeffs, abs=1e-11)
+        assert a2[:n] == pytest.approx(a, abs=1e-11)
         assert np.max(np.abs(a2[n:])) < 1e-11
 
 
@@ -352,7 +357,3 @@ def test_norm_equivalence_monitored(capsys):
         if r1 > 10 or r2 > 10:
             print(f"  flagged for inspection: ratio beyond generous constant")
 
-
-def test_spectral_coeffs_validation():
-    with pytest.raises(ValueError):
-        SpectralCoeffs(np.ones(3), "fourier")
