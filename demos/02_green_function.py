@@ -7,6 +7,11 @@ beta_i = 2 - alpha_i^2/beta_{i+1},
     G_kj = (1/n) sum_{i<=min(j,k)} p_ij p_ik / beta_i,
     p_ij = prod_{m=i}^{j-1} alpha_m / beta_{m+1}.
 
+G is semiseparable: G_kj = G_kk p_kj for j >= k, so ``GreenMatrix`` holds
+only the diagonal G_kk and the ratios alpha_m / beta_{m+1}, the certificate
+is computed from them in O(n), and the dense matrix is materialized only when
+``.G`` is read (as for the small straight chain printed below).
+
 For a straight chain G_kj = min(j,k)/n.  With every joint angle obtuse
 (alpha > 0) all entries are positive and sharp bounds hold; acute joints let
 the tension go negative.  This demo reproduces the constant-angle family of

@@ -1,5 +1,5 @@
 """Tension solve for the constrained chain: the tridiagonal system, its
-explicit discrete Green function, bound certificates, and the a/b/c and d_m
+discrete Green function, bound certificates, and the a/b/c and d_m
 diagnostics.
 
 The constraint system is A sigma = w with w_k = |D+ eta_dot_k|^2 and A the
@@ -12,14 +12,23 @@ where alpha_i = <D+ eta_{i+1}, D+ eta_i>.  Dividing the raw second-difference
 form by n^2 gives the 2 / -alpha stencil above; the n^2 reappears as an
 overall scale so that w keeps the |D+ eta_dot|^2 normalization and the Green
 function satisfies sigma_k = (1/n) sum_j G_kj w_j.
+
+The Green function is the inverse of a symmetric tridiagonal matrix, so it
+is semiseparable: with c_m = alpha_m / beta_{m+1} and
+p_kj = prod_{m=k}^{j-1} c_m, G_kj = G_kk p_kj for j >= k, and G is
+symmetric.  ``GreenMatrix`` holds only these O(n) generators, the diagonal
+G_kk and the ratios c_m.  The bound certificates and the ``green`` solve
+route work on them in O(n) time and memory; the dense n x n G is built only
+when ``GreenMatrix.G`` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dptsv, dtbtrs
 
 from .core import (
     ChainState,
@@ -33,8 +42,8 @@ from .core import (
 )
 from .errors import NumericError
 
-#: residual contract for the tridiagonal solve, relative to |w|
-SOLVE_RTOL = 1e-10
+#: bound on the normwise backward error of a tension solve (see solve_tension)
+SOLVE_RTOL = 16 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +74,10 @@ class AlphaBeta:
 
 def beta_recursion(alpha: np.ndarray) -> np.ndarray:
     """beta_n = 1, beta_i = 2 - alpha_i^2 / beta_{i+1}; well-defined for |alpha| <= 1."""
-    n = alpha.shape[0] + 1
-    beta = np.ones(n)
-    for i in range(n - 2, -1, -1):
-        beta[i] = 2.0 - alpha[i] ** 2 / beta[i + 1]
-    return beta
+    beta = [1.0]
+    for a in reversed(alpha.tolist()):  # on Python floats: numpy scalars cost ~10x per step
+        beta.append(2.0 - a**2 / beta[-1])
+    return np.array(beta[::-1])
 
 
 def alpha_beta_from_alpha(alpha) -> AlphaBeta:
@@ -98,46 +106,90 @@ def _alpha_w(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> tuple[np.ndarray, 
 
 @dataclass(frozen=True)
 class GreenMatrix:
-    """Explicit inverse of the tension operator: G[k-1, j-1] = G_kj.
+    """Inverse of the tension operator held by its semiseparable generators.
 
-    Always symmetric with |G_kj| <= min(j,k)/n.  When every alpha_i > 0 all
-    entries are positive and the sharp upper bounds hold; ``alpha_beta`` is
-    the data G was built from.
+    The inverse of the symmetric tridiagonal operator is semiseparable:
+    G_kj = G_kk p_kj for j >= k, with p_kj = prod_{m=k}^{j-1} c_m and
+    c_m = alpha_m / beta_{m+1}.  ``diag[k-1] = G_kk`` and ``ratios[m-1] = c_m``
+    are the O(n) generators; the dense ``G[k-1, j-1] = G_kj`` is built from
+    them on first access only.  Since beta >= 1, |c_m| <= 1 whenever
+    |alpha_m| <= 1, so |G_kj| <= G_kk <= min(j,k)/n.  When every alpha_i > 0
+    all entries are positive and the sharp upper bounds hold; ``alpha_beta``
+    is the data G was built from.
     """
 
-    G: np.ndarray
     alpha_beta: AlphaBeta
+    ratios: np.ndarray = field(init=False)
+    diag: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "G", _frozen_array(self.G))
+        ab = self.alpha_beta
+        c = ab.alpha / ab.beta[1:]
+        # G_kk = (1/n) sum_{i<=k} p_ik^2 / beta_i, so
+        # G_11 = 1/(n beta_1), G_kk = c_{k-1}^2 G_{k-1,k-1} + 1/(n beta_k)
+        diag = _unit_bidiagonal_solve(c * c, 1.0 / (ab.n * ab.beta), lower=True)
+        object.__setattr__(self, "ratios", _frozen_array(c))
+        object.__setattr__(self, "diag", _frozen_array(diag))
 
     @property
     def n(self) -> int:
-        return self.G.shape[0]
+        return self.alpha_beta.n
 
     @property
     def all_alpha_positive(self) -> bool:
         return bool(np.all(self.alpha_beta.alpha > 0))
 
+    @cached_property
+    def G(self) -> np.ndarray:
+        """The dense n x n matrix, G_kj = G_kk p_kj for j >= k and symmetric."""
+        S, neg, cuts = _ratio_logs(self.ratios)
+        block = np.searchsorted(cuts, np.arange(self.n), side="right")
+        upper = np.triu(np.ones((self.n, self.n), dtype=bool)) & (block[:, None] == block[None, :])
+        logp = np.where(upper, S[None, :] - S[:, None], -np.inf)
+        U = self.diag[:, None] * np.where(neg[:, None] ^ neg[None, :], -1.0, 1.0) * np.exp(logp)
+        return _frozen_array(U + np.triu(U, 1).T)
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """(1/n) G w in O(n) by two bidiagonal sweeps over the generators:
+        R_k = w_k + c_k R_{k+1} (R_n = w_n), L_1 = 0, L_{k+1} = c_k (L_k + G_kk w_k),
+        and (G w)_k = L_k + G_kk R_k."""
+        c, D = self.ratios, self.diag
+        R = _unit_bidiagonal_solve(c, w, lower=False)
+        L = _unit_bidiagonal_solve(c, np.concatenate([[0.0], c * D[:-1] * w[:-1]]), lower=True)
+        return (L + D * R) / self.n
+
+
+def _unit_bidiagonal_solve(off: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
+    """Solve x_k = rhs_k + off_{k-1} x_{k-1} (``lower``) or
+    x_k = rhs_k + off_k x_{k+1} (upper) with LAPACK's banded triangular
+    solve; off has one entry fewer than rhs."""
+    band = np.zeros((2, rhs.shape[0]))
+    if lower:
+        band[1, :-1] = -off
+    else:
+        band[0, 1:] = -off
+    x, _ = dtbtrs(band, rhs, uplo="L" if lower else "U", diag="U")
+    return x
+
+
+def _ratio_logs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prefix products P_j = prod_{m<j} c_m in the log domain, which long
+    chains with |c| < 1 would underflow: S_j = log |P_j| and the sign bit
+    ``neg_j``, restarted at every exact zero c_m = 0, which splits the chain
+    into independent blocks; ``cuts`` holds the 0-based index where each
+    block after the first starts.  Within a block p_kj = P_j / P_k; across
+    blocks p_kj = 0."""
+    zero = c == 0.0
+    S = np.concatenate([[0.0], np.cumsum(np.log(np.where(zero, 1.0, np.abs(c))))])
+    neg = np.concatenate([[False], np.logical_xor.accumulate(c < 0.0)])
+    return S, neg, np.flatnonzero(zero) + 1
+
 
 def green_matrix(ab: AlphaBeta) -> GreenMatrix:
-    """Build G_kj = (1/n) sum_{i=1}^{min(j,k)} p_ij p_ik / beta_i with
-    p_ij = prod_{m=i}^{j-1} alpha_m / beta_{m+1} (empty product = 1).
-
-    Writing M[i, j] = p_ij / sqrt(beta_i) on the upper triangle gives
-    G = M^T M / n, manifestly symmetric.
-    """
-    n = ab.n
-    c = ab.alpha / ab.beta[1:]
-    M = np.zeros((n, n))
-    for i in range(n):
-        row = np.empty(n - i)
-        row[0] = 1.0
-        np.cumprod(c[i:], out=row[1:])
-        M[i, i:] = row
-    M /= np.sqrt(ab.beta)[:, None]
-    G = (M.T @ M) / n
-    return GreenMatrix(G, ab)
+    """The Green function G_kj = (1/n) sum_{i=1}^{min(j,k)} p_ij p_ik / beta_i
+    with p_ij = prod_{m=i}^{j-1} alpha_m / beta_{m+1} (empty product = 1),
+    held by its O(n) generators."""
+    return GreenMatrix(ab)
 
 
 def upsilon_threehalves(chain: ChainState) -> float:
@@ -211,40 +263,45 @@ def _solve_sigma_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> np.ndar
 def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
     """Solve the tridiagonal constraint system A sigma = w.
 
-    ``direct`` runs the O(n) LAPACK tridiagonal solve; ``green`` assembles
-    the explicit Green function and applies sigma_k = (1/n) sum_j G_kj w_j.
-    Both satisfy the residual contract |A sigma - w| <= 1e-10 |w| and agree
-    with each other to the same relative tolerance.
+    ``direct`` runs the O(n) LAPACK tridiagonal solve; ``green`` applies
+    sigma_k = (1/n) sum_j G_kj w_j through the Green function's generators,
+    also in O(n).  Either result must have a normwise backward error
+    |A sigma - w| / (|A| |sigma| + |w|) (infinity norms) of at most
+    ``SOLVE_RTOL``, a small multiple of the unit roundoff that holds at every
+    n and conditioning for a backward-stable solve.
     """
     n = chain.n
     alpha, w = _alpha_w(chain.eta, chain.eta_dot, n)
     if method == "direct":
         interior = _solve_tridiagonal(alpha, w, n)
     elif method == "green":
-        interior = green_matrix_for_chain(chain).G @ w / n
+        interior = green_matrix(alpha_beta_from_alpha(alpha)).apply(w)
     else:
         raise ValueError(f"unknown tension method {method!r}; use 'direct' or 'green'")
 
-    resid = _tridiagonal_residual(alpha, interior, w, n)
-    wnorm = float(np.linalg.norm(w))
-    if not np.isfinite(resid) or resid > SOLVE_RTOL * max(wnorm, 1e-300):
-        raise NumericError(
-            f"tension solve residual {resid:.3e} exceeds {SOLVE_RTOL:.0e} * |w| = {SOLVE_RTOL * wnorm:.3e}"
-        )
+    err = _backward_error(alpha, interior, w, n)
+    if not np.isfinite(err) or err > SOLVE_RTOL:
+        raise NumericError(f"tension solve residual: backward error {err:.3e} exceeds {SOLVE_RTOL:.1e}")
 
     sigma = np.concatenate([[0.0], interior])
     min_sigma = float(np.min(interior))
     return TensionSolution(sigma, min_sigma, min_sigma > 0.0)
 
 
-def _tridiagonal_residual(alpha: np.ndarray, sigma_int: np.ndarray, w: np.ndarray, n: int) -> float:
+def _backward_error(alpha: np.ndarray, sigma_int: np.ndarray, w: np.ndarray, n: int) -> float:
+    """Normwise backward error |A sigma - w| / (|A| |sigma| + |w|) in the
+    infinity norm (Rigal and Gaches), with |A| = n^2 times the largest
+    absolute row sum."""
     padded = np.concatenate([[0.0], sigma_int, [0.0]])
     diag = np.full(n, 2.0)
     diag[-1] = 1.0
+    # row n has no superdiagonal: the trailing zero in a_ext kills it
     a_ext = np.concatenate([[0.0], alpha, [0.0]])
     r = n * n * (diag * sigma_int - a_ext[:-1] * padded[:-2] - a_ext[1:] * padded[2:])
-    # row n has no superdiagonal: the trailing zero in a_ext kills it
-    return float(np.max(np.abs(r - w)))
+    a_abs = np.abs(a_ext)
+    a_norm = n * n * float((diag + a_abs[:-1] + a_abs[1:]).max())
+    scale = a_norm * float(np.abs(sigma_int).max()) + float(np.abs(w).max())
+    return float(np.abs(r - w).max()) / max(scale, np.finfo(float).tiny)
 
 
 def _flux_second_difference(sig: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
@@ -380,37 +437,76 @@ class GreenCertificate:
 _BOUND_SLACK = 1e-12
 
 
-def certify_bounds(gm: GreenMatrix, chain: ChainState) -> GreenCertificate:
-    """Evaluate every Green-function bound for a matrix built from ``chain``.
+def _suffix(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """ufunc-accumulate from the right: out[k] = ufunc over x[k:]."""
+    return ufunc.accumulate(x[::-1])[::-1]
 
-    Failures are reported in the certificate, never raised.
+
+def certify_bounds(gm: GreenMatrix, chain: ChainState) -> GreenCertificate:
+    """Evaluate every Green-function bound for the generators built from
+    ``chain``, in O(n) and without forming G.
+
+    With |c_m| <= 1 each row's largest |G_kj| is G_kk on the diagonal, so the
+    min(j,k)/n bound and the upper ratio read the diagonal alone.  Below the
+    diagonal G_kj - G_{k-1,j} = (c_{k-1} - 1) G_jj p_{j,k-1}, whose largest
+    size over j < k is |1 - c_{k-1}| R_{k-1} with R_k = max_{j<=k} G_jj |p_jk|;
+    on and above it the difference is (G_kk - c_{k-1} G_{k-1,k-1}) p_kj.  The
+    lower ratio is min_k (n^2 G_kk/k) min_{j>=k} p_kj/j, from suffix extremes
+    of the signed P_j/j in the log domain, block by block; entries across a
+    block boundary are exactly 0.  Failures are reported in the certificate,
+    never raised.
     """
     n = gm.n
-    G = gm.G
     ab = gm.alpha_beta
-    all_nonneg = bool(np.all(ab.alpha >= 0))
+    c, D = gm.ratios, gm.diag
+    all_nonneg = bool((ab.alpha >= 0).all())
+    k = np.arange(1, n + 1)
+    S, neg, cuts = _ratio_logs(c)
 
-    kk = np.arange(1, n + 1)[:, None]
-    jj = np.arange(1, n + 1)[None, :]
+    log_d = np.log(D) - S  # log G_kk / |P_k|
+    lm = S - np.log(k)  # log |P_j| / j
+    lead = np.empty(n)  # max_{j<=k} log G_jj / |P_j| within k's block
+    tail = np.empty(n)  # log |P_j| / j at the j >= k in k's block minimizing p_kj / j
+    flip = np.zeros(n, dtype=bool)  # that minimum is negative
+    for a, e in zip([0, *cuts], [*cuts, n]):
+        lead[a:e] = np.maximum.accumulate(log_d[a:e])
+        lmb, negb = lm[a:e], neg[a:e]
+        if negb.any():
+            # the largest |P_j|/j of sign opposite to P_k when there is one,
+            # else the smallest of its own sign
+            opposite = np.where(negb, _suffix(np.maximum, np.where(negb, -np.inf, lmb)),
+                                _suffix(np.maximum, np.where(negb, lmb, -np.inf)))
+            same = np.where(negb, _suffix(np.minimum, np.where(negb, lmb, np.inf)),
+                            _suffix(np.minimum, np.where(negb, np.inf, lmb)))
+            flip[a:e] = opposite > -np.inf
+            tail[a:e] = np.where(flip[a:e], opposite, same)
+        else:
+            tail[a:e] = _suffix(np.minimum, lmb)
 
-    G0 = np.vstack([np.zeros((1, n)), G])  # G_0j = 0 convention
-    diffG = n * (G0[1:] - G0[:-1])
-    max_abs_diff = float(np.max(np.abs(diffG)))
-    max_upper = float(np.max(n * G / kk))
-    F = n * n * G / (jj * kk)
-    min_lower = float(np.min(F))
+    upper = n * D / k
+    lower = n * upper * np.where(flip, -1.0, 1.0) * np.exp(tail - S)
+    R = np.exp(S + lead)  # max_{j<=k} G_jj |p_jk|
+    # G_kk - c_{k-1} G_{k-1,k-1} = 1/(n beta_k) - c_{k-1} (1 - c_{k-1}) G_{k-1,k-1}, G_0j = 0
+    on_diag = np.abs(1.0 / (n * ab.beta) - np.concatenate([[0.0], c * (1.0 - c) * D[:-1]]))
+    below = np.abs(1.0 - c) * R[:-1]
+    max_abs_diff = n * float(max(on_diag.max(), below.max(initial=0.0)))
+    max_upper = float(upper.max())
+    min_lower = float(lower.min())
+    if cuts.size:
+        min_lower = min(min_lower, 0.0)
 
     ups = upsilon_threehalves(chain)
     admissible = ups <= 2.0 * np.sqrt(n) / 5.0
 
-    minmax_ok = bool(np.all(np.abs(G) <= np.minimum(jj, kk) / n + _BOUND_SLACK))
+    minmax_ok = bool((D <= k / n + _BOUND_SLACK).all())
     diff_ok = bool(max_abs_diff <= 1.0 + _BOUND_SLACK) if all_nonneg else None
     ratio_ok = bool(max_upper <= 1.0 + _BOUND_SLACK) if all_nonneg else None
     lower_ok = bool(min_lower >= np.exp(-2.0 * ups) - _BOUND_SLACK) if admissible else None
 
-    F1n = float(F[0, -1])
+    p1n = 0.0 if cuts.size else (-1.0 if neg[-1] else 1.0) * float(np.exp(S[-1]))
+    F1n = n * float(D[0]) * p1n
     corner_gap = min_lower - F1n
-    prod_formula = float(np.prod(ab.alpha / ab.beta[1:]) / ab.beta[0])
+    prod_formula = float(np.prod(c) / ab.beta[0])
     corner_ok = None
     if all_nonneg:
         corner_ok = bool(abs(corner_gap) <= 1e-12 * max(1.0, abs(F1n)))

@@ -334,7 +334,7 @@ def test_snapshot_report_fields():
 class TestResolutionConvergence:
     def test_error_halves_under_doubling(self):
         # same continuum datum (spectrally interpolated), error vs the
-        # continuum rotation at fixed t; first-order-or-better decay
+        # closed-form rotation at fixed t; first-order-or-better decay
         from whipchain.spectral import continuize_Gn, discretize_Fn, eta_to_theta, theta_to_eta
 
         t_end = 0.4
@@ -345,9 +345,7 @@ class TestResolutionConvergence:
             chain = theta_to_eta(discretize_Fn(cp, n, cv))
             traj = run(chain, IntegratorConfig(t_end=t_end, report_stride=10**9))
             fin = traj.snapshots[-1].state
-            s = np.arange(1, n + 2) / n
-            u = np.array([np.cos(t_end), np.sin(t_end)])
-            exact = np.outer(1.0 - np.minimum(s, 1.0), u)
+            exact = rigid_rotation_exact(n, t_end).eta
             errs[n] = np.max(np.linalg.norm(fin.eta - exact, axis=1))
         assert errs[16] / errs[32] >= 1.5
 

@@ -9,6 +9,7 @@ from whipchain.dynamics import _advance
 from whipchain.errors import NumericError
 from whipchain.initial_data import (
     folded_chain,
+    random_chain,
     rigid_rotation,
     rigid_rotation_sigma,
     straight_chain,
@@ -298,6 +299,105 @@ class TestCertificates:
         assert cert.minmax_bound_ok  # unconditional bound still holds
 
 
+def _dense_certificate(G, chain):
+    """The certificate's clauses read off a dense G."""
+    n = chain.n
+    kk = np.arange(1, n + 1)[:, None]
+    jj = np.arange(1, n + 1)[None, :]
+    G0 = np.vstack([np.zeros((1, n)), G])
+    F = n * n * G / (jj * kk)
+    nonneg = bool(np.all(compute_alpha_beta(chain).alpha >= 0))
+    ups = upsilon_threehalves(chain)
+    diff, upper, low, F1n = np.max(np.abs(n * (G0[1:] - G0[:-1]))), np.max(n * G / kk), np.min(F), F[0, -1]
+    return {
+        "max_abs_green_diff": diff,
+        "max_upper_ratio": upper,
+        "min_lower_ratio": low,
+        "corner_gap": low - F1n,
+        "minmax_bound_ok": bool(np.all(np.abs(G) <= np.minimum(jj, kk) / n + 1e-12)),
+        "diff_bound_ok": bool(diff <= 1 + 1e-12) if nonneg else None,
+        "ratio_bound_ok": bool(upper <= 1 + 1e-12) if nonneg else None,
+        "lower_bound_ok": bool(low >= np.exp(-2 * ups) - 1e-12) if ups <= 2 * np.sqrt(n) / 5 else None,
+        "corner_ok": bool(abs(low - F1n) <= 1e-12 * max(1.0, abs(F1n))) if nonneg else None,
+    }
+
+
+def _staircase_chain(n, turns, rng):
+    """Chain whose links alternate exactly between the axes at the joints
+    listed in ``turns`` (alpha = 0 there exactly, 1 elsewhere)."""
+    dirs = np.zeros((n, 2))
+    axis = 0
+    for k in range(n):
+        if k in turns:
+            axis = 1 - axis
+        dirs[k, axis] = 1.0
+    eta = np.zeros((n + 1, 2))
+    eta[:-1] = -np.cumsum(dirs[::-1], axis=0)[::-1] / n  # eta_{n+1} = 0
+    eta_dot = rng.normal(size=(n + 1, 2))
+    eta_dot[-1] = 0.0
+    return ChainState(n, 2, eta, eta_dot)
+
+
+class TestGeneratorCertificates:
+    """The O(n) certificate against the same clauses read off a dense G
+    (the inverse of the assembled operator)."""
+
+    def _compare(self, ch, abs_tol=0.0):
+        gm = green_matrix_for_chain(ch)
+        cert = certify_bounds(gm, ch)
+        assert "G" not in vars(gm)  # no dense matrix was formed
+        ref = _dense_certificate(oracle_green(ch), ch)
+        for key in ("max_abs_green_diff", "max_upper_ratio", "min_lower_ratio"):
+            assert getattr(cert, key) == pytest.approx(ref[key], rel=1e-10, abs=abs_tol), key
+        # the inverse resolves the corner entry only to round-off of the largest entries
+        assert cert.corner_gap == pytest.approx(ref["corner_gap"], rel=1e-10, abs=max(abs_tol, 1e-12))
+        for key in ("minmax_bound_ok", "diff_bound_ok", "ratio_bound_ok", "lower_bound_ok", "corner_ok"):
+            assert getattr(cert, key) == ref[key], key
+        return cert
+
+    @pytest.mark.parametrize("family", ["obtuse", "mixed_sign", "small_turn"])
+    def test_random_against_dense(self, family):
+        rng = np.random.default_rng({"obtuse": 11, "mixed_sign": 12, "small_turn": 13}[family])
+        acute = 0
+        for n in (2, 3, 5, 16, 41, 100, 256):
+            turn = {"obtuse": 1.45, "mixed_sign": 2.6, "small_turn": 0.6 * n**-0.75}[family]
+            cert = self._compare(random_chain(n, rng, max_turn=turn, vel_scale=2.0))
+            acute += not cert.all_alpha_nonneg
+            if family != "mixed_sign":
+                assert cert.all_applicable_pass()
+        assert (acute > 0) == (family == "mixed_sign")
+
+    def test_right_angle_joints_split_blocks(self, rng):
+        n = 32
+        ch = _staircase_chain(n, {5, 6, 20}, rng)
+        ab = compute_alpha_beta(ch)
+        assert np.count_nonzero(ab.alpha == 0.0) == 3
+        cert = self._compare(ch, abs_tol=1e-14)
+        # entries across a right angle vanish exactly, so min F = F_1n = 0
+        assert cert.min_lower_ratio == 0.0 and cert.corner_gap == 0.0
+        assert cert.all_alpha_nonneg and cert.all_applicable_pass()
+        G = green_matrix_for_chain(ch).G
+        assert np.all(G[:5, 5:] == 0.0) and np.all(G[6:20, 20:] == 0.0)
+
+    def test_certificate_at_n_1e5(self):
+        n = 100_000
+        ch = random_chain(n, np.random.default_rng(7), max_turn=0.6 * n**-0.75, vel_scale=2.0)
+        gm = green_matrix_for_chain(ch)
+        cert = certify_bounds(gm, ch)
+        assert "G" not in vars(gm)
+        floats = [cert.max_abs_green_diff, cert.max_upper_ratio, cert.min_lower_ratio,
+                  cert.upsilon, cert.corner_gap, cert.corner_product_gap]
+        assert np.all(np.isfinite(floats))
+        assert cert.upsilon_admissible and cert.all_applicable_pass()
+
+    def test_green_apply_is_G_times_w(self):
+        for seed, n in [(0, 2), (1, 7), (2, 40)]:
+            ch = make_random_chain(n, seed=seed, max_turn=2.8)
+            gm = green_matrix_for_chain(ch)
+            w = np.random.default_rng(seed).normal(size=n)
+            assert gm.apply(w) == pytest.approx(oracle_green(ch) @ w / n, rel=1e-10, abs=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # sigma_dot
 
@@ -434,6 +534,34 @@ class TestNumericErrors:
         monkeypatch.setattr(tension, "SOLVE_RTOL", -1.0)
         with pytest.raises(NumericError, match="residual"):
             solve_tension(rigid_rotation(8, 1.0))
+
+    def test_exact_rotation_passes_at_large_n(self):
+        # the normwise backward error stays at round-off where the old
+        # absolute residual test against 1e-10 |w| rejected the exact solution
+        n = 2**15
+        ch = rigid_rotation(n, 1.0)
+        for method in ("direct", "green"):
+            sol = solve_tension(ch, method)
+            assert sol.sigma == pytest.approx(rigid_rotation_sigma(n, 1.0), abs=1e-8)
+
+    @pytest.mark.parametrize("n", [64, 2**15])
+    def test_one_perturbed_tension_raises(self, monkeypatch, n):
+        # a 1e-8 relative error in a single sigma_k is far above round-off; a
+        # uniform rescaling would hide in the normwise test, a local one not
+        import whipchain.tension as tension
+
+        solve = tension._solve_tridiagonal
+
+        def mutated(alpha, w, n):
+            sigma = solve(alpha, w, n).copy()
+            sigma[n // 2] *= 1.0 + 1e-8
+            return sigma
+
+        ch = rigid_rotation(n, 1.0)
+        solve_tension(ch)
+        monkeypatch.setattr(tension, "_solve_tridiagonal", mutated)
+        with pytest.raises(NumericError, match="backward error"):
+            solve_tension(ch)
 
     def test_off_manifold_system_not_positive_definite(self):
         # doubled link lengths give alpha_i = 4: the 2 / -alpha stencil loses
