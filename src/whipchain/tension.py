@@ -496,7 +496,7 @@ def certify_bounds(gm: GreenMatrix, chain: ChainState) -> GreenCertificate:
         min_lower = min(min_lower, 0.0)
 
     ups = upsilon_threehalves(chain)
-    admissible = ups <= 2.0 * np.sqrt(n) / 5.0
+    admissible = bool(ups <= 2.0 * np.sqrt(n) / 5.0)
 
     minmax_ok = bool((D <= k / n + _BOUND_SLACK).all())
     diff_ok = bool(max_abs_diff <= 1.0 + _BOUND_SLACK) if all_nonneg else None
