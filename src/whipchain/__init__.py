@@ -34,6 +34,7 @@ from .dynamics import (
     detect_blowup,
     project,
     run,
+    run_batch,
     snapshot_report,
     step,
 )

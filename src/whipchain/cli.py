@@ -23,7 +23,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="execute an experiment config")
     runp.add_argument("config", help="path to the experiment config file")
     runp.add_argument("--output-dir", default=None, help="override output.dir")
-    runp.add_argument("--workers", type=int, default=None, help="override worker count")
+    runp.add_argument("--workers", type=int, default=None,
+                      help="override the workers key (>= 1); accepted but ignored, since seeds run as one batch")
     runp.add_argument("--seed", type=int, default=None, help="override the seed list with one seed")
     runp.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return parser

@@ -6,6 +6,13 @@ stage.  The continuous problem fixes no integrator; classical RK4 (or Heun)
 with a CFL step based on the tension wave speed sqrt(sigma) is used, and an
 optional projection restores |D+ eta| = 1 and <D+ eta, D+ eta_dot> = 0 to
 round-off after each full step.
+
+There is one stepping loop, :func:`run_batch`.  It integrates B chains of
+one n and d as (B, n+1, d) arrays, and each RK stage solves the B tension
+systems as one stacked tridiagonal solve.  Every chain keeps its own time,
+step, stride and termination, so each trajectory is bitwise the one the
+chain gives alone; :func:`run` is the batch of one.  The array kernels work
+on any leading shape, so a single (n+1, d) chain goes through them too.
 """
 
 from __future__ import annotations
@@ -83,28 +90,36 @@ def acceleration(chain: ChainState, sigma) -> np.ndarray:
 
 
 def _acceleration_arrays(eta: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
-    seg = eta[1:] - eta[:-1]                   # eta_{k+1} - eta_k, k = 1..n
-    flux = sigma[1:, None] * seg               # sigma_k (eta_{k+1} - eta_k)
+    # sigma_k (eta_{k+1} - eta_k), k = 1..n
+    flux = sigma[..., 1:, None] * (eta[..., 1:, :] - eta[..., :-1, :])
     acc = np.zeros_like(eta)
-    acc[0] = n * n * flux[0]                   # sigma_0 = 0 kills the k=1 lower term
-    acc[1:-1] = n * n * (flux[1:] - flux[:-1])
+    acc[..., :-1, :] = flux
+    acc[..., 1:-1, :] -= flux[..., :-1, :]     # sigma_0 = 0 kills the k=1 lower term
+    acc *= n * n
     return acc
 
 
 def adaptive_dt(chain: ChainState, sigma, cfg: IntegratorConfig) -> float:
     """CFL step dt = clamp(cfl / (n sqrt(max sigma) + eps), dt_min, dt_max)."""
-    return _clamp_dt(_raw_dt(chain.n, sigma, cfg), cfg)
+    return float(_clamp_dt(_raw_dt(chain.n, sigma, cfg), cfg))
 
 
-def _raw_dt(n: int, sigma, cfg: IntegratorConfig) -> float:
-    """The unclamped CFL step cfl / (n sqrt(max sigma) + eps)."""
+def _raw_dt(n: int, sigma, cfg: IntegratorConfig):
+    """The unclamped CFL step cfl / (n sqrt(max sigma) + eps), one per chain
+    of a (..., n+1) tension array."""
     sig = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
-    top = max(float(np.max(sig)), 0.0)
+    top = np.maximum(sig.max(axis=-1), 0.0)
     return cfg.cfl / (n * np.sqrt(top) + 1e-12)
 
 
-def _clamp_dt(dt: float, cfg: IntegratorConfig) -> float:
-    return min(max(dt, cfg.dt_min), cfg.dt_max)
+def _clamp_dt(dt, cfg: IntegratorConfig):
+    return np.minimum(np.maximum(dt, cfg.dt_min), cfg.dt_max)
+
+
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """|v| over the last axis: np.linalg.norm(v, axis=-1), bitwise, without
+    its per-call checks."""
+    return np.sqrt((v * v).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +132,17 @@ def _project_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int):
     Links are walked outward from the fixed end and positions/velocities are
     rebuilt as cumulative sums anchored at eta_{n+1} = 0, eta_dot_{n+1} = 0.
     """
-    seg = eta[:-1] - eta[1:]                              # eta_k - eta_{k+1}, outward
-    unit = seg / (n * np.linalg.norm(seg, axis=1)[:, None])
+    seg = eta[..., :-1, :] - eta[..., 1:, :]              # eta_k - eta_{k+1}, outward
+    unit = seg / (n * _lengths(seg)[..., None])
     new_eta = np.zeros_like(eta)
-    new_eta[:-1] = np.cumsum(unit[::-1], axis=0)[::-1]    # eta_k = sum_{j>=k} unit_j
+    # eta_k = sum_{j>=k} unit_j
+    new_eta[..., :-1, :] = np.cumsum(unit[..., ::-1, :], axis=-2)[..., ::-1, :]
 
     t = -n * unit                                         # D+ eta_k, exactly unit
-    vdiff = n * (eta_dot[1:] - eta_dot[:-1])              # D+ eta_dot_k
-    vdiff = vdiff - np.einsum("kd,kd->k", vdiff, t)[:, None] * t
+    vdiff = n * (eta_dot[..., 1:, :] - eta_dot[..., :-1, :])  # D+ eta_dot_k
+    vdiff = vdiff - np.einsum("...kd,...kd->...k", vdiff, t)[..., None] * t
     new_dot = np.zeros_like(eta_dot)
-    new_dot[:-1] = -np.cumsum((vdiff / n)[::-1], axis=0)[::-1]
+    new_dot[..., :-1, :] = -np.cumsum((vdiff / n)[..., ::-1, :], axis=-2)[..., ::-1, :]
     return new_eta, new_dot
 
 
@@ -147,15 +163,17 @@ def _stage_rhs(eta: np.ndarray, eta_dot: np.ndarray, n: int):
 
 def _advance(eta, eta_dot, sigma, n, dt, scheme):
     """One explicit step of the free ODE (no projection); ``sigma`` is the
-    tension of (eta, eta_dot), so the first stage solves nothing."""
+    tension of (eta, eta_dot), so the first stage solves nothing.  For a
+    (B, n+1, d) batch ``dt`` has shape (B, 1, 1)."""
     k1x, k1v = eta_dot, _acceleration_arrays(eta, sigma, n)
     if scheme == "heun":
         k2x, k2v = _stage_rhs(eta + dt * k1x, eta_dot + dt * k1v, n)
         new_eta = eta + dt * (k1x + k2x) / 2.0
         new_dot = eta_dot + dt * (k1v + k2v) / 2.0
     else:
-        k2x, k2v = _stage_rhs(eta + 0.5 * dt * k1x, eta_dot + 0.5 * dt * k1v, n)
-        k3x, k3v = _stage_rhs(eta + 0.5 * dt * k2x, eta_dot + 0.5 * dt * k2v, n)
+        half = 0.5 * dt
+        k2x, k2v = _stage_rhs(eta + half * k1x, eta_dot + half * k1v, n)
+        k3x, k3v = _stage_rhs(eta + half * k2x, eta_dot + half * k2v, n)
         k4x, k4v = _stage_rhs(eta + dt * k3x, eta_dot + dt * k3v, n)
         new_eta = eta + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
         new_dot = eta_dot + dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
@@ -163,29 +181,54 @@ def _advance(eta, eta_dot, sigma, n, dt, scheme):
 
 
 def _step_arrays(eta, eta_dot, sigma, n, t, dt, cfg: IntegratorConfig):
-    """One full step on raw arrays from a state with tension ``sigma``:
-    advance, reject non-finite state, project.
+    """One full step of every chain in a (B, n+1, d) batch from states with
+    tensions ``sigma``: advance, reject non-finite state, project.  ``t`` and
+    ``dt`` hold each chain's time and step, shaped (B,) and (B, 1, 1).
 
-    Returns the new (eta, eta_dot) and the largest particle displacement the
-    projection made (0.0 when cfg.project is off).
+    Returns the new (eta, eta_dot) and, per chain, the largest particle
+    displacement the projection made (0.0 when cfg.project is off).
     """
-    eta, eta_dot = _advance(eta, eta_dot, sigma, n, dt, cfg.scheme)
-    if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(eta_dot))):
-        raise NumericError(f"non-finite state after step at t={t:.6g}")
+    new_eta, new_dot = _advance(eta, eta_dot, sigma, n, dt, cfg.scheme)
+    if not (np.isfinite(new_eta).all() and np.isfinite(new_dot).all()):
+        finite = np.isfinite(new_eta).all(axis=(-2, -1)) & np.isfinite(new_dot).all(axis=(-2, -1))
+        row = _first_failing(eta, eta_dot, n, dt, cfg.scheme, finite)
+        raise NumericError(f"non-finite state after step at t={t[row]:.6g}", chain=row)
     if not cfg.project:
-        return eta, eta_dot, 0.0
-    peta, pdot = _project_arrays(eta, eta_dot, n)
-    return peta, pdot, float(np.max(np.linalg.norm(peta - eta, axis=1)))
+        return new_eta, new_dot, np.zeros(len(eta))
+    peta, pdot = _project_arrays(new_eta, new_dot, n)
+    return peta, pdot, _lengths(peta - new_eta).max(axis=-1)
+
+
+def _first_failing(eta, eta_dot, n, dt, scheme, finite) -> int:
+    """The first chain of a batch whose step fails when it is taken alone,
+    from its own tension.
+
+    A NaN spreads through the zero couplings of the stacked tension solve
+    into the other chains' stages, so the non-finite rows of a batch step
+    can include chains that are sound on their own.
+    """
+    rows = np.flatnonzero(~finite)
+    for row in rows:
+        part = slice(row, row + 1)
+        try:
+            sigma = _solve_sigma_arrays(eta[part], eta_dot[part], n)
+            e, v = _advance(eta[part], eta_dot[part], sigma, n, dt[part], scheme)
+        except NumericError:
+            return int(row)
+        if not (np.isfinite(e).all() and np.isfinite(v).all()):
+            return int(row)
+    return int(rows[0])
 
 
 def step(chain: ChainState, cfg: IntegratorConfig, dt: float | None = None) -> ChainState:
     """Advance one step.  dt defaults to the adaptive CFL value; the result is
     projected when cfg.project is set.  Raises NumericError on NaN state."""
-    sigma = _solve_sigma_arrays(chain.eta, chain.eta_dot, chain.n)
+    eta, eta_dot = chain.eta[None], chain.eta_dot[None]
+    sigma = _solve_sigma_arrays(eta, eta_dot, chain.n)
     if dt is None:
-        dt = adaptive_dt(chain, sigma, cfg)
-    eta, eta_dot, _ = _step_arrays(chain.eta, chain.eta_dot, sigma, chain.n, chain.time, dt, cfg)
-    return ChainState(chain.n, chain.d, eta, eta_dot, chain.time + dt)
+        dt = adaptive_dt(chain, sigma[0], cfg)
+    eta, eta_dot, _ = _step_arrays(eta, eta_dot, sigma, chain.n, [chain.time], np.full((1, 1, 1), dt), cfg)
+    return ChainState(chain.n, chain.d, eta[0], eta_dot[0], chain.time + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +240,9 @@ class EnergyReport:
     """Full diagnostic record at one time instant.
 
     e[m] and e_tilde[m] are the s- and sigma-weighted energies for m = 0..3;
-    d[m-1] is the tension Sobolev norm d_m for m = 1..3 (NaN where n is too
-    small for the required differences); b is inf when some tension is
-    nonpositive.
+    d[m-1] is the tension Sobolev norm d_m for m = 1..3.  Entries whose
+    differences exceed the grid are NaN: e_2 and e_3 at n = 1, d_m at
+    n <= 4.  b is inf when some tension is nonpositive.
     """
 
     e: np.ndarray
@@ -256,20 +299,28 @@ def snapshot_report(chain: ChainState, sol: TensionSolution) -> EnergyReport:
     """
     n = chain.n
     ext = odd_extend(chain, sol)
-    sq = _squared_differences(ext, n, 3)
+    m_max = 3 if n > 1 else 1   # one link has no second difference
+    sq = _squared_differences(ext, n, m_max)
     sums = _energy_sums(sq, _s_weight(n))
     u0, v0 = sums[0] / n
     a, b, c = diagnostics_abc(chain, sol, _sigma_dot_extended(ext, n))
+    pad = np.full(3 - m_max, np.nan)
     return EnergyReport(
-        e=_energies(sums, n), e_tilde=_energies(_energy_sums(sq, _sigma_weight(ext.sigma_ext)), n),
+        e=np.concatenate([_energies(sums, n), pad]),
+        e_tilde=np.concatenate([_energies(_energy_sums(sq, _sigma_weight(ext.sigma_ext)), n), pad]),
         u0=float(u0), v0=float(v0), a=a, b=b, c=c, d=sigma_sobolev(sol, n),
         constraint_drift=chain.constraint_drift(), time=chain.time,
     )
 
 
-def _make_snapshot(chain: ChainState) -> Snapshot:
-    sol = solve_tension(chain)
-    return Snapshot(chain, sol, snapshot_report(chain, sol))
+def _make_snapshot(chain: ChainState, row: int = 0) -> Snapshot:
+    """The snapshot of ``chain``; a NumericError it raises names ``row``."""
+    try:
+        sol = solve_tension(chain)
+        return Snapshot(chain, sol, snapshot_report(chain, sol))
+    except NumericError as exc:
+        exc.chain = row
+        raise
 
 
 _SERIES_FIELDS = (
@@ -281,19 +332,20 @@ _SERIES_FIELDS = (
 )
 
 
-def _maxima(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> tuple[float, float]:
+def _maxima(eta: np.ndarray, eta_dot: np.ndarray, n: int):
     """max_k |D+ eta_dot_k| (angular velocity) and max_k |D+^2 eta_k|
-    (curvature, 0 for a single link)."""
-    ang = float(np.max(np.linalg.norm(n * (eta_dot[1:] - eta_dot[:-1]), axis=1)))
+    (curvature, 0 for a single link), one pair per chain of a
+    (..., n+1, d) array."""
+    ang = _lengths(n * (eta_dot[..., 1:, :] - eta_dot[..., :-1, :])).max(axis=-1)
     if n < 2:
-        return ang, 0.0
-    curv_vecs = np.diff(n * (eta[1:] - eta[:-1]), axis=0) * n
-    return ang, float(np.max(np.linalg.norm(curv_vecs, axis=1)))
+        return ang, np.zeros_like(ang)
+    curv_vecs = np.diff(n * (eta[..., 1:, :] - eta[..., :-1, :]), axis=-2) * n
+    return ang, _lengths(curv_vecs).max(axis=-1)
 
 
 def _series_row(snap: Snapshot) -> dict:
     st, sol, rep = snap.state, snap.tension, snap.report
-    ang, curv = _maxima(st.eta, st.eta_dot, st.n)
+    ang, curv = map(float, _maxima(st.eta, st.eta_dot, st.n))
     row = {"t": st.time, "u0": rep.u0, "v0": rep.v0, "a": rep.a, "b": rep.b, "c": rep.c,
            "min_sigma": sol.min_sigma, "max_ang_vel": ang, "max_curvature": curv,
            "constraint_drift": rep.constraint_drift}
@@ -311,39 +363,82 @@ def run(initial: ChainState, cfg: IntegratorConfig) -> Trajectory:
     Snapshots (state, tension, full report) are taken at t = 0, every
     ``report_stride`` steps, and at termination.
     """
-    initial.validate()
-    n, d = initial.n, initial.d
-    eta, eta_dot, t = initial.eta, initial.eta_dot, initial.time
-    snapshots = [_make_snapshot(initial)]
-    snapped = True   # the current state is snapshots[-1]'s, tension included
-    proj_log: list[float] = []
-    termination = "t_end_reached"
+    return run_batch([initial], cfg)[0]
+
+
+def run_batch(initials, cfg: IntegratorConfig) -> list[Trajectory]:
+    """Integrate every chain of ``initials`` (all of one n and d) as one
+    batch; returns one Trajectory per chain, in order.
+
+    Each RK stage solves the tensions of all running chains as one stacked
+    tridiagonal system.  Each chain has its own t, dt, step count and
+    termination, and leaves the working arrays when it stops, so its
+    trajectory is bitwise the one it gives alone.  Snapshots are taken as in
+    :func:`run`.  A NumericError names the failing chain's index.
+    """
+    if len({(c.n, c.d) for c in initials}) != 1:
+        raise ValueError(f"a batch needs chains of one n and d, got {sorted({(c.n, c.d) for c in initials})}")
+    n, d = initials[0].n, initials[0].d
+    for c in initials:
+        c.validate()
+    live = np.arange(len(initials))   # the chain in each working row
+    eta = np.stack([c.eta for c in initials])
+    eta_dot = np.stack([c.eta_dot for c in initials])
+    t = np.array([c.time for c in initials], dtype=float)
+    snapshots: list = [[] for _ in initials]
+    logs: list = [[] for _ in initials]
+    done: list = [None] * len(initials)
+    steps = 0
+    snapped = True   # every running chain's current state is its last snapshot's
     tiny = 1e-14 * max(cfg.t_end, 1.0)
+    thr = cfg.blowup_threshold
 
-    while t < cfg.t_end - tiny:
-        sigma = snapshots[-1].tension.sigma if snapped else _solve_sigma_arrays(eta, eta_dot, n)
-        if cfg.halt_on_negative_tension and float(np.min(sigma[1:])) < 0.0:
-            termination = "negative_tension"
-            break
-        if max(_maxima(eta, eta_dot, n)) > cfg.blowup_threshold:
-            termination = "blowup_suspected"
-            break
-        raw = _raw_dt(n, sigma, cfg)
-        if raw < cfg.dt_min:
-            termination = "dt_underflow"
-            break
-        dt = min(_clamp_dt(raw, cfg), cfg.t_end - t)
+    def finish(row: int, termination: str) -> None:
+        i = live[row]
+        if not snapped:
+            snapshots[i].append(_make_snapshot(ChainState(n, d, eta[row], eta_dot[row], t[row]), row))
+        done[i] = Trajectory(snapshots[i], termination, len(logs[i]), np.array(logs[i]))
 
-        eta, eta_dot, moved = _step_arrays(eta, eta_dot, sigma, n, t, dt, cfg)
-        proj_log.append(moved)
-        t = t + dt
-        snapped = len(proj_log) % cfg.report_stride == 0
-        if snapped:
-            snapshots.append(_make_snapshot(ChainState(n, d, eta, eta_dot, t)))
-
-    if not snapped:
-        snapshots.append(_make_snapshot(ChainState(n, d, eta, eta_dot, t)))
-    return Trajectory(snapshots, termination, len(proj_log), np.array(proj_log))
+    try:
+        for i, c in enumerate(initials):
+            snapshots[i].append(_make_snapshot(c, i))
+        while live.size:
+            if snapped:
+                sigma = np.stack([snapshots[i][-1].tension.sigma for i in live])
+            else:
+                sigma = _solve_sigma_arrays(eta, eta_dot, n)
+            ang, curv = _maxima(eta, eta_dot, n)
+            raw = _raw_dt(n, sigma, cfg)
+            # the stop conditions in order of precedence
+            stops = (
+                ("t_end_reached", t >= cfg.t_end - tiny),
+                ("negative_tension", (sigma[:, 1:].min(axis=1) < 0.0) & cfg.halt_on_negative_tension),
+                ("blowup_suspected", (ang > thr) | (curv > thr)),
+                ("dt_underflow", raw < cfg.dt_min),
+            )
+            if any(hit.any() for _, hit in stops):
+                going = np.ones(live.size, dtype=bool)
+                for termination, hit in stops:
+                    for row in np.flatnonzero(hit & going):
+                        finish(row, termination)
+                    going &= ~hit
+                live, eta, eta_dot, t, sigma, raw = (a[going] for a in (live, eta, eta_dot, t, sigma, raw))
+                if not live.size:
+                    break
+            dt = np.minimum(_clamp_dt(raw, cfg), cfg.t_end - t)
+            eta, eta_dot, moved = _step_arrays(eta, eta_dot, sigma, n, t, dt[:, None, None], cfg)
+            for i, m in zip(live, moved.tolist()):
+                logs[i].append(m)
+            t = t + dt
+            steps += 1
+            snapped = steps % cfg.report_stride == 0
+            if snapped:
+                for row, i in enumerate(live):
+                    snapshots[i].append(_make_snapshot(ChainState(n, d, eta[row], eta_dot[row], t[row]), row))
+    except NumericError as exc:   # every failure inside names its working row
+        i = int(live[exc.chain])
+        raise NumericError(f"chain {i}: {exc}", chain=i) from exc
+    return done
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ import csv
 import hashlib
 import json
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from importlib.metadata import version as _pkg_version
 from pathlib import Path
@@ -33,7 +31,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .core import ChainState, rising_weight, weighted_seminorm_sq, weighted_supnorm_sq
-from .dynamics import IntegratorConfig, Trajectory, detect_blowup, run
+from .dynamics import IntegratorConfig, Trajectory, detect_blowup, run, run_batch
 from .errors import ConfigError, FitRejected
 from .initial_data import GENERATORS, make_initial, random_chain, rigid_rotation_exact
 from .spectral import angle_coefficients, continuize_Gn, discretize_Fn, eta_to_theta, theta_to_eta
@@ -62,7 +60,7 @@ class ExperimentConfig:
     seeds: tuple = (0,)
     output_dir: Path = Path("out")
     formats: tuple = FORMATS
-    workers: int = 1
+    workers: int = 1   # accepted and range-checked, but ignored: seeds run as one batch
     suite_samples: int = 10000
     suite_n_values: tuple = (4, 16, 64)
     suite_r_values: tuple = (0.5, 1.0, 1.5, 2.0)
@@ -339,32 +337,30 @@ def _initial(cfg: ExperimentConfig, n: int, seed: int) -> ChainState:
         raise ConfigError(f"generator {cfg.generator!r}: {exc}") from exc
 
 
-def _run_single(cfg: ExperimentConfig, seed: int, tag: str) -> tuple[list, str, Trajectory]:
-    traj = run(_initial(cfg, cfg.n, seed), cfg.integrator)
+def _emit_all(cfg: ExperimentConfig, traj: Trajectory, tag: str) -> list:
+    """Write ``traj`` as ``<tag>.<fmt>`` in every configured format; returns
+    the file names."""
     files = []
     for fmt in cfg.formats:
         path = cfg.output_dir / f"{tag}.{fmt}"
         emit_series(traj, fmt, path)
         files.append(path.name)
-    return files, traj.termination, traj
-
-
-def _seed_run(job) -> tuple[list, str]:
-    files, termination, _ = _run_single(*job)
-    return files, termination
+    return files
 
 
 def _kind_run(cfg: ExperimentConfig, manifest: RunManifest) -> None:
-    """One trajectory per seed; with workers > 1 the seeds run in a process
-    pool, each writing its own series files."""
+    """One trajectory per seed, every seed stepped in one batch
+    (``run_batch``), each writing its own series files.  The summary keeps
+    each seed's termination and step count; ``manifest.termination`` is the
+    last seed's."""
     multi = len(cfg.seeds) > 1
-    jobs = [(cfg, seed, f"series_seed{seed}" if multi else "series") for seed in cfg.seeds]
-    parallel = cfg.workers > 1 and multi
-    with ProcessPoolExecutor(max_workers=cfg.workers) if parallel else nullcontext() as pool:
-        for files, termination in (pool.map if parallel else map)(_seed_run, jobs):
-            manifest.files += files
-            manifest.termination = termination
+    trajs = run_batch([_initial(cfg, cfg.n, seed) for seed in cfg.seeds], cfg.integrator)
+    for seed, traj in zip(cfg.seeds, trajs):
+        manifest.files += _emit_all(cfg, traj, f"series_seed{seed}" if multi else "series")
+    manifest.termination = trajs[-1].termination
     manifest.summary["seeds"] = list(cfg.seeds)
+    manifest.summary["terminations"] = {str(seed): traj.termination for seed, traj in zip(cfg.seeds, trajs)}
+    manifest.summary["steps"] = {str(seed): traj.n_steps for seed, traj in zip(cfg.seeds, trajs)}
 
 
 def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
@@ -565,9 +561,9 @@ def _kind_green_certify(cfg: ExperimentConfig, manifest: RunManifest) -> None:
 
 
 def _kind_blowup_hunt(cfg: ExperimentConfig, manifest: RunManifest) -> None:
-    files, termination, traj = _run_single(cfg, cfg.seeds[0], "blowup_series")
-    manifest.files += files
-    manifest.termination = termination
+    traj = run(_initial(cfg, cfg.n, cfg.seeds[0]), cfg.integrator)
+    manifest.files += _emit_all(cfg, traj, "blowup_series")
+    manifest.termination = traj.termination
     cols = traj.series()
     series = np.column_stack([cols["t"], cols["max_ang_vel"], cols["max_curvature"]])
     try:
@@ -582,7 +578,7 @@ def _kind_blowup_hunt(cfg: ExperimentConfig, manifest: RunManifest) -> None:
         }
     except FitRejected as exc:
         result = {"fit_rejected": True, "reason": str(exc)}
-    result["termination"] = termination
+    result["termination"] = traj.termination
     path = cfg.output_dir / "blowup.json"
     path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     manifest.files.append(path.name)

@@ -25,7 +25,7 @@ when ``GreenMatrix.G`` is read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dptsv, dtbtrs
@@ -93,11 +93,11 @@ def compute_alpha_beta(chain: ChainState) -> AlphaBeta:
 
 
 def _alpha_w(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The tension system's data on raw arrays: the cosines alpha_1..alpha_{n-1}
-    and the source w_k = |D+ eta_dot_k|^2 for k = 1..n."""
-    t = n * (eta[1:] - eta[:-1])
-    td = n * (eta_dot[1:] - eta_dot[:-1])
-    return np.einsum("kd,kd->k", t[1:], t[:-1]), np.sum(td * td, axis=-1)
+    """The tension system's data on raw (..., n+1, d) arrays: the cosines
+    alpha_1..alpha_{n-1} and the source w_k = |D+ eta_dot_k|^2 for k = 1..n."""
+    t = n * (eta[..., 1:, :] - eta[..., :-1, :])
+    td = n * (eta_dot[..., 1:, :] - eta_dot[..., :-1, :])
+    return np.einsum("...kd,...kd->...k", t[..., 1:, :], t[..., :-1, :]), (td * td).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -227,36 +227,63 @@ class TensionSolution:
         return self.sigma.shape[0] - 1
 
 
+@lru_cache(maxsize=16)
+def _scaled_diagonal(n: int, size: int) -> np.ndarray:
+    """The diagonal n^2 (2, ..., 2, 1) of ``size // n`` stacked systems,
+    built once per (n, size) and read-only."""
+    diag = np.full((size // n, n), 2.0)
+    diag[:, -1] = 1.0
+    out = (diag * n * n).ravel()
+    out.setflags(write=False)
+    return out
+
+
 def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """Solve A sigma = w for the interior tensions sigma_1..sigma_n.
 
     A is symmetric positive definite whenever |alpha| <= 1 (diagonally
     dominant with pivots n^2 beta_i >= n^2), so LAPACK's tridiagonal LDL^T
     solve ``dptsv`` applies; losing definiteness means the state left the
-    constraint manifold badly and is reported as a numeric failure.  The
-    n^2 scale multiplies the entries as ``x * n * n``: ``x * (n * n)`` rounds
-    differently when n is not a power of two.
+    constraint manifold badly and is reported as a numeric failure, whose
+    ``chain`` is the index of the failing system.  The n^2 scale multiplies
+    the entries as ``x * n * n``: ``x * (n * n)`` rounds differently when n
+    is not a power of two.
+
+    A stack of B systems, alpha of shape (B, n-1) and w of shape (B, n),
+    solves as one block-diagonal system of size B n whose couplings between
+    blocks are zero.  Each block's first pivot is then d - 0 * 0 and the
+    substitutions add 0 * x across block boundaries, so every block's
+    solution is bitwise the one its own solve gives.
     """
-    diag = np.full(n, 2.0)
-    diag[-1] = 1.0
-    _, _, sigma, info = dptsv(diag * n * n, -alpha * n * n, w)
+    diag = _scaled_diagonal(n, w.size)
+    if w.size == 1:  # one link: the 1 x 1 system, which dptsv's wrapper refuses
+        return w / diag
+    if w.size == n:
+        off = -alpha * n * n
+    else:
+        off = np.zeros(w.shape)
+        off[..., :-1] = -alpha * n * n
+    _, _, sigma, info = dptsv(diag, off.ravel()[: w.size - 1], w.ravel())
     if info > 0:
+        chain = (info - 1) // n
+        worst = np.max(np.abs(alpha.reshape(-1, n - 1)[chain]))
         raise NumericError(
-            f"tension system not positive definite (max |alpha| = {np.max(np.abs(alpha)):.3f}); "
-            "the state has left the constraint manifold"
+            f"tension system not positive definite (max |alpha| = {worst:.3f}); "
+            "the state has left the constraint manifold", chain=chain,
         )
-    return sigma
+    return sigma.reshape(w.shape)
 
 
 def _solve_sigma_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> np.ndarray:
-    """Direct tension solve on raw arrays; returns sigma_0..sigma_n.
+    """Direct tension solve on raw (..., n+1, d) arrays; returns
+    sigma_0..sigma_n along the last axis, one stacked solve for a batch.
 
     Internal fast path for integrator stages (skips state construction).
     """
     alpha, w = _alpha_w(eta, eta_dot, n)
-    sigma = np.empty(n + 1)
-    sigma[0] = 0.0
-    sigma[1:] = _solve_tridiagonal(alpha, w, n)
+    sigma = np.empty(w.shape[:-1] + (n + 1,))
+    sigma[..., 0] = 0.0
+    sigma[..., 1:] = _solve_tridiagonal(alpha, w, n)
     return sigma
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from whipchain import dynamics
 from whipchain.core import u0_v0
 from whipchain.dynamics import (
     IntegratorConfig,
@@ -11,10 +12,11 @@ from whipchain.dynamics import (
     detect_blowup,
     project,
     run,
+    run_batch,
     snapshot_report,
     step,
 )
-from whipchain.errors import FitRejected
+from whipchain.errors import FitRejected, NumericError
 from whipchain.initial_data import (
     folded_chain,
     near_loop,
@@ -319,6 +321,97 @@ class TestSteppingCore:
         assert len(traj.snapshots) == 2
         cols = traj.series()
         assert max(cols["max_ang_vel"][-1], cols["max_curvature"][-1]) > cfg.blowup_threshold
+
+
+def _assert_same_trajectory(got, want):
+    """Every snapshot, the step count, the projection log and the
+    termination agree bit for bit."""
+    assert got.termination == want.termination
+    assert got.n_steps == want.n_steps
+    assert got.projection_log.tobytes() == want.projection_log.tobytes()
+    assert len(got.snapshots) == len(want.snapshots)
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert a.state.time == b.state.time
+        for x, y in [(a.state.eta, b.state.eta), (a.state.eta_dot, b.state.eta_dot),
+                     (a.tension.sigma, b.tension.sigma), (a.report.e, b.report.e),
+                     (a.report.e_tilde, b.report.e_tilde), (a.report.d, b.report.d)]:
+            assert x.tobytes() == y.tobytes()
+        for name in ("u0", "v0", "a", "b", "c", "constraint_drift"):
+            assert getattr(a.report, name) == getattr(b.report, name)
+
+
+class TestRunBatch:
+    def test_batch_is_bitwise_each_serial_run(self):
+        # random chains of different step counts and terminations, a folded
+        # chain that halts at step 0 and a straight chain at rest, on a stride
+        # that most runs stop in between
+        chains = [make_random_chain(16, seed=s, vel_scale=v) for s, v in ((1, 1.0), (2, 4.0), (5, 8.0))]
+        chains += [folded_chain(16), straight_chain(16)]
+        cfg = IntegratorConfig(t_end=1.0, dt_max=0.02, report_stride=7)
+        serial = [run(c, cfg) for c in chains]
+        assert len({t.n_steps for t in serial[:3]}) == 3
+        assert {t.termination for t in serial} == {"t_end_reached", "negative_tension"}
+        assert serial[3].n_steps == 0
+        for got, want in zip(run_batch(chains, cfg), serial):
+            _assert_same_trajectory(got, want)
+
+    def test_dt_underflow_in_a_batch(self):
+        # dt_min between the raw CFL steps of a fast chain (which underflows)
+        # and a chain at rest (which runs on); a fast folded chain meets both
+        # negative tension and underflow at step 0, and negative tension wins
+        def raw_dt(chain):
+            return 0.5 / (16 * np.sqrt(np.max(solve_tension(chain).sigma)))
+
+        fast, folded = make_random_chain(16, seed=7, vel_scale=3.0), folded_chain(16, vel_amp=20.0)
+        raw = raw_dt(fast)
+        cfg = IntegratorConfig(t_end=20 * raw, dt_min=2 * raw, dt_max=2 * raw, report_stride=3)
+        assert raw_dt(folded) < cfg.dt_min
+        chains = [fast, straight_chain(16), folded]
+        trajs = run_batch(chains, cfg)
+        assert [t.termination for t in trajs] == ["dt_underflow", "t_end_reached", "negative_tension"]
+        for got, c in zip(trajs, chains):
+            _assert_same_trajectory(got, run(c, cfg))
+
+    def test_one_link_chains(self):
+        cfg = IntegratorConfig(t_end=0.05, report_stride=10)
+        chains = [make_random_chain(1, seed=s) for s in range(3)]
+        serial = [run(c, cfg) for c in chains]
+        assert all(t.termination == "t_end_reached" for t in serial)
+        assert all(t.snapshots[-1].state.time == 0.05 for t in serial)
+        for got, want in zip(run_batch(chains, cfg), serial):
+            _assert_same_trajectory(got, want)
+
+    @pytest.mark.parametrize("other", [straight_chain(9), straight_chain(8, d=3)], ids=["n", "d"])
+    def test_mixed_shapes_rejected(self, other):
+        with pytest.raises(ValueError, match="one n and d"):
+            run_batch([straight_chain(8), other], IntegratorConfig(t_end=0.01))
+
+    def test_numeric_error_names_the_original_chain(self, monkeypatch):
+        # the folded chain leaves the batch at step 0, so working row 1 of the
+        # first step is chain 2
+        def fail(eta, eta_dot, sigma, n, t, dt, cfg):
+            raise NumericError("boom", chain=1)
+
+        monkeypatch.setattr(dynamics, "_step_arrays", fail)
+        chains = [folded_chain(8), make_random_chain(8, seed=1), make_random_chain(8, seed=2)]
+        with pytest.raises(NumericError, match="^chain 2: boom") as info:
+            run_batch(chains, IntegratorConfig(t_end=0.01))
+        assert info.value.chain == 2
+
+    def test_non_finite_step_names_the_failing_chain(self):
+        # a NaN velocity in chain 1 spreads through the zero couplings of the
+        # stacked solve into its neighbours' tensions, yet the error names
+        # chain 1
+        chains = [make_random_chain(8, seed=s) for s in range(3)]
+        eta = np.stack([c.eta for c in chains])
+        eta_dot = np.stack([c.eta_dot for c in chains])
+        eta_dot[1, 0, 0] = np.nan
+        sigma = dynamics._solve_sigma_arrays(eta, eta_dot, 8)
+        assert np.isnan(sigma).any(axis=1).all()
+        with pytest.raises(NumericError, match="non-finite") as info:
+            dynamics._step_arrays(eta, eta_dot, sigma, 8, np.zeros(3), np.full((3, 1, 1), 1e-3),
+                                  IntegratorConfig(t_end=1.0))
+        assert info.value.chain == 1
 
 
 def test_snapshot_report_fields():

@@ -261,6 +261,35 @@ class TestRunExperiment:
         for name in ("series_seed1.csv", "series_seed2.csv"):
             assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
 
+    BATCH = (
+        "kind = run\ninitial.generator = random\ninitial.n = 12\ninitial.vel_scale = 1.0\n"
+        "integrator.t_end = 0.5\nintegrator.dt_max = 0.01\nintegrator.report_stride = 5\n"
+        "output.formats = csv,jsonl\n"
+    )
+
+    def test_batched_seeds_byte_identical_to_single_seed_runs(self, tmp_path):
+        text = self.BATCH + f"seeds = 3,5,4,6\noutput.dir = {tmp_path / 'all'}\n"
+        run_experiment(parse_config(write_cfg(tmp_path, text, name="all.cfg")))
+        for seed in (3, 5, 4, 6):
+            text = self.BATCH + f"seeds = {seed}\noutput.dir = {tmp_path / str(seed)}\n"
+            run_experiment(parse_config(write_cfg(tmp_path, text, name=f"{seed}.cfg")))
+            for fmt in ("csv", "jsonl"):
+                single = (tmp_path / str(seed) / f"series.{fmt}").read_bytes()
+                assert (tmp_path / "all" / f"series_seed{seed}.{fmt}").read_bytes() == single
+
+    def test_multi_seed_summary_per_seed(self, tmp_path):
+        from whipchain.initial_data import random_chain
+
+        text = self.BATCH + f"seeds = 3,5,4,6\noutput.dir = {tmp_path / 'out'}\n"
+        cfg = parse_config(write_cfg(tmp_path, text))
+        run_experiment(cfg)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        serial = {str(seed): run(random_chain(12, seed), cfg.integrator) for seed in (3, 5, 4, 6)}
+        assert manifest["summary"]["terminations"] == {k: t.termination for k, t in serial.items()}
+        assert manifest["summary"]["steps"] == {k: t.n_steps for k, t in serial.items()}
+        assert set(manifest["summary"]["terminations"].values()) == {"t_end_reached", "negative_tension"}
+        assert manifest["termination"] == serial["6"].termination
+
     def test_blowup_hunt_reports(self, tmp_path):
         text = (
             "kind = blowup_hunt\ninitial.generator = near_loop\ninitial.n = 32\n"

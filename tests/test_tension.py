@@ -14,6 +14,7 @@ from whipchain.initial_data import (
     rigid_rotation_sigma,
     straight_chain,
 )
+from whipchain import tension
 from whipchain.spectral import AngleState, theta_to_eta
 from whipchain.tension import (
     alpha_beta_from_alpha,
@@ -159,6 +160,37 @@ class TestSolveTension:
             sg = solve_tension(ch, "green")
             scale = max(np.max(np.abs(sd.sigma)), 1e-30)
             assert np.max(np.abs(sd.sigma - sg.sigma)) / scale < 1e-10
+
+    def test_one_link_direct_equals_green(self):
+        # a single link is the 1 x 1 system n^2 sigma_1 = w_1 with n = 1
+        for seed in range(3):
+            ch = make_random_chain(1, seed=seed)
+            w = float(np.sum(ch.link_dirs_dot() ** 2))
+            sd = solve_tension(ch, "direct")
+            sg = solve_tension(ch, "green")
+            assert sd.sigma[1] == sg.sigma[1] == pytest.approx(w, rel=1e-15)
+        assert solve_tension(rigid_rotation(1, 2.0)).sigma == pytest.approx(rigid_rotation_sigma(1, 2.0), abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_stacked_solve_is_bitwise_per_chain(self, n):
+        # B systems stacked into one solve with zero couplings give each
+        # chain's own solve bit for bit
+        chains = [make_random_chain(n, seed=s, vel_scale=1.0 + s) for s in range(5)]
+        eta = np.stack([c.eta for c in chains])
+        eta_dot = np.stack([c.eta_dot for c in chains])
+        stacked = tension._solve_sigma_arrays(eta, eta_dot, n)
+        for row, c in enumerate(chains):
+            assert np.array_equal(stacked[row], tension._solve_sigma_arrays(c.eta, c.eta_dot, n))
+            assert np.array_equal(stacked[row], solve_tension(c).sigma)
+
+    def test_stacked_solve_names_failing_chain(self):
+        # doubled link lengths (alpha_i = 4) in the second of three chains
+        good = rigid_rotation(8, 1.0)
+        eta = np.stack([good.eta, 2.0 * good.eta, good.eta])
+        eta_dot = np.stack([good.eta_dot] * 3)
+        with pytest.raises(NumericError, match="not positive definite") as info:
+            tension._solve_sigma_arrays(eta, eta_dot, 8)
+        assert info.value.chain == 1
 
     def test_matches_dense_oracle(self):
         ch = make_random_chain(10, seed=5, max_turn=3.0)
