@@ -16,6 +16,7 @@ All functions here are pure; states are immutable once constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -85,6 +86,16 @@ def rising_weight(k, r: float, n: int):
     return out if out.ndim else float(out)
 
 
+@lru_cache(maxsize=128)
+def _weight_row(n: int, r: float, first: int, count: int) -> np.ndarray:
+    """s_k^{(r)} for k = first..first+count-1, built once per key by
+    :func:`rising_weight` and returned read-only (the snapshot pass asks for
+    the same eight rows at every report)."""
+    out = rising_weight(np.arange(first, first + count), r, n)
+    out.setflags(write=False)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # weighted seminorms
 
@@ -105,16 +116,14 @@ def weighted_seminorm_sq(f, r: float, m: int, n: int, first_index: int = 1) -> f
     ``first_index=0`` (length n+1) gives k = 0..n-m.
     """
     df = forward_diff_m(f, n, m)
-    ks = first_index + np.arange(df.shape[0])
-    w = rising_weight(ks, r, n)
+    w = _weight_row(n, r, first_index, df.shape[0])
     return float(np.sum(w * _sq(df)) / n)
 
 
 def weighted_supnorm_sq(f, r: float, m: int, n: int, first_index: int = 1) -> float:
     """Squared weighted sup seminorm max_k s_k^{(r)} |D+^m f_k|^2."""
     df = forward_diff_m(f, n, m)
-    ks = first_index + np.arange(df.shape[0])
-    w = rising_weight(ks, r, n)
+    w = _weight_row(n, r, first_index, df.shape[0])
     return float(np.max(w * _sq(df)))
 
 
@@ -256,7 +265,7 @@ def _energy_sums(sq: list, weight) -> np.ndarray:
 
 def _s_weight(n: int):
     """The rising weights s_k^{(r)} in the form :func:`_energy_sums` takes."""
-    return lambda r, count: rising_weight(np.arange(1, count + 1), r, n)
+    return lambda r, count: _weight_row(n, r, 1, count)
 
 
 def _sigma_weight(sigma_ext: np.ndarray):

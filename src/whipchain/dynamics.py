@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     ChainState,
@@ -477,6 +476,8 @@ def detect_blowup(series, min_points: int = 8, window_frac: float = 0.25) -> Blo
     samples, at least ``min_points``.  Raises FitRejected when there are too
     few samples or the tail maxima are not strictly increasing.
     """
+    from scipy.optimize import minimize_scalar   # here, not at import: only blowup_hunt fits
+
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("series must be (N, 3): columns t, max|D+ eta_dot|, max|D+^2 eta|")

@@ -14,7 +14,10 @@ unknown keys are rejected.  Example::
     output.formats = csv,jsonl
 
 Floating-point output is written at 17 significant digits so every value
-round-trips bitwise through either format.
+round-trips bitwise through either format.  The JSON-lines series is encoded
+on every available core: the snapshots are cut into contiguous parts, forked
+children encode all but the first, and the file is byte-identical to a
+serial write.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import time as _time
 from dataclasses import asdict, dataclass, field, replace
 from importlib.metadata import version as _pkg_version
@@ -286,12 +290,94 @@ def emit_series(traj: Trajectory, fmt: str, path) -> Path:
             for row in rows:
                 writer.writerow([_FLOAT % v for v in row])
     elif fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for snap in traj.snapshots:
-                fh.write(json.dumps(snapshot_to_json(snap)) + "\n")
+        _write_jsonl(traj.snapshots, path)
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return path
+
+
+#: Fewest floats a JSONL part must hold to be encoded by a forked child.  A
+#: fork-context child plus its join and temp file costs about 9.5 ms (median
+#: of 20, 2-core Linux host, parent holding a 101-snapshot n = 1024 run) and
+#: json.dumps about 1.4-2 us per float, so a part pays for its child from
+#: about 7k floats; this asks for twice that.
+_MIN_PART_FLOATS = 16_000
+
+
+def _cpu_count() -> int:
+    """Cores this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _jsonl_parts(snaps: list) -> int:
+    """How many contiguous parts to encode ``snaps`` in: one per core, none
+    smaller than ``_MIN_PART_FLOATS``, and one without the ``fork`` start
+    method."""
+    st = snaps[0].state
+    floats = len(snaps) * (2 * st.eta.size + st.n + 20)   # eta, eta_dot, sigma, scalars
+    parts = min(_cpu_count(), len(snaps), floats // _MIN_PART_FLOATS)
+    if parts <= 1:
+        return 1
+    import multiprocessing
+
+    return parts if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _write_jsonl_lines(fh, snaps) -> None:
+    for snap in snaps:
+        fh.write(json.dumps(snapshot_to_json(snap)) + "\n")
+
+
+def _encode_part(snaps, tmp) -> None:
+    """Child body: encode ``snaps`` into the inherited temp file."""
+    with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as fh:
+        _write_jsonl_lines(fh, snaps)
+
+
+def _write_jsonl(snaps: list, path: Path) -> None:
+    """One JSON line per snapshot, the snapshots cut into contiguous parts.
+    The parent encodes the first part while forked children (which inherit
+    the snapshots, so nothing is pickled) encode the others into unnamed
+    temp files; the parent then appends those in order.  The file is
+    byte-identical to a serial write, and only one line is held at a time.
+
+    ``fork``, not ``spawn``: a spawned child would have to unpickle every
+    snapshot.  The children call no BLAS routine, so the parent's OpenBLAS
+    threads cannot leave them blocked on a lock, and they leave through
+    ``os._exit``, so inherited buffered files are never flushed twice."""
+    parts = _jsonl_parts(snaps)
+    with open(path, "w", encoding="utf-8") as fh:
+        if parts == 1:
+            _write_jsonl_lines(fh, snaps)
+            return
+        import multiprocessing
+        import shutil
+        import tempfile
+
+        cuts = [len(snaps) * i // parts for i in range(parts + 1)]
+        ctx = multiprocessing.get_context("fork")
+        temps, children = [], []
+        try:
+            for lo, hi in zip(cuts[1:-1], cuts[2:]):
+                temps.append(tempfile.TemporaryFile(dir=path.parent))
+                children.append(ctx.Process(target=_encode_part, args=(snaps[lo:hi], temps[-1])))
+                children[-1].start()
+            _write_jsonl_lines(fh, snaps[: cuts[1]])
+            fh.flush()
+            for child, tmp in zip(children, temps):
+                child.join()
+                if child.exitcode != 0:
+                    raise OSError(f"writing {path}: encoder process exited with code {child.exitcode}")
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh.buffer)
+        finally:
+            for child in children:
+                if child.is_alive():
+                    child.terminate()
+                    child.join()
+            for tmp in temps:
+                tmp.close()
 
 
 def snapshot_to_json(snap) -> dict:

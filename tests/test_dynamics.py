@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from whipchain import dynamics
+from whipchain import core, dynamics
 from whipchain.core import u0_v0
 from whipchain.dynamics import (
     IntegratorConfig,
@@ -24,6 +24,7 @@ from whipchain.initial_data import (
     rigid_rotation,
     rigid_rotation_exact,
     straight_chain,
+    theta_power,
 )
 from whipchain.tension import solve_tension, tension_residual
 
@@ -422,6 +423,22 @@ def test_snapshot_report_fields():
     assert rep.e[0] == pytest.approx(rep.u0 + rep.v0, rel=1e-12)
     assert np.isfinite(rep.a) and np.isfinite(rep.c)
     assert rep.constraint_drift < 1e-12
+
+
+def test_snapshot_report_bitwise_with_weight_cache_cold_and_warm():
+    traj = run(theta_power(64, vel_amp=1.0), IntegratorConfig(t_end=0.01, report_stride=1))
+    assert len(traj.snapshots) > 2
+    fields = ("e", "e_tilde", "u0", "v0", "a", "b", "c", "d", "constraint_drift", "time")
+    for snap in traj.snapshots:
+        core._weight_row.cache_clear()
+        cold = snapshot_report(snap.state, snap.tension)
+        misses = core._weight_row.cache_info().misses
+        warm = snapshot_report(snap.state, snap.tension)
+        assert core._weight_row.cache_info().misses == misses
+        for name in fields:
+            for rep in (cold, warm):
+                got, want = np.asarray(getattr(rep, name)), np.asarray(getattr(snap.report, name))
+                assert got.tobytes() == want.tobytes(), name
 
 
 class TestResolutionConvergence:

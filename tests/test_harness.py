@@ -1,13 +1,17 @@
 """Config parsing, experiment kinds, series emission, manifests, CLI."""
 
 import csv
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from whipchain import harness
 from whipchain.cli import main as cli_main
 from whipchain.dynamics import IntegratorConfig, run
 from whipchain.errors import ConfigError
@@ -17,6 +21,7 @@ from whipchain.harness import (
     parse_config,
     run_experiment,
     snapshot_state_from_json,
+    snapshot_to_json,
 )
 from whipchain.initial_data import perturbed_vertical, rigid_rotation, rigid_rotation_exact
 from whipchain.spectral import continuize_Gn, discretize_Fn, eta_to_theta, theta_to_eta
@@ -157,6 +162,76 @@ class TestEmitSeries:
         with pytest.raises(ValueError):
             emit_series(traj, "csv", target)
         assert not target.exists()
+
+
+class TestSplitJsonl:
+    """The JSONL writer encodes contiguous parts of the snapshots in forked
+    children and appends them in order; the file must equal a serial write."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        return run(perturbed_vertical(8, amplitude=0.4), IntegratorConfig(t_end=0.01, report_stride=1))
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """Split at any size, over ``cores`` parts."""
+        monkeypatch.setattr(harness, "_MIN_PART_FLOATS", 1)
+
+        def set_cores(cores):
+            monkeypatch.setattr(harness, "_cpu_count", lambda: cores)
+
+        return set_cores
+
+    @staticmethod
+    def _serial(snaps) -> bytes:
+        return "".join(json.dumps(snapshot_to_json(s)) + "\n" for s in snaps).encode()
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_byte_identical_to_serial(self, traj, split, tmp_path, cores, count):
+        assert len(traj.snapshots) >= count
+        part = dataclasses.replace(traj, snapshots=traj.snapshots[:count])
+        split(cores)
+        assert harness._jsonl_parts(part.snapshots) == min(cores, count)
+        path = emit_series(part, "jsonl", tmp_path / "s.jsonl")
+        assert path.read_bytes() == self._serial(part.snapshots)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_small_series_not_split(self, traj, monkeypatch):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
+        assert harness._jsonl_parts(traj.snapshots) == 1
+
+    def test_multi_seed_cli_equals_single_seed_runs(self, split, tmp_path):
+        split(2)
+        base = (
+            "kind = run\ninitial.generator = random\ninitial.n = 12\ninitial.vel_scale = 1.0\n"
+            "integrator.t_end = 0.05\nintegrator.report_stride = 2\noutput.formats = csv,jsonl\n"
+        )
+        path = write_cfg(tmp_path, base + "seeds = 3,5,4\n", name="all.cfg")
+        assert cli_main(["run", str(path), "--output-dir", str(tmp_path / "all"), "--quiet"]) == 0
+        for seed in (3, 5, 4):
+            path = write_cfg(tmp_path, base + f"seeds = {seed}\n", name=f"{seed}.cfg")
+            assert cli_main(["run", str(path), "--output-dir", str(tmp_path / str(seed)), "--quiet"]) == 0
+            for fmt in ("csv", "jsonl"):
+                single = (tmp_path / str(seed) / f"series.{fmt}").read_bytes()
+                assert (tmp_path / "all" / f"series_seed{seed}.{fmt}").read_bytes() == single
+
+    def test_failing_child_raises_oserror(self, traj, split, tmp_path, monkeypatch):
+        split(2)
+        parent = os.getpid()
+        encode = harness.snapshot_to_json
+
+        def fails_in_child(snap):
+            if os.getpid() != parent:
+                raise RuntimeError("encoder failure")
+            return encode(snap)
+
+        monkeypatch.setattr(harness, "snapshot_to_json", fails_in_child)
+        target = tmp_path / "s.jsonl"
+        with pytest.raises(OSError, match="exited with code 1") as info:
+            emit_series(traj, "jsonl", target)
+        assert str(target) in str(info.value)
+        assert list(tmp_path.iterdir()) == [target]
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +479,14 @@ class TestCli:
         monkeypatch.setattr(tension, "SOLVE_RTOL", -1.0)
         path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'nf'}\noutput.formats = csv\n")
         assert cli_main(["run", str(path), "--quiet"]) == 3
+
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, whipchain.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_console_script(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'cs'}\noutput.formats = csv\n")
