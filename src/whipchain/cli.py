@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    whipchain run <config-path> [--output-dir DIR] [--workers N] [--seed S] [--quiet]
+    whipchain run <config-path> [--output-dir DIR] [--seed S] [--quiet]
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 property-suite
 violations.
@@ -23,8 +23,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="execute an experiment config")
     runp.add_argument("config", help="path to the experiment config file")
     runp.add_argument("--output-dir", default=None, help="override output.dir")
-    runp.add_argument("--workers", type=int, default=None,
-                      help="override the workers key (>= 1); accepted but ignored, since seeds run as one batch")
     runp.add_argument("--seed", type=int, default=None, help="override the seed list with one seed")
     runp.add_argument("--quiet", action="store_true", help="suppress the summary line")
     return parser
@@ -36,8 +34,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.output_dir is not None:
             cfg = replace(cfg, output_dir=Path(args.output_dir))
-        if args.workers is not None:
-            cfg = replace(cfg, workers=args.workers)
         if args.seed is not None:
             cfg = replace(cfg, seeds=(args.seed,))
         manifest = run_experiment(cfg)

@@ -9,10 +9,12 @@ round-off after each full step.
 
 There is one stepping loop, :func:`run_batch`.  It integrates B chains of
 one n and d as (B, n+1, d) arrays, and each RK stage solves the B tension
-systems as one stacked tridiagonal solve.  Every chain keeps its own time,
-step, stride and termination, so each trajectory is bitwise the one the
-chain gives alone; :func:`run` is the batch of one.  The array kernels work
-on any leading shape, so a single (n+1, d) chain goes through them too.
+systems as one stacked tridiagonal solve.  So does each iteration's start,
+and the stop tests, dt, the first stage and the snapshots all read that
+solve; a snapshot holds it to the solve contract.  Every chain keeps its own
+time, step, stride and termination, so each trajectory is bitwise the one
+the chain gives alone; :func:`run` is the batch of one.  The array kernels
+work on any leading shape, so a single (n+1, d) chain goes through them too.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from .core import (
 from .errors import FitRejected, NumericError
 from .tension import (
     TensionSolution,
+    _checked_solution,
     _sigma_dot_extended,
     _solve_sigma_arrays,
     diagnostics_abc,
     sigma_sobolev,
-    solve_tension,
 )
 
 TERMINATIONS = ("t_end_reached", "negative_tension", "blowup_suspected", "dt_underflow")
@@ -46,7 +48,8 @@ TERMINATIONS = ("t_end_reached", "negative_tension", "blowup_suspected", "dt_und
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper settings.  cfl in (0, 1]; dt clamped to [dt_min, dt_max]."""
+    """Stepper settings.  cfl in (0, 1]; dt clamped to [dt_min, dt_max];
+    t_end, dt_max and blowup_threshold positive, and all four finite."""
 
     t_end: float
     scheme: str = "rk4"
@@ -59,14 +62,18 @@ class IntegratorConfig:
     blowup_threshold: float = 1e8
 
     def __post_init__(self):
+        for name in ("t_end", "dt_min", "dt_max", "blowup_threshold"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("t_end", "dt_max", "blowup_threshold"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.scheme not in ("rk4", "heun"):
             raise ValueError(f"unknown scheme {self.scheme!r}; use 'rk4' or 'heun'")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.dt_min > self.dt_max:
             raise ValueError(f"dt_min={self.dt_min} exceeds dt_max={self.dt_max}")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.report_stride < 1:
             raise ValueError(f"report_stride must be >= 1, got {self.report_stride}")
 
@@ -312,10 +319,11 @@ def snapshot_report(chain: ChainState, sol: TensionSolution) -> EnergyReport:
     )
 
 
-def _make_snapshot(chain: ChainState, row: int = 0) -> Snapshot:
-    """The snapshot of ``chain``; a NumericError it raises names ``row``."""
+def _make_snapshot(chain: ChainState, sigma: np.ndarray, row: int) -> Snapshot:
+    """The snapshot of ``chain`` and its tension ``sigma``, held to the solve
+    contract; a NumericError it raises names ``row``."""
     try:
-        sol = solve_tension(chain)
+        sol = _checked_solution(chain, sigma)
         return Snapshot(chain, sol, snapshot_report(chain, sol))
     except NumericError as exc:
         exc.chain = row
@@ -369,11 +377,13 @@ def run_batch(initials, cfg: IntegratorConfig) -> list[Trajectory]:
     """Integrate every chain of ``initials`` (all of one n and d) as one
     batch; returns one Trajectory per chain, in order.
 
-    Each RK stage solves the tensions of all running chains as one stacked
-    tridiagonal system.  Each chain has its own t, dt, step count and
-    termination, and leaves the working arrays when it stops, so its
-    trajectory is bitwise the one it gives alone.  Snapshots are taken as in
-    :func:`run`.  A NumericError names the failing chain's index.
+    Each iteration starts with one stacked tension solve of the running
+    chains, which the stop tests, dt, the step and the snapshots read: a
+    chain is snapshotted there when its step count is a multiple of
+    ``report_stride`` or it stops.  Each RK stage is one such solve too.
+    Each chain has its own t, dt, step count and termination, and leaves the
+    working arrays when it stops, so its trajectory is bitwise the one it
+    gives alone.  A NumericError names the failing chain's index.
     """
     if len({(c.n, c.d) for c in initials}) != 1:
         raise ValueError(f"a batch needs chains of one n and d, got {sorted({(c.n, c.d) for c in initials})}")
@@ -388,39 +398,31 @@ def run_batch(initials, cfg: IntegratorConfig) -> list[Trajectory]:
     logs: list = [[] for _ in initials]
     done: list = [None] * len(initials)
     steps = 0
-    snapped = True   # every running chain's current state is its last snapshot's
     tiny = 1e-14 * max(cfg.t_end, 1.0)
     thr = cfg.blowup_threshold
 
-    def finish(row: int, termination: str) -> None:
-        i = live[row]
-        if not snapped:
-            snapshots[i].append(_make_snapshot(ChainState(n, d, eta[row], eta_dot[row], t[row]), row))
-        done[i] = Trajectory(snapshots[i], termination, len(logs[i]), np.array(logs[i]))
-
     try:
-        for i, c in enumerate(initials):
-            snapshots[i].append(_make_snapshot(c, i))
         while live.size:
-            if snapped:
-                sigma = np.stack([snapshots[i][-1].tension.sigma for i in live])
-            else:
-                sigma = _solve_sigma_arrays(eta, eta_dot, n)
+            sigma = _solve_sigma_arrays(eta, eta_dot, n)
             ang, curv = _maxima(eta, eta_dot, n)
             raw = _raw_dt(n, sigma, cfg)
-            # the stop conditions in order of precedence
-            stops = (
-                ("t_end_reached", t >= cfg.t_end - tiny),
-                ("negative_tension", (sigma[:, 1:].min(axis=1) < 0.0) & cfg.halt_on_negative_tension),
-                ("blowup_suspected", (ang > thr) | (curv > thr)),
-                ("dt_underflow", raw < cfg.dt_min),
-            )
-            if any(hit.any() for _, hit in stops):
-                going = np.ones(live.size, dtype=bool)
-                for termination, hit in stops:
-                    for row in np.flatnonzero(hit & going):
-                        finish(row, termination)
-                    going &= ~hit
+            # one row per stop condition, in the order of TERMINATIONS, which is their precedence
+            hits = np.array([
+                t >= cfg.t_end - tiny,
+                (sigma[:, 1:].min(axis=1) < 0.0) & cfg.halt_on_negative_tension,
+                (ang > thr) | (curv > thr),
+                raw < cfg.dt_min,
+            ])
+            going = ~hits.any(axis=0)
+            ending = np.flatnonzero(~going)
+            for row in range(live.size) if steps % cfg.report_stride == 0 else ending:
+                state = ChainState(n, d, eta[row], eta_dot[row], t[row])
+                snapshots[live[row]].append(_make_snapshot(state, sigma[row], row))
+            for row in ending:
+                i = live[row]
+                termination = TERMINATIONS[hits[:, row].argmax()]
+                done[i] = Trajectory(snapshots[i], termination, len(logs[i]), np.array(logs[i]))
+            if ending.size:
                 live, eta, eta_dot, t, sigma, raw = (a[going] for a in (live, eta, eta_dot, t, sigma, raw))
                 if not live.size:
                     break
@@ -430,10 +432,6 @@ def run_batch(initials, cfg: IntegratorConfig) -> list[Trajectory]:
                 logs[i].append(m)
             t = t + dt
             steps += 1
-            snapped = steps % cfg.report_stride == 0
-            if snapped:
-                for row, i in enumerate(live):
-                    snapshots[i].append(_make_snapshot(ChainState(n, d, eta[row], eta_dot[row], t[row]), row))
     except NumericError as exc:   # every failure inside names its working row
         i = int(live[exc.chain])
         raise NumericError(f"chain {i}: {exc}", chain=i) from exc

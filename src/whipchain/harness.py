@@ -64,7 +64,6 @@ class ExperimentConfig:
     seeds: tuple = (0,)
     output_dir: Path = Path("out")
     formats: tuple = FORMATS
-    workers: int = 1   # accepted and range-checked, but ignored: seeds run as one batch
     suite_samples: int = 10000
     suite_n_values: tuple = (4, 16, 64)
     suite_r_values: tuple = (0.5, 1.0, 1.5, 2.0)
@@ -85,7 +84,6 @@ class ExperimentConfig:
             (d >= 2, "initial.d", "an integer >= 2", d),
             (d == 2 or self.kind != "convergence", "initial.d", "2 for convergence (the angle maps are planar)", d),
             (all(seed >= 0 for seed in self.seeds), "seeds", "integers >= 0", self.seeds),
-            (self.workers >= 1, "workers", "an integer >= 1", self.workers),
             (set(self.formats) <= set(FORMATS), "output.formats", "csv and/or jsonl", self.formats),
             (self.suite_samples >= 0, "suite.samples", "an integer >= 0", self.suite_samples),
             (all(nv >= 2 for nv in self.suite_n_values), "suite.n_values", "integers >= 2", self.suite_n_values),
@@ -126,7 +124,6 @@ _SCHEMA = {
     "initial.generator": ("generator", str),
     "initial.n": ("n_list", _ints),
     "seeds": ("seeds", _ints),
-    "workers": ("workers", int),
     "output.dir": ("output_dir", Path),
     "output.formats": ("formats", _names),
     "suite.samples": ("suite_samples", int),

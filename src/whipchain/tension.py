@@ -42,7 +42,7 @@ from .core import (
 )
 from .errors import NumericError
 
-#: bound on the normwise backward error of a tension solve (see solve_tension)
+#: bound on the normwise backward error of a tension solve (see _checked_solution)
 SOLVE_RTOL = 16 * np.finfo(float).eps
 
 
@@ -258,11 +258,8 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     diag = _scaled_diagonal(n, w.size)
     if w.size == 1:  # one link: the 1 x 1 system, which dptsv's wrapper refuses
         return w / diag
-    if w.size == n:
-        off = -alpha * n * n
-    else:
-        off = np.zeros(w.shape)
-        off[..., :-1] = -alpha * n * n
+    off = np.zeros(w.shape)
+    off[..., :-1] = -alpha * n * n
     _, _, sigma, info = dptsv(diag, off.ravel()[: w.size - 1], w.ravel())
     if info > 0:
         chain = (info - 1) // n
@@ -292,10 +289,7 @@ def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
 
     ``direct`` runs the O(n) LAPACK tridiagonal solve; ``green`` applies
     sigma_k = (1/n) sum_j G_kj w_j through the Green function's generators,
-    also in O(n).  Either result must have a normwise backward error
-    |A sigma - w| / (|A| |sigma| + |w|) (infinity norms) of at most
-    ``SOLVE_RTOL``, a small multiple of the unit roundoff that holds at every
-    n and conditioning for a backward-stable solve.
+    also in O(n).  Either result is checked by :func:`_checked_solution`.
     """
     n = chain.n
     alpha, w = _alpha_w(chain.eta, chain.eta_dot, n)
@@ -305,12 +299,22 @@ def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
         interior = green_matrix(alpha_beta_from_alpha(alpha)).apply(w)
     else:
         raise ValueError(f"unknown tension method {method!r}; use 'direct' or 'green'")
+    return _checked_solution(chain, np.concatenate([[0.0], interior]))
 
+
+def _checked_solution(chain: ChainState, sigma: np.ndarray) -> TensionSolution:
+    """The solve contract: ``sigma`` (sigma_0..sigma_n) as the chain's
+    TensionSolution, once its normwise backward error
+    |A sigma - w| / (|A| |sigma| + |w|) (infinity norms) is at most
+    ``SOLVE_RTOL``, a small multiple of the unit roundoff that holds at every
+    n and conditioning for a backward-stable solve; NumericError otherwise.
+    """
+    n = chain.n
+    alpha, w = _alpha_w(chain.eta, chain.eta_dot, n)
+    interior = sigma[1:]
     err = _backward_error(alpha, interior, w, n)
     if not np.isfinite(err) or err > SOLVE_RTOL:
         raise NumericError(f"tension solve residual: backward error {err:.3e} exceeds {SOLVE_RTOL:.1e}")
-
-    sigma = np.concatenate([[0.0], interior])
     min_sigma = float(np.min(interior))
     return TensionSolution(sigma, min_sigma, min_sigma > 0.0)
 

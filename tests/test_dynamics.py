@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from whipchain import core, dynamics
+from whipchain import core, dynamics, tension
 from whipchain.core import u0_v0
 from whipchain.dynamics import (
     IntegratorConfig,
@@ -116,6 +116,26 @@ class TestConfigValidation:
     def test_bad_dt_order(self):
         with pytest.raises(ValueError):
             IntegratorConfig(t_end=1.0, dt_min=1.0, dt_max=0.1)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("t_end", np.inf, "t_end must be finite"),
+            ("t_end", np.nan, "t_end must be finite"),
+            ("dt_min", np.nan, "dt_min must be finite"),
+            ("dt_max", np.nan, "dt_max must be finite"),
+            ("dt_max", np.inf, "dt_max must be finite"),
+            ("blowup_threshold", np.nan, "blowup_threshold must be finite"),
+            ("blowup_threshold", np.inf, "blowup_threshold must be finite"),
+            ("blowup_threshold", -1.0, "blowup_threshold must be positive"),
+            ("blowup_threshold", 0.0, "blowup_threshold must be positive"),
+            ("dt_max", 0.0, "dt_max must be positive"),
+        ],
+    )
+    def test_non_finite_or_meaningless_setting(self, key, value, message):
+        kwargs = {"t_end": 1.0, "dt_min": 0.0, key: value}
+        with pytest.raises(ValueError, match=message):
+            IntegratorConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +433,43 @@ class TestRunBatch:
             dynamics._step_arrays(eta, eta_dot, sigma, 8, np.zeros(3), np.full((3, 1, 1), 1e-3),
                                   IntegratorConfig(t_end=1.0))
         assert info.value.chain == 1
+
+
+class TestStepStartSolve:
+    """Each iteration of the stepping loop makes one stacked tension solve at
+    the step start, which the stop tests, dt, the step and the snapshots
+    read; an RK4 step adds three stage solves, and no per-chain
+    ``solve_tension`` runs."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"stacked": 0, "solve_tension": 0}
+
+        def counted(key, func):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dynamics, "_solve_sigma_arrays", counted("stacked", dynamics._solve_sigma_arrays))
+        solve = counted("solve_tension", tension.solve_tension)
+        monkeypatch.setattr(tension, "solve_tension", solve)
+        monkeypatch.setattr(dynamics, "solve_tension", solve, raising=False)
+        return counts
+
+    def test_stride_1_run(self, counts):
+        traj = run(perturbed_vertical(12, amplitude=0.3), IntegratorConfig(t_end=0.0125, report_stride=1))
+        k = traj.n_steps
+        assert k >= 4 and len(traj.snapshots) == k + 1
+        assert counts == {"stacked": 4 * k + 1, "solve_tension": 0}
+
+    def test_batch_between_strides(self, counts):
+        chains = [make_random_chain(16, seed=s) for s in range(3)]
+        trajs = run_batch(chains, IntegratorConfig(t_end=0.05, dt_max=0.01, report_stride=10**9))
+        k = max(t.n_steps for t in trajs)
+        assert k >= 5
+        assert [len(t.snapshots) for t in trajs] == [2, 2, 2]
+        assert counts == {"stacked": 4 * k + 1, "solve_tension": 0}
 
 
 def test_snapshot_report_fields():

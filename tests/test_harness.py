@@ -324,18 +324,6 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "inc" / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"
 
-    def test_multi_seed_parallel_workers(self, tmp_path):
-        base = (
-            "kind = run\ninitial.generator = random\ninitial.n = 8\n"
-            "integrator.t_end = 0.005\nseeds = 1,2\noutput.formats = csv\n"
-        )
-        for workers in (2, 1):
-            text = base + f"workers = {workers}\noutput.dir = {tmp_path / f'w{workers}'}\n"
-            manifest = run_experiment(parse_config(write_cfg(tmp_path, text, name=f"w{workers}.cfg")))
-            assert manifest.status == "complete"
-        for name in ("series_seed1.csv", "series_seed2.csv"):
-            assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
-
     BATCH = (
         "kind = run\ninitial.generator = random\ninitial.n = 12\ninitial.vel_scale = 1.0\n"
         "integrator.t_end = 0.5\nintegrator.dt_max = 0.01\nintegrator.report_stride = 5\n"
@@ -390,6 +378,12 @@ class TestCli:
     def test_exit_2_on_config_error(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + "gravty = 1\n")
         assert cli_main(["run", str(path), "--quiet"]) == 2
+
+    def test_exit_2_on_non_finite_t_end(self, tmp_path, capsys):
+        text = MINIMAL.replace("t_end = 0.02", "t_end = nan")
+        path = write_cfg(tmp_path, text + f"output.dir = {tmp_path/'nan'}\n")
+        assert cli_main(["run", str(path), "--quiet"]) == 2
+        assert "t_end must be finite" in capsys.readouterr().err
 
     def test_exit_2_on_missing_file(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "none.cfg"), "--quiet"]) == 2
@@ -453,10 +447,15 @@ class TestCli:
             exact = rigid_rotation_exact(n, t_end, omega).eta
             assert errors[str(n)] == pytest.approx(np.max(np.linalg.norm(fin.eta - exact, axis=1)), abs=1e-14)
 
-    def test_exit_2_on_zero_workers_override(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'w'}\n")
-        assert cli_main(["run", str(path), "--workers", "0", "--quiet"]) == 2
-        assert "workers" in capsys.readouterr().err
+    def test_exit_2_on_removed_workers_key_and_flag(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MINIMAL + f"workers = 1\noutput.dir = {tmp_path/'w'}\n")
+        assert cli_main(["run", str(path), "--quiet"]) == 2
+        assert "unknown key 'workers'" in capsys.readouterr().err
+        path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'w'}\n", name="flag.cfg")
+        with pytest.raises(SystemExit) as info:
+            cli_main(["run", str(path), "--workers", "1", "--quiet"])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_integer_generator_param_run_exits_0(self, tmp_path):
         text = MINIMAL.replace("rigid_rotation", "straight") + "initial.d = 3\noutput.formats = csv\n"
