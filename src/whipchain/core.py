@@ -101,9 +101,24 @@ def _weight_row(n: int, r: float, first: int, count: int) -> np.ndarray:
 
 
 def _sq(values: np.ndarray) -> np.ndarray:
+    """|v|^2 over the last axis (a 1-D array is squared elementwise), summed
+    component by component from the left: bitwise np.sum(v * v, axis=-1) for
+    d = 2 and 3, at a third of its cost on the short length-d axis."""
     if values.ndim == 1:
         return values * values
-    return np.sum(values * values, axis=-1)
+    out = values[..., 0] * values[..., 0]
+    for i in range(1, values.shape[-1]):
+        out += values[..., i] * values[..., i]
+    return out
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> over the last axis.  For d = 2 the two products are added
+    directly, bitwise the einsum and cheaper; other d keep the einsum, whose
+    rounding a left-to-right sum does not reproduce."""
+    if a.shape[-1] == 2:
+        return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+    return np.einsum("...d,...d->...", a, b)
 
 
 def weighted_seminorm_sq(f, r: float, m: int, n: int, first_index: int = 1) -> float:

@@ -27,9 +27,11 @@ from .core import (
     ChainState,
     _energies,
     _energy_sums,
+    _dot,
     _frozen_array,
     _s_weight,
     _sigma_weight,
+    _sq,
     _squared_differences,
     odd_extend,
 )
@@ -125,7 +127,7 @@ def _clamp_dt(dt, cfg: IntegratorConfig):
 def _lengths(v: np.ndarray) -> np.ndarray:
     """|v| over the last axis: np.linalg.norm(v, axis=-1), bitwise, without
     its per-call checks."""
-    return np.sqrt((v * v).sum(axis=-1))
+    return np.sqrt(_sq(v))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +148,7 @@ def _project_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int):
 
     t = -n * unit                                         # D+ eta_k, exactly unit
     vdiff = n * (eta_dot[..., 1:, :] - eta_dot[..., :-1, :])  # D+ eta_dot_k
-    vdiff = vdiff - np.einsum("...kd,...kd->...k", vdiff, t)[..., None] * t
+    vdiff = vdiff - _dot(vdiff, t)[..., None] * t
     new_dot = np.zeros_like(eta_dot)
     new_dot[..., :-1, :] = -np.cumsum((vdiff / n)[..., ::-1, :], axis=-2)[..., ::-1, :]
     return new_eta, new_dot

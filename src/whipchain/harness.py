@@ -37,9 +37,9 @@ import numpy as np
 from .core import ChainState, rising_weight, weighted_seminorm_sq, weighted_supnorm_sq
 from .dynamics import IntegratorConfig, Trajectory, detect_blowup, run, run_batch
 from .errors import ConfigError, FitRejected
-from .initial_data import GENERATORS, make_initial, random_chain, rigid_rotation_exact
-from .spectral import angle_coefficients, continuize_Gn, discretize_Fn, eta_to_theta, theta_to_eta
-from .tension import certify_bounds, green_matrix_for_chain
+from .initial_data import GENERATORS, _random_angles, make_initial, rigid_rotation_exact
+from .spectral import angle_coefficients, continuize_Gn, discretize_Fn, eta_to_theta, theta_positions, theta_to_eta
+from .tension import certify_stack
 
 FORMATS = ("csv", "jsonl")
 
@@ -608,31 +608,21 @@ def _kind_green_certify(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     per-link angles scale like n^{-3/4} so the curvature hypothesis of the
     lower bound is actually met.
     """
-    rng = np.random.default_rng(cfg.seeds[0])
-    count = cfg.suite_samples
-    n_values = cfg.suite_n_values
-    stats = {
-        "count": 0, "applicable_upper": 0, "upper_failures": 0,
-        "admissible_lower": 0, "lower_failures": 0, "corner_failures": 0,
-        "minmax_failures": 0,
-    }
-    for i in range(count):
-        nv = n_values[i % len(n_values)]
-        turn = 1.45 if i % 2 == 0 else 0.6 * nv**-0.75
-        chain = random_chain(nv, rng, max_turn=turn, vel_scale=2.0)
-        cert = certify_bounds(green_matrix_for_chain(chain), chain)
-        stats["count"] += 1
-        stats["minmax_failures"] += 0 if cert.minmax_bound_ok else 1
-        if cert.all_alpha_nonneg:
-            stats["applicable_upper"] += 1
-            if not (cert.diff_bound_ok and cert.ratio_bound_ok):
-                stats["upper_failures"] += 1
-            if not cert.corner_ok:
-                stats["corner_failures"] += 1
-        if cert.upsilon_admissible:
-            stats["admissible_lower"] += 1
-            if not cert.lower_bound_ok:
-                stats["lower_failures"] += 1
+    stats = dict.fromkeys(("count", "applicable_upper", "upper_failures", "admissible_lower",
+                           "lower_failures", "corner_failures", "minmax_failures"), 0)
+    for theta in _certify_angle_stacks(cfg):
+        cert = certify_stack(theta_positions(theta))
+        nonneg, admissible = cert["all_alpha_nonneg"], cert["upsilon_admissible"]
+        stats["count"] += nonneg.size
+        for key, hits in (
+            ("minmax_failures", ~cert["minmax_bound_ok"]),
+            ("applicable_upper", nonneg),
+            ("upper_failures", nonneg & ~(cert["diff_bound_ok"] & cert["ratio_bound_ok"])),
+            ("corner_failures", nonneg & ~cert["corner_ok"]),
+            ("admissible_lower", admissible),
+            ("lower_failures", admissible & ~cert["lower_bound_ok"]),
+        ):
+            stats[key] += int(np.count_nonzero(hits))
     manifest.violations = (
         stats["upper_failures"] + stats["lower_failures"]
         + stats["corner_failures"] + stats["minmax_failures"]
@@ -641,6 +631,37 @@ def _kind_green_certify(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     path = cfg.output_dir / "green_certify.json"
     path.write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     manifest.files.append(path.name)
+
+
+#: link angles in one certified stack.  A stack's certificate holds a few dozen
+#: work arrays of this many floats (64 KiB each), so a sweep's peak memory
+#: stays within about 2 MiB of a per-sample loop's whatever suite.samples is,
+#: while each numpy call still covers dozens of chains.
+_CERTIFY_CHUNK_FLOATS = 1 << 13
+
+
+def _certify_angle_stacks(cfg: ExperimentConfig):
+    """The green_certify samples' link angles, as (B, n) stacks of one n each.
+
+    Sample i has n = suite.n_values[i mod len] and is drawn exactly as
+    ``random_chain`` draws it, in sample order from one generator, so each
+    chain is bitwise the one a per-sample loop builds.  The angular
+    velocities are drawn to keep that order and then dropped: no bound
+    reads them.  A stack is yielded once the pending samples would exceed
+    ``_CERTIFY_CHUNK_FLOATS`` angles.
+    """
+    rng = np.random.default_rng(cfg.seeds[0])
+    pending: dict = {}
+    held = 0
+    for i in range(cfg.suite_samples):
+        nv = cfg.suite_n_values[i % len(cfg.suite_n_values)]
+        if held + nv > _CERTIFY_CHUNK_FLOATS:
+            yield from map(np.array, pending.values())
+            pending, held = {}, 0
+        turn = 1.45 if i % 2 == 0 else 0.6 * nv**-0.75
+        pending.setdefault(nv, []).append(_random_angles(nv, rng, turn, 2.0)[0])
+        held += nv
+    yield from map(np.array, pending.values())
 
 
 def _kind_blowup_hunt(cfg: ExperimentConfig, manifest: RunManifest) -> None:

@@ -135,11 +135,16 @@ def random_chain(
 
     ``max_turn`` < pi/2 keeps every alpha_i > 0.
     """
-    rng = np.random.default_rng(rng)
+    theta, theta_dot = _random_angles(n, np.random.default_rng(rng), max_turn, vel_scale)
+    return theta_to_eta(AngleState(n, theta, theta_dot))
+
+
+def _random_angles(n: int, rng: np.random.Generator, max_turn: float, vel_scale: float):
+    """The angles and angular velocities of :func:`random_chain`, drawn from
+    ``rng`` by the same calls in the same order."""
     inc = rng.uniform(-max_turn, max_turn, size=n - 1)
     theta = np.concatenate([[rng.uniform(-np.pi, np.pi)], inc]).cumsum()
-    theta_dot = rng.normal(0.0, vel_scale, size=n)
-    return theta_to_eta(AngleState(n, theta, theta_dot))
+    return theta, rng.normal(0.0, vel_scale, size=n)
 
 
 GENERATORS = {

@@ -66,14 +66,24 @@ def eta_to_theta(chain: ChainState) -> AngleState:
 def theta_to_eta(angles: AngleState) -> ChainState:
     """Rebuild positions by cumulative sums anchored at the fixed end; the
     produced links are unit by construction."""
-    n = angles.n
-    t = np.column_stack([np.cos(angles.theta), np.sin(angles.theta)])
-    td = angles.theta_dot[:, None] * np.column_stack([-np.sin(angles.theta), np.cos(angles.theta)])
-    eta = np.zeros((n + 1, 2))
-    eta[:-1] = -np.cumsum((t / n)[::-1], axis=0)[::-1]      # eta_k = eta_{k+1} - t_k/n
-    eta_dot = np.zeros((n + 1, 2))
-    eta_dot[:-1] = -np.cumsum((td / n)[::-1], axis=0)[::-1]
-    return ChainState(n, 2, eta, eta_dot, angles.time)
+    n, theta = angles.n, angles.theta
+    td = angles.theta_dot[:, None] * np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
+    return ChainState(n, 2, theta_positions(theta), _anchored(td, n), angles.time)
+
+
+def theta_positions(theta: np.ndarray) -> np.ndarray:
+    """Positions eta_1..eta_{n+1} of the unit links at angles theta along the
+    last axis: a (..., n) stack of angles gives a (..., n+1, 2) stack of
+    chains, each bitwise the eta of its own :func:`theta_to_eta`."""
+    return _anchored(np.stack([np.cos(theta), np.sin(theta)], axis=-1), theta.shape[-1])
+
+
+def _anchored(links: np.ndarray, n: int) -> np.ndarray:
+    """eta_k = eta_{k+1} - links_k / n summed back from eta_{n+1} = 0 along
+    axis -2 of a (..., n, 2) stack."""
+    out = np.zeros(links.shape[:-2] + (n + 1, 2))
+    out[..., :-1, :] = -np.cumsum((links / n)[..., ::-1, :], axis=-2)[..., ::-1, :]
+    return out
 
 
 def even_extend_theta(theta: np.ndarray, n: int) -> np.ndarray:

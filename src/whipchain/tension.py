@@ -20,6 +20,14 @@ symmetric.  ``GreenMatrix`` holds only these O(n) generators, the diagonal
 G_kk and the ratios c_m.  The bound certificates and the ``green`` solve
 route work on them in O(n) time and memory; the dense n x n G is built only
 when ``GreenMatrix.G`` is read.
+
+The beta_i are the pivots of the LDL^T factorization of the operator with
+its rows and columns reversed, so LAPACK's ``dpttrf`` gives them in compiled
+code, and G_kk comes from one banded ``dtbtrs`` sweep.  Both act on a stack
+of chains as one block-diagonal system with zero couplings between the
+blocks, and the certificate's clauses run along the last axis, so
+``certify_stack`` certifies a (B, n+1, d) stack at once, each row bitwise
+the chain's own certificate; the per-chain functions are the stack of one.
 """
 
 from __future__ import annotations
@@ -28,15 +36,15 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dptsv, dtbtrs
+from scipy.linalg.lapack import dpttrf, dptsv, dtbtrs
 
 from .core import (
     ChainState,
     ExtendedChain,
+    _dot,
     _frozen_array,
     _sq,
     forward_diff,
-    forward_diff_m,
     odd_extend,
     weighted_seminorm_sq,
 )
@@ -72,12 +80,35 @@ class AlphaBeta:
         return self.beta.shape[0]
 
 
-def beta_recursion(alpha: np.ndarray) -> np.ndarray:
-    """beta_n = 1, beta_i = 2 - alpha_i^2 / beta_{i+1}; well-defined for |alpha| <= 1."""
-    beta = [1.0]
-    for a in reversed(alpha.tolist()):  # on Python floats: numpy scalars cost ~10x per step
-        beta.append(2.0 - a**2 / beta[-1])
-    return np.array(beta[::-1])
+def beta_recursion(alpha) -> np.ndarray:
+    """beta_n = 1, beta_i = 2 - alpha_i^2 / beta_{i+1} along the last axis of
+    a (..., n-1) stack of cosines.
+
+    The beta_i are the pivots of the LDL^T factorization of the operator
+    (diagonal 2, ..., 2, 1; off-diagonal -alpha) with its rows and columns
+    reversed, so one LAPACK ``dpttrf`` call factors the reversed stack.  The
+    blocks are uncoupled (zero off-diagonal between them), so each block's
+    first pivot is 1 - 0 * 0 and every block keeps its own pivots bitwise.
+    ``dpttrf`` forms (alpha / beta) alpha, within 2 ulp of alpha^2 / beta.
+    |alpha| <= 1 keeps every beta in [1, 2]; a pivot <= 0 means the cosines
+    are off the constraint manifold and raises NumericError, whose ``chain``
+    is the index of the failing sample.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    n = alpha.shape[-1] + 1
+    off = np.zeros(alpha.shape[:-1] + (n,))
+    if alpha.size == 0:  # n = 1 (beta_1 = 1) or no samples: dpttrf's wrapper refuses an empty off-diagonal
+        return off + 1.0
+    off[..., :-1] = alpha[..., ::-1]  # the sign of the off-diagonal does not reach the pivots
+    pivots, _, info = dpttrf(_operator_diagonal(n, off.size, scaled=False), off.ravel()[:-1])
+    if info > 0:
+        sample = (info - 1) // n
+        worst = np.max(np.abs(alpha.reshape(-1, n - 1)[sample]))
+        raise NumericError(
+            f"beta pivot {pivots[info - 1]:.3g} of sample {sample} is not positive (max |alpha| = {worst:.3f}); "
+            "the cosines are off the constraint manifold", chain=sample,
+        )
+    return np.ascontiguousarray(pivots.reshape(off.shape)[..., ::-1])
 
 
 def alpha_beta_from_alpha(alpha) -> AlphaBeta:
@@ -88,16 +119,19 @@ def alpha_beta_from_alpha(alpha) -> AlphaBeta:
 
 def compute_alpha_beta(chain: ChainState) -> AlphaBeta:
     """alpha_i = <D+ eta_{i+1}, D+ eta_i> for i = 1..n-1, plus the beta recursion."""
-    alpha, _ = _alpha_w(chain.eta, chain.eta_dot, chain.n)
-    return AlphaBeta(alpha, beta_recursion(alpha))
+    return alpha_beta_from_alpha(_alpha(chain.eta, chain.n))
+
+
+def _alpha(eta: np.ndarray, n: int) -> np.ndarray:
+    """The cosines alpha_1..alpha_{n-1} of raw (..., n+1, d) positions."""
+    t = n * (eta[..., 1:, :] - eta[..., :-1, :])
+    return _dot(t[..., 1:, :], t[..., :-1, :])
 
 
 def _alpha_w(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The tension system's data on raw (..., n+1, d) arrays: the cosines
     alpha_1..alpha_{n-1} and the source w_k = |D+ eta_dot_k|^2 for k = 1..n."""
-    t = n * (eta[..., 1:, :] - eta[..., :-1, :])
-    td = n * (eta_dot[..., 1:, :] - eta_dot[..., :-1, :])
-    return np.einsum("...kd,...kd->...k", t[..., 1:, :], t[..., :-1, :]), (td * td).sum(axis=-1)
+    return _alpha(eta, n), _sq(n * (eta_dot[..., 1:, :] - eta_dot[..., :-1, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +157,7 @@ class GreenMatrix:
     diag: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        ab = self.alpha_beta
-        c = ab.alpha / ab.beta[1:]
-        # G_kk = (1/n) sum_{i<=k} p_ik^2 / beta_i, so
-        # G_11 = 1/(n beta_1), G_kk = c_{k-1}^2 G_{k-1,k-1} + 1/(n beta_k)
-        diag = _unit_bidiagonal_solve(c * c, 1.0 / (ab.n * ab.beta), lower=True)
+        c, diag = _green_generators(self.alpha_beta.alpha, self.alpha_beta.beta)
         object.__setattr__(self, "ratios", _frozen_array(c))
         object.__setattr__(self, "diag", _frozen_array(diag))
 
@@ -135,15 +165,11 @@ class GreenMatrix:
     def n(self) -> int:
         return self.alpha_beta.n
 
-    @property
-    def all_alpha_positive(self) -> bool:
-        return bool(np.all(self.alpha_beta.alpha > 0))
-
     @cached_property
     def G(self) -> np.ndarray:
         """The dense n x n matrix, G_kj = G_kk p_kj for j >= k and symmetric."""
-        S, neg, cuts = _ratio_logs(self.ratios)
-        block = np.searchsorted(cuts, np.arange(self.n), side="right")
+        S, neg, zero = _ratio_logs(self.ratios)
+        block = np.concatenate([[0], np.cumsum(zero)])
         upper = np.triu(np.ones((self.n, self.n), dtype=bool)) & (block[:, None] == block[None, :])
         logp = np.where(upper, S[None, :] - S[:, None], -np.inf)
         U = self.diag[:, None] * np.where(neg[:, None] ^ neg[None, :], -1.0, 1.0) * np.exp(logp)
@@ -159,30 +185,45 @@ class GreenMatrix:
         return (L + D * R) / self.n
 
 
+def _green_generators(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ratios c_m = alpha_m / beta_{m+1} and the diagonal G_kk along the
+    last axis of a stack: G_kk = (1/n) sum_{i<=k} p_ik^2 / beta_i, so
+    G_11 = 1/(n beta_1) and G_kk = c_{k-1}^2 G_{k-1,k-1} + 1/(n beta_k)."""
+    c = alpha / beta[..., 1:]
+    return c, _unit_bidiagonal_solve(c * c, 1.0 / (beta.shape[-1] * beta), lower=True)
+
+
 def _unit_bidiagonal_solve(off: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
     """Solve x_k = rhs_k + off_{k-1} x_{k-1} (``lower``) or
-    x_k = rhs_k + off_k x_{k+1} (upper) with LAPACK's banded triangular
-    solve; off has one entry fewer than rhs."""
-    band = np.zeros((2, rhs.shape[0]))
+    x_k = rhs_k + off_k x_{k+1} (upper) along the last axis with LAPACK's
+    banded triangular solve; off has one entry fewer than rhs.  A stack
+    solves as one system whose couplings between blocks are zero, so each
+    block's sweep adds 0 * x across its boundary and is bitwise its own."""
+    coupling = np.zeros(rhs.shape)
+    coupling[..., :-1] = -off
+    band = np.zeros((2, rhs.size))
     if lower:
-        band[1, :-1] = -off
+        band[1, :-1] = coupling.ravel()[:-1]
     else:
-        band[0, 1:] = -off
-    x, _ = dtbtrs(band, rhs, uplo="L" if lower else "U", diag="U")
-    return x
+        band[0, 1:] = coupling.ravel()[:-1]
+    x, _ = dtbtrs(band, rhs.ravel(), uplo="L" if lower else "U", diag="U")
+    return x.reshape(rhs.shape)
 
 
 def _ratio_logs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The prefix products P_j = prod_{m<j} c_m in the log domain, which long
-    chains with |c| < 1 would underflow: S_j = log |P_j| and the sign bit
-    ``neg_j``, restarted at every exact zero c_m = 0, which splits the chain
-    into independent blocks; ``cuts`` holds the 0-based index where each
-    block after the first starts.  Within a block p_kj = P_j / P_k; across
-    blocks p_kj = 0."""
+    """The prefix products P_j = prod_{m<j} c_m along the last axis, in the
+    log domain, which long chains with |c| < 1 would underflow:
+    S_j = log |P_j| and the sign bit ``neg_j``, both skipping every exact
+    zero c_m = 0 (flagged in ``zero``), which splits the chain into
+    independent blocks.  Within a block p_kj = P_j / P_k; across blocks
+    p_kj = 0."""
     zero = c == 0.0
-    S = np.concatenate([[0.0], np.cumsum(np.log(np.where(zero, 1.0, np.abs(c))))])
-    neg = np.concatenate([[False], np.logical_xor.accumulate(c < 0.0)])
-    return S, neg, np.flatnonzero(zero) + 1
+    shape = c.shape[:-1] + (c.shape[-1] + 1,)
+    S = np.zeros(shape)
+    S[..., 1:] = np.cumsum(np.log(np.where(zero, 1.0, np.abs(c))), axis=-1)
+    neg = np.zeros(shape, dtype=bool)
+    neg[..., 1:] = np.logical_xor.accumulate(c < 0.0, axis=-1)
+    return S, neg, zero
 
 
 def green_matrix(ab: AlphaBeta) -> GreenMatrix:
@@ -194,12 +235,19 @@ def green_matrix(ab: AlphaBeta) -> GreenMatrix:
 
 def upsilon_threehalves(chain: ChainState) -> float:
     """Smallest upsilon with (k/n)^{3/2} |D+^2 eta_k|^2 <= upsilon, k = 1..n-1."""
-    if chain.n < 2:
-        return 0.0
+    return float(_upsilon(chain.eta))
+
+
+def _upsilon(eta: np.ndarray) -> np.ndarray:
+    """:func:`upsilon_threehalves` of each chain of raw (..., n+1, d)
+    positions; 0 for a single link."""
+    n = eta.shape[-2] - 1
+    if n < 2:
+        return np.zeros(eta.shape[:-2])
     # second differences at k = 1..n-1 need eta up to k+2 <= n+1: no extension
-    curv = forward_diff_m(chain.eta, chain.n, 2)[: chain.n - 1]
-    ks = np.arange(1, chain.n)
-    return float(np.max((ks / chain.n) ** 1.5 * _sq(curv)))
+    t = n * (eta[..., 1:, :] - eta[..., :-1, :])
+    curv = n * (t[..., 1:, :] - t[..., :-1, :])
+    return np.max((np.arange(1, n) / n) ** 1.5 * _sq(curv), axis=-1)
 
 
 def green_matrix_for_chain(chain: ChainState) -> GreenMatrix:
@@ -228,12 +276,18 @@ class TensionSolution:
 
 
 @lru_cache(maxsize=16)
-def _scaled_diagonal(n: int, size: int) -> np.ndarray:
-    """The diagonal n^2 (2, ..., 2, 1) of ``size // n`` stacked systems,
-    built once per (n, size) and read-only."""
+def _operator_diagonal(n: int, size: int, scaled: bool) -> np.ndarray:
+    """The diagonal of ``size // n`` stacked systems, built once per key and
+    read-only: n^2 (2, ..., 2, 1) for the tension solve (``scaled``), or
+    (1, 2, ..., 2), the unscaled operator with its rows and columns
+    reversed, for the beta pivots."""
     diag = np.full((size // n, n), 2.0)
-    diag[:, -1] = 1.0
-    out = (diag * n * n).ravel()
+    if scaled:
+        diag[:, -1] = 1.0
+        diag = diag * n * n
+    else:
+        diag[:, 0] = 1.0
+    out = diag.ravel()
     out.setflags(write=False)
     return out
 
@@ -255,7 +309,7 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     substitutions add 0 * x across block boundaries, so every block's
     solution is bitwise the one its own solve gives.
     """
-    diag = _scaled_diagonal(n, w.size)
+    diag = _operator_diagonal(n, w.size, scaled=True)
     if w.size == 1:  # one link: the 1 x 1 system, which dptsv's wrapper refuses
         return w / diag
     off = np.zeros(w.shape)
@@ -379,7 +433,7 @@ def _sigma_dot_extended(ext: ExtendedChain, n: int) -> np.ndarray:
     rhs = 3.0 * np.einsum("kd,kd->k", td_ext[:-1], _flux_second_difference(sig, t_ext, n)) + np.einsum(
         "kd,kd->k", t_ext[:-1], _flux_second_difference(sig, td_ext, n)
     )
-    alpha = np.einsum("kd,kd->k", t_ext[1:n], t_ext[: n - 1])
+    alpha = _dot(t_ext[1:n], t_ext[: n - 1])
     sd = np.empty(n + 1)
     sd[0] = 0.0
     sd[1:] = _solve_tridiagonal(alpha, rhs, n)
@@ -467,15 +521,45 @@ class GreenCertificate:
 
 _BOUND_SLACK = 1e-12
 
-
-def _suffix(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """ufunc-accumulate from the right: out[k] = ufunc over x[k:]."""
-    return ufunc.accumulate(x[::-1])[::-1]
+#: the flags that need a hypothesis, and that hypothesis; a certificate
+#: reports None for a flag whose hypothesis fails
+_HYPOTHESES = {
+    "diff_bound_ok": "all_alpha_nonneg",
+    "ratio_bound_ok": "all_alpha_nonneg",
+    "corner_ok": "all_alpha_nonneg",
+    "lower_bound_ok": "upsilon_admissible",
+}
 
 
 def certify_bounds(gm: GreenMatrix, chain: ChainState) -> GreenCertificate:
     """Evaluate every Green-function bound for the generators built from
-    ``chain``, in O(n) and without forming G.
+    ``chain``, in O(n) and without forming G: the stack of one of
+    :func:`certify_stack`.  Failures are reported in the certificate, never
+    raised."""
+    ab = gm.alpha_beta
+    fields = _certificate_arrays(ab.alpha[None], ab.beta[None], gm.ratios[None], gm.diag[None], chain.eta[None])
+    out = {key: value[0].item() for key, value in fields.items()}
+    for key, hypothesis in _HYPOTHESES.items():
+        if not out[hypothesis]:
+            out[key] = None
+    return GreenCertificate(n=gm.n, **out)
+
+
+def certify_stack(eta: np.ndarray) -> dict[str, np.ndarray]:
+    """The certificates of a (B, n+1, d) stack of chain positions: for each
+    GreenCertificate field but n, an array of B entries.  A flag holds its
+    test even where the hypothesis in ``_HYPOTHESES`` fails (where a
+    certificate reports None).  Row b is bitwise the certificate of chain b
+    alone: alpha, the dpttrf pivots and the dtbtrs sweeps all act per block
+    of the stack, and the clauses along its last axis."""
+    alpha = _alpha(eta, eta.shape[-2] - 1)
+    beta = beta_recursion(alpha)
+    return _certificate_arrays(alpha, beta, *_green_generators(alpha, beta), eta)
+
+
+def _certificate_arrays(alpha, beta, c, D, eta) -> dict[str, np.ndarray]:
+    """Every bound of a (B, n) stack of generators, one entry per row, in
+    O(n) per row.
 
     With |c_m| <= 1 each row's largest |G_kj| is G_kk on the diagonal, so the
     min(j,k)/n bound and the upper ratio read the diagonal alone.  Below the
@@ -484,77 +568,98 @@ def certify_bounds(gm: GreenMatrix, chain: ChainState) -> GreenCertificate:
     on and above it the difference is (G_kk - c_{k-1} G_{k-1,k-1}) p_kj.  The
     lower ratio is min_k (n^2 G_kk/k) min_{j>=k} p_kj/j, from suffix extremes
     of the signed P_j/j in the log domain, block by block; entries across a
-    block boundary are exactly 0.  Failures are reported in the certificate,
-    never raised.
+    block boundary are exactly 0.
     """
-    n = gm.n
-    ab = gm.alpha_beta
-    c, D = gm.ratios, gm.diag
-    all_nonneg = bool((ab.alpha >= 0).all())
+    n = beta.shape[-1]
     k = np.arange(1, n + 1)
-    S, neg, cuts = _ratio_logs(c)
+    S, neg, zero = _ratio_logs(c)
+    split = zero.any(axis=-1)
+    blocks = _block_rows(zero)
 
-    log_d = np.log(D) - S  # log G_kk / |P_k|
+    def suffix(ufunc, x):
+        return _blockwise(ufunc, x, blocks, reverse=True)
+
+    lead = _blockwise(np.maximum, np.log(D) - S, blocks)  # max_{j<=k} log G_jj / |P_j| within k's block
     lm = S - np.log(k)  # log |P_j| / j
-    lead = np.empty(n)  # max_{j<=k} log G_jj / |P_j| within k's block
-    tail = np.empty(n)  # log |P_j| / j at the j >= k in k's block minimizing p_kj / j
-    flip = np.zeros(n, dtype=bool)  # that minimum is negative
-    for a, e in zip([0, *cuts], [*cuts, n]):
-        lead[a:e] = np.maximum.accumulate(log_d[a:e])
-        lmb, negb = lm[a:e], neg[a:e]
-        if negb.any():
-            # the largest |P_j|/j of sign opposite to P_k when there is one,
-            # else the smallest of its own sign
-            opposite = np.where(negb, _suffix(np.maximum, np.where(negb, -np.inf, lmb)),
-                                _suffix(np.maximum, np.where(negb, lmb, -np.inf)))
-            same = np.where(negb, _suffix(np.minimum, np.where(negb, lmb, np.inf)),
-                            _suffix(np.minimum, np.where(negb, np.inf, lmb)))
-            flip[a:e] = opposite > -np.inf
-            tail[a:e] = np.where(flip[a:e], opposite, same)
-        else:
-            tail[a:e] = _suffix(np.minimum, lmb)
+    # the j >= k in k's block minimizing p_kj / j: the largest |P_j|/j of sign
+    # opposite to P_k when there is one, else the smallest of its own sign
+    opposite = np.where(neg, suffix(np.maximum, np.where(neg, -np.inf, lm)),
+                        suffix(np.maximum, np.where(neg, lm, -np.inf)))
+    same = np.where(neg, suffix(np.minimum, np.where(neg, lm, np.inf)),
+                    suffix(np.minimum, np.where(neg, np.inf, lm)))
+    flip = opposite > -np.inf  # that minimum is negative
+    tail = np.where(flip, opposite, same)
 
     upper = n * D / k
     lower = n * upper * np.where(flip, -1.0, 1.0) * np.exp(tail - S)
     R = np.exp(S + lead)  # max_{j<=k} G_jj |p_jk|
     # G_kk - c_{k-1} G_{k-1,k-1} = 1/(n beta_k) - c_{k-1} (1 - c_{k-1}) G_{k-1,k-1}, G_0j = 0
-    on_diag = np.abs(1.0 / (n * ab.beta) - np.concatenate([[0.0], c * (1.0 - c) * D[:-1]]))
-    below = np.abs(1.0 - c) * R[:-1]
-    max_abs_diff = n * float(max(on_diag.max(), below.max(initial=0.0)))
-    max_upper = float(upper.max())
-    min_lower = float(lower.min())
-    if cuts.size:
-        min_lower = min(min_lower, 0.0)
+    step = np.zeros(D.shape)
+    step[..., 1:] = c * (1.0 - c) * D[..., :-1]
+    on_diag = np.abs(1.0 / (n * beta) - step)
+    below = np.abs(1.0 - c) * R[..., :-1]
+    max_abs_diff = n * np.maximum(on_diag.max(axis=-1), below.max(axis=-1, initial=0.0))
+    max_upper = upper.max(axis=-1)
+    min_lower = lower.min(axis=-1)
+    min_lower = np.where(split & (min_lower > 0.0), 0.0, min_lower)
+    ups = _upsilon(eta)
 
-    ups = upsilon_threehalves(chain)
-    admissible = bool(ups <= 2.0 * np.sqrt(n) / 5.0)
-
-    minmax_ok = bool((D <= k / n + _BOUND_SLACK).all())
-    diff_ok = bool(max_abs_diff <= 1.0 + _BOUND_SLACK) if all_nonneg else None
-    ratio_ok = bool(max_upper <= 1.0 + _BOUND_SLACK) if all_nonneg else None
-    lower_ok = bool(min_lower >= np.exp(-2.0 * ups) - _BOUND_SLACK) if admissible else None
-
-    p1n = 0.0 if cuts.size else (-1.0 if neg[-1] else 1.0) * float(np.exp(S[-1]))
-    F1n = n * float(D[0]) * p1n
+    p1n = np.where(split, 0.0, np.where(neg[..., -1], -1.0, 1.0) * np.exp(S[..., -1]))
+    F1n = n * D[..., 0] * p1n
     corner_gap = min_lower - F1n
-    prod_formula = float(np.prod(c) / ab.beta[0])
-    corner_ok = None
-    if all_nonneg:
-        corner_ok = bool(abs(corner_gap) <= 1e-12 * max(1.0, abs(F1n)))
-    return GreenCertificate(
-        n=n,
-        all_alpha_nonneg=all_nonneg,
-        all_alpha_positive=gm.all_alpha_positive,
-        max_abs_green_diff=max_abs_diff,
-        max_upper_ratio=max_upper,
-        min_lower_ratio=min_lower,
-        upsilon=ups,
-        upsilon_admissible=admissible,
-        minmax_bound_ok=minmax_ok,
-        diff_bound_ok=diff_ok,
-        ratio_bound_ok=ratio_ok,
-        lower_bound_ok=lower_ok,
-        corner_ok=corner_ok,
-        corner_gap=corner_gap,
-        corner_product_gap=F1n - prod_formula,
-    )
+    return {
+        "all_alpha_nonneg": (alpha >= 0).all(axis=-1),
+        "all_alpha_positive": (alpha > 0).all(axis=-1),
+        "max_abs_green_diff": max_abs_diff,
+        "max_upper_ratio": max_upper,
+        "min_lower_ratio": min_lower,
+        "upsilon": ups,
+        "upsilon_admissible": ups <= 2.0 * np.sqrt(n) / 5.0,
+        "minmax_bound_ok": (D <= k / n + _BOUND_SLACK).all(axis=-1),
+        "diff_bound_ok": max_abs_diff <= 1.0 + _BOUND_SLACK,
+        "ratio_bound_ok": max_upper <= 1.0 + _BOUND_SLACK,
+        "lower_bound_ok": min_lower >= np.exp(-2.0 * ups) - _BOUND_SLACK,
+        "corner_ok": np.abs(corner_gap) <= 1e-12 * np.maximum(1.0, np.abs(F1n)),
+        "corner_gap": corner_gap,
+        "corner_product_gap": F1n - np.prod(c, axis=-1) / beta[..., 0],
+    }
+
+
+def _block_rows(zero: np.ndarray):
+    """Rows of flat indices into a (B, n) stack, one row per block, where a
+    block ends after every exact zero ratio c_m = 0 (``zero``, (B, n-1));
+    None when no row splits, so that the rows are the blocks.
+
+    Blocks whose lengths fall in one power-of-two bucket are padded to the
+    bucket's longest and stacked as one matrix, so padding at most doubles
+    the work and no loop runs over rows or blocks.  A row's padding comes
+    after its block, where a prefix accumulate never reads it.  Returns the
+    (index, valid) matrices of every bucket, running forward and backward.
+    """
+    if not zero.any():
+        return None
+    B, n = zero.shape[0], zero.shape[1] + 1
+    starts = np.ones((B, n), dtype=bool)
+    starts[:, 1:] = zero
+    first = np.flatnonzero(starts)
+    length = np.diff(first, append=B * n)
+    bucket = np.frexp(length - 1)[1]  # 2^(bucket-1) < length <= 2^bucket
+    rows = ([], [])
+    for b in np.unique(bucket):
+        f, size = first[bucket == b, None], length[bucket == b, None]
+        col = np.arange(size.max())
+        valid = col < size
+        rows[0].append((np.where(valid, f + col, f), valid))
+        rows[1].append((np.where(valid, f + size - 1 - col, f), valid))
+    return rows
+
+
+def _blockwise(ufunc: np.ufunc, x: np.ndarray, blocks, reverse: bool = False) -> np.ndarray:
+    """``ufunc`` accumulated along the last axis of a (B, n) stack, from the
+    right when ``reverse``, restarted at every block of :func:`_block_rows`."""
+    if blocks is None:
+        return ufunc.accumulate(x[..., ::-1], axis=-1)[..., ::-1] if reverse else ufunc.accumulate(x, axis=-1)
+    flat, out = x.ravel(), np.empty(x.size)
+    for index, valid in blocks[reverse]:
+        out[index[valid]] = ufunc.accumulate(flat[index], axis=-1)[valid]
+    return out.reshape(x.shape)

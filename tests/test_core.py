@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from whipchain.core import (
     ChainState,
+    _dot,
+    _sq,
     discrete_energy,
     forward_diff,
     forward_diff_m,
@@ -140,6 +142,20 @@ class TestRisingWeight:
 
 # ---------------------------------------------------------------------------
 # weighted seminorms
+
+
+class TestComponentSums:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sq_bitwise_the_reduction(self, d, rng):
+        v = rng.normal(size=(16, 65, d))
+        assert np.array_equal(_sq(v), np.sum(v * v, axis=-1))
+        assert np.array_equal(_sq(v[0]), np.sum(v[0] * v[0], axis=-1))
+        assert np.array_equal(_sq(v[0, :, 0]), v[0, :, 0] ** 2)  # a 1-D array squares elementwise
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dot_bitwise_the_einsum(self, d, rng):
+        a, b = rng.normal(size=(2, 16, 65, d))
+        assert np.array_equal(_dot(a, b), np.einsum("...kd,...kd->...k", a, b))
 
 
 class TestSeminorms:

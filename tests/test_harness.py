@@ -289,6 +289,58 @@ class TestRunExperiment:
         stats = json.loads((tmp_path / "gc" / "green_certify.json").read_text())
         assert stats["count"] == 40
 
+    @staticmethod
+    def _certify_reference(seed, n_values, samples):
+        """green_certify.json as a loop certifying one random_chain per sample writes it."""
+        from whipchain.initial_data import random_chain
+        from whipchain.tension import certify_bounds, green_matrix_for_chain
+
+        rng = np.random.default_rng(seed)
+        stats = dict.fromkeys(("count", "applicable_upper", "upper_failures", "admissible_lower",
+                               "lower_failures", "corner_failures", "minmax_failures"), 0)
+        for i in range(samples):
+            nv = n_values[i % len(n_values)]
+            turn = 1.45 if i % 2 == 0 else 0.6 * nv**-0.75
+            chain = random_chain(nv, rng, max_turn=turn, vel_scale=2.0)
+            cert = certify_bounds(green_matrix_for_chain(chain), chain)
+            stats["count"] += 1
+            stats["minmax_failures"] += not cert.minmax_bound_ok
+            if cert.all_alpha_nonneg:
+                stats["applicable_upper"] += 1
+                stats["upper_failures"] += not (cert.diff_bound_ok and cert.ratio_bound_ok)
+                stats["corner_failures"] += not cert.corner_ok
+            if cert.upsilon_admissible:
+                stats["admissible_lower"] += 1
+                stats["lower_failures"] += not cert.lower_bound_ok
+        return json.dumps(stats, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("chunk", [None, 100])
+    def test_green_certify_matches_per_sample_loop(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:  # several stacks per n
+            monkeypatch.setattr(harness, "_CERTIFY_CHUNK_FLOATS", chunk)
+        shapes = []
+
+        def recording(eta, _certify=harness.certify_stack):
+            shapes.append(eta.shape[:2])
+            return _certify(eta)
+
+        monkeypatch.setattr(harness, "certify_stack", recording)
+        for seed in (1, 2, 3, 4):
+            for n_values in ((64,), (64, 256), (2, 3, 17)):
+                out = tmp_path / f"gc_{seed}_{len(n_values)}"
+                text = (
+                    f"kind = green_certify\nsuite.samples = 45\nseeds = {seed}\n"
+                    f"suite.n_values = {','.join(map(str, n_values))}\noutput.dir = {out}\n"
+                )
+                manifest = run_experiment(parse_config(write_cfg(tmp_path, text)))
+                written = (out / "green_certify.json").read_text(encoding="utf-8")
+                assert written == self._certify_reference(seed, n_values, 45)
+                assert manifest.summary == json.loads(written)
+        limit = harness._CERTIFY_CHUNK_FLOATS
+        assert all(B * (rows - 1) <= max(limit, rows - 1) for B, rows in shapes)  # rows = n + 1
+        groups = 4 * (1 + 2 + 3)  # one stack per seed and n unless the limit cuts it
+        assert len(shapes) == groups if chunk is None else len(shapes) > groups
+
     def test_convergence_decreasing(self, tmp_path):
         text = (
             "kind = convergence\ninitial.generator = rigid_rotation\ninitial.n = 8,16,32\n"

@@ -24,6 +24,7 @@ from whipchain.spectral import (
     r_coefficient,
     symmetric_weight,
     theta_eta_norms,
+    theta_positions,
     theta_to_eta,
     transfer_resolution,
 )
@@ -117,6 +118,14 @@ class TestAngleMaps:
         ch = theta_to_eta(ang)
         assert ch.constraint_drift() < 1e-15
         assert ch.orthogonality_drift() < 1e-15
+
+    def test_stacked_positions_bitwise_per_chain(self):
+        rng = np.random.default_rng(4)
+        theta = rng.uniform(-np.pi, np.pi, size=(5, 33)).cumsum(axis=-1)
+        stacked = theta_positions(theta)
+        assert stacked.shape == (5, 34, 2)
+        for row, th in zip(stacked, theta):
+            assert np.array_equal(row, theta_to_eta(AngleState(33, th, np.ones(33))).eta)
 
     def test_evenness_extension(self):
         th = np.array([0.3, -0.2, 1.1])

@@ -64,6 +64,63 @@ class TestAlphaBeta:
             assert np.all((ab.beta >= 1.0 - 1e-12) & (ab.beta <= 2.0 + 1e-12))
 
 
+def _beta_loop(alpha):
+    """The recursion beta_n = 1, beta_i = 2 - alpha_i^2 / beta_{i+1} on Python floats."""
+    beta = [1.0]
+    for a in reversed(alpha.tolist()):
+        beta.append(2.0 - a**2 / beta[-1])
+    return np.array(beta[::-1])
+
+
+class TestBetaPivots:
+    """beta from one dpttrf factorization of the reversed operator."""
+
+    def test_within_2_ulp_of_the_recursion(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 17, 64, 256, 1000):
+            alpha = rng.uniform(-1.0, 1.0, size=n - 1)
+            beta = tension.beta_recursion(alpha)
+            assert beta[-1] == 1.0
+            ref = _beta_loop(alpha)
+            assert np.all(np.abs(beta - ref) <= 2 * np.spacing(ref))
+            # each step of the recursion, also where alpha ~ 1 lets rounding carry over
+            near_one = 1.0 - rng.uniform(0.0, 1e-6, size=n - 1)
+            for a in (alpha, near_one):
+                beta = tension.beta_recursion(a)
+                step = 2.0 - a**2 / beta[1:]
+                assert np.all(np.abs(beta[:-1] - step) <= 2 * np.spacing(step))
+
+    def test_stack_rows_are_bitwise_their_own(self):
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 64, 256):
+            alpha = rng.uniform(-1.0, 1.0, size=(7, n - 1))
+            alpha[3] = 1.0  # the straight chain: every pivot exactly 1
+            stacked = tension.beta_recursion(alpha)
+            assert stacked.shape == (7, n) and stacked.flags.c_contiguous
+            for row, a in zip(stacked, alpha):
+                assert np.array_equal(row, tension.beta_recursion(a))
+            assert np.all(stacked[3] == 1.0)
+
+    def test_off_manifold_raises_naming_the_sample(self):
+        with pytest.raises(NumericError) as err:
+            alpha_beta_from_alpha([1.5, 1.5])
+        assert err.value.chain == 0
+        for col, value in ((-1, 1.5), (0, 1.99)):  # the first pivot of sample 2 to fail, or its last
+            alpha = np.full((4, 5), 0.5)
+            alpha[2, col] = value
+            with pytest.raises(NumericError, match="not positive") as err:
+                tension.beta_recursion(alpha)
+            assert err.value.chain == 2
+
+    def test_single_link(self):
+        assert np.array_equal(tension.beta_recursion(np.empty(0)), [1.0])
+        assert np.array_equal(tension.beta_recursion(np.empty((3, 0))), np.ones((3, 1)))
+        ch = random_chain(1, np.random.default_rng(0))
+        gm = green_matrix_for_chain(ch)
+        assert gm.diag.tolist() == [1.0] and gm.G.tolist() == [[1.0]]
+        assert certify_bounds(gm, ch).all_applicable_pass()
+
+
 # ---------------------------------------------------------------------------
 # Green matrix
 
@@ -428,6 +485,64 @@ class TestGeneratorCertificates:
             gm = green_matrix_for_chain(ch)
             w = np.random.default_rng(seed).normal(size=n)
             assert gm.apply(w) == pytest.approx(oracle_green(ch) @ w / n, rel=1e-10, abs=1e-13)
+
+
+
+_FAMILY_TURN = {"obtuse": lambda n: 1.45, "mixed_sign": lambda n: 2.6, "small_turn": lambda n: 0.6 * n**-0.75}
+
+
+def _assert_rows_match(stack, chains):
+    """Every row of a stacked certificate is bitwise the chain's own."""
+    for b, ch in enumerate(chains):
+        cert = certify_bounds(green_matrix_for_chain(ch), ch)
+        for key, values in stack.items():
+            hypothesis = tension._HYPOTHESES.get(key)
+            if hypothesis is not None and not getattr(cert, hypothesis):
+                assert getattr(cert, key) is None, key
+                continue
+            mine = getattr(cert, key)
+            assert type(mine) is type(values[b].item()) and mine == values[b], (b, key)
+
+
+class TestCertifyStack:
+    """``certify_stack`` over (B, n+1, 2) stacks against per-chain certificates."""
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_TURN))
+    @pytest.mark.parametrize("n", [2, 3, 64, 256])
+    @pytest.mark.parametrize("B", [1, 2, 7])
+    def test_rows_bitwise_per_chain(self, family, n, B):
+        rng = np.random.default_rng(B * 1000 + n)
+        chains = [random_chain(n, rng, max_turn=_FAMILY_TURN[family](n), vel_scale=2.0) for _ in range(B)]
+        _assert_rows_match(tension.certify_stack(np.stack([ch.eta for ch in chains])), chains)
+
+    def test_stack_mixing_split_and_whole_rows(self, rng):
+        n = 64
+        chains = [
+            _staircase_chain(n, {5, 6, 20}, rng),
+            random_chain(n, rng, max_turn=1.45),
+            _staircase_chain(n, set(range(1, n, 2)), rng),  # a right angle at every other joint
+            random_chain(n, rng, max_turn=2.6),
+            _staircase_chain(n, {40}, rng),
+            random_chain(n, rng, max_turn=0.6 * n**-0.75),
+        ]
+        stack = tension.certify_stack(np.stack([ch.eta for ch in chains]))
+        _assert_rows_match(stack, chains)
+        assert stack["min_lower_ratio"][[0, 2, 4]].tolist() == [0.0, 0.0, 0.0]
+
+    def test_blockwise_accumulate_restarts_at_zeros(self):
+        rng = np.random.default_rng(9)
+        zero = rng.random((5, 40)) < 0.2
+        zero[1] = False
+        x = rng.normal(size=(5, 41))
+        blocks = tension._block_rows(zero)
+        for ufunc, reverse in ((np.maximum, False), (np.minimum, True)):
+            got = tension._blockwise(ufunc, x, blocks, reverse=reverse)
+            for b in range(5):
+                cuts = np.flatnonzero(zero[b]) + 1
+                for lo, hi in zip([0, *cuts], [*cuts, 41]):
+                    part = x[b, lo:hi][::-1] if reverse else x[b, lo:hi]
+                    want = ufunc.accumulate(part)
+                    assert np.array_equal(got[b, lo:hi], want[::-1] if reverse else want)
 
 
 # ---------------------------------------------------------------------------
