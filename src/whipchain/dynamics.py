@@ -385,13 +385,17 @@ def run_batch(initials, cfg: IntegratorConfig) -> list[Trajectory]:
     ``report_stride`` or it stops.  Each RK stage is one such solve too.
     Each chain has its own t, dt, step count and termination, and leaves the
     working arrays when it stops, so its trajectory is bitwise the one it
-    gives alone.  A NumericError names the failing chain's index.
+    gives alone.  A NumericError names the failing chain's index, also for
+    an initial state off the constraint manifold (``ChainState.validate``).
     """
     if len({(c.n, c.d) for c in initials}) != 1:
         raise ValueError(f"a batch needs chains of one n and d, got {sorted({(c.n, c.d) for c in initials})}")
     n, d = initials[0].n, initials[0].d
-    for c in initials:
-        c.validate()
+    for i, c in enumerate(initials):
+        try:
+            c.validate()
+        except ValueError as exc:
+            raise NumericError(f"chain {i}: initial state {exc}", chain=i) from exc
     live = np.arange(len(initials))   # the chain in each working row
     eta = np.stack([c.eta for c in initials])
     eta_dot = np.stack([c.eta_dot for c in initials])

@@ -119,19 +119,24 @@ def alpha_beta_from_alpha(alpha) -> AlphaBeta:
 
 def compute_alpha_beta(chain: ChainState) -> AlphaBeta:
     """alpha_i = <D+ eta_{i+1}, D+ eta_i> for i = 1..n-1, plus the beta recursion."""
-    return alpha_beta_from_alpha(_alpha(chain.eta, chain.n))
+    return alpha_beta_from_alpha(_alpha(_links(chain.eta)))
 
 
-def _alpha(eta: np.ndarray, n: int) -> np.ndarray:
-    """The cosines alpha_1..alpha_{n-1} of raw (..., n+1, d) positions."""
-    t = n * (eta[..., 1:, :] - eta[..., :-1, :])
+def _links(eta: np.ndarray) -> np.ndarray:
+    """The link vectors D+ eta_k = n (eta_{k+1} - eta_k), k = 1..n, of raw
+    (..., n+1, d) positions (or velocities)."""
+    return (eta.shape[-2] - 1) * (eta[..., 1:, :] - eta[..., :-1, :])
+
+
+def _alpha(t: np.ndarray) -> np.ndarray:
+    """The cosines alpha_1..alpha_{n-1} of (..., n, d) link vectors."""
     return _dot(t[..., 1:, :], t[..., :-1, :])
 
 
-def _alpha_w(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _alpha_w(eta: np.ndarray, eta_dot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tension system's data on raw (..., n+1, d) arrays: the cosines
     alpha_1..alpha_{n-1} and the source w_k = |D+ eta_dot_k|^2 for k = 1..n."""
-    return _alpha(eta, n), _sq(n * (eta_dot[..., 1:, :] - eta_dot[..., :-1, :]))
+    return _alpha(_links(eta)), _sq(_links(eta_dot))
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +240,16 @@ def green_matrix(ab: AlphaBeta) -> GreenMatrix:
 
 def upsilon_threehalves(chain: ChainState) -> float:
     """Smallest upsilon with (k/n)^{3/2} |D+^2 eta_k|^2 <= upsilon, k = 1..n-1."""
-    return float(_upsilon(chain.eta))
+    return float(_upsilon(_links(chain.eta)))
 
 
-def _upsilon(eta: np.ndarray) -> np.ndarray:
-    """:func:`upsilon_threehalves` of each chain of raw (..., n+1, d)
-    positions; 0 for a single link."""
-    n = eta.shape[-2] - 1
+def _upsilon(t: np.ndarray) -> np.ndarray:
+    """:func:`upsilon_threehalves` of each chain of (..., n, d) link vectors;
+    0 for a single link."""
+    n = t.shape[-2]
     if n < 2:
-        return np.zeros(eta.shape[:-2])
+        return np.zeros(t.shape[:-2])
     # second differences at k = 1..n-1 need eta up to k+2 <= n+1: no extension
-    t = n * (eta[..., 1:, :] - eta[..., :-1, :])
     curv = n * (t[..., 1:, :] - t[..., :-1, :])
     return np.max((np.arange(1, n) / n) ** 1.5 * _sq(curv), axis=-1)
 
@@ -331,7 +335,7 @@ def _solve_sigma_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> np.ndar
 
     Internal fast path for integrator stages (skips state construction).
     """
-    alpha, w = _alpha_w(eta, eta_dot, n)
+    alpha, w = _alpha_w(eta, eta_dot)
     sigma = np.empty(w.shape[:-1] + (n + 1,))
     sigma[..., 0] = 0.0
     sigma[..., 1:] = _solve_tridiagonal(alpha, w, n)
@@ -346,7 +350,7 @@ def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
     also in O(n).  Either result is checked by :func:`_checked_solution`.
     """
     n = chain.n
-    alpha, w = _alpha_w(chain.eta, chain.eta_dot, n)
+    alpha, w = _alpha_w(chain.eta, chain.eta_dot)
     if method == "direct":
         interior = _solve_tridiagonal(alpha, w, n)
     elif method == "green":
@@ -364,7 +368,7 @@ def _checked_solution(chain: ChainState, sigma: np.ndarray) -> TensionSolution:
     n and conditioning for a backward-stable solve; NumericError otherwise.
     """
     n = chain.n
-    alpha, w = _alpha_w(chain.eta, chain.eta_dot, n)
+    alpha, w = _alpha_w(chain.eta, chain.eta_dot)
     interior = sigma[1:]
     err = _backward_error(alpha, interior, w, n)
     if not np.isfinite(err) or err > SOLVE_RTOL:
@@ -407,7 +411,7 @@ def tension_residual(chain: ChainState, sigma) -> float:
     t_ext = forward_diff(ext.eta_ext[: n + 2], n)  # D+ eta_j for j = 1..n+1
     second = _flux_second_difference(ext.sigma_ext[: n + 2], t_ext, n)
     lhs = np.einsum("kd,kd->k", t_ext[:-1], second)
-    return float(np.max(np.abs(lhs + _alpha_w(chain.eta, chain.eta_dot, n)[1])))
+    return float(np.max(np.abs(lhs + _alpha_w(chain.eta, chain.eta_dot)[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +437,7 @@ def _sigma_dot_extended(ext: ExtendedChain, n: int) -> np.ndarray:
     rhs = 3.0 * np.einsum("kd,kd->k", td_ext[:-1], _flux_second_difference(sig, t_ext, n)) + np.einsum(
         "kd,kd->k", t_ext[:-1], _flux_second_difference(sig, td_ext, n)
     )
-    alpha = _dot(t_ext[1:n], t_ext[: n - 1])
+    alpha = _alpha(t_ext[:n])
     sd = np.empty(n + 1)
     sd[0] = 0.0
     sd[1:] = _solve_tridiagonal(alpha, rhs, n)
@@ -499,7 +503,6 @@ class GreenCertificate:
 
     n: int
     all_alpha_nonneg: bool
-    all_alpha_positive: bool
     max_abs_green_diff: float      # max |n (G_kj - G_{k-1,j})|, G_0j = 0
     max_upper_ratio: float         # max n G_kj / k
     min_lower_ratio: float         # min n^2 G_kj / (j k)
@@ -537,7 +540,8 @@ def certify_bounds(gm: GreenMatrix, chain: ChainState) -> GreenCertificate:
     :func:`certify_stack`.  Failures are reported in the certificate, never
     raised."""
     ab = gm.alpha_beta
-    fields = _certificate_arrays(ab.alpha[None], ab.beta[None], gm.ratios[None], gm.diag[None], chain.eta[None])
+    t = _links(chain.eta[None])
+    fields = _certificate_arrays(ab.alpha[None], ab.beta[None], gm.ratios[None], gm.diag[None], t)
     out = {key: value[0].item() for key, value in fields.items()}
     for key, hypothesis in _HYPOTHESES.items():
         if not out[hypothesis]:
@@ -552,14 +556,15 @@ def certify_stack(eta: np.ndarray) -> dict[str, np.ndarray]:
     certificate reports None).  Row b is bitwise the certificate of chain b
     alone: alpha, the dpttrf pivots and the dtbtrs sweeps all act per block
     of the stack, and the clauses along its last axis."""
-    alpha = _alpha(eta, eta.shape[-2] - 1)
+    t = _links(eta)
+    alpha = _alpha(t)
     beta = beta_recursion(alpha)
-    return _certificate_arrays(alpha, beta, *_green_generators(alpha, beta), eta)
+    return _certificate_arrays(alpha, beta, *_green_generators(alpha, beta), t)
 
 
-def _certificate_arrays(alpha, beta, c, D, eta) -> dict[str, np.ndarray]:
-    """Every bound of a (B, n) stack of generators, one entry per row, in
-    O(n) per row.
+def _certificate_arrays(alpha, beta, c, D, t) -> dict[str, np.ndarray]:
+    """Every bound of a (B, n) stack of generators and link vectors t, one
+    entry per row, in O(n) per row.
 
     With |c_m| <= 1 each row's largest |G_kj| is G_kk on the diagonal, so the
     min(j,k)/n bound and the upper ratio read the diagonal alone.  Below the
@@ -574,12 +579,11 @@ def _certificate_arrays(alpha, beta, c, D, eta) -> dict[str, np.ndarray]:
     k = np.arange(1, n + 1)
     S, neg, zero = _ratio_logs(c)
     split = zero.any(axis=-1)
-    blocks = _block_rows(zero)
 
     def suffix(ufunc, x):
-        return _blockwise(ufunc, x, blocks, reverse=True)
+        return _blockwise(ufunc, x, zero, reverse=True)
 
-    lead = _blockwise(np.maximum, np.log(D) - S, blocks)  # max_{j<=k} log G_jj / |P_j| within k's block
+    lead = _blockwise(np.maximum, np.log(D) - S, zero)  # max_{j<=k} log G_jj / |P_j| within k's block
     lm = S - np.log(k)  # log |P_j| / j
     # the j >= k in k's block minimizing p_kj / j: the largest |P_j|/j of sign
     # opposite to P_k when there is one, else the smallest of its own sign
@@ -602,14 +606,13 @@ def _certificate_arrays(alpha, beta, c, D, eta) -> dict[str, np.ndarray]:
     max_upper = upper.max(axis=-1)
     min_lower = lower.min(axis=-1)
     min_lower = np.where(split & (min_lower > 0.0), 0.0, min_lower)
-    ups = _upsilon(eta)
+    ups = _upsilon(t)
 
     p1n = np.where(split, 0.0, np.where(neg[..., -1], -1.0, 1.0) * np.exp(S[..., -1]))
     F1n = n * D[..., 0] * p1n
     corner_gap = min_lower - F1n
     return {
         "all_alpha_nonneg": (alpha >= 0).all(axis=-1),
-        "all_alpha_positive": (alpha > 0).all(axis=-1),
         "max_abs_green_diff": max_abs_diff,
         "max_upper_ratio": max_upper,
         "min_lower_ratio": min_lower,
@@ -625,41 +628,16 @@ def _certificate_arrays(alpha, beta, c, D, eta) -> dict[str, np.ndarray]:
     }
 
 
-def _block_rows(zero: np.ndarray):
-    """Rows of flat indices into a (B, n) stack, one row per block, where a
-    block ends after every exact zero ratio c_m = 0 (``zero``, (B, n-1));
-    None when no row splits, so that the rows are the blocks.
-
-    Blocks whose lengths fall in one power-of-two bucket are padded to the
-    bucket's longest and stacked as one matrix, so padding at most doubles
-    the work and no loop runs over rows or blocks.  A row's padding comes
-    after its block, where a prefix accumulate never reads it.  Returns the
-    (index, valid) matrices of every bucket, running forward and backward.
-    """
-    if not zero.any():
-        return None
-    B, n = zero.shape[0], zero.shape[1] + 1
-    starts = np.ones((B, n), dtype=bool)
-    starts[:, 1:] = zero
-    first = np.flatnonzero(starts)
-    length = np.diff(first, append=B * n)
-    bucket = np.frexp(length - 1)[1]  # 2^(bucket-1) < length <= 2^bucket
-    rows = ([], [])
-    for b in np.unique(bucket):
-        f, size = first[bucket == b, None], length[bucket == b, None]
-        col = np.arange(size.max())
-        valid = col < size
-        rows[0].append((np.where(valid, f + col, f), valid))
-        rows[1].append((np.where(valid, f + size - 1 - col, f), valid))
-    return rows
-
-
-def _blockwise(ufunc: np.ufunc, x: np.ndarray, blocks, reverse: bool = False) -> np.ndarray:
+def _blockwise(ufunc: np.ufunc, x: np.ndarray, zero: np.ndarray, reverse: bool = False) -> np.ndarray:
     """``ufunc`` accumulated along the last axis of a (B, n) stack, from the
-    right when ``reverse``, restarted at every block of :func:`_block_rows`."""
-    if blocks is None:
-        return ufunc.accumulate(x[..., ::-1], axis=-1)[..., ::-1] if reverse else ufunc.accumulate(x, axis=-1)
-    flat, out = x.ravel(), np.empty(x.size)
-    for index, valid in blocks[reverse]:
-        out[index[valid]] = ufunc.accumulate(flat[index], axis=-1)[valid]
-    return out.reshape(x.shape)
+    right when ``reverse``, restarted after every exact zero ratio c_m = 0
+    (``zero``, (B, n-1)), where the chain splits into independent blocks.
+    The whole stack accumulates in one call; only the rows that split are
+    walked again, block by block."""
+    step = -1 if reverse else 1
+    out = ufunc.accumulate(x[..., ::step], axis=-1)[..., ::step]
+    for b in np.flatnonzero(zero.any(axis=-1)):
+        cuts = np.flatnonzero(zero[b]) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, x.shape[-1]]):
+            out[b, lo:hi] = ufunc.accumulate(x[b, lo:hi][::step])[::step]
+    return out

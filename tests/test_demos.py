@@ -1,6 +1,5 @@
 """The demos still match the package API: every imported name resolves, and
-the Green-function, weighted-energy and spectral-transfer demos run to
-completion."""
+every demo runs to completion."""
 
 import ast
 import importlib
@@ -35,7 +34,7 @@ def test_demo_imports_resolve(path):
     assert not missing
 
 
-@pytest.mark.parametrize("name", ["02_green_function.py", "03_weighted_energies.py", "04_spectral_transfer.py"])
+@pytest.mark.parametrize("name", [p.name for p in sorted(DEMOS.glob("*.py"))])
 def test_demo_runs(name):
     src = str(Path(whipchain.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

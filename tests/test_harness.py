@@ -531,6 +531,21 @@ class TestCli:
         path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'nf'}\noutput.formats = csv\n")
         assert cli_main(["run", str(path), "--quiet"]) == 3
 
+    @pytest.mark.parametrize(
+        "kind, generator, n, key",
+        [("run", "theta_power", "8", "vel_amp"), ("convergence", "rigid_rotation", "8,16", "omega")],
+        ids=["theta_power-vel_amp", "convergence-omega"],
+    )
+    def test_exit_3_on_initial_state_off_manifold(self, tmp_path, capsys, kind, generator, n, key):
+        # a huge speed leaves the configured state outside validate()'s absolute tolerance
+        text = (
+            f"kind = {kind}\ninitial.generator = {generator}\ninitial.n = {n}\ninitial.{key} = 1e9\n"
+            f"integrator.t_end = 0.01\noutput.dir = {tmp_path/'off'}\n"
+        )
+        assert cli_main(["run", str(write_cfg(tmp_path, text)), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "orthogonality drift" in err and "chain 0" in err
+
     def test_cli_import_leaves_out_scipy_optimize(self):
         src = str(Path(harness.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

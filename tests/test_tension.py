@@ -524,19 +524,21 @@ class TestCertifyStack:
             random_chain(n, rng, max_turn=2.6),
             _staircase_chain(n, {40}, rng),
             random_chain(n, rng, max_turn=0.6 * n**-0.75),
+            _staircase_chain(n, {1, n - 1}, rng),  # one-link blocks at both ends
         ]
         stack = tension.certify_stack(np.stack([ch.eta for ch in chains]))
         _assert_rows_match(stack, chains)
-        assert stack["min_lower_ratio"][[0, 2, 4]].tolist() == [0.0, 0.0, 0.0]
+        assert stack["min_lower_ratio"][[0, 2, 4, 6]].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_blockwise_accumulate_restarts_at_zeros(self):
         rng = np.random.default_rng(9)
         zero = rng.random((5, 40)) < 0.2
         zero[1] = False
+        zero[2, [0, -1]] = True  # one-entry blocks at both ends
         x = rng.normal(size=(5, 41))
-        blocks = tension._block_rows(zero)
+        x[2, [0, -1]] = 10.0, -10.0  # extremes that would leak past a missed restart
         for ufunc, reverse in ((np.maximum, False), (np.minimum, True)):
-            got = tension._blockwise(ufunc, x, blocks, reverse=reverse)
+            got = tension._blockwise(ufunc, x, zero, reverse=reverse)
             for b in range(5):
                 cuts = np.flatnonzero(zero[b]) + 1
                 for lo, hi in zip([0, *cuts], [*cuts, 41]):
