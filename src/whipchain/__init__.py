@@ -10,6 +10,8 @@ orthogonal bases (Legendre-derived continuous, Hahn-derived discrete) move
 states between resolutions while preserving the weighted Sobolev norms.
 """
 
+__version__ = "0.1.0"   # before the submodules: the harness writes it into every manifest
+
 from .core import (
     ChainState,
     ExtendedChain,
@@ -82,5 +84,3 @@ from .tension import (
     tension_residual,
     upsilon_threehalves,
 )
-
-__version__ = "0.1.0"

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gamma
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +64,10 @@ def rising_weight(k, r: float, n: int):
     Vectorized over k.  k = 0 is allowed with the limiting values
     s_0^{(0)} = 1 and s_0^{(r)} = 0 for r != 0 (1/Gamma(0) = 0), which is
     what the extended sigma-norm ranges need.  Integer r >= 0 uses the exact
-    product k (k+1) ... (k+r-1) / n^r; other r go through log-gamma so large
-    k + r cannot overflow.
+    product k (k+1) ... (k+r-1) / n^r.  Other r use the running product
+    s_k^{(r)} = Gamma(1+r) n^{-r} prod_{j=1}^{k-1} (j+r)/j, one cumulative
+    product up to the largest k: its relative error stays near sqrt(k) eps,
+    where a difference of log-gammas loses about k eps to cancellation.
     """
     if r <= -1:
         raise ValueError(f"weight exponent must be > -1, got r={r}")
@@ -80,9 +82,9 @@ def rising_weight(k, r: float, n: int):
             out = out * (kf + i)
         out = out / float(n) ** ri
     else:
-        with np.errstate(divide="ignore"):
-            out = np.exp(gammaln(kf + r) - gammaln(kf) - r * np.log(n))
-        out = np.where(k == 0, 0.0, out)
+        j = np.arange(1.0, int(k.max(initial=0)))
+        ratios = np.concatenate([[0.0, 1.0], np.cumprod((j + r) / j)])  # Gamma(k+r) / (Gamma(1+r) Gamma(k))
+        out = gamma(1.0 + r) / float(n) ** r * ratios[k]
     return out if out.ndim else float(out)
 
 

@@ -321,11 +321,12 @@ def snapshot_report(chain: ChainState, sol: TensionSolution) -> EnergyReport:
     )
 
 
-def _make_snapshot(chain: ChainState, sigma: np.ndarray, row: int) -> Snapshot:
+def _make_snapshot(chain: ChainState, sigma: np.ndarray, alpha: np.ndarray, w: np.ndarray, row: int) -> Snapshot:
     """The snapshot of ``chain`` and its tension ``sigma``, held to the solve
-    contract; a NumericError it raises names ``row``."""
+    contract on the system (``alpha``, ``w``) it solved; a NumericError it
+    raises names ``row``."""
     try:
-        sol = _checked_solution(chain, sigma)
+        sol = _checked_solution(sigma, alpha, w)
         return Snapshot(chain, sol, snapshot_report(chain, sol))
     except NumericError as exc:
         exc.chain = row
@@ -409,7 +410,7 @@ def run_batch(initials, cfg: IntegratorConfig) -> list[Trajectory]:
 
     try:
         while live.size:
-            sigma = _solve_sigma_arrays(eta, eta_dot, n)
+            sigma, alpha, w = _solve_sigma_arrays(eta, eta_dot, n, with_system=True)
             ang, curv = _maxima(eta, eta_dot, n)
             raw = _raw_dt(n, sigma, cfg)
             # one row per stop condition, in the order of TERMINATIONS, which is their precedence
@@ -423,7 +424,7 @@ def run_batch(initials, cfg: IntegratorConfig) -> list[Trajectory]:
             ending = np.flatnonzero(~going)
             for row in range(live.size) if steps % cfg.report_stride == 0 else ending:
                 state = ChainState(n, d, eta[row], eta_dot[row], t[row])
-                snapshots[live[row]].append(_make_snapshot(state, sigma[row], row))
+                snapshots[live[row]].append(_make_snapshot(state, sigma[row], alpha[row], w[row], row))
             for row in ending:
                 i = live[row]
                 termination = TERMINATIONS[hits[:, row].argmax()]

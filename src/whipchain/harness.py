@@ -28,12 +28,12 @@ import json
 import os
 import time as _time
 from dataclasses import asdict, dataclass, field, replace
-from importlib.metadata import version as _pkg_version
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
+from . import __version__
 from .core import ChainState, rising_weight, weighted_seminorm_sq, weighted_supnorm_sq
 from .dynamics import IntegratorConfig, Trajectory, detect_blowup, run, run_batch
 from .errors import ConfigError, FitRejected
@@ -233,13 +233,6 @@ class RunManifest:
 
 def _now() -> str:
     return _time.strftime("%Y-%m-%dT%H:%M:%S", _time.gmtime())
-
-
-def _code_version() -> str:
-    try:
-        return _pkg_version("whipchain")
-    except Exception:
-        return "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +700,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         config_hash=hashlib.sha256(cfg.config_bytes).hexdigest(),
-        code_version=_code_version(),
+        code_version=__version__,
         started=_now(),
     )
     try:

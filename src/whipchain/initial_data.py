@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import get_type_hints
 
 import numpy as np
+import numpy.random  # at import, not lazily inside the first run that draws a random chain
 
 from .core import ChainState
 from .spectral import AngleState, theta_to_eta

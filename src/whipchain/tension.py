@@ -32,11 +32,13 @@ the chain's own certificate; the per-chain functions are the stack of one.
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dptsv, dtbtrs
 
 from .core import (
     ChainState,
@@ -49,6 +51,38 @@ from .core import (
     weighted_seminorm_sq,
 )
 from .errors import NumericError
+
+
+def _load_lapack():
+    """LAPACK's ``dptsv``, ``dpttrf`` and ``dtbtrs`` from scipy's compiled
+    ``scipy.linalg._flapack`` module, loaded from its file.
+
+    Importing ``scipy.linalg.lapack`` first runs the ``scipy`` and
+    ``scipy.linalg`` package imports (about 0.3 s on a 2-core host), and the
+    routines need only the extension.  It is loaded under its real name, so
+    a later ``import scipy.linalg`` is handed the same module.  When the
+    file cannot be found or loaded, the routines come from
+    ``scipy.linalg.lapack``.
+    """
+    name = "scipy.linalg._flapack"
+    spec = importlib.util.find_spec("scipy")
+    if spec is not None and spec.submodule_search_locations:
+        folder = Path(spec.submodule_search_locations[0]) / "linalg"
+        for suffix in EXTENSION_SUFFIXES:
+            path = folder / f"_flapack{suffix}"
+            if path.is_file():
+                loader = ExtensionFileLoader(name, str(path))
+                try:
+                    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                    loader.exec_module(module)
+                    return module.dptsv, module.dpttrf, module.dtbtrs
+                except ImportError:
+                    break
+    from scipy.linalg.lapack import dpttrf, dptsv, dtbtrs
+    return dptsv, dpttrf, dtbtrs
+
+
+dptsv, dpttrf, dtbtrs = _load_lapack()
 
 #: bound on the normwise backward error of a tension solve (see _checked_solution)
 SOLVE_RTOL = 16 * np.finfo(float).eps
@@ -329,9 +363,11 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return sigma.reshape(w.shape)
 
 
-def _solve_sigma_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> np.ndarray:
+def _solve_sigma_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int, with_system: bool = False):
     """Direct tension solve on raw (..., n+1, d) arrays; returns
     sigma_0..sigma_n along the last axis, one stacked solve for a batch.
+    ``with_system`` also returns the system's alpha and w, which the solve
+    contract (:func:`_checked_solution`) reads.
 
     Internal fast path for integrator stages (skips state construction).
     """
@@ -339,7 +375,7 @@ def _solve_sigma_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int) -> np.ndar
     sigma = np.empty(w.shape[:-1] + (n + 1,))
     sigma[..., 0] = 0.0
     sigma[..., 1:] = _solve_tridiagonal(alpha, w, n)
-    return sigma
+    return (sigma, alpha, w) if with_system else sigma
 
 
 def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
@@ -357,20 +393,19 @@ def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
         interior = green_matrix(alpha_beta_from_alpha(alpha)).apply(w)
     else:
         raise ValueError(f"unknown tension method {method!r}; use 'direct' or 'green'")
-    return _checked_solution(chain, np.concatenate([[0.0], interior]))
+    return _checked_solution(np.concatenate([[0.0], interior]), alpha, w)
 
 
-def _checked_solution(chain: ChainState, sigma: np.ndarray) -> TensionSolution:
-    """The solve contract: ``sigma`` (sigma_0..sigma_n) as the chain's
-    TensionSolution, once its normwise backward error
-    |A sigma - w| / (|A| |sigma| + |w|) (infinity norms) is at most
-    ``SOLVE_RTOL``, a small multiple of the unit roundoff that holds at every
-    n and conditioning for a backward-stable solve; NumericError otherwise.
+def _checked_solution(sigma: np.ndarray, alpha: np.ndarray, w: np.ndarray) -> TensionSolution:
+    """The solve contract: ``sigma`` (sigma_0..sigma_n) as the TensionSolution
+    of the chain whose system A sigma = w has cosines ``alpha`` and source
+    ``w``, once its normwise backward error |A sigma - w| / (|A| |sigma| + |w|)
+    (infinity norms) is at most ``SOLVE_RTOL``, a small multiple of the unit
+    roundoff that holds at every n and conditioning for a backward-stable
+    solve; NumericError otherwise.
     """
-    n = chain.n
-    alpha, w = _alpha_w(chain.eta, chain.eta_dot)
     interior = sigma[1:]
-    err = _backward_error(alpha, interior, w, n)
+    err = _backward_error(alpha, interior, w, w.shape[-1])
     if not np.isfinite(err) or err > SOLVE_RTOL:
         raise NumericError(f"tension solve residual: backward error {err:.3e} exceeds {SOLVE_RTOL:.1e}")
     min_sigma = float(np.min(interior))

@@ -101,13 +101,31 @@ class TestRisingWeight:
             assert rising_weight(k, r, n) == pytest.approx(oracle_weight(k, r, n), rel=1e-13)
 
     def test_large_k_no_overflow(self):
-        # naive gamma ratio overflows here; log-gamma must not.  The lgamma
-        # difference carries ~1e-11 relative noise at this magnitude.
+        # naive gamma ratio overflows here; the running product must not
         import mpmath
 
         val = rising_weight(10_000, 2.5, 10_000)
         expect = float(mpmath.gamma(10_000 + 2.5) / (mpmath.mpf(10_000) ** 2.5 * mpmath.gamma(10_000)))
         assert np.isfinite(val) and val == pytest.approx(expect, rel=1e-10)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_half_integer_r_against_exact_oracle(self, m):
+        # Gamma(k + 1/2) / Gamma(k) = sqrt(pi) k C(2k, k) / 4^k, so with n = 1
+        # s_k^{(m+1/2)} = sqrt(pi) K C(2K, K) / 4^K * k (k+1) ... (K-1), K = k + m,
+        # a ratio of Python integers rounded once; a difference of log-gammas
+        # misses this bound by about k eps
+        kmax = 8192
+        got = rising_weight(np.arange(1, kmax + 1), 0.5 + m, 1)
+        central = [2]  # C(2K, K) for K = 1, 2, ...
+        while len(central) < kmax + m:
+            K = len(central)
+            central.append(central[-1] * 2 * (2 * K + 1) // (K + 1))
+        worst = 0.0
+        for k in range(1, kmax + 1):
+            K = k + m
+            exact = K * central[K - 1] * math.prod(range(k, K)) / 4**K * math.sqrt(math.pi)
+            worst = max(worst, abs(got[k - 1] - exact) / exact)
+        assert worst <= 1e-13
 
     def test_k_zero_convention(self):
         assert rising_weight(0, 0.0, 4) == 1.0

@@ -471,6 +471,18 @@ class TestStepStartSolve:
         assert [len(t.snapshots) for t in trajs] == [2, 2, 2]
         assert counts == {"stacked": 4 * k + 1, "solve_tension": 0}
 
+    def test_snapshots_reuse_the_step_start_system(self, monkeypatch):
+        # alpha and w are formed once per stacked solve; the snapshots' solve
+        # contract reads the step-start solve's, so a stride-1 RK4 run of
+        # k steps forms them 4k + 1 times, not once more per snapshot
+        calls = []
+        alpha_w = tension._alpha_w
+        monkeypatch.setattr(tension, "_alpha_w", lambda eta, eta_dot: calls.append(1) or alpha_w(eta, eta_dot))
+        traj = run(perturbed_vertical(12, amplitude=0.3), IntegratorConfig(t_end=0.0125, report_stride=1))
+        k = traj.n_steps
+        assert k >= 4 and len(traj.snapshots) == k + 1
+        assert len(calls) == 4 * k + 1
+
 
 def test_snapshot_report_fields():
     ch = make_random_chain(12, seed=8)

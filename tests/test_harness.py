@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,17 @@ class TestRunExperiment:
         assert {"series.csv", "series.jsonl", "manifest.json"} <= emitted
         listed = set(json.loads((out / "manifest.json").read_text())["files"])
         assert emitted == listed  # manifest completeness
+
+    def test_manifest_code_version(self, tmp_path):
+        import whipchain
+
+        cfg = parse_config(write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'out'}\n"))
+        run_experiment(cfg)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["code_version"] == whipchain.__version__
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        declared = re.search(r'^version\s*=\s*"([^"]+)"', pyproject, re.MULTILINE)
+        assert declared and declared.group(1) == whipchain.__version__
 
     def test_manifest_hash_reproducible(self, tmp_path):
         import hashlib
@@ -547,12 +559,21 @@ class TestCli:
         assert "orthogonality drift" in err and "chain 0" in err
 
     def test_cli_import_leaves_out_scipy_optimize(self):
+        # nor the scipy.linalg and scipy.special package imports, nor
+        # importlib.metadata; numpy.random is loaded at import, not inside
+        # the first run that draws a random chain
         src = str(Path(harness.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = "import sys, whipchain.cli; print('scipy.optimize' in sys.modules)"
+        code = (
+            "import json, sys; before = set(sys.modules); import whipchain.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        loaded = set(json.loads(proc.stdout))
+        for module in ("scipy.optimize", "scipy.linalg", "scipy.special", "importlib.metadata"):
+            assert module not in loaded
+        assert "numpy.random" in loaded
 
     def test_console_script(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'cs'}\noutput.formats = csv\n")

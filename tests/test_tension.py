@@ -719,3 +719,59 @@ class TestNumericErrors:
         off = ChainState(ch.n, ch.d, 2.0 * ch.eta, ch.eta_dot)
         with pytest.raises(NumericError, match="not positive definite"):
             solve_tension(off)
+
+
+# ---------------------------------------------------------------------------
+# LAPACK loaded from scipy's extension file
+
+
+def _lapack_results(routines, monkeypatch):
+    """sigma (dptsv), beta (dpttrf) and the certificate arrays (dpttrf and
+    dtbtrs) of one (B, n+1, 2) stack, computed with the given
+    (dptsv, dpttrf, dtbtrs)."""
+    for name, func in zip(("dptsv", "dpttrf", "dtbtrs"), routines):
+        monkeypatch.setattr(tension, name, func)
+    rng = np.random.default_rng(21)
+    chains = [random_chain(64, rng, max_turn=1.2, vel_scale=2.0) for _ in range(5)]
+    eta = np.stack([c.eta for c in chains])
+    eta_dot = np.stack([c.eta_dot for c in chains])
+    sigma, alpha, _ = tension._solve_sigma_arrays(eta, eta_dot, 64, with_system=True)
+    return {"sigma": sigma, "beta": tension.beta_recursion(alpha), **tension.certify_stack(eta)}
+
+
+def _assert_bitwise(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key, strict=True)
+
+
+class TestLapackLoad:
+    """``tension._load_lapack`` loads scipy's ``_flapack`` extension from its
+    file; the routines must be the ones ``scipy.linalg.lapack`` exports, and
+    any failure of the direct load falls back to that module."""
+
+    def test_direct_load_is_bitwise_scipy_lapack(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        direct = tension._load_lapack()
+        want = _lapack_results((lapack.dptsv, lapack.dpttrf, lapack.dtbtrs), monkeypatch)
+        _assert_bitwise(_lapack_results(direct, monkeypatch), want)
+
+    @pytest.mark.parametrize("failure", ["no_spec", "no_file", "unloadable_file"])
+    def test_failed_direct_load_falls_back(self, monkeypatch, tmp_path, failure):
+        import importlib.machinery
+        import importlib.util
+        from types import SimpleNamespace
+
+        from scipy.linalg import lapack
+
+        want = _lapack_results(tension._load_lapack(), monkeypatch)
+        (tmp_path / "linalg").mkdir()
+        if failure == "unloadable_file":
+            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+            (tmp_path / "linalg" / f"_flapack{suffix}").write_bytes(b"not a shared object")
+        spec = None if failure == "no_spec" else SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: spec)
+        routines = tension._load_lapack()
+        assert routines == (lapack.dptsv, lapack.dpttrf, lapack.dtbtrs)
+        _assert_bitwise(_lapack_results(routines, monkeypatch), want)
