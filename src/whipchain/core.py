@@ -204,12 +204,18 @@ class ChainState:
         return float(np.max(np.abs(np.einsum("kd,kd->k", self.link_dirs(), self.link_dirs_dot()))))
 
     def validate(self, tol_length: float = 1e-10, tol_orth: float = 1e-8) -> "ChainState":
+        """Raise ValueError off the constraint manifold.  The orthogonality
+        drift is measured against ``tol_orth`` times max(1, max_k |D+ eta_dot_k|):
+        the round-off of <D+ eta_k, D+ eta_dot_k> grows with the speed, so an
+        absolute tolerance would refuse fast states that are exact to
+        round-off, while at unit speed and below it stays ``tol_orth``."""
         drift = self.constraint_drift()
         if drift > tol_length:
             raise ValueError(f"link-length drift {drift:.3e} exceeds tolerance {tol_length:.1e}")
         orth = self.orthogonality_drift()
-        if orth > tol_orth:
-            raise ValueError(f"orthogonality drift {orth:.3e} exceeds tolerance {tol_orth:.1e}")
+        tol = tol_orth * max(1.0, float(np.max(np.linalg.norm(self.link_dirs_dot(), axis=1))))
+        if orth > tol:
+            raise ValueError(f"orthogonality drift {orth:.3e} exceeds tolerance {tol:.1e}")
         return self
 
 

@@ -376,9 +376,11 @@ def run(initial: ChainState, cfg: IntegratorConfig) -> Trajectory:
     return run_batch([initial], cfg)[0]
 
 
-def run_batch(initials, cfg: IntegratorConfig) -> list[Trajectory]:
+def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Trajectory]:
     """Integrate every chain of ``initials`` (all of one n and d) as one
-    batch; returns one Trajectory per chain, in order.
+    batch; returns one Trajectory per chain, in order.  ``on_snapshot(i,
+    snap)``, when given, is called with each snapshot of chain ``i`` as it is
+    made, in the order the snapshots are made.
 
     Each iteration starts with one stacked tension solve of the running
     chains, which the stop tests, dt, the step and the snapshots read: a
@@ -424,7 +426,10 @@ def run_batch(initials, cfg: IntegratorConfig) -> list[Trajectory]:
             ending = np.flatnonzero(~going)
             for row in range(live.size) if steps % cfg.report_stride == 0 else ending:
                 state = ChainState(n, d, eta[row], eta_dot[row], t[row])
-                snapshots[live[row]].append(_make_snapshot(state, sigma[row], alpha[row], w[row], row))
+                snap = _make_snapshot(state, sigma[row], alpha[row], w[row], row)
+                snapshots[live[row]].append(snap)
+                if on_snapshot is not None:
+                    on_snapshot(int(live[row]), snap)
             for row in ending:
                 i = live[row]
                 termination = TERMINATIONS[hits[:, row].argmax()]

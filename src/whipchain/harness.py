@@ -14,18 +14,23 @@ unknown keys are rejected.  Example::
     output.formats = csv,jsonl
 
 Floating-point output is written at 17 significant digits so every value
-round-trips bitwise through either format.  The JSON-lines series is encoded
-on every available core: the snapshots are cut into contiguous parts, forked
-children encode all but the first, and the file is byte-identical to a
-serial write.
+round-trips bitwise through either format.  A run streams its JSON-lines
+series: each snapshot goes to the writer as ``run_batch`` makes it, and a
+forked child encodes on the second core while the parent steps; at the end
+the parent encodes the records the child has not reached, and each file is
+the child's part followed by the parent's lines, byte-identical to a serial
+write (see ``_JsonlWriter``).
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
+import shutil
+import struct
 import time as _time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -264,10 +269,15 @@ def _series_table(traj: Trajectory) -> tuple[list, list]:
     return header, rows
 
 
-def emit_series(traj: Trajectory, fmt: str, path) -> Path:
+def emit_series(traj: Trajectory, fmt: str, path, jsonl_writer=None) -> Path:
     """Write the trajectory to ``path``: CSV scalar series, or JSON-lines
     snapshots including the full eta, eta_dot, sigma arrays.  Refuses empty
-    trajectories without creating a file."""
+    trajectories without creating a file.
+
+    A JSON-lines file is written by putting every snapshot that
+    ``jsonl_writer`` (a run's :class:`_JsonlWriter`, which ``run_batch`` fed
+    as it stepped) does not hold yet, then finishing the file; without a
+    writer, one is made for ``path`` alone."""
     if not traj.snapshots:
         raise ValueError("cannot emit an empty trajectory")
     path = Path(path)
@@ -280,18 +290,27 @@ def emit_series(traj: Trajectory, fmt: str, path) -> Path:
             for row in rows:
                 writer.writerow([_FLOAT % v for v in row])
     elif fmt == "jsonl":
-        _write_jsonl(traj.snapshots, path)
+        writer = jsonl_writer or _JsonlWriter([path])
+        try:
+            writer.put(path, traj.snapshots[writer.count(path):])
+            writer.finish(path)
+        finally:
+            if jsonl_writer is None:
+                writer.close()
     else:
         raise ValueError(f"unknown format {fmt!r}")
     return path
 
 
-#: Fewest floats a JSONL part must hold to be encoded by a forked child.  A
-#: fork-context child plus its join and temp file costs about 9.5 ms (median
-#: of 20, 2-core Linux host, parent holding a 101-snapshot n = 1024 run) and
-#: json.dumps about 1.4-2 us per float, so a part pays for its child from
-#: about 7k floats; this asks for twice that.
-_MIN_PART_FLOATS = 16_000
+#: Fewest floats the records put to a JSON-lines writer must hold before it
+#: forks an encoder child.  A fork-context child plus its join and temp files
+#: costs about 9.5 ms (median of 20, 2-core Linux host, parent holding a
+#: 101-snapshot n = 1024 run) and encoding about 1.1-2 us per float, so a
+#: child pays for itself from about 7k floats; this asks for twice that.
+_MIN_CHILD_FLOATS = 16_000
+
+#: one piped record's index message: its file, and its offset and size in the store
+_INDEX = struct.Struct("qqq")
 
 
 def _cpu_count() -> int:
@@ -300,74 +319,235 @@ def _cpu_count() -> int:
     return len(affinity(0)) if affinity else 1
 
 
-def _jsonl_parts(snaps: list) -> int:
-    """How many contiguous parts to encode ``snaps`` in: one per core, none
-    smaller than ``_MIN_PART_FLOATS``, and one without the ``fork`` start
-    method."""
-    st = snaps[0].state
-    floats = len(snaps) * (2 * st.eta.size + st.n + 20)   # eta, eta_dot, sigma, scalars
-    parts = min(_cpu_count(), len(snaps), floats // _MIN_PART_FLOATS)
-    if parts <= 1:
+def _jsonl_encoders(records: int, floats: int) -> int:
+    """How many processes encode ``records`` JSON-lines records holding
+    ``floats`` floats in all: two (the parent and one forked child) from two
+    records and ``_MIN_CHILD_FLOATS`` floats on, given a second core and the
+    ``fork`` start method; else one."""
+    if records < 2 or floats < _MIN_CHILD_FLOATS or _cpu_count() < 2:
         return 1
     import multiprocessing
 
-    return parts if "fork" in multiprocessing.get_all_start_methods() else 1
+    return 2 if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
-def _write_jsonl_lines(fh, snaps) -> None:
-    for snap in snaps:
-        fh.write(json.dumps(snapshot_to_json(snap)) + "\n")
+def _record_floats(snap) -> int:
+    st = snap.state
+    return 2 * st.eta.size + st.n + 20   # eta, eta_dot, sigma, scalars
 
 
-def _encode_part(snaps, tmp) -> None:
-    """Child body: encode ``snaps`` into the inherited temp file."""
-    with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as fh:
-        _write_jsonl_lines(fh, snaps)
+class _JsonlWriter:
+    """The JSON-lines writer of one or more series files.
 
+    ``put`` takes each file's snapshots in order.  Once the records put hold
+    enough floats (``_jsonl_encoders``), one forked child starts encoding
+    them, in the order they were put, into an unnamed temp part per file.
+    It inherits the snapshots put before it started.  Of each later one the
+    parent pickles the ``_jsonl_record`` into an unnamed store file and
+    announces it with a 24-byte index message on a pipe.  The parent never
+    waits on the pipe: while it is full, the messages wait for the next put.
 
-def _write_jsonl(snaps: list, path: Path) -> None:
-    """One JSON line per snapshot, the snapshots cut into contiguous parts.
-    The parent encodes the first part while forked children (which inherit
-    the snapshots, so nothing is pickled) encode the others into unnamed
-    temp files; the parent then appends those in order.  The file is
-    byte-identical to a serial write, and only one line is held at a time.
+    ``finish`` lands one file, once every record is put.  The first call
+    splits the records the child has not claimed: under a lock shared with
+    the child it sets the child's claim limit halfway through them, encodes
+    the rest itself while the child ends its share, and joins the child.
+    Each file is then the child's part followed by the parent's lines, the
+    bytes of a serial write.  Without a child, ``finish`` encodes the file's
+    records itself, one line at a time.
 
-    ``fork``, not ``spawn``: a spawned child would have to unpickle every
-    snapshot.  The children call no BLAS routine, so the parent's OpenBLAS
-    threads cannot leave them blocked on a lock, and they leave through
-    ``os._exit``, so inherited buffered files are never flushed twice."""
-    parts = _jsonl_parts(snaps)
-    with open(path, "w", encoding="utf-8") as fh:
-        if parts == 1:
-            _write_jsonl_lines(fh, snaps)
-            return
+    ``fork``, not ``spawn``: the child inherits the records and the temp
+    files.  It calls no BLAS routine, so the parent's OpenBLAS threads
+    cannot leave it blocked on a lock, and it leaves through ``os._exit``,
+    so inherited buffered files are never flushed twice.
+    """
+
+    def __init__(self, paths):
+        self._files = {Path(p): i for i, p in enumerate(paths)}
+        self._records: list = []   # (file index, snapshot), in put order
+        self._counts = [0] * len(self._files)
+        self._floats = 0
+        self._child = None
+        self._tails = None         # the parent's lines per file, once split
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def count(self, path) -> int:
+        """How many snapshots of ``path`` have been put."""
+        return self._counts[self._files[Path(path)]]
+
+    def put(self, path, snaps) -> None:
+        idx = self._files[Path(path)]
+        for snap in snaps:
+            self._records.append((idx, snap))
+            self._counts[idx] += 1
+            self._floats += _record_floats(snap)
+            if self._child is not None:
+                self._send(idx, snap)
+        if self._child is None and _jsonl_encoders(len(self._records), self._floats) > 1:
+            self._start()
+
+    def _start(self) -> None:
+        import mmap
         import multiprocessing
-        import shutil
         import tempfile
 
-        cuts = [len(snaps) * i // parts for i in range(parts + 1)]
+        self._store = tempfile.TemporaryFile(dir=next(iter(self._files)).parent)
+        self._parts = [tempfile.TemporaryFile(dir=path.parent) for path in self._files]
+        self._claims = memoryview(mmap.mmap(-1, 16)).cast("q")   # claimed, limit; shared with the child
+        self._claims[1] = 2**62
         ctx = multiprocessing.get_context("fork")
-        temps, children = [], []
+        self._lock = ctx.Lock()
+        read, self._pipe = os.pipe()
+        self._child = ctx.Process(
+            target=_encode_records,
+            args=(self._records, read, self._pipe, self._store, self._parts, self._claims, self._lock),
+        )
+        self._child.start()
+        os.close(read)
+        os.set_blocking(self._pipe, False)
+        self._inherited, self._offset, self._sent, self._pending = len(self._records), 0, 0, b""
+
+    def _send(self, idx: int, snap) -> None:
+        import pickle
+
+        data = pickle.dumps(_jsonl_record(snap), protocol=pickle.HIGHEST_PROTOCOL)
+        self._store.write(data)
+        self._store.flush()
+        self._pending += _INDEX.pack(idx, self._offset, len(data))
+        self._offset += len(data)
         try:
-            for lo, hi in zip(cuts[1:-1], cuts[2:]):
-                temps.append(tempfile.TemporaryFile(dir=path.parent))
-                children.append(ctx.Process(target=_encode_part, args=(snaps[lo:hi], temps[-1])))
-                children[-1].start()
-            _write_jsonl_lines(fh, snaps[: cuts[1]])
-            fh.flush()
-            for child, tmp in zip(children, temps):
-                child.join()
-                if child.exitcode != 0:
-                    raise OSError(f"writing {path}: encoder process exited with code {child.exitcode}")
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh.buffer)
+            sent = os.write(self._pipe, self._pending)
+        except BlockingIOError:   # the pipe is full
+            return
+        except BrokenPipeError:   # the child is gone; finish reports how it ended
+            sent = len(self._pending)
+        self._sent += sent
+        self._pending = self._pending[sent:]
+
+    def _split(self, path) -> None:
+        """Cap the child's claims halfway through the records it has not
+        claimed (and at the last one it was sent), encode the records past
+        the cap, and join the child."""
+        total = len(self._records)
+        locked = False
+        while self._child.is_alive() and not locked:   # a dead child's claims are final
+            locked = self._lock.acquire(timeout=0.05)
+        try:
+            claimed = self._claims[0]
+            limit = min(claimed + (total - claimed) // 2, self._inherited + self._sent // _INDEX.size)
+            self._claims[1] = limit
         finally:
-            for child in children:
-                if child.is_alive():
-                    child.terminate()
-                    child.join()
-            for tmp in temps:
-                tmp.close()
+            if locked:
+                self._lock.release()
+        os.close(self._pipe)
+        self._pipe = None
+        self._tails = [[] for _ in self._files]
+        for idx, snap in self._records[limit:]:
+            self._tails[idx].append(_jsonl_line(_jsonl_record(snap)))
+        self._child.join()
+        if self._child.exitcode != 0:
+            raise OSError(f"writing {path}: encoder process exited with code {self._child.exitcode}")
+
+    def finish(self, path) -> None:
+        """Write ``path``: every record put for it, one JSON line each."""
+        idx = self._files[Path(path)]
+        with open(path, "w", encoding="utf-8") as fh:
+            if self._child is not None and self._tails is None:
+                self._split(path)
+            if self._child is None:
+                fh.writelines(_jsonl_line(_jsonl_record(snap)) for i, snap in self._records if i == idx)
+                return
+            self._parts[idx].seek(0)
+            shutil.copyfileobj(self._parts[idx], fh.buffer)
+            fh.writelines(self._tails[idx])
+            self._tails[idx] = []
+
+    def close(self) -> None:
+        """Stop the child if it still runs and drop the temp files."""
+        self._records = []
+        if self._child is None:
+            return
+        if self._child.is_alive():
+            self._child.terminate()
+            self._child.join()
+        if self._pipe is not None:
+            os.close(self._pipe)
+        for tmp in (self._store, *self._parts):
+            tmp.close()
+        self._child = None
+
+
+def _encode_records(records, read, write, store, parts, claims, lock) -> None:
+    """Encoder child body.  Claim each record in put order under ``lock``,
+    stopping at the claim limit or when the pipe closes, and encode it into
+    its file's part.  The first ``len(records)`` records are inherited; each
+    later one is unpickled from ``store`` where its index message says."""
+    import pickle
+
+    def piped():
+        with open(read, "rb") as pipe:
+            while len(msg := pipe.read(_INDEX.size)) == _INDEX.size:
+                idx, offset, size = _INDEX.unpack(msg)
+                yield idx, pickle.loads(os.pread(store.fileno(), size, offset))
+
+    os.close(write)
+    outs = [open(part.fileno(), "w", encoding="utf-8", closefd=False) for part in parts]
+    inherited = ((idx, _jsonl_record(snap)) for idx, snap in records)
+    for idx, record in itertools.chain(inherited, piped()):
+        with lock:
+            if claims[0] >= claims[1]:
+                break
+            claims[0] += 1
+        outs[idx].write(_jsonl_line(record))
+    for out in outs:
+        out.flush()
+
+
+#: how json spells the floats that have no repr it accepts
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _jsonl_record(snap) -> tuple:
+    """What the JSON line of ``snap`` is made from: (n, d, positivity, the
+    length of e, and one float array of t, eta, eta_dot, sigma, min_sigma,
+    e, e_tilde, u0, v0, a, b, c, d_norms and constraint_drift, in the order
+    of ``snapshot_to_json``)."""
+    st, sol, rep = snap.state, snap.tension, snap.report
+    values = np.concatenate((
+        [st.time], st.eta.ravel(), st.eta_dot.ravel(), sol.sigma, [sol.min_sigma], rep.e, rep.e_tilde,
+        [rep.u0, rep.v0, rep.a, rep.b, rep.c], rep.d, [rep.constraint_drift],
+    ))
+    return st.n, st.d, sol.positivity, rep.e.size, values
+
+
+def _jsonl_line(record) -> str:
+    """``json.dumps(snapshot_to_json(snap)) + "\\n"`` from the
+    ``_jsonl_record`` of ``snap``, byte for byte, in one ``float.__repr__``
+    pass over its floats: json writes a float as its repr (NaN, Infinity and
+    -Infinity where it is not finite) and separates items with ", " and keys
+    with ": "."""
+    n, d, positivity, ne, values = record
+    text = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        text = [_JSON_NONFINITE.get(v, v) for v in text]
+    k, m = n + 1, (n + 1) * d
+    rows = list(map(", ".join, zip(*[iter(text[1 : 1 + 2 * m])] * d)))
+    sigma, rest = text[1 + 2 * m : 1 + 2 * m + k], text[1 + 2 * m + k :]
+    min_sigma, e, e_tilde = rest[0], rest[1 : 1 + ne], rest[1 + ne : 1 + 2 * ne]
+    u0, v0, a, b, c = rest[1 + 2 * ne : 6 + 2 * ne]
+    d_norms, drift = rest[6 + 2 * ne : -1], rest[-1]
+    return (
+        f'{{"t": {text[0]}, "n": {n}, "d": {d}, "eta": [[{"], [".join(rows[:k])}]], '
+        f'"eta_dot": [[{"], [".join(rows[k:])}]], "sigma": [{", ".join(sigma)}], '
+        f'"min_sigma": {min_sigma}, "positivity": {"true" if positivity else "false"}, '
+        f'"e": [{", ".join(e)}], "e_tilde": [{", ".join(e_tilde)}], '
+        f'"u0": {u0}, "v0": {v0}, "a": {a}, "b": {b}, "c": {c}, '
+        f'"d_norms": [{", ".join(d_norms)}], "constraint_drift": {drift}}}\n'
+    )
 
 
 def snapshot_to_json(snap) -> dict:
@@ -413,26 +593,30 @@ def _initial(cfg: ExperimentConfig, n: int, seed: int) -> ChainState:
         raise ConfigError(f"generator {cfg.generator!r}: {exc}") from exc
 
 
-def _emit_all(cfg: ExperimentConfig, traj: Trajectory, tag: str) -> list:
-    """Write ``traj`` as ``<tag>.<fmt>`` in every configured format; returns
-    the file names."""
+def _emit_all(cfg: ExperimentConfig, traj: Trajectory, tag: str, writer=None) -> list:
+    """Write ``traj`` as ``<tag>.<fmt>`` in every configured format, JSON
+    lines through ``writer`` when given; returns the file names."""
     files = []
     for fmt in cfg.formats:
         path = cfg.output_dir / f"{tag}.{fmt}"
-        emit_series(traj, fmt, path)
+        emit_series(traj, fmt, path, jsonl_writer=writer)
         files.append(path.name)
     return files
 
 
 def _kind_run(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     """One trajectory per seed, every seed stepped in one batch
-    (``run_batch``), each writing its own series files.  The summary keeps
-    each seed's termination and step count; ``manifest.termination`` is the
-    last seed's."""
-    multi = len(cfg.seeds) > 1
-    trajs = run_batch([_initial(cfg, cfg.n, seed) for seed in cfg.seeds], cfg.integrator)
-    for seed, traj in zip(cfg.seeds, trajs):
-        manifest.files += _emit_all(cfg, traj, f"series_seed{seed}" if multi else "series")
+    (``run_batch``), each writing its own series files.  Each snapshot is
+    put to the JSON-lines writer as it is made, so a forked child can encode
+    while the batch steps.  The summary keeps each seed's termination and
+    step count; ``manifest.termination`` is the last seed's."""
+    tags = [f"series_seed{seed}" if len(cfg.seeds) > 1 else "series" for seed in cfg.seeds]
+    jsonl = [cfg.output_dir / f"{tag}.jsonl" for tag in tags]
+    with _JsonlWriter(jsonl) as writer:
+        hook = (lambda i, snap: writer.put(jsonl[i], (snap,))) if "jsonl" in cfg.formats else None
+        trajs = run_batch([_initial(cfg, cfg.n, seed) for seed in cfg.seeds], cfg.integrator, hook)
+        for tag, traj in zip(tags, trajs):
+            manifest.files += _emit_all(cfg, traj, tag, writer)
     manifest.termination = trajs[-1].termination
     manifest.summary["seeds"] = list(cfg.seeds)
     manifest.summary["terminations"] = {str(seed): traj.termination for seed, traj in zip(cfg.seeds, trajs)}
@@ -523,26 +707,49 @@ def _basic_inequality_violations(n: int, r: float, batch: np.ndarray, slack: flo
 
 
 def _weight_bound_violations(rng: np.random.Generator, trials: int = 2000, slack: float = 1e-12) -> int:
-    """Spot-check the weight-ratio and shift bounds on random (p, q, j, k, n)."""
-    from math import exp, lgamma
-
-    bad = 0
+    """Spot-check the weight-ratio and shift bounds on random (p, q, j, k, n).
+    The draws are made trial by trial, in the order a scalar loop makes
+    them; the weights and bounds are then evaluated for all trials at once."""
+    draws = []
     for _ in range(trials):
         n = int(rng.integers(2, 200))
         k = int(rng.integers(1, n + 1))
         p = float(rng.uniform(0.05, 4.0))
         q = float(rng.uniform(0.05, 4.0))
         j = int(rng.integers(0, n - k + 1))
-        skp = rising_weight(k, p, n)
-        ratio = rising_weight(k, p + q, n) / rising_weight(k, q, n)
-        cpq = exp(lgamma(p + q + 1) - lgamma(p + 1) - lgamma(q + 1))
-        if not (skp * (1 - slack) <= ratio <= cpq * skp * (1 + slack)):
-            bad += 1
-        skj = rising_weight(k + j, p, n)
-        cj = exp(lgamma(j + p + 1) - lgamma(j + 1) - lgamma(p + 1))
-        if not (skp * (1 - slack) <= skj <= cj * skp * (1 + slack)):
-            bad += 1
-    return bad
+        draws.append((n, k, p, q, j))
+    n, k, p, q, j = map(np.array, zip(*draws))
+    skp, spq, sq, skj = _rising_weights(np.concatenate([k, k, k, k + j]), np.concatenate([p, p + q, q, p]),
+                                        np.tile(n, 4)).reshape(4, trials)
+    ratio = spq / sq
+    cpq = np.exp(_lgamma(p + q + 1) - _lgamma(p + 1) - _lgamma(q + 1))
+    cj = np.exp(_lgamma(j + p + 1) - _lgamma(j + 1.0) - _lgamma(p + 1))
+    ok_ratio = (skp * (1 - slack) <= ratio) & (ratio <= cpq * skp * (1 + slack))
+    ok_shift = (skp * (1 - slack) <= skj) & (skj <= cj * skp * (1 + slack))
+    return int(np.count_nonzero(~ok_ratio) + np.count_nonzero(~ok_shift))
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    from math import lgamma
+
+    return np.fromiter(map(lgamma, x.tolist()), float, len(x))
+
+
+def _rising_weights(k: np.ndarray, r: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``rising_weight(k[i], r[i], n[i])`` for every i, bitwise: for
+    non-integer r the same running product, one row per i of one (len, max k)
+    cumulative product; integer r (which the uniform draws never give) is
+    passed to ``rising_weight`` one by one."""
+    from math import gamma
+
+    j = np.arange(1.0, max(int(k.max()), 2))
+    ratios = np.cumprod((j + r[:, None]) / j, axis=1)   # Gamma(k+r) / (Gamma(1+r) Gamma(k)) at k-2
+    prod = np.where(k >= 2, ratios[np.arange(len(k)), np.maximum(k - 2, 0)], (k == 1).astype(float))
+    lead = np.array([gamma(1.0 + ri) / float(ni) ** ri for ri, ni in zip(r.tolist(), n.tolist())])
+    out = lead * prod
+    for i in np.flatnonzero(r == np.floor(r)):
+        out[i] = rising_weight(int(k[i]), float(r[i]), int(n[i]))
+    return out
 
 
 def _product_bound_violations(rng: np.random.Generator, trials: int = 500, slack: float = 1e-12) -> int:

@@ -21,7 +21,7 @@ from whipchain.core import (
     weighted_seminorm_sq,
     weighted_supnorm_sq,
 )
-from whipchain.initial_data import rigid_rotation, straight_chain
+from whipchain.initial_data import log_spiral, rigid_rotation, straight_chain
 from whipchain.tension import solve_tension
 
 from conftest import make_random_chain, oracle_energy, oracle_seminorm_sq, oracle_sigma_energy, oracle_weight
@@ -278,6 +278,24 @@ class TestChainState:
         bad = ChainState(6, 2, ch.eta * 1.001, ch.eta_dot)
         with pytest.raises(ValueError):
             bad.validate()
+
+    def test_orthogonality_tolerance_scales_with_speed(self):
+        # log_spiral at speed 1e9 is on the manifold to round-off (drift
+        # 7.2e-7, 8e-16 of its speed); a tangential velocity of 1e-6 of the
+        # speed is not, nor one of 2e-8 at rest, where tol_orth is unscaled
+        fast = log_spiral(16, vel_amp=1e9)
+        assert fast.orthogonality_drift() > 1e-8
+        fast.validate()
+
+        def skewed(ch, skew):   # adds skew to every <D+ eta_k, D+ eta_dot_k>
+            return ChainState(ch.n, ch.d, ch.eta, ch.eta_dot + skew * ch.eta)
+
+        with pytest.raises(ValueError, match="orthogonality drift"):
+            skewed(fast, 1e3).validate()
+        at_rest = log_spiral(16)
+        skewed(at_rest, 5e-9).validate()
+        with pytest.raises(ValueError, match="orthogonality drift"):
+            skewed(at_rest, 2e-8).validate()
 
     def test_immutability(self):
         ch = straight_chain(4)

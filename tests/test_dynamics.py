@@ -376,6 +376,20 @@ class TestRunBatch:
         for got, want in zip(run_batch(chains, cfg), serial):
             _assert_same_trajectory(got, want)
 
+    def test_snapshots_handed_out_as_made(self):
+        # every snapshot once, as it is made: each chain's in its order, and
+        # at step 0 the chains in order, the folded one (which stops there)
+        # included
+        chains = [make_random_chain(8, seed=s, vel_scale=2.0) for s in (1, 2)] + [folded_chain(8)]
+        handed = []
+        trajs = run_batch(chains, IntegratorConfig(t_end=0.02, report_stride=4),
+                          on_snapshot=lambda i, snap: handed.append((i, snap)))
+        assert all(type(i) is int for i, _ in handed)
+        for i, traj in enumerate(trajs):
+            assert [snap for j, snap in handed if j == i] == traj.snapshots
+        assert len(handed) == sum(len(t.snapshots) for t in trajs)
+        assert handed[:3] == [(i, trajs[i].snapshots[0]) for i in range(3)]
+
     def test_dt_underflow_in_a_batch(self):
         # dt_min between the raw CFL steps of a fast chain (which underflows)
         # and a chain at rest (which runs on); a fast folded chain meets both

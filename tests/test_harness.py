@@ -24,7 +24,7 @@ from whipchain.harness import (
     snapshot_state_from_json,
     snapshot_to_json,
 )
-from whipchain.initial_data import perturbed_vertical, rigid_rotation, rigid_rotation_exact
+from whipchain.initial_data import perturbed_vertical, random_chain, rigid_rotation, rigid_rotation_exact, straight_chain
 from whipchain.spectral import continuize_Gn, discretize_Fn, eta_to_theta, theta_to_eta
 
 
@@ -166,8 +166,10 @@ class TestEmitSeries:
 
 
 class TestSplitJsonl:
-    """The JSONL writer encodes contiguous parts of the snapshots in forked
-    children and appends them in order; the file must equal a serial write."""
+    """The JSONL writer encodes the snapshots put to it in the parent and, once
+    they hold enough floats, in one forked child that encodes them in put
+    order; each file is the child's part followed by the parent's lines and
+    must equal a serial write."""
 
     @pytest.fixture(scope="class")
     def traj(self):
@@ -175,17 +177,40 @@ class TestSplitJsonl:
 
     @pytest.fixture
     def split(self, monkeypatch):
-        """Split at any size, over ``cores`` parts."""
-        monkeypatch.setattr(harness, "_MIN_PART_FLOATS", 1)
+        """Fork an encoder child at any size when ``cores`` exceeds one."""
+        monkeypatch.setattr(harness, "_MIN_CHILD_FLOATS", 1)
 
         def set_cores(cores):
             monkeypatch.setattr(harness, "_cpu_count", lambda: cores)
 
         return set_cores
 
+    @pytest.fixture
+    def children(self, monkeypatch):
+        """Count the encoder children the writers start."""
+        started = []
+        start = harness._JsonlWriter._start
+
+        def counting(writer):
+            started.append(writer)
+            start(writer)
+
+        monkeypatch.setattr(harness._JsonlWriter, "_start", counting)
+        return started
+
     @staticmethod
     def _serial(snaps) -> bytes:
         return "".join(json.dumps(snapshot_to_json(s)) + "\n" for s in snaps).encode()
+
+    @staticmethod
+    def _floats(snaps) -> int:
+        return sum(map(harness._record_floats, snaps))
+
+    @staticmethod
+    def _no_live_child():
+        import multiprocessing
+
+        return not multiprocessing.active_children()
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("count", [1, 2, 7])
@@ -193,16 +218,44 @@ class TestSplitJsonl:
         assert len(traj.snapshots) >= count
         part = dataclasses.replace(traj, snapshots=traj.snapshots[:count])
         split(cores)
-        assert harness._jsonl_parts(part.snapshots) == min(cores, count)
+        assert harness._jsonl_encoders(count, self._floats(part.snapshots)) == min(cores, count, 2)
         path = emit_series(part, "jsonl", tmp_path / "s.jsonl")
         assert path.read_bytes() == self._serial(part.snapshots)
         assert list(tmp_path.iterdir()) == [path]
+        assert self._no_live_child()
 
     def test_small_series_not_split(self, traj, monkeypatch):
         monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
-        assert harness._jsonl_parts(traj.snapshots) == 1
+        assert harness._jsonl_encoders(len(traj.snapshots), self._floats(traj.snapshots)) == 1
 
-    def test_multi_seed_cli_equals_single_seed_runs(self, split, tmp_path):
+    @pytest.mark.parametrize(
+        "initial, cfg, spelled",
+        [
+            (perturbed_vertical(3, amplitude=0.4), IntegratorConfig(t_end=0.01), "NaN"),   # d_norms at n <= 4
+            (random_chain(12, 5, vel_scale=1.0), IntegratorConfig(t_end=0.5, dt_max=0.01), "Infinity"),  # b
+        ],
+        ids=["nan_d_norms", "infinite_b"],
+    )
+    def test_non_finite_values_spelled_as_json(self, split, children, tmp_path, initial, cfg, spelled):
+        traj = run(initial, cfg)
+        split(2)
+        path = emit_series(traj, "jsonl", tmp_path / "s.jsonl")
+        assert len(children) == 1
+        assert path.read_bytes() == self._serial(traj.snapshots)
+        assert spelled in path.read_text()
+
+    def test_line_encoder_matches_json_dumps(self):
+        for traj in (
+            run(perturbed_vertical(3, amplitude=0.4), IntegratorConfig(t_end=0.01)),
+            run(random_chain(12, 5, vel_scale=1.0), IntegratorConfig(t_end=0.5, dt_max=0.01)),
+            run(straight_chain(5, d=3), IntegratorConfig(t_end=0.003)),
+            run(rigid_rotation(1), IntegratorConfig(t_end=0.003)),
+        ):
+            for snap in traj.snapshots:
+                line = harness._jsonl_line(harness._jsonl_record(snap))
+                assert line == json.dumps(snapshot_to_json(snap)) + "\n"
+
+    def test_multi_seed_cli_equals_single_seed_runs(self, split, children, tmp_path):
         split(2)
         base = (
             "kind = run\ninitial.generator = random\ninitial.n = 12\ninitial.vel_scale = 1.0\n"
@@ -210,29 +263,77 @@ class TestSplitJsonl:
         )
         path = write_cfg(tmp_path, base + "seeds = 3,5,4\n", name="all.cfg")
         assert cli_main(["run", str(path), "--output-dir", str(tmp_path / "all"), "--quiet"]) == 0
+        assert len(children) == 1   # one child for every seed's file
         for seed in (3, 5, 4):
             path = write_cfg(tmp_path, base + f"seeds = {seed}\n", name=f"{seed}.cfg")
             assert cli_main(["run", str(path), "--output-dir", str(tmp_path / str(seed)), "--quiet"]) == 0
             for fmt in ("csv", "jsonl"):
                 single = (tmp_path / str(seed) / f"series.{fmt}").read_bytes()
                 assert (tmp_path / "all" / f"series_seed{seed}.{fmt}").read_bytes() == single
+        assert self._no_live_child()
 
     def test_failing_child_raises_oserror(self, traj, split, tmp_path, monkeypatch):
         split(2)
         parent = os.getpid()
-        encode = harness.snapshot_to_json
+        encode = harness._jsonl_line
 
-        def fails_in_child(snap):
+        def fails_in_child(record):
             if os.getpid() != parent:
                 raise RuntimeError("encoder failure")
-            return encode(snap)
+            return encode(record)
 
-        monkeypatch.setattr(harness, "snapshot_to_json", fails_in_child)
+        monkeypatch.setattr(harness, "_jsonl_line", fails_in_child)
         target = tmp_path / "s.jsonl"
         with pytest.raises(OSError, match="exited with code 1") as info:
             emit_series(traj, "jsonl", target)
         assert str(target) in str(info.value)
         assert list(tmp_path.iterdir()) == [target]
+        assert self._no_live_child()
+
+    @pytest.mark.parametrize("chunk", [0, 30])
+    def test_full_pipe_never_blocks_the_parent(self, split, children, tmp_path, monkeypatch, chunk):
+        # the pipe takes nothing (every index message stays pending), or at
+        # most ``chunk`` bytes a write, cutting messages in two
+        write = os.write
+
+        def full_pipe(fd, data):
+            if any(fd == getattr(w, "_pipe", None) for w in children):
+                if not chunk:
+                    raise BlockingIOError
+                data = data[:chunk]
+            return write(fd, data)
+
+        monkeypatch.setattr(harness.os, "write", full_pipe)
+        split(2)
+        text = MINIMAL.replace("initial.n = 16", "initial.n = 24") + f"output.dir = {tmp_path / 'o'}\n"
+        run_experiment(parse_config(write_cfg(tmp_path, text)))
+        cfg = IntegratorConfig(t_end=0.02)
+        expected = self._serial(run(rigid_rotation(24), cfg).snapshots)
+        assert len(children) == 1
+        assert (tmp_path / "o" / "series.jsonl").read_bytes() == expected
+
+    def test_numeric_error_mid_run_leaves_no_series(self, split, children, tmp_path, monkeypatch):
+        # a failed run writes its manifest alone, as it did before the series
+        # were streamed: no partial series.jsonl, no temp file, no child
+        import whipchain.dynamics as dynamics
+        from whipchain.errors import NumericError
+
+        made = []
+        make = dynamics._make_snapshot
+
+        def fails_at_the_fifth(*args):
+            made.append(None)
+            if len(made) == 5:
+                raise NumericError("simulated failure", chain=args[-1])
+            return make(*args)
+
+        monkeypatch.setattr(dynamics, "_make_snapshot", fails_at_the_fifth)
+        split(2)
+        path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path / 'o'}\n")
+        assert cli_main(["run", str(path), "--quiet"]) == 3
+        assert len(children) == 1   # the child was encoding when the run failed
+        assert [p.name for p in (tmp_path / "o").iterdir()] == ["manifest.json"]
+        assert self._no_live_child()
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +382,50 @@ class TestRunExperiment:
             run_experiment(cfg)
             outs.append((tmp_path / sub / "series.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @staticmethod
+    def _weight_violations_per_trial(rng, trials=2000, slack=1e-12):
+        """The weight-bound check as a loop of scalar rising_weight calls."""
+        from math import exp, lgamma
+
+        from whipchain.core import rising_weight
+
+        bad = 0
+        for _ in range(trials):
+            n = int(rng.integers(2, 200))
+            k = int(rng.integers(1, n + 1))
+            p = float(rng.uniform(0.05, 4.0))
+            q = float(rng.uniform(0.05, 4.0))
+            j = int(rng.integers(0, n - k + 1))
+            skp = rising_weight(k, p, n)
+            ratio = rising_weight(k, p + q, n) / rising_weight(k, q, n)
+            cpq = exp(lgamma(p + q + 1) - lgamma(p + 1) - lgamma(q + 1))
+            bad += not (skp * (1 - slack) <= ratio <= cpq * skp * (1 + slack))
+            skj = rising_weight(k + j, p, n)
+            cj = exp(lgamma(j + p + 1) - lgamma(j + 1) - lgamma(p + 1))
+            bad += not (skp * (1 - slack) <= skj <= cj * skp * (1 + slack))
+        return bad
+
+    @pytest.mark.parametrize("slack", [1e-12, -1e-6, -0.05])
+    def test_weight_bounds_match_scalar_loop(self, slack):
+        # a negative slack makes the tight cases (k = 1, j = 0) and more fail,
+        # so the counts compared are not all zero
+        for seed in (0, 3, 11):
+            got = harness._weight_bound_violations(np.random.default_rng(seed), 500, slack)
+            want = self._weight_violations_per_trial(np.random.default_rng(seed), 500, slack)
+            assert got == want
+            assert (got > 0) == (slack < 0)
+
+    def test_rising_weights_bitwise_scalar(self):
+        from whipchain.core import rising_weight
+
+        rng = np.random.default_rng(4)
+        n = rng.integers(2, 300, size=400)
+        k = np.minimum(rng.integers(0, 300, size=400), n)
+        r = np.concatenate([rng.uniform(0.05, 8.0, size=396), [0.0, 1.0, 2.0, 3.0]])
+        got = harness._rising_weights(k, r, n)
+        want = [rising_weight(int(ki), float(ri), int(ni)) for ki, ri, ni in zip(k, r, n)]
+        assert got.tolist() == want
 
     def test_inequality_suite_zero_violations(self, tmp_path):
         text = (
@@ -545,14 +690,40 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "kind, generator, n, key",
-        [("run", "theta_power", "8", "vel_amp"), ("convergence", "rigid_rotation", "8,16", "omega")],
-        ids=["theta_power-vel_amp", "convergence-omega"],
+        [
+            ("run", "log_spiral", "16", "vel_amp"),
+            ("run", "theta_power", "8", "vel_amp"),
+            ("convergence", "rigid_rotation", "8,16", "omega"),
+        ],
+        ids=["log_spiral-vel_amp", "theta_power-vel_amp", "convergence-omega"],
     )
-    def test_exit_3_on_initial_state_off_manifold(self, tmp_path, capsys, kind, generator, n, key):
-        # a huge speed leaves the configured state outside validate()'s absolute tolerance
+    def test_fast_state_on_manifold_runs(self, tmp_path, kind, generator, n, key):
+        # at speed 1e9 the orthogonality drift of these states is 1e-7..1e-6,
+        # round-off relative to their speed, so the run is accepted
         text = (
             f"kind = {kind}\ninitial.generator = {generator}\ninitial.n = {n}\ninitial.{key} = 1e9\n"
-            f"integrator.t_end = 0.01\noutput.dir = {tmp_path/'off'}\n"
+            f"integrator.t_end = 1e-9\nintegrator.blowup_threshold = 1e12\noutput.dir = {tmp_path/'fast'}\n"
+        )
+        assert cli_main(["run", str(write_cfg(tmp_path, text)), "--quiet"]) == 0
+        manifest = json.loads((tmp_path / "fast" / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+        assert manifest["termination"] in (None, "t_end_reached")
+
+    @pytest.mark.parametrize("vel_amp, skew", [(0.0, 1e-7), (1e9, 1e3)], ids=["at_rest", "fast"])
+    def test_exit_3_on_initial_state_off_manifold(self, tmp_path, capsys, monkeypatch, vel_amp, skew):
+        # eta_dot + skew * eta adds skew * |D+ eta|^2 = skew to every
+        # <D+ eta_k, D+ eta_dot_k>: 10 and 100 times the scaled tolerance
+        from whipchain import initial_data
+        from whipchain.core import ChainState
+
+        def skewed_spiral(n: int, vel_amp: float = 0.0) -> ChainState:
+            ch = initial_data.log_spiral(n, vel_amp)
+            return ChainState(n, ch.d, ch.eta, ch.eta_dot + skew * ch.eta)
+
+        monkeypatch.setitem(initial_data.GENERATORS, "log_spiral", skewed_spiral)
+        text = (
+            f"kind = run\ninitial.generator = log_spiral\ninitial.n = 16\ninitial.vel_amp = {vel_amp}\n"
+            f"integrator.t_end = 1e-9\nintegrator.blowup_threshold = 1e12\noutput.dir = {tmp_path/'off'}\n"
         )
         assert cli_main(["run", str(write_cfg(tmp_path, text)), "--quiet"]) == 3
         err = capsys.readouterr().err

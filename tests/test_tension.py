@@ -427,9 +427,57 @@ def _staircase_chain(n, turns, rng):
     return ChainState(n, 2, eta, eta_dot)
 
 
+def _quarter_turn_chain(n, turns):
+    """Chain of axis-aligned links turning by ``turns[k]`` quarter turns at
+    joint k: alpha is exactly 0 at a right angle and -1 at a fold back."""
+    headings = np.cumsum([turns.get(k, 0) for k in range(n)]) % 4
+    dirs = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])[headings]
+    eta = np.zeros((n + 1, 2))
+    eta[:-1] = -np.cumsum(dirs[::-1], axis=0)[::-1] / n  # eta_{n+1} = 0
+    return ChainState(n, 2, eta, np.zeros((n + 1, 2)))
+
+
+def _dense_block_extremes(G, cuts):
+    """Per block [lo, hi) of a split chain, read off a dense G: the largest
+    |n (G_kj - G_{k-1,j})| and n G_kj / k over its rows k, and the smallest
+    n^2 G_kj / (j k) over its rows and columns."""
+    n = G.shape[0]
+    kk = np.arange(1, n + 1)[:, None]
+    diff = np.abs(n * np.diff(np.vstack([np.zeros((1, n)), G]), axis=0)).max(axis=1)
+    upper = (n * G / kk).max(axis=1)
+    F = n * n * G / (kk * kk.T)
+    return [(diff[lo:hi].max(), upper[lo:hi].max(), F[lo:hi, lo:hi].min())
+            for lo, hi in zip([0, *cuts], [*cuts, n])]
+
+
 class TestGeneratorCertificates:
     """The O(n) certificate against the same clauses read off a dense G
     (the inverse of the assembled operator)."""
+
+    def test_split_rows_match_dense_blocks(self):
+        # chains of right angles (which split them) and fold backs, whose
+        # extremes sit in every block, not only the first: each row's
+        # extremes, stacked and alone, are the extremes over its blocks of a
+        # dense per-block oracle (and 0 for the lower ratio, across blocks)
+        rng = np.random.default_rng(31)
+        chains, held = [], set()
+        while len(chains) < 40:
+            n = int(rng.integers(5, 24))
+            quarter = rng.choice(4, size=n, p=[0.55, 0.15, 0.15, 0.15])
+            ch = _quarter_turn_chain(n, {k: int(q) for k, q in enumerate(quarter) if k and q})
+            cuts = np.flatnonzero(compute_alpha_beta(ch).alpha == 0.0) + 1
+            if len(cuts) >= 2:
+                chains.append((ch, cuts))
+        for ch, cuts in chains:
+            blocks = np.array(_dense_block_extremes(oracle_green(ch), cuts))
+            want = (blocks[:, 0].max(), blocks[:, 1].max(), min(blocks[:, 2].min(), 0.0))
+            stack = tension.certify_stack(ch.eta[None])
+            cert = certify_bounds(green_matrix_for_chain(ch), ch)
+            for i, key in enumerate(("max_abs_green_diff", "max_upper_ratio", "min_lower_ratio")):
+                assert getattr(cert, key) == pytest.approx(want[i], rel=1e-10, abs=1e-13), key
+                assert stack[key][0] == getattr(cert, key)
+            held |= {(i, int(b)) for i, b in enumerate((blocks[:, 0].argmax(), blocks[:, 2].argmin()))}
+        assert {(0, 1), (0, 2), (1, 1), (1, 2)} <= held   # later blocks hold the extremes too
 
     def _compare(self, ch, abs_tol=0.0):
         gm = green_matrix_for_chain(ch)
