@@ -224,6 +224,18 @@ class TestSplitJsonl:
         assert list(tmp_path.iterdir()) == [path]
         assert self._no_live_child()
 
+    def test_split_races_the_child(self, traj, split, children, tmp_path):
+        # the parent caps the child's claims right after forking it, while the
+        # child may be claiming: whichever side takes a record, every record
+        # is written once, in order
+        split(2)
+        for rep in range(24):
+            part = dataclasses.replace(traj, snapshots=traj.snapshots[: 2 + rep % 6])
+            path = emit_series(part, "jsonl", tmp_path / f"s{rep}.jsonl")
+            assert path.read_bytes() == self._serial(part.snapshots), rep
+        assert len(children) == 24
+        assert self._no_live_child()
+
     def test_small_series_not_split(self, traj, monkeypatch):
         monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
         assert harness._jsonl_encoders(len(traj.snapshots), self._floats(traj.snapshots)) == 1
