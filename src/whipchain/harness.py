@@ -16,9 +16,10 @@ unknown keys are rejected.  Example::
 Floating-point output is written at 17 significant digits so every value
 round-trips bitwise through either format.  A run streams its JSON-lines
 series: each snapshot goes to the writer as ``run_batch`` makes it, and a
-forked child encodes on the second core while the parent steps; at the end
-the parent encodes the records the child has not reached, and each file is
-the child's part followed by the parent's lines, byte-identical to a serial
+forked child, fed fixed-size rows through a store file and a semaphore,
+encodes on the second core while the parent steps; at the end the parent
+encodes the records the child has not reached, and each file is the
+child's part followed by the parent's lines, byte-identical to a serial
 write (see ``_JsonlWriter``).
 """
 
@@ -30,7 +31,6 @@ import itertools
 import json
 import os
 import shutil
-import struct
 import time as _time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -89,7 +89,9 @@ class ExperimentConfig:
             (d >= 2, "initial.d", "an integer >= 2", d),
             (d == 2 or self.kind != "convergence", "initial.d", "2 for convergence (the angle maps are planar)", d),
             (all(seed >= 0 for seed in self.seeds), "seeds", "integers >= 0", self.seeds),
+            (len(set(self.seeds)) == len(self.seeds), "seeds", "distinct", self.seeds),
             (set(self.formats) <= set(FORMATS), "output.formats", "csv and/or jsonl", self.formats),
+            (len(set(self.formats)) == len(self.formats), "output.formats", "distinct", self.formats),
             (self.suite_samples >= 0, "suite.samples", "an integer >= 0", self.suite_samples),
             (all(nv >= 2 for nv in self.suite_n_values), "suite.n_values", "integers >= 2", self.suite_n_values),
             (all(r > 0 for r in self.suite_r_values), "suite.r_values", "numbers > 0", self.suite_r_values),
@@ -309,9 +311,6 @@ def emit_series(traj: Trajectory, fmt: str, path, jsonl_writer=None) -> Path:
 #: child pays for itself from about 7k floats; this asks for twice that.
 _MIN_CHILD_FLOATS = 16_000
 
-#: one piped record's index message: its file, and its offset and size in the store
-_INDEX = struct.Struct("qqq")
-
 
 def _cpu_count() -> int:
     """Cores this process may run on; 1 where the platform cannot say."""
@@ -341,22 +340,23 @@ class _JsonlWriter:
 
     ``put`` takes each file's snapshots in order.  Once the records put hold
     enough floats (``_jsonl_encoders``), one forked child starts encoding
-    them, in the order they were put, into an unnamed temp part per file.
-    It inherits the snapshots put before it started.  Of each later one the
-    parent pickles the ``_jsonl_record`` into an unnamed store file and
-    announces it with a 24-byte index message on a pipe.  The parent never
-    waits on the pipe: while it is full, the messages wait for the next put.
+    them, in put order, into an unnamed temp part per file.  The parent
+    appends each record, from the first, to an unnamed store file as one
+    float64 row (file index, positivity, ``_jsonl_record`` floats), flushes
+    it and releases a semaphore once, so it never waits on the child.  The
+    records of one writer share n and d, so the rows share one size and the
+    child reads row i at offset i times it.
 
     ``finish`` lands one file, once every record is put.  The first call
-    splits the records the child has not claimed: under a lock shared with
-    the child it sets the child's claim limit halfway through them, encodes
-    the rest itself while the child ends its share, and joins the child.
-    Each file is then the child's part followed by the parent's lines, the
-    bytes of a serial write.  Without a child, ``finish`` encodes the file's
-    records itself, one line at a time.
+    caps the child's claims halfway through the records it has not claimed,
+    under the lock of the shared (claimed, limit) array, releases the
+    semaphore once more to wake a child that has caught up, encodes the rest
+    itself and joins the child.  Each file is then the child's part followed
+    by the parent's lines, the bytes of a serial write.  Without a child,
+    ``finish`` encodes the file's records itself, one line at a time.
 
-    ``fork``, not ``spawn``: the child inherits the records and the temp
-    files.  It calls no BLAS routine, so the parent's OpenBLAS threads
+    ``fork``, not ``spawn``: the child inherits the temp files and the
+    semaphore.  It calls no BLAS routine, so the parent's OpenBLAS threads
     cannot leave it blocked on a lock, and it leaves through ``os._exit``,
     so inherited buffered files are never flushed twice.
     """
@@ -386,65 +386,49 @@ class _JsonlWriter:
             self._counts[idx] += 1
             self._floats += _record_floats(snap)
             if self._child is not None:
-                self._send(idx, snap)
+                self._store(idx, snap)
         if self._child is None and _jsonl_encoders(len(self._records), self._floats) > 1:
             self._start()
 
     def _start(self) -> None:
-        import mmap
         import multiprocessing
         import tempfile
 
-        self._store = tempfile.TemporaryFile(dir=next(iter(self._files)).parent)
+        n, d, _, ne, values = _jsonl_record(self._records[0][1])
+        self._rows = tempfile.TemporaryFile(dir=next(iter(self._files)).parent)
         self._parts = [tempfile.TemporaryFile(dir=path.parent) for path in self._files]
-        self._claims = memoryview(mmap.mmap(-1, 16)).cast("q")   # claimed, limit; shared with the child
-        self._claims[1] = 2**62
         ctx = multiprocessing.get_context("fork")
-        self._lock = ctx.Lock()
-        read, self._pipe = os.pipe()
+        self._claims = ctx.Array("q", [0, 2**62])   # claimed, limit
+        self._ready = ctx.Semaphore(0)              # released once per stored row
+        layout = (n, d, ne, 8 * (2 + values.size))  # the last: bytes per row
         self._child = ctx.Process(
-            target=_encode_records,
-            args=(self._records, read, self._pipe, self._store, self._parts, self._claims, self._lock),
+            target=_encode_records, args=(self._rows, self._parts, self._claims, self._ready, layout)
         )
         self._child.start()
-        os.close(read)
-        os.set_blocking(self._pipe, False)
-        self._inherited, self._offset, self._sent, self._pending = len(self._records), 0, 0, b""
+        for idx, snap in self._records:
+            self._store(idx, snap)
 
-    def _send(self, idx: int, snap) -> None:
-        import pickle
-
-        data = pickle.dumps(_jsonl_record(snap), protocol=pickle.HIGHEST_PROTOCOL)
-        self._store.write(data)
-        self._store.flush()
-        self._pending += _INDEX.pack(idx, self._offset, len(data))
-        self._offset += len(data)
-        try:
-            sent = os.write(self._pipe, self._pending)
-        except BlockingIOError:   # the pipe is full
-            return
-        except BrokenPipeError:   # the child is gone; finish reports how it ended
-            sent = len(self._pending)
-        self._sent += sent
-        self._pending = self._pending[sent:]
+    def _store(self, idx: int, snap) -> None:
+        _, _, positivity, _, values = _jsonl_record(snap)
+        self._rows.write(np.concatenate(([idx, positivity], values)))
+        self._rows.flush()   # before the release: the child reads the row from the file
+        self._ready.release()
 
     def _split(self, path) -> None:
         """Cap the child's claims halfway through the records it has not
-        claimed (and at the last one it was sent), encode the records past
+        claimed, wake it should it wait for a row, encode the records past
         the cap, and join the child."""
-        total = len(self._records)
+        lock, claims = self._claims.get_lock(), self._claims.get_obj()
         locked = False
         while self._child.is_alive() and not locked:   # a dead child's claims are final
-            locked = self._lock.acquire(timeout=0.05)
+            locked = lock.acquire(timeout=0.05)
         try:
-            claimed = self._claims[0]
-            limit = min(claimed + (total - claimed) // 2, self._inherited + self._sent // _INDEX.size)
-            self._claims[1] = limit
+            limit = claims[0] + (len(self._records) - claims[0]) // 2
+            claims[1] = limit
         finally:
             if locked:
-                self._lock.release()
-        os.close(self._pipe)
-        self._pipe = None
+                lock.release()
+        self._ready.release()
         self._tails = [[] for _ in self._files]
         for idx, snap in self._records[limit:]:
             self._tails[idx].append(_jsonl_line(_jsonl_record(snap)))
@@ -464,7 +448,6 @@ class _JsonlWriter:
             self._parts[idx].seek(0)
             shutil.copyfileobj(self._parts[idx], fh.buffer)
             fh.writelines(self._tails[idx])
-            self._tails[idx] = []
 
     def close(self) -> None:
         """Stop the child if it still runs and drop the temp files."""
@@ -474,35 +457,26 @@ class _JsonlWriter:
         if self._child.is_alive():
             self._child.terminate()
             self._child.join()
-        if self._pipe is not None:
-            os.close(self._pipe)
-        for tmp in (self._store, *self._parts):
+        for tmp in (self._rows, *self._parts):
             tmp.close()
         self._child = None
 
 
-def _encode_records(records, read, write, store, parts, claims, lock) -> None:
-    """Encoder child body.  Claim each record in put order under ``lock``,
-    stopping at the claim limit or when the pipe closes, and encode it into
-    its file's part.  The first ``len(records)`` records are inherited; each
-    later one is unpickled from ``store`` where its index message says."""
-    import pickle
-
-    def piped():
-        with open(read, "rb") as pipe:
-            while len(msg := pipe.read(_INDEX.size)) == _INDEX.size:
-                idx, offset, size = _INDEX.unpack(msg)
-                yield idx, pickle.loads(os.pread(store.fileno(), size, offset))
-
-    os.close(write)
+def _encode_records(rows, parts, claims, ready, layout) -> None:
+    """Encoder child body.  For each row of ``rows`` in order: wait for its
+    release of ``ready``, claim it under the lock of ``claims`` (stopping at
+    the claim limit), read it and encode it into its file's part."""
+    n, d, ne, size = layout
+    lock, counts = claims.get_lock(), claims.get_obj()
     outs = [open(part.fileno(), "w", encoding="utf-8", closefd=False) for part in parts]
-    inherited = ((idx, _jsonl_record(snap)) for idx, snap in records)
-    for idx, record in itertools.chain(inherited, piped()):
+    for i in itertools.count():
+        ready.acquire()
         with lock:
-            if claims[0] >= claims[1]:
+            if i >= counts[1]:
                 break
-            claims[0] += 1
-        outs[idx].write(_jsonl_line(record))
+            counts[0] = i + 1
+        row = np.frombuffer(os.pread(rows.fileno(), size, i * size))
+        outs[int(row[0])].write(_jsonl_line((n, d, bool(row[1]), ne, row[2:])))
     for out in outs:
         out.flush()
 

@@ -5,8 +5,10 @@ import dataclasses
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +187,19 @@ class TestSplitJsonl:
 
         return set_cores
 
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, rather than hang, a test whose writer deadlocks."""
+
+        def timed_out(*_):
+            raise TimeoutError("the JSON-lines writer did not finish in 60 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
     @pytest.fixture
     def children(self, monkeypatch):
         """Count the encoder children the writers start."""
@@ -249,7 +264,11 @@ class TestSplitJsonl:
         ids=["nan_d_norms", "infinite_b"],
     )
     def test_non_finite_values_spelled_as_json(self, split, children, tmp_path, initial, cfg, spelled):
+        # reversed, so the last snapshot of a chain that stops (b infinite,
+        # tension not positive) comes first: the first half always falls to
+        # the child
         traj = run(initial, cfg)
+        traj = dataclasses.replace(traj, snapshots=traj.snapshots[::-1])
         split(2)
         path = emit_series(traj, "jsonl", tmp_path / "s.jsonl")
         assert len(children) == 1
@@ -302,27 +321,53 @@ class TestSplitJsonl:
         assert list(tmp_path.iterdir()) == [target]
         assert self._no_live_child()
 
-    @pytest.mark.parametrize("chunk", [0, 30])
-    def test_full_pipe_never_blocks_the_parent(self, split, children, tmp_path, monkeypatch, chunk):
-        # the pipe takes nothing (every index message stays pending), or at
-        # most ``chunk`` bytes a write, cutting messages in two
-        write = os.write
+    def test_stalled_child_never_blocks_the_parent(self, split, children, tmp_path, monkeypatch):
+        # the child starts only once the parent has capped its claims and is
+        # encoding the tail, after every put of the run has returned: were a
+        # put to wait on the child, the run would never reach the split
+        import multiprocessing
 
-        def full_pipe(fd, data):
-            if any(fd == getattr(w, "_pipe", None) for w in children):
-                if not chunk:
-                    raise BlockingIOError
-                data = data[:chunk]
-            return write(fd, data)
+        parent, go = os.getpid(), multiprocessing.get_context("fork").Event()
+        encode_records, encode = harness._encode_records, harness._jsonl_line
 
-        monkeypatch.setattr(harness.os, "write", full_pipe)
+        def stalled(*args):
+            go.wait()
+            encode_records(*args)
+
+        def go_then_encode(record):
+            if os.getpid() == parent:
+                go.set()
+            return encode(record)
+
+        monkeypatch.setattr(harness, "_encode_records", stalled)
+        monkeypatch.setattr(harness, "_jsonl_line", go_then_encode)
         split(2)
         text = MINIMAL.replace("initial.n = 16", "initial.n = 24") + f"output.dir = {tmp_path / 'o'}\n"
         run_experiment(parse_config(write_cfg(tmp_path, text)))
-        cfg = IntegratorConfig(t_end=0.02)
-        expected = self._serial(run(rigid_rotation(24), cfg).snapshots)
+        expected = self._serial(run(rigid_rotation(24), IntegratorConfig(t_end=0.02)).snapshots)
         assert len(children) == 1
         assert (tmp_path / "o" / "series.jsonl").read_bytes() == expected
+        # it had claimed nothing at the cap, so its share is the first half
+        half = len(expected.splitlines()) // 2
+        assert list(children[0]._claims.get_obj()) == [half, half]
+        assert self._no_live_child()
+
+    def test_caught_up_child_is_woken(self, traj, split, children, tmp_path, monkeypatch):
+        # the child has encoded every record and waits for the next one: the
+        # split must wake it, or joining it never returns
+        finish = harness._JsonlWriter.finish
+
+        def finish_once_caught_up(writer, path):
+            while writer._claims.get_obj()[0] < len(writer._records):
+                time.sleep(0.001)
+            finish(writer, path)
+
+        monkeypatch.setattr(harness._JsonlWriter, "finish", finish_once_caught_up)
+        split(2)
+        path = emit_series(traj, "jsonl", tmp_path / "s.jsonl")
+        assert len(children) == 1
+        assert path.read_bytes() == self._serial(traj.snapshots)
+        assert self._no_live_child()
 
     def test_numeric_error_mid_run_leaves_no_series(self, split, children, tmp_path, monkeypatch):
         # a failed run writes its manifest alone, as it did before the series
@@ -608,6 +653,15 @@ class TestCli:
 
     def test_exit_2_on_missing_file(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "none.cfg"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("key, value", [("seeds", "3,3"), ("output.formats", "jsonl,jsonl")])
+    def test_exit_2_on_repeated_entries(self, tmp_path, capsys, key, value):
+        # a repeated seed or format names one series file twice
+        path = write_cfg(tmp_path, MINIMAL + f"{key} = {value}\noutput.dir = {tmp_path/'r'}\n")
+        assert cli_main(["run", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r} must be distinct" in err and "Traceback" not in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "kind, key, value, args",
