@@ -321,18 +321,29 @@ class TestSplitJsonl:
         assert list(tmp_path.iterdir()) == [target]
         assert self._no_live_child()
 
-    def test_stalled_child_never_blocks_the_parent(self, split, children, tmp_path, monkeypatch):
-        # the child starts only once the parent has capped its claims and is
-        # encoding the tail, after every put of the run has returned: were a
-        # put to wait on the child, the run would never reach the split
+    @pytest.mark.parametrize("chunk", [0, 30])
+    def test_full_pipe_never_blocks_the_parent(self, split, children, tmp_path, monkeypatch, chunk):
+        # the child's feed (the store rows and their semaphore) stays full: the
+        # child takes ``chunk`` rows, then waits until the parent is encoding
+        # the tail, after every put of the run has returned; were a put to
+        # wait on the child, the run would never reach the split
         import multiprocessing
 
         parent, go = os.getpid(), multiprocessing.get_context("fork").Event()
         encode_records, encode = harness._encode_records, harness._jsonl_line
 
-        def stalled(*args):
-            go.wait()
-            encode_records(*args)
+        class Stalls:
+            def __init__(self, ready):
+                self.ready, self.taken = ready, 0
+
+            def acquire(self):
+                if self.taken == chunk:
+                    go.wait()
+                self.taken += 1
+                return self.ready.acquire()
+
+        def stalled(rows, parts, claims, ready, layout):
+            encode_records(rows, parts, claims, Stalls(ready), layout)
 
         def go_then_encode(record):
             if os.getpid() == parent:
@@ -342,14 +353,18 @@ class TestSplitJsonl:
         monkeypatch.setattr(harness, "_encode_records", stalled)
         monkeypatch.setattr(harness, "_jsonl_line", go_then_encode)
         split(2)
-        text = MINIMAL.replace("initial.n = 16", "initial.n = 24") + f"output.dir = {tmp_path / 'o'}\n"
-        run_experiment(parse_config(write_cfg(tmp_path, text)))
-        expected = self._serial(run(rigid_rotation(24), IntegratorConfig(t_end=0.02)).snapshots)
+        text = MINIMAL.replace("initial.n = 16", "initial.n = 24").replace("t_end = 0.02", "t_end = 0.04")
+        run_experiment(parse_config(write_cfg(tmp_path, text + f"output.dir = {tmp_path / 'o'}\n")))
+        expected = self._serial(run(rigid_rotation(24), IntegratorConfig(t_end=0.04)).snapshots)
+        records = len(expected.splitlines())
+        assert records > 30
         assert len(children) == 1
         assert (tmp_path / "o" / "series.jsonl").read_bytes() == expected
-        # it had claimed nothing at the cap, so its share is the first half
-        half = len(expected.splitlines()) // 2
-        assert list(children[0]._claims.get_obj()) == [half, half]
+        # it had claimed at most ``chunk`` records at the cap, so its share is
+        # those and half the rest
+        claimed, limit = children[0]._claims.get_obj()
+        assert claimed == limit
+        assert limit in {c + (records - c) // 2 for c in range(chunk + 1)}
         assert self._no_live_child()
 
     def test_caught_up_child_is_woken(self, traj, split, children, tmp_path, monkeypatch):
