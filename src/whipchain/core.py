@@ -123,6 +123,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...d,...d->...", a, b)
 
 
+def _links(f: np.ndarray, n: int | None = None) -> np.ndarray:
+    """(D+ f)_k = n (f_{k+1} - f_k) along the rows of (..., rows, d) vectors: a chain's
+    link vectors.  n is the rows less one unless given (as an extension's slice must)."""
+    n = f.shape[-2] - 1 if n is None else n
+    return n * (f[..., 1:, :] - f[..., :-1, :])
+
+
+def _lengths(v: np.ndarray) -> np.ndarray:
+    """|v| over the last axis: np.linalg.norm(v, axis=-1), bitwise for
+    d = 2 and 3 (see :func:`_sq`), without its per-call checks."""
+    return np.sqrt(_sq(v))
+
+
 def weighted_seminorm_sq(f, r: float, m: int, n: int, first_index: int = 1) -> float:
     """Squared weighted Sobolev seminorm (1/n) sum_k s_k^{(r)} |D+^m f_k|^2.
 
@@ -189,19 +202,19 @@ class ChainState:
 
     def link_dirs(self) -> np.ndarray:
         """(D+ eta)_k for k = 1..n, shape (n, d); unit vectors on the manifold."""
-        return forward_diff(self.eta, self.n)
+        return _links(self.eta)
 
     def link_dirs_dot(self) -> np.ndarray:
         """(D+ eta_dot)_k for k = 1..n, shape (n, d)."""
-        return forward_diff(self.eta_dot, self.n)
+        return _links(self.eta_dot)
 
     def constraint_drift(self) -> float:
         """max_k | |D+ eta_k| - 1 |."""
-        return float(np.max(np.abs(np.linalg.norm(self.link_dirs(), axis=1) - 1.0)))
+        return float(np.max(np.abs(_lengths(self.link_dirs()) - 1.0)))
 
     def orthogonality_drift(self) -> float:
         """max_k | <D+ eta_k, D+ eta_dot_k> |."""
-        return float(np.max(np.abs(np.einsum("kd,kd->k", self.link_dirs(), self.link_dirs_dot()))))
+        return float(np.max(np.abs(_dot(self.link_dirs(), self.link_dirs_dot()))))
 
     def validate(self, tol_length: float = 1e-10, tol_orth: float = 1e-8) -> "ChainState":
         """Raise ValueError off the constraint manifold.  The orthogonality
@@ -213,7 +226,7 @@ class ChainState:
         if drift > tol_length:
             raise ValueError(f"link-length drift {drift:.3e} exceeds tolerance {tol_length:.1e}")
         orth = self.orthogonality_drift()
-        tol = tol_orth * max(1.0, float(np.max(np.linalg.norm(self.link_dirs_dot(), axis=1))))
+        tol = tol_orth * max(1.0, float(np.max(_lengths(self.link_dirs_dot()))))
         if orth > tol:
             raise ValueError(f"orthogonality drift {orth:.3e} exceeds tolerance {tol:.1e}")
         return self
@@ -261,15 +274,15 @@ def _squared_differences(ext: ExtendedChain, n: int, m_max: int) -> list:
     for l = 0..m_max, differences beyond the fixed end taken through ``ext``."""
     out = []
     dvel = ext.eta_dot_ext
-    dpos = forward_diff(ext.eta_ext, n)
+    dpos = _links(ext.eta_ext, n)
     for ell in range(m_max + 1):
         kmax = n - ell // 2
         if kmax < 1:
             raise ValueError(f"energy order {ell} needs n > {2 * (ell // 2)}")
         out.append((_sq(dvel[:kmax]), _sq(dpos[:kmax])))
         if ell < m_max:
-            dvel = forward_diff(dvel, n)
-            dpos = forward_diff(dpos, n)
+            dvel = _links(dvel, n)
+            dpos = _links(dpos, n)
     return out
 
 

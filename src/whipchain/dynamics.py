@@ -29,9 +29,10 @@ from .core import (
     _energy_sums,
     _dot,
     _frozen_array,
+    _lengths,
+    _links,
     _s_weight,
     _sigma_weight,
-    _sq,
     _squared_differences,
     odd_extend,
 )
@@ -124,12 +125,6 @@ def _clamp_dt(dt, cfg: IntegratorConfig):
     return np.minimum(np.maximum(dt, cfg.dt_min), cfg.dt_max)
 
 
-def _lengths(v: np.ndarray) -> np.ndarray:
-    """|v| over the last axis: np.linalg.norm(v, axis=-1), bitwise, without
-    its per-call checks."""
-    return np.sqrt(_sq(v))
-
-
 # ---------------------------------------------------------------------------
 # projection
 
@@ -147,7 +142,7 @@ def _project_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int):
     new_eta[..., :-1, :] = np.cumsum(unit[..., ::-1, :], axis=-2)[..., ::-1, :]
 
     t = -n * unit                                         # D+ eta_k, exactly unit
-    vdiff = n * (eta_dot[..., 1:, :] - eta_dot[..., :-1, :])  # D+ eta_dot_k
+    vdiff = _links(eta_dot)                               # D+ eta_dot_k
     vdiff = vdiff - _dot(vdiff, t)[..., None] * t
     new_dot = np.zeros_like(eta_dot)
     new_dot[..., :-1, :] = -np.cumsum((vdiff / n)[..., ::-1, :], axis=-2)[..., ::-1, :]
@@ -250,7 +245,8 @@ class EnergyReport:
     e[m] and e_tilde[m] are the s- and sigma-weighted energies for m = 0..3;
     d[m-1] is the tension Sobolev norm d_m for m = 1..3.  Entries whose
     differences exceed the grid are NaN: e_2 and e_3 at n = 1, d_m at
-    n <= 4.  b is inf when some tension is nonpositive.
+    n <= 4.  b is inf when some tension is nonpositive.  max_ang_vel is
+    max_k |D+ eta_dot_k|, max_curvature max_{k<n} |D+^2 eta_k| (0 at n = 1).
     """
 
     e: np.ndarray
@@ -261,6 +257,8 @@ class EnergyReport:
     b: float
     c: float
     d: np.ndarray
+    max_ang_vel: float
+    max_curvature: float
     constraint_drift: float
     time: float
 
@@ -290,25 +288,25 @@ class Trajectory:
         object.__setattr__(self, "projection_log", _frozen_array(self.projection_log))
 
     def series(self) -> dict:
-        """Column arrays of the scalar time series (one entry per snapshot)."""
-        cols: dict[str, list] = {k: [] for k in _SERIES_FIELDS}
-        for snap in self.snapshots:
-            row = _series_row(snap)
-            for k in _SERIES_FIELDS:
-                cols[k].append(row[k])
-        return {k: np.array(v) for k, v in cols.items()}
+        """Column arrays of the scalar time series: one stacked array, one row per snapshot."""
+        table = np.array([_series_row(snap) for snap in self.snapshots]).reshape(-1, len(_SERIES_FIELDS))
+        return dict(zip(_SERIES_FIELDS, table.T))
 
 
 def snapshot_report(chain: ChainState, sol: TensionSolution) -> EnergyReport:
     """Assemble the full energy/diagnostic record for one state.
 
     One odd/even extension and one list of squared differences feed both
-    energy weightings, u0/v0 (the l = 0 sums) and the sigma_dot solve.
+    energy weightings, u0/v0 (the l = 0 sums), the sigma_dot solve, the
+    constraint drift (|D+ eta_k|^2, row l = 0) and the maxima (row l = 1,
+    whose curvature at k = n reaches through the fixed end and is dropped).
+    sqrt is monotone, so the root of the largest square is the largest length.
     """
     n = chain.n
     ext = odd_extend(chain, sol)
     m_max = 3 if n > 1 else 1   # one link has no second difference
     sq = _squared_differences(ext, n, m_max)
+    (_, links_sq), (ang_sq, curv_sq) = sq[:2]
     sums = _energy_sums(sq, _s_weight(n))
     u0, v0 = sums[0] / n
     a, b, c = diagnostics_abc(chain, sol, _sigma_dot_extended(ext, n))
@@ -317,7 +315,8 @@ def snapshot_report(chain: ChainState, sol: TensionSolution) -> EnergyReport:
         e=np.concatenate([_energies(sums, n), pad]),
         e_tilde=np.concatenate([_energies(_energy_sums(sq, _sigma_weight(ext.sigma_ext)), n), pad]),
         u0=float(u0), v0=float(v0), a=a, b=b, c=c, d=sigma_sobolev(sol, n),
-        constraint_drift=chain.constraint_drift(), time=chain.time,
+        max_ang_vel=float(np.sqrt(ang_sq.max())), max_curvature=float(np.sqrt(curv_sq[: n - 1].max(initial=0.0))),
+        constraint_drift=float(np.max(np.abs(np.sqrt(links_sq) - 1.0))), time=chain.time,
     )
 
 
@@ -345,26 +344,16 @@ _SERIES_FIELDS = (
 def _maxima(eta: np.ndarray, eta_dot: np.ndarray, n: int):
     """max_k |D+ eta_dot_k| (angular velocity) and max_k |D+^2 eta_k|
     (curvature, 0 for a single link), one pair per chain of a
-    (..., n+1, d) array."""
-    ang = _lengths(n * (eta_dot[..., 1:, :] - eta_dot[..., :-1, :])).max(axis=-1)
-    if n < 2:
-        return ang, np.zeros_like(ang)
-    curv_vecs = np.diff(n * (eta[..., 1:, :] - eta[..., :-1, :]), axis=-2) * n
-    return ang, _lengths(curv_vecs).max(axis=-1)
+    (..., n+1, d) array, for the stop tests (a report holds its own)."""
+    ang = _lengths(_links(eta_dot)).max(axis=-1)
+    return ang, _lengths(_links(_links(eta), n)).max(axis=-1, initial=0.0)
 
 
-def _series_row(snap: Snapshot) -> dict:
-    st, sol, rep = snap.state, snap.tension, snap.report
-    ang, curv = map(float, _maxima(st.eta, st.eta_dot, st.n))
-    row = {"t": st.time, "u0": rep.u0, "v0": rep.v0, "a": rep.a, "b": rep.b, "c": rep.c,
-           "min_sigma": sol.min_sigma, "max_ang_vel": ang, "max_curvature": curv,
-           "constraint_drift": rep.constraint_drift}
-    for m in range(4):
-        row[f"e{m}"] = rep.e[m]
-        row[f"et{m}"] = rep.e_tilde[m]
-    for m in (1, 2, 3):
-        row[f"d{m}"] = rep.d[m - 1]
-    return row
+def _series_row(snap: Snapshot) -> list:
+    """The snapshot's values in the order of ``_SERIES_FIELDS``."""
+    rep = snap.report
+    return [rep.time, *rep.e, *rep.e_tilde, rep.u0, rep.v0, rep.a, rep.b, rep.c, *rep.d,
+            snap.tension.min_sigma, rep.max_ang_vel, rep.max_curvature, rep.constraint_drift]
 
 
 def run(initial: ChainState, cfg: IntegratorConfig) -> Trajectory:

@@ -14,13 +14,14 @@ unknown keys are rejected.  Example::
     output.formats = csv,jsonl
 
 Floating-point output is written at 17 significant digits so every value
-round-trips bitwise through either format.  A run streams its JSON-lines
-series: each snapshot goes to the writer as ``run_batch`` makes it, and a
-forked child, fed fixed-size rows through a store file and a semaphore,
-encodes on the second core while the parent steps; at the end the parent
-encodes the records the child has not reached, and each file is the
-child's part followed by the parent's lines, byte-identical to a serial
-write (see ``_JsonlWriter``).
+round-trips bitwise through either format.  A CSV row is read from its
+snapshot's report.  A run streams its JSON-lines series: each snapshot is
+stored, as ``run_batch`` makes it, as one fixed-size row of a store file,
+the writer's only copy; a forked child, fed the rows through a semaphore,
+encodes on the second core while the parent steps.  At the end the parent
+encodes the rows the child has not reached (every row, without a child);
+each file is the child's part followed by the parent's lines,
+byte-identical to a serial write (see ``_JsonlWriter``).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import itertools
 import json
 import os
 import shutil
+import tempfile
 import time as _time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -86,6 +88,9 @@ class ExperimentConfig:
             (all(nv >= 2 for nv in self.n_list), "initial.n", "integers >= 2", self.n_list),
             (len(self.n_list) >= 2 or self.kind != "convergence", "initial.n",
              "two resolutions or more for convergence", self.n_list),
+            (len(self.n_list) <= 1 or self.kind not in ("run", "blowup_hunt"), "initial.n",
+             f"one value for kind {self.kind!r}", self.n_list),
+            (len(set(self.n_list)) == len(self.n_list), "initial.n", "distinct", self.n_list),
             (d >= 2, "initial.d", "an integer >= 2", d),
             (d == 2 or self.kind != "convergence", "initial.d", "2 for convergence (the angle maps are planar)", d),
             (all(seed >= 0 for seed in self.seeds), "seeds", "integers >= 0", self.seeds),
@@ -246,9 +251,9 @@ def _now() -> str:
 # series emission
 
 
-def _series_table(traj: Trajectory) -> tuple[list, list]:
+def _series_table(traj: Trajectory) -> tuple[list, np.ndarray]:
+    """The CSV header and rows: the series columns, then the ratios."""
     cols = traj.series()
-    header = list(cols)
     # monitored-only ratio columns (never asserted): a/e2, c/(e2^{3/2} e3^{1/2}),
     # d_m/e3 powers, and the discrete Gronwall quotient for e~_3
     e2, e3 = cols["e2"], cols["e3"]
@@ -265,10 +270,7 @@ def _series_table(traj: Trajectory) -> tuple[list, list]:
         if len(t) > 1:
             gron[1:] = np.diff(et3) / (np.diff(t) * e3[:-1] ** 7)
         ratios["gronwall_et3_e3p7"] = gron
-    cols.update(ratios)
-    header += list(ratios)
-    rows = [[cols[h][i] for h in header] for i in range(len(t))]
-    return header, rows
+    return [*cols, *ratios], np.column_stack([*cols.values(), *ratios.values()])
 
 
 def emit_series(traj: Trajectory, fmt: str, path, jsonl_writer=None) -> Path:
@@ -278,7 +280,7 @@ def emit_series(traj: Trajectory, fmt: str, path, jsonl_writer=None) -> Path:
 
     A JSON-lines file is written by putting every snapshot that
     ``jsonl_writer`` (a run's :class:`_JsonlWriter`, which ``run_batch`` fed
-    as it stepped) does not hold yet, then finishing the file; without a
+    as it stepped) has not stored yet, then finishing the file; without a
     writer, one is made for ``path`` alone."""
     if not traj.snapshots:
         raise ValueError("cannot emit an empty trajectory")
@@ -289,7 +291,7 @@ def emit_series(traj: Trajectory, fmt: str, path, jsonl_writer=None) -> Path:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
+            for row in rows.tolist():
                 writer.writerow([_FLOAT % v for v in row])
     elif fmt == "jsonl":
         writer = jsonl_writer or _JsonlWriter([path])
@@ -330,30 +332,25 @@ def _jsonl_encoders(records: int, floats: int) -> int:
     return 2 if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
-def _record_floats(snap) -> int:
-    st = snap.state
-    return 2 * st.eta.size + st.n + 20   # eta, eta_dot, sigma, scalars
-
-
 class _JsonlWriter:
     """The JSON-lines writer of one or more series files.
 
-    ``put`` takes each file's snapshots in order.  Once the records put hold
-    enough floats (``_jsonl_encoders``), one forked child starts encoding
-    them, in put order, into an unnamed temp part per file.  The parent
-    appends each record, from the first, to an unnamed store file as one
-    float64 row (file index, positivity, ``_jsonl_record`` floats), flushes
-    it and releases a semaphore once, so it never waits on the child.  The
-    records of one writer share n and d, so the rows share one size and the
-    child reads row i at offset i times it.
+    ``put`` takes each file's snapshots in order and appends each, from the
+    first, to an unnamed store file as one float64 row (``_jsonl_row``), the
+    writer's only copy of it.  The records of one writer share n and d, so
+    row i sits at offset i times one row size.  Once the rows hold enough
+    floats (``_jsonl_encoders``), one forked child starts encoding them, in
+    put order, into an unnamed temp part per file; its semaphore starts at
+    the rows stored, and the parent flushes each later row and releases it
+    once, so it never waits on the child.
 
     ``finish`` lands one file, once every record is put.  The first call
-    caps the child's claims halfway through the records it has not claimed,
-    under the lock of the shared (claimed, limit) array, releases the
-    semaphore once more to wake a child that has caught up, encodes the rest
-    itself and joins the child.  Each file is then the child's part followed
-    by the parent's lines, the bytes of a serial write.  Without a child,
-    ``finish`` encodes the file's records itself, one line at a time.
+    caps the child's claims halfway through the rows it has not claimed
+    (at 0 without a child), under the lock of the shared (claimed, limit)
+    array, releases the semaphore once more to wake a child that has caught
+    up, encodes the rows past the cap itself and joins the child.  Both
+    sides encode rows read back from the store (``_row_line``).  Each file
+    is the child's part followed by the parent's lines, a serial write.
 
     ``fork``, not ``spawn``: the child inherits the temp files and the
     semaphore.  It calls no BLAS routine, so the parent's OpenBLAS threads
@@ -363,11 +360,12 @@ class _JsonlWriter:
 
     def __init__(self, paths):
         self._files = {Path(p): i for i, p in enumerate(paths)}
-        self._records: list = []   # (file index, snapshot), in put order
         self._counts = [0] * len(self._files)
-        self._floats = 0
+        self._rows = None   # the store file, from the first put
+        self._size = 0      # bytes per row
+        self._parts = []
         self._child = None
-        self._tails = None         # the parent's lines per file, once split
+        self._tails = None  # the parent's lines per file, once split
 
     def __enter__(self):
         return self
@@ -382,91 +380,85 @@ class _JsonlWriter:
     def put(self, path, snaps) -> None:
         idx = self._files[Path(path)]
         for snap in snaps:
-            self._records.append((idx, snap))
+            row = _jsonl_row(idx, snap)
+            if self._rows is None:
+                self._rows = tempfile.TemporaryFile(dir=next(iter(self._files)).parent)
+                self._size = row.nbytes
+            self._rows.write(row)
             self._counts[idx] += 1
-            self._floats += _record_floats(snap)
             if self._child is not None:
-                self._store(idx, snap)
-        if self._child is None and _jsonl_encoders(len(self._records), self._floats) > 1:
+                self._rows.flush()   # before the release: the child reads the row from the file
+                self._ready.release()
+        stored = sum(self._counts)
+        # a record's floats are its row less the five entries before t
+        if self._child is None and _jsonl_encoders(stored, stored * (self._size // 8 - 5)) > 1:
             self._start()
 
     def _start(self) -> None:
         import multiprocessing
-        import tempfile
 
-        n, d, _, ne, values = _jsonl_record(self._records[0][1])
-        self._rows = tempfile.TemporaryFile(dir=next(iter(self._files)).parent)
+        self._rows.flush()
         self._parts = [tempfile.TemporaryFile(dir=path.parent) for path in self._files]
         ctx = multiprocessing.get_context("fork")
-        self._claims = ctx.Array("q", [0, 2**62])   # claimed, limit
-        self._ready = ctx.Semaphore(0)              # released once per stored row
-        layout = (n, d, ne, 8 * (2 + values.size))  # the last: bytes per row
+        self._claims = ctx.Array("q", [0, 2**62])        # claimed, limit
+        self._ready = ctx.Semaphore(sum(self._counts))   # released once per stored row
         self._child = ctx.Process(
-            target=_encode_records, args=(self._rows, self._parts, self._claims, self._ready, layout)
+            target=_encode_records, args=(self._rows, self._parts, self._claims, self._ready, self._size)
         )
         self._child.start()
-        for idx, snap in self._records:
-            self._store(idx, snap)
-
-    def _store(self, idx: int, snap) -> None:
-        _, _, positivity, _, values = _jsonl_record(snap)
-        self._rows.write(np.concatenate(([idx, positivity], values)))
-        self._rows.flush()   # before the release: the child reads the row from the file
-        self._ready.release()
 
     def _split(self, path) -> None:
-        """Cap the child's claims halfway through the records it has not
-        claimed, wake it should it wait for a row, encode the records past
-        the cap, and join the child."""
-        lock, claims = self._claims.get_lock(), self._claims.get_obj()
-        locked = False
-        while self._child.is_alive() and not locked:   # a dead child's claims are final
-            locked = lock.acquire(timeout=0.05)
-        try:
-            limit = claims[0] + (len(self._records) - claims[0]) // 2
-            claims[1] = limit
-        finally:
-            if locked:
-                lock.release()
-        self._ready.release()
+        """Cap the child's claims halfway through the rows it has not claimed
+        (at 0 without a child), wake it should it wait for a row, encode the
+        rows past the cap, and join the child."""
+        stored, limit = sum(self._counts), 0
+        if self._child is not None:
+            lock, claims = self._claims.get_lock(), self._claims.get_obj()
+            locked = False
+            while self._child.is_alive() and not locked:   # a dead child's claims are final
+                locked = lock.acquire(timeout=0.05)
+            try:
+                limit = claims[0] + (stored - claims[0]) // 2
+                claims[1] = limit
+            finally:
+                if locked:
+                    lock.release()
+            self._ready.release()
+        self._rows.flush()
         self._tails = [[] for _ in self._files]
-        for idx, snap in self._records[limit:]:
-            self._tails[idx].append(_jsonl_line(_jsonl_record(snap)))
-        self._child.join()
-        if self._child.exitcode != 0:
-            raise OSError(f"writing {path}: encoder process exited with code {self._child.exitcode}")
+        for i in range(limit, stored):
+            idx, line = _row_line(self._rows.fileno(), i, self._size)
+            self._tails[idx].append(line)
+        if self._child is not None:
+            self._child.join()
+            if self._child.exitcode != 0:
+                raise OSError(f"writing {path}: encoder process exited with code {self._child.exitcode}")
 
     def finish(self, path) -> None:
         """Write ``path``: every record put for it, one JSON line each."""
         idx = self._files[Path(path)]
         with open(path, "w", encoding="utf-8") as fh:
-            if self._child is not None and self._tails is None:
+            if self._tails is None:
                 self._split(path)
-            if self._child is None:
-                fh.writelines(_jsonl_line(_jsonl_record(snap)) for i, snap in self._records if i == idx)
-                return
-            self._parts[idx].seek(0)
-            shutil.copyfileobj(self._parts[idx], fh.buffer)
+            if self._parts:
+                self._parts[idx].seek(0)
+                shutil.copyfileobj(self._parts[idx], fh.buffer)
             fh.writelines(self._tails[idx])
 
     def close(self) -> None:
         """Stop the child if it still runs and drop the temp files."""
-        self._records = []
-        if self._child is None:
-            return
-        if self._child.is_alive():
+        if self._child is not None and self._child.is_alive():
             self._child.terminate()
             self._child.join()
         for tmp in (self._rows, *self._parts):
-            tmp.close()
-        self._child = None
+            if tmp is not None:
+                tmp.close()
 
 
-def _encode_records(rows, parts, claims, ready, layout) -> None:
+def _encode_records(rows, parts, claims, ready, size) -> None:
     """Encoder child body.  For each row of ``rows`` in order: wait for its
     release of ``ready``, claim it under the lock of ``claims`` (stopping at
-    the claim limit), read it and encode it into its file's part."""
-    n, d, ne, size = layout
+    the claim limit), and encode it into its file's part."""
     lock, counts = claims.get_lock(), claims.get_obj()
     outs = [open(part.fileno(), "w", encoding="utf-8", closefd=False) for part in parts]
     for i in itertools.count():
@@ -475,38 +467,44 @@ def _encode_records(rows, parts, claims, ready, layout) -> None:
             if i >= counts[1]:
                 break
             counts[0] = i + 1
-        row = np.frombuffer(os.pread(rows.fileno(), size, i * size))
-        outs[int(row[0])].write(_jsonl_line((n, d, bool(row[1]), ne, row[2:])))
+        idx, line = _row_line(rows.fileno(), i, size)
+        outs[idx].write(line)
     for out in outs:
         out.flush()
+
+
+def _row_line(fd: int, i: int, size: int) -> tuple[int, str]:
+    """Row ``i`` of the store file ``fd``, whose rows hold ``size`` bytes:
+    its file index and its JSON line."""
+    row = np.frombuffer(os.pread(fd, size, i * size))
+    return int(row[0]), _jsonl_line(row)
 
 
 #: how json spells the floats that have no repr it accepts
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _jsonl_record(snap) -> tuple:
-    """What the JSON line of ``snap`` is made from: (n, d, positivity, the
-    length of e, and one float array of t, eta, eta_dot, sigma, min_sigma,
-    e, e_tilde, u0, v0, a, b, c, d_norms and constraint_drift, in the order
-    of ``snapshot_to_json``)."""
+def _jsonl_row(idx: int, snap) -> np.ndarray:
+    """The store row of ``snap`` in file ``idx``: one float64 array of the
+    file index, positivity, n, d and the length of e, then t, eta, eta_dot,
+    sigma, min_sigma, e, e_tilde, u0, v0, a, b, c, d_norms and
+    constraint_drift, in the order of ``snapshot_to_json``."""
     st, sol, rep = snap.state, snap.tension, snap.report
-    values = np.concatenate((
-        [st.time], st.eta.ravel(), st.eta_dot.ravel(), sol.sigma, [sol.min_sigma], rep.e, rep.e_tilde,
-        [rep.u0, rep.v0, rep.a, rep.b, rep.c], rep.d, [rep.constraint_drift],
+    return np.concatenate((
+        [idx, sol.positivity, st.n, st.d, rep.e.size, st.time], st.eta.ravel(), st.eta_dot.ravel(), sol.sigma,
+        [sol.min_sigma], rep.e, rep.e_tilde, [rep.u0, rep.v0, rep.a, rep.b, rep.c], rep.d, [rep.constraint_drift],
     ))
-    return st.n, st.d, sol.positivity, rep.e.size, values
 
 
-def _jsonl_line(record) -> str:
-    """``json.dumps(snapshot_to_json(snap)) + "\\n"`` from the
-    ``_jsonl_record`` of ``snap``, byte for byte, in one ``float.__repr__``
-    pass over its floats: json writes a float as its repr (NaN, Infinity and
-    -Infinity where it is not finite) and separates items with ", " and keys
-    with ": "."""
-    n, d, positivity, ne, values = record
-    text = list(map(float.__repr__, values.tolist()))
-    if not np.isfinite(values).all():
+def _jsonl_line(row) -> str:
+    """``json.dumps(snapshot_to_json(snap)) + "\\n"`` from the ``_jsonl_row``
+    of ``snap``, byte for byte, in one ``float.__repr__`` pass over its
+    floats: json writes a float as its repr (NaN, Infinity and -Infinity
+    where it is not finite) and separates items with ", " and keys with
+    ": "."""
+    n, d, ne = map(int, row[2:5].tolist())
+    text = list(map(float.__repr__, row[5:].tolist()))
+    if not np.isfinite(row).all():
         text = [_JSON_NONFINITE.get(v, v) for v in text]
     k, m = n + 1, (n + 1) * d
     rows = list(map(", ".join, zip(*[iter(text[1 : 1 + 2 * m])] * d)))
@@ -517,7 +515,7 @@ def _jsonl_line(record) -> str:
     return (
         f'{{"t": {text[0]}, "n": {n}, "d": {d}, "eta": [[{"], [".join(rows[:k])}]], '
         f'"eta_dot": [[{"], [".join(rows[k:])}]], "sigma": [{", ".join(sigma)}], '
-        f'"min_sigma": {min_sigma}, "positivity": {"true" if positivity else "false"}, '
+        f'"min_sigma": {min_sigma}, "positivity": {"true" if row[1] else "false"}, '
         f'"e": [{", ".join(e)}], "e_tilde": [{", ".join(e_tilde)}], '
         f'"u0": {u0}, "v0": {v0}, "a": {a}, "b": {b}, "c": {c}, '
         f'"d_norms": [{", ".join(d_norms)}], "constraint_drift": {drift}}}\n'
@@ -878,7 +876,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     """Execute one experiment; writes outputs plus manifest.json into
     cfg.output_dir and returns the manifest.  Partial outputs are flushed
     with the manifest marked incomplete when a kind raises."""
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"key 'output.dir': cannot create {str(cfg.output_dir)!r}: {exc.strerror or exc}") from exc
     manifest = RunManifest(
         config_hash=hashlib.sha256(cfg.config_bytes).hexdigest(),
         code_version=__version__,

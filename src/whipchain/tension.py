@@ -45,6 +45,7 @@ from .core import (
     ExtendedChain,
     _dot,
     _frozen_array,
+    _links,
     _sq,
     forward_diff,
     odd_extend,
@@ -154,12 +155,6 @@ def alpha_beta_from_alpha(alpha) -> AlphaBeta:
 def compute_alpha_beta(chain: ChainState) -> AlphaBeta:
     """alpha_i = <D+ eta_{i+1}, D+ eta_i> for i = 1..n-1, plus the beta recursion."""
     return alpha_beta_from_alpha(_alpha(_links(chain.eta)))
-
-
-def _links(eta: np.ndarray) -> np.ndarray:
-    """The link vectors D+ eta_k = n (eta_{k+1} - eta_k), k = 1..n, of raw
-    (..., n+1, d) positions (or velocities)."""
-    return (eta.shape[-2] - 1) * (eta[..., 1:, :] - eta[..., :-1, :])
 
 
 def _alpha(t: np.ndarray) -> np.ndarray:
@@ -284,7 +279,7 @@ def _upsilon(t: np.ndarray) -> np.ndarray:
     if n < 2:
         return np.zeros(t.shape[:-2])
     # second differences at k = 1..n-1 need eta up to k+2 <= n+1: no extension
-    curv = n * (t[..., 1:, :] - t[..., :-1, :])
+    curv = _links(t, n)
     return np.max((np.arange(1, n) / n) ** 1.5 * _sq(curv), axis=-1)
 
 
@@ -443,9 +438,9 @@ def tension_residual(chain: ChainState, sigma) -> float:
     """
     n = chain.n
     ext = odd_extend(chain, sigma)
-    t_ext = forward_diff(ext.eta_ext[: n + 2], n)  # D+ eta_j for j = 1..n+1
+    t_ext = _links(ext.eta_ext[: n + 2], n)  # D+ eta_j for j = 1..n+1
     second = _flux_second_difference(ext.sigma_ext[: n + 2], t_ext, n)
-    lhs = np.einsum("kd,kd->k", t_ext[:-1], second)
+    lhs = _dot(t_ext[:-1], second)
     return float(np.max(np.abs(lhs + _alpha_w(chain.eta, chain.eta_dot)[1])))
 
 
@@ -467,10 +462,10 @@ def _sigma_dot_extended(ext: ExtendedChain, n: int) -> np.ndarray:
     """:func:`solve_sigma_dot` on an extension that carries sigma; alpha comes
     from the extension's D+ eta."""
     sig = ext.sigma_ext[: n + 2]  # sigma_0..sigma_{n+1} (even: sigma_{n+1} = sigma_n)
-    t_ext = forward_diff(ext.eta_ext[: n + 2], n)  # D+ eta_j, j = 1..n+1
-    td_ext = forward_diff(ext.eta_dot_ext[: n + 2], n)  # D+ eta_dot_j, j = 1..n+1
-    rhs = 3.0 * np.einsum("kd,kd->k", td_ext[:-1], _flux_second_difference(sig, t_ext, n)) + np.einsum(
-        "kd,kd->k", t_ext[:-1], _flux_second_difference(sig, td_ext, n)
+    t_ext = _links(ext.eta_ext[: n + 2], n)  # D+ eta_j, j = 1..n+1
+    td_ext = _links(ext.eta_dot_ext[: n + 2], n)  # D+ eta_dot_j, j = 1..n+1
+    rhs = 3.0 * _dot(td_ext[:-1], _flux_second_difference(sig, t_ext, n)) + _dot(
+        t_ext[:-1], _flux_second_difference(sig, td_ext, n)
     )
     alpha = _alpha(t_ext[:n])
     sd = np.empty(n + 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from whipchain import core, dynamics, tension
-from whipchain.core import u0_v0
+from whipchain.core import ChainState, u0_v0
 from whipchain.dynamics import (
     IntegratorConfig,
     acceleration,
@@ -506,6 +506,33 @@ def test_snapshot_report_fields():
     assert rep.e[0] == pytest.approx(rep.u0 + rep.v0, rel=1e-12)
     assert np.isfinite(rep.a) and np.isfinite(rep.c)
     assert rep.constraint_drift < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 64])
+def test_report_maxima_and_drift_bitwise_the_direct_kernels(n, d):
+    # the report reads them off the energy ladder's rows l = 0 and 1; they
+    # must be bitwise what the stop tests' _maxima and ChainState give, and
+    # what np.linalg.norm gives on the link vectors
+    rng = np.random.default_rng(10 * n + d)
+    eta, eta_dot = rng.normal(size=(2, n + 1, d))
+    eta[-1] = eta_dot[-1] = 0.0
+    ch = project(ChainState(n, d, eta, eta_dot))
+    sol = solve_tension(ch)
+    rep = snapshot_report(ch, sol)
+    ang, curv = dynamics._maxima(ch.eta, ch.eta_dot, n)
+    links = n * (ch.eta[1:] - ch.eta[:-1])
+    ang_ref = np.linalg.norm(n * (ch.eta_dot[1:] - ch.eta_dot[:-1]), axis=1).max()
+    curv_ref = np.linalg.norm(n * (links[1:] - links[:-1]), axis=1).max(initial=0.0)
+    drift_ref = np.max(np.abs(np.linalg.norm(links, axis=1) - 1.0))
+    assert rep.max_ang_vel == ang == ang_ref
+    assert rep.max_curvature == curv == curv_ref
+    assert rep.constraint_drift == ch.constraint_drift() == drift_ref
+    # the ladder's curvature row reaches k = n, through the fixed end; the
+    # report covers k < n only, so one link has curvature 0
+    ladder = core._squared_differences(core.odd_extend(ch, sol), n, 1)
+    assert len(ladder[1][1]) == n
+    assert (rep.max_curvature == 0.0) == (n == 1)
 
 
 def test_snapshot_report_bitwise_with_weight_cache_cold_and_warm():

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -219,7 +221,8 @@ class TestSplitJsonl:
 
     @staticmethod
     def _floats(snaps) -> int:
-        return sum(map(harness._record_floats, snaps))
+        # a record's floats: its store row less the five entries before t
+        return sum(harness._jsonl_row(0, s).size - 5 for s in snaps)
 
     @staticmethod
     def _no_live_child():
@@ -275,6 +278,24 @@ class TestSplitJsonl:
         assert path.read_bytes() == self._serial(traj.snapshots)
         assert spelled in path.read_text()
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_writer_keeps_no_snapshot(self, split, children, tmp_path, cores):
+        # the store row is the writer's only copy of a record: once put, the
+        # snapshots can be collected, and the file still comes out whole
+        split(cores)
+        snaps = run(perturbed_vertical(8, amplitude=0.4), IntegratorConfig(t_end=0.01, report_stride=1)).snapshots
+        expected, refs = self._serial(snaps), [weakref.ref(s) for s in snaps]
+        path = tmp_path / "s.jsonl"
+        with harness._JsonlWriter([path]) as writer:
+            writer.put(path, snaps)
+            del snaps
+            gc.collect()
+            assert all(ref() is None for ref in refs)
+            writer.finish(path)
+        assert len(children) == cores - 1
+        assert path.read_bytes() == expected
+        assert self._no_live_child()
+
     def test_line_encoder_matches_json_dumps(self):
         for traj in (
             run(perturbed_vertical(3, amplitude=0.4), IntegratorConfig(t_end=0.01)),
@@ -283,7 +304,7 @@ class TestSplitJsonl:
             run(rigid_rotation(1), IntegratorConfig(t_end=0.003)),
         ):
             for snap in traj.snapshots:
-                line = harness._jsonl_line(harness._jsonl_record(snap))
+                line = harness._jsonl_line(harness._jsonl_row(0, snap))
                 assert line == json.dumps(snapshot_to_json(snap)) + "\n"
 
     def test_multi_seed_cli_equals_single_seed_runs(self, split, children, tmp_path):
@@ -373,7 +394,7 @@ class TestSplitJsonl:
         finish = harness._JsonlWriter.finish
 
         def finish_once_caught_up(writer, path):
-            while writer._claims.get_obj()[0] < len(writer._records):
+            while writer._claims.get_obj()[0] < sum(writer._counts):
                 time.sleep(0.001)
             finish(writer, path)
 
@@ -669,14 +690,40 @@ class TestCli:
     def test_exit_2_on_missing_file(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "none.cfg"), "--quiet"]) == 2
 
-    @pytest.mark.parametrize("key, value", [("seeds", "3,3"), ("output.formats", "jsonl,jsonl")])
-    def test_exit_2_on_repeated_entries(self, tmp_path, capsys, key, value):
-        # a repeated seed or format names one series file twice
-        path = write_cfg(tmp_path, MINIMAL + f"{key} = {value}\noutput.dir = {tmp_path/'r'}\n")
+    @pytest.mark.parametrize(
+        "kind, key, value, rule",
+        [
+            ("run", "seeds", "3,3", "distinct"),
+            ("run", "output.formats", "jsonl,jsonl", "distinct"),
+            ("run", "initial.n", "8,16", "one value for kind 'run'"),
+            ("blowup_hunt", "initial.n", "8,16", "one value for kind 'blowup_hunt'"),
+            ("convergence", "initial.n", "16,16", "distinct"),
+        ],
+        ids=["seeds-3,3", "output.formats-jsonl,jsonl", "run-initial.n-8,16", "blowup_hunt-initial.n-8,16",
+             "convergence-initial.n-16,16"],
+    )
+    def test_exit_2_on_repeated_entries(self, tmp_path, capsys, kind, key, value, rule):
+        # a repeated seed or format names one series file twice; a second n
+        # on a one-chain kind would be ignored, and a repeated n on
+        # convergence would write one resolution twice
+        pairs = {"kind": kind, "initial.generator": "rigid_rotation", "initial.n": 16,
+                 "integrator.t_end": 0.02, key: value, "output.dir": tmp_path / "r"}
+        path = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in pairs.items()))
         assert cli_main(["run", str(path), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert f"key {key!r} must be distinct" in err and "Traceback" not in err
+        assert f"key {key!r} must be {rule}" in err and "Traceback" not in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("via", ["key", "flag"])
+    def test_exit_2_on_output_dir_not_creatable(self, tmp_path, capsys, via):
+        # a directory under a regular file cannot be made
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        text = MINIMAL + (f"output.dir = {out}\n" if via == "key" else "")
+        args = ["--output-dir", str(out)] if via == "flag" else []
+        assert cli_main(["run", str(write_cfg(tmp_path, text)), "--quiet", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key 'output.dir'") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "kind, key, value, args",
