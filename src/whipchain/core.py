@@ -130,6 +130,16 @@ def _links(f: np.ndarray, n: int | None = None) -> np.ndarray:
     return n * (f[..., 1:, :] - f[..., :-1, :])
 
 
+def _anchored(links: np.ndarray) -> np.ndarray:
+    """The (..., n+1, d) positions of (..., n, d) links, eta_k = eta_{k+1} - links_k / n
+    summed back from eta_{n+1} = 0: the inverse of :func:`_links` to round-off."""
+    n = links.shape[-2]
+    out = np.zeros(links.shape[:-2] + (n + 1, links.shape[-1]))
+    back = out[..., -2::-1, :]   # eta_n..eta_1
+    np.negative(np.cumsum((links / n)[..., ::-1, :], axis=-2, out=back), out=back)
+    return out
+
+
 def _lengths(v: np.ndarray) -> np.ndarray:
     """|v| over the last axis: np.linalg.norm(v, axis=-1), bitwise for
     d = 2 and 3 (see :func:`_sq`), without its per-call checks."""

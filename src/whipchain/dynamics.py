@@ -8,13 +8,17 @@ optional projection restores |D+ eta| = 1 and <D+ eta, D+ eta_dot> = 0 to
 round-off after each full step.
 
 There is one stepping loop, :func:`run_batch`.  It integrates B chains of
-one n and d as (B, n+1, d) arrays, and each RK stage solves the B tension
-systems as one stacked tridiagonal solve.  So does each iteration's start,
-and the stop tests, dt, the first stage and the snapshots all read that
-solve; a snapshot holds it to the solve contract.  Every chain keeps its own
-time, step, stride and termination, so each trajectory is bitwise the one
-the chain gives alone; :func:`run` is the batch of one.  The array kernels
-work on any leading shape, so a single (n+1, d) chain goes through them too.
+one n and d as (B, n, d) links t_k = D+ eta_k and their velocities, which is
+all the tension system reads; the pinned end holds by construction
+(eta_k = -(1/n) sum_{j>=k} t_j, formed for snapshots only), and the
+acceleration and the projection act link by link.  Each RK stage solves the
+B tension systems as one stacked tridiagonal solve.  So does each
+iteration's start, and the stop tests, dt, the first stage and the snapshots
+all read that solve; a snapshot holds it to the solve contract.  Every chain
+keeps its own time, step, stride and termination, so each trajectory is
+bitwise the one the chain gives alone; :func:`run` is the batch of one.  The
+array kernels work on any leading shape; the public :func:`acceleration`,
+:func:`project` and :func:`step` take and return positions.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 
 from .core import (
     ChainState,
+    _anchored,
     _energies,
     _energy_sums,
     _dot,
@@ -33,6 +38,7 @@ from .core import (
     _links,
     _s_weight,
     _sigma_weight,
+    _sq,
     _squared_differences,
     odd_extend,
 )
@@ -89,21 +95,25 @@ def acceleration(chain: ChainState, sigma) -> np.ndarray:
     """eta_ddot_k = n^2 [sigma_k (eta_{k+1} - eta_k) - sigma_{k-1} (eta_k - eta_{k-1})]
     for k = 1..n, with sigma_0 = 0; the fixed-end row is zero.
 
-    Returns shape (n+1, d).
+    Returns shape (n+1, d): the positions of the link acceleration.
     """
     n = chain.n
     sig = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
     if sig.shape != (n + 1,):
         raise ValueError(f"sigma must have shape ({n + 1},), got {sig.shape}")
-    return _acceleration_arrays(chain.eta, sig, n)
+    return _anchored(_acceleration_arrays(chain.link_dirs(), sig, n))
 
 
-def _acceleration_arrays(eta: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
-    # sigma_k (eta_{k+1} - eta_k), k = 1..n
-    flux = sigma[..., 1:, None] * (eta[..., 1:, :] - eta[..., :-1, :])
-    acc = np.zeros_like(eta)
-    acc[..., :-1, :] = flux
-    acc[..., 1:-1, :] -= flux[..., :-1, :]     # sigma_0 = 0 kills the k=1 lower term
+def _acceleration_arrays(t: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
+    """The link acceleration D+ eta_ddot of (..., n, d) links t under the
+    tensions sigma_0..sigma_n.  With f_k = sigma_k t_k and f_0 = 0 it is
+    n^2 (f_{k+1} - 2 f_k + f_{k-1}) for k < n and -n^2 (f_n - f_{n-1}) at the
+    free end."""
+    f = sigma[..., 1:, None] * t
+    jump = f.copy()                       # f_k - f_{k-1}
+    jump[..., 1:, :] -= f[..., :-1, :]
+    acc = -jump
+    acc[..., :-1, :] += jump[..., 1:, :]
     acc *= n * n
     return acc
 
@@ -129,80 +139,67 @@ def _clamp_dt(dt, cfg: IntegratorConfig):
 # projection
 
 
-def _project_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int):
-    """Renormalize link lengths, then orthogonalize velocity differences.
-
-    Links are walked outward from the fixed end and positions/velocities are
-    rebuilt as cumulative sums anchored at eta_{n+1} = 0, eta_dot_{n+1} = 0.
-    """
-    seg = eta[..., :-1, :] - eta[..., 1:, :]              # eta_k - eta_{k+1}, outward
-    unit = seg / (n * _lengths(seg)[..., None])
-    new_eta = np.zeros_like(eta)
-    # eta_k = sum_{j>=k} unit_j
-    new_eta[..., :-1, :] = np.cumsum(unit[..., ::-1, :], axis=-2)[..., ::-1, :]
-
-    t = -n * unit                                         # D+ eta_k, exactly unit
-    vdiff = _links(eta_dot)                               # D+ eta_dot_k
-    vdiff = vdiff - _dot(vdiff, t)[..., None] * t
-    new_dot = np.zeros_like(eta_dot)
-    new_dot[..., :-1, :] = -np.cumsum((vdiff / n)[..., ::-1, :], axis=-2)[..., ::-1, :]
-    return new_eta, new_dot
+def _project_arrays(t: np.ndarray, t_dot: np.ndarray):
+    """Renormalize each link, t <- t / |t|, then take each link velocity's
+    component along it away, t_dot <- t_dot - <t_dot, t> t."""
+    unit = t / _lengths(t)[..., None]
+    return unit, t_dot - _dot(t_dot, unit)[..., None] * unit
 
 
 def project(chain: ChainState) -> ChainState:
     """Return the chain projected back onto the constraint manifold."""
-    eta, eta_dot = _project_arrays(chain.eta, chain.eta_dot, chain.n)
-    return ChainState(chain.n, chain.d, eta, eta_dot, chain.time)
+    t, t_dot = _project_arrays(chain.link_dirs(), chain.link_dirs_dot())
+    return ChainState(chain.n, chain.d, _anchored(t), _anchored(t_dot), chain.time)
 
 
 # ---------------------------------------------------------------------------
 # stepping
 
 
-def _stage_rhs(eta: np.ndarray, eta_dot: np.ndarray, n: int):
-    sigma = _solve_sigma_arrays(eta, eta_dot, n)
-    return eta_dot, _acceleration_arrays(eta, sigma, n)
+def _stage_rhs(t: np.ndarray, t_dot: np.ndarray, n: int):
+    sigma = _solve_sigma_arrays(t, t_dot, n)
+    return t_dot, _acceleration_arrays(t, sigma, n)
 
 
-def _advance(eta, eta_dot, sigma, n, dt, scheme):
-    """One explicit step of the free ODE (no projection); ``sigma`` is the
-    tension of (eta, eta_dot), so the first stage solves nothing.  For a
-    (B, n+1, d) batch ``dt`` has shape (B, 1, 1)."""
-    k1x, k1v = eta_dot, _acceleration_arrays(eta, sigma, n)
+def _advance(t, t_dot, sigma, n, dt, scheme):
+    """One explicit step of the free ODE (no projection) on (..., n, d) links
+    and link velocities; ``sigma`` is the tension of (t, t_dot), so the
+    first stage solves nothing.  For a (B, n, d) batch ``dt`` has shape
+    (B, 1, 1)."""
+    k1x, k1v = t_dot, _acceleration_arrays(t, sigma, n)
     if scheme == "heun":
-        k2x, k2v = _stage_rhs(eta + dt * k1x, eta_dot + dt * k1v, n)
-        new_eta = eta + dt * (k1x + k2x) / 2.0
-        new_dot = eta_dot + dt * (k1v + k2v) / 2.0
-    else:
-        half = 0.5 * dt
-        k2x, k2v = _stage_rhs(eta + half * k1x, eta_dot + half * k1v, n)
-        k3x, k3v = _stage_rhs(eta + half * k2x, eta_dot + half * k2v, n)
-        k4x, k4v = _stage_rhs(eta + dt * k3x, eta_dot + dt * k3v, n)
-        new_eta = eta + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
-        new_dot = eta_dot + dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
-    return new_eta, new_dot
+        k2x, k2v = _stage_rhs(t + dt * k1x, t_dot + dt * k1v, n)
+        return t + dt / 2.0 * (k1x + k2x), t_dot + dt / 2.0 * (k1v + k2v)
+    half = 0.5 * dt
+    k2x, k2v = _stage_rhs(t + half * k1x, t_dot + half * k1v, n)
+    k3x, k3v = _stage_rhs(t + half * k2x, t_dot + half * k2v, n)
+    k4x, k4v = _stage_rhs(t + dt * k3x, t_dot + dt * k3v, n)
+    return (t + dt / 6.0 * (2.0 * (k2x + k3x) + k1x + k4x),
+            t_dot + dt / 6.0 * (2.0 * (k2v + k3v) + k1v + k4v))
 
 
-def _step_arrays(eta, eta_dot, sigma, n, t, dt, cfg: IntegratorConfig):
-    """One full step of every chain in a (B, n+1, d) batch from states with
-    tensions ``sigma``: advance, reject non-finite state, project.  ``t`` and
-    ``dt`` hold each chain's time and step, shaped (B,) and (B, 1, 1).
+def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
+    """One full step of every chain in a (B, n, d) batch of links and link
+    velocities with tensions ``sigma``: advance, reject non-finite state,
+    project.  ``time`` and ``dt`` hold each chain's time and step, shaped
+    (B,) and (B, 1, 1).
 
-    Returns the new (eta, eta_dot) and, per chain, the largest particle
-    displacement the projection made (0.0 when cfg.project is off).
+    Returns the new links and link velocities and, per chain, the largest
+    particle displacement the projection made, summed from its link
+    corrections (0.0 when cfg.project is off).
     """
-    new_eta, new_dot = _advance(eta, eta_dot, sigma, n, dt, cfg.scheme)
-    if not (np.isfinite(new_eta).all() and np.isfinite(new_dot).all()):
-        finite = np.isfinite(new_eta).all(axis=(-2, -1)) & np.isfinite(new_dot).all(axis=(-2, -1))
-        row = _first_failing(eta, eta_dot, n, dt, cfg.scheme, finite)
-        raise NumericError(f"non-finite state after step at t={t[row]:.6g}", chain=row)
+    new_t, new_dot = _advance(t, t_dot, sigma, n, dt, cfg.scheme)
+    if not (np.isfinite(new_t).all() and np.isfinite(new_dot).all()):
+        finite = np.isfinite(new_t).all(axis=(-2, -1)) & np.isfinite(new_dot).all(axis=(-2, -1))
+        row = _first_failing(t, t_dot, n, dt, cfg.scheme, finite)
+        raise NumericError(f"non-finite state after step at t={time[row]:.6g}", chain=row)
     if not cfg.project:
-        return new_eta, new_dot, np.zeros(len(eta))
-    peta, pdot = _project_arrays(new_eta, new_dot, n)
-    return peta, pdot, _lengths(peta - new_eta).max(axis=-1)
+        return new_t, new_dot, np.zeros(len(t))
+    unit, unit_dot = _project_arrays(new_t, new_dot)
+    return unit, unit_dot, np.sqrt(_sq(_anchored(unit - new_t)).max(axis=-1))
 
 
-def _first_failing(eta, eta_dot, n, dt, scheme, finite) -> int:
+def _first_failing(t, t_dot, n, dt, scheme, finite) -> int:
     """The first chain of a batch whose step fails when it is taken alone,
     from its own tension.
 
@@ -214,11 +211,11 @@ def _first_failing(eta, eta_dot, n, dt, scheme, finite) -> int:
     for row in rows:
         part = slice(row, row + 1)
         try:
-            sigma = _solve_sigma_arrays(eta[part], eta_dot[part], n)
-            e, v = _advance(eta[part], eta_dot[part], sigma, n, dt[part], scheme)
+            sigma = _solve_sigma_arrays(t[part], t_dot[part], n)
+            x, v = _advance(t[part], t_dot[part], sigma, n, dt[part], scheme)
         except NumericError:
             return int(row)
-        if not (np.isfinite(e).all() and np.isfinite(v).all()):
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
             return int(row)
     return int(rows[0])
 
@@ -226,12 +223,12 @@ def _first_failing(eta, eta_dot, n, dt, scheme, finite) -> int:
 def step(chain: ChainState, cfg: IntegratorConfig, dt: float | None = None) -> ChainState:
     """Advance one step.  dt defaults to the adaptive CFL value; the result is
     projected when cfg.project is set.  Raises NumericError on NaN state."""
-    eta, eta_dot = chain.eta[None], chain.eta_dot[None]
-    sigma = _solve_sigma_arrays(eta, eta_dot, chain.n)
+    t, t_dot = chain.link_dirs()[None], chain.link_dirs_dot()[None]
+    sigma = _solve_sigma_arrays(t, t_dot, chain.n)
     if dt is None:
         dt = adaptive_dt(chain, sigma[0], cfg)
-    eta, eta_dot, _ = _step_arrays(eta, eta_dot, sigma, chain.n, [chain.time], np.full((1, 1, 1), dt), cfg)
-    return ChainState(chain.n, chain.d, eta[0], eta_dot[0], chain.time + dt)
+    t, t_dot, _ = _step_arrays(t, t_dot, sigma, chain.n, [chain.time], np.full((1, 1, 1), dt), cfg)
+    return ChainState(chain.n, chain.d, _anchored(t[0]), _anchored(t_dot[0]), chain.time + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +338,6 @@ _SERIES_FIELDS = (
 )
 
 
-def _maxima(eta: np.ndarray, eta_dot: np.ndarray, n: int):
-    """max_k |D+ eta_dot_k| (angular velocity) and max_k |D+^2 eta_k|
-    (curvature, 0 for a single link), one pair per chain of a
-    (..., n+1, d) array, for the stop tests (a report holds its own)."""
-    ang = _lengths(_links(eta_dot)).max(axis=-1)
-    return ang, _lengths(_links(_links(eta), n)).max(axis=-1, initial=0.0)
-
-
 def _series_row(snap: Snapshot) -> list:
     """The snapshot's values in the order of ``_SERIES_FIELDS``."""
     rep = snap.report
@@ -372,13 +361,16 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
     made, in the order the snapshots are made.
 
     Each iteration starts with one stacked tension solve of the running
-    chains, which the stop tests, dt, the step and the snapshots read: a
-    chain is snapshotted there when its step count is a multiple of
-    ``report_stride`` or it stops.  Each RK stage is one such solve too.
-    Each chain has its own t, dt, step count and termination, and leaves the
-    working arrays when it stops, so its trajectory is bitwise the one it
-    gives alone.  A NumericError names the failing chain's index, also for
-    an initial state off the constraint manifold (``ChainState.validate``).
+    chains' links, which the stop tests, dt, the step and the snapshots
+    read: a chain is snapshotted there when its step count is a multiple of
+    ``report_stride`` or it stops.  Each RK stage is one such solve too.  On
+    a stride the chains go on from the links of the snapshots' positions, so
+    a snapshot is a bitwise restart point (:func:`step` of it gives the next
+    one) and the t = 0 snapshot holds the initial arrays.  Each chain has
+    its own t, dt, step count and termination, and leaves the working arrays
+    when it stops, so its trajectory is bitwise the one it gives alone.  A
+    NumericError names the failing chain's index, also for an initial state
+    off the constraint manifold (``ChainState.validate``).
     """
     if len({(c.n, c.d) for c in initials}) != 1:
         raise ValueError(f"a batch needs chains of one n and d, got {sorted({(c.n, c.d) for c in initials})}")
@@ -401,19 +393,27 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
 
     try:
         while live.size:
-            sigma, alpha, w = _solve_sigma_arrays(eta, eta_dot, n, with_system=True)
-            ang, curv = _maxima(eta, eta_dot, n)
+            every = steps % cfg.report_stride == 0
+            if every:
+                if steps:
+                    eta, eta_dot = _anchored(links), _anchored(links_dot)
+                # a snapshot is a restart point: step on from its positions' links
+                links, links_dot = _links(eta), _links(eta_dot)
+            sigma, alpha, w = _solve_sigma_arrays(links, links_dot, n, with_system=True)
             raw = _raw_dt(n, sigma, cfg)
+            curv = np.sqrt(_sq(_links(links, n)).max(axis=-1, initial=0.0))
             # one row per stop condition, in the order of TERMINATIONS, which is their precedence
             hits = np.array([
                 t >= cfg.t_end - tiny,
                 (sigma[:, 1:].min(axis=1) < 0.0) & cfg.halt_on_negative_tension,
-                (ang > thr) | (curv > thr),
+                (np.sqrt(w.max(axis=-1)) > thr) | (curv > thr),
                 raw < cfg.dt_min,
             ])
             going = ~hits.any(axis=0)
             ending = np.flatnonzero(~going)
-            for row in range(live.size) if steps % cfg.report_stride == 0 else ending:
+            if ending.size and not every:
+                eta, eta_dot = _anchored(links), _anchored(links_dot)
+            for row in range(live.size) if every else ending:
                 state = ChainState(n, d, eta[row], eta_dot[row], t[row])
                 snap = _make_snapshot(state, sigma[row], alpha[row], w[row], row)
                 snapshots[live[row]].append(snap)
@@ -424,11 +424,11 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                 termination = TERMINATIONS[hits[:, row].argmax()]
                 done[i] = Trajectory(snapshots[i], termination, len(logs[i]), np.array(logs[i]))
             if ending.size:
-                live, eta, eta_dot, t, sigma, raw = (a[going] for a in (live, eta, eta_dot, t, sigma, raw))
+                live, links, links_dot, t, sigma, raw = (a[going] for a in (live, links, links_dot, t, sigma, raw))
                 if not live.size:
                     break
             dt = np.minimum(_clamp_dt(raw, cfg), cfg.t_end - t)
-            eta, eta_dot, moved = _step_arrays(eta, eta_dot, sigma, n, t, dt[:, None, None], cfg)
+            links, links_dot, moved = _step_arrays(links, links_dot, sigma, n, t, dt[:, None, None], cfg)
             for i, m in zip(live, moved.tolist()):
                 logs[i].append(m)
             t = t + dt

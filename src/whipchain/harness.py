@@ -35,13 +35,14 @@ import shutil
 import tempfile
 import time as _time
 from dataclasses import asdict, dataclass, field, replace
+from math import gamma, lgamma
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .core import ChainState, rising_weight, weighted_seminorm_sq, weighted_supnorm_sq
+from .core import ChainState, rising_weight
 from .dynamics import IntegratorConfig, Trajectory, detect_blowup, run, run_batch
 from .errors import ConfigError, FitRejected
 from .initial_data import GENERATORS, _random_angles, make_initial, rigid_rotation_exact
@@ -702,46 +703,46 @@ def _weight_bound_violations(rng: np.random.Generator, trials: int = 2000, slack
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
-    from math import lgamma
-
     return np.fromiter(map(lgamma, x.tolist()), float, len(x))
 
 
 def _rising_weights(k: np.ndarray, r: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``rising_weight(k[i], r[i], n[i])`` for every i, bitwise: for
-    non-integer r the same running product, one row per i of one (len, max k)
-    cumulative product; integer r (which the uniform draws never give) is
-    passed to ``rising_weight`` one by one."""
-    from math import gamma
+    """``rising_weight(k[i], r[i], n[i])`` for every i, bitwise: entry k[i]
+    of row i of :func:`_weight_table`."""
+    return _weight_table(r, n, max(int(k.max()), 1) + 1)[np.arange(len(k)), k]
 
-    j = np.arange(1.0, max(int(k.max()), 2))
-    ratios = np.cumprod((j + r[:, None]) / j, axis=1)   # Gamma(k+r) / (Gamma(1+r) Gamma(k)) at k-2
-    prod = np.where(k >= 2, ratios[np.arange(len(k)), np.maximum(k - 2, 0)], (k == 1).astype(float))
+
+def _weight_table(r: np.ndarray, n: np.ndarray, width: int) -> np.ndarray:
+    """Row i is ``rising_weight(np.arange(width), r[i], n[i])``, bitwise, for
+    width >= 2: for non-integer r the same running product, all rows as one
+    cumulative product; integer r (which the uniform draws never give) is
+    passed to ``rising_weight`` row by row."""
+    j = np.arange(1.0, width - 1)
+    ratios = np.zeros((len(r), width))   # Gamma(k+r) / (Gamma(1+r) Gamma(k)) at k
+    ratios[:, 1] = 1.0
+    ratios[:, 2:] = np.cumprod((j + r[:, None]) / j, axis=1)
     lead = np.array([gamma(1.0 + ri) / float(ni) ** ri for ri, ni in zip(r.tolist(), n.tolist())])
-    out = lead * prod
+    out = lead[:, None] * ratios
     for i in np.flatnonzero(r == np.floor(r)):
-        out[i] = rising_weight(int(k[i]), float(r[i]), int(n[i]))
+        out[i] = rising_weight(np.arange(width), float(r[i]), int(n[i]))
     return out
 
 
 def _product_bound_violations(rng: np.random.Generator, trials: int = 500, slack: float = 1e-12) -> int:
-    """||fg||^2_{p+q,0} <= [Gamma(p+q+1)/(Gamma(p+1)Gamma(q+1))] [f]^2_{p,0} ||g||^2_{q,0}."""
-    from math import gamma
-
-    bad = 0
-    for _ in range(trials):
-        n = int(rng.integers(2, 128))
-        p = float(rng.uniform(0.0, 3.0))
-        q = float(rng.uniform(0.0, 3.0))
-        f = rng.normal(size=n)
-        g = rng.normal(size=n)
-        lhs = weighted_seminorm_sq(f * g, p + q, 0, n)
-        rhs = gamma(p + q + 1) / (gamma(p + 1) * gamma(q + 1)) * weighted_supnorm_sq(
-            f, p, 0, n
-        ) * weighted_seminorm_sq(g, q, 0, n)
-        if lhs > rhs * (1 + slack) + slack:
-            bad += 1
-    return bad
+    """||fg||^2_{p+q,0} <= [Gamma(p+q+1)/(Gamma(p+1)Gamma(q+1))] [f]^2_{p,0} ||g||^2_{q,0}
+    on random (n, p, q, f, g), drawn trial by trial in the order a scalar
+    loop draws them, then evaluated at once with f and g zero-padded."""
+    top = 128   # n < top
+    n, p, q = np.empty(trials, dtype=int), np.empty(trials), np.empty(trials)
+    f, g = np.zeros((2, trials, top - 1))
+    for i in range(trials):
+        n[i], p[i], q[i] = rng.integers(2, top), rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)
+        f[i, : n[i]], g[i, : n[i]] = rng.normal(size=n[i]), rng.normal(size=n[i])
+    s_pq, s_p, s_q = _weight_table(np.concatenate([p + q, p, q]), np.tile(n, 3), top)[:, 1:].reshape(3, trials, -1)
+    lhs = np.sum(s_pq * (f * g) ** 2, axis=1) / n
+    c = np.array([gamma(a + b + 1) / (gamma(a + 1) * gamma(b + 1)) for a, b in zip(p.tolist(), q.tolist())])
+    rhs = c * np.max(s_p * (f * f), axis=1) * (np.sum(s_q * (g * g), axis=1) / n)
+    return int(np.count_nonzero(lhs > rhs * (1 + slack) + slack))
 
 
 def _kind_inequality_suite(cfg: ExperimentConfig, manifest: RunManifest) -> None:

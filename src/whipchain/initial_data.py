@@ -17,11 +17,6 @@ from .core import ChainState
 from .spectral import AngleState, theta_to_eta
 
 
-def _positions_from_coeff(c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """eta_k = c_k u with c_{n+1} = 0."""
-    return np.outer(c, u)
-
-
 def straight_chain(n: int, d: int = 2, angle: float = 0.0) -> ChainState:
     """Stationary chain along a fixed direction; eta_k = ((n+1-k)/n) u."""
     u = np.zeros(d)
@@ -30,7 +25,7 @@ def straight_chain(n: int, d: int = 2, angle: float = 0.0) -> ChainState:
     else:
         u[0] = 1.0
     c = np.arange(n, -1, -1, dtype=float) / n
-    eta = _positions_from_coeff(c, u)
+    eta = np.outer(c, u)
     return ChainState(n, d, eta, np.zeros_like(eta))
 
 
@@ -43,8 +38,8 @@ def rigid_rotation(n: int, omega: float = 1.0, d: int = 2) -> ChainState:
     u[0] = 1.0
     uperp = np.zeros(d)
     uperp[1] = 1.0
-    eta = _positions_from_coeff(c, u)
-    eta_dot = _positions_from_coeff(c, omega * uperp)
+    eta = np.outer(c, u)
+    eta_dot = np.outer(c, omega * uperp)
     return ChainState(n, d, eta, eta_dot)
 
 
@@ -55,8 +50,8 @@ def rigid_rotation_exact(n: int, t: float, omega: float = 1.0, d: int = 2) -> Ch
     u[0], u[1] = np.cos(omega * t), np.sin(omega * t)
     uperp = np.zeros(d)
     uperp[0], uperp[1] = -np.sin(omega * t), np.cos(omega * t)
-    eta = _positions_from_coeff(c, u)
-    eta_dot = _positions_from_coeff(c, omega * uperp)
+    eta = np.outer(c, u)
+    eta_dot = np.outer(c, omega * uperp)
     return ChainState(n, d, eta, eta_dot, time=t)
 
 

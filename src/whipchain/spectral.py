@@ -26,7 +26,7 @@ from math import factorial
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .core import ChainState, _frozen_array, forward_diff_m, weighted_seminorm_sq
+from .core import ChainState, _anchored, _frozen_array, forward_diff_m, weighted_seminorm_sq
 
 
 @dataclass(frozen=True)
@@ -68,22 +68,14 @@ def theta_to_eta(angles: AngleState) -> ChainState:
     produced links are unit by construction."""
     n, theta = angles.n, angles.theta
     td = angles.theta_dot[:, None] * np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    return ChainState(n, 2, theta_positions(theta), _anchored(td, n), angles.time)
+    return ChainState(n, 2, theta_positions(theta), _anchored(td), angles.time)
 
 
 def theta_positions(theta: np.ndarray) -> np.ndarray:
     """Positions eta_1..eta_{n+1} of the unit links at angles theta along the
     last axis: a (..., n) stack of angles gives a (..., n+1, 2) stack of
     chains, each bitwise the eta of its own :func:`theta_to_eta`."""
-    return _anchored(np.stack([np.cos(theta), np.sin(theta)], axis=-1), theta.shape[-1])
-
-
-def _anchored(links: np.ndarray, n: int) -> np.ndarray:
-    """eta_k = eta_{k+1} - links_k / n summed back from eta_{n+1} = 0 along
-    axis -2 of a (..., n, 2) stack."""
-    out = np.zeros(links.shape[:-2] + (n + 1, 2))
-    out[..., :-1, :] = -np.cumsum((links / n)[..., ::-1, :], axis=-2)[..., ::-1, :]
-    return out
+    return _anchored(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
 
 
 def even_extend_theta(theta: np.ndarray, n: int) -> np.ndarray:

@@ -358,15 +358,13 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return sigma.reshape(w.shape)
 
 
-def _solve_sigma_arrays(eta: np.ndarray, eta_dot: np.ndarray, n: int, with_system: bool = False):
-    """Direct tension solve on raw (..., n+1, d) arrays; returns
-    sigma_0..sigma_n along the last axis, one stacked solve for a batch.
-    ``with_system`` also returns the system's alpha and w, which the solve
-    contract (:func:`_checked_solution`) reads.
-
-    Internal fast path for integrator stages (skips state construction).
+def _solve_sigma_arrays(t: np.ndarray, t_dot: np.ndarray, n: int, with_system: bool = False):
+    """Direct tension solve on (..., n, d) links t = D+ eta and link velocities
+    t_dot = D+ eta_dot; returns sigma_0..sigma_n along the last axis, one
+    stacked solve for a batch.  ``with_system`` also returns the system's
+    alpha and w, which the solve contract (:func:`_checked_solution`) reads.
     """
-    alpha, w = _alpha_w(eta, eta_dot)
+    alpha, w = _alpha(t), _sq(t_dot)
     sigma = np.empty(w.shape[:-1] + (n + 1,))
     sigma[..., 0] = 0.0
     sigma[..., 1:] = _solve_tridiagonal(alpha, w, n)

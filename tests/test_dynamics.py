@@ -424,7 +424,7 @@ class TestRunBatch:
     def test_numeric_error_names_the_original_chain(self, monkeypatch):
         # the folded chain leaves the batch at step 0, so working row 1 of the
         # first step is chain 2
-        def fail(eta, eta_dot, sigma, n, t, dt, cfg):
+        def fail(links, links_dot, sigma, n, time, dt, cfg):
             raise NumericError("boom", chain=1)
 
         monkeypatch.setattr(dynamics, "_step_arrays", fail)
@@ -438,13 +438,13 @@ class TestRunBatch:
         # stacked solve into its neighbours' tensions, yet the error names
         # chain 1
         chains = [make_random_chain(8, seed=s) for s in range(3)]
-        eta = np.stack([c.eta for c in chains])
-        eta_dot = np.stack([c.eta_dot for c in chains])
-        eta_dot[1, 0, 0] = np.nan
-        sigma = dynamics._solve_sigma_arrays(eta, eta_dot, 8)
+        links = np.stack([c.link_dirs() for c in chains])
+        links_dot = np.stack([c.link_dirs_dot() for c in chains])
+        links_dot[1, 0, 0] = np.nan
+        sigma = dynamics._solve_sigma_arrays(links, links_dot, 8)
         assert np.isnan(sigma).any(axis=1).all()
         with pytest.raises(NumericError, match="non-finite") as info:
-            dynamics._step_arrays(eta, eta_dot, sigma, 8, np.zeros(3), np.full((3, 1, 1), 1e-3),
+            dynamics._step_arrays(links, links_dot, sigma, 8, np.zeros(3), np.full((3, 1, 1), 1e-3),
                                   IntegratorConfig(t_end=1.0))
         assert info.value.chain == 1
 
@@ -486,16 +486,138 @@ class TestStepStartSolve:
         assert counts == {"stacked": 4 * k + 1, "solve_tension": 0}
 
     def test_snapshots_reuse_the_step_start_system(self, monkeypatch):
-        # alpha and w are formed once per stacked solve; the snapshots' solve
-        # contract reads the step-start solve's, so a stride-1 RK4 run of
-        # k steps forms them 4k + 1 times, not once more per snapshot
-        calls = []
-        alpha_w = tension._alpha_w
-        monkeypatch.setattr(tension, "_alpha_w", lambda eta, eta_dot: calls.append(1) or alpha_w(eta, eta_dot))
+        # w is formed once per stacked solve, from the link velocities; the
+        # snapshots' solve contract and the stop tests read the step-start
+        # solve's, so a stride-1 RK4 run of k steps forms it 4k + 1 times,
+        # not once more per snapshot, and never from positions
+        calls = {"w": 0, "alpha_w": 0}
+        sq, alpha_w = tension._sq, tension._alpha_w
+
+        def counted(key, func):
+            def wrapper(*args):
+                calls[key] += 1
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(tension, "_sq", counted("w", sq))
+        monkeypatch.setattr(tension, "_alpha_w", counted("alpha_w", alpha_w))
         traj = run(perturbed_vertical(12, amplitude=0.3), IntegratorConfig(t_end=0.0125, report_stride=1))
         k = traj.n_steps
         assert k >= 4 and len(traj.snapshots) == k + 1
-        assert len(calls) == 4 * k + 1
+        assert calls == {"w": 4 * k + 1, "alpha_w": 0}
+
+
+def _links_chain(n, d, seed):
+    """A chain on the manifold built from its links: unit links along a
+    random walk of directions, random link velocities normal to them."""
+    rng = np.random.default_rng(seed)
+    t = np.eye(d)[0] + np.cumsum(rng.normal(scale=0.3, size=(n, d)), axis=0)
+    t /= np.linalg.norm(t, axis=1)[:, None]
+    u = rng.normal(size=(n, d))
+    u -= np.sum(u * t, axis=1)[:, None] * t
+    return ChainState(n, d, core._anchored(t), core._anchored(u))
+
+
+def _position_step(eta, eta_dot, dt):
+    """One RK4 step and projection of one chain in position space, by the
+    position-space kernels the link stepper replaced (kept as the oracle):
+    the positions, the velocities and the largest particle displacement the
+    projection made."""
+    n = eta.shape[0] - 1
+
+    def rhs(e, v):
+        sigma = np.zeros(n + 1)
+        sigma[1:] = tension._solve_tridiagonal(*tension._alpha_w(e, v), n)
+        flux = sigma[1:, None] * (e[1:] - e[:-1])
+        acc = np.zeros_like(e)
+        acc[:-1] = flux
+        acc[1:-1] -= flux[:-1]
+        return v, acc * n * n
+
+    k1x, k1v = rhs(eta, eta_dot)
+    k2x, k2v = rhs(eta + 0.5 * dt * k1x, eta_dot + 0.5 * dt * k1v)
+    k3x, k3v = rhs(eta + 0.5 * dt * k2x, eta_dot + 0.5 * dt * k2v)
+    k4x, k4v = rhs(eta + dt * k3x, eta_dot + dt * k3v)
+    e = eta + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
+    v = eta_dot + dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
+    seg = e[:-1] - e[1:]
+    unit = seg / (n * np.linalg.norm(seg, axis=1)[:, None])
+    new_e = np.zeros_like(e)
+    new_e[:-1] = np.cumsum(unit[::-1], axis=0)[::-1]
+    t = -n * unit
+    vdiff = n * (v[1:] - v[:-1])
+    vdiff -= np.sum(vdiff * t, axis=1)[:, None] * t
+    new_v = np.zeros_like(v)
+    new_v[:-1] = -np.cumsum((vdiff / n)[::-1], axis=0)[::-1]
+    return new_e, new_v, np.linalg.norm(new_e - e, axis=1).max()
+
+
+class TestLinkStepping:
+    """The stepper carries links and link velocities; positions are formed
+    for snapshots only."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1024])
+    def test_one_step_agrees_with_position_kernels(self, n, d):
+        ch = _links_chain(n, d, seed=n + d)
+        cfg = IntegratorConfig(t_end=1.0)
+        links, links_dot = ch.link_dirs()[None], ch.link_dirs_dot()[None]
+        sigma = dynamics._solve_sigma_arrays(links, links_dot, n)
+        dt = adaptive_dt(ch, sigma[0], cfg)
+        links, links_dot, moved = dynamics._step_arrays(links, links_dot, sigma, n, [0.0], np.full((1, 1, 1), dt), cfg)
+        eta, eta_dot = core._anchored(links[0]), core._anchored(links_dot[0])
+        want_eta, want_dot, want_moved = _position_step(ch.eta, ch.eta_dot, dt)
+        assert np.max(np.abs(eta - want_eta)) <= 1e-13 * np.max(np.abs(want_eta))
+        assert np.max(np.abs(eta_dot - want_dot)) <= 1e-13 * np.max(np.abs(want_dot))
+        assert abs(moved[0] - want_moved) <= 1e-13 * np.max(np.abs(want_eta))
+        # the public step takes and returns positions: the same step
+        out = step(ch, cfg)
+        assert out.time == dt
+        assert np.array_equal(out.eta, eta) and np.array_equal(out.eta_dot, eta_dot)
+
+    @pytest.mark.parametrize("project_on", [True, False])
+    def test_batch_is_bitwise_each_serial_run_in_3d(self, project_on):
+        chains = [_links_chain(16, 3, seed=s) for s in range(3)] + [rigid_rotation(16, 2.0, d=3)]
+        cfg = IntegratorConfig(t_end=0.05, dt_max=1.0, report_stride=3, project=project_on)
+        serial = [run(c, cfg) for c in chains]
+        assert len({t.n_steps for t in serial}) > 1
+        for got, want in zip(run_batch(chains, cfg), serial):
+            _assert_same_trajectory(got, want)
+
+    def test_t0_snapshot_keeps_the_initial_arrays(self):
+        # the links summed back need not give the caller's positions
+        # bitwise (they do not for the turned chain); the t = 0 snapshot
+        # holds the caller's arrays, also for a chain that stops there
+        c, turn = make_random_chain(33, seed=2), np.array([[0.6, -0.8], [0.8, 0.6]])
+        turned = ChainState(33, 2, c.eta @ turn, c.eta_dot @ turn)
+        chains = [_links_chain(33, 2, seed=1), turned, near_loop(33), folded_chain(33)]
+        trajs = run_batch(chains, IntegratorConfig(t_end=0.01, report_stride=10**9))
+        assert trajs[3].n_steps == 0
+        assert not np.array_equal(core._anchored(turned.link_dirs()), turned.eta)
+        for c, traj in zip(chains, trajs):
+            first = traj.snapshots[0].state
+            assert first.eta.tobytes() == c.eta.tobytes()
+            assert first.eta_dot.tobytes() == c.eta_dot.tobytes()
+            assert first.time == c.time
+
+    def test_one_step_at_two_to_the_fifteen(self, monkeypatch):
+        # one run() step of the rigid rotation at n = 2^15 completes, and the
+        # projection leaves every link unit to 4 ulp
+        projected = []
+        project_arrays = dynamics._project_arrays
+
+        def kept(links, links_dot):
+            out = project_arrays(links, links_dot)
+            projected.append(out[0])
+            return out
+
+        monkeypatch.setattr(dynamics, "_project_arrays", kept)
+        n = 2**15
+        traj = run(rigid_rotation(n, 1.0), IntegratorConfig(t_end=1e-6, report_stride=10**9))
+        assert traj.termination == "t_end_reached" and traj.n_steps == 1
+        assert traj.snapshots[-1].state.time == 1e-6
+        assert len(projected) == 1 and projected[0].shape == (1, n, 2)
+        assert np.max(np.abs(np.linalg.norm(projected[0], axis=-1) - 1.0)) <= 4 * np.finfo(float).eps
 
 
 def test_snapshot_report_fields():
@@ -512,15 +634,19 @@ def test_snapshot_report_fields():
 @pytest.mark.parametrize("n", [1, 2, 3, 64])
 def test_report_maxima_and_drift_bitwise_the_direct_kernels(n, d):
     # the report reads them off the energy ladder's rows l = 0 and 1; they
-    # must be bitwise what the stop tests' _maxima and ChainState give, and
-    # what np.linalg.norm gives on the link vectors
+    # must be bitwise what the stop tests take from the step-start link data
+    # (the root of the largest w, the largest |D+ t|) and ChainState give,
+    # and what np.linalg.norm gives on the link vectors
     rng = np.random.default_rng(10 * n + d)
     eta, eta_dot = rng.normal(size=(2, n + 1, d))
     eta[-1] = eta_dot[-1] = 0.0
     ch = project(ChainState(n, d, eta, eta_dot))
     sol = solve_tension(ch)
     rep = snapshot_report(ch, sol)
-    ang, curv = dynamics._maxima(ch.eta, ch.eta_dot, n)
+    links = ch.link_dirs()
+    _, _, w = tension._solve_sigma_arrays(links, ch.link_dirs_dot(), n, with_system=True)
+    ang = np.sqrt(w.max(axis=-1))
+    curv = core._lengths(core._links(links, n)).max(axis=-1, initial=0.0)
     links = n * (ch.eta[1:] - ch.eta[:-1])
     ang_ref = np.linalg.norm(n * (ch.eta_dot[1:] - ch.eta_dot[:-1]), axis=1).max()
     curv_ref = np.linalg.norm(n * (links[1:] - links[:-1]), axis=1).max(initial=0.0)

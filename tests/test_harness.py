@@ -509,6 +509,39 @@ class TestRunExperiment:
             assert got == want
             assert (got > 0) == (slack < 0)
 
+    @staticmethod
+    def _product_violations_per_trial(rng, trials=500, slack=1e-12):
+        """The product-bound check as a loop of per-trial weighted seminorms."""
+        from math import gamma
+
+        from whipchain.core import weighted_seminorm_sq, weighted_supnorm_sq
+
+        bad = 0
+        for _ in range(trials):
+            n = int(rng.integers(2, 128))
+            p = float(rng.uniform(0.0, 3.0))
+            q = float(rng.uniform(0.0, 3.0))
+            f = rng.normal(size=n)
+            g = rng.normal(size=n)
+            lhs = weighted_seminorm_sq(f * g, p + q, 0, n)
+            rhs = gamma(p + q + 1) / (gamma(p + 1) * gamma(q + 1)) * weighted_supnorm_sq(
+                f, p, 0, n
+            ) * weighted_seminorm_sq(g, q, 0, n)
+            bad += lhs > rhs * (1 + slack) + slack
+        return bad
+
+    @pytest.mark.parametrize("slack", [1e-12, -0.5, -0.8])
+    def test_product_bound_matches_per_trial_loop(self, slack):
+        # a negative slack makes some trials fail, so the counts compared are
+        # not all zero; the draws leave the generator where the loop does
+        for seed in (0, 3, 11):
+            rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = harness._product_bound_violations(rng, 300, slack)
+            want = self._product_violations_per_trial(loop_rng, 300, slack)
+            assert got == want
+            assert (got > 0) == (slack < 0)
+            assert rng.random() == loop_rng.random()
+
     def test_rising_weights_bitwise_scalar(self):
         from whipchain.core import rising_weight
 

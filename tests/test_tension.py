@@ -4,7 +4,7 @@ certificates, sigma_dot, and the a/b/c and d_m diagnostics."""
 import numpy as np
 import pytest
 
-from whipchain.core import ChainState, u0_v0
+from whipchain.core import ChainState, _anchored, u0_v0
 from whipchain.dynamics import _advance
 from whipchain.errors import NumericError
 from whipchain.initial_data import (
@@ -233,20 +233,20 @@ class TestSolveTension:
         # B systems stacked into one solve with zero couplings give each
         # chain's own solve bit for bit
         chains = [make_random_chain(n, seed=s, vel_scale=1.0 + s) for s in range(5)]
-        eta = np.stack([c.eta for c in chains])
-        eta_dot = np.stack([c.eta_dot for c in chains])
-        stacked = tension._solve_sigma_arrays(eta, eta_dot, n)
+        links = np.stack([c.link_dirs() for c in chains])
+        links_dot = np.stack([c.link_dirs_dot() for c in chains])
+        stacked = tension._solve_sigma_arrays(links, links_dot, n)
         for row, c in enumerate(chains):
-            assert np.array_equal(stacked[row], tension._solve_sigma_arrays(c.eta, c.eta_dot, n))
+            assert np.array_equal(stacked[row], tension._solve_sigma_arrays(c.link_dirs(), c.link_dirs_dot(), n))
             assert np.array_equal(stacked[row], solve_tension(c).sigma)
 
     def test_stacked_solve_names_failing_chain(self):
         # doubled link lengths (alpha_i = 4) in the second of three chains
         good = rigid_rotation(8, 1.0)
-        eta = np.stack([good.eta, 2.0 * good.eta, good.eta])
-        eta_dot = np.stack([good.eta_dot] * 3)
+        links = np.stack([good.link_dirs(), 2.0 * good.link_dirs(), good.link_dirs()])
+        links_dot = np.stack([good.link_dirs_dot()] * 3)
         with pytest.raises(NumericError, match="not positive definite") as info:
-            tension._solve_sigma_arrays(eta, eta_dot, 8)
+            tension._solve_sigma_arrays(links, links_dot, 8)
         assert info.value.chain == 1
 
     def test_matches_dense_oracle(self):
@@ -619,8 +619,8 @@ class TestSigmaDot:
         h = 1e-5
         out = {}
         for sign in (+1, -1):
-            eta, eta_dot = _advance(ch.eta, ch.eta_dot, sol.sigma, ch.n, sign * h, "rk4")
-            out[sign] = solve_tension(ChainState(ch.n, 2, eta, eta_dot)).sigma
+            links, links_dot = _advance(ch.link_dirs(), ch.link_dirs_dot(), sol.sigma, ch.n, sign * h, "rk4")
+            out[sign] = solve_tension(ChainState(ch.n, 2, _anchored(links), _anchored(links_dot))).sigma
         fd = (out[+1] - out[-1]) / (2 * h)
         scale = max(np.max(np.abs(sd)), 1e-30)
         assert np.max(np.abs(fd - sd)) / scale < 1e-3
@@ -782,8 +782,9 @@ def _lapack_results(routines, monkeypatch):
     rng = np.random.default_rng(21)
     chains = [random_chain(64, rng, max_turn=1.2, vel_scale=2.0) for _ in range(5)]
     eta = np.stack([c.eta for c in chains])
-    eta_dot = np.stack([c.eta_dot for c in chains])
-    sigma, alpha, _ = tension._solve_sigma_arrays(eta, eta_dot, 64, with_system=True)
+    links = np.stack([c.link_dirs() for c in chains])
+    links_dot = np.stack([c.link_dirs_dot() for c in chains])
+    sigma, alpha, _ = tension._solve_sigma_arrays(links, links_dot, 64, with_system=True)
     return {"sigma": sigma, "beta": tension.beta_recursion(alpha), **tension.certify_stack(eta)}
 
 
