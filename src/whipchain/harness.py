@@ -15,13 +15,14 @@ unknown keys are rejected.  Example::
 
 Floating-point output is written at 17 significant digits so every value
 round-trips bitwise through either format.  A CSV row is read from its
-snapshot's report.  A run streams its JSON-lines series: each snapshot is
-stored, as ``run_batch`` makes it, as one fixed-size row of a store file,
-the writer's only copy; a forked child, fed the rows through a semaphore,
-encodes on the second core while the parent steps.  At the end the parent
-encodes the rows the child has not reached (every row, without a child);
-each file is the child's part followed by the parent's lines,
-byte-identical to a serial write (see ``_JsonlWriter``).
+snapshot's report.  ``run`` and ``blowup_hunt`` stream their JSON-lines
+series (``_run_series``): each snapshot is stored, as ``run_batch`` makes
+it, as one fixed-size row of a store file, the writer's only copy; a forked
+child, fed the rows through a semaphore, encodes on the second core while
+the parent steps.  At the end the parent encodes the rows the child has not
+reached (every row, without a child); each file is the child's part
+followed by the parent's lines, byte-identical to a serial write (see
+``_JsonlWriter``).
 """
 
 from __future__ import annotations
@@ -237,11 +238,14 @@ class RunManifest:
     summary: dict = field(default_factory=dict)
 
     def write(self, output_dir: Path) -> Path:
-        path = output_dir / "manifest.json"
         payload = asdict(self)
         payload["files"].sort()
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        return path
+        return _write_json(output_dir / "manifest.json", payload)
+
+
+def _write_json(path: Path, payload: dict) -> Path:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
 
 
 def _now() -> str:
@@ -566,31 +570,36 @@ def _initial(cfg: ExperimentConfig, n: int, seed: int) -> ChainState:
         raise ConfigError(f"generator {cfg.generator!r}: {exc}") from exc
 
 
-def _emit_all(cfg: ExperimentConfig, traj: Trajectory, tag: str, writer=None) -> list:
-    """Write ``traj`` as ``<tag>.<fmt>`` in every configured format, JSON
-    lines through ``writer`` when given; returns the file names."""
-    files = []
-    for fmt in cfg.formats:
-        path = cfg.output_dir / f"{tag}.{fmt}"
-        emit_series(traj, fmt, path, jsonl_writer=writer)
-        files.append(path.name)
-    return files
-
-
-def _kind_run(cfg: ExperimentConfig, manifest: RunManifest) -> None:
-    """One trajectory per seed, every seed stepped in one batch
-    (``run_batch``), each writing its own series files.  Each snapshot is
-    put to the JSON-lines writer as it is made, so a forked child can encode
-    while the batch steps.  The summary keeps each seed's termination and
-    step count; ``manifest.termination`` is the last seed's."""
-    tags = [f"series_seed{seed}" if len(cfg.seeds) > 1 else "series" for seed in cfg.seeds]
+def _run_series(cfg: ExperimentConfig, manifest: RunManifest, seeds, tags) -> list[Trajectory]:
+    """Step the configured chain of each seed, all in one batch
+    (``run_batch``), and write seed i's series as ``<tags[i]>.<fmt>`` in
+    every configured format.  Each snapshot is put to the JSON-lines writer
+    as it is made, so a forked child can encode while the batch steps.
+    ``manifest.termination`` is the last seed's."""
     jsonl = [cfg.output_dir / f"{tag}.jsonl" for tag in tags]
     with _JsonlWriter(jsonl) as writer:
         hook = (lambda i, snap: writer.put(jsonl[i], (snap,))) if "jsonl" in cfg.formats else None
-        trajs = run_batch([_initial(cfg, cfg.n, seed) for seed in cfg.seeds], cfg.integrator, hook)
+        trajs = run_batch([_initial(cfg, cfg.n, seed) for seed in seeds], cfg.integrator, hook)
         for tag, traj in zip(tags, trajs):
-            manifest.files += _emit_all(cfg, traj, tag, writer)
+            for fmt in cfg.formats:
+                path = cfg.output_dir / f"{tag}.{fmt}"
+                emit_series(traj, fmt, path, jsonl_writer=writer)
+                manifest.files.append(path.name)
     manifest.termination = trajs[-1].termination
+    return trajs
+
+
+def _report_json(cfg: ExperimentConfig, manifest: RunManifest, name: str, result: dict) -> None:
+    """Put a kind's ``result`` into ``manifest.summary`` and write it as ``<name>.json``."""
+    manifest.summary.update(result)
+    manifest.files.append(_write_json(cfg.output_dir / f"{name}.json", result).name)
+
+
+def _kind_run(cfg: ExperimentConfig, manifest: RunManifest) -> None:
+    """One trajectory per seed (``_run_series``).  The summary keeps each
+    seed's termination and step count."""
+    tags = [f"series_seed{seed}" if len(cfg.seeds) > 1 else "series" for seed in cfg.seeds]
+    trajs = _run_series(cfg, manifest, cfg.seeds, tags)
     manifest.summary["seeds"] = list(cfg.seeds)
     manifest.summary["terminations"] = {str(seed): traj.termination for seed, traj in zip(cfg.seeds, trajs)}
     manifest.summary["steps"] = {str(seed): traj.n_steps for seed, traj in zip(cfg.seeds, trajs)}
@@ -759,17 +768,12 @@ def _kind_inequality_suite(cfg: ExperimentConfig, manifest: RunManifest) -> None
     pviol = _product_bound_violations(rng)
     total += wviol + pviol
     manifest.violations = total
-    manifest.summary.update(
-        {
-            "samples": cfg.suite_samples,
-            "basic_inequalities": per_cell,
-            "weight_bound_violations": wviol,
-            "product_bound_violations": pviol,
-        }
-    )
-    path = cfg.output_dir / "inequality_suite.json"
-    path.write_text(json.dumps(manifest.summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest.files.append(path.name)
+    _report_json(cfg, manifest, "inequality_suite", {
+        "samples": cfg.suite_samples,
+        "basic_inequalities": per_cell,
+        "weight_bound_violations": wviol,
+        "product_bound_violations": pviol,
+    })
 
 
 def _kind_green_certify(cfg: ExperimentConfig, manifest: RunManifest) -> None:
@@ -800,10 +804,7 @@ def _kind_green_certify(cfg: ExperimentConfig, manifest: RunManifest) -> None:
         stats["upper_failures"] + stats["lower_failures"]
         + stats["corner_failures"] + stats["minmax_failures"]
     )
-    manifest.summary.update(stats)
-    path = cfg.output_dir / "green_certify.json"
-    path.write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest.files.append(path.name)
+    _report_json(cfg, manifest, "green_certify", stats)
 
 
 #: link angles in one certified stack.  A stack's certificate holds a few dozen
@@ -838,28 +839,19 @@ def _certify_angle_stacks(cfg: ExperimentConfig):
 
 
 def _kind_blowup_hunt(cfg: ExperimentConfig, manifest: RunManifest) -> None:
-    traj = run(_initial(cfg, cfg.n, cfg.seeds[0]), cfg.integrator)
-    manifest.files += _emit_all(cfg, traj, "blowup_series")
-    manifest.termination = traj.termination
+    """The first seed's series (``_run_series``), then a power-law blowup
+    fit of its maxima (``detect_blowup``)."""
+    (traj,) = _run_series(cfg, manifest, cfg.seeds[:1], ["blowup_series"])
     cols = traj.series()
-    series = np.column_stack([cols["t"], cols["max_ang_vel"], cols["max_curvature"]])
     try:
-        fit = detect_blowup(series)
-        result = {
-            "fit_rejected": False,
-            "T_est": fit.T_est,
-            "p_angular": fit.p_angular,
-            "p_curvature": fit.p_curvature,
-            "residual_angular": fit.residuals[0],
-            "residual_curvature": fit.residuals[1],
-        }
+        fit = detect_blowup(np.column_stack([cols["t"], cols["max_ang_vel"], cols["max_curvature"]]))
+        result = {"fit_rejected": False, "T_est": fit.T_est, "p_angular": fit.p_angular,
+                  "p_curvature": fit.p_curvature, "residual_angular": fit.residuals[0],
+                  "residual_curvature": fit.residuals[1], "at_bracket_edge": fit.at_bracket_edge}
     except FitRejected as exc:
         result = {"fit_rejected": True, "reason": str(exc)}
     result["termination"] = traj.termination
-    path = cfg.output_dir / "blowup.json"
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    manifest.files.append(path.name)
-    manifest.summary.update(result)
+    _report_json(cfg, manifest, "blowup", result)
 
 
 _KIND_RUNNERS = {

@@ -162,12 +162,6 @@ def _alpha(t: np.ndarray) -> np.ndarray:
     return _dot(t[..., 1:, :], t[..., :-1, :])
 
 
-def _alpha_w(eta: np.ndarray, eta_dot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tension system's data on raw (..., n+1, d) arrays: the cosines
-    alpha_1..alpha_{n-1} and the source w_k = |D+ eta_dot_k|^2 for k = 1..n."""
-    return _alpha(_links(eta)), _sq(_links(eta_dot))
-
-
 # ---------------------------------------------------------------------------
 # the discrete Green function
 
@@ -358,35 +352,34 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return sigma.reshape(w.shape)
 
 
-def _solve_sigma_arrays(t: np.ndarray, t_dot: np.ndarray, n: int, with_system: bool = False):
+def _solve_sigma_arrays(t: np.ndarray, t_dot: np.ndarray, n: int):
     """Direct tension solve on (..., n, d) links t = D+ eta and link velocities
-    t_dot = D+ eta_dot; returns sigma_0..sigma_n along the last axis, one
-    stacked solve for a batch.  ``with_system`` also returns the system's
-    alpha and w, which the solve contract (:func:`_checked_solution`) reads.
-    """
+    t_dot = D+ eta_dot, one stacked solve for a batch.  Returns
+    sigma_0..sigma_n along the last axis and the system's alpha and w, which
+    the solve contract (:func:`_checked_solution`) reads."""
     alpha, w = _alpha(t), _sq(t_dot)
     sigma = np.empty(w.shape[:-1] + (n + 1,))
     sigma[..., 0] = 0.0
     sigma[..., 1:] = _solve_tridiagonal(alpha, w, n)
-    return (sigma, alpha, w) if with_system else sigma
+    return sigma, alpha, w
 
 
 def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
-    """Solve the tridiagonal constraint system A sigma = w.
+    """Solve the tridiagonal constraint system A sigma = w of the chain's links.
 
     ``direct`` runs the O(n) LAPACK tridiagonal solve; ``green`` applies
     sigma_k = (1/n) sum_j G_kj w_j through the Green function's generators,
     also in O(n).  Either result is checked by :func:`_checked_solution`.
     """
-    n = chain.n
-    alpha, w = _alpha_w(chain.eta, chain.eta_dot)
+    t, t_dot = chain.link_dirs(), chain.link_dirs_dot()
     if method == "direct":
-        interior = _solve_tridiagonal(alpha, w, n)
+        sigma, alpha, w = _solve_sigma_arrays(t, t_dot, chain.n)
     elif method == "green":
-        interior = green_matrix(alpha_beta_from_alpha(alpha)).apply(w)
+        alpha, w = _alpha(t), _sq(t_dot)
+        sigma = np.concatenate([[0.0], green_matrix(alpha_beta_from_alpha(alpha)).apply(w)])
     else:
         raise ValueError(f"unknown tension method {method!r}; use 'direct' or 'green'")
-    return _checked_solution(np.concatenate([[0.0], interior]), alpha, w)
+    return _checked_solution(sigma, alpha, w)
 
 
 def _checked_solution(sigma: np.ndarray, alpha: np.ndarray, w: np.ndarray) -> TensionSolution:
@@ -439,7 +432,7 @@ def tension_residual(chain: ChainState, sigma) -> float:
     t_ext = _links(ext.eta_ext[: n + 2], n)  # D+ eta_j for j = 1..n+1
     second = _flux_second_difference(ext.sigma_ext[: n + 2], t_ext, n)
     lhs = _dot(t_ext[:-1], second)
-    return float(np.max(np.abs(lhs + _alpha_w(chain.eta, chain.eta_dot)[1])))
+    return float(np.max(np.abs(lhs + _sq(chain.link_dirs_dot()))))
 
 
 # ---------------------------------------------------------------------------

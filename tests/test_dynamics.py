@@ -441,7 +441,7 @@ class TestRunBatch:
         links = np.stack([c.link_dirs() for c in chains])
         links_dot = np.stack([c.link_dirs_dot() for c in chains])
         links_dot[1, 0, 0] = np.nan
-        sigma = dynamics._solve_sigma_arrays(links, links_dot, 8)
+        sigma = dynamics._solve_sigma_arrays(links, links_dot, 8)[0]
         assert np.isnan(sigma).any(axis=1).all()
         with pytest.raises(NumericError, match="non-finite") as info:
             dynamics._step_arrays(links, links_dot, sigma, 8, np.zeros(3), np.full((3, 1, 1), 1e-3),
@@ -489,9 +489,9 @@ class TestStepStartSolve:
         # w is formed once per stacked solve, from the link velocities; the
         # snapshots' solve contract and the stop tests read the step-start
         # solve's, so a stride-1 RK4 run of k steps forms it 4k + 1 times,
-        # not once more per snapshot, and never from positions
-        calls = {"w": 0, "alpha_w": 0}
-        sq, alpha_w = tension._sq, tension._alpha_w
+        # not once more per snapshot, and never through solve_tension
+        calls = {"w": 0, "solve_tension": 0}
+        sq, solve = tension._sq, tension.solve_tension
 
         def counted(key, func):
             def wrapper(*args):
@@ -500,11 +500,11 @@ class TestStepStartSolve:
             return wrapper
 
         monkeypatch.setattr(tension, "_sq", counted("w", sq))
-        monkeypatch.setattr(tension, "_alpha_w", counted("alpha_w", alpha_w))
+        monkeypatch.setattr(tension, "solve_tension", counted("solve_tension", solve))
         traj = run(perturbed_vertical(12, amplitude=0.3), IntegratorConfig(t_end=0.0125, report_stride=1))
         k = traj.n_steps
         assert k >= 4 and len(traj.snapshots) == k + 1
-        assert calls == {"w": 4 * k + 1, "alpha_w": 0}
+        assert calls == {"w": 4 * k + 1, "solve_tension": 0}
 
 
 def _links_chain(n, d, seed):
@@ -527,7 +527,7 @@ def _position_step(eta, eta_dot, dt):
 
     def rhs(e, v):
         sigma = np.zeros(n + 1)
-        sigma[1:] = tension._solve_tridiagonal(*tension._alpha_w(e, v), n)
+        sigma[1:] = tension._solve_tridiagonal(tension._alpha(core._links(e)), core._sq(core._links(v)), n)
         flux = sigma[1:, None] * (e[1:] - e[:-1])
         acc = np.zeros_like(e)
         acc[:-1] = flux
@@ -562,7 +562,7 @@ class TestLinkStepping:
         ch = _links_chain(n, d, seed=n + d)
         cfg = IntegratorConfig(t_end=1.0)
         links, links_dot = ch.link_dirs()[None], ch.link_dirs_dot()[None]
-        sigma = dynamics._solve_sigma_arrays(links, links_dot, n)
+        sigma = dynamics._solve_sigma_arrays(links, links_dot, n)[0]
         dt = adaptive_dt(ch, sigma[0], cfg)
         links, links_dot, moved = dynamics._step_arrays(links, links_dot, sigma, n, [0.0], np.full((1, 1, 1), dt), cfg)
         eta, eta_dot = core._anchored(links[0]), core._anchored(links_dot[0])
@@ -644,7 +644,7 @@ def test_report_maxima_and_drift_bitwise_the_direct_kernels(n, d):
     sol = solve_tension(ch)
     rep = snapshot_report(ch, sol)
     links = ch.link_dirs()
-    _, _, w = tension._solve_sigma_arrays(links, ch.link_dirs_dot(), n, with_system=True)
+    _, _, w = tension._solve_sigma_arrays(links, ch.link_dirs_dot(), n)
     ang = np.sqrt(w.max(axis=-1))
     curv = core._lengths(core._links(links, n)).max(axis=-1, initial=0.0)
     links = n * (ch.eta[1:] - ch.eta[:-1])
@@ -736,6 +736,15 @@ class TestDetectBlowup:
     def test_too_few_samples_rejected(self):
         with pytest.raises(FitRejected):
             detect_blowup(self._series(1.0, 1.5, n=5))
+
+    def test_interior_fit_is_off_the_bracket_edge(self):
+        # T = 1 lies 0.48 window spans past the last sample, inside the bracket
+        assert detect_blowup(self._series(1.0, 1.5)).at_bracket_edge is False
+
+    def test_linear_growth_runs_to_the_bracket_edge(self):
+        t = np.linspace(0.0, 1.0, 30)
+        fit = detect_blowup(np.column_stack([t, 1.0 + t, 2.0 + 3.0 * t]))
+        assert fit.at_bracket_edge is True
 
     def test_residuals_reported(self):
         fit = detect_blowup(self._series(1.0, 1.5))

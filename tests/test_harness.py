@@ -28,7 +28,14 @@ from whipchain.harness import (
     snapshot_state_from_json,
     snapshot_to_json,
 )
-from whipchain.initial_data import perturbed_vertical, random_chain, rigid_rotation, rigid_rotation_exact, straight_chain
+from whipchain.initial_data import (
+    near_loop,
+    perturbed_vertical,
+    random_chain,
+    rigid_rotation,
+    rigid_rotation_exact,
+    straight_chain,
+)
 from whipchain.spectral import continuize_Gn, discretize_Fn, eta_to_theta, theta_to_eta
 
 
@@ -114,6 +121,16 @@ class TestParseConfig:
         text = MINIMAL.replace("rigid_rotation", generator) + "initial.d = 3\n"
         params = parse_config(write_cfg(tmp_path, text)).generator_params
         assert params == {"d": 3} and type(params["d"]) is int
+
+    @pytest.mark.parametrize("key", ["project", "halt_on_negative_tension"])
+    @pytest.mark.parametrize(
+        "raw, value",
+        [("off", False), ("no", False), ("0", False), ("false", False),
+         ("on", True), ("YES", True), ("1", True), ("True", True)],
+    )
+    def test_boolean_integrator_keys(self, tmp_path, key, raw, value):
+        cfg = parse_config(write_cfg(tmp_path, MINIMAL + f"integrator.{key} = {raw}\n"))
+        assert getattr(cfg.integrator, key) is value
 
     def test_rng_is_not_a_key(self, tmp_path):
         # the random generator is seeded from `seeds`, never from initial.rng
@@ -322,6 +339,44 @@ class TestSplitJsonl:
             for fmt in ("csv", "jsonl"):
                 single = (tmp_path / str(seed) / f"series.{fmt}").read_bytes()
                 assert (tmp_path / "all" / f"series_seed{seed}.{fmt}").read_bytes() == single
+        assert self._no_live_child()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_blowup_hunt_streams_its_series(self, split, children, tmp_path, monkeypatch, cores):
+        # the hunt steps through run_batch with the JSON-lines writer fed by
+        # its hook, as a run does: every record reaches the writer while the
+        # chain steps, and the files are emit_series of run() on the chain
+        split(cores)
+        stepping, records = [False], {True: 0, False: 0}
+        run_batch, put = harness.run_batch, harness._JsonlWriter.put
+
+        def tracked_run_batch(*args, **kwargs):
+            stepping[0] = True
+            try:
+                return run_batch(*args, **kwargs)
+            finally:
+                stepping[0] = False
+
+        def tracked_put(writer, path, snaps):
+            snaps = list(snaps)
+            records[stepping[0]] += len(snaps)
+            put(writer, path, snaps)
+
+        monkeypatch.setattr(harness, "run_batch", tracked_run_batch)
+        monkeypatch.setattr(harness._JsonlWriter, "put", tracked_put)
+        text = (
+            "kind = blowup_hunt\ninitial.generator = near_loop\ninitial.n = 32\n"
+            "integrator.t_end = 0.4\nintegrator.report_stride = 10\noutput.formats = csv,jsonl\n"
+            f"output.dir = {tmp_path / 'bh'}\n"
+        )
+        cfg = parse_config(write_cfg(tmp_path, text))
+        run_experiment(cfg)
+        traj = run(near_loop(32), cfg.integrator)
+        assert records == {True: len(traj.snapshots), False: 0}
+        assert len(children) == cores - 1
+        for fmt in ("csv", "jsonl"):
+            want = emit_series(traj, fmt, tmp_path / f"ref.{fmt}").read_bytes()
+            assert (tmp_path / "bh" / f"blowup_series.{fmt}").read_bytes() == want
         assert self._no_live_child()
 
     def test_failing_child_raises_oserror(self, traj, split, tmp_path, monkeypatch):
@@ -700,6 +755,19 @@ class TestRunExperiment:
         if not blow["fit_rejected"]:
             assert np.isfinite(blow["T_est"])
 
+    def test_blowup_hunt_flags_a_fit_on_the_bracket_edge(self, tmp_path):
+        # maxima that keep growing slower than any power law near T: the fit
+        # runs to the top of its search bracket, and says so
+        text = (
+            "kind = blowup_hunt\ninitial.generator = near_loop\ninitial.n = 48\n"
+            "integrator.t_end = 2\nintegrator.report_stride = 50\nintegrator.blowup_threshold = 80\n"
+            f"integrator.halt_on_negative_tension = false\noutput.dir = {tmp_path/'bh'}\n"
+        )
+        manifest = run_experiment(parse_config(write_cfg(tmp_path, text)))
+        blow = json.loads((tmp_path / "bh" / "blowup.json").read_text())
+        assert blow["fit_rejected"] is False and blow["at_bracket_edge"] is True
+        assert manifest.summary["at_bracket_edge"] is True
+
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -719,6 +787,11 @@ class TestCli:
         path = write_cfg(tmp_path, text + f"output.dir = {tmp_path/'nan'}\n")
         assert cli_main(["run", str(path), "--quiet"]) == 2
         assert "t_end must be finite" in capsys.readouterr().err
+
+    def test_exit_2_on_non_boolean_value(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MINIMAL + f"integrator.project = maybe\noutput.dir = {tmp_path/'b'}\n")
+        assert cli_main(["run", str(path), "--quiet"]) == 2
+        assert "integrator.project" in capsys.readouterr().err
 
     def test_exit_2_on_missing_file(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "none.cfg"), "--quiet"]) == 2

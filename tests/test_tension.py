@@ -235,9 +235,9 @@ class TestSolveTension:
         chains = [make_random_chain(n, seed=s, vel_scale=1.0 + s) for s in range(5)]
         links = np.stack([c.link_dirs() for c in chains])
         links_dot = np.stack([c.link_dirs_dot() for c in chains])
-        stacked = tension._solve_sigma_arrays(links, links_dot, n)
+        stacked = tension._solve_sigma_arrays(links, links_dot, n)[0]
         for row, c in enumerate(chains):
-            assert np.array_equal(stacked[row], tension._solve_sigma_arrays(c.link_dirs(), c.link_dirs_dot(), n))
+            assert np.array_equal(stacked[row], tension._solve_sigma_arrays(c.link_dirs(), c.link_dirs_dot(), n)[0])
             assert np.array_equal(stacked[row], solve_tension(c).sigma)
 
     def test_stacked_solve_names_failing_chain(self):
@@ -784,7 +784,7 @@ def _lapack_results(routines, monkeypatch):
     eta = np.stack([c.eta for c in chains])
     links = np.stack([c.link_dirs() for c in chains])
     links_dot = np.stack([c.link_dirs_dot() for c in chains])
-    sigma, alpha, _ = tension._solve_sigma_arrays(links, links_dot, 64, with_system=True)
+    sigma, alpha, _ = tension._solve_sigma_arrays(links, links_dot, 64)
     return {"sigma": sigma, "beta": tension.beta_recursion(alpha), **tension.certify_stack(eta)}
 
 
