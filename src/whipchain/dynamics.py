@@ -185,7 +185,9 @@ def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
 
     Returns the new links and link velocities and, per chain, the largest
     particle displacement the projection made, summed from its link
-    corrections (0.0 when cfg.project is off).
+    corrections (0.0 when cfg.project is off).  The displacements are the
+    positions of the corrections (:func:`_anchored`) without the pinned
+    row's zero and the sign, neither of which moves the largest |.|^2.
     """
     new_t, new_dot = _advance(t, t_dot, sigma, n, dt, cfg.scheme)
     if not (np.isfinite(new_t).all() and np.isfinite(new_dot).all()):
@@ -195,7 +197,8 @@ def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
     if not cfg.project:
         return new_t, new_dot, np.zeros(len(t))
     unit, unit_dot = _project_arrays(new_t, new_dot)
-    return unit, unit_dot, np.sqrt(_sq(_anchored(unit - new_t)).max(axis=-1))
+    moved = np.cumsum(((unit - new_t) / n)[..., ::-1, :], axis=-2)
+    return unit, unit_dot, np.sqrt(_sq(moved).max(axis=-1))
 
 
 def _first_failing(t, t_dot, n, dt, scheme, finite) -> int:

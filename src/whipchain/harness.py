@@ -597,12 +597,15 @@ def _report_json(cfg: ExperimentConfig, manifest: RunManifest, name: str, result
 
 def _kind_run(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     """One trajectory per seed (``_run_series``).  The summary keeps each
-    seed's termination and step count."""
+    seed's termination, step count and largest projection displacement
+    (0.0 for a seed that took no step)."""
     tags = [f"series_seed{seed}" if len(cfg.seeds) > 1 else "series" for seed in cfg.seeds]
     trajs = _run_series(cfg, manifest, cfg.seeds, tags)
     manifest.summary["seeds"] = list(cfg.seeds)
     manifest.summary["terminations"] = {str(seed): traj.termination for seed, traj in zip(cfg.seeds, trajs)}
     manifest.summary["steps"] = {str(seed): traj.n_steps for seed, traj in zip(cfg.seeds, trajs)}
+    manifest.summary["projection_max"] = {str(seed): float(traj.projection_log.max(initial=0.0))
+                                          for seed, traj in zip(cfg.seeds, trajs)}
 
 
 def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
@@ -610,8 +613,9 @@ def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     the spectral maps, integrated to t_end.
 
     The datum is the generator state at a reference resolution 2 max(n),
-    continuized; each chain is its n-mode discretization.  For
-    rigid_rotation the per-n error is max_k |eta_k - ((n+1-k)/n) u(t_end)|:
+    continuized to the max(n) modes the chains read, so only those rows of
+    the reference basis are built; each chain is its n-mode discretization.
+    For rigid_rotation the per-n error is max_k |eta_k - ((n+1-k)/n) u(t_end)|:
     particle k against the rotating whip at its arclength (k-1)/n from the
     free end, which is ``rigid_rotation_exact``.  Other generators are
     compared pairwise between consecutive resolutions through the isometric
@@ -620,7 +624,7 @@ def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     n_list = sorted(cfg.n_list)
     n_ref = 2 * n_list[-1]
     ref = _initial(cfg, n_ref, cfg.seeds[0])
-    coeff_pos, coeff_vel = continuize_Gn(eta_to_theta(ref))
+    coeff_pos, coeff_vel = continuize_Gn(eta_to_theta(ref), n_list[-1])
     finals = {}
     for nv in n_list:
         chain = theta_to_eta(discretize_Fn(coeff_pos, nv, coeff_vel))

@@ -147,10 +147,9 @@ def basis_Q_deriv(m: int, s, j: int) -> np.ndarray:
     return K * (-1.0) ** j * npleg.legval(1.0 - np.asarray(s, dtype=float), dP)
 
 
-@lru_cache(maxsize=64)
-def basis_q_table(n: int) -> np.ndarray:
-    """All discrete modes q_m(k/n), m = 1..n, k = 1..2n, as a read-only
-    (n, 2n) array.
+def basis_q_table(n: int, modes: int | None = None) -> np.ndarray:
+    """The leading ``modes`` discrete modes q_m(k/n), m = 1..modes (all n
+    by default), k = 1..2n, as a read-only (modes, 2n) array.
 
     q_m is even through the fixed end, so on the half grid k = 1..n it is
     the degree m-1 orthonormal polynomial in x = (k - n - 1/2)^2 for the
@@ -159,13 +158,26 @@ def basis_q_table(n: int) -> np.ndarray:
     for round-off, so every mode keeps a positive leading coefficient in x,
     as Q_m does in (1-s)^2; hence q_m(1) has the sign (-1)^(m-1).  The
     second half is the mirror image of the first.
+
+    Row m reads only rows < m, so the leading rows cost O(modes^2 n) and are
+    bitwise the first rows of the full O(n^3) table.  Tables are cached by
+    (n, modes), with ``basis_q_table(n)`` and ``modes = n`` one entry;
+    ``cache_info`` counts the builds.
     """
+    modes = n if modes is None else modes
+    if not 1 <= modes <= n:
+        raise ValueError(f"mode count must lie in 1..{n}, got {modes}")
+    return _basis_q_rows(n, modes)
+
+
+@lru_cache(maxsize=64)
+def _basis_q_rows(n: int, modes: int) -> np.ndarray:
     k = np.arange(1, n + 1, dtype=float)
     x = (k - n - 0.5) ** 2
     w = symmetric_weight(n, 1, n) / n
-    half = np.empty((n, n))
+    half = np.empty((modes, n))
     half[0] = 1.0 / np.sqrt(np.sum(w))
-    for m in range(1, n):
+    for m in range(1, modes):
         t = x * half[m - 1]
         for _ in range(2):                        # twice-is-enough reorthogonalization
             t = t - half[:m].T @ (half[:m] @ (w * t))
@@ -173,6 +185,10 @@ def basis_q_table(n: int) -> np.ndarray:
     table = np.hstack([half, half[:, ::-1]])
     table.setflags(write=False)
     return table
+
+
+basis_q_table.cache_info = _basis_q_rows.cache_info
+basis_q_table.cache_clear = _basis_q_rows.cache_clear
 
 
 def basis_q(m: int, n: int) -> np.ndarray:
@@ -188,13 +204,17 @@ def basis_q(m: int, n: int) -> np.ndarray:
 # transfer maps
 
 
-def angle_coefficients(values, n: int) -> np.ndarray:
-    """a_m = <<theta, q_m>>_{rho,0} = (1/n) sum_k rho_k theta_k q_m(k/n).
+def angle_coefficients(values, n: int, modes: int | None = None) -> np.ndarray:
+    """a_m = <<theta, q_m>>_{rho,0} = (1/n) sum_k rho_k theta_k q_m(k/n) for
+    m = 1..modes (all n by default), from the leading rows of
+    :func:`basis_q_table`.
 
     ``values`` is theta_1..theta_n or its even extension to k = 1..2n, of
-    which only the first half is read."""
+    which only the first half is read.  The leading coefficients agree with
+    the full set to a few ulp, not always bitwise: BLAS may block the rows of
+    the shorter product differently."""
     values = np.asarray(values, dtype=float)[:n]
-    return basis_q_table(n)[:, :n] @ (symmetric_weight(n, 1, n) * values) / n
+    return basis_q_table(n, modes)[:, :n] @ (symmetric_weight(n, 1, n) * values) / n
 
 
 def evaluate_discrete(coeffs, n: int) -> np.ndarray:
@@ -204,10 +224,12 @@ def evaluate_discrete(coeffs, n: int) -> np.ndarray:
     return coeffs[:mm] @ basis_q_table(n)[:mm, :n]
 
 
-def continuize_Gn(angles: AngleState) -> tuple[np.ndarray, np.ndarray]:
+def continuize_Gn(angles: AngleState, modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Discrete angles -> continuous-target coefficient arrays a_m (theta and
-    theta_dot paths); an isometry in every (rho, j) seminorm."""
-    return angle_coefficients(angles.theta, angles.n), angle_coefficients(angles.theta_dot, angles.n)
+    theta_dot paths), m = 1..modes (all n by default); an isometry in every
+    (rho, j) seminorm."""
+    return (angle_coefficients(angles.theta, angles.n, modes),
+            angle_coefficients(angles.theta_dot, angles.n, modes))
 
 
 def discretize_Fn(coeffs, n: int, coeffs_dot=None, time: float = 0.0) -> AngleState:
@@ -221,13 +243,14 @@ def discretize_Fn(coeffs, n: int, coeffs_dot=None, time: float = 0.0) -> AngleSt
 def transfer_resolution(chain: ChainState, n_target: int) -> ChainState:
     """Resample a planar chain to n_target links through the spectral maps;
     the result satisfies |D+ eta| = 1 exactly and preserves the symmetric
-    Sobolev seminorms of the retained modes."""
+    Sobolev seminorms of the retained modes.  Only the min(n, n_target)
+    modes the target reads are built at the source resolution."""
     if chain.d != 2:
         raise ValueError("transfer_resolution supports d = 2 only")
     if n_target < 1:
         raise ValueError(f"target resolution must be >= 1, got {n_target}")
     angles = eta_to_theta(chain)
-    a, ad = continuize_Gn(angles)
+    a, ad = continuize_Gn(angles, min(chain.n, n_target))
     resampled = discretize_Fn(a, n_target, ad, time=chain.time)
     return theta_to_eta(resampled)
 

@@ -600,6 +600,23 @@ class TestLinkStepping:
             assert first.eta_dot.tobytes() == c.eta_dot.tobytes()
             assert first.time == c.time
 
+    @pytest.mark.parametrize("B, n, d", [(1, 1, 2), (16, 64, 2), (3, 1024, 3)])
+    def test_projection_displacement_bitwise_the_anchored_corrections(self, B, n, d):
+        # the stepper sums the link corrections into displacements without
+        # the pinned zero row and the sign; the positions of the corrections
+        # (_anchored) are the oracle
+        chains = [_links_chain(n, d, seed=10 * B + s) for s in range(B)]
+        links = np.stack([c.link_dirs() for c in chains])
+        links_dot = np.stack([c.link_dirs_dot() for c in chains])
+        cfg = IntegratorConfig(t_end=1.0)
+        sigma = dynamics._solve_sigma_arrays(links, links_dot, n)[0]
+        dt = dynamics._clamp_dt(dynamics._raw_dt(n, sigma, cfg), cfg)[:, None, None]
+        unit, _, moved = dynamics._step_arrays(links, links_dot, sigma, n, np.zeros(B), dt, cfg)
+        new_t, _ = dynamics._advance(links, links_dot, sigma, n, dt, cfg.scheme)
+        want = np.sqrt(core._sq(core._anchored(unit - new_t)).max(axis=-1))
+        assert moved.shape == (B,) and np.all(moved > 0.0)
+        assert moved.tobytes() == want.tobytes()
+
     def test_one_step_at_two_to_the_fifteen(self, monkeypatch):
         # one run() step of the rigid rotation at n = 2^15 completes, and the
         # projection leaves every link unit to 4 ulp

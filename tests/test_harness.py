@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whipchain import harness
+from whipchain import harness, spectral
 from whipchain.cli import main as cli_main
 from whipchain.dynamics import IntegratorConfig, run
 from whipchain.errors import ConfigError
@@ -689,6 +689,36 @@ class TestRunExperiment:
         errs = manifest.summary["errors"]
         assert errs["8"] > errs["16"] > errs["32"]
 
+    @pytest.mark.parametrize("generator, n_list", [("rigid_rotation", "8,16,32"), ("theta_power", "10,20,37")])
+    def test_convergence_builds_only_the_modes_it_reads(self, tmp_path, monkeypatch, generator, n_list):
+        # the datum at n_ref = 2 max(n) is continuized to max(n) modes; the
+        # errors match those of the full n_ref table
+        text = (
+            f"kind = convergence\ninitial.generator = {generator}\ninitial.n = {n_list}\n"
+            "integrator.t_end = 0.01\n"
+        )
+        sizes = [int(n) for n in n_list.split(",")]
+        top = max(sizes)
+        built = []
+        rows = spectral._basis_q_rows
+
+        def spy(n, modes):
+            built.append((n, modes))
+            return rows(n, modes)
+
+        spectral.basis_q_table.cache_clear()
+        monkeypatch.setattr(spectral, "_basis_q_rows", spy)
+        cfg = parse_config(write_cfg(tmp_path, text + f"output.dir = {tmp_path / 'modes'}\n", name="modes.cfg"))
+        got = run_experiment(cfg).summary["errors"]
+        assert set(built) == {(2 * top, top)} | {(n, n) for n in sizes}
+        monkeypatch.setattr(harness, "continuize_Gn", lambda angles, modes: continuize_Gn(angles))
+        cfg = parse_config(write_cfg(tmp_path, text + f"output.dir = {tmp_path / 'full'}\n", name="full.cfg"))
+        want = run_experiment(cfg).summary["errors"]
+        assert (2 * top, 2 * top) in built
+        assert got.keys() == want.keys()
+        for key in want:
+            assert abs(got[key] - want[key]) <= 1e-15
+
     def test_convergence_random_byte_identical(self, tmp_path):
         text = (
             "kind = convergence\ninitial.generator = random\ninitial.n = 8,16\n"
@@ -740,8 +770,20 @@ class TestRunExperiment:
         serial = {str(seed): run(random_chain(12, seed), cfg.integrator) for seed in (3, 5, 4, 6)}
         assert manifest["summary"]["terminations"] == {k: t.termination for k, t in serial.items()}
         assert manifest["summary"]["steps"] == {k: t.n_steps for k, t in serial.items()}
+        assert manifest["summary"]["projection_max"] == {k: max(t.projection_log) for k, t in serial.items()}
         assert set(manifest["summary"]["terminations"].values()) == {"t_end_reached", "negative_tension"}
         assert manifest["termination"] == serial["6"].termination
+
+    def test_projection_max_of_a_seed_without_steps(self, tmp_path):
+        # the chain stops at t = 0 on the blowup threshold; a run without
+        # projection moves nothing
+        runs = {"stopped": "integrator.blowup_threshold = 1e-6\n", "unprojected": "integrator.project = off\n"}
+        for name, extra in runs.items():
+            text = MINIMAL + extra + f"seeds = 7\noutput.dir = {tmp_path / name}\n"
+            run_experiment(parse_config(write_cfg(tmp_path, text, name=f"{name}.cfg")))
+            summary = json.loads((tmp_path / name / "manifest.json").read_text())["summary"]
+            assert summary["projection_max"] == {"7": 0.0}
+            assert (summary["steps"]["7"] == 0) == (name == "stopped")
 
     def test_blowup_hunt_reports(self, tmp_path):
         text = (

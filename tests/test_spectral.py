@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
+from whipchain import spectral
 from whipchain.core import ChainState, discrete_energy
 from whipchain.initial_data import straight_chain, theta_power
 from whipchain.spectral import (
@@ -233,6 +234,28 @@ class TestBasisQDiscrete:
         with pytest.raises(ValueError):
             basis_q(0, 8)
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 37, 512])
+    def test_leading_rows_bitwise_the_full_table(self, n):
+        full = basis_q_table(n)
+        for modes in sorted({1, max(n // 2, 1), n}):
+            rows = basis_q_table(n, modes)
+            assert rows.shape == (modes, 2 * n)
+            assert not rows.flags.writeable
+            assert rows.tobytes() == full[:modes].tobytes()
+
+    def test_full_height_requests_share_one_cache_entry(self):
+        n = 24
+        full = basis_q_table(n)
+        misses = basis_q_table.cache_info().misses
+        for table in (basis_q_table(n, None), basis_q_table(n, modes=None), basis_q_table(n, n)):
+            assert table is full
+        assert basis_q_table.cache_info().misses == misses
+
+    @pytest.mark.parametrize("modes", [0, -1, 9])
+    def test_mode_count_out_of_range(self, modes):
+        with pytest.raises(ValueError, match="mode count"):
+            basis_q_table(8, modes)
+
     def test_weight_reduces_to_rho(self):
         n = 5
         w = symmetric_weight(n, 1, 2 * n)
@@ -302,6 +325,21 @@ class TestTransferMaps:
         assert np.max(np.abs(a2[n:])) < 1e-11
 
 
+    @pytest.mark.parametrize("M", [1, 5, 37, 64, 107, 256, 287])
+    def test_leading_coefficients_within_4_ulp(self, M):
+        # the (M x n) product may block its rows differently from the
+        # (n x n) one, so the leading coefficients agree to a few ulp of the
+        # largest, not always bitwise
+        n = 2 * M
+        rng = np.random.default_rng(M)
+        ang = AngleState(n, rng.normal(size=n), rng.normal(size=n))
+        full = continuize_Gn(ang)
+        for got, want in zip(continuize_Gn(ang, M), full):
+            assert got.shape == (M,)
+            assert np.max(np.abs(got - want[:M])) <= 4 * np.spacing(np.max(np.abs(want)))
+        assert np.array_equal(angle_coefficients(ang.theta, n, M), continuize_Gn(ang, M)[0])
+
+
 class TestTransferResolution:
     def test_identity_at_same_n(self):
         ch = make_random_chain(12, seed=8, vel_scale=1.5)
@@ -323,6 +361,27 @@ class TestTransferResolution:
         out = transfer_resolution(ch, 48)
         assert out.constraint_drift() < 1e-14
         assert out.orthogonality_drift() < 1e-14
+
+    @pytest.mark.parametrize("n, target", [(64, 24), (74, 37), (16, 48)])
+    def test_builds_only_the_modes_the_target_reads(self, n, target, monkeypatch):
+        built = []
+        rows = spectral._basis_q_rows
+
+        def spy(size, modes):
+            built.append((size, modes))
+            return rows(size, modes)
+
+        basis_q_table.cache_clear()
+        monkeypatch.setattr(spectral, "_basis_q_rows", spy)
+        ch = theta_power(n, q=0.8, vel_amp=0.5)
+        out = transfer_resolution(ch, target)
+        assert (n, min(n, target)) in built
+        assert all(size != n or modes <= target for size, modes in built)
+        # the full-table path: every source mode, truncated by discretize_Fn
+        a, ad = continuize_Gn(eta_to_theta(ch))
+        want = theta_to_eta(discretize_Fn(a, target, ad))
+        assert np.max(np.abs(out.eta - want.eta)) <= 1e-15
+        assert np.max(np.abs(out.eta_dot - want.eta_dot)) <= 1e-15
 
     def test_e3_preserved_smooth(self):
         # smooth curved chain, n = 32 -> 64.  The angle-space (rho, j) norms
