@@ -14,11 +14,9 @@ __version__ = "0.1.0"   # before the submodules: the harness writes it into ever
 
 from .core import (
     ChainState,
-    ExtendedChain,
     discrete_energy,
     forward_diff,
     forward_diff_m,
-    odd_extend,
     rising_weight,
     sigma_weighted_energy,
     u0_v0,

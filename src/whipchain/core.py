@@ -7,8 +7,13 @@ Particles carry indices k = 1..n+1 with the (n+1)-st fixed at the origin;
 arrays are 0-based, so ``eta[k-1]`` is particle k.  Tensions carry indices
 0..n with sigma_0 = 0, stored so that ``sigma[k]`` is sigma_k.  The forward
 difference is (D+ f)_k = n (f_{k+1} - f_k); difference operators shorten
-arrays and never pad.  Where the extended index ranges are required, use
-:func:`odd_extend` explicitly.
+arrays and never pad.  Every diagnostic reads the links t_k = D+ eta_k and
+their velocities.  The paper extends eta oddly and sigma evenly through the
+fixed end; in link terms both continue evenly, t_{n+j} = t_{n+1-j} and
+sigma_{n+j} = sigma_{n+1-j}, and :func:`_mirrored` continues them exactly as
+many rows as a diagnostic reads.  The one flux operator D-D+ (sigma f),
+with that mirror built in, is :func:`_acceleration_arrays`, which the
+stepper and the tension diagnostics share.
 
 All functions here are pure; states are immutable once constructed.
 """
@@ -18,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma
-from typing import NamedTuple
 
 import numpy as np
 
@@ -243,55 +247,63 @@ class ChainState:
 
 
 # ---------------------------------------------------------------------------
-# odd/even extensions
+# links and tensions through the fixed end
 
 
-class ExtendedChain(NamedTuple):
-    """Chain extended through the fixed end: eta odd, sigma even.
-
-    eta_ext / eta_dot_ext hold particles k = 1..2n+1 (row k-1) with
-    eta_k = -eta_{2n+2-k}; sigma_ext, when present, holds sigma_0..sigma_2n
-    with sigma_k = sigma_{2n+1-k}.
-    """
-
-    eta_ext: np.ndarray
-    eta_dot_ext: np.ndarray
-    sigma_ext: np.ndarray | None = None
+def _mirrored(x: np.ndarray, rows: int) -> np.ndarray:
+    """x with its last ``rows`` rows appended in reverse, x_{n+j} = x_{n+1-j}:
+    links (n, d) or tensions sigma_0..sigma_n continued evenly through the
+    fixed end.  The links of the paper's odd extension of eta are these, as
+    floats, up to the sign of a zero."""
+    return np.concatenate([x, x[::-1][:rows]])
 
 
-def odd_extend(chain: ChainState, sigma=None) -> ExtendedChain:
-    """Odd extension of eta and eta_dot through the fixed end, even for sigma.
-
-    ``sigma`` may be an array sigma_0..sigma_n or any object with a
-    ``.sigma`` attribute (a tension solution).
-    """
-    eta_ext = np.concatenate([chain.eta, -chain.eta[-2::-1]])
-    eta_dot_ext = np.concatenate([chain.eta_dot, -chain.eta_dot[-2::-1]])
-    if sigma is None:
-        return ExtendedChain(eta_ext, eta_dot_ext)
+def _tension_array(sigma, n: int) -> np.ndarray:
+    """sigma_0..sigma_n as a float array, from an array or a tension solution's
+    ``.sigma``; ValueError unless its shape is (n+1,)."""
     sig = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
-    if sig.shape != (chain.n + 1,):
-        raise ValueError(f"sigma must hold sigma_0..sigma_n, expected shape ({chain.n + 1},)")
-    return ExtendedChain(eta_ext, eta_dot_ext, np.concatenate([sig, sig[-1:0:-1]]))
+    if sig.shape != (n + 1,):
+        raise ValueError(f"sigma must hold sigma_0..sigma_n, shape ({n + 1},), got {sig.shape}")
+    return sig
+
+
+def _acceleration_arrays(f: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
+    """D-D+ (sigma f)_k for k = 1..n of (..., n, d) link data f under the
+    tensions sigma_0..sigma_n: with g_k = sigma_k f_k, g_0 = 0 at the free
+    end and g_{n+1} = g_n by the even mirror at the fixed end, it is
+    n^2 (g_{k+1} - 2 g_k + g_{k-1}) for k < n and -n^2 (g_n - g_{n-1}) at
+    k = n.  On the links f = t = D+ eta it is the link acceleration
+    D+ eta_ddot."""
+    g = sigma[..., 1:, None] * f
+    jump = g.copy()                       # g_k - g_{k-1}
+    jump[..., 1:, :] -= g[..., :-1, :]
+    acc = -jump
+    acc[..., :-1, :] += jump[..., 1:, :]
+    acc *= n * n
+    return acc
 
 
 # ---------------------------------------------------------------------------
 # discrete energies
 
 
-def _squared_differences(ext: ExtendedChain, n: int, m_max: int) -> list:
+def _squared_differences(eta_dot: np.ndarray, t: np.ndarray, t_dot: np.ndarray, m_max: int) -> list:
     """Pairs (|D+^l eta_dot_k|^2, |D+^{l+1} eta_k|^2) on k = 1..n - floor(l/2)
-    for l = 0..m_max, differences beyond the fixed end taken through ``ext``."""
+    for l = 0..m_max, from the velocities, the links t = D+ eta and their
+    velocities t_dot = D+ eta_dot.  Order l reads the links up to
+    k = n + ceil(l/2), so they are mirrored ceil(m_max/2) rows past the
+    fixed end."""
+    n = len(t)
+    rows = (m_max + 1) // 2
     out = []
-    dvel = ext.eta_dot_ext
-    dpos = _links(ext.eta_ext, n)
+    dvel, dpos = eta_dot, _mirrored(t, rows)
     for ell in range(m_max + 1):
         kmax = n - ell // 2
         if kmax < 1:
             raise ValueError(f"energy order {ell} needs n > {2 * (ell // 2)}")
         out.append((_sq(dvel[:kmax]), _sq(dpos[:kmax])))
         if ell < m_max:
-            dvel = _links(dvel, n)
+            dvel = _mirrored(t_dot, rows) if ell == 0 else _links(dvel, n)
             dpos = _links(dpos, n)
     return out
 
@@ -314,9 +326,11 @@ def _s_weight(n: int):
     return lambda r, count: _weight_row(n, r, 1, count)
 
 
-def _sigma_weight(sigma_ext: np.ndarray):
-    """The tension products sigma_k^{(r)} in the form :func:`_energy_sums` takes."""
-    return lambda r, count: sigma_rising_product(sigma_ext, 1, count, r)
+def _sigma_weight(sigma: np.ndarray, m_max: int):
+    """The tension products sigma_k^{(r)} of sigma_0..sigma_n, mirrored as deep
+    as the ladder to ``m_max`` reads, in the form :func:`_energy_sums` takes."""
+    mirrored = _mirrored(sigma, (m_max + 1) // 2)
+    return lambda r, count: sigma_rising_product(mirrored, 1, count, r)
 
 
 def _energies(sums: np.ndarray, n: int) -> np.ndarray:
@@ -324,11 +338,16 @@ def _energies(sums: np.ndarray, n: int) -> np.ndarray:
     return np.cumsum((sums[:, 0] + sums[:, 1]) / n)
 
 
+def _chain_ladder(chain: ChainState, m_max: int) -> list:
+    """:func:`_squared_differences` of a chain's velocities and links."""
+    return _squared_differences(chain.eta_dot, chain.link_dirs(), chain.link_dirs_dot(), m_max)
+
+
 def u0_v0(chain: ChainState) -> tuple[float, float]:
     """The two conserved pieces of e_0: u_0 = (1/n) sum |eta_dot_k|^2 and
     v_0 = (1/n) sum s_k |D+ eta_k|^2 (= 1/2 + 1/2n on the manifold)."""
     n = chain.n
-    u0, v0 = _energy_sums(_squared_differences(odd_extend(chain), n, 0), _s_weight(n))[0] / n
+    u0, v0 = _energy_sums(_chain_ladder(chain, 0), _s_weight(n))[0] / n
     return float(u0), float(v0)
 
 
@@ -337,19 +356,21 @@ def discrete_energy(chain: ChainState, m_max: int = 3) -> np.ndarray:
 
     e_m = (1/n) sum_{l=0}^{m} sum_{k=1}^{n - floor(l/2)}
           ( s_k^{(l)} |D+^l eta_dot_k|^2 + s_k^{(l+1)} |D+^{l+1} eta_k|^2 ),
-    with differences beyond the fixed end taken through the odd extension.
-    Nondecreasing in m, and >= 1/2 + 1/2n on the constraint manifold.
+    with differences beyond the fixed end taken through the even mirror of
+    the links (the paper's odd extension of eta).  Nondecreasing in m, and
+    >= 1/2 + 1/2n on the constraint manifold.
     """
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
     n = chain.n
-    return _energies(_energy_sums(_squared_differences(odd_extend(chain), n, m_max), _s_weight(n)), n)
+    return _energies(_energy_sums(_chain_ladder(chain, m_max), _s_weight(n)), n)
 
 
 def sigma_rising_product(sigma_ext: np.ndarray, k_start: int, count: int, r: int) -> np.ndarray:
     """sigma_k^{(r)} = prod_{j=k}^{k+r-1} sigma_j for k = k_start..k_start+count-1.
 
-    ``sigma_ext`` holds sigma_0..sigma_{2n} (even extension); r = 0 gives 1.
+    ``sigma_ext`` holds sigma_0 onwards, mirrored evenly past sigma_n as far as
+    k_start + count + r - 2 reaches; r = 0 gives 1.
     """
     out = np.ones(count)
     for i in range(r):
@@ -360,11 +381,9 @@ def sigma_rising_product(sigma_ext: np.ndarray, k_start: int, count: int, r: int
 def sigma_weighted_energy(chain: ChainState, sigma, m_max: int = 3) -> np.ndarray:
     """Time-dependent energies e~_0..e~_{m_max}, weighted by tension products
     sigma_k^{(l)} instead of s_k^{(l)}; equals the s-weighted energies when
-    sigma_k = s_k (up to the even-extension boundary terms at m >= 3)."""
-    if sigma is None:
-        raise ValueError("sigma_weighted_energy requires a solved tension")
+    sigma_k = s_k (up to the even-mirror boundary terms at m >= 3)."""
     if m_max < 0:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
     n = chain.n
-    ext = odd_extend(chain, sigma)
-    return _energies(_energy_sums(_squared_differences(ext, n, m_max), _sigma_weight(ext.sigma_ext)), n)
+    weight = _sigma_weight(_tension_array(sigma, n), m_max)
+    return _energies(_energy_sums(_chain_ladder(chain, m_max), weight), n)

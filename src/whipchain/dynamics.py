@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     ChainState,
+    _acceleration_arrays,
     _anchored,
     _energies,
     _energy_sums,
@@ -40,13 +41,13 @@ from .core import (
     _sigma_weight,
     _sq,
     _squared_differences,
-    odd_extend,
+    _tension_array,
 )
 from .errors import FitRejected, NumericError
 from .tension import (
     TensionSolution,
     _checked_solution,
-    _sigma_dot_extended,
+    _sigma_dot,
     _solve_sigma_arrays,
     diagnostics_abc,
     sigma_sobolev,
@@ -98,36 +99,18 @@ def acceleration(chain: ChainState, sigma) -> np.ndarray:
     Returns shape (n+1, d): the positions of the link acceleration.
     """
     n = chain.n
-    sig = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
-    if sig.shape != (n + 1,):
-        raise ValueError(f"sigma must have shape ({n + 1},), got {sig.shape}")
-    return _anchored(_acceleration_arrays(chain.link_dirs(), sig, n))
-
-
-def _acceleration_arrays(t: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
-    """The link acceleration D+ eta_ddot of (..., n, d) links t under the
-    tensions sigma_0..sigma_n.  With f_k = sigma_k t_k and f_0 = 0 it is
-    n^2 (f_{k+1} - 2 f_k + f_{k-1}) for k < n and -n^2 (f_n - f_{n-1}) at the
-    free end."""
-    f = sigma[..., 1:, None] * t
-    jump = f.copy()                       # f_k - f_{k-1}
-    jump[..., 1:, :] -= f[..., :-1, :]
-    acc = -jump
-    acc[..., :-1, :] += jump[..., 1:, :]
-    acc *= n * n
-    return acc
+    return _anchored(_acceleration_arrays(chain.link_dirs(), _tension_array(sigma, n), n))
 
 
 def adaptive_dt(chain: ChainState, sigma, cfg: IntegratorConfig) -> float:
     """CFL step dt = clamp(cfl / (n sqrt(max sigma) + eps), dt_min, dt_max)."""
-    return float(_clamp_dt(_raw_dt(chain.n, sigma, cfg), cfg))
+    return float(_clamp_dt(_raw_dt(chain.n, _tension_array(sigma, chain.n), cfg), cfg))
 
 
-def _raw_dt(n: int, sigma, cfg: IntegratorConfig):
+def _raw_dt(n: int, sigma: np.ndarray, cfg: IntegratorConfig):
     """The unclamped CFL step cfl / (n sqrt(max sigma) + eps), one per chain
     of a (..., n+1) tension array."""
-    sig = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
-    top = np.maximum(sig.max(axis=-1), 0.0)
+    top = np.maximum(sigma.max(axis=-1), 0.0)
     return cfg.cfl / (n * np.sqrt(top) + 1e-12)
 
 
@@ -300,25 +283,27 @@ class Trajectory:
 def snapshot_report(chain: ChainState, sol: TensionSolution) -> EnergyReport:
     """Assemble the full energy/diagnostic record for one state.
 
-    One odd/even extension and one list of squared differences feed both
-    energy weightings, u0/v0 (the l = 0 sums), the sigma_dot solve, the
-    constraint drift (|D+ eta_k|^2, row l = 0) and the maxima (row l = 1,
-    whose curvature at k = n reaches through the fixed end and is dropped).
-    sqrt is monotone, so the root of the largest square is the largest length.
+    The chain's links and link velocities are formed once.  They feed the
+    sigma_dot solve and one list of squared differences, which feeds both
+    energy weightings, u0/v0 (the l = 0 sums), the constraint drift
+    (|D+ eta_k|^2, row l = 0) and the maxima (row l = 1, whose curvature at
+    k = n reaches through the fixed end and is dropped).  sqrt is monotone,
+    so the root of the largest square is the largest length.
     """
     n = chain.n
-    ext = odd_extend(chain, sol)
+    t, t_dot = chain.link_dirs(), chain.link_dirs_dot()
     m_max = 3 if n > 1 else 1   # one link has no second difference
-    sq = _squared_differences(ext, n, m_max)
+    sq = _squared_differences(chain.eta_dot, t, t_dot, m_max)
     (_, links_sq), (ang_sq, curv_sq) = sq[:2]
     sums = _energy_sums(sq, _s_weight(n))
     u0, v0 = sums[0] / n
-    a, b, c = diagnostics_abc(chain, sol, _sigma_dot_extended(ext, n))
+    sigma = _tension_array(sol, n)
+    a, b, c = diagnostics_abc(chain, sigma, _sigma_dot(t, t_dot, sigma))
     pad = np.full(3 - m_max, np.nan)
     return EnergyReport(
         e=np.concatenate([_energies(sums, n), pad]),
-        e_tilde=np.concatenate([_energies(_energy_sums(sq, _sigma_weight(ext.sigma_ext)), n), pad]),
-        u0=float(u0), v0=float(v0), a=a, b=b, c=c, d=sigma_sobolev(sol, n),
+        e_tilde=np.concatenate([_energies(_energy_sums(sq, _sigma_weight(sigma, m_max)), n), pad]),
+        u0=float(u0), v0=float(v0), a=a, b=b, c=c, d=sigma_sobolev(sigma, n),
         max_ang_vel=float(np.sqrt(ang_sq.max())), max_curvature=float(np.sqrt(curv_sq[: n - 1].max(initial=0.0))),
         constraint_drift=float(np.max(np.abs(np.sqrt(links_sq) - 1.0))), time=chain.time,
     )

@@ -42,13 +42,13 @@ import numpy as np
 
 from .core import (
     ChainState,
-    ExtendedChain,
+    _acceleration_arrays,
     _dot,
     _frozen_array,
     _links,
     _sq,
+    _tension_array,
     forward_diff,
-    odd_extend,
     weighted_seminorm_sq,
 )
 from .errors import NumericError
@@ -414,24 +414,16 @@ def _backward_error(alpha: np.ndarray, sigma_int: np.ndarray, w: np.ndarray, n: 
     return float(np.abs(r - w).max()) / max(scale, np.finfo(float).tiny)
 
 
-def _flux_second_difference(sig: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
-    """D-D+ (sigma f)_k for k = 1..n from sigma_0..sigma_{n+1} and f_1..f_{n+1},
-    with (sigma f)_0 = 0."""
-    flux = np.concatenate([np.zeros((1, f.shape[1])), sig[1:, None] * f])  # j = 0..n+1
-    return n * n * (flux[2:] - 2.0 * flux[1:-1] + flux[:-2])
-
-
 def tension_residual(chain: ChainState, sigma) -> float:
     """max_k | <D+ eta_k, D-D+ (sigma D+ eta)_k> + |D+ eta_dot_k|^2 |.
 
-    The constraint equation in flux form, evaluated with the odd/even
-    extensions; an independent restatement of the tridiagonal residual.
+    The constraint equation in flux form, through the stepper's flux
+    operator :func:`~whipchain.core._acceleration_arrays`; an independent
+    restatement of the tridiagonal residual.
     """
     n = chain.n
-    ext = odd_extend(chain, sigma)
-    t_ext = _links(ext.eta_ext[: n + 2], n)  # D+ eta_j for j = 1..n+1
-    second = _flux_second_difference(ext.sigma_ext[: n + 2], t_ext, n)
-    lhs = _dot(t_ext[:-1], second)
+    t = chain.link_dirs()
+    lhs = _dot(t, _acceleration_arrays(t, _tension_array(sigma, n), n))
     return float(np.max(np.abs(lhs + _sq(chain.link_dirs_dot()))))
 
 
@@ -442,26 +434,22 @@ def tension_residual(chain: ChainState, sigma) -> float:
 def solve_sigma_dot(chain: ChainState, sigma) -> np.ndarray:
     """Time derivative of the tension: solves the same tridiagonal operator
     with right-hand side
-    3 <D+ eta_dot, D-D+ (sigma D+ eta)> + <D+ eta, D-D+ (sigma D+ eta_dot)>.
+    3 <D+ eta_dot, D-D+ (sigma D+ eta)> + <D+ eta, D-D+ (sigma D+ eta_dot)>,
+    read from the chain's links and link velocities through the stepper's
+    flux operator.
 
     Returns sigma_dot_0..sigma_dot_n with sigma_dot_0 = 0.
     """
-    return _sigma_dot_extended(odd_extend(chain, sigma), chain.n)
+    return _sigma_dot(chain.link_dirs(), chain.link_dirs_dot(), _tension_array(sigma, chain.n))
 
 
-def _sigma_dot_extended(ext: ExtendedChain, n: int) -> np.ndarray:
-    """:func:`solve_sigma_dot` on an extension that carries sigma; alpha comes
-    from the extension's D+ eta."""
-    sig = ext.sigma_ext[: n + 2]  # sigma_0..sigma_{n+1} (even: sigma_{n+1} = sigma_n)
-    t_ext = _links(ext.eta_ext[: n + 2], n)  # D+ eta_j, j = 1..n+1
-    td_ext = _links(ext.eta_dot_ext[: n + 2], n)  # D+ eta_dot_j, j = 1..n+1
-    rhs = 3.0 * _dot(td_ext[:-1], _flux_second_difference(sig, t_ext, n)) + _dot(
-        t_ext[:-1], _flux_second_difference(sig, td_ext, n)
-    )
-    alpha = _alpha(t_ext[:n])
+def _sigma_dot(t: np.ndarray, t_dot: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """:func:`solve_sigma_dot` on (n, d) links t and link velocities t_dot."""
+    n = len(t)
+    rhs = 3.0 * _dot(t_dot, _acceleration_arrays(t, sigma, n)) + _dot(t, _acceleration_arrays(t_dot, sigma, n))
     sd = np.empty(n + 1)
     sd[0] = 0.0
-    sd[1:] = _solve_tridiagonal(alpha, rhs, n)
+    sd[1:] = _solve_tridiagonal(_alpha(t), rhs, n)
     return sd
 
 
@@ -477,7 +465,7 @@ def diagnostics_abc(chain: ChainState, sol: TensionSolution, sigma_dot: np.ndarr
     max |sigma_dot_k|/s_k <= c before returning.
     """
     n = chain.n
-    sigma = np.asarray(getattr(sol, "sigma", sol), dtype=float)
+    sigma = _tension_array(sol, n)
     a = float(np.max(np.abs(forward_diff(sigma, n))))
     c = float(np.max(np.abs(forward_diff(np.asarray(sigma_dot), n))))
     s = np.arange(1, n + 1) / n
@@ -501,7 +489,7 @@ def sigma_sobolev(sigma, n: int, m_max: int = 3) -> np.ndarray:
     The sums start at k = 0 (sigma_0 = 0 carries endpoint information).
     Entries whose difference order exceeds the grid are NaN (only n <= 4).
     """
-    sigma = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
+    sigma = _tension_array(sigma, n)
     pieces = np.empty(m_max)
     for ell in range(m_max):
         try:

@@ -10,21 +10,39 @@ from hypothesis import strategies as st
 from whipchain.core import (
     ChainState,
     _dot,
+    _links,
+    _mirrored,
     _sq,
     discrete_energy,
     forward_diff,
     forward_diff_m,
-    odd_extend,
     rising_weight,
     sigma_weighted_energy,
     u0_v0,
     weighted_seminorm_sq,
     weighted_supnorm_sq,
 )
+from whipchain.dynamics import project
 from whipchain.initial_data import log_spiral, rigid_rotation, straight_chain
 from whipchain.tension import solve_tension
 
-from conftest import make_random_chain, oracle_energy, oracle_seminorm_sq, oracle_sigma_energy, oracle_weight
+from conftest import (
+    make_random_chain,
+    oracle_energy,
+    oracle_extend,
+    oracle_seminorm_sq,
+    oracle_sigma_energy,
+    oracle_sigma_extend,
+    oracle_weight,
+)
+
+
+def projected_state(n, d, seed):
+    """A random state of n links in R^d, projected onto the constraint manifold."""
+    rng = np.random.default_rng(seed)
+    eta, eta_dot = rng.normal(size=(2, n + 1, d))
+    eta[-1] = eta_dot[-1] = 0.0
+    return project(ChainState(n, d, eta, eta_dot))
 
 
 # ---------------------------------------------------------------------------
@@ -304,47 +322,68 @@ class TestChainState:
 
 
 class TestOddExtend:
+    """The paper's odd extension of eta and even one of sigma through the
+    fixed end, in the form the diagnostics read it: the links and tensions
+    continued evenly by ``_mirrored``, checked against the literal oracle
+    extensions of conftest."""
+
     def test_fixed_point(self):
+        # eta_{n+1} maps to itself, so the first mirrored link repeats the last
         ch = make_random_chain(5, seed=2)
-        ext = odd_extend(ch)
-        assert np.all(ext.eta_ext[5] == 0.0)  # eta_{n+1} maps to itself
+        eta, _ = oracle_extend(ch)
+        assert np.all(eta[5] == 0.0)
+        t = _mirrored(ch.link_dirs(), 1)
+        assert t.shape == (6, 2) and np.all(t[5] == t[4])
 
     def test_n1_reflection(self):
         eta = np.array([[0.3, 0.4], [0.0, 0.0]])
         eta[0] /= np.linalg.norm(eta[0])  # unit link for validity
         ch = ChainState(1, 2, eta, np.zeros((2, 2)))
-        ext = odd_extend(ch)
-        assert ext.eta_ext[2] == pytest.approx(-eta[0])
+        assert _mirrored(ch.link_dirs(), 1) == pytest.approx(np.array([-eta[0], -eta[0]]))
 
     def test_reflection_identity(self):
-        ch = make_random_chain(7, seed=3)
-        ext = odd_extend(ch)
         n = 7
-        for k in range(n + 2, 2 * n + 2):
-            assert ext.eta_ext[k - 1] == pytest.approx(-ext.eta_ext[(2 * n + 2 - k) - 1])
+        t = _mirrored(make_random_chain(n, seed=3).link_dirs(), n)
+        for j in range(1, n + 1):
+            assert np.all(t[n + j - 1] == t[n - j])  # t_{n+j} = t_{n+1-j}
 
     def test_extension_preserves_link_lengths(self):
         ch = make_random_chain(9, seed=4)
-        ext = odd_extend(ch)
-        links = 9 * np.diff(ext.eta_ext, axis=0)
+        links = _mirrored(ch.link_dirs(), 9)
         assert np.linalg.norm(links, axis=1) == pytest.approx(np.ones(2 * 9), abs=1e-12)
 
     def test_sigma_even_reflection(self):
-        ch = make_random_chain(6, seed=5)
-        sol = solve_tension(ch)
-        ext = odd_extend(ch, sol)
         n = 6
+        sig = solve_tension(make_random_chain(n, seed=5)).sigma
+        ext = _mirrored(sig, n)
         for k in range(n + 1, 2 * n + 1):
-            assert ext.sigma_ext[k] == ext.sigma_ext[2 * n + 1 - k]
+            assert ext[k] == ext[2 * n + 1 - k]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1024])
+    def test_mirrored_links_equal_the_oracle_extension(self, n, d):
+        ch = projected_state(n, d, seed=10 * n + d)
+        eta, eta_dot = oracle_extend(ch)
+        want = _links(np.array(eta), n)          # D+ eta_j, j = 1..2n
+        want_dot = _links(np.array(eta_dot), n)
+        sig = solve_tension(ch).sigma
+        sig_want = np.array(oracle_sigma_extend(sig, n))
+        for rows in sorted({0, 1, 2, n // 2, n} & set(range(n + 1))):
+            got, got_dot = _mirrored(ch.link_dirs(), rows), _mirrored(ch.link_dirs_dot(), rows)
+            assert got.shape == (n + rows, d)
+            # equal as floats; a zero component may differ in sign only
+            assert np.all(got == want[: n + rows]) and np.all(got_dot == want_dot[: n + rows])
+            assert np.all(_mirrored(sig, rows) == sig_want[: n + 1 + rows])
 
     def test_evolution_holds_at_fixed_end(self):
         # D-(sigma D+ eta) vanishes at k = n+1 under the extensions
         ch = make_random_chain(8, seed=6)
         sol = solve_tension(ch)
-        ext = odd_extend(ch, sol)
         n = 8
-        t = n * np.diff(ext.eta_ext, axis=0)  # D+ eta_j, j = 1..2n
-        flux = ext.sigma_ext[1 : n + 2, None] * t[: n + 1]  # j = 1..n+1
+        eta_ext = np.array(oracle_extend(ch)[0])
+        sigma_ext = np.array(oracle_sigma_extend(sol.sigma, n))
+        t = n * np.diff(eta_ext, axis=0)  # D+ eta_j, j = 1..2n
+        flux = sigma_ext[1 : n + 2, None] * t[: n + 1]  # j = 1..n+1
         acc_fixed = n * (flux[n] - flux[n - 1])
         assert acc_fixed == pytest.approx(np.zeros(2), abs=1e-12)
 
@@ -429,6 +468,22 @@ class TestSigmaWeightedEnergy:
     def test_missing_sigma(self):
         with pytest.raises(ValueError):
             sigma_weighted_energy(make_random_chain(4, seed=1), None, 2)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12])
+def test_energy_ladder_matches_the_oracles_to_every_order(n, d):
+    # every order the grid carries, m_max = 0..2n-1, reads the mirrored links
+    # and tensions up to ceil(m_max/2) rows past the fixed end
+    ch = projected_state(n, d, seed=100 * n + d)
+    sol = solve_tension(ch)
+    e_ref = oracle_energy(ch, 2 * n - 1)
+    et_ref = oracle_sigma_energy(ch, sol, 2 * n - 1)
+    for m_max in range(2 * n):
+        assert discrete_energy(ch, m_max) == pytest.approx(e_ref[: m_max + 1], rel=1e-12, abs=0.0)
+        assert sigma_weighted_energy(ch, sol, m_max) == pytest.approx(et_ref[: m_max + 1], rel=1e-12, abs=0.0)
+    with pytest.raises(ValueError, match="energy order"):
+        discrete_energy(ch, 2 * n)
 
 
 def test_rigid_rotation_energy_structure():

@@ -71,6 +71,27 @@ class TestAcceleration:
         assert np.all(acc[-1] == 0.0)
 
 
+_TENSION_READERS = {
+    "acceleration": acceleration,
+    "adaptive_dt": lambda ch, sig: adaptive_dt(ch, sig, IntegratorConfig(t_end=1.0)),
+    "diagnostics_abc": lambda ch, sig: tension.diagnostics_abc(ch, sig, np.zeros(ch.n + 1)),
+    "sigma_sobolev": lambda ch, sig: tension.sigma_sobolev(sig, ch.n),
+    "solve_sigma_dot": tension.solve_sigma_dot,
+    "tension_residual": tension_residual,
+    "sigma_weighted_energy": core.sigma_weighted_energy,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_TENSION_READERS))
+def test_tension_of_the_wrong_length_is_refused(reader):
+    # a length-5 sigma at n = 12 is refused by its shape, never broadcast or
+    # cut short; a tension solution is read through its .sigma
+    ch = rigid_rotation(12)
+    with pytest.raises(ValueError, match=r"shape \(13,\), got \(5,\)"):
+        _TENSION_READERS[reader](ch, np.ones(5))
+    _TENSION_READERS[reader](ch, solve_tension(ch))
+
+
 # ---------------------------------------------------------------------------
 # adaptive dt
 
@@ -673,7 +694,7 @@ def test_report_maxima_and_drift_bitwise_the_direct_kernels(n, d):
     assert rep.constraint_drift == ch.constraint_drift() == drift_ref
     # the ladder's curvature row reaches k = n, through the fixed end; the
     # report covers k < n only, so one link has curvature 0
-    ladder = core._squared_differences(core.odd_extend(ch, sol), n, 1)
+    ladder = core._squared_differences(ch.eta_dot, ch.link_dirs(), ch.link_dirs_dot(), 1)
     assert len(ladder[1][1]) == n
     assert (rep.max_curvature == 0.0) == (n == 1)
 

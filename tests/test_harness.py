@@ -29,6 +29,7 @@ from whipchain.harness import (
     snapshot_to_json,
 )
 from whipchain.initial_data import (
+    make_initial,
     near_loop,
     perturbed_vertical,
     random_chain,
@@ -36,7 +37,7 @@ from whipchain.initial_data import (
     rigid_rotation_exact,
     straight_chain,
 )
-from whipchain.spectral import continuize_Gn, discretize_Fn, eta_to_theta, theta_to_eta
+from whipchain.spectral import angle_coefficients, continuize_Gn, discretize_Fn, eta_to_theta, theta_to_eta
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -718,6 +719,35 @@ class TestRunExperiment:
         assert got.keys() == want.keys()
         for key in want:
             assert abs(got[key] - want[key]) <= 1e-15
+
+    @pytest.mark.parametrize("generator, n_list", [("rigid_rotation", "8,16,32"), ("theta_power", "10,20,37")])
+    def test_convergence_error_at_t0(self, tmp_path, generator, n_list):
+        # error_t0 is the distance of `error` taken on the transferred chains
+        # before they step, here recomputed from the full reference table
+        out = tmp_path / "t0"
+        text = (
+            f"kind = convergence\ninitial.generator = {generator}\ninitial.n = {n_list}\n"
+            f"integrator.t_end = 0.01\noutput.dir = {out}\n"
+        )
+        summary = run_experiment(parse_config(write_cfg(tmp_path, text))).summary
+        sizes = [int(n) for n in n_list.split(",")]
+        coeff_pos, coeff_vel = continuize_Gn(eta_to_theta(make_initial(generator, 2 * max(sizes))))
+        chains = {n: theta_to_eta(discretize_Fn(coeff_pos, n, coeff_vel)) for n in sizes}
+        if generator == "rigid_rotation":
+            want = {n: np.max(np.linalg.norm(chains[n].eta - rigid_rotation_exact(n, 0.0).eta, axis=1))
+                    for n in sizes}
+        else:
+            coeffs = {n: angle_coefficients(eta_to_theta(chains[n]).theta, n) for n in sizes}
+            want = {n: np.linalg.norm(np.concatenate([coeffs[n], np.zeros(m - n)]) - coeffs[m])
+                    for n, m in zip(sizes, sizes[1:])}
+        got = summary["errors_t0"]
+        assert got.keys() == summary["errors"].keys() == {str(n) for n in want}
+        for n, value in want.items():
+            assert abs(got[str(n)] - value) <= 1e-15
+        with open(out / "convergence.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["n", "error", "ratio_to_previous", "error_t0"]
+        assert [float(row["error_t0"]) for row in rows] == [got[row["n"]] for row in rows]
 
     def test_convergence_random_byte_identical(self, tmp_path):
         text = (
