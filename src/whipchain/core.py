@@ -15,6 +15,17 @@ many rows as a diagnostic reads.  The one flux operator D-D+ (sigma f),
 with that mirror built in, is :func:`_acceleration_arrays`, which the
 stepper and the tension diagnostics share.
 
+Layout
+------
+Link data is component-major inside the package: an array of d-vectors is
+shaped (d, ..., k), components first.  Components are summed over axis 0,
+left to right, and differences run along the last axis.  A stack of B
+chains is one flat (d, B n) row of blocks of n links, coupled by nothing:
+the kernels that difference across links (:func:`_acceleration_arrays`,
+``tension._alpha``) take the block length n and cut the stack at its
+block edges.  ``ChainState`` and every public function keep the row-major
+(n+1, d) and (n, d) forms and convert once at their boundary.
+
 All functions here are pure; states are immutable once constructed.
 """
 
@@ -107,45 +118,50 @@ def _weight_row(n: int, r: float, first: int, count: int) -> np.ndarray:
 
 
 def _sq(values: np.ndarray) -> np.ndarray:
-    """|v|^2 over the last axis (a 1-D array is squared elementwise), summed
-    component by component from the left: bitwise np.sum(v * v, axis=-1) for
-    d = 2 and 3, at a third of its cost on the short length-d axis."""
+    """|v|^2 over the component axis 0 of (d, ..., k) vectors, summed from the
+    left; a 1-D array is a scalar sequence and squares elementwise."""
     if values.ndim == 1:
         return values * values
-    out = values[..., 0] * values[..., 0]
-    for i in range(1, values.shape[-1]):
-        out += values[..., i] * values[..., i]
+    out = values[0] * values[0]
+    for i in range(1, values.shape[0]):
+        out += values[i] * values[i]
     return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a, b> over the last axis.  For d = 2 the two products are added
-    directly, bitwise the einsum and cheaper; other d keep the einsum, whose
-    rounding a left-to-right sum does not reproduce."""
-    if a.shape[-1] == 2:
-        return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-    return np.einsum("...d,...d->...", a, b)
-
-
-def _links(f: np.ndarray, n: int | None = None) -> np.ndarray:
-    """(D+ f)_k = n (f_{k+1} - f_k) along the rows of (..., rows, d) vectors: a chain's
-    link vectors.  n is the rows less one unless given (as an extension's slice must)."""
-    n = f.shape[-2] - 1 if n is None else n
-    return n * (f[..., 1:, :] - f[..., :-1, :])
-
-
-def _anchored(links: np.ndarray) -> np.ndarray:
-    """The (..., n+1, d) positions of (..., n, d) links, eta_k = eta_{k+1} - links_k / n
-    summed back from eta_{n+1} = 0: the inverse of :func:`_links` to round-off."""
-    n = links.shape[-2]
-    out = np.zeros(links.shape[:-2] + (n + 1, links.shape[-1]))
-    back = out[..., -2::-1, :]   # eta_n..eta_1
-    np.negative(np.cumsum((links / n)[..., ::-1, :], axis=-2, out=back), out=back)
+    """<a, b> over the component axis 0, summed from the left:
+    np.sum(a * b, axis=0) without its temporaries."""
+    out = a[0] * b[0]
+    for i in range(1, a.shape[0]):
+        out += a[i] * b[i]
     return out
 
 
+def _links(f: np.ndarray, n: int | None = None) -> np.ndarray:
+    """(D+ f)_k = n (f_{k+1} - f_k) along the last axis of (d, ..., rows) vectors:
+    a chain's link vectors.  n is the rows less one unless given (as an
+    extension's slice must)."""
+    n = f.shape[-1] - 1 if n is None else n
+    return n * (f[..., 1:] - f[..., :-1])
+
+
+def _anchored(links: np.ndarray) -> np.ndarray:
+    """The (d, ..., n+1) positions of (d, ..., n) links, eta_k = eta_{k+1} - links_k / n
+    summed back from eta_{n+1} = 0: the inverse of :func:`_links` to round-off."""
+    n = links.shape[-1]
+    out = np.zeros(links.shape[:-1] + (n + 1,))
+    back = out[..., -2::-1]   # eta_n..eta_1
+    np.negative(np.cumsum((links / n)[..., ::-1], axis=-1, out=back), out=back)
+    return out
+
+
+def _component_major(x: np.ndarray) -> np.ndarray:
+    """Row-major (k, d) vectors as a contiguous component-major (d, k) array."""
+    return np.ascontiguousarray(x.T)
+
+
 def _lengths(v: np.ndarray) -> np.ndarray:
-    """|v| over the last axis: np.linalg.norm(v, axis=-1), bitwise for
+    """|v| over the component axis 0: np.linalg.norm(v, axis=0), bitwise for
     d = 2 and 3 (see :func:`_sq`), without its per-call checks."""
     return np.sqrt(_sq(v))
 
@@ -161,14 +177,14 @@ def weighted_seminorm_sq(f, r: float, m: int, n: int, first_index: int = 1) -> f
     """
     df = forward_diff_m(f, n, m)
     w = _weight_row(n, r, first_index, df.shape[0])
-    return float(np.sum(w * _sq(df)) / n)
+    return float(np.sum(w * _sq(df.T)) / n)
 
 
 def weighted_supnorm_sq(f, r: float, m: int, n: int, first_index: int = 1) -> float:
     """Squared weighted sup seminorm max_k s_k^{(r)} |D+^m f_k|^2."""
     df = forward_diff_m(f, n, m)
     w = _weight_row(n, r, first_index, df.shape[0])
-    return float(np.max(w * _sq(df)))
+    return float(np.max(w * _sq(df.T)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +232,19 @@ class ChainState:
 
     def link_dirs(self) -> np.ndarray:
         """(D+ eta)_k for k = 1..n, shape (n, d); unit vectors on the manifold."""
-        return _links(self.eta)
+        return _links(self.eta.T).T
 
     def link_dirs_dot(self) -> np.ndarray:
         """(D+ eta_dot)_k for k = 1..n, shape (n, d)."""
-        return _links(self.eta_dot)
+        return _links(self.eta_dot.T).T
 
     def constraint_drift(self) -> float:
         """max_k | |D+ eta_k| - 1 |."""
-        return float(np.max(np.abs(_lengths(self.link_dirs()) - 1.0)))
+        return float(np.max(np.abs(_lengths(_links(self.eta.T)) - 1.0)))
 
     def orthogonality_drift(self) -> float:
         """max_k | <D+ eta_k, D+ eta_dot_k> |."""
-        return float(np.max(np.abs(_dot(self.link_dirs(), self.link_dirs_dot()))))
+        return float(np.max(np.abs(_dot(*_chain_links(self)))))
 
     def validate(self, tol_length: float = 1e-10, tol_orth: float = 1e-8) -> "ChainState":
         """Raise ValueError off the constraint manifold.  The orthogonality
@@ -240,10 +256,15 @@ class ChainState:
         if drift > tol_length:
             raise ValueError(f"link-length drift {drift:.3e} exceeds tolerance {tol_length:.1e}")
         orth = self.orthogonality_drift()
-        tol = tol_orth * max(1.0, float(np.max(_lengths(self.link_dirs_dot()))))
+        tol = tol_orth * max(1.0, float(np.max(_lengths(_links(self.eta_dot.T)))))
         if orth > tol:
             raise ValueError(f"orthogonality drift {orth:.3e} exceeds tolerance {tol:.1e}")
         return self
+
+
+def _chain_links(chain: ChainState) -> tuple[np.ndarray, np.ndarray]:
+    """A chain's links and link velocities, component-major (d, n)."""
+    return _links(_component_major(chain.eta)), _links(_component_major(chain.eta_dot))
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +272,11 @@ class ChainState:
 
 
 def _mirrored(x: np.ndarray, rows: int) -> np.ndarray:
-    """x with its last ``rows`` rows appended in reverse, x_{n+j} = x_{n+1-j}:
-    links (n, d) or tensions sigma_0..sigma_n continued evenly through the
-    fixed end.  The links of the paper's odd extension of eta are these, as
-    floats, up to the sign of a zero."""
-    return np.concatenate([x, x[::-1][:rows]])
+    """x with its last ``rows`` entries along the last axis appended in reverse,
+    x_{n+j} = x_{n+1-j}: links (d, n) or tensions sigma_0..sigma_n continued
+    evenly through the fixed end.  The links of the paper's odd extension of
+    eta are these, as floats, up to the sign of a zero."""
+    return np.concatenate([x, x[..., ::-1][..., :rows]], axis=-1)
 
 
 def _tension_array(sigma, n: int) -> np.ndarray:
@@ -268,17 +289,23 @@ def _tension_array(sigma, n: int) -> np.ndarray:
 
 
 def _acceleration_arrays(f: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
-    """D-D+ (sigma f)_k for k = 1..n of (..., n, d) link data f under the
-    tensions sigma_0..sigma_n: with g_k = sigma_k f_k, g_0 = 0 at the free
-    end and g_{n+1} = g_n by the even mirror at the fixed end, it is
-    n^2 (g_{k+1} - 2 g_k + g_{k-1}) for k < n and -n^2 (g_n - g_{n-1}) at
-    k = n.  On the links f = t = D+ eta it is the link acceleration
-    D+ eta_ddot."""
-    g = sigma[..., 1:, None] * f
+    """D-D+ (sigma f)_k for k = 1..n of each block of n links in (d, ..., K)
+    link data f under the interior tensions sigma_1..sigma_n, shaped (..., K):
+    with g_k = sigma_k f_k, g_0 = 0 at the free end and g_{n+1} = g_n by the
+    even mirror at the fixed end, it is n^2 (g_{k+1} - 2 g_k + g_{k-1}) for
+    k < n and -n^2 (g_n - g_{n-1}) at k = n.  On the links f = t = D+ eta it
+    is the link acceleration D+ eta_ddot.  A flat stack (K = B n) is one pass
+    with its block edges cut: each block is bitwise its own result."""
+    g = sigma * f
     jump = g.copy()                       # g_k - g_{k-1}
-    jump[..., 1:, :] -= g[..., :-1, :]
+    jump[..., 1:] -= g[..., :-1]
+    stacked = f.shape[-1] > n
+    if stacked:
+        jump[..., n::n] = g[..., n::n]    # g_0 = 0 at each block's free end
     acc = -jump
-    acc[..., :-1, :] += jump[..., 1:, :]
+    acc[..., :-1] += jump[..., 1:]
+    if stacked:
+        acc[..., n - 1 :: n] = -jump[..., n - 1 :: n]   # g_{n+1} = g_n at each block's fixed end
     acc *= n * n
     return acc
 
@@ -289,11 +316,11 @@ def _acceleration_arrays(f: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray
 
 def _squared_differences(eta_dot: np.ndarray, t: np.ndarray, t_dot: np.ndarray, m_max: int) -> list:
     """Pairs (|D+^l eta_dot_k|^2, |D+^{l+1} eta_k|^2) on k = 1..n - floor(l/2)
-    for l = 0..m_max, from the velocities, the links t = D+ eta and their
-    velocities t_dot = D+ eta_dot.  Order l reads the links up to
-    k = n + ceil(l/2), so they are mirrored ceil(m_max/2) rows past the
-    fixed end."""
-    n = len(t)
+    for l = 0..m_max, from the (d, n+1) velocities, the (d, n) links
+    t = D+ eta and their velocities t_dot = D+ eta_dot.  Order l reads the
+    links up to k = n + ceil(l/2), so they are mirrored ceil(m_max/2) rows
+    past the fixed end."""
+    n = t.shape[-1]
     rows = (m_max + 1) // 2
     out = []
     dvel, dpos = eta_dot, _mirrored(t, rows)
@@ -301,7 +328,7 @@ def _squared_differences(eta_dot: np.ndarray, t: np.ndarray, t_dot: np.ndarray, 
         kmax = n - ell // 2
         if kmax < 1:
             raise ValueError(f"energy order {ell} needs n > {2 * (ell // 2)}")
-        out.append((_sq(dvel[:kmax]), _sq(dpos[:kmax])))
+        out.append((_sq(dvel[:, :kmax]), _sq(dpos[:, :kmax])))
         if ell < m_max:
             dvel = _mirrored(t_dot, rows) if ell == 0 else _links(dvel, n)
             dpos = _links(dpos, n)
@@ -340,7 +367,8 @@ def _energies(sums: np.ndarray, n: int) -> np.ndarray:
 
 def _chain_ladder(chain: ChainState, m_max: int) -> list:
     """:func:`_squared_differences` of a chain's velocities and links."""
-    return _squared_differences(chain.eta_dot, chain.link_dirs(), chain.link_dirs_dot(), m_max)
+    eta_dot = _component_major(chain.eta_dot)
+    return _squared_differences(eta_dot, _links(_component_major(chain.eta)), _links(eta_dot), m_max)
 
 
 def u0_v0(chain: ChainState) -> tuple[float, float]:

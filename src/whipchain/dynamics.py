@@ -8,17 +8,18 @@ optional projection restores |D+ eta| = 1 and <D+ eta, D+ eta_dot> = 0 to
 round-off after each full step.
 
 There is one stepping loop, :func:`run_batch`.  It integrates B chains of
-one n and d as (B, n, d) links t_k = D+ eta_k and their velocities, which is
-all the tension system reads; the pinned end holds by construction
-(eta_k = -(1/n) sum_{j>=k} t_j, formed for snapshots only), and the
-acceleration and the projection act link by link.  Each RK stage solves the
-B tension systems as one stacked tridiagonal solve.  So does each
-iteration's start, and the stop tests, dt, the first stage and the snapshots
-all read that solve; a snapshot holds it to the solve contract.  Every chain
-keeps its own time, step, stride and termination, so each trajectory is
-bitwise the one the chain gives alone; :func:`run` is the batch of one.  The
-array kernels work on any leading shape; the public :func:`acceleration`,
-:func:`project` and :func:`step` take and return positions.
+one n and d as one flat component-major (d, B n) stack of links
+t_k = D+ eta_k and one of their velocities (the layout of
+:mod:`whipchain.core`), which is all the tension system reads; the pinned
+end holds by construction (eta_k = -(1/n) sum_{j>=k} t_j, formed for
+snapshots only), and the acceleration and the projection act link by link.
+Each RK stage solves the B tension systems as one block-diagonal
+tridiagonal solve.  So does each iteration's start, and the stop tests, dt,
+the first stage and the snapshots all read that solve; a snapshot holds it
+to the solve contract.  Every chain keeps its own time, step, stride and
+termination, so each trajectory is bitwise the one the chain gives alone;
+:func:`run` is the batch of one.  The public :func:`acceleration`,
+:func:`project` and :func:`step` take and return row-major positions.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .core import (
     ChainState,
     _acceleration_arrays,
     _anchored,
+    _chain_links,
+    _component_major,
     _energies,
     _energy_sums,
     _dot,
@@ -54,6 +57,7 @@ from .tension import (
 )
 
 TERMINATIONS = ("t_end_reached", "negative_tension", "blowup_suspected", "dt_underflow")
+_NO_ROWS = np.empty(0, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ def acceleration(chain: ChainState, sigma) -> np.ndarray:
     Returns shape (n+1, d): the positions of the link acceleration.
     """
     n = chain.n
-    return _anchored(_acceleration_arrays(chain.link_dirs(), _tension_array(sigma, n), n))
+    return _anchored(_acceleration_arrays(_chain_links(chain)[0], _tension_array(sigma, n)[1:], n)).T
 
 
 def adaptive_dt(chain: ChainState, sigma, cfg: IntegratorConfig) -> float:
@@ -109,7 +113,8 @@ def adaptive_dt(chain: ChainState, sigma, cfg: IntegratorConfig) -> float:
 
 def _raw_dt(n: int, sigma: np.ndarray, cfg: IntegratorConfig):
     """The unclamped CFL step cfl / (n sqrt(max sigma) + eps), one per chain
-    of a (..., n+1) tension array."""
+    of a (..., n+1) or interior (..., n) tension array (sigma_0 = 0 does not
+    move the clamped maximum)."""
     top = np.maximum(sigma.max(axis=-1), 0.0)
     return cfg.cfl / (n * np.sqrt(top) + 1e-12)
 
@@ -123,16 +128,16 @@ def _clamp_dt(dt, cfg: IntegratorConfig):
 
 
 def _project_arrays(t: np.ndarray, t_dot: np.ndarray):
-    """Renormalize each link, t <- t / |t|, then take each link velocity's
-    component along it away, t_dot <- t_dot - <t_dot, t> t."""
-    unit = t / _lengths(t)[..., None]
-    return unit, t_dot - _dot(t_dot, unit)[..., None] * unit
+    """Renormalize each of the (d, ..., K) links, t <- t / |t|, then take each
+    link velocity's component along it away, t_dot <- t_dot - <t_dot, t> t."""
+    unit = t / _lengths(t)
+    return unit, t_dot - _dot(t_dot, unit) * unit
 
 
 def project(chain: ChainState) -> ChainState:
     """Return the chain projected back onto the constraint manifold."""
-    t, t_dot = _project_arrays(chain.link_dirs(), chain.link_dirs_dot())
-    return ChainState(chain.n, chain.d, _anchored(t), _anchored(t_dot), chain.time)
+    t, t_dot = _project_arrays(*_chain_links(chain))
+    return ChainState(chain.n, chain.d, _anchored(t).T, _anchored(t_dot).T, chain.time)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +149,10 @@ def _stage_rhs(t: np.ndarray, t_dot: np.ndarray, n: int):
 
 
 def _advance(t, t_dot, sigma, n, dt, scheme):
-    """One explicit step of the free ODE (no projection) on (..., n, d) links
-    and link velocities; ``sigma`` is the tension of (t, t_dot), so the
-    first stage solves nothing.  For a (B, n, d) batch ``dt`` has shape
-    (B, 1, 1)."""
+    """One explicit step of the free ODE (no projection) on (d, K) links and
+    link velocities, blocks of n; ``sigma`` is the interior tension of
+    (t, t_dot), so the first stage solves nothing.  ``dt`` is a number or
+    one step per link, shaped (K,)."""
     k1x, k1v = t_dot, _acceleration_arrays(t, sigma, n)
     if scheme == "heun":
         k2x, k2v = _stage_rhs(t + dt * k1x, t_dot + dt * k1v, n)
@@ -156,15 +161,27 @@ def _advance(t, t_dot, sigma, n, dt, scheme):
     k2x, k2v = _stage_rhs(t + half * k1x, t_dot + half * k1v, n)
     k3x, k3v = _stage_rhs(t + half * k2x, t_dot + half * k2v, n)
     k4x, k4v = _stage_rhs(t + dt * k3x, t_dot + dt * k3v, n)
-    return (t + dt / 6.0 * (2.0 * (k2x + k3x) + k1x + k4x),
-            t_dot + dt / 6.0 * (2.0 * (k2v + k3v) + k1v + k4v))
+    sixth = dt / 6.0
+    return _rk4_sum(t, sixth, k1x, k2x, k3x, k4x), _rk4_sum(t_dot, sixth, k1v, k2v, k3v, k4v)
+
+
+def _rk4_sum(y, sixth, k1, k2, k3, k4):
+    """y + sixth (2 (k2 + k3) + k1 + k4), in place in one temporary."""
+    out = k2 + k3
+    out *= 2.0
+    out += k1
+    out += k4
+    out *= sixth
+    out += y
+    return out
 
 
 def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
-    """One full step of every chain in a (B, n, d) batch of links and link
-    velocities with tensions ``sigma``: advance, reject non-finite state,
-    project.  ``time`` and ``dt`` hold each chain's time and step, shaped
-    (B,) and (B, 1, 1).
+    """One full step of every chain in a flat (d, B n) stack of links and
+    link velocities with interior tensions ``sigma`` (B n,): advance, reject
+    non-finite state, project.  ``time`` holds each chain's time, shaped
+    (B,), and ``dt`` its step repeated over its links, shaped (B n,), or the
+    one number every chain steps by.
 
     Returns the new links and link velocities and, per chain, the largest
     particle displacement the projection made, summed from its link
@@ -174,14 +191,19 @@ def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
     """
     new_t, new_dot = _advance(t, t_dot, sigma, n, dt, cfg.scheme)
     if not (np.isfinite(new_t).all() and np.isfinite(new_dot).all()):
-        finite = np.isfinite(new_t).all(axis=(-2, -1)) & np.isfinite(new_dot).all(axis=(-2, -1))
+        finite = _blocks(np.isfinite(new_t) & np.isfinite(new_dot), n).all(axis=(0, 2))
         row = _first_failing(t, t_dot, n, dt, cfg.scheme, finite)
         raise NumericError(f"non-finite state after step at t={time[row]:.6g}", chain=row)
     if not cfg.project:
-        return new_t, new_dot, np.zeros(len(t))
+        return new_t, new_dot, np.zeros(len(time))
     unit, unit_dot = _project_arrays(new_t, new_dot)
-    moved = np.cumsum(((unit - new_t) / n)[..., ::-1, :], axis=-2)
+    moved = np.cumsum(_blocks((unit - new_t) / n, n)[..., ::-1], axis=-1)
     return unit, unit_dot, np.sqrt(_sq(moved).max(axis=-1))
+
+
+def _blocks(x: np.ndarray, n: int) -> np.ndarray:
+    """The (d, B, n) view of a flat (d, B n) stack, one row per chain."""
+    return x.reshape(x.shape[0], -1, n)
 
 
 def _first_failing(t, t_dot, n, dt, scheme, finite) -> int:
@@ -194,10 +216,10 @@ def _first_failing(t, t_dot, n, dt, scheme, finite) -> int:
     """
     rows = np.flatnonzero(~finite)
     for row in rows:
-        part = slice(row, row + 1)
+        part = slice(row * n, (row + 1) * n)
         try:
-            sigma = _solve_sigma_arrays(t[part], t_dot[part], n)[0]
-            x, v = _advance(t[part], t_dot[part], sigma, n, dt[part], scheme)
+            sigma = _solve_sigma_arrays(t[:, part], t_dot[:, part], n)[0]
+            x, v = _advance(t[:, part], t_dot[:, part], sigma, n, np.broadcast_to(dt, t.shape[-1])[part], scheme)
         except NumericError:
             return int(row)
         if not (np.isfinite(x).all() and np.isfinite(v).all()):
@@ -208,12 +230,13 @@ def _first_failing(t, t_dot, n, dt, scheme, finite) -> int:
 def step(chain: ChainState, cfg: IntegratorConfig, dt: float | None = None) -> ChainState:
     """Advance one step.  dt defaults to the adaptive CFL value; the result is
     projected when cfg.project is set.  Raises NumericError on NaN state."""
-    t, t_dot = chain.link_dirs()[None], chain.link_dirs_dot()[None]
-    sigma = _solve_sigma_arrays(t, t_dot, chain.n)[0]
+    n = chain.n
+    t, t_dot = _chain_links(chain)
+    sigma = _solve_sigma_arrays(t, t_dot, n)[0]
     if dt is None:
-        dt = adaptive_dt(chain, sigma[0], cfg)
-    t, t_dot, _ = _step_arrays(t, t_dot, sigma, chain.n, [chain.time], np.full((1, 1, 1), dt), cfg)
-    return ChainState(chain.n, chain.d, _anchored(t[0]), _anchored(t_dot[0]), chain.time + dt)
+        dt = float(_clamp_dt(_raw_dt(n, sigma, cfg), cfg))
+    t, t_dot, _ = _step_arrays(t, t_dot, sigma, n, [chain.time], np.full(n, dt), cfg)
+    return ChainState(n, chain.d, _anchored(t).T, _anchored(t_dot).T, chain.time + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +314,15 @@ def snapshot_report(chain: ChainState, sol: TensionSolution) -> EnergyReport:
     so the root of the largest square is the largest length.
     """
     n = chain.n
-    t, t_dot = chain.link_dirs(), chain.link_dirs_dot()
+    eta_dot = _component_major(chain.eta_dot)
+    t, t_dot = _links(_component_major(chain.eta)), _links(eta_dot)
     m_max = 3 if n > 1 else 1   # one link has no second difference
-    sq = _squared_differences(chain.eta_dot, t, t_dot, m_max)
+    sq = _squared_differences(eta_dot, t, t_dot, m_max)
     (_, links_sq), (ang_sq, curv_sq) = sq[:2]
     sums = _energy_sums(sq, _s_weight(n))
     u0, v0 = sums[0] / n
     sigma = _tension_array(sol, n)
-    a, b, c = diagnostics_abc(chain, sigma, _sigma_dot(t, t_dot, sigma))
+    a, b, c = diagnostics_abc(chain, sigma, _sigma_dot(t, t_dot, sigma[1:]))
     pad = np.full(3 - m_max, np.nan)
     return EnergyReport(
         e=np.concatenate([_energies(sums, n), pad]),
@@ -372,9 +396,9 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
             c.validate()
         except ValueError as exc:
             raise NumericError(f"chain {i}: initial state {exc}", chain=i) from exc
-    live = np.arange(len(initials))   # the chain in each working row
-    eta = np.stack([c.eta for c in initials])
-    eta_dot = np.stack([c.eta_dot for c in initials])
+    live = np.arange(len(initials))   # the chain in each working block
+    eta = np.stack([c.eta.T for c in initials], axis=1)   # (d, B, n+1)
+    eta_dot = np.stack([c.eta_dot.T for c in initials], axis=1)
     t = np.array([c.time for c in initials], dtype=float)
     snapshots: list = [[] for _ in initials]
     logs: list = [[] for _ in initials]
@@ -388,26 +412,36 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
             every = steps % cfg.report_stride == 0
             if every:
                 if steps:
-                    eta, eta_dot = _anchored(links), _anchored(links_dot)
+                    eta, eta_dot = _anchored(_blocks(links, n)), _anchored(_blocks(links_dot, n))
                 # a snapshot is a restart point: step on from its positions' links
-                links, links_dot = _links(eta), _links(eta_dot)
+                links, links_dot = _links(eta).reshape(d, -1), _links(eta_dot).reshape(d, -1)
             sigma, alpha, w = _solve_sigma_arrays(links, links_dot, n)
-            raw = _raw_dt(n, sigma, cfg)
-            curv = np.sqrt(_sq(_links(links, n)).max(axis=-1, initial=0.0))
-            # one row per stop condition, in the order of TERMINATIONS, which is their precedence
-            hits = np.array([
-                t >= cfg.t_end - tiny,
-                (sigma[:, 1:].min(axis=1) < 0.0) & cfg.halt_on_negative_tension,
-                (np.sqrt(w.max(axis=-1)) > thr) | (curv > thr),
-                raw < cfg.dt_min,
-            ])
-            going = ~hits.any(axis=0)
-            ending = np.flatnonzero(~going)
+            chain_sigma, chain_w = sigma.reshape(-1, n), w.reshape(-1, n)   # (B, n) views
+            raw = _raw_dt(n, chain_sigma, cfg)
+            curv_sq = _sq(_links(_blocks(links, n), n)).max(axis=-1, initial=0.0)
+            # whole-stack extremes (NaN-ignoring) rule out a stop on most steps:
+            # any chain's stop below breaks one of them
+            quiet = (t.max() < cfg.t_end - tiny and np.fmin.reduce(raw) >= cfg.dt_min
+                     and not (cfg.halt_on_negative_tension and np.fmin.reduce(sigma) < 0.0)
+                     and np.sqrt(np.fmax(np.fmax.reduce(w), np.fmax.reduce(curv_sq))) <= thr)
+            if quiet:
+                ending = _NO_ROWS
+            else:
+                # one row per stop condition, in the order of TERMINATIONS, which is their precedence
+                hits = np.array([
+                    t >= cfg.t_end - tiny,
+                    (chain_sigma.min(axis=1) < 0.0) & cfg.halt_on_negative_tension,
+                    (np.sqrt(chain_w.max(axis=-1)) > thr) | (np.sqrt(curv_sq) > thr),
+                    raw < cfg.dt_min,
+                ])
+                going = ~hits.any(axis=0)
+                ending = np.flatnonzero(~going)
             if ending.size and not every:
-                eta, eta_dot = _anchored(links), _anchored(links_dot)
+                eta, eta_dot = _anchored(_blocks(links, n)), _anchored(_blocks(links_dot, n))
             for row in range(live.size) if every else ending:
-                state = ChainState(n, d, eta[row], eta_dot[row], t[row])
-                snap = _make_snapshot(state, sigma[row], alpha[row], w[row], row)
+                state = ChainState(n, d, eta[:, row].T, eta_dot[:, row].T, t[row])
+                full = np.concatenate([[0.0], chain_sigma[row]])
+                snap = _make_snapshot(state, full, alpha[row * n : row * n + n - 1], chain_w[row], row)
                 snapshots[live[row]].append(snap)
                 if on_snapshot is not None:
                     on_snapshot(int(live[row]), snap)
@@ -416,11 +450,15 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                 termination = TERMINATIONS[hits[:, row].argmax()]
                 done[i] = Trajectory(snapshots[i], termination, len(logs[i]), np.array(logs[i]))
             if ending.size:
-                live, links, links_dot, t, sigma, raw = (a[going] for a in (live, links, links_dot, t, sigma, raw))
+                live, t, raw = live[going], t[going], raw[going]
                 if not live.size:
                     break
+                links, links_dot = (_blocks(a, n)[:, going].reshape(d, -1) for a in (links, links_dot))
+                sigma = chain_sigma[going].ravel()
             dt = np.minimum(_clamp_dt(raw, cfg), cfg.t_end - t)
-            links, links_dot, moved = _step_arrays(links, links_dot, sigma, n, t, dt[:, None, None], cfg)
+            # a step every chain shares is a number, else one per link
+            step_dt = dt[0] if (dt == dt[0]).all() else np.repeat(dt, n)
+            links, links_dot, moved = _step_arrays(links, links_dot, sigma, n, t, step_dt, cfg)
             for i, m in zip(live, moved.tolist()):
                 logs[i].append(m)
             t = t + dt

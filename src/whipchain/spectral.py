@@ -26,7 +26,7 @@ from math import factorial
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .core import ChainState, _anchored, _frozen_array, forward_diff_m, weighted_seminorm_sq
+from .core import ChainState, _anchored, _chain_links, _frozen_array, forward_diff_m, weighted_seminorm_sq
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,9 @@ def eta_to_theta(chain: ChainState) -> AngleState:
     and angular velocities from D+ eta_dot_k = theta_dot_k (-sin, cos)."""
     if chain.d != 2:
         raise ValueError(f"angle representation needs d = 2, got d = {chain.d}")
-    t = chain.link_dirs()
-    theta = np.unwrap(np.arctan2(t[:, 1], t[:, 0]))
-    td = chain.link_dirs_dot()
-    theta_dot = td[:, 1] * np.cos(theta) - td[:, 0] * np.sin(theta)
+    t, td = _chain_links(chain)
+    theta = np.unwrap(np.arctan2(t[1], t[0]))
+    theta_dot = td[1] * np.cos(theta) - td[0] * np.sin(theta)
     return AngleState(chain.n, theta, theta_dot, chain.time)
 
 
@@ -67,15 +66,16 @@ def theta_to_eta(angles: AngleState) -> ChainState:
     """Rebuild positions by cumulative sums anchored at the fixed end; the
     produced links are unit by construction."""
     n, theta = angles.n, angles.theta
-    td = angles.theta_dot[:, None] * np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-    return ChainState(n, 2, theta_positions(theta), _anchored(td), angles.time)
+    td = angles.theta_dot * np.stack([-np.sin(theta), np.cos(theta)])
+    return ChainState(n, 2, theta_positions(theta).T, _anchored(td).T, angles.time)
 
 
 def theta_positions(theta: np.ndarray) -> np.ndarray:
     """Positions eta_1..eta_{n+1} of the unit links at angles theta along the
-    last axis: a (..., n) stack of angles gives a (..., n+1, 2) stack of
-    chains, each bitwise the eta of its own :func:`theta_to_eta`."""
-    return _anchored(np.stack([np.cos(theta), np.sin(theta)], axis=-1))
+    last axis, component-major: a (..., n) stack of angles gives a
+    (2, ..., n+1) stack of chains, each bitwise the eta of its own
+    :func:`theta_to_eta`."""
+    return _anchored(np.stack([np.cos(theta), np.sin(theta)]))
 
 
 def even_extend_theta(theta: np.ndarray, n: int) -> np.ndarray:

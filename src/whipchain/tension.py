@@ -26,8 +26,9 @@ its rows and columns reversed, so LAPACK's ``dpttrf`` gives them in compiled
 code, and G_kk comes from one banded ``dtbtrs`` sweep.  Both act on a stack
 of chains as one block-diagonal system with zero couplings between the
 blocks, and the certificate's clauses run along the last axis, so
-``certify_stack`` certifies a (B, n+1, d) stack at once, each row bitwise
+``certify_stack`` certifies a (d, B, n+1) stack at once, each row bitwise
 the chain's own certificate; the per-chain functions are the stack of one.
+Link data is component-major, as in :mod:`whipchain.core`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 from .core import (
     ChainState,
     _acceleration_arrays,
+    _chain_links,
     _dot,
     _frozen_array,
     _links,
@@ -154,12 +156,15 @@ def alpha_beta_from_alpha(alpha) -> AlphaBeta:
 
 def compute_alpha_beta(chain: ChainState) -> AlphaBeta:
     """alpha_i = <D+ eta_{i+1}, D+ eta_i> for i = 1..n-1, plus the beta recursion."""
-    return alpha_beta_from_alpha(_alpha(_links(chain.eta)))
+    return alpha_beta_from_alpha(_alpha(_links(chain.eta.T)))
 
 
 def _alpha(t: np.ndarray) -> np.ndarray:
-    """The cosines alpha_1..alpha_{n-1} of (..., n, d) link vectors."""
-    return _dot(t[..., 1:, :], t[..., :-1, :])
+    """The cosines <t_{k+1}, t_k> along the last axis of (d, ..., K) link
+    vectors: alpha_1..alpha_{n-1} of a chain.  On a flat stack of chains the
+    entries at the block edges pair the links of two chains; the tension
+    solve cuts them."""
+    return _dot(t[..., 1:], t[..., :-1])
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +268,15 @@ def green_matrix(ab: AlphaBeta) -> GreenMatrix:
 
 def upsilon_threehalves(chain: ChainState) -> float:
     """Smallest upsilon with (k/n)^{3/2} |D+^2 eta_k|^2 <= upsilon, k = 1..n-1."""
-    return float(_upsilon(_links(chain.eta)))
+    return float(_upsilon(_links(chain.eta.T)))
 
 
 def _upsilon(t: np.ndarray) -> np.ndarray:
-    """:func:`upsilon_threehalves` of each chain of (..., n, d) link vectors;
+    """:func:`upsilon_threehalves` of each chain of (d, ..., n) link vectors;
     0 for a single link."""
-    n = t.shape[-2]
+    n = t.shape[-1]
     if n < 2:
-        return np.zeros(t.shape[:-2])
+        return np.zeros(t.shape[1:-1])
     # second differences at k = 1..n-1 need eta up to k+2 <= n+1: no extension
     curv = _links(t, n)
     return np.max((np.arange(1, n) / n) ** 1.5 * _sq(curv), axis=-1)
@@ -330,38 +335,38 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     the entries as ``x * n * n``: ``x * (n * n)`` rounds differently when n
     is not a power of two.
 
-    A stack of B systems, alpha of shape (B, n-1) and w of shape (B, n),
-    solves as one block-diagonal system of size B n whose couplings between
-    blocks are zero.  Each block's first pivot is then d - 0 * 0 and the
-    substitutions add 0 * x across block boundaries, so every block's
-    solution is bitwise the one its own solve gives.
+    A flat stack of B systems, alpha of length B n - 1 (:func:`_alpha` of
+    the stacked links) and w of length B n, solves as one block-diagonal
+    system of size B n: the couplings between blocks are set to zero.  Each
+    block's first pivot is then d - 0 * 0 and the substitutions add 0 * x
+    across block boundaries, so every block's solution is bitwise the one
+    its own solve gives.
     """
     diag = _operator_diagonal(n, w.size, scaled=True)
     if w.size == 1:  # one link: the 1 x 1 system, which dptsv's wrapper refuses
         return w / diag
-    off = np.zeros(w.shape)
-    off[..., :-1] = -alpha * n * n
-    _, _, sigma, info = dptsv(diag, off.ravel()[: w.size - 1], w.ravel())
+    off = alpha * -n   # -alpha * n * n, bitwise
+    off *= n
+    off[n - 1 :: n] = 0.0
+    _, _, sigma, info = dptsv(diag, off, w, overwrite_e=1)
     if info > 0:
         chain = (info - 1) // n
-        worst = np.max(np.abs(alpha.reshape(-1, n - 1)[chain]))
+        worst = np.max(np.abs(alpha[chain * n : chain * n + n - 1]), initial=0.0)
         raise NumericError(
             f"tension system not positive definite (max |alpha| = {worst:.3f}); "
             "the state has left the constraint manifold", chain=chain,
         )
-    return sigma.reshape(w.shape)
+    return sigma
 
 
 def _solve_sigma_arrays(t: np.ndarray, t_dot: np.ndarray, n: int):
-    """Direct tension solve on (..., n, d) links t = D+ eta and link velocities
-    t_dot = D+ eta_dot, one stacked solve for a batch.  Returns
-    sigma_0..sigma_n along the last axis and the system's alpha and w, which
-    the solve contract (:func:`_checked_solution`) reads."""
+    """Direct tension solve on (d, K) links t = D+ eta and link velocities
+    t_dot = D+ eta_dot, blocks of n links: one solve for a flat stack of
+    chains.  Returns the interior tensions sigma_1..sigma_n of each block
+    (K,) and the system's alpha (K - 1,) and w (K,), which the solve
+    contract (:func:`_checked_solution`) reads block by block."""
     alpha, w = _alpha(t), _sq(t_dot)
-    sigma = np.empty(w.shape[:-1] + (n + 1,))
-    sigma[..., 0] = 0.0
-    sigma[..., 1:] = _solve_tridiagonal(alpha, w, n)
-    return sigma, alpha, w
+    return _solve_tridiagonal(alpha, w, n), alpha, w
 
 
 def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
@@ -371,15 +376,15 @@ def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
     sigma_k = (1/n) sum_j G_kj w_j through the Green function's generators,
     also in O(n).  Either result is checked by :func:`_checked_solution`.
     """
-    t, t_dot = chain.link_dirs(), chain.link_dirs_dot()
+    t, t_dot = _chain_links(chain)
     if method == "direct":
-        sigma, alpha, w = _solve_sigma_arrays(t, t_dot, chain.n)
+        interior, alpha, w = _solve_sigma_arrays(t, t_dot, chain.n)
     elif method == "green":
         alpha, w = _alpha(t), _sq(t_dot)
-        sigma = np.concatenate([[0.0], green_matrix(alpha_beta_from_alpha(alpha)).apply(w)])
+        interior = green_matrix(alpha_beta_from_alpha(alpha)).apply(w)
     else:
         raise ValueError(f"unknown tension method {method!r}; use 'direct' or 'green'")
-    return _checked_solution(sigma, alpha, w)
+    return _checked_solution(np.concatenate([[0.0], interior]), alpha, w)
 
 
 def _checked_solution(sigma: np.ndarray, alpha: np.ndarray, w: np.ndarray) -> TensionSolution:
@@ -422,9 +427,9 @@ def tension_residual(chain: ChainState, sigma) -> float:
     restatement of the tridiagonal residual.
     """
     n = chain.n
-    t = chain.link_dirs()
-    lhs = _dot(t, _acceleration_arrays(t, _tension_array(sigma, n), n))
-    return float(np.max(np.abs(lhs + _sq(chain.link_dirs_dot()))))
+    t, t_dot = _chain_links(chain)
+    lhs = _dot(t, _acceleration_arrays(t, _tension_array(sigma, n)[1:], n))
+    return float(np.max(np.abs(lhs + _sq(t_dot))))
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +445,13 @@ def solve_sigma_dot(chain: ChainState, sigma) -> np.ndarray:
 
     Returns sigma_dot_0..sigma_dot_n with sigma_dot_0 = 0.
     """
-    return _sigma_dot(chain.link_dirs(), chain.link_dirs_dot(), _tension_array(sigma, chain.n))
+    return _sigma_dot(*_chain_links(chain), _tension_array(sigma, chain.n)[1:])
 
 
 def _sigma_dot(t: np.ndarray, t_dot: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """:func:`solve_sigma_dot` on (n, d) links t and link velocities t_dot."""
-    n = len(t)
+    """:func:`solve_sigma_dot` on (d, n) links t and link velocities t_dot
+    under the interior tensions sigma_1..sigma_n."""
+    n = t.shape[-1]
     rhs = 3.0 * _dot(t_dot, _acceleration_arrays(t, sigma, n)) + _dot(t, _acceleration_arrays(t_dot, sigma, n))
     sd = np.empty(n + 1)
     sd[0] = 0.0
@@ -549,7 +555,7 @@ def certify_bounds(gm: GreenMatrix, chain: ChainState) -> GreenCertificate:
     :func:`certify_stack`.  Failures are reported in the certificate, never
     raised."""
     ab = gm.alpha_beta
-    t = _links(chain.eta[None])
+    t = _links(chain.eta.T[:, None])
     fields = _certificate_arrays(ab.alpha[None], ab.beta[None], gm.ratios[None], gm.diag[None], t)
     out = {key: value[0].item() for key, value in fields.items()}
     for key, hypothesis in _HYPOTHESES.items():
@@ -559,7 +565,8 @@ def certify_bounds(gm: GreenMatrix, chain: ChainState) -> GreenCertificate:
 
 
 def certify_stack(eta: np.ndarray) -> dict[str, np.ndarray]:
-    """The certificates of a (B, n+1, d) stack of chain positions: for each
+    """The certificates of a component-major (d, B, n+1) stack of chain
+    positions: for each
     GreenCertificate field but n, an array of B entries.  A flag holds its
     test even where the hypothesis in ``_HYPOTHESES`` fails (where a
     certificate reports None).  Row b is bitwise the certificate of chain b
@@ -572,8 +579,8 @@ def certify_stack(eta: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _certificate_arrays(alpha, beta, c, D, t) -> dict[str, np.ndarray]:
-    """Every bound of a (B, n) stack of generators and link vectors t, one
-    entry per row, in O(n) per row.
+    """Every bound of a (B, n) stack of generators and (d, B, n) link vectors
+    t, one entry per row, in O(n) per row.
 
     With |c_m| <= 1 each row's largest |G_kj| is G_kk on the diagonal, so the
     min(j,k)/n bound and the upper ratio read the diagonal alone.  Below the

@@ -21,6 +21,13 @@ def make_random_chain(n, seed=0, max_turn=1.2, vel_scale=1.0):
     return random_chain(n, np.random.default_rng(seed), max_turn=max_turn, vel_scale=vel_scale)
 
 
+def flat_links(chains):
+    """The links and link velocities of chains of one n and d, each as one
+    flat component-major (d, B n) stack: chain b in columns b n .. b n + n - 1."""
+    return (np.concatenate([c.link_dirs().T for c in chains], axis=1),
+            np.concatenate([c.link_dirs_dot().T for c in chains], axis=1))
+
+
 # ---------------------------------------------------------------------------
 # oracle: weights and seminorms
 

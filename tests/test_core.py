@@ -181,17 +181,19 @@ class TestRisingWeight:
 
 
 class TestComponentSums:
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_sq_bitwise_the_reduction(self, d, rng):
-        v = rng.normal(size=(16, 65, d))
-        assert np.array_equal(_sq(v), np.sum(v * v, axis=-1))
-        assert np.array_equal(_sq(v[0]), np.sum(v[0] * v[0], axis=-1))
-        assert np.array_equal(_sq(v[0, :, 0]), v[0, :, 0] ** 2)  # a 1-D array squares elementwise
+    """Sums over the component axis 0 of (d, ..., k) link data."""
 
     @pytest.mark.parametrize("d", [2, 3])
-    def test_dot_bitwise_the_einsum(self, d, rng):
-        a, b = rng.normal(size=(2, 16, 65, d))
-        assert np.array_equal(_dot(a, b), np.einsum("...kd,...kd->...k", a, b))
+    def test_sq_bitwise_the_reduction(self, d, rng):
+        v = rng.normal(size=(d, 16, 65))
+        assert np.array_equal(_sq(v), np.sum(v * v, axis=0))
+        assert np.array_equal(_sq(v[:, 0]), np.sum(v[:, 0] * v[:, 0], axis=0))
+        assert np.array_equal(_sq(v[0, 0]), v[0, 0] ** 2)  # a 1-D array squares elementwise
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dot_bitwise_the_left_to_right_sum(self, d, rng):
+        a, b = rng.normal(size=(2, d, 16, 65))
+        assert np.array_equal(_dot(a, b), np.sum(a * b, axis=0))
 
 
 class TestSeminorms:
@@ -332,25 +334,25 @@ class TestOddExtend:
         ch = make_random_chain(5, seed=2)
         eta, _ = oracle_extend(ch)
         assert np.all(eta[5] == 0.0)
-        t = _mirrored(ch.link_dirs(), 1)
-        assert t.shape == (6, 2) and np.all(t[5] == t[4])
+        t = _mirrored(ch.link_dirs().T, 1)
+        assert t.shape == (2, 6) and np.all(t[:, 5] == t[:, 4])
 
     def test_n1_reflection(self):
         eta = np.array([[0.3, 0.4], [0.0, 0.0]])
         eta[0] /= np.linalg.norm(eta[0])  # unit link for validity
         ch = ChainState(1, 2, eta, np.zeros((2, 2)))
-        assert _mirrored(ch.link_dirs(), 1) == pytest.approx(np.array([-eta[0], -eta[0]]))
+        assert _mirrored(ch.link_dirs().T, 1).T == pytest.approx(np.array([-eta[0], -eta[0]]))
 
     def test_reflection_identity(self):
         n = 7
-        t = _mirrored(make_random_chain(n, seed=3).link_dirs(), n)
+        t = _mirrored(make_random_chain(n, seed=3).link_dirs().T, n)
         for j in range(1, n + 1):
-            assert np.all(t[n + j - 1] == t[n - j])  # t_{n+j} = t_{n+1-j}
+            assert np.all(t[:, n + j - 1] == t[:, n - j])  # t_{n+j} = t_{n+1-j}
 
     def test_extension_preserves_link_lengths(self):
         ch = make_random_chain(9, seed=4)
-        links = _mirrored(ch.link_dirs(), 9)
-        assert np.linalg.norm(links, axis=1) == pytest.approx(np.ones(2 * 9), abs=1e-12)
+        links = _mirrored(ch.link_dirs().T, 9)
+        assert np.linalg.norm(links, axis=0) == pytest.approx(np.ones(2 * 9), abs=1e-12)
 
     def test_sigma_even_reflection(self):
         n = 6
@@ -364,12 +366,12 @@ class TestOddExtend:
     def test_mirrored_links_equal_the_oracle_extension(self, n, d):
         ch = projected_state(n, d, seed=10 * n + d)
         eta, eta_dot = oracle_extend(ch)
-        want = _links(np.array(eta), n)          # D+ eta_j, j = 1..2n
-        want_dot = _links(np.array(eta_dot), n)
+        want = _links(np.array(eta).T, n).T      # D+ eta_j, j = 1..2n
+        want_dot = _links(np.array(eta_dot).T, n).T
         sig = solve_tension(ch).sigma
         sig_want = np.array(oracle_sigma_extend(sig, n))
         for rows in sorted({0, 1, 2, n // 2, n} & set(range(n + 1))):
-            got, got_dot = _mirrored(ch.link_dirs(), rows), _mirrored(ch.link_dirs_dot(), rows)
+            got, got_dot = _mirrored(ch.link_dirs().T, rows).T, _mirrored(ch.link_dirs_dot().T, rows).T
             assert got.shape == (n + rows, d)
             # equal as floats; a zero component may differ in sign only
             assert np.all(got == want[: n + rows]) and np.all(got_dot == want_dot[: n + rows])

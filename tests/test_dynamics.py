@@ -28,7 +28,7 @@ from whipchain.initial_data import (
 )
 from whipchain.tension import solve_tension, tension_residual
 
-from conftest import make_random_chain
+from conftest import flat_links, make_random_chain
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +454,34 @@ class TestRunBatch:
             run_batch(chains, IntegratorConfig(t_end=0.01))
         assert info.value.chain == 2
 
+    @pytest.mark.parametrize("halt", [True, False])
+    def test_mid_run_stops_in_a_batch_match_serial(self, halt):
+        # near_loop(48) stops mid-run on negative tension, or with the halt
+        # off on the blowup threshold, while a random chain runs to t_end and
+        # a late-starting one reaches it first: each leaves the batch at its
+        # own step, and every trajectory is its serial one
+        late = make_random_chain(48, seed=2, max_turn=0.3)
+        chains = [make_random_chain(48, seed=1, max_turn=0.3), near_loop(48),
+                  ChainState(48, 2, late.eta, late.eta_dot, 0.5)]
+        cfg = IntegratorConfig(t_end=0.9, blowup_threshold=80.0, report_stride=10**9, halt_on_negative_tension=halt)
+        serial = [run(c, cfg) for c in chains]
+        stop = "negative_tension" if halt else "blowup_suspected"
+        assert [t.termination for t in serial] == ["t_end_reached", stop, "t_end_reached"]
+        assert serial[2].n_steps < serial[1].n_steps < serial[0].n_steps
+        for got, want in zip(run_batch(chains, cfg), serial):
+            _assert_same_trajectory(got, want)
+
     def test_non_finite_step_names_the_failing_chain(self):
         # a NaN velocity in chain 1 spreads through the zero couplings of the
         # stacked solve into its neighbours' tensions, yet the error names
         # chain 1
         chains = [make_random_chain(8, seed=s) for s in range(3)]
-        links = np.stack([c.link_dirs() for c in chains])
-        links_dot = np.stack([c.link_dirs_dot() for c in chains])
-        links_dot[1, 0, 0] = np.nan
+        links, links_dot = flat_links(chains)
+        links_dot[0, 8] = np.nan   # chain 1's first link
         sigma = dynamics._solve_sigma_arrays(links, links_dot, 8)[0]
-        assert np.isnan(sigma).any(axis=1).all()
+        assert np.isnan(sigma.reshape(3, 8)).any(axis=1).all()
         with pytest.raises(NumericError, match="non-finite") as info:
-            dynamics._step_arrays(links, links_dot, sigma, 8, np.zeros(3), np.full((3, 1, 1), 1e-3),
+            dynamics._step_arrays(links, links_dot, sigma, 8, np.zeros(3), np.full(24, 1e-3),
                                   IntegratorConfig(t_end=1.0))
         assert info.value.chain == 1
 
@@ -536,7 +552,7 @@ def _links_chain(n, d, seed):
     t /= np.linalg.norm(t, axis=1)[:, None]
     u = rng.normal(size=(n, d))
     u -= np.sum(u * t, axis=1)[:, None] * t
-    return ChainState(n, d, core._anchored(t), core._anchored(u))
+    return ChainState(n, d, core._anchored(t.T).T, core._anchored(u.T).T)
 
 
 def _position_step(eta, eta_dot, dt):
@@ -548,7 +564,7 @@ def _position_step(eta, eta_dot, dt):
 
     def rhs(e, v):
         sigma = np.zeros(n + 1)
-        sigma[1:] = tension._solve_tridiagonal(tension._alpha(core._links(e)), core._sq(core._links(v)), n)
+        sigma[1:] = tension._solve_tridiagonal(tension._alpha(core._links(e.T)), core._sq(core._links(v.T)), n)
         flux = sigma[1:, None] * (e[1:] - e[:-1])
         acc = np.zeros_like(e)
         acc[:-1] = flux
@@ -582,11 +598,11 @@ class TestLinkStepping:
     def test_one_step_agrees_with_position_kernels(self, n, d):
         ch = _links_chain(n, d, seed=n + d)
         cfg = IntegratorConfig(t_end=1.0)
-        links, links_dot = ch.link_dirs()[None], ch.link_dirs_dot()[None]
+        links, links_dot = flat_links([ch])
         sigma = dynamics._solve_sigma_arrays(links, links_dot, n)[0]
-        dt = adaptive_dt(ch, sigma[0], cfg)
-        links, links_dot, moved = dynamics._step_arrays(links, links_dot, sigma, n, [0.0], np.full((1, 1, 1), dt), cfg)
-        eta, eta_dot = core._anchored(links[0]), core._anchored(links_dot[0])
+        dt = adaptive_dt(ch, np.concatenate([[0.0], sigma]), cfg)
+        links, links_dot, moved = dynamics._step_arrays(links, links_dot, sigma, n, [0.0], np.full(n, dt), cfg)
+        eta, eta_dot = core._anchored(links).T, core._anchored(links_dot).T
         want_eta, want_dot, want_moved = _position_step(ch.eta, ch.eta_dot, dt)
         assert np.max(np.abs(eta - want_eta)) <= 1e-13 * np.max(np.abs(want_eta))
         assert np.max(np.abs(eta_dot - want_dot)) <= 1e-13 * np.max(np.abs(want_dot))
@@ -605,6 +621,42 @@ class TestLinkStepping:
         for got, want in zip(run_batch(chains, cfg), serial):
             _assert_same_trajectory(got, want)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batch_is_bitwise_each_serial_run_at_block_edges(self, n, d):
+        # at n <= 3 every link, or all but one, is the first or the last of
+        # its block in the flat stack.  The chains move at different speeds,
+        # so at different dt; the one that starts at t = 0.3 stops mid-run,
+        # and the stack is compacted around it
+        chains = [_links_chain(n, d, seed=10 * n + s) for s in range(4)]
+        chains = [ChainState(n, d, c.eta, (1 + 2 * s) * c.eta_dot, 0.3 if s == 1 else 0.0)
+                  for s, c in enumerate(chains)]
+        cfg = IntegratorConfig(t_end=0.5, cfl=0.1, dt_max=0.02, report_stride=3)
+        serial = [run(c, cfg) for c in chains]
+        steps = [t.n_steps for t in serial]
+        assert 3 < steps[1] < max(steps)
+        for got, want in zip(run_batch(chains, cfg), serial):
+            _assert_same_trajectory(got, want)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64])
+    def test_flat_stack_kernels_bitwise_per_chain(self, n, d):
+        # the stage solve and the acceleration cut a flat (d, B n) stack at
+        # its block edges: each block is the chain's own result bit for bit
+        chains = [_links_chain(n, d, seed=100 + s) for s in range(5)]
+        links, links_dot = flat_links(chains)
+        solved = tension._solve_sigma_arrays(links, links_dot, n)
+        acc = [core._acceleration_arrays(f, solved[0], n) for f in (links, links_dot)]
+        for b, c in enumerate(chains):
+            part = slice(b * n, (b + 1) * n)
+            t, t_dot = c.link_dirs().T, c.link_dirs_dot().T
+            own = tension._solve_sigma_arrays(t, t_dot, n)
+            # sigma and w per link; alpha per joint, n - 1 to a chain
+            for got, want, cut in zip(solved, own, (part, slice(b * n, b * n + n - 1), part)):
+                assert got[cut].tobytes() == want.tobytes()
+            for got, f in zip(acc, (t, t_dot)):
+                assert got[:, part].tobytes() == core._acceleration_arrays(f, own[0], n).tobytes()
+
     def test_t0_snapshot_keeps_the_initial_arrays(self):
         # the links summed back need not give the caller's positions
         # bitwise (they do not for the turned chain); the t = 0 snapshot
@@ -614,7 +666,7 @@ class TestLinkStepping:
         chains = [_links_chain(33, 2, seed=1), turned, near_loop(33), folded_chain(33)]
         trajs = run_batch(chains, IntegratorConfig(t_end=0.01, report_stride=10**9))
         assert trajs[3].n_steps == 0
-        assert not np.array_equal(core._anchored(turned.link_dirs()), turned.eta)
+        assert not np.array_equal(core._anchored(turned.link_dirs().T).T, turned.eta)
         for c, traj in zip(chains, trajs):
             first = traj.snapshots[0].state
             assert first.eta.tobytes() == c.eta.tobytes()
@@ -627,14 +679,13 @@ class TestLinkStepping:
         # the pinned zero row and the sign; the positions of the corrections
         # (_anchored) are the oracle
         chains = [_links_chain(n, d, seed=10 * B + s) for s in range(B)]
-        links = np.stack([c.link_dirs() for c in chains])
-        links_dot = np.stack([c.link_dirs_dot() for c in chains])
+        links, links_dot = flat_links(chains)
         cfg = IntegratorConfig(t_end=1.0)
         sigma = dynamics._solve_sigma_arrays(links, links_dot, n)[0]
-        dt = dynamics._clamp_dt(dynamics._raw_dt(n, sigma, cfg), cfg)[:, None, None]
+        dt = np.repeat(dynamics._clamp_dt(dynamics._raw_dt(n, sigma.reshape(B, n), cfg), cfg), n)
         unit, _, moved = dynamics._step_arrays(links, links_dot, sigma, n, np.zeros(B), dt, cfg)
         new_t, _ = dynamics._advance(links, links_dot, sigma, n, dt, cfg.scheme)
-        want = np.sqrt(core._sq(core._anchored(unit - new_t)).max(axis=-1))
+        want = np.sqrt(core._sq(core._anchored((unit - new_t).reshape(d, B, n))).max(axis=-1))
         assert moved.shape == (B,) and np.all(moved > 0.0)
         assert moved.tobytes() == want.tobytes()
 
@@ -654,8 +705,8 @@ class TestLinkStepping:
         traj = run(rigid_rotation(n, 1.0), IntegratorConfig(t_end=1e-6, report_stride=10**9))
         assert traj.termination == "t_end_reached" and traj.n_steps == 1
         assert traj.snapshots[-1].state.time == 1e-6
-        assert len(projected) == 1 and projected[0].shape == (1, n, 2)
-        assert np.max(np.abs(np.linalg.norm(projected[0], axis=-1) - 1.0)) <= 4 * np.finfo(float).eps
+        assert len(projected) == 1 and projected[0].shape == (2, n)
+        assert np.max(np.abs(np.linalg.norm(projected[0], axis=0) - 1.0)) <= 4 * np.finfo(float).eps
 
 
 def test_snapshot_report_fields():
@@ -681,8 +732,8 @@ def test_report_maxima_and_drift_bitwise_the_direct_kernels(n, d):
     ch = project(ChainState(n, d, eta, eta_dot))
     sol = solve_tension(ch)
     rep = snapshot_report(ch, sol)
-    links = ch.link_dirs()
-    _, _, w = tension._solve_sigma_arrays(links, ch.link_dirs_dot(), n)
+    links, links_dot = flat_links([ch])
+    _, _, w = tension._solve_sigma_arrays(links, links_dot, n)
     ang = np.sqrt(w.max(axis=-1))
     curv = core._lengths(core._links(links, n)).max(axis=-1, initial=0.0)
     links = n * (ch.eta[1:] - ch.eta[:-1])
@@ -694,7 +745,7 @@ def test_report_maxima_and_drift_bitwise_the_direct_kernels(n, d):
     assert rep.constraint_drift == ch.constraint_drift() == drift_ref
     # the ladder's curvature row reaches k = n, through the fixed end; the
     # report covers k < n only, so one link has curvature 0
-    ladder = core._squared_differences(ch.eta_dot, ch.link_dirs(), ch.link_dirs_dot(), 1)
+    ladder = core._squared_differences(ch.eta_dot.T, ch.link_dirs().T, ch.link_dirs_dot().T, 1)
     assert len(ladder[1][1]) == n
     assert (rep.max_curvature == 0.0) == (n == 1)
 

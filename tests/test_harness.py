@@ -746,8 +746,42 @@ class TestRunExperiment:
             assert abs(got[str(n)] - value) <= 1e-15
         with open(out / "convergence.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-        assert list(rows[0]) == ["n", "error", "ratio_to_previous", "error_t0"]
+        assert list(rows[0]) == ["n", "error", "ratio_to_previous", "error_t0", "dynamics_error"]
         assert [float(row["error_t0"]) for row in rows] == [got[row["n"]] for row in rows]
+
+    @pytest.mark.parametrize("generator", ["rigid_rotation", "theta_power"])
+    def test_convergence_dynamics_error(self, tmp_path, generator):
+        # for rigid_rotation, the distance at t_end from the rigid rotation of
+        # each transferred chain's own angles, which measures the stepper
+        # alone; other generators leave the column empty
+        out = tmp_path / "dyn"
+        text = (
+            f"kind = convergence\ninitial.generator = {generator}\ninitial.n = 8,16,32\n"
+            f"integrator.t_end = 0.05\noutput.dir = {out}\n"
+        )
+        cfg = parse_config(write_cfg(tmp_path, text))
+        summary = run_experiment(cfg).summary
+        with open(out / "convergence.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        if generator != "rigid_rotation":
+            assert "dynamics_errors" not in summary
+            assert rows and all(row["dynamics_error"] == "" for row in rows)
+            return
+        coeff_pos, coeff_vel = continuize_Gn(eta_to_theta(make_initial(generator, 64)))
+        for row in rows:
+            n = int(row["n"])
+            start = theta_to_eta(discretize_Fn(coeff_pos, n, coeff_vel))
+            final = run(start, cfg.integrator).snapshots[-1].state
+            angles = eta_to_theta(start)
+            # the transferred chain is straight and turns uniformly to round-off
+            assert np.ptp(angles.theta) <= 1e-14 and np.ptp(angles.theta_dot) <= 1e-14
+            turn = angles.theta[0] + angles.theta_dot[0] * final.time   # the links' direction
+            exact = -np.outer(np.arange(n, -1, -1) / n, [np.cos(turn), np.sin(turn)])
+            want = np.max(np.linalg.norm(final.eta - exact, axis=1))
+            got = summary["dynamics_errors"][row["n"]]
+            assert float(row["dynamics_error"]) == got
+            assert abs(got - want) <= 1e-14
+            assert got < 1e-10 < 1e-3 < summary["errors"][row["n"]]
 
     def test_convergence_random_byte_identical(self, tmp_path):
         text = (
@@ -801,6 +835,12 @@ class TestRunExperiment:
         assert manifest["summary"]["terminations"] == {k: t.termination for k, t in serial.items()}
         assert manifest["summary"]["steps"] == {k: t.n_steps for k, t in serial.items()}
         assert manifest["summary"]["projection_max"] == {k: max(t.projection_log) for k, t in serial.items()}
+        assert manifest["summary"]["projection_p99"] == {
+            k: float(np.percentile(t.projection_log, 99)) for k, t in serial.items()
+        }
+        for k, t in serial.items():
+            log = np.sort(t.projection_log)
+            assert log[0] <= manifest["summary"]["projection_p99"][k] <= log[-1]
         assert set(manifest["summary"]["terminations"].values()) == {"t_end_reached", "negative_tension"}
         assert manifest["termination"] == serial["6"].termination
 
@@ -812,7 +852,7 @@ class TestRunExperiment:
             text = MINIMAL + extra + f"seeds = 7\noutput.dir = {tmp_path / name}\n"
             run_experiment(parse_config(write_cfg(tmp_path, text, name=f"{name}.cfg")))
             summary = json.loads((tmp_path / name / "manifest.json").read_text())["summary"]
-            assert summary["projection_max"] == {"7": 0.0}
+            assert summary["projection_max"] == summary["projection_p99"] == {"7": 0.0}
             assert (summary["steps"]["7"] == 0) == (name == "stopped")
 
     def test_blowup_hunt_reports(self, tmp_path):

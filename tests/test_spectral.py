@@ -124,8 +124,8 @@ class TestAngleMaps:
         rng = np.random.default_rng(4)
         theta = rng.uniform(-np.pi, np.pi, size=(5, 33)).cumsum(axis=-1)
         stacked = theta_positions(theta)
-        assert stacked.shape == (5, 34, 2)
-        for row, th in zip(stacked, theta):
+        assert stacked.shape == (2, 5, 34)   # component-major
+        for row, th in zip(stacked.transpose(1, 2, 0), theta):
             assert np.array_equal(row, theta_to_eta(AngleState(33, th, np.ones(33))).eta)
 
     def test_evenness_extension(self):

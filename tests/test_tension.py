@@ -30,7 +30,7 @@ from whipchain.tension import (
     upsilon_threehalves,
 )
 
-from conftest import make_random_chain, oracle_extend, oracle_green, oracle_sigma_extend, oracle_tension
+from conftest import flat_links, make_random_chain, oracle_extend, oracle_green, oracle_sigma_extend, oracle_tension
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +233,19 @@ class TestSolveTension:
         # B systems stacked into one solve with zero couplings give each
         # chain's own solve bit for bit
         chains = [make_random_chain(n, seed=s, vel_scale=1.0 + s) for s in range(5)]
-        links = np.stack([c.link_dirs() for c in chains])
-        links_dot = np.stack([c.link_dirs_dot() for c in chains])
-        stacked = tension._solve_sigma_arrays(links, links_dot, n)[0]
+        stacked, alpha, w = tension._solve_sigma_arrays(*flat_links(chains), n)
         for row, c in enumerate(chains):
-            assert np.array_equal(stacked[row], tension._solve_sigma_arrays(c.link_dirs(), c.link_dirs_dot(), n)[0])
-            assert np.array_equal(stacked[row], solve_tension(c).sigma)
+            own = tension._solve_sigma_arrays(c.link_dirs().T, c.link_dirs_dot().T, n)
+            part = slice(row * n, (row + 1) * n)
+            for got, want in zip((stacked[part], alpha[row * n : row * n + n - 1], w[part]), own):
+                assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.concatenate([[0.0], stacked[part]]), solve_tension(c).sigma)
 
     def test_stacked_solve_names_failing_chain(self):
         # doubled link lengths (alpha_i = 4) in the second of three chains
         good = rigid_rotation(8, 1.0)
-        links = np.stack([good.link_dirs(), 2.0 * good.link_dirs(), good.link_dirs()])
-        links_dot = np.stack([good.link_dirs_dot()] * 3)
+        links = np.concatenate([good.link_dirs().T, 2.0 * good.link_dirs().T, good.link_dirs().T], axis=1)
+        links_dot = np.concatenate([good.link_dirs_dot().T] * 3, axis=1)
         with pytest.raises(NumericError, match="not positive definite") as info:
             tension._solve_sigma_arrays(links, links_dot, 8)
         assert info.value.chain == 1
@@ -471,7 +472,7 @@ class TestGeneratorCertificates:
         for ch, cuts in chains:
             blocks = np.array(_dense_block_extremes(oracle_green(ch), cuts))
             want = (blocks[:, 0].max(), blocks[:, 1].max(), min(blocks[:, 2].min(), 0.0))
-            stack = tension.certify_stack(ch.eta[None])
+            stack = tension.certify_stack(ch.eta.T[:, None])
             cert = certify_bounds(green_matrix_for_chain(ch), ch)
             for i, key in enumerate(("max_abs_green_diff", "max_upper_ratio", "min_lower_ratio")):
                 assert getattr(cert, key) == pytest.approx(want[i], rel=1e-10, abs=1e-13), key
@@ -552,8 +553,13 @@ def _assert_rows_match(stack, chains):
             assert type(mine) is type(values[b].item()) and mine == values[b], (b, key)
 
 
+def _position_stack(chains):
+    """The component-major (d, B, n+1) stack of the chains' positions."""
+    return np.stack([ch.eta.T for ch in chains], axis=1)
+
+
 class TestCertifyStack:
-    """``certify_stack`` over (B, n+1, 2) stacks against per-chain certificates."""
+    """``certify_stack`` over (2, B, n+1) stacks against per-chain certificates."""
 
     @pytest.mark.parametrize("family", sorted(_FAMILY_TURN))
     @pytest.mark.parametrize("n", [2, 3, 64, 256])
@@ -561,7 +567,7 @@ class TestCertifyStack:
     def test_rows_bitwise_per_chain(self, family, n, B):
         rng = np.random.default_rng(B * 1000 + n)
         chains = [random_chain(n, rng, max_turn=_FAMILY_TURN[family](n), vel_scale=2.0) for _ in range(B)]
-        _assert_rows_match(tension.certify_stack(np.stack([ch.eta for ch in chains])), chains)
+        _assert_rows_match(tension.certify_stack(_position_stack(chains)), chains)
 
     def test_stack_mixing_split_and_whole_rows(self, rng):
         n = 64
@@ -574,7 +580,7 @@ class TestCertifyStack:
             random_chain(n, rng, max_turn=0.6 * n**-0.75),
             _staircase_chain(n, {1, n - 1}, rng),  # one-link blocks at both ends
         ]
-        stack = tension.certify_stack(np.stack([ch.eta for ch in chains]))
+        stack = tension.certify_stack(_position_stack(chains))
         _assert_rows_match(stack, chains)
         assert stack["min_lower_ratio"][[0, 2, 4, 6]].tolist() == [0.0, 0.0, 0.0, 0.0]
 
@@ -619,8 +625,8 @@ class TestSigmaDot:
         h = 1e-5
         out = {}
         for sign in (+1, -1):
-            links, links_dot = _advance(ch.link_dirs(), ch.link_dirs_dot(), sol.sigma, ch.n, sign * h, "rk4")
-            out[sign] = solve_tension(ChainState(ch.n, 2, _anchored(links), _anchored(links_dot))).sigma
+            links, links_dot = _advance(ch.link_dirs().T, ch.link_dirs_dot().T, sol.sigma[1:], ch.n, sign * h, "rk4")
+            out[sign] = solve_tension(ChainState(ch.n, 2, _anchored(links).T, _anchored(links_dot).T)).sigma
         fd = (out[+1] - out[-1]) / (2 * h)
         scale = max(np.max(np.abs(sd)), 1e-30)
         assert np.max(np.abs(fd - sd)) / scale < 1e-3
@@ -775,17 +781,15 @@ class TestNumericErrors:
 
 def _lapack_results(routines, monkeypatch):
     """sigma (dptsv), beta (dpttrf) and the certificate arrays (dpttrf and
-    dtbtrs) of one (B, n+1, 2) stack, computed with the given
+    dtbtrs) of one stack of five chains, computed with the given
     (dptsv, dpttrf, dtbtrs)."""
     for name, func in zip(("dptsv", "dpttrf", "dtbtrs"), routines):
         monkeypatch.setattr(tension, name, func)
     rng = np.random.default_rng(21)
     chains = [random_chain(64, rng, max_turn=1.2, vel_scale=2.0) for _ in range(5)]
-    eta = np.stack([c.eta for c in chains])
-    links = np.stack([c.link_dirs() for c in chains])
-    links_dot = np.stack([c.link_dirs_dot() for c in chains])
-    sigma, alpha, _ = tension._solve_sigma_arrays(links, links_dot, 64)
-    return {"sigma": sigma, "beta": tension.beta_recursion(alpha), **tension.certify_stack(eta)}
+    sigma, alpha, _ = tension._solve_sigma_arrays(*flat_links(chains), 64)
+    beta = tension.beta_recursion(np.stack([alpha[b * 64 : b * 64 + 63] for b in range(5)]))
+    return {"sigma": sigma, "beta": beta, **tension.certify_stack(_position_stack(chains))}
 
 
 def _assert_bitwise(got: dict, want: dict):
