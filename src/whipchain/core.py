@@ -247,11 +247,14 @@ class ChainState:
         return float(np.max(np.abs(_dot(*_chain_links(self)))))
 
     def validate(self, tol_length: float = 1e-10, tol_orth: float = 1e-8) -> "ChainState":
-        """Raise ValueError off the constraint manifold.  The orthogonality
-        drift is measured against ``tol_orth`` times max(1, max_k |D+ eta_dot_k|):
-        the round-off of <D+ eta_k, D+ eta_dot_k> grows with the speed, so an
-        absolute tolerance would refuse fast states that are exact to
-        round-off, while at unit speed and below it stays ``tol_orth``."""
+        """Raise ValueError on a non-finite state or off the constraint
+        manifold.  The orthogonality drift is measured against ``tol_orth``
+        times max(1, max_k |D+ eta_dot_k|): the round-off of
+        <D+ eta_k, D+ eta_dot_k> grows with the speed, so an absolute tolerance
+        would refuse fast states that are exact to round-off, while at unit
+        speed and below it stays ``tol_orth``."""
+        if not (np.isfinite(self.eta).all() and np.isfinite(self.eta_dot).all()):
+            raise ValueError("eta and eta_dot must be finite")
         drift = self.constraint_drift()
         if drift > tol_length:
             raise ValueError(f"link-length drift {drift:.3e} exceeds tolerance {tol_length:.1e}")

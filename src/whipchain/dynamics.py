@@ -2,8 +2,8 @@
 diagnostics, and finite-time blowup detection.
 
 The flow is eta_ddot = D-(sigma D+ eta) with the tension re-solved at every
-stage.  The continuous problem fixes no integrator; classical RK4 (or Heun)
-with a CFL step based on the tension wave speed sqrt(sigma) is used, and an
+stage.  The continuous problem fixes no integrator; classical RK4 with a
+CFL step based on the tension wave speed sqrt(sigma) is used, and an
 optional projection restores |D+ eta| = 1 and <D+ eta, D+ eta_dot> = 0 to
 round-off after each full step.
 
@@ -66,7 +66,6 @@ class IntegratorConfig:
     t_end, dt_max and blowup_threshold positive, and all four finite."""
 
     t_end: float
-    scheme: str = "rk4"
     cfl: float = 0.5
     dt_max: float = 1e-3
     dt_min: float = 1e-12
@@ -82,8 +81,6 @@ class IntegratorConfig:
         for name in ("t_end", "dt_max", "blowup_threshold"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.scheme not in ("rk4", "heun"):
-            raise ValueError(f"unknown scheme {self.scheme!r}; use 'rk4' or 'heun'")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.dt_min > self.dt_max:
@@ -148,15 +145,12 @@ def _stage_rhs(t: np.ndarray, t_dot: np.ndarray, n: int):
     return t_dot, _acceleration_arrays(t, _solve_sigma_arrays(t, t_dot, n)[0], n)
 
 
-def _advance(t, t_dot, sigma, n, dt, scheme):
-    """One explicit step of the free ODE (no projection) on (d, K) links and
+def _advance(t, t_dot, sigma, n, dt):
+    """One RK4 step of the free ODE (no projection) on (d, K) links and
     link velocities, blocks of n; ``sigma`` is the interior tension of
     (t, t_dot), so the first stage solves nothing.  ``dt`` is a number or
     one step per link, shaped (K,)."""
     k1x, k1v = t_dot, _acceleration_arrays(t, sigma, n)
-    if scheme == "heun":
-        k2x, k2v = _stage_rhs(t + dt * k1x, t_dot + dt * k1v, n)
-        return t + dt / 2.0 * (k1x + k2x), t_dot + dt / 2.0 * (k1v + k2v)
     half = 0.5 * dt
     k2x, k2v = _stage_rhs(t + half * k1x, t_dot + half * k1v, n)
     k3x, k3v = _stage_rhs(t + half * k2x, t_dot + half * k2v, n)
@@ -189,10 +183,10 @@ def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
     positions of the corrections (:func:`_anchored`) without the pinned
     row's zero and the sign, neither of which moves the largest |.|^2.
     """
-    new_t, new_dot = _advance(t, t_dot, sigma, n, dt, cfg.scheme)
+    new_t, new_dot = _advance(t, t_dot, sigma, n, dt)
     if not (np.isfinite(new_t).all() and np.isfinite(new_dot).all()):
         finite = _blocks(np.isfinite(new_t) & np.isfinite(new_dot), n).all(axis=(0, 2))
-        row = _first_failing(t, t_dot, n, dt, cfg.scheme, finite)
+        row = _first_failing(t, t_dot, n, dt, finite)
         raise NumericError(f"non-finite state after step at t={time[row]:.6g}", chain=row)
     if not cfg.project:
         return new_t, new_dot, np.zeros(len(time))
@@ -206,7 +200,7 @@ def _blocks(x: np.ndarray, n: int) -> np.ndarray:
     return x.reshape(x.shape[0], -1, n)
 
 
-def _first_failing(t, t_dot, n, dt, scheme, finite) -> int:
+def _first_failing(t, t_dot, n, dt, finite) -> int:
     """The first chain of a batch whose step fails when it is taken alone,
     from its own tension.
 
@@ -219,7 +213,7 @@ def _first_failing(t, t_dot, n, dt, scheme, finite) -> int:
         part = slice(row * n, (row + 1) * n)
         try:
             sigma = _solve_sigma_arrays(t[:, part], t_dot[:, part], n)[0]
-            x, v = _advance(t[:, part], t_dot[:, part], sigma, n, np.broadcast_to(dt, t.shape[-1])[part], scheme)
+            x, v = _advance(t[:, part], t_dot[:, part], sigma, n, np.broadcast_to(dt, t.shape[-1])[part])
         except NumericError:
             return int(row)
         if not (np.isfinite(x).all() and np.isfinite(v).all()):

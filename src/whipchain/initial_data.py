@@ -113,6 +113,8 @@ def near_loop(n: int, loop_width: float = 0.12, center: float = 0.4, omega: floa
     """A full 2 pi turn of width ``loop_width`` centered at arclength
     ``center``, with an angular-velocity profile that drives the loop
     tighter; the configuration blowup hunts start from."""
+    if not 0.0 < loop_width:
+        raise ValueError(f"loop width must be positive, got loop_width={loop_width}")
     s = np.arange(1, n + 1) / n
     z = (center - s) / loop_width
     theta = 2.0 * np.pi / (1.0 + np.exp(-4.0 * z))
@@ -156,8 +158,8 @@ GENERATORS = {
 
 
 def make_initial(name: str, n: int, **params) -> ChainState:
-    """Look up a generator by name and build a state, validating parameter
-    names against the generator's type hints, the list the config reads."""
+    """Look up a generator by name and build a state, refusing a parameter
+    its type hints (the list the config reads) lack, or a non-finite number."""
     if name not in GENERATORS:
         known = ", ".join(sorted(GENERATORS))
         raise ValueError(f"unknown initial-data generator {name!r}; known: {known}")
@@ -166,4 +168,6 @@ def make_initial(name: str, n: int, **params) -> ChainState:
     for key in params:
         if key not in accepted:
             raise ValueError(f"generator {name!r} does not accept parameter {key!r}")
+        if isinstance(params[key], float) and not np.isfinite(params[key]):
+            raise ValueError(f"parameter {key!r} must be finite, got {params[key]!r}")
     return gen(n, **params)

@@ -221,7 +221,7 @@ def evaluate_discrete(coeffs, n: int) -> np.ndarray:
     """theta_k = sum_{m <= min(n, len(coeffs))} A_m q_m(k/n) for k = 1..n."""
     coeffs = np.asarray(coeffs, dtype=float)
     mm = min(n, coeffs.shape[0])
-    return coeffs[:mm] @ basis_q_table(n)[:mm, :n]
+    return coeffs[:mm] @ basis_q_table(n, mm)[:, :n]
 
 
 def continuize_Gn(angles: AngleState, modes: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -299,6 +299,16 @@ class TestChainState:
         with pytest.raises(ValueError):
             bad.validate()
 
+    @pytest.mark.parametrize("field", ["eta", "eta_dot"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_validate_refuses_non_finite(self, field, value):
+        # every drift comparison with a NaN is false, so only an explicit check refuses it
+        ch = rigid_rotation(6)
+        arrays = {"eta": ch.eta.copy(), "eta_dot": ch.eta_dot.copy()}
+        arrays[field][2, 0] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            ChainState(6, 2, **arrays).validate()
+
     def test_orthogonality_tolerance_scales_with_speed(self):
         # log_spiral at speed 1e9 is on the manifold to round-off (drift
         # 7.2e-7, 8e-16 of its speed); a tangential velocity of 1e-6 of the

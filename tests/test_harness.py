@@ -65,7 +65,6 @@ class TestParseConfig:
         assert cfg.generator == "rigid_rotation"
         assert cfg.n == 16
         assert cfg.integrator.cfl == 0.5
-        assert cfg.integrator.scheme == "rk4"
         assert cfg.integrator.project is True
         assert cfg.seeds == (0,)
         assert cfg.formats == ("csv", "jsonl")
@@ -79,9 +78,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="initial.n"):
             parse_config(write_cfg(tmp_path, bad))
 
-    def test_unknown_key_named(self, tmp_path):
-        with pytest.raises(ConfigError, match="gravty"):
-            parse_config(write_cfg(tmp_path, MINIMAL + "gravty = 9.8\n"))
+    @pytest.mark.parametrize(
+        "key, value",
+        [("gravty", "9.8"), ("integrator.scheme", "rk4")],   # RK4 is the one integrator: scheme is no key
+        ids=["gravty", "integrator.scheme"],
+    )
+    def test_unknown_key_named(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key {key!r}")):
+            parse_config(write_cfg(tmp_path, MINIMAL + f"{key} = {value}\n"))
+
+    def test_readme_example_parses(self, tmp_path):
+        # the example block under README's CLI section, verbatim
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("offending key named. Example:\n\n```\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(write_cfg(tmp_path, block))
+        assert (cfg.kind, cfg.generator, cfg.n, cfg.generator_params) == ("run", "rigid_rotation", 64, {"omega": 1.0})
+        assert (cfg.integrator.t_end, cfg.integrator.report_stride) == (6.2831853, 100)
 
     def test_unknown_generator(self, tmp_path):
         bad = MINIMAL.replace("rigid_rotation", "pendulum")
@@ -974,8 +986,11 @@ class TestCli:
             ("run", "rigid_rotation", "8", "d", "1", "initial.d"),
             ("run", "theta_power", "8", "q", "-1", "theta_power"),
             ("run", "theta_power", "8", "q", "0", "theta_power"),
+            ("run", "near_loop", "8", "loop_width", "0", "loop_width"),
+            ("run", "rigid_rotation", "8", "omega", "nan", "'omega' must be finite"),
         ],
-        ids=["convergence-d-3", "rigid_rotation-d-1", "theta_power-q--1", "theta_power-q-0"],
+        ids=["convergence-d-3", "rigid_rotation-d-1", "theta_power-q--1", "theta_power-q-0",
+             "near_loop-loop_width-0", "rigid_rotation-omega-nan"],
     )
     def test_exit_2_on_generator_domain_error(self, tmp_path, capsys, kind, generator, n, key, value, named):
         text = (

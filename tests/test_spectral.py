@@ -383,6 +383,27 @@ class TestTransferResolution:
         assert np.max(np.abs(out.eta - want.eta)) <= 1e-15
         assert np.max(np.abs(out.eta_dot - want.eta_dot)) <= 1e-15
 
+    def test_upsampling_reads_no_full_target_table(self, monkeypatch):
+        # evaluate_discrete builds only the rows it reads; they are bitwise the
+        # full table's, so the upsampled chain keeps its bytes
+        built = []
+        rows = spectral._basis_q_rows
+
+        def spy(size, modes):
+            built.append((size, modes))
+            return rows(size, modes)
+
+        basis_q_table.cache_clear()
+        monkeypatch.setattr(spectral, "_basis_q_rows", spy)
+        ch = theta_power(64, vel_amp=1)
+        out = transfer_resolution(ch, 1024)
+        assert (1024, 1024) not in built
+        a, ad = continuize_Gn(eta_to_theta(ch), 64)
+        full = rows(1024, 1024)[:64, :1024]
+        want = theta_to_eta(AngleState(1024, a @ full, ad @ full))
+        assert out.eta.tobytes() == want.eta.tobytes()
+        assert out.eta_dot.tobytes() == want.eta_dot.tobytes()
+
     def test_e3_preserved_smooth(self):
         # smooth curved chain, n = 32 -> 64.  The angle-space (rho, j) norms
         # are preserved exactly (the isometry); e_3 converts those norms

@@ -625,7 +625,7 @@ class TestSigmaDot:
         h = 1e-5
         out = {}
         for sign in (+1, -1):
-            links, links_dot = _advance(ch.link_dirs().T, ch.link_dirs_dot().T, sol.sigma[1:], ch.n, sign * h, "rk4")
+            links, links_dot = _advance(ch.link_dirs().T, ch.link_dirs_dot().T, sol.sigma[1:], ch.n, sign * h)
             out[sign] = solve_tension(ChainState(ch.n, 2, _anchored(links).T, _anchored(links_dot).T)).sigma
         fd = (out[+1] - out[-1]) / (2 * h)
         scale = max(np.max(np.abs(sd)), 1e-30)
