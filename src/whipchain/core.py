@@ -49,10 +49,7 @@ def forward_diff(f, n: int) -> np.ndarray:
     is the backward difference (D- f)_k = n (f_k - f_{k-1}) with ``out[i]``
     carrying the index of ``f[i+1]`` instead (D- = E^{-1} D+).
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape[0] < 2:
-        raise ValueError(f"forward_diff needs a sequence of length >= 2, got {f.shape[0]}")
-    return n * (f[1:] - f[:-1])
+    return forward_diff_m(f, n, 1)
 
 
 def forward_diff_m(f, n: int, m: int) -> np.ndarray:
@@ -73,34 +70,59 @@ def forward_diff_m(f, n: int, m: int) -> np.ndarray:
 # rising-factorial weights
 
 
+def rising_product(x: np.ndarray, k_start: int, count: int, r: int) -> np.ndarray:
+    """x_k^{(r)} = prod_{i=0}^{r-1} x_{k+i} for k = k_start..k_start+count-1,
+    multiplied from the left; r = 0 gives 1.  ``x`` holds x_0 onwards as far
+    as k_start + count + r - 2.  The tension products sigma_k^{(r)} are those
+    of sigma mirrored evenly past sigma_n, and ``spectral``'s symmetric
+    weights rho_k^{(r)} those of rho_j = j (2n+1-j) / n^2.
+    """
+    out = np.ones(count)
+    for i in range(r):
+        out = out * x[k_start + i : k_start + i + count]
+    return out
+
+
 def rising_weight(k, r: float, n: int):
     """Weight s_k^{(r)} = Gamma(k+r) / (n^r Gamma(k)) for r > -1.
 
     Vectorized over k.  k = 0 is allowed with the limiting values
     s_0^{(0)} = 1 and s_0^{(r)} = 0 for r != 0 (1/Gamma(0) = 0), which is
-    what the extended sigma-norm ranges need.  Integer r >= 0 uses the exact
-    product k (k+1) ... (k+r-1) / n^r.  Other r use the running product
-    s_k^{(r)} = Gamma(1+r) n^{-r} prod_{j=1}^{k-1} (j+r)/j, one cumulative
-    product up to the largest k: its relative error stays near sqrt(k) eps,
-    where a difference of log-gammas loses about k eps to cancellation.
+    what the extended sigma-norm ranges need.  The one row of
+    :func:`_rising_table`.
     """
     if r <= -1:
         raise ValueError(f"weight exponent must be > -1, got r={r}")
     k = np.asarray(k)
     if np.any(k < 0):
         raise ValueError("weight index k must be >= 0")
-    kf = k.astype(float)
-    if float(r).is_integer() and r >= 0:
-        ri = int(r)
-        out = np.ones_like(kf)
-        for i in range(ri):
-            out = out * (kf + i)
-        out = out / float(n) ** ri
-    else:
-        j = np.arange(1.0, int(k.max(initial=0)))
-        ratios = np.concatenate([[0.0, 1.0], np.cumprod((j + r) / j)])  # Gamma(k+r) / (Gamma(1+r) Gamma(k))
-        out = gamma(1.0 + r) / float(n) ** r * ratios[k]
+    out = _rising_table(np.array([float(r)]), np.array([n]), int(k.max(initial=0)) + 1)[0][k]
     return out if out.ndim else float(out)
+
+
+def _rising_table(r: np.ndarray, n: np.ndarray, width: int) -> np.ndarray:
+    """Row i holds s_k^{(r_i)} at n_i for k = 0..width-1, every r_i > -1.
+
+    Integer r >= 0 uses the exact product k (k+1) ... (k+r-1) / n^r, the
+    :func:`rising_product` of x_j = j.  Other r use the running product
+    s_k^{(r)} = Gamma(1+r) n^{-r} prod_{j=1}^{k-1} (j+r)/j, one cumulative
+    product for all of them: its relative error stays near sqrt(k) eps,
+    where a difference of log-gammas loses about k eps to cancellation.
+    """
+    cols = max(width, 2)
+    out = np.empty((len(r), cols))
+    whole = r == np.floor(r)
+    for i in np.flatnonzero(whole):
+        ri = int(r[i])
+        out[i] = rising_product(np.arange(float(cols + ri)), 0, cols, ri) / float(n[i]) ** ri
+    rf, j = r[~whole], np.arange(1.0, cols - 1)
+    ratios = np.ones((len(rf), cols))   # Gamma(k+r) / (Gamma(1+r) Gamma(k)) at k
+    ratios[:, 0] = 0.0
+    ratios[:, 2:] = np.cumprod((j + rf[:, None]) / j, axis=1)
+    lead = np.array([gamma(1.0 + ri) / float(ni) ** ri for ri, ni in zip(rf.tolist(), n[~whole].tolist())])
+    ratios *= lead[:, None]
+    out[~whole] = ratios
+    return out[:, :width]
 
 
 @lru_cache(maxsize=128)
@@ -175,16 +197,18 @@ def weighted_seminorm_sq(f, r: float, m: int, n: int, first_index: int = 1) -> f
     gives k = 1..n-m, eta (length n+1) gives k = 1..n-m+1, and sigma with
     ``first_index=0`` (length n+1) gives k = 0..n-m.
     """
-    df = forward_diff_m(f, n, m)
-    w = _weight_row(n, r, first_index, df.shape[0])
-    return float(np.sum(w * _sq(df.T)) / n)
+    return float(np.sum(_weighted_terms(f, r, m, n, first_index)) / n)
 
 
 def weighted_supnorm_sq(f, r: float, m: int, n: int, first_index: int = 1) -> float:
     """Squared weighted sup seminorm max_k s_k^{(r)} |D+^m f_k|^2."""
+    return float(np.max(_weighted_terms(f, r, m, n, first_index)))
+
+
+def _weighted_terms(f, r: float, m: int, n: int, first_index: int) -> np.ndarray:
+    """s_k^{(r)} |D+^m f_k|^2 at every k the m-th difference of f reaches."""
     df = forward_diff_m(f, n, m)
-    w = _weight_row(n, r, first_index, df.shape[0])
-    return float(np.max(w * _sq(df.T)))
+    return _weight_row(n, r, first_index, df.shape[0]) * _sq(df.T)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +271,10 @@ class ChainState:
         return float(np.max(np.abs(_dot(*_chain_links(self)))))
 
     def validate(self, tol_length: float = 1e-10, tol_orth: float = 1e-8) -> "ChainState":
-        """Raise ValueError on a non-finite state or off the constraint
-        manifold.  The orthogonality drift is measured against ``tol_orth``
-        times max(1, max_k |D+ eta_dot_k|): the round-off of
+        """Raise ValueError on a non-finite state, on link speeds whose squares
+        |D+ eta_dot_k|^2 overflow, or off the constraint manifold.  The
+        orthogonality drift is measured against ``tol_orth`` times
+        max(1, max_k |D+ eta_dot_k|): the round-off of
         <D+ eta_k, D+ eta_dot_k> grows with the speed, so an absolute tolerance
         would refuse fast states that are exact to round-off, while at unit
         speed and below it stays ``tol_orth``."""
@@ -258,8 +283,12 @@ class ChainState:
         drift = self.constraint_drift()
         if drift > tol_length:
             raise ValueError(f"link-length drift {drift:.3e} exceeds tolerance {tol_length:.1e}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            speed_sq = float(np.max(_sq(_links(self.eta_dot.T))))
+        if not np.isfinite(speed_sq):
+            raise ValueError("link speeds |D+ eta_dot_k| overflow: their squares are not finite")
         orth = self.orthogonality_drift()
-        tol = tol_orth * max(1.0, float(np.max(_lengths(_links(self.eta_dot.T)))))
+        tol = tol_orth * max(1.0, np.sqrt(speed_sq))
         if orth > tol:
             raise ValueError(f"orthogonality drift {orth:.3e} exceeds tolerance {tol:.1e}")
         return self
@@ -360,7 +389,7 @@ def _sigma_weight(sigma: np.ndarray, m_max: int):
     """The tension products sigma_k^{(r)} of sigma_0..sigma_n, mirrored as deep
     as the ladder to ``m_max`` reads, in the form :func:`_energy_sums` takes."""
     mirrored = _mirrored(sigma, (m_max + 1) // 2)
-    return lambda r, count: sigma_rising_product(mirrored, 1, count, r)
+    return lambda r, count: rising_product(mirrored, 1, count, r)
 
 
 def _energies(sums: np.ndarray, n: int) -> np.ndarray:
@@ -395,18 +424,6 @@ def discrete_energy(chain: ChainState, m_max: int = 3) -> np.ndarray:
         raise ValueError(f"m_max must be nonnegative, got {m_max}")
     n = chain.n
     return _energies(_energy_sums(_chain_ladder(chain, m_max), _s_weight(n)), n)
-
-
-def sigma_rising_product(sigma_ext: np.ndarray, k_start: int, count: int, r: int) -> np.ndarray:
-    """sigma_k^{(r)} = prod_{j=k}^{k+r-1} sigma_j for k = k_start..k_start+count-1.
-
-    ``sigma_ext`` holds sigma_0 onwards, mirrored evenly past sigma_n as far as
-    k_start + count + r - 2 reaches; r = 0 gives 1.
-    """
-    out = np.ones(count)
-    for i in range(r):
-        out = out * sigma_ext[k_start + i : k_start + i + count]
-    return out
 
 
 def sigma_weighted_energy(chain: ChainState, sigma, m_max: int = 3) -> np.ndarray:

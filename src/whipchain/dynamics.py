@@ -328,9 +328,9 @@ def snapshot_report(chain: ChainState, sol: TensionSolution) -> EnergyReport:
 
 
 def _make_snapshot(chain: ChainState, sigma: np.ndarray, alpha: np.ndarray, w: np.ndarray, row: int) -> Snapshot:
-    """The snapshot of ``chain`` and its tension ``sigma``, held to the solve
-    contract on the system (``alpha``, ``w``) it solved; a NumericError it
-    raises names ``row``."""
+    """The snapshot of ``chain`` and its interior tensions ``sigma``
+    (sigma_1..sigma_n), held to the solve contract on the system (``alpha``,
+    ``w``) it solved; a NumericError it raises names ``row``."""
     try:
         sol = _checked_solution(sigma, alpha, w)
         return Snapshot(chain, sol, snapshot_report(chain, sol))
@@ -434,8 +434,7 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                 eta, eta_dot = _anchored(_blocks(links, n)), _anchored(_blocks(links_dot, n))
             for row in range(live.size) if every else ending:
                 state = ChainState(n, d, eta[:, row].T, eta_dot[:, row].T, t[row])
-                full = np.concatenate([[0.0], chain_sigma[row]])
-                snap = _make_snapshot(state, full, alpha[row * n : row * n + n - 1], chain_w[row], row)
+                snap = _make_snapshot(state, chain_sigma[row], alpha[row * n : row * n + n - 1], chain_w[row], row)
                 snapshots[live[row]].append(snap)
                 if on_snapshot is not None:
                     on_snapshot(int(live[row]), snap)

@@ -43,7 +43,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .core import ChainState, rising_weight
+from .core import ChainState, _links, _rising_table, rising_weight
 from .dynamics import IntegratorConfig, Trajectory, detect_blowup, run, run_batch
 from .errors import ConfigError, FitRejected
 from .initial_data import GENERATORS, _random_angles, make_initial, rigid_rotation_exact
@@ -56,7 +56,7 @@ from .spectral import (
     theta_positions,
     theta_to_eta,
 )
-from .tension import certify_stack
+from .tension import _HYPOTHESES, certify_stack
 
 FORMATS = ("csv", "jsonl")
 
@@ -696,7 +696,7 @@ def _basic_inequality_violations(n: int, r: float, batch: np.ndarray, slack: flo
     w_rp1 = rising_weight(np.arange(1, n), r + 1.0, n)
 
     fsq = batch * batch
-    diff = n * (batch[:, 1:] - batch[:, :-1])
+    diff = _links(batch, n)
     norm_rp1_1 = np.sum(w_rp1 * diff * diff, axis=1) / n
     norm_rm1_0 = np.sum(w_rm1 * fsq, axis=1) / n
     norm_r_0 = np.sum(w_r * fsq, axis=1) / n
@@ -728,8 +728,9 @@ def _weight_bound_violations(rng: np.random.Generator, trials: int = 2000, slack
         j = int(rng.integers(0, n - k + 1))
         draws.append((n, k, p, q, j))
     n, k, p, q, j = map(np.array, zip(*draws))
-    skp, spq, sq, skj = _rising_weights(np.concatenate([k, k, k, k + j]), np.concatenate([p, p + q, q, p]),
-                                        np.tile(n, 4)).reshape(4, trials)
+    ks = np.concatenate([k, k, k, k + j])
+    table = _rising_table(np.concatenate([p, p + q, q, p]), np.tile(n, 4), ks.max() + 1)
+    skp, spq, sq, skj = table[np.arange(4 * trials), ks].reshape(4, trials)
     ratio = spq / sq
     cpq = np.exp(_lgamma(p + q + 1) - _lgamma(p + 1) - _lgamma(q + 1))
     cj = np.exp(_lgamma(j + p + 1) - _lgamma(j + 1.0) - _lgamma(p + 1))
@@ -742,28 +743,6 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(lgamma, x.tolist()), float, len(x))
 
 
-def _rising_weights(k: np.ndarray, r: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``rising_weight(k[i], r[i], n[i])`` for every i, bitwise: entry k[i]
-    of row i of :func:`_weight_table`."""
-    return _weight_table(r, n, max(int(k.max()), 1) + 1)[np.arange(len(k)), k]
-
-
-def _weight_table(r: np.ndarray, n: np.ndarray, width: int) -> np.ndarray:
-    """Row i is ``rising_weight(np.arange(width), r[i], n[i])``, bitwise, for
-    width >= 2: for non-integer r the same running product, all rows as one
-    cumulative product; integer r (which the uniform draws never give) is
-    passed to ``rising_weight`` row by row."""
-    j = np.arange(1.0, width - 1)
-    ratios = np.zeros((len(r), width))   # Gamma(k+r) / (Gamma(1+r) Gamma(k)) at k
-    ratios[:, 1] = 1.0
-    ratios[:, 2:] = np.cumprod((j + r[:, None]) / j, axis=1)
-    lead = np.array([gamma(1.0 + ri) / float(ni) ** ri for ri, ni in zip(r.tolist(), n.tolist())])
-    out = lead[:, None] * ratios
-    for i in np.flatnonzero(r == np.floor(r)):
-        out[i] = rising_weight(np.arange(width), float(r[i]), int(n[i]))
-    return out
-
-
 def _product_bound_violations(rng: np.random.Generator, trials: int = 500, slack: float = 1e-12) -> int:
     """||fg||^2_{p+q,0} <= [Gamma(p+q+1)/(Gamma(p+1)Gamma(q+1))] [f]^2_{p,0} ||g||^2_{q,0}
     on random (n, p, q, f, g), drawn trial by trial in the order a scalar
@@ -774,7 +753,8 @@ def _product_bound_violations(rng: np.random.Generator, trials: int = 500, slack
     for i in range(trials):
         n[i], p[i], q[i] = rng.integers(2, top), rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)
         f[i, : n[i]], g[i, : n[i]] = rng.normal(size=n[i]), rng.normal(size=n[i])
-    s_pq, s_p, s_q = _weight_table(np.concatenate([p + q, p, q]), np.tile(n, 3), top)[:, 1:].reshape(3, trials, -1)
+    table = _rising_table(np.concatenate([p + q, p, q]), np.tile(n, 3), top)
+    s_pq, s_p, s_q = table[:, 1:].reshape(3, trials, -1)
     lhs = np.sum(s_pq * (f * g) ** 2, axis=1) / n
     c = np.array([gamma(a + b + 1) / (gamma(a + 1) * gamma(b + 1)) for a, b in zip(p.tolist(), q.tolist())])
     rhs = c * np.max(s_p * (f * f), axis=1) * (np.sum(s_q * (g * g), axis=1) / n)
@@ -816,15 +796,16 @@ def _kind_green_certify(cfg: ExperimentConfig, manifest: RunManifest) -> None:
                            "lower_failures", "corner_failures", "minmax_failures"), 0)
     for theta in _certify_angle_stacks(cfg):
         cert = certify_stack(theta_positions(theta))
-        nonneg, admissible = cert["all_alpha_nonneg"], cert["upsilon_admissible"]
-        stats["count"] += nonneg.size
+        # a bound fails where its hypothesis holds and its test does not
+        failed = {key: cert[hypothesis] & ~cert[key] for key, hypothesis in _HYPOTHESES.items()}
+        stats["count"] += theta.shape[0]
         for key, hits in (
             ("minmax_failures", ~cert["minmax_bound_ok"]),
-            ("applicable_upper", nonneg),
-            ("upper_failures", nonneg & ~(cert["diff_bound_ok"] & cert["ratio_bound_ok"])),
-            ("corner_failures", nonneg & ~cert["corner_ok"]),
-            ("admissible_lower", admissible),
-            ("lower_failures", admissible & ~cert["lower_bound_ok"]),
+            ("applicable_upper", cert[_HYPOTHESES["diff_bound_ok"]]),
+            ("upper_failures", failed["diff_bound_ok"] | failed["ratio_bound_ok"]),
+            ("corner_failures", failed["corner_ok"]),
+            ("admissible_lower", cert[_HYPOTHESES["lower_bound_ok"]]),
+            ("lower_failures", failed["lower_bound_ok"]),
         ):
             stats[key] += int(np.count_nonzero(hits))
     manifest.violations = (

@@ -3,7 +3,7 @@ demos, and experiment harness.
 
 Planar generators go through the angle representation so the unit-link
 constraint holds exactly; ``straight_chain`` and ``rigid_rotation`` also
-work in higher ambient dimension.
+work in higher ambient dimension, in the plane of the first two axes.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from .spectral import AngleState, theta_to_eta
 
 
 def straight_chain(n: int, d: int = 2, angle: float = 0.0) -> ChainState:
-    """Stationary chain along a fixed direction; eta_k = ((n+1-k)/n) u."""
+    """Stationary chain along a fixed direction; eta_k = ((n+1-k)/n) u with
+    u = (cos angle, sin angle, 0, ..., 0)."""
     u = np.zeros(d)
-    if d == 2:
-        u[:] = (np.cos(angle), np.sin(angle))
-    else:
-        u[0] = 1.0
+    u[:2] = (np.cos(angle), np.sin(angle))
     c = np.arange(n, -1, -1, dtype=float) / n
     eta = np.outer(c, u)
     return ChainState(n, d, eta, np.zeros_like(eta))
@@ -133,6 +131,8 @@ def random_chain(
 
     ``max_turn`` < pi/2 keeps every alpha_i > 0.
     """
+    if not 0.0 <= vel_scale:
+        raise ValueError(f"velocity scale must be nonnegative, got vel_scale={vel_scale}")
     theta, theta_dot = _random_angles(n, np.random.default_rng(rng), max_turn, vel_scale)
     return theta_to_eta(AngleState(n, theta, theta_dot))
 

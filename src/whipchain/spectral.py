@@ -26,7 +26,10 @@ from math import factorial
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .core import ChainState, _anchored, _chain_links, _frozen_array, forward_diff_m, weighted_seminorm_sq
+from .core import (
+    ChainState, _anchored, _chain_links, _frozen_array, _mirrored, forward_diff_m, rising_product,
+    weighted_seminorm_sq,
+)
 
 
 @dataclass(frozen=True)
@@ -81,9 +84,9 @@ def theta_positions(theta: np.ndarray) -> np.ndarray:
 def even_extend_theta(theta: np.ndarray, n: int) -> np.ndarray:
     """Extend theta_1..theta_n to k = 1..2n by theta_{2n+1-k} = theta_k."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape[0] != n:
-        raise ValueError(f"expected {n} angles, got {theta.shape[0]}")
-    return np.concatenate([theta, theta[::-1]])
+    if theta.shape[-1] != n:
+        raise ValueError(f"expected {n} angles, got {theta.shape[-1]}")
+    return _mirrored(theta, n)
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +94,10 @@ def even_extend_theta(theta: np.ndarray, n: int) -> np.ndarray:
 
 
 def symmetric_weight(n: int, r: int, count: int) -> np.ndarray:
-    """rho_k^{(r)} = prod_{i=0}^{r-1} (k+i)(2n+1-k-i) / n^{2r} for k = 1..count."""
-    k = np.arange(1, count + 1, dtype=float)
-    out = np.ones(count)
-    for i in range(r):
-        out *= (k + i) * (2 * n + 1 - k - i) / n**2
-    return out
+    """rho_k^{(r)} = prod_{i=0}^{r-1} rho_{k+i} for k = 1..count: the rising
+    product of rho_j = j(2n+1-j)/n^2."""
+    j = np.arange(count + r, dtype=float)
+    return rising_product(j * (2 * n + 1 - j) / n**2, 1, count, r)
 
 
 def discrete_symmetric_inner(f, g, j: int, n: int) -> float:
@@ -105,16 +106,14 @@ def discrete_symmetric_inner(f, g, j: int, n: int) -> float:
     f and g are evenly extended sequences on k = 1..2n (or length-n halves,
     which are extended here).
     """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape[0] == n:
-        f = even_extend_theta(f, n)
-    if g.shape[0] == n:
-        g = even_extend_theta(g, n)
-    if f.shape[0] != 2 * n or g.shape[0] != 2 * n:
-        raise ValueError("inputs must have length n or 2n")
-    df = forward_diff_m(f, n, j) if j else f
-    dg = forward_diff_m(g, n, j) if j else g
+    def differenced(x):
+        x = np.asarray(x, dtype=float)
+        x = even_extend_theta(x, n) if x.shape[0] == n else x
+        if x.shape[0] != 2 * n:
+            raise ValueError("inputs must have length n or 2n")
+        return forward_diff_m(x, n, j)
+
+    df, dg = differenced(f), differenced(g)
     kmax = n - j // 2
     w = symmetric_weight(n, j + 1, kmax)
     return float(np.sum(w * df[:kmax] * dg[:kmax]) / n)
@@ -182,7 +181,7 @@ def _basis_q_rows(n: int, modes: int) -> np.ndarray:
         for _ in range(2):                        # twice-is-enough reorthogonalization
             t = t - half[:m].T @ (half[:m] @ (w * t))
         half[m] = t / np.sqrt(np.sum(w * t * t))
-    table = np.hstack([half, half[:, ::-1]])
+    table = _mirrored(half, n)
     table.setflags(write=False)
     return table
 

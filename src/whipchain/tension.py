@@ -384,23 +384,23 @@ def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
         interior = green_matrix(alpha_beta_from_alpha(alpha)).apply(w)
     else:
         raise ValueError(f"unknown tension method {method!r}; use 'direct' or 'green'")
-    return _checked_solution(np.concatenate([[0.0], interior]), alpha, w)
+    return _checked_solution(interior, alpha, w)
 
 
-def _checked_solution(sigma: np.ndarray, alpha: np.ndarray, w: np.ndarray) -> TensionSolution:
-    """The solve contract: ``sigma`` (sigma_0..sigma_n) as the TensionSolution
-    of the chain whose system A sigma = w has cosines ``alpha`` and source
-    ``w``, once its normwise backward error |A sigma - w| / (|A| |sigma| + |w|)
-    (infinity norms) is at most ``SOLVE_RTOL``, a small multiple of the unit
-    roundoff that holds at every n and conditioning for a backward-stable
-    solve; NumericError otherwise.
+def _checked_solution(interior: np.ndarray, alpha: np.ndarray, w: np.ndarray) -> TensionSolution:
+    """The solve contract: the interior tensions sigma_1..sigma_n, with
+    sigma_0 = 0 prepended, as the TensionSolution of the chain whose system
+    A sigma = w has cosines ``alpha`` and source ``w``, once its normwise
+    backward error |A sigma - w| / (|A| |sigma| + |w|) (infinity norms) is at
+    most ``SOLVE_RTOL``, a small multiple of the unit roundoff that holds at
+    every n and conditioning for a backward-stable solve; NumericError
+    otherwise.
     """
-    interior = sigma[1:]
     err = _backward_error(alpha, interior, w, w.shape[-1])
     if not np.isfinite(err) or err > SOLVE_RTOL:
         raise NumericError(f"tension solve residual: backward error {err:.3e} exceeds {SOLVE_RTOL:.1e}")
     min_sigma = float(np.min(interior))
-    return TensionSolution(sigma, min_sigma, min_sigma > 0.0)
+    return TensionSolution(np.concatenate([[0.0], interior]), min_sigma, min_sigma > 0.0)
 
 
 def _backward_error(alpha: np.ndarray, sigma_int: np.ndarray, w: np.ndarray, n: int) -> float:

@@ -1,6 +1,7 @@
 """Difference calculus, weights, seminorms, extensions, and energies."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,16 @@ class TestChainState:
         arrays[field][2, 0] = value
         with pytest.raises(ValueError, match="must be finite"):
             ChainState(6, 2, **arrays).validate()
+
+    def test_validate_refuses_overflowing_link_speeds(self):
+        # finite velocities whose squared link speeds overflow: the speed-scaled
+        # orthogonality tolerance would be inf, so only an explicit check refuses it
+        ch = log_spiral(16, vel_amp=1e300)
+        assert np.isfinite(ch.eta_dot).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="link speeds"):
+                ch.validate()
 
     def test_orthogonality_tolerance_scales_with_speed(self):
         # log_spiral at speed 1e9 is on the manifold to round-off (drift

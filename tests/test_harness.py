@@ -611,15 +611,32 @@ class TestRunExperiment:
             assert rng.random() == loop_rng.random()
 
     def test_rising_weights_bitwise_scalar(self):
-        from whipchain.core import rising_weight
+        # the suite's weight table (core._rising_table) against the scalar
+        # formula written out: the exact product for integer r >= 0, else
+        # Gamma(1+r) n^{-r} prod_{j=1}^{k-1} (j+r)/j multiplied from the left
+        from math import gamma
+
+        from whipchain.core import _rising_table, rising_weight
+
+        def scalar(k, r, n):
+            if float(r).is_integer() and r >= 0:
+                out = 1.0
+                for i in range(int(r)):
+                    out *= k + i
+                return out / float(n) ** int(r)
+            prod = 0.0 if k == 0 else 1.0
+            for j in range(1, k):
+                prod *= (j + r) / j
+            return gamma(1.0 + r) / float(n) ** r * prod
 
         rng = np.random.default_rng(4)
         n = rng.integers(2, 300, size=400)
         k = np.minimum(rng.integers(0, 300, size=400), n)
         r = np.concatenate([rng.uniform(0.05, 8.0, size=396), [0.0, 1.0, 2.0, 3.0]])
-        got = harness._rising_weights(k, r, n)
-        want = [rising_weight(int(ki), float(ri), int(ni)) for ki, ri, ni in zip(k, r, n)]
+        got = _rising_table(r, n, k.max() + 1)[np.arange(len(k)), k]
+        want = [scalar(int(ki), float(ri), int(ni)) for ki, ri, ni in zip(k, r, n)]
         assert got.tolist() == want
+        assert [rising_weight(int(ki), float(ri), int(ni)) for ki, ri, ni in zip(k, r, n)] == want
 
     def test_inequality_suite_zero_violations(self, tmp_path):
         text = (
@@ -988,9 +1005,10 @@ class TestCli:
             ("run", "theta_power", "8", "q", "0", "theta_power"),
             ("run", "near_loop", "8", "loop_width", "0", "loop_width"),
             ("run", "rigid_rotation", "8", "omega", "nan", "'omega' must be finite"),
+            ("run", "random", "8", "vel_scale", "-1", "vel_scale"),
         ],
         ids=["convergence-d-3", "rigid_rotation-d-1", "theta_power-q--1", "theta_power-q-0",
-             "near_loop-loop_width-0", "rigid_rotation-omega-nan"],
+             "near_loop-loop_width-0", "rigid_rotation-omega-nan", "random-vel_scale--1"],
     )
     def test_exit_2_on_generator_domain_error(self, tmp_path, capsys, kind, generator, n, key, value, named):
         text = (
@@ -1089,6 +1107,16 @@ class TestCli:
         assert cli_main(["run", str(write_cfg(tmp_path, text)), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert "orthogonality drift" in err and "chain 0" in err
+
+    def test_exit_3_on_overflowing_link_speeds(self, tmp_path, capsys):
+        # the initial state is refused by name, not by a NaN backward error
+        text = (
+            f"kind = run\ninitial.generator = log_spiral\ninitial.n = 16\ninitial.vel_amp = 1e300\n"
+            f"integrator.t_end = 0.01\noutput.dir = {tmp_path/'ovf'}\n"
+        )
+        assert cli_main(["run", str(write_cfg(tmp_path, text)), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "link speeds" in err and "chain 0" in err and "backward error" not in err
 
     def test_cli_import_leaves_out_scipy_optimize(self):
         # nor the scipy.linalg and scipy.special package imports, nor

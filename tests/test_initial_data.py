@@ -55,6 +55,14 @@ def test_straight_chain_higher_dimension():
     ch.validate()
 
 
+def test_straight_chain_angle_in_higher_dimension():
+    # the angle turns the chain in the first two axes for every d
+    ch = straight_chain(4, d=3, angle=1.0)
+    assert np.array_equal(ch.eta[0], [np.cos(1.0), np.sin(1.0), 0.0])
+    assert np.allclose(ch.link_dirs(), -ch.eta[0], rtol=0.0, atol=1e-15)
+    ch.validate()
+
+
 def test_rigid_rotation_velocity_profile():
     n, om = 12, 1.7
     ch = rigid_rotation(n, om)

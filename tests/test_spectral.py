@@ -262,6 +262,17 @@ class TestBasisQDiscrete:
         k = np.arange(1, 2 * n + 1)
         assert w == pytest.approx(k * (2 * n + 1 - k) / n**2)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_weight_bitwise_the_product_formula(self, n):
+        # the rising product of rho_j is prod_i (k+i)(2n+1-k-i)/n^2, multiplied
+        # from the left, bit for bit
+        k = np.arange(1, 2 * n + 1, dtype=float)
+        for r in range(5):
+            want = np.ones(2 * n)
+            for i in range(r):
+                want = want * ((k + i) * (2 * n + 1 - k - i) / n**2)
+            assert np.array_equal(symmetric_weight(n, r, 2 * n), want)
+
 
 # ---------------------------------------------------------------------------
 # transfer maps
