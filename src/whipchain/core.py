@@ -72,14 +72,23 @@ def forward_diff_m(f, n: int, m: int) -> np.ndarray:
 
 def rising_product(x: np.ndarray, k_start: int, count: int, r: int) -> np.ndarray:
     """x_k^{(r)} = prod_{i=0}^{r-1} x_{k+i} for k = k_start..k_start+count-1,
-    multiplied from the left; r = 0 gives 1.  ``x`` holds x_0 onwards as far
-    as k_start + count + r - 2.  The tension products sigma_k^{(r)} are those
+    multiplied from the left along the last axis of x, one row per sequence
+    of a stack; r = 0 gives 1.  ``x`` holds x_0 onwards as far as
+    k_start + count + r - 2.  The tension products sigma_k^{(r)} are those
     of sigma mirrored evenly past sigma_n, and ``spectral``'s symmetric
     weights rho_k^{(r)} those of rho_j = j (2n+1-j) / n^2.
     """
-    out = np.ones(count)
-    for i in range(r):
-        out = out * x[k_start + i : k_start + i + count]
+    return _rising_products(x, k_start, [count] * (r + 1))[-1]
+
+
+def _rising_products(x: np.ndarray, k_start: int, counts) -> list:
+    """The :func:`rising_product` rows x_k^{(r)} for r = 0..len(counts)-1,
+    row r on k = k_start..k_start+counts[r]-1 (``counts`` nonincreasing).
+    Row r is row r-1 times x_{k+r-1}, so each is multiplied from the left as
+    :func:`rising_product` says, and all of them cost one product each."""
+    out = [np.ones(counts[0])]
+    for r, count in enumerate(counts[1:], start=1):
+        out.append(out[-1][..., :count] * x[..., k_start + r - 1 : k_start + r - 1 + count])
     return out
 
 
@@ -197,18 +206,18 @@ def weighted_seminorm_sq(f, r: float, m: int, n: int, first_index: int = 1) -> f
     gives k = 1..n-m, eta (length n+1) gives k = 1..n-m+1, and sigma with
     ``first_index=0`` (length n+1) gives k = 0..n-m.
     """
-    return float(np.sum(_weighted_terms(f, r, m, n, first_index)) / n)
+    return float(np.sum(_weighted_terms(_sq(forward_diff_m(f, n, m).T), r, n, first_index)) / n)
 
 
 def weighted_supnorm_sq(f, r: float, m: int, n: int, first_index: int = 1) -> float:
     """Squared weighted sup seminorm max_k s_k^{(r)} |D+^m f_k|^2."""
-    return float(np.max(_weighted_terms(f, r, m, n, first_index)))
+    return float(np.max(_weighted_terms(_sq(forward_diff_m(f, n, m).T), r, n, first_index)))
 
 
-def _weighted_terms(f, r: float, m: int, n: int, first_index: int) -> np.ndarray:
-    """s_k^{(r)} |D+^m f_k|^2 at every k the m-th difference of f reaches."""
-    df = forward_diff_m(f, n, m)
-    return _weight_row(n, r, first_index, df.shape[0]) * _sq(df.T)
+def _weighted_terms(sq: np.ndarray, r: float, n: int, first_index: int) -> np.ndarray:
+    """s_k^{(r)} sq_k along the last axis of the squared differences ``sq``,
+    whose first entry carries chain index ``first_index``."""
+    return _weight_row(n, r, first_index, sq.shape[-1]) * sq
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +357,11 @@ def _acceleration_arrays(f: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray
 
 def _squared_differences(eta_dot: np.ndarray, t: np.ndarray, t_dot: np.ndarray, m_max: int) -> list:
     """Pairs (|D+^l eta_dot_k|^2, |D+^{l+1} eta_k|^2) on k = 1..n - floor(l/2)
-    for l = 0..m_max, from the (d, n+1) velocities, the (d, n) links
-    t = D+ eta and their velocities t_dot = D+ eta_dot.  Order l reads the
-    links up to k = n + ceil(l/2), so they are mirrored ceil(m_max/2) rows
-    past the fixed end."""
+    for l = 0..m_max, from the (d, ..., n+1) velocities, the (d, ..., n) links
+    t = D+ eta and their velocities t_dot = D+ eta_dot; each is shaped
+    (..., count), one row per chain of a stack.  Order l reads the links up
+    to k = n + ceil(l/2), so they are mirrored ceil(m_max/2) rows past the
+    fixed end."""
     n = t.shape[-1]
     rows = (m_max + 1) // 2
     out = []
@@ -360,7 +370,7 @@ def _squared_differences(eta_dot: np.ndarray, t: np.ndarray, t_dot: np.ndarray, 
         kmax = n - ell // 2
         if kmax < 1:
             raise ValueError(f"energy order {ell} needs n > {2 * (ell // 2)}")
-        out.append((_sq(dvel[:, :kmax]), _sq(dpos[:, :kmax])))
+        out.append((_sq(dvel[..., :kmax]), _sq(dpos[..., :kmax])))
         if ell < m_max:
             dvel = _mirrored(t_dot, rows) if ell == 0 else _links(dvel, n)
             dpos = _links(dpos, n)
@@ -368,33 +378,49 @@ def _squared_differences(eta_dot: np.ndarray, t: np.ndarray, t_dot: np.ndarray, 
 
 
 def _energy_sums(sq: list, weight) -> np.ndarray:
-    """Row l holds sum_k w(k, l) |D+^l eta_dot_k|^2 and sum_k w(k, l+1) |D+^{l+1} eta_k|^2
-    over the ranges of :func:`_squared_differences`.
+    """Entry [..., l, :] holds sum_k w(k, l) |D+^l eta_dot_k|^2 and
+    sum_k w(k, l+1) |D+^{l+1} eta_k|^2 over the ranges of
+    :func:`_squared_differences`, one (m_max+1, 2) block per chain.
 
-    ``weight(r, count)`` gives w(k, r) for k = 1..count; it is called once per
-    order r, on the widest range that order is summed over.
+    Orders 2j and 2j+1 share the range k = 1..n-j, so their four weighted
+    terms are written into one array and summed in one reduction along its
+    last axis.  Each chain's sums are then bitwise its own 1-D sums, whatever
+    stack it is in; padding the shorter orders to one length would change
+    numpy's pairwise-summation tree.
+
+    ``weight(counts)`` gives the rows w(k, r) for r = 0..m_max+1, row r on
+    k = 1..counts[r], the widest range order r is summed over; each is one
+    row for every chain or one per chain.
     """
-    w = [weight(r, len(sq[max(r - 1, 0)][0])) for r in range(len(sq) + 1)]
-    return np.array(
-        [[np.sum(w[ell][: len(v)] * v), np.sum(w[ell + 1][: len(p)] * p)] for ell, (v, p) in enumerate(sq)]
-    )
+    w = weight([sq[max(r - 1, 0)][0].shape[-1] for r in range(len(sq) + 1)])
+    out = np.empty(sq[0][0].shape[:-1] + (len(sq), 2))
+    for lo in range(0, len(sq), 2):
+        pair = sq[lo : lo + 2]
+        count = pair[0][0].shape[-1]
+        terms = np.empty(out.shape[:-2] + (len(pair), 2, count))
+        for i, (v, p) in enumerate(pair):
+            np.multiply(w[lo + i][..., :count], v, out=terms[..., i, 0, :])
+            np.multiply(w[lo + i + 1][..., :count], p, out=terms[..., i, 1, :])
+        out[..., lo : lo + len(pair), :] = np.add.reduce(terms, axis=-1)
+    return out
 
 
 def _s_weight(n: int):
     """The rising weights s_k^{(r)} in the form :func:`_energy_sums` takes."""
-    return lambda r, count: _weight_row(n, r, 1, count)
+    return lambda counts: [_weight_row(n, r, 1, count) for r, count in enumerate(counts)]
 
 
 def _sigma_weight(sigma: np.ndarray, m_max: int):
-    """The tension products sigma_k^{(r)} of sigma_0..sigma_n, mirrored as deep
-    as the ladder to ``m_max`` reads, in the form :func:`_energy_sums` takes."""
+    """The tension products sigma_k^{(r)} of sigma_0..sigma_n, one row per
+    chain of a (..., n+1) stack, mirrored as deep as the ladder to ``m_max``
+    reads, in the form :func:`_energy_sums` takes."""
     mirrored = _mirrored(sigma, (m_max + 1) // 2)
-    return lambda r, count: rising_product(mirrored, 1, count, r)
+    return lambda counts: _rising_products(mirrored, 1, counts)
 
 
 def _energies(sums: np.ndarray, n: int) -> np.ndarray:
-    """e_0..e_{m_max} from the rows of :func:`_energy_sums`."""
-    return np.cumsum((sums[:, 0] + sums[:, 1]) / n)
+    """e_0..e_{m_max} of each chain from its block of :func:`_energy_sums`."""
+    return np.cumsum((sums[..., 0] + sums[..., 1]) / n, axis=-1)
 
 
 def _chain_ladder(chain: ChainState, m_max: int) -> list:

@@ -15,8 +15,12 @@ end holds by construction (eta_k = -(1/n) sum_{j>=k} t_j, formed for
 snapshots only), and the acceleration and the projection act link by link.
 Each RK stage solves the B tension systems as one block-diagonal
 tridiagonal solve.  So does each iteration's start, and the stop tests, dt,
-the first stage and the snapshots all read that solve; a snapshot holds it
-to the solve contract.  Every chain keeps its own time, step, stride and
+the first stage and the snapshots all read that solve.  The chains an
+iteration snapshots are reported in one stacked pass
+(:func:`_snapshot_pass`): it holds their tensions to the solve contract and
+runs each diagnostic kernel once over their (d, R, n+1) stack, and each
+row is bitwise the report of its chain alone (:func:`snapshot_report` is
+the stack of one).  Every chain keeps its own time, step, stride and
 termination, so each trajectory is bitwise the one the chain gives alone;
 :func:`run` is the batch of one.  The public :func:`acceleration`,
 :func:`project` and :func:`step` take and return row-major positions.
@@ -33,7 +37,6 @@ from .core import (
     _acceleration_arrays,
     _anchored,
     _chain_links,
-    _component_major,
     _energies,
     _energy_sums,
     _dot,
@@ -49,11 +52,12 @@ from .core import (
 from .errors import FitRejected, NumericError
 from .tension import (
     TensionSolution,
-    _checked_solution,
+    _abc,
+    _contract_breach,
     _sigma_dot,
+    _sigma_sobolev,
     _solve_sigma_arrays,
-    diagnostics_abc,
-    sigma_sobolev,
+    _tension_solutions,
 )
 
 TERMINATIONS = ("t_end_reached", "negative_tension", "blowup_suspected", "dt_underflow")
@@ -298,45 +302,82 @@ class Trajectory:
 
 
 def snapshot_report(chain: ChainState, sol: TensionSolution) -> EnergyReport:
-    """Assemble the full energy/diagnostic record for one state.
+    """Assemble the full energy/diagnostic record for one state: the stack
+    of one of :func:`_report_stack`."""
+    return _report_stack(chain.eta.T[:, None], chain.eta_dot.T[:, None], _tension_array(sol, chain.n)[None],
+                         [chain.time])[0]
 
-    The chain's links and link velocities are formed once.  They feed the
-    sigma_dot solve and one list of squared differences, which feeds both
-    energy weightings, u0/v0 (the l = 0 sums), the constraint drift
+
+def _report_stack(eta: np.ndarray, eta_dot: np.ndarray, sigma: np.ndarray, times) -> list:
+    """The EnergyReport of each chain of (d, R, n+1) positions and
+    velocities under its tensions sigma_0..sigma_n, shaped (R, n+1), at its
+    entry of ``times``.
+
+    The links and link velocities are formed once.  They feed the sigma_dot
+    solve and one list of squared differences, which feeds both energy
+    weightings, u0/v0 (the l = 0 sums), the constraint drift
     (|D+ eta_k|^2, row l = 0) and the maxima (row l = 1, whose curvature at
     k = n reaches through the fixed end and is dropped).  sqrt is monotone,
-    so the root of the largest square is the largest length.
+    so the root of the largest square is the largest length.  Each kernel
+    runs once for the stack, elementwise or along the last axis, so row i is
+    bitwise the report of chain i alone; a NumericError from the a/c checks
+    names the first row that fails one.
     """
-    n = chain.n
-    eta_dot = _component_major(chain.eta_dot)
-    t, t_dot = _links(_component_major(chain.eta)), _links(eta_dot)
+    n = eta.shape[-1] - 1
+    t, t_dot = _links(eta), _links(eta_dot)
     m_max = 3 if n > 1 else 1   # one link has no second difference
     sq = _squared_differences(eta_dot, t, t_dot, m_max)
     (_, links_sq), (ang_sq, curv_sq) = sq[:2]
     sums = _energy_sums(sq, _s_weight(n))
-    u0, v0 = sums[0] / n
-    sigma = _tension_array(sol, n)
-    a, b, c = diagnostics_abc(chain, sigma, _sigma_dot(t, t_dot, sigma[1:]))
-    pad = np.full(3 - m_max, np.nan)
-    return EnergyReport(
-        e=np.concatenate([_energies(sums, n), pad]),
-        e_tilde=np.concatenate([_energies(_energy_sums(sq, _sigma_weight(sigma, m_max)), n), pad]),
-        u0=float(u0), v0=float(v0), a=a, b=b, c=c, d=sigma_sobolev(sigma, n),
-        max_ang_vel=float(np.sqrt(ang_sq.max())), max_curvature=float(np.sqrt(curv_sq[: n - 1].max(initial=0.0))),
-        constraint_drift=float(np.max(np.abs(np.sqrt(links_sq) - 1.0))), time=chain.time,
-    )
+    a, b, c = _abc(sigma, _sigma_dot(t, t_dot, sigma[:, 1:]))
+    pad = np.full((len(times), 3 - m_max), np.nan)
+    e = np.concatenate([_energies(sums, n), pad], axis=-1)
+    e_tilde = np.concatenate([_energies(_energy_sums(sq, _sigma_weight(sigma, m_max)), n), pad], axis=-1)
+    d = _sigma_sobolev(sigma, 3)
+    scalars = zip(*(sums[:, 0] / n).T.tolist(), a.tolist(), b.tolist(), c.tolist(),
+                  np.sqrt(ang_sq.max(axis=-1)).tolist(),
+                  np.sqrt(curv_sq[:, : n - 1].max(axis=-1, initial=0.0)).tolist(),
+                  np.abs(np.sqrt(links_sq) - 1.0).max(axis=-1).tolist(), times)
+    return [
+        EnergyReport(e=e[i], e_tilde=e_tilde[i], u0=u0, v0=v0, a=ai, b=bi, c=ci, d=d[i], max_ang_vel=ang,
+                     max_curvature=curv, constraint_drift=drift, time=time)
+        for i, (u0, v0, ai, bi, ci, ang, curv, drift, time) in enumerate(scalars)
+    ]
 
 
-def _make_snapshot(chain: ChainState, sigma: np.ndarray, alpha: np.ndarray, w: np.ndarray, row: int) -> Snapshot:
-    """The snapshot of ``chain`` and its interior tensions ``sigma``
-    (sigma_1..sigma_n), held to the solve contract on the system (``alpha``,
-    ``w``) it solved; a NumericError it raises names ``row``."""
+def _snapshot_pass(eta: np.ndarray, eta_dot: np.ndarray, sigma: np.ndarray, alpha: np.ndarray, w: np.ndarray,
+                   time: np.ndarray, rows: np.ndarray) -> list:
+    """The (TensionSolution, EnergyReport) of each working row in ``rows``
+    of the (d, B, n+1) positions and velocities, at its ``time``, from the
+    interior tensions ``sigma`` (B, n) of the stacked system it solved:
+    the flat cosines ``alpha`` (B n - 1,) and sources ``w`` (B, n).  Each
+    tension is held to the solve contract, and every kernel makes one pass
+    over the rows.  A NumericError names the first row that fails the
+    contract or a check of its report; the rows past the first contract
+    failure are not reported."""
+    n = sigma.shape[-1]
+    alpha = np.append(alpha, 0.0).reshape(-1, n)[rows, :-1]   # cut the couplings between blocks
+    breach = _contract_breach(alpha, sigma[rows], w[rows])
+    ok = rows[: len(rows) if breach is None else breach.chain]
+    full = np.zeros((ok.size, n + 1))
+    full[:, 1:] = sigma[ok]
     try:
-        sol = _checked_solution(sigma, alpha, w)
-        return Snapshot(chain, sol, snapshot_report(chain, sol))
-    except NumericError as exc:
-        exc.chain = row
+        made = list(zip(_tension_solutions(full), _report_stack(eta[:, ok], eta_dot[:, ok], full, time[ok])))
+        if breach is not None:
+            raise breach
+    except NumericError as exc:   # name the working row
+        exc.chain = int(rows[exc.chain])
         raise
+    return made
+
+
+def _make_snapshot(eta: np.ndarray, eta_dot: np.ndarray, sol: TensionSolution, report: EnergyReport,
+                   row: int) -> Snapshot:
+    """The Snapshot of working row ``row`` of the (d, B, n+1) positions and
+    velocities, with its checked tension and report from
+    :func:`_snapshot_pass`."""
+    d, _, size = eta.shape
+    return Snapshot(ChainState(size - 1, d, eta[:, row].T, eta_dot[:, row].T, report.time), sol, report)
 
 
 _SERIES_FIELDS = (
@@ -373,7 +414,9 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
     Each iteration starts with one stacked tension solve of the running
     chains' links, which the stop tests, dt, the step and the snapshots
     read: a chain is snapshotted there when its step count is a multiple of
-    ``report_stride`` or it stops.  Each RK stage is one such solve too.  On
+    ``report_stride`` or it stops.  The iteration's snapshots are reported
+    in one pass before the first is handed out, so a NumericError in that
+    pass hands out none of them.  Each RK stage is one such solve too.  On
     a stride the chains go on from the links of the snapshots' positions, so
     a snapshot is a bitwise restart point (:func:`step` of it gives the next
     one) and the t = 0 snapshot holds the initial arrays.  Each chain has
@@ -432,9 +475,10 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                 ending = np.flatnonzero(~going)
             if ending.size and not every:
                 eta, eta_dot = _anchored(_blocks(links, n)), _anchored(_blocks(links_dot, n))
-            for row in range(live.size) if every else ending:
-                state = ChainState(n, d, eta[:, row].T, eta_dot[:, row].T, t[row])
-                snap = _make_snapshot(state, chain_sigma[row], alpha[row * n : row * n + n - 1], chain_w[row], row)
+            shot = np.arange(live.size) if every else ending
+            made = _snapshot_pass(eta, eta_dot, chain_sigma, alpha, chain_w, t, shot) if shot.size else ()
+            for row, (sol, report) in zip(shot.tolist(), made):
+                snap = _make_snapshot(eta, eta_dot, sol, report, row)
                 snapshots[live[row]].append(snap)
                 if on_snapshot is not None:
                     on_snapshot(int(live[row]), snap)

@@ -28,7 +28,9 @@ of chains as one block-diagonal system with zero couplings between the
 blocks, and the certificate's clauses run along the last axis, so
 ``certify_stack`` certifies a (d, B, n+1) stack at once, each row bitwise
 the chain's own certificate; the per-chain functions are the stack of one.
-Link data is component-major, as in :mod:`whipchain.core`.
+The snapshot diagnostics (the solve contract, sigma_dot, a/b/c and d_m) are
+stacked the same way.  Link data is component-major, as in
+:mod:`whipchain.core`.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from .core import (
     _links,
     _sq,
     _tension_array,
-    forward_diff,
-    weighted_seminorm_sq,
+    _weighted_terms,
 )
 from .errors import NumericError
 
@@ -343,7 +344,7 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     its own solve gives.
     """
     diag = _operator_diagonal(n, w.size, scaled=True)
-    if w.size == 1:  # one link: the 1 x 1 system, which dptsv's wrapper refuses
+    if w.size <= 1:  # one link, or no system: dptsv's wrapper refuses both
         return w / diag
     off = alpha * -n   # -alpha * n * n, bitwise
     off *= n
@@ -390,33 +391,55 @@ def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
 def _checked_solution(interior: np.ndarray, alpha: np.ndarray, w: np.ndarray) -> TensionSolution:
     """The solve contract: the interior tensions sigma_1..sigma_n, with
     sigma_0 = 0 prepended, as the TensionSolution of the chain whose system
-    A sigma = w has cosines ``alpha`` and source ``w``, once its normwise
-    backward error |A sigma - w| / (|A| |sigma| + |w|) (infinity norms) is at
-    most ``SOLVE_RTOL``, a small multiple of the unit roundoff that holds at
-    every n and conditioning for a backward-stable solve; NumericError
-    otherwise.
+    A sigma = w has cosines ``alpha`` and source ``w``, once it passes
+    :func:`_contract_breach`; its NumericError otherwise.  The stack of one
+    of :func:`_tension_solutions`.
     """
-    err = _backward_error(alpha, interior, w, w.shape[-1])
-    if not np.isfinite(err) or err > SOLVE_RTOL:
-        raise NumericError(f"tension solve residual: backward error {err:.3e} exceeds {SOLVE_RTOL:.1e}")
-    min_sigma = float(np.min(interior))
-    return TensionSolution(np.concatenate([[0.0], interior]), min_sigma, min_sigma > 0.0)
+    breach = _contract_breach(alpha, interior, w)
+    if breach is not None:
+        raise breach
+    return _tension_solutions(np.concatenate([[0.0], interior])[None])[0]
 
 
-def _backward_error(alpha: np.ndarray, sigma_int: np.ndarray, w: np.ndarray, n: int) -> float:
+def _contract_breach(alpha: np.ndarray, interior: np.ndarray, w: np.ndarray) -> NumericError | None:
+    """The solve contract on a (..., n) stack of systems (alpha (..., n-1)):
+    each solution's normwise backward error |A sigma - w| / (|A| |sigma| + |w|)
+    (infinity norms) must be at most ``SOLVE_RTOL``, a small multiple of the
+    unit roundoff that holds at every n and conditioning for a
+    backward-stable solve.  Returns the NumericError of the first row that
+    breaks it, naming that row, or None."""
+    err = np.atleast_1d(_backward_error(alpha, interior, w))
+    broken = np.flatnonzero(~np.isfinite(err) | (err > SOLVE_RTOL))
+    if not broken.size:
+        return None
+    row = int(broken[0])
+    return NumericError(f"tension solve residual: backward error {err[row]:.3e} exceeds {SOLVE_RTOL:.1e}", chain=row)
+
+
+def _tension_solutions(sigma: np.ndarray) -> list:
+    """The TensionSolution of each row of a (R, n+1) stack of tensions
+    sigma_0..sigma_n."""
+    return [TensionSolution(row, low, low > 0.0) for row, low in zip(sigma, sigma[:, 1:].min(axis=-1).tolist())]
+
+
+def _backward_error(alpha: np.ndarray, sigma_int: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Normwise backward error |A sigma - w| / (|A| |sigma| + |w|) in the
     infinity norm (Rigal and Gaches), with |A| = n^2 times the largest
-    absolute row sum."""
-    padded = np.concatenate([[0.0], sigma_int, [0.0]])
+    absolute row sum, of each system along the last axis."""
+    n = sigma_int.shape[-1]
+    lead = sigma_int.shape[:-1]
+    padded = np.zeros(lead + (n + 2,))
+    padded[..., 1:-1] = sigma_int
     diag = np.full(n, 2.0)
     diag[-1] = 1.0
     # row n has no superdiagonal: the trailing zero in a_ext kills it
-    a_ext = np.concatenate([[0.0], alpha, [0.0]])
-    r = n * n * (diag * sigma_int - a_ext[:-1] * padded[:-2] - a_ext[1:] * padded[2:])
+    a_ext = np.zeros(lead + (n + 1,))
+    a_ext[..., 1:-1] = alpha
+    r = n * n * (diag * sigma_int - a_ext[..., :-1] * padded[..., :-2] - a_ext[..., 1:] * padded[..., 2:])
     a_abs = np.abs(a_ext)
-    a_norm = n * n * float((diag + a_abs[:-1] + a_abs[1:]).max())
-    scale = a_norm * float(np.abs(sigma_int).max()) + float(np.abs(w).max())
-    return float(np.abs(r - w).max()) / max(scale, np.finfo(float).tiny)
+    a_norm = n * n * (diag + a_abs[..., :-1] + a_abs[..., 1:]).max(axis=-1)
+    scale = a_norm * np.abs(sigma_int).max(axis=-1) + np.abs(w).max(axis=-1)
+    return np.abs(r - w).max(axis=-1) / np.maximum(scale, np.finfo(float).tiny)
 
 
 def tension_residual(chain: ChainState, sigma) -> float:
@@ -449,13 +472,16 @@ def solve_sigma_dot(chain: ChainState, sigma) -> np.ndarray:
 
 
 def _sigma_dot(t: np.ndarray, t_dot: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """:func:`solve_sigma_dot` on (d, n) links t and link velocities t_dot
-    under the interior tensions sigma_1..sigma_n."""
-    n = t.shape[-1]
-    rhs = 3.0 * _dot(t_dot, _acceleration_arrays(t, sigma, n)) + _dot(t, _acceleration_arrays(t_dot, sigma, n))
-    sd = np.empty(n + 1)
-    sd[0] = 0.0
-    sd[1:] = _solve_tridiagonal(_alpha(t), rhs, n)
+    """:func:`solve_sigma_dot` of each chain of (d, ..., n) links t and link
+    velocities t_dot under its interior tensions sigma_1..sigma_n, shaped
+    (..., n): one flux pass over the flat stack and one stacked solve, each
+    chain bitwise its own (see :func:`_acceleration_arrays` and
+    :func:`_solve_tridiagonal`).  Returns (..., n+1)."""
+    n, d = t.shape[-1], t.shape[0]
+    t, t_dot, flat = t.reshape(d, -1), t_dot.reshape(d, -1), sigma.ravel()
+    rhs = 3.0 * _dot(t_dot, _acceleration_arrays(t, flat, n)) + _dot(t, _acceleration_arrays(t_dot, flat, n))
+    sd = np.zeros(sigma.shape[:-1] + (n + 1,))
+    sd[..., 1:] = _solve_tridiagonal(_alpha(t), rhs, n).reshape(sigma.shape)
     return sd
 
 
@@ -468,23 +494,34 @@ def diagnostics_abc(chain: ChainState, sol: TensionSolution, sigma_dot: np.ndarr
     c = max |D- sigma_dot|.
 
     Verifies the cumulative-sum consequences max sigma_k/s_k <= a and
-    max |sigma_dot_k|/s_k <= c before returning.
+    max |sigma_dot_k|/s_k <= c before returning.  The stack of one of
+    :func:`_abc`.
     """
-    n = chain.n
-    sigma = _tension_array(sol, n)
-    a = float(np.max(np.abs(forward_diff(sigma, n))))
-    c = float(np.max(np.abs(forward_diff(np.asarray(sigma_dot), n))))
+    a, b, c = _abc(_tension_array(sol, chain.n), np.asarray(sigma_dot, dtype=float))
+    return float(a), float(b), float(c)
+
+
+def _abc(sigma: np.ndarray, sigma_dot: np.ndarray):
+    """:func:`diagnostics_abc` of each chain of (..., n+1) stacks of sigma
+    and sigma_dot, one entry of a, b and c per chain; the NumericError of a
+    failed check names the first chain that fails one."""
+    n = sigma.shape[-1] - 1
+    a = np.abs(_links(sigma, n)).max(axis=-1)
+    c = np.abs(_links(sigma_dot, n)).max(axis=-1)
     s = np.arange(1, n + 1) / n
-    interior = sigma[1:]
-    if np.any(interior <= 0.0):
-        b = float("inf")
-    else:
-        b = float(np.max(s / interior))
+    interior = sigma[..., 1:]
+    with np.errstate(divide="ignore"):
+        b = np.where((interior <= 0.0).any(axis=-1), np.inf, (s / interior).max(axis=-1))
     slack = 1e-8
-    if np.max(interior / s) > a * (1 + slack) + slack:
-        raise NumericError("sigma_k/s_k exceeded max |D- sigma|; inconsistent solve")
-    if np.max(np.abs(np.asarray(sigma_dot)[1:]) / s) > c * (1 + slack) + slack:
-        raise NumericError("sigma_dot_k/s_k exceeded max |D- sigma_dot|; inconsistent solve")
+    over_a, over_c = np.atleast_1d(
+        (interior / s).max(axis=-1) > a * (1 + slack) + slack,
+        (np.abs(sigma_dot[..., 1:]) / s).max(axis=-1) > c * (1 + slack) + slack,
+    )
+    failed = np.flatnonzero(over_a | over_c)
+    if failed.size:
+        row = int(failed[0])
+        quantity = "sigma" if over_a[row] else "sigma_dot"
+        raise NumericError(f"{quantity}_k/s_k exceeded max |D- {quantity}|; inconsistent solve", chain=row)
     return a, b, c
 
 
@@ -494,15 +531,24 @@ def sigma_sobolev(sigma, n: int, m_max: int = 3) -> np.ndarray:
 
     The sums start at k = 0 (sigma_0 = 0 carries endpoint information).
     Entries whose difference order exceeds the grid are NaN (only n <= 4).
+    The stack of one of :func:`_sigma_sobolev`.
     """
-    sigma = _tension_array(sigma, n)
-    pieces = np.empty(m_max)
+    return _sigma_sobolev(_tension_array(sigma, n), m_max)
+
+
+def _sigma_sobolev(sigma: np.ndarray, m_max: int) -> np.ndarray:
+    """:func:`sigma_sobolev` of each chain of a (..., n+1) stack of tensions,
+    shaped (..., m_max): the seminorms of
+    :func:`~whipchain.core.weighted_seminorm_sq`, summed along the last axis."""
+    n = sigma.shape[-1] - 1
+    pieces = np.full(sigma.shape[:-1] + (m_max,), np.nan)
+    diff = _links(sigma, n)
     for ell in range(m_max):
-        try:
-            pieces[ell] = weighted_seminorm_sq(sigma, ell + 1.5, ell + 2, n, first_index=0)
-        except ValueError:
-            pieces[ell] = np.nan
-    return np.cumsum(pieces)
+        diff = _links(diff, n)
+        if not diff.shape[-1]:
+            break
+        pieces[..., ell] = np.add.reduce(_weighted_terms(diff * diff, ell + 1.5, n, 0), axis=-1) / n
+    return np.cumsum(pieces, axis=-1)
 
 
 # ---------------------------------------------------------------------------

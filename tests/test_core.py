@@ -11,12 +11,17 @@ from hypothesis import strategies as st
 from whipchain.core import (
     ChainState,
     _dot,
+    _energy_sums,
     _links,
     _mirrored,
+    _s_weight,
+    _sigma_weight,
     _sq,
+    _squared_differences,
     discrete_energy,
     forward_diff,
     forward_diff_m,
+    rising_product,
     rising_weight,
     sigma_weighted_energy,
     u0_v0,
@@ -507,6 +512,29 @@ def test_energy_ladder_matches_the_oracles_to_every_order(n, d):
         assert sigma_weighted_energy(ch, sol, m_max) == pytest.approx(et_ref[: m_max + 1], rel=1e-12, abs=0.0)
     with pytest.raises(ValueError, match="energy order"):
         discrete_energy(ch, 2 * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1025])
+def test_energy_sums_of_a_stack_are_bitwise_the_one_dimensional_sums(n):
+    # each chain's sums in a (d, R, n+1) stack are the plain np.sum of its
+    # own 1-D weighted terms, for both weightings, whatever the row count
+    rng = np.random.default_rng(n)
+    m_max = 3 if n > 1 else 1
+    eta, eta_dot = rng.normal(size=(2, 2, 3, n + 1))
+    sigma = rng.random((3, n + 1))
+    t, t_dot = _links(eta), _links(eta_dot)
+    sq = _squared_differences(eta_dot, t, t_dot, m_max)
+    stacked = {"s": _energy_sums(sq, _s_weight(n)), "sigma": _energy_sums(sq, _sigma_weight(sigma, m_max))}
+    for row in range(3):
+        mirrored = _mirrored(sigma[row], (m_max + 1) // 2)
+        weights = {"s": lambda r, k: rising_weight(np.arange(1, k + 1), r, n),
+                   "sigma": lambda r, k: rising_product(mirrored, 1, k, r)}
+        own = _squared_differences(eta_dot[:, row], t[:, row], t_dot[:, row], m_max)
+        for name, weight in weights.items():
+            for ell, (v, p) in enumerate(own):
+                k = len(v)
+                want = [np.sum(weight(ell, k) * v), np.sum(weight(ell + 1, k) * p)]
+                assert np.array(want).tobytes() == stacked[name][row, ell].tobytes(), (name, ell)
 
 
 def test_rigid_rotation_energy_structure():

@@ -1,5 +1,7 @@
 """Integration, projection, trajectory reporting, and blowup detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -750,6 +752,97 @@ def test_snapshot_report_bitwise_with_weight_cache_cold_and_warm():
             for rep in (cold, warm):
                 got, want = np.asarray(getattr(rep, name)), np.asarray(getattr(snap.report, name))
                 assert got.tobytes() == want.tobytes(), name
+
+
+def _mixed_chains(rows, n, d):
+    """``rows`` chains of one n and d from several generators; the first is
+    at rest, so its tension is 0 and its b is inf."""
+    rng = np.random.default_rng(100 * n + 10 * d + rows)
+
+    def projected_random():
+        eta, eta_dot = rng.normal(size=(2, n + 1, d))
+        eta[-1] = eta_dot[-1] = 0.0
+        return project(ChainState(n, d, eta, eta_dot))
+
+    makers = [lambda: straight_chain(n, d), lambda: rigid_rotation(n, 1.5, d), projected_random]
+    if d == 2:
+        makers += [lambda: make_random_chain(n, seed=int(rng.integers(1000))), lambda: theta_power(n, vel_amp=1.0),
+                   lambda: folded_chain(n) if n > 1 else straight_chain(n, d, angle=0.3)]
+    return [makers[i % len(makers)]() for i in range(rows)]
+
+
+def _snapshot_stack(chains):
+    """The arguments of dynamics._snapshot_pass for every row of ``chains``,
+    each at its own time, from their stacked step-start solve."""
+    n = chains[0].n
+    eta = np.stack([c.eta.T for c in chains], axis=1)
+    eta_dot = np.stack([c.eta_dot.T for c in chains], axis=1)
+    sigma, alpha, w = tension._solve_sigma_arrays(*flat_links(chains), n)
+    times = 0.125 * np.arange(len(chains))
+    return eta, eta_dot, sigma.reshape(-1, n), alpha, w.reshape(-1, n), times
+
+
+@pytest.mark.parametrize("rows", [1, 2, 16])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 64])
+def test_snapshot_pass_rows_bitwise_their_own_reports(n, d, rows):
+    # every report field and tension of a stacked pass is bitwise what
+    # snapshot_report and the solve of that chain alone give: m_max = 1 at
+    # n = 1, NaN d_m at small n, and b = inf on the chain at rest
+    chains = _mixed_chains(rows, n, d)
+    args = _snapshot_stack(chains)
+    made = dynamics._snapshot_pass(*args, np.arange(rows))
+    assert len(made) == rows and made[0][1].b == np.inf
+    for chain, time, (sol, rep) in zip(chains, args[-1], made):
+        alone = ChainState(n, d, chain.eta, chain.eta_dot, time)
+        own = solve_tension(alone)
+        want = snapshot_report(alone, own)
+        assert sol.sigma.tobytes() == own.sigma.tobytes()
+        assert (sol.min_sigma, sol.positivity) == (own.min_sigma, own.positivity)
+        for field in dataclasses.fields(want):
+            got, expect = getattr(rep, field.name), getattr(want, field.name)
+            assert np.asarray(got).tobytes() == np.asarray(expect).tobytes(), field.name
+    # a pass over some of the rows reports them as the full pass does
+    some = np.arange(rows)[1::2]
+    for row, (sol, rep) in zip(some, dynamics._snapshot_pass(*args, some)):
+        assert sol.sigma.tobytes() == made[row][0].sigma.tobytes()
+        assert np.asarray(rep.e_tilde).tobytes() == np.asarray(made[row][1].e_tilde).tobytes()
+        assert rep.time == made[row][1].time
+
+
+def test_snapshot_pass_names_the_first_row_that_breaks_the_contract():
+    n = 16
+    eta, eta_dot, sigma, alpha, w, times = _snapshot_stack([make_random_chain(n, seed=s) for s in range(4)])
+    sigma = sigma.copy()
+    sigma[2] *= 1.0 + 1e-6
+    sigma[3] *= 1.0 + 1e-3
+    with pytest.raises(NumericError) as alone:
+        tension._checked_solution(sigma[2], alpha[2 * n : 3 * n - 1], w[2])
+    with pytest.raises(NumericError) as stacked:
+        dynamics._snapshot_pass(eta, eta_dot, sigma, alpha, w, times, np.arange(4))
+    assert stacked.value.chain == 2 and str(stacked.value) == str(alone.value)
+    # the error names the working row, not the place in the pass
+    with pytest.raises(NumericError) as part:
+        dynamics._snapshot_pass(eta, eta_dot, sigma, alpha, w, times, np.array([1, 3]))
+    assert part.value.chain == 3
+
+
+def test_abc_stack_names_the_first_inconsistent_row():
+    # a constant sigma_dot fails the c check (as in the per-chain test); the
+    # stack names its row, with the message the chain alone gives
+    n = 8
+    chains = [rigid_rotation(n, 1.0), make_random_chain(n, seed=3), make_random_chain(n, seed=4)]
+    sigma = np.stack([solve_tension(c).sigma for c in chains])
+    sigma_dot = np.stack([tension.solve_sigma_dot(c, s) for c, s in zip(chains, sigma)])
+    sigma_dot[1] = 1.0
+    with pytest.raises(NumericError) as alone:
+        tension.diagnostics_abc(chains[1], sigma[1], sigma_dot[1])
+    with pytest.raises(NumericError) as stacked:
+        tension._abc(sigma, sigma_dot)
+    assert stacked.value.chain == 1 and str(stacked.value) == str(alone.value)
+    a, b, c = tension._abc(sigma[[0, 2]], sigma_dot[[0, 2]])
+    for i, row in enumerate((0, 2)):
+        assert (a[i], b[i], c[i]) == tension.diagnostics_abc(chains[row], sigma[row], sigma_dot[row])
 
 
 class TestResolutionConvergence:

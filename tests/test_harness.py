@@ -873,6 +873,25 @@ class TestRunExperiment:
         assert set(manifest["summary"]["terminations"].values()) == {"t_end_reached", "negative_tension"}
         assert manifest["termination"] == serial["6"].termination
 
+    def test_p99_bitwise_numpys_percentile(self):
+        # the summary's p99 is numpy's default linear 99th percentile, bit
+        # for bit, over sizes that put the virtual index at every weight and
+        # over uniform, wide-exponent, tied and tiny values
+        from whipchain.harness import _p99
+
+        rng = np.random.default_rng(99)
+        kinds = {
+            "uniform": lambda size: rng.random(size),
+            "wide": lambda size: np.exp(rng.uniform(-700.0, 700.0, size)),
+            "tied": lambda size: rng.integers(0, 4, size) * 0.1,
+            "tiny": lambda size: rng.random(size) * 5e-324 * 1e3,
+        }
+        for size in [*range(1, 600), 1000, 4096, 10001]:
+            for kind, draw in kinds.items():
+                x = draw(size)
+                got, want = _p99(x), float(np.percentile(x, 99))
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (kind, size)
+
     def test_projection_max_of_a_seed_without_steps(self, tmp_path):
         # the chain stops at t = 0 on the blowup threshold; a run without
         # projection moves nothing
@@ -1134,6 +1153,29 @@ class TestCli:
         for module in ("scipy.optimize", "scipy.linalg", "scipy.special", "importlib.metadata"):
             assert module not in loaded
         assert "numpy.random" in loaded
+
+    def test_run_and_convergence_leave_out_numpy_ma_and_scipy_optimize(self, tmp_path):
+        # a two-seed csv+jsonl run and a convergence study, in a fresh
+        # interpreter, import neither: np.percentile would pull in numpy.ma
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run_cfg = write_cfg(tmp_path, "kind = run\ninitial.generator = random\ninitial.n = 8\n"
+                            "integrator.t_end = 0.005\nseeds = 1,2\noutput.formats = csv,jsonl\n"
+                            f"output.dir = {tmp_path / 'run'}\n", "run.cfg")
+        conv_cfg = write_cfg(tmp_path, "kind = convergence\ninitial.generator = rigid_rotation\n"
+                             "initial.n = 8,16\nintegrator.t_end = 0.005\n"
+                             f"output.dir = {tmp_path / 'conv'}\n", "conv.cfg")
+        code = (
+            "import json, sys; import whipchain.cli as cli; "
+            f"codes = [cli.main(['run', {str(run_cfg)!r}, '--quiet']), cli.main(['run', {str(conv_cfg)!r}, '--quiet'])]; "
+            "print(json.dumps([codes, sorted(m for m in ('numpy.ma', 'scipy.optimize') if m in sys.modules)]))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert (tmp_path / "run" / "series_seed2.jsonl").is_file() and (tmp_path / "conv" / "convergence.csv").is_file()
+        assert loaded == []
 
     def test_console_script(self, tmp_path):
         path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'cs'}\noutput.formats = csv\n")
