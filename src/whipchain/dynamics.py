@@ -20,15 +20,17 @@ iteration snapshots are reported in one stacked pass
 (:func:`_snapshot_pass`): it holds their tensions to the solve contract and
 runs each diagnostic kernel once over their (d, R, n+1) stack, and each
 row is bitwise the report of its chain alone (:func:`snapshot_report` is
-the stack of one).  Every chain keeps its own time, step, stride and
-termination, so each trajectory is bitwise the one the chain gives alone;
-:func:`run` is the batch of one.  The public :func:`acceleration`,
-:func:`project` and :func:`step` take and return row-major positions.
+the stack of one).  The pass hands out finished Snapshots, whose time is
+their state's; a Trajectory's step count is the length of its projection
+log.  Every chain keeps its own time, step, stride and termination, so
+each trajectory is bitwise the one the chain gives alone; :func:`run` is
+the batch of one.  The public :func:`acceleration`, :func:`project` and
+:func:`step` take and return row-major positions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +59,6 @@ from .tension import (
     _sigma_dot,
     _sigma_sobolev,
     _solve_sigma_arrays,
-    _tension_solutions,
 )
 
 TERMINATIONS = ("t_end_reached", "negative_tension", "blowup_suspected", "dt_underflow")
@@ -268,7 +269,6 @@ class EnergyReport:
     max_ang_vel: float
     max_curvature: float
     constraint_drift: float
-    time: float
 
     def __post_init__(self):
         object.__setattr__(self, "e", _frozen_array(self.e))
@@ -287,13 +287,14 @@ class Snapshot:
 class Trajectory:
     snapshots: list
     termination: str
-    n_steps: int
     projection_log: np.ndarray   # per-step max position displacement from projection
+    n_steps: int = field(init=False)   # one per projection_log entry
 
     def __post_init__(self):
         if self.termination not in TERMINATIONS:
             raise ValueError(f"unknown termination {self.termination!r}")
         object.__setattr__(self, "projection_log", _frozen_array(self.projection_log))
+        object.__setattr__(self, "n_steps", len(self.projection_log))
 
     def series(self) -> dict:
         """Column arrays of the scalar time series: one stacked array, one row per snapshot."""
@@ -304,14 +305,12 @@ class Trajectory:
 def snapshot_report(chain: ChainState, sol: TensionSolution) -> EnergyReport:
     """Assemble the full energy/diagnostic record for one state: the stack
     of one of :func:`_report_stack`."""
-    return _report_stack(chain.eta.T[:, None], chain.eta_dot.T[:, None], _tension_array(sol, chain.n)[None],
-                         [chain.time])[0]
+    return _report_stack(chain.eta.T[:, None], chain.eta_dot.T[:, None], _tension_array(sol, chain.n)[None])[0]
 
 
-def _report_stack(eta: np.ndarray, eta_dot: np.ndarray, sigma: np.ndarray, times) -> list:
+def _report_stack(eta: np.ndarray, eta_dot: np.ndarray, sigma: np.ndarray) -> list:
     """The EnergyReport of each chain of (d, R, n+1) positions and
-    velocities under its tensions sigma_0..sigma_n, shaped (R, n+1), at its
-    entry of ``times``.
+    velocities under its tensions sigma_0..sigma_n, shaped (R, n+1).
 
     The links and link velocities are formed once.  They feed the sigma_dot
     solve and one list of squared differences, which feeds both energy
@@ -330,31 +329,31 @@ def _report_stack(eta: np.ndarray, eta_dot: np.ndarray, sigma: np.ndarray, times
     (_, links_sq), (ang_sq, curv_sq) = sq[:2]
     sums = _energy_sums(sq, _s_weight(n))
     a, b, c = _abc(sigma, _sigma_dot(t, t_dot, sigma[:, 1:]))
-    pad = np.full((len(times), 3 - m_max), np.nan)
+    pad = np.full((len(sigma), 3 - m_max), np.nan)
     e = np.concatenate([_energies(sums, n), pad], axis=-1)
     e_tilde = np.concatenate([_energies(_energy_sums(sq, _sigma_weight(sigma, m_max)), n), pad], axis=-1)
     d = _sigma_sobolev(sigma, 3)
     scalars = zip(*(sums[:, 0] / n).T.tolist(), a.tolist(), b.tolist(), c.tolist(),
                   np.sqrt(ang_sq.max(axis=-1)).tolist(),
                   np.sqrt(curv_sq[:, : n - 1].max(axis=-1, initial=0.0)).tolist(),
-                  np.abs(np.sqrt(links_sq) - 1.0).max(axis=-1).tolist(), times)
+                  np.abs(np.sqrt(links_sq) - 1.0).max(axis=-1).tolist())
     return [
         EnergyReport(e=e[i], e_tilde=e_tilde[i], u0=u0, v0=v0, a=ai, b=bi, c=ci, d=d[i], max_ang_vel=ang,
-                     max_curvature=curv, constraint_drift=drift, time=time)
-        for i, (u0, v0, ai, bi, ci, ang, curv, drift, time) in enumerate(scalars)
+                     max_curvature=curv, constraint_drift=drift)
+        for i, (u0, v0, ai, bi, ci, ang, curv, drift) in enumerate(scalars)
     ]
 
 
 def _snapshot_pass(eta: np.ndarray, eta_dot: np.ndarray, sigma: np.ndarray, alpha: np.ndarray, w: np.ndarray,
                    time: np.ndarray, rows: np.ndarray) -> list:
-    """The (TensionSolution, EnergyReport) of each working row in ``rows``
-    of the (d, B, n+1) positions and velocities, at its ``time``, from the
-    interior tensions ``sigma`` (B, n) of the stacked system it solved:
-    the flat cosines ``alpha`` (B n - 1,) and sources ``w`` (B, n).  Each
-    tension is held to the solve contract, and every kernel makes one pass
-    over the rows.  A NumericError names the first row that fails the
-    contract or a check of its report; the rows past the first contract
-    failure are not reported."""
+    """The Snapshot of each working row in ``rows`` of the (d, B, n+1)
+    positions and velocities, at its ``time``, from the interior tensions
+    ``sigma`` (B, n) of the stacked system it solved: the flat cosines
+    ``alpha`` (B n - 1,) and sources ``w`` (B, n).  Each tension is held to
+    the solve contract, and every kernel makes one pass over the rows.  A
+    NumericError names the first row that fails the contract or a check of
+    its report; the rows past the first contract failure are not
+    reported."""
     n = sigma.shape[-1]
     alpha = np.append(alpha, 0.0).reshape(-1, n)[rows, :-1]   # cut the couplings between blocks
     breach = _contract_breach(alpha, sigma[rows], w[rows])
@@ -362,22 +361,14 @@ def _snapshot_pass(eta: np.ndarray, eta_dot: np.ndarray, sigma: np.ndarray, alph
     full = np.zeros((ok.size, n + 1))
     full[:, 1:] = sigma[ok]
     try:
-        made = list(zip(_tension_solutions(full), _report_stack(eta[:, ok], eta_dot[:, ok], full, time[ok])))
+        reports = _report_stack(eta[:, ok], eta_dot[:, ok], full)
         if breach is not None:
             raise breach
     except NumericError as exc:   # name the working row
         exc.chain = int(rows[exc.chain])
         raise
-    return made
-
-
-def _make_snapshot(eta: np.ndarray, eta_dot: np.ndarray, sol: TensionSolution, report: EnergyReport,
-                   row: int) -> Snapshot:
-    """The Snapshot of working row ``row`` of the (d, B, n+1) positions and
-    velocities, with its checked tension and report from
-    :func:`_snapshot_pass`."""
-    d, _, size = eta.shape
-    return Snapshot(ChainState(size - 1, d, eta[:, row].T, eta_dot[:, row].T, report.time), sol, report)
+    return [Snapshot(ChainState(n, len(eta), eta[:, row].T, eta_dot[:, row].T, time[row]), TensionSolution(s), rep)
+            for row, s, rep in zip(ok, full, reports)]
 
 
 _SERIES_FIELDS = (
@@ -392,7 +383,7 @@ _SERIES_FIELDS = (
 def _series_row(snap: Snapshot) -> list:
     """The snapshot's values in the order of ``_SERIES_FIELDS``."""
     rep = snap.report
-    return [rep.time, *rep.e, *rep.e_tilde, rep.u0, rep.v0, rep.a, rep.b, rep.c, *rep.d,
+    return [snap.state.time, *rep.e, *rep.e_tilde, rep.u0, rep.v0, rep.a, rep.b, rep.c, *rep.d,
             snap.tension.min_sigma, rep.max_ang_vel, rep.max_curvature, rep.constraint_drift]
 
 
@@ -477,15 +468,14 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                 eta, eta_dot = _anchored(_blocks(links, n)), _anchored(_blocks(links_dot, n))
             shot = np.arange(live.size) if every else ending
             made = _snapshot_pass(eta, eta_dot, chain_sigma, alpha, chain_w, t, shot) if shot.size else ()
-            for row, (sol, report) in zip(shot.tolist(), made):
-                snap = _make_snapshot(eta, eta_dot, sol, report, row)
+            for row, snap in zip(shot.tolist(), made):
                 snapshots[live[row]].append(snap)
                 if on_snapshot is not None:
                     on_snapshot(int(live[row]), snap)
             for row in ending:
                 i = live[row]
                 termination = TERMINATIONS[hits[:, row].argmax()]
-                done[i] = Trajectory(snapshots[i], termination, len(logs[i]), np.array(logs[i]))
+                done[i] = Trajectory(snapshots[i], termination, np.array(logs[i]))
             if ending.size:
                 live, t, raw = live[going], t[going], raw[going]
                 if not live.size:
@@ -535,17 +525,21 @@ def _loglog_fit(x: np.ndarray, logy: np.ndarray):
     return coef[0], coef[1], float(resid @ resid)
 
 
-def detect_blowup(series, min_points: int = 8, window_frac: float = 0.25) -> BlowupFit:
+_FIT_MIN_POINTS = 8       # the fewest samples a blowup fit reads
+_FIT_WINDOW_FRAC = 0.25   # the trailing share of the series it fits
+
+
+def detect_blowup(series) -> BlowupFit:
     """Fit log y = const - p log(T - t) jointly over (T, p) on the trailing
     window of a maxima series.
 
     ``series`` is an (N, 3) array-like of rows (t, max |D+ eta_dot|,
-    max |D+^2 eta|).  The window is the trailing ``window_frac`` fraction of
-    samples, at least ``min_points``.  T - t_last is searched for between
-    1e-9 and 1e4 window spans; ``at_bracket_edge`` is set when the minimizer
-    lies within 1e-6 of either end in log(T - t_last), or an end fits no
-    worse than it.  Raises FitRejected when there are too few samples or the
-    tail maxima are not strictly increasing.
+    max |D+^2 eta|).  The window is the trailing quarter of the samples,
+    at least 8 of them.  T - t_last is searched for between 1e-9 and 1e4
+    window spans; ``at_bracket_edge`` is set when the minimizer lies within
+    1e-6 of either end in log(T - t_last), or an end fits no worse than it.
+    Raises FitRejected when there are too few samples or the tail maxima
+    are not strictly increasing.
     """
     from scipy.optimize import minimize_scalar   # here, not at import: only blowup_hunt fits
 
@@ -553,9 +547,9 @@ def detect_blowup(series, min_points: int = 8, window_frac: float = 0.25) -> Blo
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("series must be (N, 3): columns t, max|D+ eta_dot|, max|D+^2 eta|")
     N = arr.shape[0]
-    if N < min_points:
-        raise FitRejected(f"need at least {min_points} samples, got {N}")
-    w = max(min_points, int(np.ceil(window_frac * N)))
+    if N < _FIT_MIN_POINTS:
+        raise FitRejected(f"need at least {_FIT_MIN_POINTS} samples, got {N}")
+    w = max(_FIT_MIN_POINTS, int(np.ceil(_FIT_WINDOW_FRAC * N)))
     tail = arr[-w:]
     t, ang, curv = tail[:, 0], tail[:, 1], tail[:, 2]
     if np.any(np.diff(t) <= 0):

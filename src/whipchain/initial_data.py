@@ -17,11 +17,20 @@ from .core import ChainState
 from .spectral import AngleState, theta_to_eta
 
 
+def _in_plane(d: int, x: float, y: float) -> np.ndarray:
+    """The vector (x, y, 0, ..., 0) of R^d, for the chains that lie in the
+    plane of the first two axes; d < 2 is refused."""
+    if d < 2:
+        raise ValueError(f"the chain lies in the first two axes, so d must be >= 2, got d={d}")
+    u = np.zeros(d)
+    u[:2] = x, y
+    return u
+
+
 def straight_chain(n: int, d: int = 2, angle: float = 0.0) -> ChainState:
     """Stationary chain along a fixed direction; eta_k = ((n+1-k)/n) u with
     u = (cos angle, sin angle, 0, ..., 0)."""
-    u = np.zeros(d)
-    u[:2] = (np.cos(angle), np.sin(angle))
+    u = _in_plane(d, np.cos(angle), np.sin(angle))
     c = np.arange(n, -1, -1, dtype=float) / n
     eta = np.outer(c, u)
     return ChainState(n, d, eta, np.zeros_like(eta))
@@ -32,10 +41,7 @@ def rigid_rotation(n: int, omega: float = 1.0, d: int = 2) -> ChainState:
     end; an exact solution of the chain ODE with tension
     sigma_k = omega^2 k (2n+1-k) / (2 n^2)."""
     c = np.arange(n, -1, -1, dtype=float) / n
-    u = np.zeros(d)
-    u[0] = 1.0
-    uperp = np.zeros(d)
-    uperp[1] = 1.0
+    u, uperp = _in_plane(d, 1.0, 0.0), _in_plane(d, 0.0, 1.0)
     eta = np.outer(c, u)
     eta_dot = np.outer(c, omega * uperp)
     return ChainState(n, d, eta, eta_dot)
@@ -44,10 +50,8 @@ def rigid_rotation(n: int, omega: float = 1.0, d: int = 2) -> ChainState:
 def rigid_rotation_exact(n: int, t: float, omega: float = 1.0, d: int = 2) -> ChainState:
     """Closed-form state of the rotating chain at time t (oracle for tests)."""
     c = np.arange(n, -1, -1, dtype=float) / n
-    u = np.zeros(d)
-    u[0], u[1] = np.cos(omega * t), np.sin(omega * t)
-    uperp = np.zeros(d)
-    uperp[0], uperp[1] = -np.sin(omega * t), np.cos(omega * t)
+    u = _in_plane(d, np.cos(omega * t), np.sin(omega * t))
+    uperp = _in_plane(d, -np.sin(omega * t), np.cos(omega * t))
     eta = np.outer(c, u)
     eta_dot = np.outer(c, omega * uperp)
     return ChainState(n, d, eta, eta_dot, time=t)
@@ -131,6 +135,8 @@ def random_chain(
 
     ``max_turn`` < pi/2 keeps every alpha_i > 0.
     """
+    if not 0.0 <= max_turn:
+        raise ValueError(f"max turn must be nonnegative, got max_turn={max_turn}")
     if not 0.0 <= vel_scale:
         raise ValueError(f"velocity scale must be nonnegative, got vel_scale={vel_scale}")
     theta, theta_dot = _random_angles(n, np.random.default_rng(rng), max_turn, vel_scale)

@@ -23,7 +23,9 @@ when ``GreenMatrix.G`` is read.
 
 The beta_i are the pivots of the LDL^T factorization of the operator with
 its rows and columns reversed, so LAPACK's ``dpttrf`` gives them in compiled
-code, and G_kk comes from one banded ``dtbtrs`` sweep.  Both act on a stack
+code, and G_kk comes from one banded ``dtbtrs`` sweep.  The records derive
+what follows from their data: AlphaBeta its beta, TensionSolution its
+minimum and positivity.  Both act on a stack
 of chains as one block-diagonal system with zero couplings between the
 blocks, and the certificate's clauses run along the last axis, so
 ``certify_stack`` certifies a (d, B, n+1) stack at once, each row bitwise
@@ -101,17 +103,16 @@ class AlphaBeta:
     """Link-angle cosines alpha_1..alpha_{n-1} and the elimination recursion
     beta_n = 1, beta_i = 2 - alpha_i^2/beta_{i+1} (so 1 <= beta_i <= 2).
 
-    alpha[i-1] = alpha_i and beta[i-1] = beta_i.
+    alpha[i-1] = alpha_i and beta[i-1] = beta_i; beta is derived from alpha
+    by :func:`beta_recursion`.
     """
 
     alpha: np.ndarray
-    beta: np.ndarray
+    beta: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _frozen_array(self.alpha))
-        object.__setattr__(self, "beta", _frozen_array(self.beta))
-        if self.beta.shape[0] != self.alpha.shape[0] + 1:
-            raise ValueError("beta must be one longer than alpha")
+        object.__setattr__(self, "beta", _frozen_array(beta_recursion(self.alpha)))
 
     @property
     def n(self) -> int:
@@ -138,7 +139,9 @@ def beta_recursion(alpha) -> np.ndarray:
     if alpha.size == 0:  # n = 1 (beta_1 = 1) or no samples: dpttrf's wrapper refuses an empty off-diagonal
         return off + 1.0
     off[..., :-1] = alpha[..., ::-1]  # the sign of the off-diagonal does not reach the pivots
-    pivots, _, info = dpttrf(_operator_diagonal(n, off.size, scaled=False), off.ravel()[:-1])
+    diag = np.full(off.shape, 2.0)   # the unscaled diagonal, reversed: (1, 2, ..., 2)
+    diag[..., 0] = 1.0
+    pivots, _, info = dpttrf(diag.ravel(), off.ravel()[:-1])
     if info > 0:
         sample = (info - 1) // n
         worst = np.max(np.abs(alpha.reshape(-1, n - 1)[sample]))
@@ -151,13 +154,12 @@ def beta_recursion(alpha) -> np.ndarray:
 
 def alpha_beta_from_alpha(alpha) -> AlphaBeta:
     """Assemble an AlphaBeta from given cosines (e.g. the exact straight chain)."""
-    alpha = np.asarray(alpha, dtype=float)
-    return AlphaBeta(alpha, beta_recursion(alpha))
+    return AlphaBeta(alpha)
 
 
 def compute_alpha_beta(chain: ChainState) -> AlphaBeta:
     """alpha_i = <D+ eta_{i+1}, D+ eta_i> for i = 1..n-1, plus the beta recursion."""
-    return alpha_beta_from_alpha(_alpha(_links(chain.eta.T)))
+    return AlphaBeta(_alpha(_links(chain.eta.T)))
 
 
 def _alpha(t: np.ndarray) -> np.ndarray:
@@ -294,14 +296,17 @@ def green_matrix_for_chain(chain: ChainState) -> GreenMatrix:
 
 @dataclass(frozen=True)
 class TensionSolution:
-    """Lagrange multipliers sigma_0..sigma_n (sigma[k] = sigma_k, sigma_0 = 0)."""
+    """Lagrange multipliers sigma_0..sigma_n (sigma[k] = sigma_k, sigma_0 = 0),
+    their minimum over k >= 1 (NaN when one is NaN) and whether it is > 0."""
 
     sigma: np.ndarray
-    min_sigma: float
-    positivity: bool
+    min_sigma: float = field(init=False)
+    positivity: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", _frozen_array(self.sigma))
+        object.__setattr__(self, "min_sigma", float(self.sigma[1:].min()))
+        object.__setattr__(self, "positivity", self.min_sigma > 0.0)
 
     @property
     def n(self) -> int:
@@ -309,18 +314,12 @@ class TensionSolution:
 
 
 @lru_cache(maxsize=16)
-def _operator_diagonal(n: int, size: int, scaled: bool) -> np.ndarray:
-    """The diagonal of ``size // n`` stacked systems, built once per key and
-    read-only: n^2 (2, ..., 2, 1) for the tension solve (``scaled``), or
-    (1, 2, ..., 2), the unscaled operator with its rows and columns
-    reversed, for the beta pivots."""
+def _operator_diagonal(n: int, size: int) -> np.ndarray:
+    """The diagonal n^2 (2, ..., 2, 1) of ``size // n`` stacked tension
+    systems, built once per key and read-only."""
     diag = np.full((size // n, n), 2.0)
-    if scaled:
-        diag[:, -1] = 1.0
-        diag = diag * n * n
-    else:
-        diag[:, 0] = 1.0
-    out = diag.ravel()
+    diag[:, -1] = 1.0
+    out = (diag * n * n).ravel()
     out.setflags(write=False)
     return out
 
@@ -343,7 +342,7 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     across block boundaries, so every block's solution is bitwise the one
     its own solve gives.
     """
-    diag = _operator_diagonal(n, w.size, scaled=True)
+    diag = _operator_diagonal(n, w.size)
     if w.size <= 1:  # one link, or no system: dptsv's wrapper refuses both
         return w / diag
     off = alpha * -n   # -alpha * n * n, bitwise
@@ -382,7 +381,7 @@ def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
         interior, alpha, w = _solve_sigma_arrays(t, t_dot, chain.n)
     elif method == "green":
         alpha, w = _alpha(t), _sq(t_dot)
-        interior = green_matrix(alpha_beta_from_alpha(alpha)).apply(w)
+        interior = green_matrix(AlphaBeta(alpha)).apply(w)
     else:
         raise ValueError(f"unknown tension method {method!r}; use 'direct' or 'green'")
     return _checked_solution(interior, alpha, w)
@@ -392,13 +391,12 @@ def _checked_solution(interior: np.ndarray, alpha: np.ndarray, w: np.ndarray) ->
     """The solve contract: the interior tensions sigma_1..sigma_n, with
     sigma_0 = 0 prepended, as the TensionSolution of the chain whose system
     A sigma = w has cosines ``alpha`` and source ``w``, once it passes
-    :func:`_contract_breach`; its NumericError otherwise.  The stack of one
-    of :func:`_tension_solutions`.
+    :func:`_contract_breach`; its NumericError otherwise.
     """
     breach = _contract_breach(alpha, interior, w)
     if breach is not None:
         raise breach
-    return _tension_solutions(np.concatenate([[0.0], interior])[None])[0]
+    return TensionSolution(np.concatenate([[0.0], interior]))
 
 
 def _contract_breach(alpha: np.ndarray, interior: np.ndarray, w: np.ndarray) -> NumericError | None:
@@ -414,12 +412,6 @@ def _contract_breach(alpha: np.ndarray, interior: np.ndarray, w: np.ndarray) -> 
         return None
     row = int(broken[0])
     return NumericError(f"tension solve residual: backward error {err[row]:.3e} exceeds {SOLVE_RTOL:.1e}", chain=row)
-
-
-def _tension_solutions(sigma: np.ndarray) -> list:
-    """The TensionSolution of each row of a (R, n+1) stack of tensions
-    sigma_0..sigma_n."""
-    return [TensionSolution(row, low, low > 0.0) for row, low in zip(sigma, sigma[:, 1:].min(axis=-1).tolist())]
 
 
 def _backward_error(alpha: np.ndarray, sigma_int: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -295,6 +295,16 @@ class TestRun:
         assert len(traj.projection_log) == traj.n_steps
         assert np.all(traj.projection_log >= 0.0)
 
+    def test_n_steps_is_the_length_of_the_projection_log(self):
+        traj = run(perturbed_vertical(10, amplitude=0.5), IntegratorConfig(t_end=0.02))
+        assert traj.n_steps == len(traj.projection_log) > 0
+        shorter = dataclasses.replace(traj, projection_log=traj.projection_log[:3])
+        assert shorter.n_steps == 3
+        with pytest.raises(ValueError, match="n_steps"):
+            dataclasses.replace(traj, n_steps=1)
+        with pytest.raises(TypeError):
+            dynamics.Trajectory(traj.snapshots, traj.termination, traj.n_steps, traj.projection_log)
+
     def test_u0_drift_unit_time_n128(self):
         traj = run(rigid_rotation(128, 1.0), IntegratorConfig(t_end=1.0, report_stride=10**9))
         u0s, _ = u0_v0(traj.snapshots[0].state)
@@ -741,7 +751,7 @@ def test_report_maxima_and_drift_bitwise_the_direct_kernels(n, d):
 def test_snapshot_report_bitwise_with_weight_cache_cold_and_warm():
     traj = run(theta_power(64, vel_amp=1.0), IntegratorConfig(t_end=0.01, report_stride=1))
     assert len(traj.snapshots) > 2
-    fields = ("e", "e_tilde", "u0", "v0", "a", "b", "c", "d", "constraint_drift", "time")
+    fields = ("e", "e_tilde", "u0", "v0", "a", "b", "c", "d", "constraint_drift")
     for snap in traj.snapshots:
         core._weight_row.cache_clear()
         cold = snapshot_report(snap.state, snap.tension)
@@ -792,8 +802,10 @@ def test_snapshot_pass_rows_bitwise_their_own_reports(n, d, rows):
     chains = _mixed_chains(rows, n, d)
     args = _snapshot_stack(chains)
     made = dynamics._snapshot_pass(*args, np.arange(rows))
-    assert len(made) == rows and made[0][1].b == np.inf
-    for chain, time, (sol, rep) in zip(chains, args[-1], made):
+    assert len(made) == rows and made[0].report.b == np.inf
+    for chain, time, snap in zip(chains, args[-1], made):
+        sol, rep = snap.tension, snap.report
+        assert snap.state.time == time
         alone = ChainState(n, d, chain.eta, chain.eta_dot, time)
         own = solve_tension(alone)
         want = snapshot_report(alone, own)
@@ -804,10 +816,22 @@ def test_snapshot_pass_rows_bitwise_their_own_reports(n, d, rows):
             assert np.asarray(got).tobytes() == np.asarray(expect).tobytes(), field.name
     # a pass over some of the rows reports them as the full pass does
     some = np.arange(rows)[1::2]
-    for row, (sol, rep) in zip(some, dynamics._snapshot_pass(*args, some)):
-        assert sol.sigma.tobytes() == made[row][0].sigma.tobytes()
-        assert np.asarray(rep.e_tilde).tobytes() == np.asarray(made[row][1].e_tilde).tobytes()
-        assert rep.time == made[row][1].time
+    for row, snap in zip(some, dynamics._snapshot_pass(*args, some)):
+        assert snap.tension.sigma.tobytes() == made[row].tension.sigma.tobytes()
+        assert np.asarray(snap.report.e_tilde).tobytes() == np.asarray(made[row].report.e_tilde).tobytes()
+        assert snap.state.time == made[row].state.time
+
+
+def test_snapshot_pass_hands_out_each_rows_state_at_its_time():
+    chains = _mixed_chains(5, 8, 2)
+    eta, eta_dot, sigma, alpha, w, times = _snapshot_stack(chains)
+    rows = np.array([1, 4])
+    made = dynamics._snapshot_pass(eta, eta_dot, sigma, alpha, w, times, rows)
+    assert [type(snap) for snap in made] == [dynamics.Snapshot] * 2
+    for row, snap in zip(rows, made):
+        assert snap.state.time == times[row]
+        assert snap.state.eta.tobytes() == chains[row].eta.tobytes()
+        assert snap.state.eta_dot.tobytes() == chains[row].eta_dot.tobytes()
 
 
 def test_snapshot_pass_names_the_first_row_that_breaks_the_contract():

@@ -480,15 +480,15 @@ class TestSplitJsonl:
         from whipchain.errors import NumericError
 
         made = []
-        make = dynamics._make_snapshot
+        report = dynamics._report_stack
 
         def fails_at_the_fifth(*args):
             made.append(None)
             if len(made) == 5:
-                raise NumericError("simulated failure", chain=args[-1])
-            return make(*args)
+                raise NumericError("simulated failure", chain=0)
+            return report(*args)
 
-        monkeypatch.setattr(dynamics, "_make_snapshot", fails_at_the_fifth)
+        monkeypatch.setattr(dynamics, "_report_stack", fails_at_the_fifth)
         split(2)
         path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path / 'o'}\n")
         assert cli_main(["run", str(path), "--quiet"]) == 3
@@ -1025,9 +1025,10 @@ class TestCli:
             ("run", "near_loop", "8", "loop_width", "0", "loop_width"),
             ("run", "rigid_rotation", "8", "omega", "nan", "'omega' must be finite"),
             ("run", "random", "8", "vel_scale", "-1", "vel_scale"),
+            ("run", "random", "8", "max_turn", "-1", "max_turn"),
         ],
         ids=["convergence-d-3", "rigid_rotation-d-1", "theta_power-q--1", "theta_power-q-0",
-             "near_loop-loop_width-0", "rigid_rotation-omega-nan", "random-vel_scale--1"],
+             "near_loop-loop_width-0", "rigid_rotation-omega-nan", "random-vel_scale--1", "random-max_turn--1"],
     )
     def test_exit_2_on_generator_domain_error(self, tmp_path, capsys, kind, generator, n, key, value, named):
         text = (

@@ -12,6 +12,7 @@ from whipchain.initial_data import (
     perturbed_vertical,
     random_chain,
     rigid_rotation,
+    rigid_rotation_exact,
     straight_chain,
     theta_power,
 )
@@ -61,6 +62,19 @@ def test_straight_chain_angle_in_higher_dimension():
     assert np.array_equal(ch.eta[0], [np.cos(1.0), np.sin(1.0), 0.0])
     assert np.allclose(ch.link_dirs(), -ch.eta[0], rtol=0.0, atol=1e-15)
     ch.validate()
+
+
+@pytest.mark.parametrize("generator", [straight_chain, rigid_rotation, rigid_rotation_exact])
+@pytest.mark.parametrize("d", [1, 0])
+def test_planar_generators_refuse_a_dimension_below_two_by_name(generator, d):
+    args = (0.5,) if generator is rigid_rotation_exact else ()
+    with pytest.raises(ValueError, match=f"d must be >= 2, got d={d}"):
+        generator(8, *args, d=d)
+
+
+def test_random_chain_refuses_a_negative_max_turn_by_name():
+    with pytest.raises(ValueError, match="max_turn=-1"):
+        random_chain(8, 0, max_turn=-1.0)
 
 
 def test_rigid_rotation_velocity_profile():

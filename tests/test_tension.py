@@ -63,6 +63,18 @@ class TestAlphaBeta:
             assert np.all(np.abs(ab.alpha) <= 1.0 + 1e-12)
             assert np.all((ab.beta >= 1.0 - 1e-12) & (ab.beta <= 2.0 + 1e-12))
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 64])
+    def test_beta_is_bitwise_the_recursion_of_alpha(self, n):
+        alpha = np.cos(np.random.default_rng(n).uniform(-1.5, 1.5, size=n - 1))
+        ab = tension.AlphaBeta(alpha)
+        assert ab.beta.tobytes() == tension.beta_recursion(alpha).tobytes()
+        assert ab.n == n and not ab.beta.flags.writeable
+
+    def test_beta_is_not_a_constructor_argument(self):
+        alpha = np.full(2, 0.5)
+        with pytest.raises(TypeError):
+            tension.AlphaBeta(alpha, tension.beta_recursion(alpha))
+
 
 def _beta_loop(alpha):
     """The recursion beta_n = 1, beta_i = 2 - alpha_i^2 / beta_{i+1} on Python floats."""
@@ -262,6 +274,23 @@ class TestSolveTension:
             assert np.all(compute_alpha_beta(ch).alpha > 0)
             sol = solve_tension(ch)
             assert sol.positivity and sol.min_sigma > 0
+
+    def test_min_and_positivity_are_bitwise_the_stacked_min(self, rng):
+        # sigma_0 = 0 is left out; a NaN tension gives a NaN minimum and no
+        # positivity, a chain at rest a zero minimum and no positivity
+        stack = np.zeros((5, 9))
+        stack[:3, 1:] = rng.normal(1.0, 1.0, size=(3, 8))
+        stack[1, 4] = np.nan
+        stack[2, 1:] = np.abs(stack[2, 1:]) + 0.5
+        low = stack[:, 1:].min(axis=-1)
+        for row, want in zip(stack, low.tolist()):
+            sol = tension.TensionSolution(row)
+            assert np.float64(sol.min_sigma).tobytes() == np.float64(want).tobytes()
+            assert sol.positivity is (want > 0.0)
+        assert [tension.TensionSolution(row).positivity for row in stack[1:]] == [False, True, False, False]
+        assert np.isnan(tension.TensionSolution(stack[1]).min_sigma)
+        with pytest.raises(TypeError):
+            tension.TensionSolution(stack[2], 0.5, True)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
