@@ -44,7 +44,7 @@ for n, turn in [(56, 0.05), (8, 0.6), (4, 2 * np.pi / 3)]:
     theta = np.arange(n) * turn
     theta_dot = np.zeros(n)
     theta_dot[-1] = 1.0  # load angular velocity near the fixed end
-    chain = theta_to_eta(AngleState(n, theta, theta_dot))
+    chain = theta_to_eta(AngleState(theta, theta_dot))
     ab = compute_alpha_beta(chain)
     sol = solve_tension(chain)
     kind = "obtuse joints (alpha > 0)" if ab.alpha[0] > 0 else "ACUTE joints (alpha < 0)"
@@ -57,7 +57,7 @@ print("acute joint angles are exactly what allows negative tension\n")
 print("=== bound certificate on a gently curved chain ===")
 n = 32
 s = np.arange(1, n + 1) / n
-chain = theta_to_eta(AngleState(n, 0.4 * np.sqrt(s), 0.8 * (1 - s)))
+chain = theta_to_eta(AngleState(0.4 * np.sqrt(s), 0.8 * (1 - s)))
 cert = certify_bounds(green_matrix_for_chain(chain), chain)
 print(f"n = {cert.n}, all alpha >= 0: {cert.all_alpha_nonneg}")
 print(f"max |D- G|          = {cert.max_abs_green_diff:.6f}   (bound 1: {cert.diff_bound_ok})")

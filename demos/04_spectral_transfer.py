@@ -43,7 +43,7 @@ rng = np.random.default_rng(1)
 theta = rng.normal(size=n) * 0.5
 from whipchain import AngleState
 
-ang = AngleState(n, theta, np.zeros(n))
+ang = AngleState(theta, np.zeros(n))
 coeffs, _ = continuize_Gn(ang)
 back = discretize_Fn(coeffs, n)
 print(f"F_n o G_n identity error: {np.max(np.abs(back.theta - theta)):.2e}")
@@ -51,7 +51,7 @@ print(f"sum a_m^2 = {np.sum(coeffs**2):.12f}")
 print(f"<<theta, theta>>_0 = {discrete_symmetric_inner(theta, theta, 0, n):.12f}")
 
 print("\n=== resolution transfer preserves the constraint exactly ===")
-chain = theta_to_eta(AngleState(16, 0.6 * np.sin(np.pi * np.arange(1, 17) / 16 / 2), np.zeros(16)))
+chain = theta_to_eta(AngleState(0.6 * np.sin(np.pi * np.arange(1, 17) / 16 / 2), np.zeros(16)))
 for target in (8, 32, 64):
     out = transfer_resolution(chain, target)
     print(f"n = 16 -> {target:3d}: |link length - 1| max = {out.constraint_drift():.2e}")

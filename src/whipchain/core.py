@@ -31,7 +31,7 @@ All functions here are pure; states are immutable once constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gamma
 
@@ -170,8 +170,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _links(f: np.ndarray, n: int | None = None) -> np.ndarray:
     """(D+ f)_k = n (f_{k+1} - f_k) along the last axis of (d, ..., rows) vectors:
-    a chain's link vectors.  n is the rows less one unless given (as an
-    extension's slice must)."""
+    a chain's link vectors.  n is the rows less one unless given; callers
+    pass it for higher differences, flat stacks and mirrored rows."""
     n = f.shape[-1] - 1 if n is None else n
     return n * (f[..., 1:] - f[..., :-1])
 
@@ -234,34 +234,30 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
 class ChainState:
     """Positions and velocities of the n moving particles plus the fixed end.
 
-    eta and eta_dot have shape (n+1, d); row k-1 is particle k and the last
-    row is the fixed end, exactly zero.  On the constraint manifold every
-    link satisfies |D+ eta_k| = 1 and <D+ eta_k, D+ eta_dot_k> = 0; use
-    :meth:`validate` to enforce this within tolerances.
+    eta and eta_dot share one shape (n+1, d), n >= 1 and d >= 2, from which n
+    and d are read; row k-1 is particle k and the last row is the fixed end,
+    exactly zero.  On the constraint manifold every link satisfies
+    |D+ eta_k| = 1 and <D+ eta_k, D+ eta_dot_k> = 0; use :meth:`validate`.
     """
 
-    n: int
-    d: int
     eta: np.ndarray
     eta_dot: np.ndarray
     time: float = 0.0
+    n: int = field(init=False)
+    d: int = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one link, got n={self.n}")
-        if self.d < 2:
-            raise ValueError(f"ambient dimension must be >= 2, got d={self.d}")
         eta = _frozen_array(self.eta)
         eta_dot = _frozen_array(self.eta_dot)
-        expected = (self.n + 1, self.d)
-        if eta.shape != expected or eta_dot.shape != expected:
-            raise ValueError(
-                f"eta/eta_dot must have shape {expected}, got {eta.shape} and {eta_dot.shape}"
-            )
+        if eta.ndim != 2 or min(eta.shape) < 2 or eta_dot.shape != eta.shape:
+            raise ValueError(f"eta, eta_dot need one shape (n+1, d), n >= 1, d >= 2, got {eta.shape}, {eta_dot.shape}")
         if np.any(eta[-1] != 0.0) or np.any(eta_dot[-1] != 0.0):
             raise ValueError("the fixed end eta_{n+1} and its velocity must be exactly zero")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "eta_dot", eta_dot)
+        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "n", eta.shape[0] - 1)
+        object.__setattr__(self, "d", eta.shape[1])
 
     def link_dirs(self) -> np.ndarray:
         """(D+ eta)_k for k = 1..n, shape (n, d); unit vectors on the manifold."""

@@ -67,8 +67,8 @@ _NO_ROWS = np.empty(0, dtype=int)
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper settings.  cfl in (0, 1]; dt clamped to [dt_min, dt_max];
-    t_end, dt_max and blowup_threshold positive, and all four finite."""
+    """Stepper settings.  cfl in (0, 1]; dt clamped to [dt_min, dt_max]; t_end,
+    dt_max and blowup_threshold positive, all four finite; report_stride an integer >= 1."""
 
     t_end: float
     cfl: float = 0.5
@@ -90,8 +90,8 @@ class IntegratorConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.dt_min > self.dt_max:
             raise ValueError(f"dt_min={self.dt_min} exceeds dt_max={self.dt_max}")
-        if self.report_stride < 1:
-            raise ValueError(f"report_stride must be >= 1, got {self.report_stride}")
+        if not isinstance(self.report_stride, (int, np.integer)) or self.report_stride < 1:
+            raise ValueError(f"report_stride must be an integer >= 1, got {self.report_stride!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def _project_arrays(t: np.ndarray, t_dot: np.ndarray):
 def project(chain: ChainState) -> ChainState:
     """Return the chain projected back onto the constraint manifold."""
     t, t_dot = _project_arrays(*_chain_links(chain))
-    return ChainState(chain.n, chain.d, _anchored(t).T, _anchored(t_dot).T, chain.time)
+    return ChainState(_anchored(t).T, _anchored(t_dot).T, chain.time)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ def step(chain: ChainState, cfg: IntegratorConfig, dt: float | None = None) -> C
     if dt is None:
         dt = float(_clamp_dt(_raw_dt(n, sigma, cfg), cfg))
     t, t_dot, _ = _step_arrays(t, t_dot, sigma, n, [chain.time], np.full(n, dt), cfg)
-    return ChainState(n, chain.d, _anchored(t).T, _anchored(t_dot).T, chain.time + dt)
+    return ChainState(_anchored(t).T, _anchored(t_dot).T, chain.time + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ def _snapshot_pass(eta: np.ndarray, eta_dot: np.ndarray, sigma: np.ndarray, alph
     except NumericError as exc:   # name the working row
         exc.chain = int(rows[exc.chain])
         raise
-    return [Snapshot(ChainState(n, len(eta), eta[:, row].T, eta_dot[:, row].T, time[row]), TensionSolution(s), rep)
+    return [Snapshot(ChainState(eta[:, row].T, eta_dot[:, row].T, time[row]), TensionSolution(s), rep)
             for row, s, rep in zip(ok, full, reports)]
 
 

@@ -36,7 +36,7 @@ import shutil
 import tempfile
 import time as _time
 from dataclasses import asdict, dataclass, field, replace
-from math import gamma, lgamma
+from math import lgamma
 from pathlib import Path
 from typing import get_type_hints
 
@@ -559,9 +559,12 @@ def snapshot_to_json(snap) -> dict:
 
 
 def snapshot_state_from_json(obj: dict) -> ChainState:
-    """Rebuild the chain state from one JSON-lines record (bitwise, since
-    json round-trips Python floats exactly)."""
-    return ChainState(obj["n"], obj["d"], np.array(obj["eta"]), np.array(obj["eta_dot"]), obj["t"])
+    """Rebuild the chain state from one JSON-lines record (bitwise, since json
+    round-trips Python floats exactly); refuse one whose n or d is not its arrays'."""
+    state = ChainState(np.array(obj["eta"]), np.array(obj["eta_dot"]), obj["t"])
+    if (obj["n"], obj["d"]) != (state.n, state.d):
+        raise ValueError(f"record gives n={obj['n']}, d={obj['d']} but its arrays have n={state.n}, d={state.d}")
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +680,7 @@ def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     if cfg.generator == "rigid_rotation":
         for nv in n_list:
             start, final = eta_to_theta(starts[nv]), finals[nv]
-            exact = theta_to_eta(AngleState(nv, start.theta + start.theta_dot * final.time, start.theta_dot))
+            exact = theta_to_eta(AngleState(start.theta + start.theta_dot * final.time, start.theta_dot))
             dynamics[nv] = float(np.max(np.linalg.norm(final.eta - exact.eta, axis=1)))
     rows = list(zip(n_list, errors, errors_t0))
     path = cfg.output_dir / "convergence.csv"
@@ -744,15 +747,16 @@ def _weight_bound_violations(rng: np.random.Generator, trials: int = 2000, slack
     table = _rising_table(np.concatenate([p, p + q, q, p]), np.tile(n, 4), ks.max() + 1)
     skp, spq, sq, skj = table[np.arange(4 * trials), ks].reshape(4, trials)
     ratio = spq / sq
-    cpq = np.exp(_lgamma(p + q + 1) - _lgamma(p + 1) - _lgamma(q + 1))
-    cj = np.exp(_lgamma(j + p + 1) - _lgamma(j + 1.0) - _lgamma(p + 1))
+    cpq, cj = _binomial(p, q), _binomial(j, p)
     ok_ratio = (skp * (1 - slack) <= ratio) & (ratio <= cpq * skp * (1 + slack))
     ok_shift = (skp * (1 - slack) <= skj) & (skj <= cj * skp * (1 + slack))
     return int(np.count_nonzero(~ok_ratio) + np.count_nonzero(~ok_shift))
 
 
-def _lgamma(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(lgamma, x.tolist()), float, len(x))
+def _binomial(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The generalized binomial coefficient Gamma(a+b+1) / (Gamma(a+1) Gamma(b+1)), elementwise."""
+    top, fa, fb = (np.fromiter(map(lgamma, x.tolist()), float, len(x)) for x in (a + b + 1, a + 1.0, b + 1.0))
+    return np.exp(top - fa - fb)
 
 
 def _product_bound_violations(rng: np.random.Generator, trials: int = 500, slack: float = 1e-12) -> int:
@@ -768,8 +772,7 @@ def _product_bound_violations(rng: np.random.Generator, trials: int = 500, slack
     table = _rising_table(np.concatenate([p + q, p, q]), np.tile(n, 3), top)
     s_pq, s_p, s_q = table[:, 1:].reshape(3, trials, -1)
     lhs = np.sum(s_pq * (f * g) ** 2, axis=1) / n
-    c = np.array([gamma(a + b + 1) / (gamma(a + 1) * gamma(b + 1)) for a, b in zip(p.tolist(), q.tolist())])
-    rhs = c * np.max(s_p * (f * f), axis=1) * (np.sum(s_q * (g * g), axis=1) / n)
+    rhs = _binomial(p, q) * np.max(s_p * (f * f), axis=1) * (np.sum(s_q * (g * g), axis=1) / n)
     return int(np.count_nonzero(lhs > rhs * (1 + slack) + slack))
 
 

@@ -33,7 +33,7 @@ def straight_chain(n: int, d: int = 2, angle: float = 0.0) -> ChainState:
     u = _in_plane(d, np.cos(angle), np.sin(angle))
     c = np.arange(n, -1, -1, dtype=float) / n
     eta = np.outer(c, u)
-    return ChainState(n, d, eta, np.zeros_like(eta))
+    return ChainState(eta, np.zeros_like(eta))
 
 
 def rigid_rotation(n: int, omega: float = 1.0, d: int = 2) -> ChainState:
@@ -44,7 +44,7 @@ def rigid_rotation(n: int, omega: float = 1.0, d: int = 2) -> ChainState:
     u, uperp = _in_plane(d, 1.0, 0.0), _in_plane(d, 0.0, 1.0)
     eta = np.outer(c, u)
     eta_dot = np.outer(c, omega * uperp)
-    return ChainState(n, d, eta, eta_dot)
+    return ChainState(eta, eta_dot)
 
 
 def rigid_rotation_exact(n: int, t: float, omega: float = 1.0, d: int = 2) -> ChainState:
@@ -54,7 +54,7 @@ def rigid_rotation_exact(n: int, t: float, omega: float = 1.0, d: int = 2) -> Ch
     uperp = _in_plane(d, -np.sin(omega * t), np.cos(omega * t))
     eta = np.outer(c, u)
     eta_dot = np.outer(c, omega * uperp)
-    return ChainState(n, d, eta, eta_dot, time=t)
+    return ChainState(eta, eta_dot, time=t)
 
 
 def rigid_rotation_sigma(n: int, omega: float = 1.0) -> np.ndarray:
@@ -75,7 +75,7 @@ def folded_chain(n: int, fold: float = 0.5, vel_amp: float = 1.0) -> ChainState:
     ks = np.arange(1, n + 1)
     mask = ks > f
     theta_dot[mask] = vel_amp * np.sin(np.pi * (ks[mask] - f) / (n - f + 1))
-    return theta_to_eta(AngleState(n, theta, theta_dot))
+    return theta_to_eta(AngleState(theta, theta_dot))
 
 
 def perturbed_vertical(n: int, amplitude: float = 0.05, mode: int = 1) -> ChainState:
@@ -83,7 +83,7 @@ def perturbed_vertical(n: int, amplitude: float = 0.05, mode: int = 1) -> ChainS
     theta = np.zeros(n)
     ks = np.arange(1, n + 1)
     theta_dot = amplitude * np.sin(mode * np.pi * ks / (n + 1.0))
-    return theta_to_eta(AngleState(n, theta, theta_dot))
+    return theta_to_eta(AngleState(theta, theta_dot))
 
 
 def log_spiral(n: int, vel_amp: float = 0.0) -> ChainState:
@@ -97,7 +97,7 @@ def log_spiral(n: int, vel_amp: float = 0.0) -> ChainState:
     ty = -3.0 / np.sqrt(13.0) * (np.sin(u) + (2.0 / 3.0) * np.cos(u))
     theta = np.unwrap(np.arctan2(ty, tx))
     theta_dot = vel_amp * (1.0 - s)
-    return theta_to_eta(AngleState(n, theta, theta_dot))
+    return theta_to_eta(AngleState(theta, theta_dot))
 
 
 def theta_power(n: int, q: float = 0.75, vel_amp: float = 0.0) -> ChainState:
@@ -108,7 +108,7 @@ def theta_power(n: int, q: float = 0.75, vel_amp: float = 0.0) -> ChainState:
     s = np.arange(1, n + 1) / n
     theta = s**q
     theta_dot = vel_amp * (1.0 - s)
-    return theta_to_eta(AngleState(n, theta, theta_dot))
+    return theta_to_eta(AngleState(theta, theta_dot))
 
 
 def near_loop(n: int, loop_width: float = 0.12, center: float = 0.4, omega: float = 4.0) -> ChainState:
@@ -121,7 +121,7 @@ def near_loop(n: int, loop_width: float = 0.12, center: float = 0.4, omega: floa
     z = (center - s) / loop_width
     theta = 2.0 * np.pi / (1.0 + np.exp(-4.0 * z))
     theta_dot = omega * (s - center) / loop_width * np.exp(-((s - center) / loop_width) ** 2)
-    return theta_to_eta(AngleState(n, theta, theta_dot))
+    return theta_to_eta(AngleState(theta, theta_dot))
 
 
 def random_chain(
@@ -140,7 +140,7 @@ def random_chain(
     if not 0.0 <= vel_scale:
         raise ValueError(f"velocity scale must be nonnegative, got vel_scale={vel_scale}")
     theta, theta_dot = _random_angles(n, np.random.default_rng(rng), max_turn, vel_scale)
-    return theta_to_eta(AngleState(n, theta, theta_dot))
+    return theta_to_eta(AngleState(theta, theta_dot))
 
 
 def _random_angles(n: int, rng: np.random.Generator, max_turn: float, vel_scale: float):

@@ -19,7 +19,7 @@ rho_k^{(r)} = prod_{i=0}^{r-1} (k+i)(2n+1-k-i)/n^{2r} for higher orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 
@@ -34,20 +34,22 @@ from .core import (
 
 @dataclass(frozen=True)
 class AngleState:
-    """Link angles theta_1..theta_n and angular velocities (d = 2 chains)."""
+    """Link angles theta_1..theta_n and angular velocities (d = 2 chains), one shape (n,), n >= 1."""
 
-    n: int
     theta: np.ndarray
     theta_dot: np.ndarray
     time: float = 0.0
+    n: int = field(init=False)
 
     def __post_init__(self):
         theta = _frozen_array(self.theta)
         theta_dot = _frozen_array(self.theta_dot)
-        if theta.shape != (self.n,) or theta_dot.shape != (self.n,):
-            raise ValueError(f"theta/theta_dot must have shape ({self.n},)")
+        if theta.ndim != 1 or theta.size == 0 or theta_dot.shape != theta.shape:
+            raise ValueError(f"theta, theta_dot need one shape (n,), n >= 1, got {theta.shape}, {theta_dot.shape}")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "theta_dot", theta_dot)
+        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "n", theta.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +64,15 @@ def eta_to_theta(chain: ChainState) -> AngleState:
     t, td = _chain_links(chain)
     theta = np.unwrap(np.arctan2(t[1], t[0]))
     theta_dot = td[1] * np.cos(theta) - td[0] * np.sin(theta)
-    return AngleState(chain.n, theta, theta_dot, chain.time)
+    return AngleState(theta, theta_dot, chain.time)
 
 
 def theta_to_eta(angles: AngleState) -> ChainState:
     """Rebuild positions by cumulative sums anchored at the fixed end; the
     produced links are unit by construction."""
-    n, theta = angles.n, angles.theta
+    theta = angles.theta
     td = angles.theta_dot * np.stack([-np.sin(theta), np.cos(theta)])
-    return ChainState(n, 2, theta_positions(theta).T, _anchored(td).T, angles.time)
+    return ChainState(theta_positions(theta).T, _anchored(td).T, angles.time)
 
 
 def theta_positions(theta: np.ndarray) -> np.ndarray:
@@ -236,7 +238,7 @@ def discretize_Fn(coeffs, n: int, coeffs_dot=None, time: float = 0.0) -> AngleSt
     first n modes; inverse of continuize_Gn on n-mode data."""
     theta = evaluate_discrete(coeffs, n)
     theta_dot = np.zeros(n) if coeffs_dot is None else evaluate_discrete(coeffs_dot, n)
-    return AngleState(n, theta, theta_dot, time)
+    return AngleState(theta, theta_dot, time)
 
 
 def transfer_resolution(chain: ChainState, n_target: int) -> ChainState:
@@ -244,8 +246,6 @@ def transfer_resolution(chain: ChainState, n_target: int) -> ChainState:
     the result satisfies |D+ eta| = 1 exactly and preserves the symmetric
     Sobolev seminorms of the retained modes.  Only the min(n, n_target)
     modes the target reads are built at the source resolution."""
-    if chain.d != 2:
-        raise ValueError("transfer_resolution supports d = 2 only")
     if n_target < 1:
         raise ValueError(f"target resolution must be >= 1, got {n_target}")
     angles = eta_to_theta(chain)

@@ -1,5 +1,6 @@
 """Difference calculus, weights, seminorms, extensions, and energies."""
 
+import dataclasses
 import math
 import warnings
 
@@ -48,7 +49,7 @@ def projected_state(n, d, seed):
     rng = np.random.default_rng(seed)
     eta, eta_dot = rng.normal(size=(2, n + 1, d))
     eta[-1] = eta_dot[-1] = 0.0
-    return project(ChainState(n, d, eta, eta_dot))
+    return project(ChainState(eta, eta_dot))
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +292,17 @@ def test_explicit_inequalities(r, n, rng):
 class TestChainState:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            ChainState(3, 2, np.zeros((3, 2)), np.zeros((3, 2)))
+            ChainState(np.zeros((3, 2)), np.zeros((4, 2)))
 
     def test_fixed_end_enforced(self):
         eta = np.ones((4, 2))
         with pytest.raises(ValueError):
-            ChainState(3, 2, eta, np.zeros((4, 2)))
+            ChainState(eta, np.zeros((4, 2)))
 
     def test_validate_tolerances(self):
         ch = straight_chain(6)
         ch.validate()
-        bad = ChainState(6, 2, ch.eta * 1.001, ch.eta_dot)
+        bad = ChainState(ch.eta * 1.001, ch.eta_dot)
         with pytest.raises(ValueError):
             bad.validate()
 
@@ -313,7 +314,7 @@ class TestChainState:
         arrays = {"eta": ch.eta.copy(), "eta_dot": ch.eta_dot.copy()}
         arrays[field][2, 0] = value
         with pytest.raises(ValueError, match="must be finite"):
-            ChainState(6, 2, **arrays).validate()
+            ChainState(**arrays).validate()
 
     def test_validate_refuses_overflowing_link_speeds(self):
         # finite velocities whose squared link speeds overflow: the speed-scaled
@@ -334,7 +335,7 @@ class TestChainState:
         fast.validate()
 
         def skewed(ch, skew):   # adds skew to every <D+ eta_k, D+ eta_dot_k>
-            return ChainState(ch.n, ch.d, ch.eta, ch.eta_dot + skew * ch.eta)
+            return ChainState(ch.eta, ch.eta_dot + skew * ch.eta)
 
         with pytest.raises(ValueError, match="orthogonality drift"):
             skewed(fast, 1e3).validate()
@@ -342,6 +343,54 @@ class TestChainState:
         skewed(at_rest, 5e-9).validate()
         with pytest.raises(ValueError, match="orthogonality drift"):
             skewed(at_rest, 2e-8).validate()
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (5, 2), (4, 3)])
+    def test_n_and_d_come_from_the_arrays(self, n, d):
+        eta = np.zeros((n + 1, d))
+        ch = ChainState(eta, eta)
+        assert (ch.n, ch.d, ch.time) == (n, d, 0.0)
+
+    def test_n_and_d_are_not_constructor_arguments(self):
+        eta = straight_chain(3).eta
+        with pytest.raises(TypeError):
+            ChainState(3, 2, eta, eta)   # the old positional form
+        with pytest.raises(TypeError):
+            ChainState(3, 2, eta, eta, 0.0)
+        with pytest.raises(TypeError):
+            ChainState(eta, eta, n=3)
+        with pytest.raises(TypeError):
+            ChainState(eta, eta, d=2)
+
+    @pytest.mark.parametrize("eta_shape, eta_dot_shape", [
+        ((4,), (4,)),              # 1-D
+        ((4, 2, 1), (4, 2, 1)),    # 3-D
+        ((1, 2), (1, 2)),          # one row: no link
+        ((4, 1), (4, 1)),          # one column: d = 1
+        ((0, 2), (0, 2)),
+        ((4, 2), (5, 2)),          # mismatched
+        ((4, 2), (4, 3)),
+        ((4, 2), (8,)),
+    ])
+    def test_shapes_refused(self, eta_shape, eta_dot_shape):
+        with pytest.raises(ValueError, match="one shape"):
+            ChainState(np.zeros(eta_shape), np.zeros(eta_dot_shape))
+
+    def test_replace_derives_n_again(self):
+        ch = rigid_rotation(6)
+        longer = dataclasses.replace(ch, eta=straight_chain(9).eta, eta_dot=np.zeros((10, 2)))
+        assert (longer.n, longer.d) == (9, 2)
+        wider = dataclasses.replace(ch, eta=straight_chain(6, d=3).eta, eta_dot=np.zeros((7, 3)))
+        assert (wider.n, wider.d) == (6, 3)
+        with pytest.raises(ValueError, match="one shape"):
+            dataclasses.replace(ch, eta=straight_chain(9).eta)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(ch, n=9)
+
+    def test_time_is_stored_as_a_python_float(self):
+        eta = straight_chain(3).eta
+        for time in (np.float64(0.125), 1, 0.5):
+            ch = ChainState(eta, eta, time)
+            assert type(ch.time) is float and ch.time == time
 
     def test_immutability(self):
         ch = straight_chain(4)
@@ -366,7 +415,7 @@ class TestOddExtend:
     def test_n1_reflection(self):
         eta = np.array([[0.3, 0.4], [0.0, 0.0]])
         eta[0] /= np.linalg.norm(eta[0])  # unit link for validity
-        ch = ChainState(1, 2, eta, np.zeros((2, 2)))
+        ch = ChainState(eta, np.zeros((2, 2)))
         assert _mirrored(ch.link_dirs().T, 1).T == pytest.approx(np.array([-eta[0], -eta[0]]))
 
     def test_reflection_identity(self):

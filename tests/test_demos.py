@@ -1,9 +1,10 @@
-"""The demos still match the package API: every imported name resolves, and
-every demo runs to completion."""
+"""The demos and README's quickstart still match the package API: every
+imported name resolves, and every demo and the quickstart run to completion."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import whipchain
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+README = DEMOS.parent / "README.md"
 
 
 def _whipchain_imports(path):
@@ -40,3 +42,10 @@ def test_demo_runs(name):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(DEMOS / name)], capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def test_readme_quickstart_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    assert capsys.readouterr().out.startswith("t_end_reached ")

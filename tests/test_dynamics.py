@@ -156,6 +156,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             IntegratorConfig(**kwargs)
 
+    @pytest.mark.parametrize("stride", [2.5, 2.0, "2", None, 0, -1, np.int64(0)])
+    def test_report_stride_must_be_an_integer_of_at_least_one(self, stride):
+        # a stride of 2.5 would report every 5 steps
+        with pytest.raises(ValueError, match="report_stride must be an integer >= 1"):
+            IntegratorConfig(t_end=0.01, report_stride=stride)
+
+    @pytest.mark.parametrize("stride", [1, 3, np.int64(3), 10**9])
+    def test_integer_report_stride_accepted(self, stride):
+        assert IntegratorConfig(t_end=0.01, report_stride=stride).report_stride == stride
+
 
 # ---------------------------------------------------------------------------
 # stepping and projection
@@ -460,7 +470,7 @@ class TestRunBatch:
         # own step, and every trajectory is its serial one
         late = make_random_chain(48, seed=2, max_turn=0.3)
         chains = [make_random_chain(48, seed=1, max_turn=0.3), near_loop(48),
-                  ChainState(48, 2, late.eta, late.eta_dot, 0.5)]
+                  ChainState(late.eta, late.eta_dot, 0.5)]
         cfg = IntegratorConfig(t_end=0.9, blowup_threshold=80.0, report_stride=10**9, halt_on_negative_tension=halt)
         serial = [run(c, cfg) for c in chains]
         stop = "negative_tension" if halt else "blowup_suspected"
@@ -550,7 +560,7 @@ def _links_chain(n, d, seed):
     t /= np.linalg.norm(t, axis=1)[:, None]
     u = rng.normal(size=(n, d))
     u -= np.sum(u * t, axis=1)[:, None] * t
-    return ChainState(n, d, core._anchored(t.T).T, core._anchored(u.T).T)
+    return ChainState(core._anchored(t.T).T, core._anchored(u.T).T)
 
 
 def _position_step(eta, eta_dot, dt):
@@ -627,7 +637,7 @@ class TestLinkStepping:
         # so at different dt; the one that starts at t = 0.3 stops mid-run,
         # and the stack is compacted around it
         chains = [_links_chain(n, d, seed=10 * n + s) for s in range(4)]
-        chains = [ChainState(n, d, c.eta, (1 + 2 * s) * c.eta_dot, 0.3 if s == 1 else 0.0)
+        chains = [ChainState(c.eta, (1 + 2 * s) * c.eta_dot, 0.3 if s == 1 else 0.0)
                   for s, c in enumerate(chains)]
         cfg = IntegratorConfig(t_end=0.5, cfl=0.1, dt_max=0.02, report_stride=3)
         serial = [run(c, cfg) for c in chains]
@@ -660,7 +670,7 @@ class TestLinkStepping:
         # bitwise (they do not for the turned chain); the t = 0 snapshot
         # holds the caller's arrays, also for a chain that stops there
         c, turn = make_random_chain(33, seed=2), np.array([[0.6, -0.8], [0.8, 0.6]])
-        turned = ChainState(33, 2, c.eta @ turn, c.eta_dot @ turn)
+        turned = ChainState(c.eta @ turn, c.eta_dot @ turn)
         chains = [_links_chain(33, 2, seed=1), turned, near_loop(33), folded_chain(33)]
         trajs = run_batch(chains, IntegratorConfig(t_end=0.01, report_stride=10**9))
         assert trajs[3].n_steps == 0
@@ -727,7 +737,7 @@ def test_report_maxima_and_drift_bitwise_the_direct_kernels(n, d):
     rng = np.random.default_rng(10 * n + d)
     eta, eta_dot = rng.normal(size=(2, n + 1, d))
     eta[-1] = eta_dot[-1] = 0.0
-    ch = project(ChainState(n, d, eta, eta_dot))
+    ch = project(ChainState(eta, eta_dot))
     sol = solve_tension(ch)
     rep = snapshot_report(ch, sol)
     links, links_dot = flat_links([ch])
@@ -772,7 +782,7 @@ def _mixed_chains(rows, n, d):
     def projected_random():
         eta, eta_dot = rng.normal(size=(2, n + 1, d))
         eta[-1] = eta_dot[-1] = 0.0
-        return project(ChainState(n, d, eta, eta_dot))
+        return project(ChainState(eta, eta_dot))
 
     makers = [lambda: straight_chain(n, d), lambda: rigid_rotation(n, 1.5, d), projected_random]
     if d == 2:
@@ -806,7 +816,7 @@ def test_snapshot_pass_rows_bitwise_their_own_reports(n, d, rows):
     for chain, time, snap in zip(chains, args[-1], made):
         sol, rep = snap.tension, snap.report
         assert snap.state.time == time
-        alone = ChainState(n, d, chain.eta, chain.eta_dot, time)
+        alone = ChainState(chain.eta, chain.eta_dot, time)
         own = solve_tension(alone)
         want = snapshot_report(alone, own)
         assert sol.sigma.tobytes() == own.sigma.tobytes()
@@ -832,6 +842,17 @@ def test_snapshot_pass_hands_out_each_rows_state_at_its_time():
         assert snap.state.time == times[row]
         assert snap.state.eta.tobytes() == chains[row].eta.tobytes()
         assert snap.state.eta_dot.tobytes() == chains[row].eta_dot.tobytes()
+
+
+def test_batch_snapshot_times_are_python_floats():
+    # the pass reads each time from a float64 array; the state stores it as
+    # the float a generator's state holds, the same value bit for bit
+    chains = [make_random_chain(12, seed=s) for s in range(3)]
+    trajs = run_batch(chains, IntegratorConfig(t_end=0.01, report_stride=2))
+    snaps = [snap for traj in trajs for snap in traj.snapshots]
+    assert len(snaps) > 2 * len(chains)
+    assert all(type(snap.state.time) is float for snap in snaps)
+    assert "np.float64" not in repr(snaps[-1].state)
 
 
 def test_snapshot_pass_names_the_first_row_that_breaks_the_contract():

@@ -190,6 +190,14 @@ class TestEmitSeries:
             assert np.array_equal(state.eta_dot, snap.state.eta_dot)
             assert state.time == snap.state.time
 
+    @pytest.mark.parametrize("key, value", [("n", 7), ("d", 3), ("n", "6")])
+    def test_jsonl_record_with_a_wrong_size_refused(self, key, value):
+        # the record comes from outside the program: its n and d must be its arrays'
+        obj = snapshot_to_json(self._traj().snapshots[0])
+        assert snapshot_state_from_json(obj).n == obj["n"]
+        with pytest.raises(ValueError, match="n=.*d=.*arrays"):
+            snapshot_state_from_json(dict(obj, **{key: value}))
+
     def test_empty_trajectory_refused(self, tmp_path):
         traj = self._traj()
         object.__setattr__(traj, "snapshots", [])
@@ -637,6 +645,18 @@ class TestRunExperiment:
         want = [scalar(int(ki), float(ri), int(ni)) for ki, ri, ni in zip(k, r, n)]
         assert got.tolist() == want
         assert [rising_weight(int(ki), float(ri), int(ni)) for ki, ri, ni in zip(k, r, n)] == want
+
+    def test_binomial_is_the_gamma_ratio(self):
+        from math import comb, gamma
+
+        # the suite's one generalized binomial coefficient: exact binomials at
+        # integers, the math.gamma ratio to round-off elsewhere
+        got = harness._binomial(np.array([0, 1, 5, 12]), np.array([0.0, 3.0, 2.0, 7.0]))
+        assert got == pytest.approx([1, comb(4, 1), comb(7, 2), comb(19, 7)], rel=1e-13)
+        rng = np.random.default_rng(7)
+        p, q = rng.uniform(0.0, 4.0, size=(2, 200))
+        want = [gamma(x + y + 1) / (gamma(x + 1) * gamma(y + 1)) for x, y in zip(p.tolist(), q.tolist())]
+        assert harness._binomial(p, q) == pytest.approx(want, rel=1e-13)
 
     def test_inequality_suite_zero_violations(self, tmp_path):
         text = (
@@ -1117,7 +1137,7 @@ class TestCli:
 
         def skewed_spiral(n: int, vel_amp: float = 0.0) -> ChainState:
             ch = initial_data.log_spiral(n, vel_amp)
-            return ChainState(n, ch.d, ch.eta, ch.eta_dot + skew * ch.eta)
+            return ChainState(ch.eta, ch.eta_dot + skew * ch.eta)
 
         monkeypatch.setitem(initial_data.GENERATORS, "log_spiral", skewed_spiral)
         text = (

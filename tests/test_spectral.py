@@ -1,6 +1,7 @@
 """Angle maps, the two orthogonal bases, Gram certificates, and the
 resolution-transfer maps."""
 
+import dataclasses
 from math import comb, factorial
 
 import numpy as np
@@ -78,13 +79,54 @@ def quad_inner_Q(l, m, j, order=200):
 # angle <-> position maps
 
 
+class TestAngleState:
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_n_comes_from_the_arrays(self, n):
+        ang = AngleState(np.zeros(n), np.ones(n))
+        assert (ang.n, ang.time) == (n, 0.0)
+
+    def test_n_is_not_a_constructor_argument(self):
+        theta = np.linspace(0.0, 1.0, 4)
+        with pytest.raises(TypeError):
+            AngleState(4, theta, theta, 0.0)   # the old positional form
+        with pytest.raises(TypeError):
+            AngleState(theta, theta, n=4)
+        with pytest.raises(ValueError, match="one shape"):
+            AngleState(4, theta, theta)   # theta would be the 0-d array 4
+
+    @pytest.mark.parametrize("theta_shape, theta_dot_shape", [
+        ((), ()),
+        ((0,), (0,)),
+        ((2, 3), (2, 3)),
+        ((4,), (5,)),
+        ((4,), (4, 1)),
+    ])
+    def test_shapes_refused(self, theta_shape, theta_dot_shape):
+        with pytest.raises(ValueError, match="one shape"):
+            AngleState(np.zeros(theta_shape), np.zeros(theta_dot_shape))
+
+    def test_replace_derives_n_again(self):
+        ang = AngleState(np.zeros(4), np.zeros(4), 0.5)
+        longer = dataclasses.replace(ang, theta=np.ones(7), theta_dot=np.ones(7))
+        assert (longer.n, longer.time) == (7, 0.5)
+        with pytest.raises(ValueError, match="one shape"):
+            dataclasses.replace(ang, theta=np.ones(7))
+
+    def test_time_is_stored_as_a_python_float(self):
+        for time in (np.float64(0.25), 2):
+            ang = AngleState(np.zeros(3), np.zeros(3), time)
+            assert type(ang.time) is float and ang.time == time
+        chain = theta_to_eta(AngleState(np.zeros(3), np.zeros(3), np.float64(0.25)))
+        assert type(chain.time) is float and type(eta_to_theta(chain).time) is float
+
+
 class TestAngleMaps:
     def test_chain_along_x(self):
         # links all pointing along +x: theta = 0
         n = 6
         eta = np.zeros((n + 1, 2))
         eta[:, 0] = -np.arange(n, -1, -1, dtype=float) / n  # eta_k = -(n+1-k)/n e_x
-        ch = ChainState(n, 2, eta, np.zeros((n + 1, 2)))
+        ch = ChainState(eta, np.zeros((n + 1, 2)))
         ang = eta_to_theta(ch)
         assert ang.theta == pytest.approx(np.zeros(n), abs=1e-15)
 
@@ -97,7 +139,7 @@ class TestAngleMaps:
         u = np.pi / 2 * np.arange(n, -1, -1) / n  # arc parameters, free end first
         pts = R * np.column_stack([np.cos(u), np.sin(u)])
         pts -= pts[-1]
-        ch = ChainState(n, 2, pts, np.zeros((n + 1, 2)))
+        ch = ChainState(pts, np.zeros((n + 1, 2)))
         ang = eta_to_theta(ch)
         inc = np.diff(ang.theta)
         assert inc == pytest.approx(np.full(n - 1, -np.pi / (2 * n)), abs=1e-12)
@@ -115,7 +157,7 @@ class TestAngleMaps:
             eta_to_theta(ch)
 
     def test_unit_links_by_construction(self):
-        ang = AngleState(9, np.linspace(0, 5, 9), np.ones(9))
+        ang = AngleState(np.linspace(0, 5, 9), np.ones(9))
         ch = theta_to_eta(ang)
         assert ch.constraint_drift() < 1e-15
         assert ch.orthogonality_drift() < 1e-15
@@ -126,7 +168,7 @@ class TestAngleMaps:
         stacked = theta_positions(theta)
         assert stacked.shape == (2, 5, 34)   # component-major
         for row, th in zip(stacked.transpose(1, 2, 0), theta):
-            assert np.array_equal(row, theta_to_eta(AngleState(33, th, np.ones(33))).eta)
+            assert np.array_equal(row, theta_to_eta(AngleState(th, np.ones(33))).eta)
 
     def test_evenness_extension(self):
         th = np.array([0.3, -0.2, 1.1])
@@ -289,7 +331,7 @@ class TestTransferMaps:
 
     def test_Fn_Gn_identity(self):
         n = 12
-        ang = AngleState(n, np.random.default_rng(4).normal(size=n), np.zeros(n))
+        ang = AngleState(np.random.default_rng(4).normal(size=n), np.zeros(n))
         a, _ = continuize_Gn(ang)
         back = discretize_Fn(a, n)
         assert np.max(np.abs(back.theta - ang.theta)) < 1e-12
@@ -328,7 +370,7 @@ class TestTransferMaps:
     def test_upsampling_keeps_leading_coefficients(self):
         n = 8
         rng = np.random.default_rng(7)
-        ang = AngleState(n, rng.normal(size=n), np.zeros(n))
+        ang = AngleState(rng.normal(size=n), np.zeros(n))
         a, _ = continuize_Gn(ang)
         fine = discretize_Fn(a, 2 * n)
         a2 = angle_coefficients(fine.theta, 2 * n)
@@ -343,7 +385,7 @@ class TestTransferMaps:
         # largest, not always bitwise
         n = 2 * M
         rng = np.random.default_rng(M)
-        ang = AngleState(n, rng.normal(size=n), rng.normal(size=n))
+        ang = AngleState(rng.normal(size=n), rng.normal(size=n))
         full = continuize_Gn(ang)
         for got, want in zip(continuize_Gn(ang, M), full):
             assert got.shape == (M,)
@@ -411,7 +453,7 @@ class TestTransferResolution:
         assert (1024, 1024) not in built
         a, ad = continuize_Gn(eta_to_theta(ch), 64)
         full = rows(1024, 1024)[:64, :1024]
-        want = theta_to_eta(AngleState(1024, a @ full, ad @ full))
+        want = theta_to_eta(AngleState(a @ full, ad @ full))
         assert out.eta.tobytes() == want.eta.tobytes()
         assert out.eta_dot.tobytes() == want.eta_dot.tobytes()
 
@@ -424,7 +466,7 @@ class TestTransferResolution:
         s = np.arange(1, n + 1) / n
         theta = 0.7 * np.sin(np.pi * s / 2)  # sin(pi(2-s)/2) = sin(pi s/2): even through s = 1
         theta_dot = 0.4 * np.sin(np.pi * s / 2)
-        ch = theta_to_eta(AngleState(n, theta, theta_dot))
+        ch = theta_to_eta(AngleState(theta, theta_dot))
         out = transfer_resolution(ch, 64)
         e3_src = discrete_energy(ch, 3)[3]
         e3_dst = discrete_energy(out, 3)[3]

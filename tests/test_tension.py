@@ -46,7 +46,7 @@ class TestAlphaBeta:
     def test_right_angle_kink(self):
         # orthogonal consecutive links: alpha = 0 there and beta = 2 at that index
         theta = np.array([0.0, 0.0, np.pi / 2, np.pi / 2])
-        ch = theta_to_eta(AngleState(4, theta, np.zeros(4)))
+        ch = theta_to_eta(AngleState(theta, np.zeros(4)))
         ab = compute_alpha_beta(ch)
         assert ab.alpha[1] == pytest.approx(0.0, abs=1e-15)
         assert ab.beta[1] == pytest.approx(2.0)
@@ -343,13 +343,13 @@ def test_acute_angle_example():
     # joint drives some tension nonpositive
     n = 4
     theta = np.arange(n) * (2 * np.pi / 3)
-    base = theta_to_eta(AngleState(n, theta, np.zeros(n)))
+    base = theta_to_eta(AngleState(theta, np.zeros(n)))
     assert np.all(compute_alpha_beta(base).alpha == pytest.approx(-0.5))
     found = None
     for j in range(n):
         theta_dot = np.zeros(n)
         theta_dot[j] = 1.0
-        ch = theta_to_eta(AngleState(n, theta, theta_dot))
+        ch = theta_to_eta(AngleState(theta, theta_dot))
         sol = solve_tension(ch)
         if sol.min_sigma <= 0:
             found = j
@@ -380,7 +380,7 @@ class TestCertificates:
         s = np.arange(1, n + 1) / n
         target = 0.1
         theta = np.sqrt(target) * 2.0 * np.sqrt(s)  # |theta'| ~ s^{-1/2}: equalizes the upsilon max
-        ch = theta_to_eta(AngleState(n, theta, np.zeros(n)))
+        ch = theta_to_eta(AngleState(theta, np.zeros(n)))
         ups = upsilon_threehalves(ch)
         assert 0.02 < ups <= 2 * np.sqrt(n) / 5
         cert = certify_bounds(green_matrix_for_chain(ch), ch)
@@ -454,7 +454,7 @@ def _staircase_chain(n, turns, rng):
     eta[:-1] = -np.cumsum(dirs[::-1], axis=0)[::-1] / n  # eta_{n+1} = 0
     eta_dot = rng.normal(size=(n + 1, 2))
     eta_dot[-1] = 0.0
-    return ChainState(n, 2, eta, eta_dot)
+    return ChainState(eta, eta_dot)
 
 
 def _quarter_turn_chain(n, turns):
@@ -464,7 +464,7 @@ def _quarter_turn_chain(n, turns):
     dirs = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])[headings]
     eta = np.zeros((n + 1, 2))
     eta[:-1] = -np.cumsum(dirs[::-1], axis=0)[::-1] / n  # eta_{n+1} = 0
-    return ChainState(n, 2, eta, np.zeros((n + 1, 2)))
+    return ChainState(eta, np.zeros((n + 1, 2)))
 
 
 def _dense_block_extremes(G, cuts):
@@ -655,7 +655,7 @@ class TestSigmaDot:
         out = {}
         for sign in (+1, -1):
             links, links_dot = _advance(ch.link_dirs().T, ch.link_dirs_dot().T, sol.sigma[1:], ch.n, sign * h)
-            out[sign] = solve_tension(ChainState(ch.n, 2, _anchored(links).T, _anchored(links_dot).T)).sigma
+            out[sign] = solve_tension(ChainState(_anchored(links).T, _anchored(links_dot).T)).sigma
         fd = (out[+1] - out[-1]) / (2 * h)
         scale = max(np.max(np.abs(sd)), 1e-30)
         assert np.max(np.abs(fd - sd)) / scale < 1e-3
@@ -799,7 +799,7 @@ class TestNumericErrors:
         # doubled link lengths give alpha_i = 4: the 2 / -alpha stencil loses
         # diagonal dominance and definiteness
         ch = rigid_rotation(8, 1.0)
-        off = ChainState(ch.n, ch.d, 2.0 * ch.eta, ch.eta_dot)
+        off = ChainState(2.0 * ch.eta, ch.eta_dot)
         with pytest.raises(NumericError, match="not positive definite"):
             solve_tension(off)
 
