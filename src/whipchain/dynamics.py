@@ -31,6 +31,8 @@ the batch of one.  The public :func:`acceleration`, :func:`project` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -284,6 +286,57 @@ class Snapshot:
 
 
 @dataclass(frozen=True)
+class _Field:
+    """One written field of a Snapshot.  ``name`` is its JSON-lines key and
+    ``source`` the dotted path from the snapshot to its value.  ``shape`` is
+    the value's shape, () for a scalar, with "n+1" and "d" for the chain's
+    node count and dimension; ``kind`` the type JSON writes a scalar as;
+    ``csv`` an array's CSV column names (a scalar's is its name)."""
+
+    name: str
+    source: str
+    shape: tuple = ()
+    kind: type = float
+    csv: tuple = ()
+
+    @cached_property
+    def value(self):   # snapshot -> the field's value, one getter per field
+        return attrgetter(self.source)
+
+    def dims(self, n: int, d: int) -> tuple:
+        return tuple({"n+1": n + 1, "d": d}.get(s, s) for s in self.shape)
+
+
+#: every field the CSV or the JSON lines write, by name
+_FIELDS = {f.name: f for f in (
+    _Field("t", "state.time"),
+    _Field("n", "state.n", kind=int),
+    _Field("d", "state.d", kind=int),
+    _Field("eta", "state.eta", ("n+1", "d")),
+    _Field("eta_dot", "state.eta_dot", ("n+1", "d")),
+    _Field("sigma", "tension.sigma", ("n+1",)),
+    _Field("min_sigma", "tension.min_sigma"),
+    _Field("positivity", "tension.positivity", kind=bool),
+    _Field("e", "report.e", (4,), csv=("e0", "e1", "e2", "e3")),
+    _Field("e_tilde", "report.e_tilde", (4,), csv=("et0", "et1", "et2", "et3")),
+    _Field("u0", "report.u0"),
+    _Field("v0", "report.v0"),
+    _Field("a", "report.a"),
+    _Field("b", "report.b"),
+    _Field("c", "report.c"),
+    _Field("d_norms", "report.d", (3,), csv=("d1", "d2", "d3")),
+    _Field("max_ang_vel", "report.max_ang_vel"),
+    _Field("max_curvature", "report.max_curvature"),
+    _Field("constraint_drift", "report.constraint_drift"),
+)}
+#: each format's fields in its order; the shared ones differ only in where min_sigma sits
+_CSV_FIELDS = ("t", "e", "e_tilde", "u0", "v0", "a", "b", "c", "d_norms", "min_sigma",
+               "max_ang_vel", "max_curvature", "constraint_drift")
+_JSONL_FIELDS = ("t", "n", "d", "eta", "eta_dot", "sigma", "min_sigma", "positivity", "e", "e_tilde",
+                 "u0", "v0", "a", "b", "c", "d_norms", "constraint_drift")
+
+
+@dataclass(frozen=True)
 class Trajectory:
     snapshots: list
     termination: str
@@ -297,9 +350,13 @@ class Trajectory:
         object.__setattr__(self, "n_steps", len(self.projection_log))
 
     def series(self) -> dict:
-        """Column arrays of the scalar time series: one stacked array, one row per snapshot."""
-        table = np.array([_series_row(snap) for snap in self.snapshots]).reshape(-1, len(_SERIES_FIELDS))
-        return dict(zip(_SERIES_FIELDS, table.T))
+        """Column arrays of the scalar time series, the CSV's columns before
+        its ratios: one entry per snapshot."""
+        cols = {}
+        for f in map(_FIELDS.get, _CSV_FIELDS):
+            block = np.array([f.value(snap) for snap in self.snapshots], dtype=float)
+            cols.update(zip(f.csv or (f.name,), block.reshape(len(self.snapshots), -1).T))
+        return cols
 
 
 def snapshot_report(chain: ChainState, sol: TensionSolution) -> EnergyReport:
@@ -369,22 +426,6 @@ def _snapshot_pass(eta: np.ndarray, eta_dot: np.ndarray, sigma: np.ndarray, alph
         raise
     return [Snapshot(ChainState(eta[:, row].T, eta_dot[:, row].T, time[row]), TensionSolution(s), rep)
             for row, s, rep in zip(ok, full, reports)]
-
-
-_SERIES_FIELDS = (
-    ["t"]
-    + [f"e{m}" for m in range(4)]
-    + [f"et{m}" for m in range(4)]
-    + ["u0", "v0", "a", "b", "c", "d1", "d2", "d3",
-       "min_sigma", "max_ang_vel", "max_curvature", "constraint_drift"]
-)
-
-
-def _series_row(snap: Snapshot) -> list:
-    """The snapshot's values in the order of ``_SERIES_FIELDS``."""
-    rep = snap.report
-    return [snap.state.time, *rep.e, *rep.e_tilde, rep.u0, rep.v0, rep.a, rep.b, rep.c, *rep.d,
-            snap.tension.min_sigma, rep.max_ang_vel, rep.max_curvature, rep.constraint_drift]
 
 
 def run(initial: ChainState, cfg: IntegratorConfig) -> Trajectory:

@@ -14,15 +14,11 @@ unknown keys are rejected.  Example::
     output.formats = csv,jsonl
 
 Floating-point output is written at 17 significant digits so every value
-round-trips bitwise through either format.  A CSV row is read from its
-snapshot's report.  ``run`` and ``blowup_hunt`` stream their JSON-lines
-series (``_run_series``): each snapshot is stored, as ``run_batch`` makes
-it, as one fixed-size row of a store file, the writer's only copy; a forked
-child, fed the rows through a semaphore, encodes on the second core while
-the parent steps.  At the end the parent encodes the rows the child has not
-reached (every row, without a child); each file is the child's part
-followed by the parent's lines, byte-identical to a serial write (see
-``_JsonlWriter``).
+round-trips bitwise through either format.  Both series formats take their
+fields from one table, ``dynamics._FIELDS``.  ``run`` and ``blowup_hunt``
+stream their JSON-lines series (``_run_series``) through a
+``_JsonlWriter``, which stores each snapshot as one row as ``run_batch``
+makes it and can encode on a second core while the batch steps.
 """
 
 from __future__ import annotations
@@ -36,7 +32,8 @@ import shutil
 import tempfile
 import time as _time
 from dataclasses import asdict, dataclass, field, replace
-from math import lgamma
+from functools import lru_cache
+from math import lgamma, prod
 from pathlib import Path
 from typing import get_type_hints
 
@@ -44,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .core import ChainState, _links, _rising_table, rising_weight
-from .dynamics import IntegratorConfig, Trajectory, detect_blowup, run, run_batch
+from .dynamics import IntegratorConfig, Trajectory, _FIELDS, _JSONL_FIELDS, detect_blowup, run, run_batch
 from .errors import ConfigError, FitRejected
 from .initial_data import GENERATORS, _random_angles, make_initial, rigid_rotation_exact
 from .spectral import (
@@ -403,8 +400,7 @@ class _JsonlWriter:
                 self._rows.flush()   # before the release: the child reads the row from the file
                 self._ready.release()
         stored = sum(self._counts)
-        # a record's floats are its row less the five entries before t
-        if self._child is None and _jsonl_encoders(stored, stored * (self._size // 8 - 5)) > 1:
+        if self._child is None and _jsonl_encoders(stored, stored * (self._size // 8 - _STORE_NON_FLOATS)) > 1:
             self._start()
 
     def _start(self) -> None:
@@ -499,63 +495,58 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _jsonl_row(idx: int, snap) -> np.ndarray:
     """The store row of ``snap`` in file ``idx``: one float64 array of the
-    file index, positivity, n, d and the length of e, then t, eta, eta_dot,
-    sigma, min_sigma, e, e_tilde, u0, v0, a, b, c, d_norms and
-    constraint_drift, in the order of ``snapshot_to_json``."""
-    st, sol, rep = snap.state, snap.tension, snap.report
-    return np.concatenate((
-        [idx, sol.positivity, st.n, st.d, rep.e.size, st.time], st.eta.ravel(), st.eta_dot.ravel(), sol.sigma,
-        [sol.min_sigma], rep.e, rep.e_tilde, [rep.u0, rep.v0, rep.a, rep.b, rep.c], rep.d, [rep.constraint_drift],
-    ))
+    file index, then the fields of ``snapshot_to_json`` in order, flattened."""
+    fields = map(_FIELDS.get, _JSONL_FIELDS)
+    return np.concatenate([[idx], *(f.value(snap).ravel() if f.shape else [f.value(snap)] for f in fields)])
+
+
+#: the store-row offsets of n and d (only scalars come before them), and how
+#: many entries of a row are not floats: the file index, n, d and positivity
+_N_AT, _D_AT = (1 + _JSONL_FIELDS.index(name) for name in ("n", "d"))
+_STORE_NON_FLOATS = 1 + sum(_FIELDS[name].kind is not float for name in _JSONL_FIELDS)
+
+
+@lru_cache(maxsize=8)
+def _store_layout(n: int, d: int) -> tuple:
+    """Each JSON-lines field's place in the store row of a chain of n links
+    in R^d: its first and end offset, the text before and after its
+    entries, its kind and its shape."""
+    layout, end = [], 1
+    for f in map(_FIELDS.get, _JSONL_FIELDS):
+        shape = f.dims(n, d)
+        start, end = end, end + prod(shape)
+        opening = f'{", " if layout else "{"}"{f.name}": ' + "[" * len(shape)
+        layout.append((start, end, opening, "]" * len(shape), f.kind, shape))
+    return tuple(layout)
 
 
 def _jsonl_line(row) -> str:
     """``json.dumps(snapshot_to_json(snap)) + "\\n"`` from the ``_jsonl_row``
-    of ``snap``, byte for byte, in one ``float.__repr__`` pass over its
-    floats: json writes a float as its repr (NaN, Infinity and -Infinity
-    where it is not finite) and separates items with ", " and keys with
-    ": "."""
-    n, d, ne = map(int, row[2:5].tolist())
-    text = list(map(float.__repr__, row[5:].tolist()))
+    of ``snap``, byte for byte, in one ``float.__repr__`` pass over the row
+    and one walk over its fields: json writes a float as its repr (NaN,
+    Infinity and -Infinity where it is not finite) and separates items with
+    ", " and keys with ": "."""
+    values = row.tolist()
+    text = list(map(float.__repr__, values))
     if not np.isfinite(row).all():
         text = [_JSON_NONFINITE.get(v, v) for v in text]
-    k, m = n + 1, (n + 1) * d
-    rows = list(map(", ".join, zip(*[iter(text[1 : 1 + 2 * m])] * d)))
-    sigma, rest = text[1 + 2 * m : 1 + 2 * m + k], text[1 + 2 * m + k :]
-    min_sigma, e, e_tilde = rest[0], rest[1 : 1 + ne], rest[1 + ne : 1 + 2 * ne]
-    u0, v0, a, b, c = rest[1 + 2 * ne : 6 + 2 * ne]
-    d_norms, drift = rest[6 + 2 * ne : -1], rest[-1]
-    return (
-        f'{{"t": {text[0]}, "n": {n}, "d": {d}, "eta": [[{"], [".join(rows[:k])}]], '
-        f'"eta_dot": [[{"], [".join(rows[k:])}]], "sigma": [{", ".join(sigma)}], '
-        f'"min_sigma": {min_sigma}, "positivity": {"true" if row[1] else "false"}, '
-        f'"e": [{", ".join(e)}], "e_tilde": [{", ".join(e_tilde)}], '
-        f'"u0": {u0}, "v0": {v0}, "a": {a}, "b": {b}, "c": {c}, '
-        f'"d_norms": [{", ".join(d_norms)}], "constraint_drift": {drift}}}\n'
-    )
+    parts = []   # joined once at the end, not once per field
+    for start, end, opening, closing, kind, shape in _store_layout(int(values[_N_AT]), int(values[_D_AT])):
+        items = text[start:end] if kind is float else [json.dumps(kind(values[start]))]
+        sep = ", "
+        for size in shape[:0:-1]:   # join the innermost axis first
+            items = list(map(sep.join, zip(*[iter(items)] * size)))
+            sep = f"]{sep}["
+        parts += (opening, sep.join(items), closing)
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def snapshot_to_json(snap) -> dict:
-    st, sol, rep = snap.state, snap.tension, snap.report
-    return {
-        "t": st.time,
-        "n": st.n,
-        "d": st.d,
-        "eta": st.eta.tolist(),
-        "eta_dot": st.eta_dot.tolist(),
-        "sigma": sol.sigma.tolist(),
-        "min_sigma": sol.min_sigma,
-        "positivity": sol.positivity,
-        "e": rep.e.tolist(),
-        "e_tilde": rep.e_tilde.tolist(),
-        "u0": rep.u0,
-        "v0": rep.v0,
-        "a": rep.a,
-        "b": rep.b,
-        "c": rep.c,
-        "d_norms": rep.d.tolist(),
-        "constraint_drift": rep.constraint_drift,
-    }
+    """The JSON-lines record of ``snap``: the fields of
+    ``dynamics._JSONL_FIELDS`` in order, arrays as nested lists."""
+    fields = map(_FIELDS.get, _JSONL_FIELDS)
+    return {f.name: f.value(snap).tolist() if f.shape else f.kind(f.value(snap)) for f in fields}
 
 
 def snapshot_state_from_json(obj: dict) -> ChainState:

@@ -17,6 +17,12 @@ from .core import ChainState
 from .spectral import AngleState, theta_to_eta
 
 
+def _require_links(n: int, least: int = 1) -> None:
+    """Refuse, naming n, a chain of fewer than ``least`` links."""
+    if n < least:
+        raise ValueError(f"the chain needs at least {least} link(s), got n={n}")
+
+
 def _in_plane(d: int, x: float, y: float) -> np.ndarray:
     """The vector (x, y, 0, ..., 0) of R^d, for the chains that lie in the
     plane of the first two axes; d < 2 is refused."""
@@ -30,6 +36,7 @@ def _in_plane(d: int, x: float, y: float) -> np.ndarray:
 def straight_chain(n: int, d: int = 2, angle: float = 0.0) -> ChainState:
     """Stationary chain along a fixed direction; eta_k = ((n+1-k)/n) u with
     u = (cos angle, sin angle, 0, ..., 0)."""
+    _require_links(n)
     u = _in_plane(d, np.cos(angle), np.sin(angle))
     c = np.arange(n, -1, -1, dtype=float) / n
     eta = np.outer(c, u)
@@ -40,6 +47,7 @@ def rigid_rotation(n: int, omega: float = 1.0, d: int = 2) -> ChainState:
     """Straight chain rotating rigidly at angular rate omega about the fixed
     end; an exact solution of the chain ODE with tension
     sigma_k = omega^2 k (2n+1-k) / (2 n^2)."""
+    _require_links(n)
     c = np.arange(n, -1, -1, dtype=float) / n
     u, uperp = _in_plane(d, 1.0, 0.0), _in_plane(d, 0.0, 1.0)
     eta = np.outer(c, u)
@@ -49,6 +57,7 @@ def rigid_rotation(n: int, omega: float = 1.0, d: int = 2) -> ChainState:
 
 def rigid_rotation_exact(n: int, t: float, omega: float = 1.0, d: int = 2) -> ChainState:
     """Closed-form state of the rotating chain at time t (oracle for tests)."""
+    _require_links(n)
     c = np.arange(n, -1, -1, dtype=float) / n
     u = _in_plane(d, np.cos(omega * t), np.sin(omega * t))
     uperp = _in_plane(d, -np.sin(omega * t), np.cos(omega * t))
@@ -59,6 +68,7 @@ def rigid_rotation_exact(n: int, t: float, omega: float = 1.0, d: int = 2) -> Ch
 
 def rigid_rotation_sigma(n: int, omega: float = 1.0) -> np.ndarray:
     """Exact discrete tension of the rotating chain, sigma_0..sigma_n."""
+    _require_links(n)
     k = np.arange(0, n + 1, dtype=float)
     return omega**2 * k * (2 * n + 1 - k) / (2.0 * n**2)
 
@@ -67,8 +77,7 @@ def folded_chain(n: int, fold: float = 0.5, vel_amp: float = 1.0) -> ChainState:
     """Two antiparallel segments (alpha = -1 at the fold) with angular
     velocity loaded on the fixed-end side, which forces nonpositive tension
     on the free-end side of the fold."""
-    if n < 2:
-        raise ValueError("folded chain needs n >= 2")
+    _require_links(n, 2)
     f = min(max(int(round(fold * n)), 1), n - 1)
     theta = np.where(np.arange(1, n + 1) <= f, 0.0, np.pi)
     theta_dot = np.zeros(n)
@@ -80,6 +89,7 @@ def folded_chain(n: int, fold: float = 0.5, vel_amp: float = 1.0) -> ChainState:
 
 def perturbed_vertical(n: int, amplitude: float = 0.05, mode: int = 1) -> ChainState:
     """Straight chain with a small transverse velocity profile."""
+    _require_links(n)
     theta = np.zeros(n)
     ks = np.arange(1, n + 1)
     theta_dot = amplitude * np.sin(mode * np.pi * ks / (n + 1.0))
@@ -91,6 +101,7 @@ def log_spiral(n: int, vel_amp: float = 0.0) -> ChainState:
     2/(3s) at the free end: unit tangents of
     eta(s) = (3(1 - s cos((2/3) ln s)), -3 s sin((2/3) ln s)) / sqrt(13),
     sampled at s = k/n, with an optional transverse velocity profile."""
+    _require_links(n)
     s = np.arange(1, n + 1) / n
     u = (2.0 / 3.0) * np.log(s)
     tx = -3.0 / np.sqrt(13.0) * (np.cos(u) - (2.0 / 3.0) * np.sin(u))
@@ -103,6 +114,7 @@ def log_spiral(n: int, vel_amp: float = 0.0) -> ChainState:
 def theta_power(n: int, q: float = 0.75, vel_amp: float = 0.0) -> ChainState:
     """Angle profile theta(s) = s^q (unbounded curvature at the free end for
     q < 1 while the third-order energy stays finite for q > 1/2)."""
+    _require_links(n)
     if not 0.0 < q:
         raise ValueError(f"power must be positive, got q={q}")
     s = np.arange(1, n + 1) / n
@@ -115,6 +127,7 @@ def near_loop(n: int, loop_width: float = 0.12, center: float = 0.4, omega: floa
     """A full 2 pi turn of width ``loop_width`` centered at arclength
     ``center``, with an angular-velocity profile that drives the loop
     tighter; the configuration blowup hunts start from."""
+    _require_links(n)
     if not 0.0 < loop_width:
         raise ValueError(f"loop width must be positive, got loop_width={loop_width}")
     s = np.arange(1, n + 1) / n
@@ -135,6 +148,7 @@ def random_chain(
 
     ``max_turn`` < pi/2 keeps every alpha_i > 0.
     """
+    _require_links(n)
     if not 0.0 <= max_turn:
         raise ValueError(f"max turn must be nonnegative, got max_turn={max_turn}")
     if not 0.0 <= vel_scale:

@@ -18,7 +18,7 @@ import pytest
 
 from whipchain import harness, spectral
 from whipchain.cli import main as cli_main
-from whipchain.dynamics import IntegratorConfig, run
+from whipchain.dynamics import IntegratorConfig, _FIELDS, _JSONL_FIELDS, run
 from whipchain.errors import ConfigError
 from whipchain.harness import (
     build_config,
@@ -198,6 +198,36 @@ class TestEmitSeries:
         with pytest.raises(ValueError, match="n=.*d=.*arrays"):
             snapshot_state_from_json(dict(obj, **{key: value}))
 
+    CSV_HEADER = [
+        "t", "e0", "e1", "e2", "e3", "et0", "et1", "et2", "et3", "u0", "v0", "a", "b", "c", "d1", "d2", "d3",
+        "min_sigma", "max_ang_vel", "max_curvature", "constraint_drift",
+        "ratio_a_e2", "ratio_c_e2e3", "ratio_d1_e3p4", "ratio_d2_e3p4", "ratio_d3_e3p6", "gronwall_et3_e3p7",
+    ]
+    JSONL_KEYS = [
+        "t", "n", "d", "eta", "eta_dot", "sigma", "min_sigma", "positivity", "e", "e_tilde",
+        "u0", "v0", "a", "b", "c", "d_norms", "constraint_drift",
+    ]
+
+    def test_schema_pinned(self, tmp_path):
+        # the field table and the two order tuples give exactly these names, in this order
+        traj = self._traj()
+        with open(emit_series(traj, "csv", tmp_path / "s.csv"), newline="") as fh:
+            assert next(csv.reader(fh)) == self.CSV_HEADER
+        assert list(traj.series()) == self.CSV_HEADER[:21]
+        for line in emit_series(traj, "jsonl", tmp_path / "s.jsonl").read_text().splitlines():
+            assert list(json.loads(line)) == self.JSONL_KEYS
+        assert list(snapshot_to_json(traj.snapshots[0])) == self.JSONL_KEYS
+
+    @pytest.mark.parametrize("n, d, size", [(1, 2, 33), (5, 3, 65)])
+    def test_store_row_is_the_index_and_the_field_widths(self, n, d, size):
+        # the file index, n, d and positivity, then the floats: eta, eta_dot
+        # and sigma, and 19 more (t, min_sigma, e and e_tilde of 4 each, u0,
+        # v0, a, b, c, d_norms of 3 and constraint_drift)
+        snap = run(rigid_rotation(n, d=d), IntegratorConfig(t_end=0.002)).snapshots[-1]
+        widths = [int(np.prod(_FIELDS[name].dims(n, d))) for name in _JSONL_FIELDS]
+        assert harness._jsonl_row(0, snap).size == 1 + sum(widths) == size
+        assert size - harness._STORE_NON_FLOATS == 19 + (2 * d + 1) * (n + 1)
+
     def test_empty_trajectory_refused(self, tmp_path):
         traj = self._traj()
         object.__setattr__(traj, "snapshots", [])
@@ -259,8 +289,7 @@ class TestSplitJsonl:
 
     @staticmethod
     def _floats(snaps) -> int:
-        # a record's floats: its store row less the five entries before t
-        return sum(harness._jsonl_row(0, s).size - 5 for s in snaps)
+        return sum(harness._jsonl_row(0, s).size - harness._STORE_NON_FLOATS for s in snaps)
 
     @staticmethod
     def _no_live_child():

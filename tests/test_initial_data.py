@@ -13,6 +13,7 @@ from whipchain.initial_data import (
     random_chain,
     rigid_rotation,
     rigid_rotation_exact,
+    rigid_rotation_sigma,
     straight_chain,
     theta_power,
 )
@@ -70,6 +71,19 @@ def test_planar_generators_refuse_a_dimension_below_two_by_name(generator, d):
     args = (0.5,) if generator is rigid_rotation_exact else ()
     with pytest.raises(ValueError, match=f"d must be >= 2, got d={d}"):
         generator(8, *args, d=d)
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [*GENERATORS.values(), lambda n: rigid_rotation_exact(n, 0.5), rigid_rotation_sigma],
+    ids=[*GENERATORS, "rigid_rotation_exact", "rigid_rotation_sigma"],
+)
+@pytest.mark.parametrize("n", [0, -1])
+def test_generators_refuse_fewer_than_one_link_by_name(generator, n):
+    # refused before any array is built: no divide-by-zero warning, no
+    # negative-dimension error that does not name n
+    with pytest.raises(ValueError, match=f"got n={n}$"):
+        generator(n)
 
 
 def test_random_chain_refuses_a_negative_max_turn_by_name():
