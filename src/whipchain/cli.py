@@ -3,7 +3,7 @@
     whipchain run <config-path> [--output-dir DIR] [--seed S] [--quiet]
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 property-suite
-violations.
+violations, 5 output error.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ def main(argv=None) -> int:
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 5
     if not args.quiet:
         term = f" termination={manifest.termination}" if manifest.termination else ""
         print(

@@ -225,7 +225,7 @@ def _weighted_terms(sq: np.ndarray, r: float, n: int, first_index: int) -> np.nd
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+    out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 

@@ -18,7 +18,8 @@ round-trips bitwise through either format.  Both series formats take their
 fields from one table, ``dynamics._FIELDS``.  ``run`` and ``blowup_hunt``
 stream their JSON-lines series (``_run_series``) through a
 ``_JsonlWriter``, which stores each snapshot as one row as ``run_batch``
-makes it and can encode on a second core while the batch steps.
+makes it; a forked child can encode the rows from the front while the batch
+steps, and at finish the parent steals the rest from the back.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import shutil
 import tempfile
 import time as _time
 from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
 from math import lgamma, prod
 from pathlib import Path
 from typing import get_type_hints
@@ -348,34 +348,35 @@ class _JsonlWriter:
     ``put`` takes each file's snapshots in order and appends each, from the
     first, to an unnamed store file as one float64 row (``_jsonl_row``), the
     writer's only copy of it.  The records of one writer share n and d, so
-    row i sits at offset i times one row size.  Once the rows hold enough
-    floats (``_jsonl_encoders``), one forked child starts encoding them, in
-    put order, into an unnamed temp part per file; its semaphore starts at
-    the rows stored, and the parent flushes each later row and releases it
-    once, so it never waits on the child.
+    the first put fixes the row layout (``_store_layout``) and row i sits at
+    i times one row size.  Once the rows hold enough floats
+    (``_jsonl_encoders``), one forked child starts encoding them from the
+    front, in put order, into an unnamed temp part per file.  The permits of
+    one semaphore are the rows neither side has taken: the child takes one
+    before each row, and the parent releases one per row it stores, after
+    flushing it, so a put never waits on the child.
 
-    ``finish`` lands one file, once every record is put.  The first call
-    caps the child's claims halfway through the rows it has not claimed
-    (at 0 without a child), under the lock of the shared (claimed, limit)
-    array, releases the semaphore once more to wake a child that has caught
-    up, encodes the rows past the cap itself and joins the child.  Both
-    sides encode rows read back from the store (``_row_line``).  Each file
-    is the child's part followed by the parent's lines, a serial write.
+    ``finish`` lands one file, once every record is put.  The first call,
+    before it opens a file, steals rows from the back, one per permit it
+    takes without waiting.  When a take fails every row is taken, so it
+    writes the row where the sides met into one shared integer and releases
+    one permit more, on which the child reads it and stops.  Each file is the
+    child's part followed by the parent's lines, reversed: a serial write.
 
-    ``fork``, not ``spawn``: the child inherits the temp files and the
-    semaphore.  It calls no BLAS routine, so the parent's OpenBLAS threads
-    cannot leave it blocked on a lock, and it leaves through ``os._exit``,
-    so inherited buffered files are never flushed twice.
+    ``fork``, not ``spawn``: the child inherits the temp files, the
+    semaphore and the integer.  It calls no BLAS routine, so the parent's
+    OpenBLAS threads cannot leave it blocked on a lock, and it leaves through
+    ``os._exit``, so inherited buffered files are never flushed twice.
     """
 
     def __init__(self, paths):
         self._files = {Path(p): i for i, p in enumerate(paths)}
         self._counts = [0] * len(self._files)
-        self._rows = None   # the store file, from the first put
-        self._size = 0      # bytes per row
+        self._rows = None     # the store file, from the first put
+        self._layout = None   # its rows' _store_layout, from the first put
         self._parts = []
         self._child = None
-        self._tails = None  # the parent's lines per file, once split
+        self._tails = None    # the parent's lines per file, last first, once split
 
     def __enter__(self):
         return self
@@ -390,17 +391,16 @@ class _JsonlWriter:
     def put(self, path, snaps) -> None:
         idx = self._files[Path(path)]
         for snap in snaps:
-            row = _jsonl_row(idx, snap)
             if self._rows is None:
                 self._rows = tempfile.TemporaryFile(dir=next(iter(self._files)).parent)
-                self._size = row.nbytes
-            self._rows.write(row)
+                self._layout = _store_layout(snap.state.n, snap.state.d)
+            self._rows.write(_jsonl_row(idx, snap))
             self._counts[idx] += 1
             if self._child is not None:
                 self._rows.flush()   # before the release: the child reads the row from the file
                 self._ready.release()
         stored = sum(self._counts)
-        if self._child is None and _jsonl_encoders(stored, stored * (self._size // 8 - _STORE_NON_FLOATS)) > 1:
+        if self._child is None and _jsonl_encoders(stored, stored * (self._layout[-1][1] - _STORE_NON_FLOATS)) > 1:
             self._start()
 
     def _start(self) -> None:
@@ -409,36 +409,26 @@ class _JsonlWriter:
         self._rows.flush()
         self._parts = [tempfile.TemporaryFile(dir=path.parent) for path in self._files]
         ctx = multiprocessing.get_context("fork")
-        self._claims = ctx.Array("q", [0, 2**62])        # claimed, limit
-        self._ready = ctx.Semaphore(sum(self._counts))   # released once per stored row
+        self._end = ctx.RawValue("q", -1)                # the row the sides meet at, once the parent has stolen
+        self._ready = ctx.Semaphore(sum(self._counts))   # one permit per row neither side has taken
         self._child = ctx.Process(
-            target=_encode_records, args=(self._rows, self._parts, self._claims, self._ready, self._size)
+            target=_encode_records, args=(self._rows, self._parts, self._end, self._ready, self._layout)
         )
         self._child.start()
 
     def _split(self, path) -> None:
-        """Cap the child's claims halfway through the rows it has not claimed
-        (at 0 without a child), wake it should it wait for a row, encode the
-        rows past the cap, and join the child."""
-        stored, limit = sum(self._counts), 0
-        if self._child is not None:
-            lock, claims = self._claims.get_lock(), self._claims.get_obj()
-            locked = False
-            while self._child.is_alive() and not locked:   # a dead child's claims are final
-                locked = lock.acquire(timeout=0.05)
-            try:
-                limit = claims[0] + (stored - claims[0]) // 2
-                claims[1] = limit
-            finally:
-                if locked:
-                    lock.release()
-            self._ready.release()
+        """Steal rows from the back (every row without a child), tell the
+        child where the sides met, and join it."""
         self._rows.flush()
+        end = sum(self._counts)
         self._tails = [[] for _ in self._files]
-        for i in range(limit, stored):
-            idx, line = _row_line(self._rows.fileno(), i, self._size)
+        while end > 0 and (self._child is None or self._ready.acquire(False)):
+            end -= 1
+            idx, line = _row_line(self._rows.fileno(), end, self._layout)
             self._tails[idx].append(line)
         if self._child is not None:
+            self._end.value = end
+            self._ready.release()   # the permit the child stops on
             self._child.join()
             if self._child.exitcode != 0:
                 raise OSError(f"writing {path}: encoder process exited with code {self._child.exitcode}")
@@ -446,13 +436,13 @@ class _JsonlWriter:
     def finish(self, path) -> None:
         """Write ``path``: every record put for it, one JSON line each."""
         idx = self._files[Path(path)]
+        if self._tails is None:
+            self._split(path)
         with open(path, "w", encoding="utf-8") as fh:
-            if self._tails is None:
-                self._split(path)
             if self._parts:
                 self._parts[idx].seek(0)
                 shutil.copyfileobj(self._parts[idx], fh.buffer)
-            fh.writelines(self._tails[idx])
+            fh.writelines(reversed(self._tails[idx]))
 
     def close(self) -> None:
         """Stop the child if it still runs and drop the temp files."""
@@ -464,29 +454,28 @@ class _JsonlWriter:
                 tmp.close()
 
 
-def _encode_records(rows, parts, claims, ready, size) -> None:
-    """Encoder child body.  For each row of ``rows`` in order: wait for its
-    release of ``ready``, claim it under the lock of ``claims`` (stopping at
-    the claim limit), and encode it into its file's part."""
-    lock, counts = claims.get_lock(), claims.get_obj()
+def _encode_records(rows, parts, end, ready, layout) -> None:
+    """Encoder child body.  For each row of ``rows`` in order: take a permit
+    of ``ready``, stop if the row is ``end`` (set by the parent before it
+    releases the permit the child stops on), and encode the row into its
+    file's part."""
     outs = [open(part.fileno(), "w", encoding="utf-8", closefd=False) for part in parts]
     for i in itertools.count():
         ready.acquire()
-        with lock:
-            if i >= counts[1]:
-                break
-            counts[0] = i + 1
-        idx, line = _row_line(rows.fileno(), i, size)
+        if i == end.value:
+            break
+        idx, line = _row_line(rows.fileno(), i, layout)
         outs[idx].write(line)
     for out in outs:
         out.flush()
 
 
-def _row_line(fd: int, i: int, size: int) -> tuple[int, str]:
-    """Row ``i`` of the store file ``fd``, whose rows hold ``size`` bytes:
-    its file index and its JSON line."""
+def _row_line(fd: int, i: int, layout) -> tuple[int, str]:
+    """Row ``i`` of the store file ``fd``, whose rows have ``layout``: its
+    file index and its JSON line."""
+    size = 8 * layout[-1][1]   # the last field ends the row
     row = np.frombuffer(os.pread(fd, size, i * size))
-    return int(row[0]), _jsonl_line(row)
+    return int(row[0]), _jsonl_line(row, layout)
 
 
 #: how json spells the floats that have no repr it accepts
@@ -500,13 +489,10 @@ def _jsonl_row(idx: int, snap) -> np.ndarray:
     return np.concatenate([[idx], *(f.value(snap).ravel() if f.shape else [f.value(snap)] for f in fields)])
 
 
-#: the store-row offsets of n and d (only scalars come before them), and how
-#: many entries of a row are not floats: the file index, n, d and positivity
-_N_AT, _D_AT = (1 + _JSONL_FIELDS.index(name) for name in ("n", "d"))
+#: how many entries of a store row are not floats: the file index, n, d and positivity
 _STORE_NON_FLOATS = 1 + sum(_FIELDS[name].kind is not float for name in _JSONL_FIELDS)
 
 
-@lru_cache(maxsize=8)
 def _store_layout(n: int, d: int) -> tuple:
     """Each JSON-lines field's place in the store row of a chain of n links
     in R^d: its first and end offset, the text before and after its
@@ -520,18 +506,18 @@ def _store_layout(n: int, d: int) -> tuple:
     return tuple(layout)
 
 
-def _jsonl_line(row) -> str:
+def _jsonl_line(row, layout) -> str:
     """``json.dumps(snapshot_to_json(snap)) + "\\n"`` from the ``_jsonl_row``
-    of ``snap``, byte for byte, in one ``float.__repr__`` pass over the row
-    and one walk over its fields: json writes a float as its repr (NaN,
-    Infinity and -Infinity where it is not finite) and separates items with
-    ", " and keys with ": "."""
+    of ``snap``, whose ``_store_layout`` is ``layout``, byte for byte, in one
+    ``float.__repr__`` pass over the row and one walk over its fields: json
+    writes a float as its repr (NaN, Infinity and -Infinity where it is not
+    finite) and separates items with ", " and keys with ": "."""
     values = row.tolist()
     text = list(map(float.__repr__, values))
     if not np.isfinite(row).all():
         text = [_JSON_NONFINITE.get(v, v) for v in text]
     parts = []   # joined once at the end, not once per field
-    for start, end, opening, closing, kind, shape in _store_layout(int(values[_N_AT]), int(values[_D_AT])):
+    for start, end, opening, closing, kind, shape in layout:
         items = text[start:end] if kind is float else [json.dumps(kind(values[start]))]
         sep = ", "
         for size in shape[:0:-1]:   # join the innermost axis first
@@ -583,7 +569,7 @@ def _run_series(cfg: ExperimentConfig, manifest: RunManifest, seeds, tags) -> li
         hook = (lambda i, snap: writer.put(jsonl[i], (snap,))) if "jsonl" in cfg.formats else None
         trajs = run_batch([_initial(cfg, cfg.n, seed) for seed in seeds], cfg.integrator, hook)
         for tag, traj in zip(tags, trajs):
-            for fmt in cfg.formats:
+            for fmt in sorted(cfg.formats, reverse=True):   # jsonl first: a failed encoder leaves no series
                 path = cfg.output_dir / f"{tag}.{fmt}"
                 emit_series(traj, fmt, path, jsonl_writer=writer)
                 manifest.files.append(path.name)

@@ -855,6 +855,15 @@ def test_batch_snapshot_times_are_python_floats():
     assert "np.float64" not in repr(snaps[-1].state)
 
 
+def test_run_snapshot_states_are_c_contiguous():
+    # the pass cuts each state out of a component-major stack; the state
+    # holds it in C order, so a store row ravels it without a second copy
+    traj = run(make_random_chain(12, seed=0), IntegratorConfig(t_end=0.01, report_stride=2))
+    assert len(traj.snapshots) > 2
+    for snap in traj.snapshots:
+        assert snap.state.eta.flags.c_contiguous and snap.state.eta_dot.flags.c_contiguous
+
+
 def test_snapshot_pass_names_the_first_row_that_breaks_the_contract():
     n = 16
     eta, eta_dot, sigma, alpha, w, times = _snapshot_stack([make_random_chain(n, seed=s) for s in range(4)])

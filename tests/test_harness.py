@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 import weakref
 from pathlib import Path
 
@@ -239,9 +240,10 @@ class TestEmitSeries:
 
 class TestSplitJsonl:
     """The JSONL writer encodes the snapshots put to it in the parent and, once
-    they hold enough floats, in one forked child that encodes them in put
-    order; each file is the child's part followed by the parent's lines and
-    must equal a serial write."""
+    they hold enough floats, in one forked child that encodes them from the
+    front while the parent, at finish, steals them from the back; each file
+    is the child's part followed by the parent's lines and must equal a
+    serial write."""
 
     @pytest.fixture(scope="class")
     def traj(self):
@@ -283,6 +285,69 @@ class TestSplitJsonl:
         monkeypatch.setattr(harness._JsonlWriter, "_start", counting)
         return started
 
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """Count which side encodes each store row: ``by[0][i]`` the child's
+        encodings of row i, ``by[1][i]`` the parent's, in shared memory a
+        forked child inherits; ``first`` is set once the child has encoded a
+        row."""
+        import multiprocessing
+
+        ctx, parent, row_line = multiprocessing.get_context("fork"), os.getpid(), harness._row_line
+        counts = types.SimpleNamespace(by=(ctx.RawArray("i", 4096), ctx.RawArray("i", 4096)), first=ctx.Event())
+
+        def counted(fd, i, layout):
+            line = row_line(fd, i, layout)
+            in_parent = os.getpid() == parent
+            counts.by[in_parent][i] += 1
+            if not in_parent:
+                counts.first.set()
+            return line
+
+        monkeypatch.setattr(harness, "_row_line", counted)
+        return counts
+
+    @staticmethod
+    def _child_share(encoded, records) -> int:
+        """How many rows the child encoded, checking that each of ``records``
+        rows was encoded exactly once, the child's rows before the parent's."""
+        child, parent = (list(side) for side in encoded.by)
+        share = child.count(1)
+        assert child == [1] * share + [0] * (len(child) - share)
+        assert parent == [0] * share + [1] * (records - share) + [0] * (len(parent) - records)
+        return share
+
+    @staticmethod
+    def _finish_after(monkeypatch, event):
+        """Hold each finish until ``event`` is set, so the child provably
+        encodes a row before the parent steals any."""
+        finish = harness._JsonlWriter.finish
+
+        def waiting(writer, path):
+            assert event.wait(30), "the encoder child never reached a row"
+            finish(writer, path)
+
+        monkeypatch.setattr(harness._JsonlWriter, "finish", waiting)
+
+    @pytest.fixture
+    def failing_child(self, split, monkeypatch):
+        """Fork an encoder child that fails on its first row; the parent
+        steals only once it has."""
+        import multiprocessing
+
+        split(2)
+        parent, failed = os.getpid(), multiprocessing.get_context("fork").Event()
+        encode = harness._jsonl_line
+
+        def fails_in_child(row, layout):
+            if os.getpid() != parent:
+                failed.set()
+                raise RuntimeError("encoder failure")
+            return encode(row, layout)
+
+        monkeypatch.setattr(harness, "_jsonl_line", fails_in_child)
+        self._finish_after(monkeypatch, failed)
+
     @staticmethod
     def _serial(snaps) -> bytes:
         return "".join(json.dumps(snapshot_to_json(s)) + "\n" for s in snaps).encode()
@@ -310,9 +375,9 @@ class TestSplitJsonl:
         assert self._no_live_child()
 
     def test_split_races_the_child(self, traj, split, children, tmp_path):
-        # the parent caps the child's claims right after forking it, while the
-        # child may be claiming: whichever side takes a record, every record
-        # is written once, in order
+        # the parent steals right after forking the child, while the child
+        # may be taking rows: whichever side takes a record, every record is
+        # written once, in order
         split(2)
         for rep in range(24):
             part = dataclasses.replace(traj, snapshots=traj.snapshots[: 2 + rep % 6])
@@ -333,17 +398,20 @@ class TestSplitJsonl:
         ],
         ids=["nan_d_norms", "infinite_b"],
     )
-    def test_non_finite_values_spelled_as_json(self, split, children, tmp_path, initial, cfg, spelled):
+    def test_non_finite_values_spelled_as_json(self, split, children, encoded, tmp_path, monkeypatch,
+                                               initial, cfg, spelled):
         # reversed, so the last snapshot of a chain that stops (b infinite,
-        # tension not positive) comes first: the first half always falls to
-        # the child
+        # tension not positive) comes first, and the parent steals only once
+        # the child has encoded that first row
         traj = run(initial, cfg)
         traj = dataclasses.replace(traj, snapshots=traj.snapshots[::-1])
         split(2)
+        self._finish_after(monkeypatch, encoded.first)
         path = emit_series(traj, "jsonl", tmp_path / "s.jsonl")
         assert len(children) == 1
+        assert self._child_share(encoded, len(traj.snapshots)) >= 1
         assert path.read_bytes() == self._serial(traj.snapshots)
-        assert spelled in path.read_text()
+        assert spelled in path.read_text().splitlines()[0]
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_writer_keeps_no_snapshot(self, split, children, tmp_path, cores):
@@ -371,7 +439,8 @@ class TestSplitJsonl:
             run(rigid_rotation(1), IntegratorConfig(t_end=0.003)),
         ):
             for snap in traj.snapshots:
-                line = harness._jsonl_line(harness._jsonl_row(0, snap))
+                layout = harness._store_layout(snap.state.n, snap.state.d)
+                line = harness._jsonl_line(harness._jsonl_row(0, snap), layout)
                 assert line == json.dumps(snapshot_to_json(snap)) + "\n"
 
     def test_multi_seed_cli_equals_single_seed_runs(self, split, children, tmp_path):
@@ -429,30 +498,34 @@ class TestSplitJsonl:
             assert (tmp_path / "bh" / f"blowup_series.{fmt}").read_bytes() == want
         assert self._no_live_child()
 
-    def test_failing_child_raises_oserror(self, traj, split, tmp_path, monkeypatch):
-        split(2)
-        parent = os.getpid()
-        encode = harness._jsonl_line
-
-        def fails_in_child(record):
-            if os.getpid() != parent:
-                raise RuntimeError("encoder failure")
-            return encode(record)
-
-        monkeypatch.setattr(harness, "_jsonl_line", fails_in_child)
+    def test_failing_child_raises_oserror(self, traj, failing_child, tmp_path):
+        # the split joins the child before the file is opened: no file
         target = tmp_path / "s.jsonl"
         with pytest.raises(OSError, match="exited with code 1") as info:
             emit_series(traj, "jsonl", target)
         assert str(target) in str(info.value)
-        assert list(tmp_path.iterdir()) == [target]
+        assert list(tmp_path.iterdir()) == []
+        assert self._no_live_child()
+
+    def test_failed_encoder_exits_5_leaving_only_the_manifest(self, failing_child, children, tmp_path, capsys):
+        # the JSON lines are written before the CSV, so no series is left
+        out = tmp_path / "o"
+        path = write_cfg(tmp_path, MINIMAL + f"output.dir = {out}\n")
+        assert cli_main(["run", str(path), "--quiet"]) == 5
+        assert len(children) == 1
+        assert capsys.readouterr().err == (
+            f"output error: writing {out / 'series.jsonl'}: encoder process exited with code 1\n"
+        )
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["status"] == "incomplete"
         assert self._no_live_child()
 
     @pytest.mark.parametrize("chunk", [0, 30])
-    def test_full_pipe_never_blocks_the_parent(self, split, children, tmp_path, monkeypatch, chunk):
+    def test_full_pipe_never_blocks_the_parent(self, split, children, encoded, tmp_path, monkeypatch, chunk):
         # the child's feed (the store rows and their semaphore) stays full: the
-        # child takes ``chunk`` rows, then waits until the parent is encoding
-        # the tail, after every put of the run has returned; were a put to
-        # wait on the child, the run would never reach the split
+        # child takes ``chunk`` rows, then waits until the parent is stealing,
+        # after every put of the run has returned; were a put to wait on the
+        # child, the run would never reach the split
         import multiprocessing
 
         parent, go = os.getpid(), multiprocessing.get_context("fork").Event()
@@ -468,13 +541,13 @@ class TestSplitJsonl:
                 self.taken += 1
                 return self.ready.acquire()
 
-        def stalled(rows, parts, claims, ready, layout):
-            encode_records(rows, parts, claims, Stalls(ready), layout)
+        def stalled(rows, parts, end, ready, layout):
+            encode_records(rows, parts, end, Stalls(ready), layout)
 
-        def go_then_encode(record):
+        def go_then_encode(row, layout):
             if os.getpid() == parent:
                 go.set()
-            return encode(record)
+            return encode(row, layout)
 
         monkeypatch.setattr(harness, "_encode_records", stalled)
         monkeypatch.setattr(harness, "_jsonl_line", go_then_encode)
@@ -486,20 +559,18 @@ class TestSplitJsonl:
         assert records > 30
         assert len(children) == 1
         assert (tmp_path / "o" / "series.jsonl").read_bytes() == expected
-        # it had claimed at most ``chunk`` records at the cap, so its share is
-        # those and half the rest
-        claimed, limit = children[0]._claims.get_obj()
-        assert claimed == limit
-        assert limit in {c + (records - c) // 2 for c in range(chunk + 1)}
+        # the rows past ``chunk`` wait for the parent's first stolen row
+        assert self._child_share(encoded, records) < records
         assert self._no_live_child()
 
-    def test_caught_up_child_is_woken(self, traj, split, children, tmp_path, monkeypatch):
-        # the child has encoded every record and waits for the next one: the
-        # split must wake it, or joining it never returns
+    def test_caught_up_child_is_woken(self, traj, split, children, encoded, tmp_path, monkeypatch):
+        # the child has encoded every record and waits for the next permit:
+        # the parent steals none, and the permit it releases must wake the
+        # child, or joining it never returns
         finish = harness._JsonlWriter.finish
 
         def finish_once_caught_up(writer, path):
-            while writer._claims.get_obj()[0] < sum(writer._counts):
+            while sum(encoded.by[0]) < sum(writer._counts):
                 time.sleep(0.001)
             finish(writer, path)
 
@@ -507,6 +578,7 @@ class TestSplitJsonl:
         split(2)
         path = emit_series(traj, "jsonl", tmp_path / "s.jsonl")
         assert len(children) == 1
+        assert self._child_share(encoded, len(traj.snapshots)) == len(traj.snapshots)
         assert path.read_bytes() == self._serial(traj.snapshots)
         assert self._no_live_child()
 
