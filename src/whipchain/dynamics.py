@@ -437,6 +437,14 @@ def run(initial: ChainState, cfg: IntegratorConfig) -> Trajectory:
     return run_batch([initial], cfg)[0]
 
 
+def _stops(t, sigma_min, top_sq, raw, cfg: IntegratorConfig, tiny: float) -> tuple:
+    """The stop tests in the order of TERMINATIONS, which is their precedence,
+    on each chain's values or on whole-stack extremes; ``top_sq`` is the
+    larger of max w and the squared curvature."""
+    return (t >= cfg.t_end - tiny, (sigma_min < 0.0) & cfg.halt_on_negative_tension,
+            np.sqrt(top_sq) > cfg.blowup_threshold, raw < cfg.dt_min)
+
+
 def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Trajectory]:
     """Integrate every chain of ``initials`` (all of one n and d) as one
     batch; returns one Trajectory per chain, in order.  ``on_snapshot(i,
@@ -474,7 +482,6 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
     done: list = [None] * len(initials)
     steps = 0
     tiny = 1e-14 * max(cfg.t_end, 1.0)
-    thr = cfg.blowup_threshold
 
     try:
         while live.size:
@@ -488,21 +495,16 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
             chain_sigma, chain_w = sigma.reshape(-1, n), w.reshape(-1, n)   # (B, n) views
             raw = _raw_dt(n, chain_sigma, cfg)
             curv_sq = _sq(_links(_blocks(links, n), n)).max(axis=-1, initial=0.0)
-            # whole-stack extremes (NaN-ignoring) rule out a stop on most steps:
-            # any chain's stop below breaks one of them
-            quiet = (t.max() < cfg.t_end - tiny and np.fmin.reduce(raw) >= cfg.dt_min
-                     and not (cfg.halt_on_negative_tension and np.fmin.reduce(sigma) < 0.0)
-                     and np.sqrt(np.fmax(np.fmax.reduce(w), np.fmax.reduce(curv_sq))) <= thr)
-            if quiet:
+            # the stop tests on whole-stack extremes (NaN-ignoring; as Python floats, which
+            # compare faster) rule out a stop on most steps: any chain's stop stops the extremes
+            extremes = (np.fmax.reduce(t), np.fmin.reduce(sigma),
+                        np.fmax.reduce(curv_sq, initial=np.fmax.reduce(w)), np.fmin.reduce(raw))
+            if not any(_stops(*map(float, extremes), cfg, tiny)):
                 ending = _NO_ROWS
             else:
-                # one row per stop condition, in the order of TERMINATIONS, which is their precedence
-                hits = np.array([
-                    t >= cfg.t_end - tiny,
-                    (chain_sigma.min(axis=1) < 0.0) & cfg.halt_on_negative_tension,
-                    (np.sqrt(chain_w.max(axis=-1)) > thr) | (np.sqrt(curv_sq) > thr),
-                    raw < cfg.dt_min,
-                ])
+                # one row per stop test, per chain; fmax: a NaN w hides no curvature, nor the reverse
+                top_sq = np.fmax(chain_w.max(axis=-1), curv_sq)
+                hits = np.array(_stops(t, chain_sigma.min(axis=1), top_sq, raw, cfg, tiny))
                 going = ~hits.any(axis=0)
                 ending = np.flatnonzero(~going)
             if ending.size and not every:

@@ -17,9 +17,10 @@ Floating-point output is written at 17 significant digits so every value
 round-trips bitwise through either format.  Both series formats take their
 fields from one table, ``dynamics._FIELDS``.  ``run`` and ``blowup_hunt``
 stream their JSON-lines series (``_run_series``) through a
-``_JsonlWriter``, which stores each snapshot as one row as ``run_batch``
-makes it; a forked child can encode the rows from the front while the batch
-steps, and at finish the parent steals the rest from the back.
+``_JsonlWriter``, whose ``put`` is ``run_batch``'s snapshot hook and stores
+each snapshot as one row as it is made; a forked child can encode the rows
+from the front while the batch steps, and at finish the parent steals the
+rest from the back.
 """
 
 from __future__ import annotations
@@ -286,14 +287,16 @@ def _series_table(traj: Trajectory) -> tuple[list, np.ndarray]:
 def emit_series(traj: Trajectory, fmt: str, path, jsonl_writer=None) -> Path:
     """Write the trajectory to ``path``: CSV scalar series, or JSON-lines
     snapshots including the full eta, eta_dot, sigma arrays.  Refuses empty
-    trajectories without creating a file.
+    trajectories and unknown formats without creating a file.
 
-    A JSON-lines file is written by putting every snapshot that
-    ``jsonl_writer`` (a run's :class:`_JsonlWriter`, which ``run_batch`` fed
-    as it stepped) has not stored yet, then finishing the file; without a
-    writer, one is made for ``path`` alone."""
+    A JSON-lines file with ``jsonl_writer`` (a run's :class:`_JsonlWriter`,
+    to which ``run_batch`` handed every snapshot by chain index before it
+    returned) is only finished; without a writer, one is made for ``path``
+    alone and given each snapshot as file 0."""
     if not traj.snapshots:
         raise ValueError("cannot emit an empty trajectory")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
@@ -303,16 +306,13 @@ def emit_series(traj: Trajectory, fmt: str, path, jsonl_writer=None) -> Path:
             writer.writerow(header)
             for row in rows.tolist():
                 writer.writerow([_FLOAT % v for v in row])
-    elif fmt == "jsonl":
-        writer = jsonl_writer or _JsonlWriter([path])
-        try:
-            writer.put(path, traj.snapshots[writer.count(path):])
-            writer.finish(path)
-        finally:
-            if jsonl_writer is None:
-                writer.close()
+    elif jsonl_writer is not None:
+        jsonl_writer.finish(path)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        with _JsonlWriter([path]) as writer:
+            for snap in traj.snapshots:
+                writer.put(0, snap)
+            writer.finish(path)
     return path
 
 
@@ -345,16 +345,17 @@ def _jsonl_encoders(records: int, floats: int) -> int:
 class _JsonlWriter:
     """The JSON-lines writer of one or more series files.
 
-    ``put`` takes each file's snapshots in order and appends each, from the
-    first, to an unnamed store file as one float64 row (``_jsonl_row``), the
-    writer's only copy of it.  The records of one writer share n and d, so
-    the first put fixes the row layout (``_store_layout``) and row i sits at
-    i times one row size.  Once the rows hold enough floats
+    ``put(i, snap)``, the ``on_snapshot`` hook of ``run_batch``, appends one
+    snapshot of file ``i`` (the chain index) to an unnamed store file as one
+    float64 row (``_jsonl_row``), the writer's only copy of it.  The records
+    of one writer share n and d, so the first put fixes the row layout
+    (``_store_layout``) and row i sits at i times one row size.  The writer
+    keeps one count, of the rows stored.  Once the rows hold enough floats
     (``_jsonl_encoders``), one forked child starts encoding them from the
     front, in put order, into an unnamed temp part per file.  The permits of
-    one semaphore are the rows neither side has taken: the child takes one
-    before each row, and the parent releases one per row it stores, after
-    flushing it, so a put never waits on the child.
+    one semaphore, seeded with the row count, are the rows neither side has
+    taken: the child takes one before each row, and the parent releases one
+    per row it stores, after flushing it, so a put never waits on the child.
 
     ``finish`` lands one file, once every record is put.  The first call,
     before it opens a file, steals rows from the back, one per permit it
@@ -371,7 +372,7 @@ class _JsonlWriter:
 
     def __init__(self, paths):
         self._files = {Path(p): i for i, p in enumerate(paths)}
-        self._counts = [0] * len(self._files)
+        self._stored = 0      # rows put
         self._rows = None     # the store file, from the first put
         self._layout = None   # its rows' _store_layout, from the first put
         self._parts = []
@@ -384,23 +385,16 @@ class _JsonlWriter:
     def __exit__(self, *exc):
         self.close()
 
-    def count(self, path) -> int:
-        """How many snapshots of ``path`` have been put."""
-        return self._counts[self._files[Path(path)]]
-
-    def put(self, path, snaps) -> None:
-        idx = self._files[Path(path)]
-        for snap in snaps:
-            if self._rows is None:
-                self._rows = tempfile.TemporaryFile(dir=next(iter(self._files)).parent)
-                self._layout = _store_layout(snap.state.n, snap.state.d)
-            self._rows.write(_jsonl_row(idx, snap))
-            self._counts[idx] += 1
-            if self._child is not None:
-                self._rows.flush()   # before the release: the child reads the row from the file
-                self._ready.release()
-        stored = sum(self._counts)
-        if self._child is None and _jsonl_encoders(stored, stored * (self._layout[-1][1] - _STORE_NON_FLOATS)) > 1:
+    def put(self, idx: int, snap) -> None:
+        if self._rows is None:
+            self._rows = tempfile.TemporaryFile(dir=next(iter(self._files)).parent)
+            self._layout = _store_layout(snap.state.n, snap.state.d)
+        self._rows.write(_jsonl_row(idx, snap))
+        self._stored += 1
+        if self._child is not None:
+            self._rows.flush()   # before the release: the child reads the row from the file
+            self._ready.release()
+        elif _jsonl_encoders(self._stored, self._stored * (self._layout[-1][1] - _STORE_NON_FLOATS)) > 1:
             self._start()
 
     def _start(self) -> None:
@@ -410,7 +404,7 @@ class _JsonlWriter:
         self._parts = [tempfile.TemporaryFile(dir=path.parent) for path in self._files]
         ctx = multiprocessing.get_context("fork")
         self._end = ctx.RawValue("q", -1)                # the row the sides meet at, once the parent has stolen
-        self._ready = ctx.Semaphore(sum(self._counts))   # one permit per row neither side has taken
+        self._ready = ctx.Semaphore(self._stored)        # one permit per row neither side has taken
         self._child = ctx.Process(
             target=_encode_records, args=(self._rows, self._parts, self._end, self._ready, self._layout)
         )
@@ -420,7 +414,7 @@ class _JsonlWriter:
         """Steal rows from the back (every row without a child), tell the
         child where the sides met, and join it."""
         self._rows.flush()
-        end = sum(self._counts)
+        end = self._stored
         self._tails = [[] for _ in self._files]
         while end > 0 and (self._child is None or self._ready.acquire(False)):
             end -= 1
@@ -561,12 +555,13 @@ def _initial(cfg: ExperimentConfig, n: int, seed: int) -> ChainState:
 def _run_series(cfg: ExperimentConfig, manifest: RunManifest, seeds, tags) -> list[Trajectory]:
     """Step the configured chain of each seed, all in one batch
     (``run_batch``), and write seed i's series as ``<tags[i]>.<fmt>`` in
-    every configured format.  Each snapshot is put to the JSON-lines writer
-    as it is made, so a forked child can encode while the batch steps.
-    ``manifest.termination`` is the last seed's."""
+    every configured format.  The JSON-lines writer's ``put`` is the batch's
+    snapshot hook: seed i's chain index is its file index, so each snapshot
+    is stored as it is made and a forked child can encode while the batch
+    steps.  ``manifest.termination`` is the last seed's."""
     jsonl = [cfg.output_dir / f"{tag}.jsonl" for tag in tags]
     with _JsonlWriter(jsonl) as writer:
-        hook = (lambda i, snap: writer.put(jsonl[i], (snap,))) if "jsonl" in cfg.formats else None
+        hook = writer.put if "jsonl" in cfg.formats else None
         trajs = run_batch([_initial(cfg, cfg.n, seed) for seed in seeds], cfg.integrator, hook)
         for tag, traj in zip(tags, trajs):
             for fmt in sorted(cfg.formats, reverse=True):   # jsonl first: a failed encoder leaves no series

@@ -24,7 +24,6 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 
 from .core import (
     ChainState, _anchored, _chain_links, _frozen_array, _mirrored, forward_diff_m, rising_product,
@@ -139,6 +138,7 @@ def basis_Q_deriv(m: int, s, j: int) -> np.ndarray:
     """j-th derivative of the Legendre-derived mode Q_m(s) = K_m P'_{2m-1}(1-s)
     on [0, 2] (j = 0 gives Q_m itself): even through s = 1, orthonormal at
     j = 0 for the rho-weighted inner product."""
+    from numpy.polynomial import legendre as npleg   # here, not at import: only tests call this
     if m < 1:
         raise ValueError(f"mode index must be >= 1, got {m}")
     coeffs = np.zeros(2 * m)

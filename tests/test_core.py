@@ -71,6 +71,8 @@ class TestDifferences:
     def test_too_short(self):
         with pytest.raises(ValueError):
             forward_diff([1.0], 3)
+        with pytest.raises(ValueError, match="difference order must be nonnegative, got -1"):
+            forward_diff_m([1.0, 2.0], 3, -1)
 
     def test_vector_valued(self):
         f = np.array([[0.0, 1.0], [1.0, 3.0]])
@@ -162,6 +164,8 @@ class TestRisingWeight:
             rising_weight(3, -1.0, 4)
         with pytest.raises(ValueError):
             rising_weight(3, -2.0, 4)
+        with pytest.raises(ValueError, match="weight index k must be >= 0"):
+            rising_weight(np.array([2, -1]), 1.0, 4)
 
     @given(
         p=st.floats(0.1, 4.0),
@@ -545,6 +549,9 @@ class TestSigmaWeightedEnergy:
     def test_missing_sigma(self):
         with pytest.raises(ValueError):
             sigma_weighted_energy(make_random_chain(4, seed=1), None, 2)
+        ch = make_random_chain(4, seed=1)
+        with pytest.raises(ValueError, match="m_max must be nonnegative, got -1"):
+            sigma_weighted_energy(ch, solve_tension(ch), -1)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -315,6 +315,11 @@ class TestRun:
         with pytest.raises(TypeError):
             dynamics.Trajectory(traj.snapshots, traj.termination, traj.n_steps, traj.projection_log)
 
+    def test_unknown_termination_refused(self):
+        traj = run(perturbed_vertical(6, amplitude=0.5), IntegratorConfig(t_end=0.002))
+        with pytest.raises(ValueError, match="unknown termination 'bogus'"):
+            dynamics.Trajectory(traj.snapshots, "bogus", traj.projection_log)
+
     def test_u0_drift_unit_time_n128(self):
         traj = run(rigid_rotation(128, 1.0), IntegratorConfig(t_end=1.0, report_stride=10**9))
         u0s, _ = u0_v0(traj.snapshots[0].state)
@@ -954,10 +959,22 @@ class TestDetectBlowup:
         ser[-3, 1] = ser[-4, 1] * 0.5
         with pytest.raises(FitRejected):
             detect_blowup(ser)
+        ser = self._series(1.0, 1.5)
+        ser[-2, 0] = ser[-3, 0]
+        with pytest.raises(FitRejected, match="sample times must be strictly increasing"):
+            detect_blowup(ser)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(FitRejected):
             detect_blowup(self._series(1.0, 1.5, n=5))
+
+    def test_series_without_three_columns_refused(self):
+        with pytest.raises(ValueError, match=r"series must be \(N, 3\)"):
+            detect_blowup(self._series(1.0, 1.5)[:, :2])
+
+    def test_non_finite_T_est_refused(self):
+        with pytest.raises(ValueError, match="T_est must be finite"):
+            dynamics.BlowupFit(float("nan"), 1.0, 1.5, (0.0, 0.0))
 
     def test_interior_fit_is_off_the_bracket_edge(self):
         # T = 1 lies 0.48 window spans past the last sample, inside the bracket

@@ -237,6 +237,12 @@ class TestEmitSeries:
             emit_series(traj, "csv", target)
         assert not target.exists()
 
+    def test_unknown_format_refused_without_a_file(self, tmp_path):
+        target = tmp_path / "out" / "s.xml"
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            emit_series(self._traj(), "xml", target)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSplitJsonl:
     """The JSONL writer encodes the snapshots put to it in the parent and, once
@@ -422,8 +428,9 @@ class TestSplitJsonl:
         expected, refs = self._serial(snaps), [weakref.ref(s) for s in snaps]
         path = tmp_path / "s.jsonl"
         with harness._JsonlWriter([path]) as writer:
-            writer.put(path, snaps)
-            del snaps
+            for snap in snaps:
+                writer.put(0, snap)
+            del snaps, snap
             gc.collect()
             assert all(ref() is None for ref in refs)
             writer.finish(path)
@@ -476,10 +483,9 @@ class TestSplitJsonl:
             finally:
                 stepping[0] = False
 
-        def tracked_put(writer, path, snaps):
-            snaps = list(snaps)
-            records[stepping[0]] += len(snaps)
-            put(writer, path, snaps)
+        def tracked_put(writer, idx, snap):
+            records[stepping[0]] += 1
+            put(writer, idx, snap)
 
         monkeypatch.setattr(harness, "run_batch", tracked_run_batch)
         monkeypatch.setattr(harness._JsonlWriter, "put", tracked_put)
@@ -570,7 +576,7 @@ class TestSplitJsonl:
         finish = harness._JsonlWriter.finish
 
         def finish_once_caught_up(writer, path):
-            while sum(encoded.by[0]) < sum(writer._counts):
+            while sum(encoded.by[0]) < writer._stored:
                 time.sleep(0.001)
             finish(writer, path)
 
@@ -1261,8 +1267,9 @@ class TestCli:
 
     def test_cli_import_leaves_out_scipy_optimize(self):
         # nor the scipy.linalg and scipy.special package imports, nor
-        # importlib.metadata; numpy.random is loaded at import, not inside
-        # the first run that draws a random chain
+        # importlib.metadata, nor numpy.polynomial (only basis_Q_deriv reads
+        # it); numpy.random is loaded at import, not inside the first run
+        # that draws a random chain
         src = str(Path(harness.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = (
@@ -1272,13 +1279,14 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout))
-        for module in ("scipy.optimize", "scipy.linalg", "scipy.special", "importlib.metadata"):
+        for module in ("scipy.optimize", "scipy.linalg", "scipy.special", "importlib.metadata", "numpy.polynomial"):
             assert module not in loaded
         assert "numpy.random" in loaded
 
     def test_run_and_convergence_leave_out_numpy_ma_and_scipy_optimize(self, tmp_path):
         # a two-seed csv+jsonl run and a convergence study, in a fresh
-        # interpreter, import neither: np.percentile would pull in numpy.ma
+        # interpreter, import none of these: np.percentile would pull in
+        # numpy.ma
         src = str(Path(harness.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         run_cfg = write_cfg(tmp_path, "kind = run\ninitial.generator = random\ninitial.n = 8\n"
@@ -1290,7 +1298,7 @@ class TestCli:
         code = (
             "import json, sys; import whipchain.cli as cli; "
             f"codes = [cli.main(['run', {str(run_cfg)!r}, '--quiet']), cli.main(['run', {str(conv_cfg)!r}, '--quiet'])]; "
-            "print(json.dumps([codes, sorted(m for m in ('numpy.ma', 'scipy.optimize') if m in sys.modules)]))"
+            "print(json.dumps([codes, sorted(m for m in ('numpy.ma', 'scipy.optimize', 'numpy.polynomial') if m in sys.modules)]))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr

@@ -176,6 +176,12 @@ class TestAngleMaps:
         for k in range(1, 7):
             assert ext[k - 1] == ext[(2 * 3 + 1 - k) - 1]
 
+    def test_wrong_lengths_refused(self):
+        with pytest.raises(ValueError, match="expected 4 angles, got 3"):
+            even_extend_theta(np.array([0.3, -0.2, 1.1]), 4)
+        with pytest.raises(ValueError, match="inputs must have length n or 2n"):
+            discrete_symmetric_inner(np.ones(5), np.ones(8), 0, 4)
+
 
 # ---------------------------------------------------------------------------
 # continuous basis
@@ -213,6 +219,8 @@ class TestBasisQ:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             basis_Q_deriv(0, np.array([0.5]), 0)
+        with pytest.raises(ValueError, match="mode index must be >= 1, got 0"):
+            r_coefficient(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +490,10 @@ class TestTransferResolution:
     def test_dimension_error(self):
         with pytest.raises(ValueError):
             transfer_resolution(straight_chain(4, d=3), 8)
+
+    def test_target_below_one_link_refused(self):
+        with pytest.raises(ValueError, match="target resolution must be >= 1, got 0"):
+            transfer_resolution(theta_power(8), 0)
 
 
 def test_norm_equivalence_monitored(capsys):
