@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gamma
+from math import gamma, isfinite
 
 import numpy as np
 
@@ -230,13 +230,21 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _finite_time(time) -> float:
+    """A state's ``time`` as a Python float, refused where it is not finite."""
+    time = float(time)
+    if not isfinite(time):
+        raise ValueError(f"time must be finite, got {time}")
+    return time
+
+
 @dataclass(frozen=True)
 class ChainState:
     """Positions and velocities of the n moving particles plus the fixed end.
 
     eta and eta_dot share one shape (n+1, d), n >= 1 and d >= 2, from which n
     and d are read; row k-1 is particle k and the last row is the fixed end,
-    exactly zero.  On the constraint manifold every link satisfies
+    exactly zero; time is finite.  On the constraint manifold every link has
     |D+ eta_k| = 1 and <D+ eta_k, D+ eta_dot_k> = 0; use :meth:`validate`.
     """
 
@@ -255,7 +263,7 @@ class ChainState:
             raise ValueError("the fixed end eta_{n+1} and its velocity must be exactly zero")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "eta_dot", eta_dot)
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "time", _finite_time(self.time))
         object.__setattr__(self, "n", eta.shape[0] - 1)
         object.__setattr__(self, "d", eta.shape[1])
 

@@ -26,14 +26,14 @@ from math import factorial
 import numpy as np
 
 from .core import (
-    ChainState, _anchored, _chain_links, _frozen_array, _mirrored, forward_diff_m, rising_product,
+    ChainState, _anchored, _chain_links, _finite_time, _frozen_array, _mirrored, forward_diff_m, rising_product,
     weighted_seminorm_sq,
 )
 
 
 @dataclass(frozen=True)
 class AngleState:
-    """Link angles theta_1..theta_n and angular velocities (d = 2 chains), one shape (n,), n >= 1."""
+    """Link angles theta_1..theta_n and angular velocities (d = 2 chains), one shape (n,), n >= 1; finite time."""
 
     theta: np.ndarray
     theta_dot: np.ndarray
@@ -47,7 +47,7 @@ class AngleState:
             raise ValueError(f"theta, theta_dot need one shape (n,), n >= 1, got {theta.shape}, {theta_dot.shape}")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "theta_dot", theta_dot)
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "time", _finite_time(self.time))
         object.__setattr__(self, "n", theta.shape[0])
 
 

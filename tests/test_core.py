@@ -396,6 +396,16 @@ class TestChainState:
             ch = ChainState(eta, eta, time)
             assert type(ch.time) is float and ch.time == time
 
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_refused(self, time):
+        # a state at a non-finite time would step once and then blame a
+        # finite state (nan), or end at once with no step taken (inf)
+        eta = straight_chain(3).eta
+        with pytest.raises(ValueError, match=f"^time must be finite, got {time}$"):
+            ChainState(eta, eta, time)
+        with pytest.raises(ValueError, match="time must be finite"):
+            dataclasses.replace(ChainState(eta, eta), time=time)
+
     def test_immutability(self):
         ch = straight_chain(4)
         with pytest.raises((ValueError, RuntimeError)):

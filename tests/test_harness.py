@@ -199,6 +199,13 @@ class TestEmitSeries:
         with pytest.raises(ValueError, match="n=.*d=.*arrays"):
             snapshot_state_from_json(dict(obj, **{key: value}))
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -float("inf")])
+    def test_jsonl_record_with_a_non_finite_time_refused(self, time):
+        # json reads NaN, Infinity and -Infinity, but no state is at such a time
+        line = json.dumps(dict(snapshot_to_json(self._traj().snapshots[0]), t=time))
+        with pytest.raises(ValueError, match=f"^time must be finite, got {time}$"):
+            snapshot_state_from_json(json.loads(line))
+
     CSV_HEADER = [
         "t", "e0", "e1", "e2", "e3", "et0", "et1", "et2", "et3", "u0", "v0", "a", "b", "c", "d1", "d2", "d3",
         "min_sigma", "max_ang_vel", "max_curvature", "constraint_drift",
@@ -1082,6 +1089,19 @@ class TestCli:
 
     def test_exit_2_on_missing_file(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "none.cfg"), "--quiet"]) == 2
+
+    def test_exit_2_on_unreadable_file(self, tmp_path, capsys, monkeypatch):
+        # the read itself is made to fail: root reads a mode-000 file
+        path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'o'}\n")
+
+        def denied(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        assert cli_main(["run", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config file {path} cannot be read: Permission denied\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "kind, key, value, rule",

@@ -119,6 +119,11 @@ class TestAngleState:
         chain = theta_to_eta(AngleState(np.zeros(3), np.zeros(3), np.float64(0.25)))
         assert type(chain.time) is float and type(eta_to_theta(chain).time) is float
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_refused(self, time):
+        with pytest.raises(ValueError, match=f"^time must be finite, got {time}$"):
+            AngleState(np.zeros(3), np.zeros(3), time)
+
 
 class TestAngleMaps:
     def test_chain_along_x(self):
