@@ -19,12 +19,14 @@ Layout
 ------
 Link data is component-major inside the package: an array of d-vectors is
 shaped (d, ..., k), components first.  Components are summed over axis 0,
-left to right, and differences run along the last axis.  A stack of B
-chains is one flat (d, B n) row of blocks of n links, coupled by nothing:
-the kernels that difference across links (:func:`_acceleration_arrays`,
-``tension._alpha``) take the block length n and cut the stack at its
-block edges.  ``ChainState`` and every public function keep the row-major
-(n+1, d) and (n, d) forms and convert once at their boundary.
+left to right, and differences run along the last axis.  A stack of
+chains is one flat (d, sum n) row of blocks of n_b links, coupled by
+nothing: the kernels that difference across links
+(:func:`_acceleration_arrays`, ``tension._solve_tridiagonal``) take the
+block length n of a stack of one n, or the stack's :class:`_Blocks`, and
+cut the stack at its block edges.  ``ChainState`` and every public
+function keep the row-major (n+1, d) and (n, d) forms and convert once at
+their boundary.
 
 All functions here are pure; states are immutable once constructed.
 """
@@ -32,7 +34,8 @@ All functions here are pure; states are immutable once constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import gamma, isfinite
 
 import numpy as np
@@ -333,25 +336,101 @@ def _tension_array(sigma, n: int) -> np.ndarray:
     return sig
 
 
-def _acceleration_arrays(f: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
-    """D-D+ (sigma f)_k for k = 1..n of each block of n links in (d, ..., K)
+class _Blocks:
+    """The block edges of a flat (d, K) stack of chains' links, built once per
+    set of chains: block b holds chain b's n_b links in columns
+    ``starts[b]`` .. ``ends[b] - 1``.
+
+    ``free`` indexes each block's first link but the stack's first (the free
+    ends), ``fixed`` each block's last link (the fixed ends) and ``cuts`` the
+    cosines that pair the last link of one block with the first of the next.
+    ``n`` is each link's block length, for the per-link scalings, and
+    ``joint_n`` each cosine's.  When every block has one n, these are one
+    number and the indexers strided slices; otherwise per-link arrays and
+    index arrays, so a scaling is the same single IEEE operation per element
+    either way.  Per-chain reductions run ``ufunc.reduceat`` at ``starts``,
+    and ``runs`` holds (n, first block, end block, first link, end link) for
+    each run of consecutive blocks of one n.
+    """
+
+    def __init__(self, sizes):
+        sizes = [int(n) for n in sizes]
+        ends = list(accumulate(sizes))
+        self.sizes, self.ends = np.array(sizes, dtype=int), np.array(ends, dtype=int)
+        self.starts = self.ends - self.sizes
+        self.stacked = len(sizes) > 1
+        self.runs, a = [], 0
+        for b in range(1, len(sizes) + 1):
+            if b == len(sizes) or sizes[b] != sizes[a]:
+                self.runs.append((sizes[a], a, b, ends[a] - sizes[a], ends[b - 1]))
+                a = b
+        if len(self.runs) <= 1:   # one n, or an empty stack, which scales nothing
+            n = self.runs[0][0] if self.runs else 1
+            self.n = self.joint_n = n
+            self.free, self.fixed, self.cuts = slice(n, None, n), slice(n - 1, None, n), slice(n - 1, None, n)
+        else:
+            self.n = np.repeat(self.sizes.astype(float), self.sizes)
+            self.joint_n = self.n[:-1]
+            self.free, self.fixed, self.cuts = self.starts[1:], self.ends - 1, self.ends[:-1] - 1
+        self.n_sq = self.n * self.n
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        """The tension operators' diagonal n^2 (2, ..., 2, 1) of every block,
+        read-only."""
+        diag = np.full(int(self.sizes.sum()), 2.0)
+        diag[self.fixed] = 1.0
+        out = diag * self.n * self.n
+        out.setflags(write=False)
+        return out
+
+    def part(self, b: int) -> slice:
+        """Block b's columns."""
+        return slice(int(self.starts[b]), int(self.ends[b]))
+
+    def block_of(self, k: int) -> int:
+        """The block that holds column k."""
+        return int(np.searchsorted(self.ends, k, side="right"))
+
+
+def _layout(n, size: int) -> _Blocks:
+    """``n`` itself when it is a :class:`_Blocks`, else the layout of a flat
+    stack of ``size`` links in equal blocks of n."""
+    return n if isinstance(n, _Blocks) else _equal_blocks(n, size // n)
+
+
+def _blocks_of(sizes) -> _Blocks:
+    """The layout of blocks of these sizes, shared by every stack of as many
+    blocks of one n."""
+    return _equal_blocks(sizes[0], len(sizes)) if len(set(sizes)) == 1 else _Blocks(sizes)
+
+
+@lru_cache(maxsize=16)
+def _equal_blocks(n: int, count: int) -> _Blocks:
+    return _Blocks([n] * count)
+
+
+def _acceleration_arrays(f: np.ndarray, sigma: np.ndarray, n) -> np.ndarray:
+    """D-D+ (sigma f)_k for k = 1..n of each block of links in (d, ..., K)
     link data f under the interior tensions sigma_1..sigma_n, shaped (..., K):
     with g_k = sigma_k f_k, g_0 = 0 at the free end and g_{n+1} = g_n by the
     even mirror at the fixed end, it is n^2 (g_{k+1} - 2 g_k + g_{k-1}) for
     k < n and -n^2 (g_n - g_{n-1}) at k = n.  On the links f = t = D+ eta it
-    is the link acceleration D+ eta_ddot.  A flat stack (K = B n) is one pass
-    with its block edges cut: each block is bitwise its own result."""
+    is the link acceleration D+ eta_ddot.  ``n`` is the block length of a
+    stack of equal blocks or the stack's :class:`_Blocks`.  A flat stack is
+    one pass with its block edges cut: each block is bitwise its own
+    result."""
+    blocks = _layout(n, f.shape[-1])
     g = sigma * f
     jump = g.copy()                       # g_k - g_{k-1}
     jump[..., 1:] -= g[..., :-1]
-    stacked = f.shape[-1] > n
-    if stacked:
-        jump[..., n::n] = g[..., n::n]    # g_0 = 0 at each block's free end
+    if blocks.stacked:
+        jump[..., blocks.free] = g[..., blocks.free]    # g_0 = 0 at each block's free end
     acc = -jump
     acc[..., :-1] += jump[..., 1:]
-    if stacked:
-        acc[..., n - 1 :: n] = -jump[..., n - 1 :: n]   # g_{n+1} = g_n at each block's fixed end
-    acc *= n * n
+    if blocks.stacked:
+        acc[..., blocks.fixed] = -jump[..., blocks.fixed]   # g_{n+1} = g_n at each block's fixed end
+    acc *= blocks.n_sq
     return acc
 
 

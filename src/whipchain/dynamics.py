@@ -7,25 +7,27 @@ CFL step based on the tension wave speed sqrt(sigma) is used, and an
 optional projection restores |D+ eta| = 1 and <D+ eta, D+ eta_dot> = 0 to
 round-off after each full step.
 
-There is one stepping loop, :func:`run_batch`.  It integrates B chains of
-one n and d as one flat component-major (d, B n) stack of links
+There is one stepping loop, :func:`run_batch`.  It integrates chains of
+one d and any n as one flat component-major (d, sum n) stack of links
 t_k = D+ eta_k and one of their velocities (the layout of
 :mod:`whipchain.core`), which is all the tension system reads; the pinned
 end holds by construction (eta_k = -(1/n) sum_{j>=k} t_j, formed for
 snapshots only), and the acceleration and the projection act link by link.
-Each RK stage solves the B tension systems as one block-diagonal
-tridiagonal solve.  So does each iteration's start, and the stop tests, dt,
-the first stage and the snapshots all read that solve.  The chains an
-iteration snapshots are reported in one stacked pass
-(:func:`_snapshot_pass`): it holds their tensions to the solve contract and
-runs each diagnostic kernel once over their (d, R, n+1) stack, and each
-row is bitwise the report of its chain alone (:func:`snapshot_report` is
-the stack of one).  The pass hands out finished Snapshots, whose time is
-their state's; a Trajectory's step count is the length of its projection
-log.  Every chain keeps its own time, step, stride and termination, so
-each trajectory is bitwise the one the chain gives alone; :func:`run` is
-the batch of one.  The public :func:`acceleration`, :func:`project` and
-:func:`step` take and return row-major positions.
+One ``core._Blocks`` per set of running chains describes the block edges
+every kernel cuts and the per-chain reductions read.  Each RK stage solves
+the chains' tension systems as one block-diagonal tridiagonal solve.  So
+does each iteration's start, and the stop tests, dt, the first stage and
+the snapshots all read that solve.  The chains of one n that an iteration
+snapshots are reported in one stacked pass (:func:`_snapshot_pass`): it
+holds their tensions to the solve contract and runs each diagnostic kernel
+once over their (d, R, n+1) stack, and each row is bitwise the report of
+its chain alone (:func:`snapshot_report` is the stack of one).  The pass
+hands out finished Snapshots, whose time is their state's; a Trajectory's
+step count is the length of its projection log.  Every chain keeps its own
+time, step, stride and termination, so each trajectory is bitwise the one
+the chain gives alone; :func:`run` is the batch of one.  The public
+:func:`acceleration`, :func:`project` and :func:`step` take and return
+row-major positions.
 """
 
 from __future__ import annotations
@@ -38,13 +40,16 @@ import numpy as np
 
 from .core import (
     ChainState,
+    _Blocks,
     _acceleration_arrays,
     _anchored,
+    _blocks_of,
     _chain_links,
     _energies,
     _energy_sums,
     _dot,
     _frozen_array,
+    _layout,
     _lengths,
     _links,
     _s_weight,
@@ -119,8 +124,13 @@ def _raw_dt(n: int, sigma: np.ndarray, cfg: IntegratorConfig):
     """The unclamped CFL step cfl / (n sqrt(max sigma) + eps), one per chain
     of a (..., n+1) or interior (..., n) tension array (sigma_0 = 0 does not
     move the clamped maximum)."""
-    top = np.maximum(sigma.max(axis=-1), 0.0)
-    return cfg.cfl / (n * np.sqrt(top) + 1e-12)
+    return _cfl_dt(n, sigma.max(axis=-1), cfg)
+
+
+def _cfl_dt(n, top, cfg: IntegratorConfig):
+    """cfl / (n sqrt(max(top, 0)) + eps) of each chain's largest tension ``top``
+    and its n."""
+    return cfg.cfl / (n * np.sqrt(np.maximum(top, 0.0)) + 1e-12)
 
 
 def _clamp_dt(dt, cfg: IntegratorConfig):
@@ -154,9 +164,9 @@ def _stage_rhs(t: np.ndarray, t_dot: np.ndarray, n: int):
 
 def _advance(t, t_dot, sigma, n, dt):
     """One RK4 step of the free ODE (no projection) on (d, K) links and
-    link velocities, blocks of n; ``sigma`` is the interior tension of
-    (t, t_dot), so the first stage solves nothing.  ``dt`` is a number or
-    one step per link, shaped (K,)."""
+    link velocities, blocks of n or of a ``_Blocks``; ``sigma`` is the
+    interior tension of (t, t_dot), so the first stage solves nothing.
+    ``dt`` is a number or one step per link, shaped (K,)."""
     k1x, k1v = t_dot, _acceleration_arrays(t, sigma, n)
     half = 0.5 * dt
     k2x, k2v = _stage_rhs(t + half * k1x, t_dot + half * k1v, n)
@@ -178,11 +188,11 @@ def _rk4_sum(y, sixth, k1, k2, k3, k4):
 
 
 def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
-    """One full step of every chain in a flat (d, B n) stack of links and
-    link velocities with interior tensions ``sigma`` (B n,): advance, reject
-    non-finite state, project.  ``time`` holds each chain's time, shaped
-    (B,), and ``dt`` its step repeated over its links, shaped (B n,), or the
-    one number every chain steps by.
+    """One full step of every chain in a flat (d, K) stack of links and
+    link velocities with interior tensions ``sigma`` (K,), in blocks of n or
+    of a ``_Blocks``: advance, reject non-finite state, project.  ``time``
+    holds each chain's time, shaped (B,), and ``dt`` its step repeated over
+    its links, shaped (K,), or the one number every chain steps by.
 
     Returns the new links and link velocities and, per chain, the largest
     particle displacement the projection made, summed from its link
@@ -190,16 +200,20 @@ def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
     positions of the corrections (:func:`_anchored`) without the pinned
     row's zero and the sign, neither of which moves the largest |.|^2.
     """
-    new_t, new_dot = _advance(t, t_dot, sigma, n, dt)
+    blocks = _layout(n, t.shape[-1])
+    new_t, new_dot = _advance(t, t_dot, sigma, blocks, dt)
     if not (np.isfinite(new_t).all() and np.isfinite(new_dot).all()):
-        finite = _blocks(np.isfinite(new_t) & np.isfinite(new_dot), n).all(axis=(0, 2))
-        row = _first_failing(t, t_dot, n, dt, finite)
+        finite = np.logical_and.reduceat((np.isfinite(new_t) & np.isfinite(new_dot)).all(axis=0), blocks.starts)
+        row = _first_failing(t, t_dot, blocks, dt, finite)
         raise NumericError(f"non-finite state after step at t={time[row]:.6g}", chain=row)
     if not cfg.project:
         return new_t, new_dot, np.zeros(len(time))
     unit, unit_dot = _project_arrays(new_t, new_dot)
-    moved = np.cumsum(_blocks((unit - new_t) / n, n)[..., ::-1], axis=-1)
-    return unit, unit_dot, np.sqrt(_sq(moved).max(axis=-1))
+    corr = (unit - new_t) / blocks.n
+    moved = np.empty(len(time))
+    for m, b0, b1, a, b in blocks.runs:
+        moved[b0:b1] = _sq(np.cumsum(_blocks(corr[:, a:b], m)[..., ::-1], axis=-1)).max(axis=-1)
+    return unit, unit_dot, np.sqrt(moved)
 
 
 def _blocks(x: np.ndarray, n: int) -> np.ndarray:
@@ -207,7 +221,7 @@ def _blocks(x: np.ndarray, n: int) -> np.ndarray:
     return x.reshape(x.shape[0], -1, n)
 
 
-def _first_failing(t, t_dot, n, dt, finite) -> int:
+def _first_failing(t, t_dot, blocks, dt, finite) -> int:
     """The first chain of a batch whose step fails when it is taken alone,
     from its own tension.
 
@@ -217,7 +231,7 @@ def _first_failing(t, t_dot, n, dt, finite) -> int:
     """
     rows = np.flatnonzero(~finite)
     for row in rows:
-        part = slice(row * n, (row + 1) * n)
+        part, n = blocks.part(row), int(blocks.sizes[row])
         try:
             sigma = _solve_sigma_arrays(t[:, part], t_dot[:, part], n)[0]
             x, v = _advance(t[:, part], t_dot[:, part], sigma, n, np.broadcast_to(dt, t.shape[-1])[part])
@@ -446,37 +460,41 @@ def _stops(t, sigma_min, top_sq, raw, cfg: IntegratorConfig, tiny: float) -> tup
 
 
 def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Trajectory]:
-    """Integrate every chain of ``initials`` (all of one n and d) as one
+    """Integrate every chain of ``initials`` (all of one d, of any n) as one
     batch; returns one Trajectory per chain, in order.  ``on_snapshot(i,
     snap)``, when given, is called with each snapshot of chain ``i`` as it is
-    made, in the order the snapshots are made.
+    made: iteration by iteration, and within one by chain index.
 
-    Each iteration starts with one stacked tension solve of the running
-    chains' links, which the stop tests, dt, the step and the snapshots
-    read: a chain is snapshotted there when its step count is a multiple of
-    ``report_stride`` or it stops.  The iteration's snapshots are reported
-    in one pass before the first is handed out, so a NumericError in that
-    pass hands out none of them.  Each RK stage is one such solve too.  On
-    a stride the chains go on from the links of the snapshots' positions, so
-    a snapshot is a bitwise restart point (:func:`step` of it gives the next
-    one) and the t = 0 snapshot holds the initial arrays.  Each chain has
-    its own t, dt, step count and termination, and leaves the working arrays
-    when it stops, so its trajectory is bitwise the one it gives alone.  A
-    NumericError names the failing chain's index, also for an initial state
-    off the constraint manifold (``ChainState.validate``).
+    The chains are stacked in order of n, as one flat (d, sum n) stack of
+    blocks whose edges one :class:`~whipchain.core._Blocks` describes per
+    set of running chains.  Each iteration starts with one stacked tension
+    solve of the running chains' links, which the stop tests, dt, the step
+    and the snapshots read: a chain is snapshotted there when its step
+    count is a multiple of ``report_stride`` or it stops.  The iteration's
+    snapshots are reported in one pass per n before the first is handed
+    out, so a NumericError in a pass hands out none of them.  Each RK stage
+    is one such solve too.  On a stride the chains go on from the links of
+    the snapshots' positions, so a snapshot is a bitwise restart point
+    (:func:`step` of it gives the next one) and the t = 0 snapshot holds the
+    initial arrays.  Each chain has its own t, dt, step count and
+    termination, and leaves the working arrays when it stops, so its
+    trajectory is bitwise the one it gives alone.  A NumericError names the
+    failing chain's index, also for an initial state off the constraint
+    manifold (``ChainState.validate``).
     """
-    if len({(c.n, c.d) for c in initials}) != 1:
-        raise ValueError(f"a batch needs chains of one n and d, got {sorted({(c.n, c.d) for c in initials})}")
-    n, d = initials[0].n, initials[0].d
+    if len({c.d for c in initials}) != 1:
+        raise ValueError(f"a batch needs chains of one d, got {sorted({c.d for c in initials})}")
+    d = initials[0].d
     for i, c in enumerate(initials):
         try:
             c.validate()
         except ValueError as exc:
             raise NumericError(f"chain {i}: initial state {exc}", chain=i) from exc
-    live = np.arange(len(initials))   # the chain in each working block
-    eta = np.stack([c.eta.T for c in initials], axis=1)   # (d, B, n+1)
-    eta_dot = np.stack([c.eta_dot.T for c in initials], axis=1)
-    t = np.array([c.time for c in initials], dtype=float)
+    live = np.argsort([c.n for c in initials], kind="stable")   # the chain in each working block
+    blocks = _blocks_of([initials[i].n for i in live])
+    pos = [(np.stack([initials[i].eta.T for i in live[b0:b1]], axis=1),   # per run of one n: (d, B_n, n+1)
+            np.stack([initials[i].eta_dot.T for i in live[b0:b1]], axis=1)) for _, b0, b1, _, _ in blocks.runs]
+    t = np.array([initials[i].time for i in live], dtype=float)
     snapshots: list = [[] for _ in initials]
     logs: list = [[] for _ in initials]
     done: list = [None] * len(initials)
@@ -488,13 +506,17 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
             every = steps % cfg.report_stride == 0
             if every:
                 if steps:
-                    eta, eta_dot = _anchored(_blocks(links, n)), _anchored(_blocks(links_dot, n))
+                    pos = _positions(links, links_dot, blocks)
                 # a snapshot is a restart point: step on from its positions' links
-                links, links_dot = _links(eta).reshape(d, -1), _links(eta_dot).reshape(d, -1)
-            sigma, alpha, w = _solve_sigma_arrays(links, links_dot, n)
-            chain_sigma, chain_w = sigma.reshape(-1, n), w.reshape(-1, n)   # (B, n) views
-            raw = _raw_dt(n, chain_sigma, cfg)
-            curv_sq = _sq(_links(_blocks(links, n), n)).max(axis=-1, initial=0.0)
+                links, links_dot = (np.concatenate([_links(p[k]).reshape(d, -1) for p in pos], axis=1)
+                                    for k in (0, 1))
+            sigma, alpha, w = _solve_sigma_arrays(links, links_dot, blocks)
+            starts = blocks.starts
+            raw = _cfl_dt(blocks.sizes, np.maximum.reduceat(sigma, starts), cfg)
+            bend = np.zeros(sigma.size)   # |D+^2 eta|^2 at each link; none at a block's fixed end
+            bend[:-1] = _sq(_links(links, blocks.joint_n))
+            bend[blocks.fixed] = 0.0
+            curv_sq = np.maximum.reduceat(bend, starts)
             # the stop tests on whole-stack extremes (NaN-ignoring; as Python floats, which
             # compare faster) rule out a stop on most steps: any chain's stop stops the extremes
             extremes = (np.fmax.reduce(t), np.fmin.reduce(sigma),
@@ -503,15 +525,15 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                 ending = _NO_ROWS
             else:
                 # one row per stop test, per chain; fmax: a NaN w hides no curvature, nor the reverse
-                top_sq = np.fmax(chain_w.max(axis=-1), curv_sq)
-                hits = np.array(_stops(t, chain_sigma.min(axis=1), top_sq, raw, cfg, tiny))
+                top_sq = np.fmax(np.maximum.reduceat(w, starts), curv_sq)
+                hits = np.array(_stops(t, np.minimum.reduceat(sigma, starts), top_sq, raw, cfg, tiny))
                 going = ~hits.any(axis=0)
                 ending = np.flatnonzero(~going)
             if ending.size and not every:
-                eta, eta_dot = _anchored(_blocks(links, n)), _anchored(_blocks(links_dot, n))
+                pos = _positions(links, links_dot, blocks)
             shot = np.arange(live.size) if every else ending
-            made = _snapshot_pass(eta, eta_dot, chain_sigma, alpha, chain_w, t, shot) if shot.size else ()
-            for row, snap in zip(shot.tolist(), made):
+            made = _snapshots(pos, blocks, sigma, alpha, w, t, shot) if shot.size else ()
+            for row, snap in sorted(made, key=lambda m: live[m[0]]):
                 snapshots[live[row]].append(snap)
                 if on_snapshot is not None:
                     on_snapshot(int(live[row]), snap)
@@ -523,12 +545,13 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                 live, t, raw = live[going], t[going], raw[going]
                 if not live.size:
                     break
-                links, links_dot = (_blocks(a, n)[:, going].reshape(d, -1) for a in (links, links_dot))
-                sigma = chain_sigma[going].ravel()
+                kept = np.repeat(going, blocks.sizes)
+                links, links_dot, sigma = links[:, kept], links_dot[:, kept], sigma[kept]
+                blocks = _blocks_of(blocks.sizes[going].tolist())
             dt = np.minimum(_clamp_dt(raw, cfg), cfg.t_end - t)
             # a step every chain shares is a number, else one per link
-            step_dt = dt[0] if (dt == dt[0]).all() else np.repeat(dt, n)
-            links, links_dot, moved = _step_arrays(links, links_dot, sigma, n, t, step_dt, cfg)
+            step_dt = dt[0] if (dt == dt[0]).all() else np.repeat(dt, blocks.sizes)
+            links, links_dot, moved = _step_arrays(links, links_dot, sigma, blocks, t, step_dt, cfg)
             for i, m in zip(live, moved.tolist()):
                 logs[i].append(m)
             t = t + dt
@@ -537,6 +560,31 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
         i = int(live[exc.chain])
         raise NumericError(f"chain {i}: {exc}", chain=i) from exc
     return done
+
+
+def _positions(links: np.ndarray, links_dot: np.ndarray, blocks: _Blocks) -> list:
+    """The positions and velocities of the chains of a flat (d, K) stack,
+    per run of one n: (d, B_n, n+1) arrays summed back from the links."""
+    return [(_anchored(_blocks(links[:, a:b], n)), _anchored(_blocks(links_dot[:, a:b], n)))
+            for n, _, _, a, b in blocks.runs]
+
+
+def _snapshots(pos: list, blocks: _Blocks, sigma, alpha, w, time, rows) -> list:
+    """(row, Snapshot) of each working row in ``rows`` (ascending), one
+    :func:`_snapshot_pass` per run of one n over its positions ``pos`` and
+    its share of the stacked system; a NumericError names the working
+    row."""
+    made = []
+    for (n, b0, b1, a, b), (eta, eta_dot) in zip(blocks.runs, pos):
+        mine = rows[(rows >= b0) & (rows < b1)]
+        if mine.size:
+            try:
+                made += zip(mine.tolist(), _snapshot_pass(eta, eta_dot, sigma[a:b].reshape(-1, n), alpha[a : b - 1],
+                                                          w[a:b].reshape(-1, n), time[b0:b1], mine - b0))
+            except NumericError as exc:
+                exc.chain += b0
+                raise
+    return made
 
 
 # ---------------------------------------------------------------------------

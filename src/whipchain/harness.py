@@ -42,8 +42,8 @@ import numpy as np
 
 from . import __version__
 from .core import ChainState, _links, _rising_table, rising_weight
-from .dynamics import IntegratorConfig, Trajectory, _FIELDS, _JSONL_FIELDS, detect_blowup, run, run_batch
-from .errors import ConfigError, FitRejected
+from .dynamics import IntegratorConfig, Trajectory, _FIELDS, _JSONL_FIELDS, detect_blowup, run_batch
+from .errors import ConfigError, FitRejected, NumericError
 from .initial_data import GENERATORS, _random_angles, make_initial, rigid_rotation_exact
 from .spectral import (
     AngleState,
@@ -179,11 +179,13 @@ def parse_config(path) -> ExperimentConfig:
 
     Raises ConfigError with a message naming the offending key for any
     schema violation, unknown key, or unknown generator, and naming the file
-    when it is missing, unreadable or not UTF-8.
+    when it is missing, not a file, unreadable or not UTF-8.
     """
     path = Path(path)
-    if not path.is_file():
+    if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config path {path} is not a file")
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -602,6 +604,9 @@ def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     The datum is the generator state at a reference resolution 2 max(n),
     continuized to the max(n) modes the chains read, so only those rows of
     the reference basis are built; each chain is its n-mode discretization.
+    The chains of every resolution step as one batch of chains of different
+    n (``run_batch``), each bitwise its own run; a NumericError names the
+    resolution that failed, ``n=<n>``.
     For rigid_rotation the per-n error is max_k |eta_k - ((n+1-k)/n) u(t_end)|:
     particle k against the rotating whip at its arclength (k-1)/n from the
     free end, which is ``rigid_rotation_exact``.  Other generators are
@@ -618,10 +623,13 @@ def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     n_ref = 2 * n_list[-1]
     ref = _initial(cfg, n_ref, cfg.seeds[0])
     coeff_pos, coeff_vel = continuize_Gn(eta_to_theta(ref), n_list[-1])
-    starts, finals = {}, {}
-    for nv in n_list:
-        starts[nv] = theta_to_eta(discretize_Fn(coeff_pos, nv, coeff_vel))
-        finals[nv] = run(starts[nv], cfg.integrator).snapshots[-1].state
+    starts = {nv: theta_to_eta(discretize_Fn(coeff_pos, nv, coeff_vel)) for nv in n_list}
+    try:
+        trajs = run_batch([starts[nv] for nv in n_list], cfg.integrator)
+    except NumericError as exc:   # name the resolution, not its place in the batch
+        detail = str(exc).removeprefix(f"chain {exc.chain}: ")
+        raise NumericError(f"n={n_list[exc.chain]}: {detail}", chain=exc.chain) from exc
+    finals = {nv: traj.snapshots[-1].state for nv, traj in zip(n_list, trajs)}
 
     def distances(states, time):
         if cfg.generator == "rigid_rotation":

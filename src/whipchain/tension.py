@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import importlib.util
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
 
@@ -51,6 +51,7 @@ from .core import (
     _chain_links,
     _dot,
     _frozen_array,
+    _layout,
     _links,
     _sq,
     _tension_array,
@@ -313,18 +314,7 @@ class TensionSolution:
         return self.sigma.shape[0] - 1
 
 
-@lru_cache(maxsize=16)
-def _operator_diagonal(n: int, size: int) -> np.ndarray:
-    """The diagonal n^2 (2, ..., 2, 1) of ``size // n`` stacked tension
-    systems, built once per key and read-only."""
-    diag = np.full((size // n, n), 2.0)
-    diag[:, -1] = 1.0
-    out = (diag * n * n).ravel()
-    out.setflags(write=False)
-    return out
-
-
-def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n) -> np.ndarray:
     """Solve A sigma = w for the interior tensions sigma_1..sigma_n.
 
     A is symmetric positive definite whenever |alpha| <= 1 (diagonally
@@ -335,23 +325,26 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     the entries as ``x * n * n``: ``x * (n * n)`` rounds differently when n
     is not a power of two.
 
-    A flat stack of B systems, alpha of length B n - 1 (:func:`_alpha` of
-    the stacked links) and w of length B n, solves as one block-diagonal
-    system of size B n: the couplings between blocks are set to zero.  Each
+    A flat stack of systems, alpha of length K - 1 (:func:`_alpha` of the
+    stacked links) and w of length K, solves as one block-diagonal system of
+    size K: the couplings between blocks are set to zero.  ``n`` is the
+    block length of a stack of equal blocks or the stack's
+    :class:`~whipchain.core._Blocks`, whose blocks may differ in n.  Each
     block's first pivot is then d - 0 * 0 and the substitutions add 0 * x
     across block boundaries, so every block's solution is bitwise the one
     its own solve gives.
     """
-    diag = _operator_diagonal(n, w.size)
+    blocks = _layout(n, w.size)
     if w.size <= 1:  # one link, or no system: dptsv's wrapper refuses both
-        return w / diag
-    off = alpha * -n   # -alpha * n * n, bitwise
-    off *= n
-    off[n - 1 :: n] = 0.0
-    _, _, sigma, info = dptsv(diag, off, w, overwrite_e=1)
+        return w / blocks.diag
+    off = alpha * -blocks.joint_n   # -alpha * n * n, bitwise
+    off *= blocks.joint_n
+    off[blocks.cuts] = 0.0
+    _, _, sigma, info = dptsv(blocks.diag, off, w, overwrite_e=1)
     if info > 0:
-        chain = (info - 1) // n
-        worst = np.max(np.abs(alpha[chain * n : chain * n + n - 1]), initial=0.0)
+        chain = blocks.block_of(info - 1)
+        part = blocks.part(chain)
+        worst = np.max(np.abs(alpha[part.start : part.stop - 1]), initial=0.0)
         raise NumericError(
             f"tension system not positive definite (max |alpha| = {worst:.3f}); "
             "the state has left the constraint manifold", chain=chain,
@@ -359,9 +352,10 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     return sigma
 
 
-def _solve_sigma_arrays(t: np.ndarray, t_dot: np.ndarray, n: int):
+def _solve_sigma_arrays(t: np.ndarray, t_dot: np.ndarray, n):
     """Direct tension solve on (d, K) links t = D+ eta and link velocities
-    t_dot = D+ eta_dot, blocks of n links: one solve for a flat stack of
+    t_dot = D+ eta_dot, blocks of n links or the blocks of a
+    :class:`~whipchain.core._Blocks`: one solve for a flat stack of
     chains.  Returns the interior tensions sigma_1..sigma_n of each block
     (K,) and the system's alpha (K - 1,) and w (K,), which the solve
     contract (:func:`_checked_solution`) reads block by block."""

@@ -450,10 +450,69 @@ class TestRunBatch:
         for got, want in zip(run_batch(chains, cfg), serial):
             _assert_same_trajectory(got, want)
 
-    @pytest.mark.parametrize("other", [straight_chain(9), straight_chain(8, d=3)], ids=["n", "d"])
+    @pytest.mark.parametrize("other", [straight_chain(8, d=3)], ids=["d"])
     def test_mixed_shapes_rejected(self, other):
-        with pytest.raises(ValueError, match="one n and d"):
+        with pytest.raises(ValueError, match="one d"):
             run_batch([straight_chain(8), other], IntegratorConfig(t_end=0.01))
+
+    def test_mixed_n_batch_is_bitwise_each_serial_run(self):
+        # chains of n = 1, 2, 7, 16 and 64 out of order, two of n = 7, and a
+        # folded chain that halts at step 0, on a stride most runs stop in
+        # between; every snapshot is handed out once, iteration by iteration
+        # and within one by chain index
+        chains = [make_random_chain(16, seed=1, vel_scale=2.0), make_random_chain(1, seed=2), folded_chain(7),
+                  make_random_chain(64, seed=3, vel_scale=1.0), make_random_chain(2, seed=4, vel_scale=3.0),
+                  make_random_chain(7, seed=5, vel_scale=0.5)]
+        cfg = IntegratorConfig(t_end=0.3, dt_max=0.05, report_stride=3)
+        serial = [run(c, cfg) for c in chains]
+        assert serial[2].termination == "negative_tension" and serial[2].n_steps == 0
+        assert len({t.n_steps for t in serial}) > 2
+        handed = []
+        trajs = run_batch(chains, cfg, on_snapshot=lambda i, snap: handed.append((i, snap)))
+        for got, want in zip(trajs, serial):
+            _assert_same_trajectory(got, want)
+        # snapshot j of a chain is made at iteration min(3 j, its step count)
+        made = sorted((min(3 * j, traj.n_steps), i, j) for i, traj in enumerate(trajs)
+                      for j in range(len(traj.snapshots)))
+        assert [(i, snap) for i, snap in handed] == [(i, trajs[i].snapshots[j]) for _, i, j in made]
+
+    def test_mixed_n_steps_below_dt_max_and_underflow(self):
+        # a fast n = 64 chain whose CFL step is under dt_min (it stops at
+        # step 0 on dt_underflow), an n = 16 chain whose CFL step binds below
+        # dt_max, and slow chains that step at dt_max, all in one batch
+        chains = [make_random_chain(7, seed=2, vel_scale=0.5), make_random_chain(64, seed=7, vel_scale=8.0),
+                  make_random_chain(16, seed=7, vel_scale=2.0), make_random_chain(2, seed=1, vel_scale=0.5)]
+        cfg = IntegratorConfig(t_end=0.3, dt_min=0.02, dt_max=0.1, report_stride=1)
+        raw = [adaptive_dt(c, solve_tension(c), dataclasses.replace(cfg, dt_min=0.0, dt_max=1.0)) for c in chains]
+        assert raw[1] < cfg.dt_min < raw[2] < cfg.dt_max < min(raw[0], raw[3])
+        serial = [run(c, cfg) for c in chains]
+        assert [t.termination for t in serial] == ["t_end_reached", "dt_underflow", "t_end_reached", "t_end_reached"]
+        steps = [np.diff([snap.state.time for snap in t.snapshots]) for t in serial]
+        assert np.all(steps[2] < cfg.dt_max) and steps[0][0] == steps[3][0] == cfg.dt_max
+        for got, want in zip(run_batch(chains, cfg), serial):
+            _assert_same_trajectory(got, want)
+
+    @pytest.mark.parametrize("project_on", [True, False])
+    def test_mixed_n_batch_in_3d(self, project_on):
+        chains = [_links_chain(n, 3, seed=n) for n in (16, 1, 5, 2)]
+        chains += [rigid_rotation(12, 2.0, d=3), _links_chain(5, 3, seed=9)]
+        cfg = IntegratorConfig(t_end=0.05, dt_max=1.0, report_stride=3, project=project_on)
+        serial = [run(c, cfg) for c in chains]
+        assert len({t.n_steps for t in serial}) > 1
+        for got, want in zip(run_batch(chains, cfg), serial):
+            _assert_same_trajectory(got, want)
+
+    def test_numeric_error_in_a_mixed_batch_names_the_original_chain(self, monkeypatch):
+        # the stack is ordered by n, so working row 2 of the first step is
+        # the n = 16 chain, chain 0
+        def fail(links, links_dot, sigma, n, time, dt, cfg):
+            raise NumericError("boom", chain=2)
+
+        monkeypatch.setattr(dynamics, "_step_arrays", fail)
+        chains = [make_random_chain(16, seed=1), make_random_chain(8, seed=2), make_random_chain(12, seed=3)]
+        with pytest.raises(NumericError, match="^chain 0: boom") as info:
+            run_batch(chains, IntegratorConfig(t_end=0.01))
+        assert info.value.chain == 0
 
     def test_numeric_error_names_the_original_chain(self, monkeypatch):
         # the folded chain leaves the batch at step 0, so working row 1 of the
@@ -495,6 +554,19 @@ class TestRunBatch:
         assert np.isnan(sigma.reshape(3, 8)).any(axis=1).all()
         with pytest.raises(NumericError, match="non-finite") as info:
             dynamics._step_arrays(links, links_dot, sigma, 8, np.zeros(3), np.full(24, 1e-3),
+                                  IntegratorConfig(t_end=1.0))
+        assert info.value.chain == 1
+
+    def test_non_finite_step_in_a_ragged_stack_names_the_failing_chain(self):
+        chains = [make_random_chain(n, seed=n) for n in (3, 8, 5)]
+        links = np.concatenate([c.link_dirs().T for c in chains], axis=1)
+        links_dot = np.concatenate([c.link_dirs_dot().T for c in chains], axis=1)
+        links_dot[0, 3] = np.nan   # chain 1's first link
+        blocks = core._Blocks([3, 8, 5])
+        sigma = dynamics._solve_sigma_arrays(links, links_dot, blocks)[0]
+        assert np.isnan(sigma[blocks.starts]).all()
+        with pytest.raises(NumericError, match="non-finite") as info:
+            dynamics._step_arrays(links, links_dot, sigma, blocks, np.zeros(3), np.full(16, 1e-3),
                                   IntegratorConfig(t_end=1.0))
         assert info.value.chain == 1
 
@@ -669,6 +741,25 @@ class TestLinkStepping:
                 assert got[cut].tobytes() == want.tobytes()
             for got, f in zip(acc, (t, t_dot)):
                 assert got[:, part].tobytes() == core._acceleration_arrays(f, own[0], n).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ragged_stack_kernels_bitwise_per_chain(self, d):
+        # blocks of different n: the stage solve and the acceleration cut the
+        # stack at the edges a _Blocks lists, and scale each block by its n
+        sizes = [5, 1, 64, 2, 2, 17]
+        chains = [_links_chain(n, d, seed=200 + b) for b, n in enumerate(sizes)]
+        links, links_dot = flat_links(chains)
+        blocks = core._Blocks(sizes)
+        solved = tension._solve_sigma_arrays(links, links_dot, blocks)
+        acc = [core._acceleration_arrays(f, solved[0], blocks) for f in (links, links_dot)]
+        for b, c in enumerate(chains):
+            part = blocks.part(b)
+            t, t_dot = c.link_dirs().T, c.link_dirs_dot().T
+            own = tension._solve_sigma_arrays(t, t_dot, c.n)
+            for got, want, cut in zip(solved, own, (part, slice(part.start, part.stop - 1), part)):
+                assert got[cut].tobytes() == want.tobytes()
+            for got, f in zip(acc, (t, t_dot)):
+                assert got[:, part].tobytes() == core._acceleration_arrays(f, own[0], c.n).tobytes()
 
     def test_t0_snapshot_keeps_the_initial_arrays(self):
         # the links summed back need not give the caller's positions

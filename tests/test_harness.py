@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from whipchain import harness, spectral
+from whipchain import dynamics, harness, spectral
 from whipchain.cli import main as cli_main
 from whipchain.dynamics import IntegratorConfig, _FIELDS, _JSONL_FIELDS, run
-from whipchain.errors import ConfigError
+from whipchain.errors import ConfigError, NumericError
 from whipchain.harness import (
     build_config,
     emit_series,
@@ -958,6 +958,47 @@ class TestRunExperiment:
             outs.append((tmp_path / sub / "convergence.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_convergence_steps_every_resolution_in_one_batch(self, tmp_path, monkeypatch):
+        # one run_batch call of chains of every n, each bitwise its own run
+        calls = []
+        batch = harness.run_batch
+
+        def spy(initials, cfg, on_snapshot=None):
+            trajs = batch(initials, cfg, on_snapshot)
+            calls.append((initials, cfg, trajs))
+            return trajs
+
+        monkeypatch.setattr(harness, "run_batch", spy)
+        text = (
+            "kind = convergence\ninitial.generator = theta_power\ninitial.n = 16,8,32\n"
+            f"integrator.t_end = 0.02\noutput.dir = {tmp_path / 'one'}\n"
+        )
+        run_experiment(parse_config(write_cfg(tmp_path, text)))
+        assert len(calls) == 1
+        initials, cfg, trajs = calls[0]
+        assert [c.n for c in initials] == [8, 16, 32]
+        for c, traj in zip(initials, trajs):
+            want = run(c, cfg).snapshots[-1].state
+            got = traj.snapshots[-1].state
+            assert got.time == want.time and got.eta.tobytes() == want.eta.tobytes()
+
+    def test_convergence_numeric_error_names_the_resolution(self, tmp_path, monkeypatch, capsys):
+        # the step fails on batch row 1, the n = 16 chain
+        def fail(links, links_dot, sigma, n, time, dt, cfg):
+            raise NumericError("boom", chain=1)
+
+        monkeypatch.setattr(dynamics, "_step_arrays", fail)
+        text = (
+            "kind = convergence\ninitial.generator = rigid_rotation\ninitial.n = 32,8,16\n"
+            f"integrator.t_end = 0.01\noutput.dir = {tmp_path / 'fail'}\n"
+        )
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(NumericError, match="^n=16: boom$") as info:
+            run_experiment(parse_config(path))
+        assert info.value.chain == 1
+        assert cli_main(["run", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err == "numeric failure: n=16: boom\n"
+
     def test_interrupted_run_marked_incomplete(self, tmp_path, monkeypatch):
         import whipchain.harness as hz
 
@@ -1089,6 +1130,13 @@ class TestCli:
 
     def test_exit_2_on_missing_file(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "none.cfg"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("name, message", [("none.cfg", "config file not found: {}"),
+                                               (".", "config path {} is not a file")], ids=["missing", "directory"])
+    def test_exit_2_names_a_bad_config_path(self, tmp_path, capsys, name, message):
+        path = tmp_path / name
+        assert cli_main(["run", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: {message.format(path)}\n"
 
     def test_exit_2_on_unreadable_file(self, tmp_path, capsys, monkeypatch):
         # the read itself is made to fail: root reads a mode-000 file

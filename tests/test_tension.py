@@ -4,7 +4,7 @@ certificates, sigma_dot, and the a/b/c and d_m diagnostics."""
 import numpy as np
 import pytest
 
-from whipchain.core import ChainState, _anchored, u0_v0
+from whipchain.core import ChainState, _anchored, _Blocks, u0_v0
 from whipchain.dynamics import _advance
 from whipchain.errors import NumericError
 from whipchain.initial_data import (
@@ -260,6 +260,15 @@ class TestSolveTension:
         links_dot = np.concatenate([good.link_dirs_dot().T] * 3, axis=1)
         with pytest.raises(NumericError, match="not positive definite") as info:
             tension._solve_sigma_arrays(links, links_dot, 8)
+        assert info.value.chain == 1
+
+    def test_ragged_stacked_solve_names_failing_chain(self):
+        # the same in a stack of n = 3, 8 and 5: the failing block is found by its columns
+        chains = [rigid_rotation(n, 1.0) for n in (3, 8, 5)]
+        links = np.concatenate([s * c.link_dirs().T for s, c in zip((1.0, 2.0, 1.0), chains)], axis=1)
+        links_dot = np.concatenate([c.link_dirs_dot().T for c in chains], axis=1)
+        with pytest.raises(NumericError, match="not positive definite") as info:
+            tension._solve_sigma_arrays(links, links_dot, _Blocks([3, 8, 5]))
         assert info.value.chain == 1
 
     def test_matches_dense_oracle(self):
