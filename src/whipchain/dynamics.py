@@ -17,12 +17,12 @@ One ``core._Blocks`` per set of running chains describes the block edges
 every kernel cuts and the per-chain reductions read.  Each RK stage solves
 the chains' tension systems as one block-diagonal tridiagonal solve.  So
 does each iteration's start, and the stop tests, dt, the first stage and
-the snapshots all read that solve.  The chains of one n that an iteration
-snapshots are reported in one stacked pass (:func:`_snapshot_pass`): it
-holds their tensions to the solve contract and runs each diagnostic kernel
-once over their (d, R, n+1) stack, and each row is bitwise the report of
-its chain alone (:func:`snapshot_report` is the stack of one).  The pass
-hands out finished Snapshots, whose time is their state's; a Trajectory's
+the snapshots all read that solve.  An iteration's snapshots are made in
+one pass (:func:`_snapshot_pass`): the solve contract on the flat system,
+then each diagnostic kernel once per run of one n over its (d, R, n+1)
+stack, each row bitwise the report of its chain alone
+(:func:`snapshot_report` is the stack of one).  The pass hands out
+finished Snapshots, whose time is their state's; a Trajectory's
 step count is the length of its projection log.  Every chain keeps its own
 time, step, stride and termination, so each trajectory is bitwise the one
 the chain gives alone; :func:`run` is the batch of one.  The public
@@ -62,6 +62,7 @@ from .errors import FitRejected, NumericError
 from .tension import (
     TensionSolution,
     _abc,
+    _backward_error,
     _contract_breach,
     _sigma_dot,
     _sigma_sobolev,
@@ -415,31 +416,35 @@ def _report_stack(eta: np.ndarray, eta_dot: np.ndarray, sigma: np.ndarray) -> li
     ]
 
 
-def _snapshot_pass(eta: np.ndarray, eta_dot: np.ndarray, sigma: np.ndarray, alpha: np.ndarray, w: np.ndarray,
+def _snapshot_pass(pos: list, blocks: _Blocks, sigma: np.ndarray, alpha: np.ndarray, w: np.ndarray,
                    time: np.ndarray, rows: np.ndarray) -> list:
-    """The Snapshot of each working row in ``rows`` of the (d, B, n+1)
-    positions and velocities, at its ``time``, from the interior tensions
-    ``sigma`` (B, n) of the stacked system it solved: the flat cosines
-    ``alpha`` (B n - 1,) and sources ``w`` (B, n).  Each tension is held to
-    the solve contract, and every kernel makes one pass over the rows.  A
-    NumericError names the first row that fails the contract or a check of
-    its report; the rows past the first contract failure are not
-    reported."""
-    n = sigma.shape[-1]
-    alpha = np.append(alpha, 0.0).reshape(-1, n)[rows, :-1]   # cut the couplings between blocks
-    breach = _contract_breach(alpha, sigma[rows], w[rows])
-    ok = rows[: len(rows) if breach is None else breach.chain]
-    full = np.zeros((ok.size, n + 1))
-    full[:, 1:] = sigma[ok]
-    try:
-        reports = _report_stack(eta[:, ok], eta_dot[:, ok], full)
-        if breach is not None:
-            raise breach
-    except NumericError as exc:   # name the working row
-        exc.chain = int(rows[exc.chain])
-        raise
-    return [Snapshot(ChainState(eta[:, row].T, eta_dot[:, row].T, time[row]), TensionSolution(s), rep)
-            for row, s, rep in zip(ok, full, reports)]
+    """The Snapshot of each working row in ``rows`` (ascending), at its
+    ``time``, from the flat stacked system (``sigma``, ``alpha``, ``w``) laid
+    out by ``blocks``, and from ``pos``, the positions and velocities per run
+    of one n.  The contract checks every row on the flat system; the reports
+    run per run of one n over the rows before its first breach.  A
+    NumericError names the working row of the first failing row."""
+    err = np.zeros(len(time))
+    err[rows] = _backward_error(alpha, sigma, w, blocks)[rows]
+    breach = _contract_breach(err)   # names its working row
+    ok = rows if breach is None else rows[rows < breach.chain]
+    made = []
+    for (n, b0, b1, a, b), (eta, eta_dot) in zip(blocks.runs, pos):
+        mine = ok[(ok >= b0) & (ok < b1)] - b0   # the run's rows, counted from its first
+        if not mine.size:
+            continue
+        full = np.zeros((mine.size, n + 1))
+        full[:, 1:] = sigma[a:b].reshape(-1, n)[mine]
+        try:
+            reports = _report_stack(eta[:, mine], eta_dot[:, mine], full)
+        except NumericError as exc:   # name the working row
+            exc.chain = int(b0 + mine[exc.chain])
+            raise
+        made += [Snapshot(ChainState(eta[:, i].T, eta_dot[:, i].T, time[b0 + i]), TensionSolution(s), rep)
+                 for i, s, rep in zip(mine, full, reports)]
+    if breach is not None:
+        raise breach
+    return made
 
 
 def run(initial: ChainState, cfg: IntegratorConfig) -> Trajectory:
@@ -471,8 +476,8 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
     solve of the running chains' links, which the stop tests, dt, the step
     and the snapshots read: a chain is snapshotted there when its step
     count is a multiple of ``report_stride`` or it stops.  The iteration's
-    snapshots are reported in one pass per n before the first is handed
-    out, so a NumericError in a pass hands out none of them.  Each RK stage
+    snapshots are made in one pass before the first is handed out, so a
+    NumericError in the pass hands out none of them.  Each RK stage
     is one such solve too.  On a stride the chains go on from the links of
     the snapshots' positions, so a snapshot is a bitwise restart point
     (:func:`step` of it gives the next one) and the t = 0 snapshot holds the
@@ -532,8 +537,8 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
             if ending.size and not every:
                 pos = _positions(links, links_dot, blocks)
             shot = np.arange(live.size) if every else ending
-            made = _snapshots(pos, blocks, sigma, alpha, w, t, shot) if shot.size else ()
-            for row, snap in sorted(made, key=lambda m: live[m[0]]):
+            made = _snapshot_pass(pos, blocks, sigma, alpha, w, t, shot) if shot.size else ()
+            for row, snap in sorted(zip(shot.tolist(), made), key=lambda m: live[m[0]]):
                 snapshots[live[row]].append(snap)
                 if on_snapshot is not None:
                     on_snapshot(int(live[row]), snap)
@@ -567,24 +572,6 @@ def _positions(links: np.ndarray, links_dot: np.ndarray, blocks: _Blocks) -> lis
     per run of one n: (d, B_n, n+1) arrays summed back from the links."""
     return [(_anchored(_blocks(links[:, a:b], n)), _anchored(_blocks(links_dot[:, a:b], n)))
             for n, _, _, a, b in blocks.runs]
-
-
-def _snapshots(pos: list, blocks: _Blocks, sigma, alpha, w, time, rows) -> list:
-    """(row, Snapshot) of each working row in ``rows`` (ascending), one
-    :func:`_snapshot_pass` per run of one n over its positions ``pos`` and
-    its share of the stacked system; a NumericError names the working
-    row."""
-    made = []
-    for (n, b0, b1, a, b), (eta, eta_dot) in zip(blocks.runs, pos):
-        mine = rows[(rows >= b0) & (rows < b1)]
-        if mine.size:
-            try:
-                made += zip(mine.tolist(), _snapshot_pass(eta, eta_dot, sigma[a:b].reshape(-1, n), alpha[a : b - 1],
-                                                          w[a:b].reshape(-1, n), time[b0:b1], mine - b0))
-            except NumericError as exc:
-                exc.chain += b0
-                raise
-    return made
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,10 @@ of chains as one block-diagonal system with zero couplings between the
 blocks, and the certificate's clauses run along the last axis, so
 ``certify_stack`` certifies a (d, B, n+1) stack at once, each row bitwise
 the chain's own certificate; the per-chain functions are the stack of one.
-The snapshot diagnostics (the solve contract, sigma_dot, a/b/c and d_m) are
-stacked the same way.  Link data is component-major, as in
-:mod:`whipchain.core`.
+A is formed once (:func:`_operator`): the direct solve and its contract
+read one diagonal and off-diagonal of a flat stack of chains of any n.  The
+snapshot diagnostics (sigma_dot, a/b/c and d_m) are stacked too.  Link
+data is component-major, as in :mod:`whipchain.core`.
 """
 
 from __future__ import annotations
@@ -314,6 +315,17 @@ class TensionSolution:
         return self.sigma.shape[0] - 1
 
 
+def _operator(alpha: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """A's diagonal n^2 (2, ..., 2, 1) and off-diagonal -alpha n^2 per block
+    of a flat stack laid out by ``blocks``, the couplings between blocks
+    zero; the off-diagonal is a fresh array.  n^2 scales as ``x * n * n``:
+    ``x * (n * n)`` rounds differently when n is not a power of two."""
+    off = alpha * -blocks.joint_n   # -alpha * n * n, bitwise
+    off *= blocks.joint_n
+    off[blocks.cuts] = 0.0
+    return blocks.diag, off
+
+
 def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n) -> np.ndarray:
     """Solve A sigma = w for the interior tensions sigma_1..sigma_n.
 
@@ -321,9 +333,7 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n) -> np.ndarray:
     dominant with pivots n^2 beta_i >= n^2), so LAPACK's tridiagonal LDL^T
     solve ``dptsv`` applies; losing definiteness means the state left the
     constraint manifold badly and is reported as a numeric failure, whose
-    ``chain`` is the index of the failing system.  The n^2 scale multiplies
-    the entries as ``x * n * n``: ``x * (n * n)`` rounds differently when n
-    is not a power of two.
+    ``chain`` is the index of the failing system.
 
     A flat stack of systems, alpha of length K - 1 (:func:`_alpha` of the
     stacked links) and w of length K, solves as one block-diagonal system of
@@ -335,12 +345,10 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n) -> np.ndarray:
     its own solve gives.
     """
     blocks = _layout(n, w.size)
+    diag, off = _operator(alpha, blocks)
     if w.size <= 1:  # one link, or no system: dptsv's wrapper refuses both
-        return w / blocks.diag
-    off = alpha * -blocks.joint_n   # -alpha * n * n, bitwise
-    off *= blocks.joint_n
-    off[blocks.cuts] = 0.0
-    _, _, sigma, info = dptsv(blocks.diag, off, w, overwrite_e=1)
+        return w / diag
+    _, _, sigma, info = dptsv(diag, off, w, overwrite_e=1)
     if info > 0:
         chain = blocks.block_of(info - 1)
         part = blocks.part(chain)
@@ -358,7 +366,7 @@ def _solve_sigma_arrays(t: np.ndarray, t_dot: np.ndarray, n):
     :class:`~whipchain.core._Blocks`: one solve for a flat stack of
     chains.  Returns the interior tensions sigma_1..sigma_n of each block
     (K,) and the system's alpha (K - 1,) and w (K,), which the solve
-    contract (:func:`_checked_solution`) reads block by block."""
+    contract (:func:`_backward_error`) reads on the same flat stack."""
     alpha, w = _alpha(t), _sq(t_dot)
     return _solve_tridiagonal(alpha, w, n), alpha, w
 
@@ -384,48 +392,48 @@ def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
 def _checked_solution(interior: np.ndarray, alpha: np.ndarray, w: np.ndarray) -> TensionSolution:
     """The solve contract: the interior tensions sigma_1..sigma_n, with
     sigma_0 = 0 prepended, as the TensionSolution of the chain whose system
-    A sigma = w has cosines ``alpha`` and source ``w``, once it passes
-    :func:`_contract_breach`; its NumericError otherwise.
+    A sigma = w has cosines ``alpha`` and source ``w``, once its backward
+    error passes :func:`_contract_breach`; its NumericError otherwise.
     """
-    breach = _contract_breach(alpha, interior, w)
+    breach = _contract_breach(_backward_error(alpha, interior, w, interior.size))
     if breach is not None:
         raise breach
     return TensionSolution(np.concatenate([[0.0], interior]))
 
 
-def _contract_breach(alpha: np.ndarray, interior: np.ndarray, w: np.ndarray) -> NumericError | None:
-    """The solve contract on a (..., n) stack of systems (alpha (..., n-1)):
-    each solution's normwise backward error |A sigma - w| / (|A| |sigma| + |w|)
-    (infinity norms) must be at most ``SOLVE_RTOL``, a small multiple of the
-    unit roundoff that holds at every n and conditioning for a
-    backward-stable solve.  Returns the NumericError of the first row that
-    breaks it, naming that row, or None."""
-    err = np.atleast_1d(_backward_error(alpha, interior, w))
-    broken = np.flatnonzero(~np.isfinite(err) | (err > SOLVE_RTOL))
+def _contract_breach(err: np.ndarray) -> NumericError | None:
+    """The solve contract on the backward errors ``err`` of a stack of
+    systems (:func:`_backward_error`): each must be at most ``SOLVE_RTOL``, a
+    small multiple of the unit roundoff that holds at every n and
+    conditioning for a backward-stable solve.  Returns the NumericError of
+    the first entry that breaks it, naming its index, or None."""
+    broken = np.flatnonzero(~(err <= SOLVE_RTOL))   # NaN too
     if not broken.size:
         return None
     row = int(broken[0])
     return NumericError(f"tension solve residual: backward error {err[row]:.3e} exceeds {SOLVE_RTOL:.1e}", chain=row)
 
 
-def _backward_error(alpha: np.ndarray, sigma_int: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _backward_error(alpha: np.ndarray, sigma: np.ndarray, w: np.ndarray, n) -> np.ndarray:
     """Normwise backward error |A sigma - w| / (|A| |sigma| + |w|) in the
-    infinity norm (Rigal and Gaches), with |A| = n^2 times the largest
-    absolute row sum, of each system along the last axis."""
-    n = sigma_int.shape[-1]
-    lead = sigma_int.shape[:-1]
-    padded = np.zeros(lead + (n + 2,))
-    padded[..., 1:-1] = sigma_int
-    diag = np.full(n, 2.0)
-    diag[-1] = 1.0
-    # row n has no superdiagonal: the trailing zero in a_ext kills it
-    a_ext = np.zeros(lead + (n + 1,))
-    a_ext[..., 1:-1] = alpha
-    r = n * n * (diag * sigma_int - a_ext[..., :-1] * padded[..., :-2] - a_ext[..., 1:] * padded[..., 2:])
-    a_abs = np.abs(a_ext)
-    a_norm = n * n * (diag + a_abs[..., :-1] + a_abs[..., 1:]).max(axis=-1)
-    scale = a_norm * np.abs(sigma_int).max(axis=-1) + np.abs(w).max(axis=-1)
-    return np.abs(r - w).max(axis=-1) / np.maximum(scale, np.finfo(float).tiny)
+    infinity norm (Rigal and Gaches) of each block of a flat stack, blocks
+    of n or of a ``_Blocks``, with A the :func:`_operator` pair the solve
+    factored.  A zero coupling adds 0 * sigma across a block edge and the
+    maxima reduce at ``blocks.starts``, so each entry is bitwise its block's
+    own."""
+    blocks = _layout(n, sigma.size)
+    diag, off = _operator(alpha, blocks)
+    r = diag * sigma - w
+    r[1:] += off * sigma[:-1]
+    r[:-1] += off * sigma[1:]
+    np.abs(off, out=off)
+    norm = diag.copy()
+    norm[1:] += off
+    norm[:-1] += off
+    starts = blocks.starts
+    scale = np.maximum.reduceat(norm, starts) * np.maximum.reduceat(np.abs(sigma), starts)
+    scale += np.maximum.reduceat(np.abs(w), starts)
+    return np.maximum.reduceat(np.abs(r), starts) / np.maximum(scale, np.finfo(float).tiny)
 
 
 def tension_residual(chain: ChainState, sigma) -> float:

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whipchain import core, dynamics, tension
 from whipchain.core import ChainState, u0_v0
@@ -514,6 +516,30 @@ class TestRunBatch:
             run_batch(chains, IntegratorConfig(t_end=0.01))
         assert info.value.chain == 0
 
+    def test_contract_breach_in_a_ragged_batch_names_the_original_chain(self, monkeypatch):
+        # chains given out of n order; the step-start solve of iteration 2 (a
+        # snapshot iteration at stride 2; each step adds three stage solves)
+        # hands out the n = 9 chain's tensions scaled by 1 + 1e-6.  That chain
+        # is working row 2 of the stack ordered by n, and chain 4 of the batch
+        solve, calls = dynamics._solve_sigma_arrays, []
+
+        def perturbed(t, t_dot, blocks):
+            sigma, alpha, w = solve(t, t_dot, blocks)
+            calls.append(blocks)
+            if len(calls) == 9:
+                sigma = sigma.copy()
+                sigma[blocks.part(2)] *= 1.0 + 1e-6
+            return sigma, alpha, w
+
+        chains = [make_random_chain(n, seed=n) for n in (16, 5, 64, 1, 9)]
+        cfg = IntegratorConfig(t_end=0.05, report_stride=2)
+        assert min(traj.n_steps for traj in run_batch(chains, cfg)) > 2
+        monkeypatch.setattr(dynamics, "_solve_sigma_arrays", perturbed)
+        with pytest.raises(NumericError, match="^chain 4: tension solve residual") as info:
+            run_batch(chains, cfg)
+        assert info.value.chain == 4 and len(calls) == 9
+        assert calls[8].sizes.tolist() == [1, 5, 9, 16, 64]
+
     def test_numeric_error_names_the_original_chain(self, monkeypatch):
         # the folded chain leaves the batch at step 0, so working row 1 of the
         # first step is chain 2
@@ -889,13 +915,14 @@ def _mixed_chains(rows, n, d):
 
 def _snapshot_stack(chains):
     """The arguments of dynamics._snapshot_pass for every row of ``chains``,
-    each at its own time, from their stacked step-start solve."""
-    n = chains[0].n
-    eta = np.stack([c.eta.T for c in chains], axis=1)
-    eta_dot = np.stack([c.eta_dot.T for c in chains], axis=1)
-    sigma, alpha, w = tension._solve_sigma_arrays(*flat_links(chains), n)
+    stacked in the given order (run_batch's is that of n), each at its own
+    time, from their stacked step-start solve."""
+    blocks = core._blocks_of([c.n for c in chains])
+    pos = [(np.stack([c.eta.T for c in chains[b0:b1]], axis=1), np.stack([c.eta_dot.T for c in chains[b0:b1]], axis=1))
+           for _, b0, b1, _, _ in blocks.runs]
+    sigma, alpha, w = tension._solve_sigma_arrays(*flat_links(chains), blocks)
     times = 0.125 * np.arange(len(chains))
-    return eta, eta_dot, sigma.reshape(-1, n), alpha, w.reshape(-1, n), times
+    return pos, blocks, sigma, alpha, w, times
 
 
 @pytest.mark.parametrize("rows", [1, 2, 16])
@@ -930,9 +957,9 @@ def test_snapshot_pass_rows_bitwise_their_own_reports(n, d, rows):
 
 def test_snapshot_pass_hands_out_each_rows_state_at_its_time():
     chains = _mixed_chains(5, 8, 2)
-    eta, eta_dot, sigma, alpha, w, times = _snapshot_stack(chains)
+    pos, blocks, sigma, alpha, w, times = _snapshot_stack(chains)
     rows = np.array([1, 4])
-    made = dynamics._snapshot_pass(eta, eta_dot, sigma, alpha, w, times, rows)
+    made = dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, rows)
     assert [type(snap) for snap in made] == [dynamics.Snapshot] * 2
     for row, snap in zip(rows, made):
         assert snap.state.time == times[row]
@@ -962,19 +989,113 @@ def test_run_snapshot_states_are_c_contiguous():
 
 def test_snapshot_pass_names_the_first_row_that_breaks_the_contract():
     n = 16
-    eta, eta_dot, sigma, alpha, w, times = _snapshot_stack([make_random_chain(n, seed=s) for s in range(4)])
+    pos, blocks, sigma, alpha, w, times = _snapshot_stack([make_random_chain(n, seed=s) for s in range(4)])
     sigma = sigma.copy()
-    sigma[2] *= 1.0 + 1e-6
-    sigma[3] *= 1.0 + 1e-3
+    sigma[2 * n : 3 * n] *= 1.0 + 1e-6
+    sigma[3 * n :] *= 1.0 + 1e-3
     with pytest.raises(NumericError) as alone:
-        tension._checked_solution(sigma[2], alpha[2 * n : 3 * n - 1], w[2])
+        tension._checked_solution(sigma[2 * n : 3 * n], alpha[2 * n : 3 * n - 1], w[2 * n : 3 * n])
     with pytest.raises(NumericError) as stacked:
-        dynamics._snapshot_pass(eta, eta_dot, sigma, alpha, w, times, np.arange(4))
+        dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, np.arange(4))
     assert stacked.value.chain == 2 and str(stacked.value) == str(alone.value)
     # the error names the working row, not the place in the pass
     with pytest.raises(NumericError) as part:
-        dynamics._snapshot_pass(eta, eta_dot, sigma, alpha, w, times, np.array([1, 3]))
+        dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, np.array([1, 3]))
     assert part.value.chain == 3
+
+
+def _ragged_chains():
+    """Chains of n = 1, 7, 16, 16, 64: a ragged stack in the order run_batch
+    stacks it, in order of n."""
+    return [make_random_chain(n, seed=s) for s, n in enumerate((1, 7, 16, 16, 64))]
+
+
+def test_backward_error_of_a_ragged_stack_is_bitwise_each_block_alone():
+    _, blocks, sigma, alpha, w, _ = _snapshot_stack(_ragged_chains())
+    err = tension._backward_error(alpha, sigma, w, blocks)
+    assert err.shape == (5,) and np.all(err <= tension.SOLVE_RTOL) and np.count_nonzero(err) >= 3
+    for b, size in enumerate(blocks.sizes):
+        part = blocks.part(b)
+        own = tension._backward_error(alpha[part.start : part.stop - 1], sigma[part], w[part], int(size))
+        assert err[b : b + 1].tobytes() == own.tobytes()
+
+
+@pytest.mark.parametrize("bad", range(5))
+def test_snapshot_pass_names_the_breaking_row_of_a_ragged_stack(bad):
+    pos, blocks, sigma, alpha, w, times = _snapshot_stack(_ragged_chains())
+    part = blocks.part(bad)
+    sigma = sigma.copy()
+    sigma[part] *= 1.0 + 1e-6
+    with pytest.raises(NumericError) as alone:
+        tension._checked_solution(sigma[part], alpha[part.start : part.stop - 1], w[part])
+    with pytest.raises(NumericError) as stacked:
+        dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, np.arange(5))
+    assert stacked.value.chain == bad and str(stacked.value) == str(alone.value)
+    # the rows before it are reported; a pass without it hands out every row
+    rows = np.delete(np.arange(5), bad)
+    assert len(dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, rows)) == 4
+
+
+def test_snapshot_pass_names_the_working_row_of_a_failed_report(monkeypatch):
+    # a report check that fails in the pass over the two n = 16 rows names
+    # its row of that pass; the error names the working row
+    abc = dynamics._abc
+
+    def failing(sigma, sigma_dot):
+        if sigma.shape[-1] == 17:
+            raise NumericError("boom", chain=1)
+        return abc(sigma, sigma_dot)
+
+    pos, blocks, sigma, alpha, w, times = _snapshot_stack(_ragged_chains())
+    monkeypatch.setattr(dynamics, "_abc", failing)
+    with pytest.raises(NumericError, match="^boom$") as info:
+        dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, np.array([0, 2, 3, 4]))
+    assert info.value.chain == 3
+
+
+@st.composite
+def _ragged_layouts(draw):
+    """A flat stack of 1-6 chains of one d and n in 1..96, in any order, and
+    the rows a snapshot pass reports."""
+    d = draw(st.sampled_from([2, 3]))
+    sizes = draw(st.lists(st.integers(1, 96), min_size=1, max_size=6))
+    seed = draw(st.integers(0, 2**16))
+    rows = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)).filter(any))
+    return [_links_chain(n, d, seed + b) for b, n in enumerate(sizes)], np.flatnonzero(rows)
+
+
+@given(_ragged_layouts())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_ragged_stack_kernels_bitwise_per_block(layout):
+    # the stacked solve, the acceleration, the solve contract and the
+    # snapshot pass each give every block what the chain gives alone
+    chains, rows = layout
+    pos, blocks, sigma, alpha, w, times = _snapshot_stack(chains)
+    links, links_dot = flat_links(chains)
+    solved = tension._solve_tridiagonal(alpha, w, blocks)
+    acc = [core._acceleration_arrays(f, sigma, blocks) for f in (links, links_dot)]
+    err = tension._backward_error(alpha, sigma, w, blocks)
+    made = dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, rows)
+    assert len(made) == len(rows)
+    snaps = dict(zip(rows.tolist(), made))
+    for b, c in enumerate(chains):
+        part = blocks.part(b)
+        t, t_dot = c.link_dirs().T, c.link_dirs_dot().T
+        own_pos, own_blocks, own_sigma, own_alpha, own_w, _ = _snapshot_stack([c])
+        assert solved[part].tobytes() == tension._solve_tridiagonal(own_alpha, own_w, c.n).tobytes()
+        for got, f in zip(acc, (t, t_dot)):
+            assert got[:, part].tobytes() == core._acceleration_arrays(f, own_sigma, c.n).tobytes()
+        own_err = tension._backward_error(own_alpha, own_sigma, own_w, c.n)
+        assert err[b : b + 1].tobytes() == own_err.tobytes()
+        if b in snaps:
+            got, (want,) = snaps[b], dynamics._snapshot_pass(own_pos, own_blocks, own_sigma, own_alpha, own_w,
+                                                             times[b : b + 1], np.arange(1))
+            assert got.state.time == times[b]
+            assert got.state.eta.tobytes() == c.eta.tobytes()
+            assert got.tension.sigma.tobytes() == want.tension.sigma.tobytes()
+            for field in dataclasses.fields(want.report):
+                got_value, want_value = getattr(got.report, field.name), getattr(want.report, field.name)
+                assert np.asarray(got_value).tobytes() == np.asarray(want_value).tobytes(), field.name
 
 
 def test_abc_stack_names_the_first_inconsistent_row():
