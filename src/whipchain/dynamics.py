@@ -32,6 +32,7 @@ row-major positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
@@ -200,13 +201,18 @@ def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
     corrections (0.0 when cfg.project is off).  The displacements are the
     positions of the corrections (:func:`_anchored`) without the pinned
     row's zero and the sign, neither of which moves the largest |.|^2.
+
+    Finiteness is screened by one sum per array, which a NaN or inf
+    reaches; only when a sum is not finite (also when finite entries
+    overflow it) does the elementwise check run and name the failing chain.
     """
     blocks = _layout(n, t.shape[-1])
     new_t, new_dot = _advance(t, t_dot, sigma, blocks, dt)
-    if not (np.isfinite(new_t).all() and np.isfinite(new_dot).all()):
+    if not (_finite_sum(new_t) and _finite_sum(new_dot)):
         finite = np.logical_and.reduceat((np.isfinite(new_t) & np.isfinite(new_dot)).all(axis=0), blocks.starts)
-        row = _first_failing(t, t_dot, blocks, dt, finite)
-        raise NumericError(f"non-finite state after step at t={time[row]:.6g}", chain=row)
+        if not finite.all():
+            row = _first_failing(t, t_dot, blocks, dt, finite)
+            raise NumericError(f"non-finite state after step at t={time[row]:.6g}", chain=row)
     if not cfg.project:
         return new_t, new_dot, np.zeros(len(time))
     unit, unit_dot = _project_arrays(new_t, new_dot)
@@ -215,6 +221,12 @@ def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
     for m, b0, b1, a, b in blocks.runs:
         moved[b0:b1] = _sq(np.cumsum(_blocks(corr[:, a:b], m)[..., ::-1], axis=-1)).max(axis=-1)
     return unit, unit_dot, np.sqrt(moved)
+
+
+def _finite_sum(x: np.ndarray) -> bool:
+    """Whether the sum of every entry of x is finite: False whenever an entry
+    is NaN or infinite, and also when finite entries overflow it."""
+    return math.isfinite(np.add.reduce(x, axis=None))
 
 
 def _blocks(x: np.ndarray, n: int) -> np.ndarray:
@@ -459,9 +471,39 @@ def run(initial: ChainState, cfg: IntegratorConfig) -> Trajectory:
 def _stops(t, sigma_min, top_sq, raw, cfg: IntegratorConfig, tiny: float) -> tuple:
     """The stop tests in the order of TERMINATIONS, which is their precedence,
     on each chain's values or on whole-stack extremes; ``top_sq`` is the
-    larger of max w and the squared curvature."""
+    larger of max w and the squared curvature (max w alone where
+    :func:`_curvature_capped` holds)."""
     return (t >= cfg.t_end - tiny, (sigma_min < 0.0) & cfg.halt_on_negative_tension,
             np.sqrt(top_sq) > cfg.blowup_threshold, raw < cfg.dt_min)
+
+
+#: With projection on, every link at a step's start is unit to within this:
+#: an initial link to ChainState.validate's 1e-10; a projected one, t/|t|, to
+#: a few ulp; one summed back to positions at a stride and differenced again
+#: to n sqrt(d) eps (each cumulative sum of at most unit size rounds by eps,
+#: and the difference scales that by n), under 1e-6 for any n d below 10^9.
+_LINK_SLACK = 1e-6
+
+
+def _curvature_capped(n: int, cfg: IntegratorConfig) -> bool:
+    """Whether the curvature of chains of at most n links cannot pass
+    blowup_threshold: with projection on, |D+^2 eta_k| = n |t_{k+1} - t_k|
+    <= 2 n (1 + _LINK_SLACK), the rounding of the curvature included."""
+    return cfg.project and 2.0 * n * (1.0 + _LINK_SLACK) <= cfg.blowup_threshold
+
+
+def _shares_dt_max(low: float, t_top: float, cfg: IntegratorConfig) -> bool:
+    """Whether every chain of a stack steps by dt_max, from the least CFL
+    step ``low`` any chain can have and the latest chain time ``t_top``:
+    every clamped CFL step is then dt_max, and t_end cuts none of them
+    (t_end - t rounds down as t grows).  False for a NaN ``low``."""
+    return low >= cfg.dt_max and cfg.t_end - t_top >= cfg.dt_max
+
+
+def _chain_dt(sigma: np.ndarray, blocks: _Blocks, cfg: IntegratorConfig) -> np.ndarray:
+    """Each chain's unclamped CFL step, from the largest of its interior
+    tensions in a flat stack (NaN when one is)."""
+    return _cfl_dt(blocks.sizes, np.maximum.reduceat(sigma, blocks.starts), cfg)
 
 
 def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Trajectory]:
@@ -486,6 +528,18 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
     trajectory is bitwise the one it gives alone.  A NumericError names the
     failing chain's index, also for an initial state off the constraint
     manifold (``ChainState.validate``).
+
+    The per-step bookkeeping is decided from whole-stack bounds; the
+    per-chain code runs only where a bound cannot decide, so every
+    trajectory is bitwise what it gives.  The stop tests read whole-stack
+    extremes, and form per-chain rows only when an extreme could stop a
+    chain.  The curvature is formed only when projection is off or its
+    ceiling passes ``blowup_threshold`` (:func:`_curvature_capped`).  Every
+    chain steps by the one number dt_max unless some chain may be
+    CFL-bound or within dt_max of t_end (:func:`_shares_dt_max`); then each
+    gets its own step.  Finiteness is screened by sums
+    (:func:`_step_arrays`).  Each step's projection displacements are one
+    array, split into the chains' logs when a chain stops.
     """
     if len({c.d for c in initials}) != 1:
         raise ValueError(f"a batch needs chains of one d, got {sorted({c.d for c in initials})}")
@@ -501,10 +555,13 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
             np.stack([initials[i].eta_dot.T for i in live[b0:b1]], axis=1)) for _, b0, b1, _, _ in blocks.runs]
     t = np.array([initials[i].time for i in live], dtype=float)
     snapshots: list = [[] for _ in initials]
-    logs: list = [[] for _ in initials]
+    logs: list = [[np.empty(0)] for _ in initials]   # per chain, its projection log in pieces
+    moved: list = []   # each step's projection displacements since the running chains last changed
     done: list = [None] * len(initials)
     steps = 0
     tiny = 1e-14 * max(cfg.t_end, 1.0)
+    n_top = int(blocks.sizes[-1])   # the longest chain's n: the stack is in order of n
+    capped = _curvature_capped(n_top, cfg)
 
     try:
         while live.size:
@@ -517,21 +574,29 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                                     for k in (0, 1))
             sigma, alpha, w = _solve_sigma_arrays(links, links_dot, blocks)
             starts = blocks.starts
-            raw = _cfl_dt(blocks.sizes, np.maximum.reduceat(sigma, starts), cfg)
-            bend = np.zeros(sigma.size)   # |D+^2 eta|^2 at each link; none at a block's fixed end
-            bend[:-1] = _sq(_links(links, blocks.joint_n))
-            bend[blocks.fixed] = 0.0
-            curv_sq = np.maximum.reduceat(bend, starts)
+            # no chain's CFL step is below `low`, the step of the stack's largest n and tension:
+            # each rounding in _cfl_dt is monotone.  A NaN tension makes it NaN, which leaves
+            # the dt screen and the stop screen's dt test undecided
+            t_top, low = float(t.max()), float(_cfl_dt(n_top, sigma.max(), cfg))
+            peak_sq = np.fmax.reduce(w)
+            if not capped:   # else the curvature cannot stop a chain, and the blowup test reads w alone
+                bend = np.zeros(sigma.size)   # |D+^2 eta|^2 at each link; none at a block's fixed end
+                bend[:-1] = _sq(_links(links, blocks.joint_n))
+                bend[blocks.fixed] = 0.0
+                curv_sq = np.maximum.reduceat(bend, starts)
+                peak_sq = np.fmax.reduce(curv_sq, initial=peak_sq)
             # the stop tests on whole-stack extremes (NaN-ignoring; as Python floats, which
             # compare faster) rule out a stop on most steps: any chain's stop stops the extremes
-            extremes = (np.fmax.reduce(t), np.fmin.reduce(sigma),
-                        np.fmax.reduce(curv_sq, initial=np.fmax.reduce(w)), np.fmin.reduce(raw))
-            if not any(_stops(*map(float, extremes), cfg, tiny)):
+            extremes = (t_top, float(np.fmin.reduce(sigma)), float(peak_sq), low if low == low else -np.inf)
+            if not any(_stops(*extremes, cfg, tiny)):
                 ending = _NO_ROWS
             else:
                 # one row per stop test, per chain; fmax: a NaN w hides no curvature, nor the reverse
-                top_sq = np.fmax(np.maximum.reduceat(w, starts), curv_sq)
-                hits = np.array(_stops(t, np.minimum.reduceat(sigma, starts), top_sq, raw, cfg, tiny))
+                top_sq = np.maximum.reduceat(w, starts)
+                if not capped:
+                    top_sq = np.fmax(top_sq, curv_sq)
+                hits = np.array(_stops(t, np.minimum.reduceat(sigma, starts), top_sq, _chain_dt(sigma, blocks, cfg),
+                                       cfg, tiny))
                 going = ~hits.any(axis=0)
                 ending = np.flatnonzero(~going)
             if ending.size and not every:
@@ -542,23 +607,30 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                 snapshots[live[row]].append(snap)
                 if on_snapshot is not None:
                     on_snapshot(int(live[row]), snap)
-            for row in ending:
-                i = live[row]
-                termination = TERMINATIONS[hits[:, row].argmax()]
-                done[i] = Trajectory(snapshots[i], termination, np.array(logs[i]))
             if ending.size:
-                live, t, raw = live[going], t[going], raw[going]
+                for i, piece in zip(live, np.array(moved).reshape(-1, live.size).T):
+                    logs[i].append(piece)
+                moved = []
+                for row in ending:
+                    i = live[row]
+                    termination = TERMINATIONS[hits[:, row].argmax()]
+                    done[i] = Trajectory(snapshots[i], termination, np.concatenate(logs[i]))
+                live, t = live[going], t[going]
                 if not live.size:
                     break
                 kept = np.repeat(going, blocks.sizes)
                 links, links_dot, sigma = links[:, kept], links_dot[:, kept], sigma[kept]
                 blocks = _blocks_of(blocks.sizes[going].tolist())
-            dt = np.minimum(_clamp_dt(raw, cfg), cfg.t_end - t)
-            # a step every chain shares is a number, else one per link
-            step_dt = dt[0] if (dt == dt[0]).all() else np.repeat(dt, blocks.sizes)
-            links, links_dot, moved = _step_arrays(links, links_dot, sigma, blocks, t, step_dt, cfg)
-            for i, m in zip(live, moved.tolist()):
-                logs[i].append(m)
+                n_top = int(blocks.sizes[-1])
+                capped = _curvature_capped(n_top, cfg)
+            if _shares_dt_max(low, t_top, cfg):
+                dt = step_dt = cfg.dt_max
+            else:
+                dt = np.minimum(_clamp_dt(_chain_dt(sigma, blocks, cfg), cfg), cfg.t_end - t)
+                # a step every chain shares is a number, else one per link
+                step_dt = dt[0] if (dt == dt[0]).all() else np.repeat(dt, blocks.sizes)
+            links, links_dot, shifts = _step_arrays(links, links_dot, sigma, blocks, t, step_dt, cfg)
+            moved.append(shifts)
             t = t + dt
             steps += 1
     except NumericError as exc:   # every failure inside names its working row

@@ -711,14 +711,25 @@ def _weight_bound_violations(rng: np.random.Generator, trials: int = 2000, slack
         j = int(rng.integers(0, n - k + 1))
         draws.append((n, k, p, q, j))
     n, k, p, q, j = map(np.array, zip(*draws))
-    ks = np.concatenate([k, k, k, k + j])
-    table = _rising_table(np.concatenate([p, p + q, q, p]), np.tile(n, 4), ks.max() + 1)
-    skp, spq, sq, skj = table[np.arange(4 * trials), ks].reshape(4, trials)
+    weights = _table_entries(np.concatenate([p, p + q, q, p]), np.tile(n, 4), np.concatenate([k, k, k, k + j]))
+    skp, spq, sq, skj = weights.reshape(4, trials)
     ratio = spq / sq
     cpq, cj = _binomial(p, q), _binomial(j, p)
     ok_ratio = (skp * (1 - slack) <= ratio) & (ratio <= cpq * skp * (1 + slack))
     ok_shift = (skp * (1 - slack) <= skj) & (skj <= cj * skp * (1 + slack))
     return int(np.count_nonzero(~ok_ratio) + np.count_nonzero(~ok_shift))
+
+
+def _table_entries(r: np.ndarray, n: np.ndarray, k: np.ndarray, rows: int = 512) -> np.ndarray:
+    """s_{k_i}^{(r_i)} at n_i for each i: entry k_i of row i of
+    :func:`~whipchain.core._rising_table`, built ``rows`` rows at a time and
+    as wide as each chunk's largest k needs.  A row's entries depend on
+    neither the other rows nor the width, so the chunks change no bit."""
+    out = np.empty(len(k))
+    for a in range(0, len(k), rows):
+        kk = k[a : a + rows]
+        out[a : a + rows] = _rising_table(r[a : a + rows], n[a : a + rows], kk.max() + 1)[np.arange(len(kk)), kk]
+    return out
 
 
 def _binomial(a: np.ndarray, b: np.ndarray) -> np.ndarray:

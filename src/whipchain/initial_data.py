@@ -8,6 +8,7 @@ work in higher ambient dimension, in the plane of the first two axes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import get_type_hints
 
 import numpy as np
@@ -184,10 +185,17 @@ def make_initial(name: str, n: int, **params) -> ChainState:
         known = ", ".join(sorted(GENERATORS))
         raise ValueError(f"unknown initial-data generator {name!r}; known: {known}")
     gen = GENERATORS[name]
-    accepted = get_type_hints(gen).keys() - {"return"}
+    accepted = _accepted(gen)
     for key in params:
         if key not in accepted:
             raise ValueError(f"generator {name!r} does not accept parameter {key!r}")
         if isinstance(params[key], float) and not np.isfinite(params[key]):
             raise ValueError(f"parameter {key!r} must be finite, got {params[key]!r}")
     return gen(n, **params)
+
+
+@lru_cache(maxsize=None)
+def _accepted(gen) -> frozenset:
+    """The parameter names a generator accepts: its type hints, worked out
+    once per generator."""
+    return frozenset(get_type_hints(gen)) - {"return"}

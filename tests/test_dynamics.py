@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whipchain import core, dynamics, tension
@@ -22,12 +22,15 @@ from whipchain.dynamics import (
 )
 from whipchain.errors import FitRejected, NumericError
 from whipchain.initial_data import (
+    GENERATORS,
+    _accepted,
     folded_chain,
     near_loop,
     perturbed_vertical,
     rigid_rotation,
     rigid_rotation_exact,
     straight_chain,
+    make_initial,
     theta_power,
 )
 from whipchain.tension import solve_tension, tension_residual
@@ -837,6 +840,151 @@ class TestLinkStepping:
         assert traj.snapshots[-1].state.time == 1e-6
         assert len(projected) == 1 and projected[0].shape == (2, n)
         assert np.max(np.abs(np.linalg.norm(projected[0], axis=0) - 1.0)) <= 4 * np.finfo(float).eps
+
+
+class TestStepScreens:
+    """The stepping loop decides its per-step bookkeeping from whole-stack
+    bounds and runs the per-chain code only where they cannot decide; each
+    trajectory is bitwise the one the per-chain code gives."""
+
+    @pytest.mark.parametrize("chain, t_end, least", [
+        (theta_power(48, vel_amp=4.0), 0.3, 0.0), (near_loop(64), 1.0, 0.95),
+        (make_random_chain(48, seed=3, vel_scale=4.0), 0.3, 0.0), (perturbed_vertical(48, amplitude=2.0), 0.3, 0.0),
+        (rigid_rotation(48, 3.0), 0.3, 0.0), (rigid_rotation(48, 3.0, d=3), 0.3, 0.0),
+        (_links_chain(48, 3, seed=5), 0.3, 0.0),
+    ], ids=["theta_power", "near_loop", "random", "perturbed_vertical", "rigid_rotation",
+            "rigid_rotation_d3", "random_d3"])
+    def test_curvature_within_its_ceiling_on_every_step(self, chain, t_end, least, monkeypatch):
+        # the links every step starts from, stepped ones and (on each stride)
+        # ones summed back to positions and differenced again, are unit to
+        # within _LINK_SLACK, so |D+^2 eta| <= 2 n (1 + _LINK_SLACK); near_loop
+        # comes within 5 % of that ceiling.  A failure here is a fault in the
+        # projection or the restart, not a reason to widen the slack
+        starts, step_arrays = [], dynamics._step_arrays
+
+        def recorded(links, links_dot, *args):
+            starts.append(links)
+            return step_arrays(links, links_dot, *args)
+
+        monkeypatch.setattr(dynamics, "_step_arrays", recorded)
+        traj = run(chain, IntegratorConfig(t_end=t_end, report_stride=3, halt_on_negative_tension=False))
+        assert traj.n_steps == len(starts) >= 300
+        n, slack = chain.n, dynamics._LINK_SLACK
+        peak = max(np.sqrt(core._sq(core._links(links, n)).max()) for links in starts)
+        assert max(np.abs(core._lengths(links) - 1.0).max() for links in starts) <= slack
+        assert least * 2 * n <= peak <= 2 * n * (1 + slack)
+
+    @pytest.mark.parametrize("project_on", [True, False])
+    def test_blowup_below_the_ceiling_stops_on_the_curvature(self, project_on):
+        # near_loop(48)'s curvature peaks near 90, under its ceiling 2n = 96,
+        # so a threshold of 80 leaves the curvature to be formed at every step
+        # (with projection on or off); it stops the chain at step 812, as
+        # before the screens, while its neighbour runs to t_end
+        cfg = IntegratorConfig(t_end=0.85, blowup_threshold=80.0, report_stride=25, halt_on_negative_tension=False,
+                               project=project_on)
+        assert not dynamics._curvature_capped(48, cfg)
+        chains = [make_random_chain(48, seed=1, max_turn=0.3), near_loop(48)]
+        trajs = run_batch(chains, cfg)
+        assert [(t.termination, t.n_steps) for t in trajs] == [("t_end_reached", 850), ("blowup_suspected", 812)]
+        last = trajs[1].snapshots[-1].report
+        assert last.max_ang_vel < cfg.blowup_threshold < last.max_curvature
+        for got, c in zip(trajs, chains):
+            _assert_same_trajectory(got, run(c, cfg))
+
+    def test_cfl_bound_chain_keeps_its_own_dt_beside_dt_max_bound_ones(self):
+        # one n, so one CFL bound would serve the whole stack; but the fast
+        # chain's CFL step is under dt_max, so each chain steps by its own dt
+        chains = [make_random_chain(16, seed=s, vel_scale=v) for s, v in ((2, 0.5), (1, 8.0), (3, 0.5))]
+        cfg = IntegratorConfig(t_end=0.2, dt_max=0.02, report_stride=4)
+        raw = [adaptive_dt(c, solve_tension(c), dataclasses.replace(cfg, dt_max=1.0)) for c in chains]
+        assert raw[1] < cfg.dt_max < min(raw[0], raw[2])
+        trajs = run_batch(chains, cfg)
+        steps = [np.diff([snap.state.time for snap in t.snapshots]) for t in trajs]
+        assert np.all(steps[1] < 4 * cfg.dt_max) and steps[0][0] == steps[2][0] == 4 * cfg.dt_max
+        for got, c in zip(trajs, chains):
+            _assert_same_trajectory(got, run(c, cfg))
+
+    def test_finiteness_screen_leaves_an_overflowing_sum_undecided(self):
+        # a NaN or inf reaches the sum; a sum that overflows on finite entries
+        # also reads as not finite, and the elementwise check then decides
+        big = np.full((2, 4), 1e308)
+        with np.errstate(over="ignore"):
+            assert not dynamics._finite_sum(big)
+        assert dynamics._finite_sum(np.ones((2, 4)))
+        assert not dynamics._finite_sum(np.array([[1.0, np.nan], [np.inf, 0.0]]))
+
+    def test_shared_dt_max_needs_every_chain_clear_of_t_end(self):
+        cfg = IntegratorConfig(t_end=1.0, dt_max=0.125)
+        assert dynamics._shares_dt_max(0.125, 0.875, cfg)
+        assert not dynamics._shares_dt_max(0.125, 0.9, cfg)   # the latest chain's step is cut
+        assert not dynamics._shares_dt_max(0.12, 0.0, cfg)    # some chain may be CFL-bound
+        assert not dynamics._shares_dt_max(np.nan, 0.0, cfg)
+
+    def test_curvature_capped_needs_projection_and_room_under_the_threshold(self):
+        cfg = IntegratorConfig(t_end=1.0, blowup_threshold=128.0)
+        assert dynamics._curvature_capped(63, cfg)
+        assert not dynamics._curvature_capped(64, cfg)   # 2n (1 + slack) passes 128
+        assert not dynamics._curvature_capped(8, dataclasses.replace(cfg, project=False))
+
+
+_BATCH_GENERATORS = {d: sorted(name for name, gen in GENERATORS.items() if d == 2 or "d" in _accepted(gen))
+                     for d in (2, 3)}
+
+
+@st.composite
+def _batches(draw):
+    """1-6 chains of one d in {2, 3}, n in 1..96, from the generators (their
+    velocities scaled, some starting late), and settings under which every
+    termination occurs across the draws."""
+    d = draw(st.sampled_from([2, 3]))
+    t_end = draw(st.sampled_from([0.01, 0.03]))
+    chains = []
+    for _ in range(draw(st.integers(1, 6))):
+        name = draw(st.sampled_from(_BATCH_GENERATORS[d]))
+        n = draw(st.integers(2 if name == "folded" else 1, 96))
+        params = {"rng": draw(st.integers(0, 99))} if name == "random" else {}
+        c = make_initial(name, n, **params, **({"d": d} if d == 3 else {}))
+        speed = draw(st.sampled_from([1.0, 4.0, 16.0]))
+        start = draw(st.sampled_from([0.0, 0.0, t_end - 0.0015]))
+        chains.append(ChainState(c.eta, speed * c.eta_dot, start))
+    dt_max = draw(st.sampled_from([1e-3, 4e-3]))
+    cfg = IntegratorConfig(
+        t_end=t_end, dt_max=dt_max, dt_min=draw(st.sampled_from([1e-12, dt_max / 4, dt_max])),
+        project=draw(st.booleans()), halt_on_negative_tension=draw(st.booleans()),
+        report_stride=draw(st.sampled_from([1, 3, 10**9])), blowup_threshold=draw(st.sampled_from([1e8, 40.0, 2.0])),
+    )
+    return chains, cfg
+
+
+def _rotating(n, speed, time=0.0):
+    c = rigid_rotation(n, speed)
+    return ChainState(c.eta, c.eta_dot, time)
+
+
+@given(_batches())
+@example(([make_initial("random", 64, rng=1), make_initial("random", 16, rng=2), near_loop(48)],
+          IntegratorConfig(t_end=0.01, blowup_threshold=40.0, halt_on_negative_tension=False, report_stride=3)))
+@example(([_rotating(96, 16.0), straight_chain(8), _rotating(32, 1.0, time=0.0285)],
+          IntegratorConfig(t_end=0.03, dt_max=4e-3, dt_min=4e-3, report_stride=3)))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_batch_is_bitwise_each_chain_alone_by_the_per_chain_code(batch):
+    # the batch contract at random: every trajectory of a screened batch is
+    # bitwise the chain's own run with every screen falling back, and the
+    # snapshots are handed out iteration by iteration, within one by chain.
+    # The examples pin a curvature stop under the ceiling with projection
+    # on, and a dt underflow beside a chain whose last step t_end cuts
+    chains, cfg = batch
+    handed = []
+    trajs = run_batch(chains, cfg, on_snapshot=lambda i, snap: handed.append((i, snap)))
+    with pytest.MonkeyPatch.context() as mp:   # every screen falls back to the per-chain code
+        mp.setattr(dynamics, "_curvature_capped", lambda n, cfg: False)
+        mp.setattr(dynamics, "_shares_dt_max", lambda low, t_top, cfg: False)
+        mp.setattr(dynamics, "_finite_sum", lambda x: False)
+        for got, c in zip(trajs, chains):
+            _assert_same_trajectory(got, run(c, cfg))
+    made = sorted((min(cfg.report_stride * j, traj.n_steps), i, j) for i, traj in enumerate(trajs)
+                  for j in range(len(traj.snapshots)))
+    assert [(i, snap) for i, snap in handed] == [(i, trajs[i].snapshots[j]) for _, i, j in made]
 
 
 def test_snapshot_report_fields():

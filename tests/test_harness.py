@@ -760,6 +760,24 @@ class TestRunExperiment:
         assert got.tolist() == want
         assert [rising_weight(int(ki), float(ri), int(ni)) for ki, ri, ni in zip(k, r, n)] == want
 
+    def test_weight_entries_built_in_bounded_chunks(self, monkeypatch):
+        # the suite reads one weight per row of the table; its rows are built
+        # a bounded chunk at a time, and each entry is bitwise the whole table's
+        from whipchain.core import _rising_table
+
+        rng = np.random.default_rng(5)
+        n = rng.integers(2, 200, size=1500)
+        k = np.minimum(rng.integers(0, 200, size=1500), n)
+        r = rng.uniform(0.05, 8.0, size=1500)
+        r[::9] = np.floor(r[::9])   # integer r takes the exact product
+        want = _rising_table(r, n, k.max() + 1)[np.arange(len(k)), k]
+        rows = []
+        monkeypatch.setattr(harness, "_rising_table", lambda *args: rows.append(len(args[0])) or _rising_table(*args))
+        for chunk in (1, 7, 512):
+            rows.clear()
+            assert harness._table_entries(r, n, k, chunk).tobytes() == want.tobytes()
+            assert max(rows) == chunk and sum(rows) == len(k)
+
     def test_binomial_is_the_gamma_ratio(self):
         from math import comb, gamma
 

@@ -43,6 +43,23 @@ def test_make_initial_unknown_param():
         make_initial("rigid_rotation", 8, mass=2.0)
 
 
+def test_make_initial_reads_each_generators_parameters_once(monkeypatch):
+    # the accepted names come from the type hints, read once per generator;
+    # the refusal names the generator and the parameter as before
+    from whipchain import initial_data
+
+    calls = []
+    hints = initial_data.get_type_hints
+    monkeypatch.setattr(initial_data, "get_type_hints", lambda gen: calls.append(gen) or hints(gen))
+    initial_data._accepted.cache_clear()
+    for seed in range(3):
+        make_initial("random", 8, rng=seed, vel_scale=2.0)
+    make_initial("rigid_rotation", 8, omega=2.0)
+    with pytest.raises(ValueError, match="^generator 'rigid_rotation' does not accept parameter 'mass'$"):
+        make_initial("rigid_rotation", 8, mass=2.0)
+    assert calls == [random_chain, rigid_rotation]
+
+
 def test_straight_chain_positions():
     ch = straight_chain(8)
     expect = np.arange(8, -1, -1) / 8

@@ -9,10 +9,13 @@ The list: the four benchmark workload configs at seed 1 and full size (read
 from ``bench/workloads.py``, which is only imported), a d = 3 rigid rotation
 and a three-seed random run (both writing csv and jsonl), a theta_power
 convergence study at n = 32..256 (only its n = 256 chain steps below dt_max,
-so the resolutions step at different dt), a near_loop(48) blowup hunt, the
-inequality suite at seeds 0-4 and a green_certify run.  No run reaches
-n = 512 in the spectral maps, whose matrix products there round differently
-with the number of BLAS threads.
+so the resolutions step at different dt), the same study at a
+blowup_threshold of 60, under every resolution's curvature ceiling 2n (so
+the stepper takes the fallback of each whole-stack screen: it forms the
+curvature at every step and steps each chain by its own dt), a
+near_loop(48) blowup hunt, the inequality suite at seeds 0-4 and a
+green_certify run.  No run reaches n = 512 in the spectral maps, whose
+matrix products there round differently with the number of BLAS threads.
 
 Two listings of one checkout written into the same directory must be equal
 (nondeterministic output shows as a difference).  Run against two checkouts,
@@ -47,6 +50,10 @@ RUNS = {
     "convergence_theta_power": {
         "kind": "convergence", "initial.generator": "theta_power", "initial.vel_amp": 8,
         "initial.n": "32,64,128,256", "integrator.t_end": 0.01,
+    },
+    "convergence_fallbacks": {
+        "kind": "convergence", "initial.generator": "theta_power", "initial.vel_amp": 8,
+        "initial.n": "32,64,128,256", "integrator.t_end": 0.01, "integrator.blowup_threshold": 60,
     },
     "near_loop_hunt": {
         "kind": "blowup_hunt", "initial.generator": "near_loop", "initial.n": 48,
