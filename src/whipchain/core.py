@@ -56,17 +56,16 @@ def forward_diff(f, n: int) -> np.ndarray:
 
 
 def forward_diff_m(f, n: int, m: int) -> np.ndarray:
-    """m-fold forward difference; output is m shorter than the input."""
+    """m-fold forward difference along axis 0, :func:`_links` m times; output
+    is m shorter than the input."""
     if m < 0:
         raise ValueError(f"difference order must be nonnegative, got {m}")
-    out = np.asarray(f, dtype=float)
-    if out.shape[0] < m + 1:
-        raise ValueError(
-            f"sequence of length {out.shape[0]} does not support {m} differences"
-        )
+    out = np.moveaxis(np.asarray(f, dtype=float), 0, -1)
+    if out.shape[-1] < m + 1:
+        raise ValueError(f"sequence of length {out.shape[-1]} does not support {m} differences")
     for _ in range(m):
-        out = n * (out[1:] - out[:-1])
-    return out
+        out = _links(out, n)
+    return np.moveaxis(out, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,21 +387,11 @@ class _Blocks:
         """Block b's columns."""
         return slice(int(self.starts[b]), int(self.ends[b]))
 
-    def block_of(self, k: int) -> int:
-        """The block that holds column k."""
-        return int(np.searchsorted(self.ends, k, side="right"))
-
 
 def _layout(n, size: int) -> _Blocks:
     """``n`` itself when it is a :class:`_Blocks`, else the layout of a flat
     stack of ``size`` links in equal blocks of n."""
     return n if isinstance(n, _Blocks) else _equal_blocks(n, size // n)
-
-
-def _blocks_of(sizes) -> _Blocks:
-    """The layout of blocks of these sizes, shared by every stack of as many
-    blocks of one n."""
-    return _equal_blocks(sizes[0], len(sizes)) if len(set(sizes)) == 1 else _Blocks(sizes)
 
 
 @lru_cache(maxsize=16)

@@ -44,7 +44,6 @@ from .core import (
     _Blocks,
     _acceleration_arrays,
     _anchored,
-    _blocks_of,
     _chain_links,
     _energies,
     _energy_sums,
@@ -119,14 +118,8 @@ def acceleration(chain: ChainState, sigma) -> np.ndarray:
 
 def adaptive_dt(chain: ChainState, sigma, cfg: IntegratorConfig) -> float:
     """CFL step dt = clamp(cfl / (n sqrt(max sigma) + eps), dt_min, dt_max)."""
-    return float(_clamp_dt(_raw_dt(chain.n, _tension_array(sigma, chain.n), cfg), cfg))
-
-
-def _raw_dt(n: int, sigma: np.ndarray, cfg: IntegratorConfig):
-    """The unclamped CFL step cfl / (n sqrt(max sigma) + eps), one per chain
-    of a (..., n+1) or interior (..., n) tension array (sigma_0 = 0 does not
-    move the clamped maximum)."""
-    return _cfl_dt(n, sigma.max(axis=-1), cfg)
+    n = chain.n
+    return float(_clamp_dt(_chain_dt(_tension_array(sigma, n)[1:], _layout(n, n), cfg), cfg)[0])
 
 
 def _cfl_dt(n, top, cfg: IntegratorConfig):
@@ -219,7 +212,7 @@ def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
     corr = (unit - new_t) / blocks.n
     moved = np.empty(len(time))
     for m, b0, b1, a, b in blocks.runs:
-        moved[b0:b1] = _sq(np.cumsum(_blocks(corr[:, a:b], m)[..., ::-1], axis=-1)).max(axis=-1)
+        moved[b0:b1] = _sq(np.cumsum(corr[:, a:b].reshape(len(corr), -1, m)[..., ::-1], axis=-1)).max(axis=-1)
     return unit, unit_dot, np.sqrt(moved)
 
 
@@ -227,11 +220,6 @@ def _finite_sum(x: np.ndarray) -> bool:
     """Whether the sum of every entry of x is finite: False whenever an entry
     is NaN or infinite, and also when finite entries overflow it."""
     return math.isfinite(np.add.reduce(x, axis=None))
-
-
-def _blocks(x: np.ndarray, n: int) -> np.ndarray:
-    """The (d, B, n) view of a flat (d, B n) stack, one row per chain."""
-    return x.reshape(x.shape[0], -1, n)
 
 
 def _first_failing(t, t_dot, blocks, dt, finite) -> int:
@@ -262,7 +250,7 @@ def step(chain: ChainState, cfg: IntegratorConfig, dt: float | None = None) -> C
     t, t_dot = _chain_links(chain)
     sigma = _solve_sigma_arrays(t, t_dot, n)[0]
     if dt is None:
-        dt = float(_clamp_dt(_raw_dt(n, sigma, cfg), cfg))
+        dt = float(_clamp_dt(_chain_dt(sigma, _layout(n, n), cfg), cfg)[0])
     t, t_dot, _ = _step_arrays(t, t_dot, sigma, n, [chain.time], np.full(n, dt), cfg)
     return ChainState(_anchored(t).T, _anchored(t_dot).T, chain.time + dt)
 
@@ -527,7 +515,8 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
     termination, and leaves the working arrays when it stops, so its
     trajectory is bitwise the one it gives alone.  A NumericError names the
     failing chain's index, also for an initial state off the constraint
-    manifold (``ChainState.validate``).
+    manifold (``ChainState.validate``); its ``__cause__`` is the same
+    failure without the ``chain <i>: `` label.
 
     The per-step bookkeeping is decided from whole-stack bounds; the
     per-chain code runs only where a bound cannot decide, so every
@@ -544,26 +533,24 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
     if len({c.d for c in initials}) != 1:
         raise ValueError(f"a batch needs chains of one d, got {sorted({c.d for c in initials})}")
     d = initials[0].d
-    for i, c in enumerate(initials):
-        try:
-            c.validate()
-        except ValueError as exc:
-            raise NumericError(f"chain {i}: initial state {exc}", chain=i) from exc
-    live = np.argsort([c.n for c in initials], kind="stable")   # the chain in each working block
-    blocks = _blocks_of([initials[i].n for i in live])
-    pos = [(np.stack([initials[i].eta.T for i in live[b0:b1]], axis=1),   # per run of one n: (d, B_n, n+1)
-            np.stack([initials[i].eta_dot.T for i in live[b0:b1]], axis=1)) for _, b0, b1, _, _ in blocks.runs]
-    t = np.array([initials[i].time for i in live], dtype=float)
-    snapshots: list = [[] for _ in initials]
-    logs: list = [[np.empty(0)] for _ in initials]   # per chain, its projection log in pieces
-    moved: list = []   # each step's projection displacements since the running chains last changed
-    done: list = [None] * len(initials)
-    steps = 0
-    tiny = 1e-14 * max(cfg.t_end, 1.0)
-    n_top = int(blocks.sizes[-1])   # the longest chain's n: the stack is in order of n
-    capped = _curvature_capped(n_top, cfg)
-
+    live = np.arange(len(initials))   # the chain in each working row: in input order while validating
     try:
+        for i, c in enumerate(initials):
+            try:
+                c.validate()
+            except ValueError as exc:
+                raise NumericError(f"initial state {exc}", chain=i) from exc
+        live = np.argsort([c.n for c in initials], kind="stable")   # then in order of n
+        blocks = _Blocks([initials[i].n for i in live])
+        pos = [(np.stack([initials[i].eta.T for i in live[b0:b1]], axis=1),   # per run of one n: (d, B_n, n+1)
+                np.stack([initials[i].eta_dot.T for i in live[b0:b1]], axis=1)) for _, b0, b1, _, _ in blocks.runs]
+        t = np.array([initials[i].time for i in live], dtype=float)
+        snapshots: list = [[] for _ in initials]
+        logs: list = [[np.empty(0)] for _ in initials]   # per chain, its projection log in pieces
+        moved: list = []   # each step's projection displacements since the running chains last changed
+        done: list = [None] * len(initials)
+        steps = 0
+        tiny = 1e-14 * max(cfg.t_end, 1.0)
         while live.size:
             every = steps % cfg.report_stride == 0
             if every:
@@ -573,7 +560,8 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                 links, links_dot = (np.concatenate([_links(p[k]).reshape(d, -1) for p in pos], axis=1)
                                     for k in (0, 1))
             sigma, alpha, w = _solve_sigma_arrays(links, links_dot, blocks)
-            starts = blocks.starts
+            starts, n_top = blocks.starts, int(blocks.sizes[-1])   # the stack is in order of n
+            capped = _curvature_capped(n_top, cfg)
             # no chain's CFL step is below `low`, the step of the stack's largest n and tension:
             # each rounding in _cfl_dt is monotone.  A NaN tension makes it NaN, which leaves
             # the dt screen and the stop screen's dt test undecided
@@ -620,9 +608,7 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                     break
                 kept = np.repeat(going, blocks.sizes)
                 links, links_dot, sigma = links[:, kept], links_dot[:, kept], sigma[kept]
-                blocks = _blocks_of(blocks.sizes[going].tolist())
-                n_top = int(blocks.sizes[-1])
-                capped = _curvature_capped(n_top, cfg)
+                blocks = _Blocks(blocks.sizes[going].tolist())
             if _shares_dt_max(low, t_top, cfg):
                 dt = step_dt = cfg.dt_max
             else:
@@ -642,7 +628,8 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
 def _positions(links: np.ndarray, links_dot: np.ndarray, blocks: _Blocks) -> list:
     """The positions and velocities of the chains of a flat (d, K) stack,
     per run of one n: (d, B_n, n+1) arrays summed back from the links."""
-    return [(_anchored(_blocks(links[:, a:b], n)), _anchored(_blocks(links_dot[:, a:b], n)))
+    d = len(links)
+    return [(_anchored(links[:, a:b].reshape(d, -1, n)), _anchored(links_dot[:, a:b].reshape(d, -1, n)))
             for n, _, _, a, b in blocks.runs]
 
 

@@ -626,9 +626,8 @@ def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     starts = {nv: theta_to_eta(discretize_Fn(coeff_pos, nv, coeff_vel)) for nv in n_list}
     try:
         trajs = run_batch([starts[nv] for nv in n_list], cfg.integrator)
-    except NumericError as exc:   # name the resolution, not its place in the batch
-        detail = str(exc).removeprefix(f"chain {exc.chain}: ")
-        raise NumericError(f"n={n_list[exc.chain]}: {detail}", chain=exc.chain) from exc
+    except NumericError as exc:   # name the resolution, not its place in the batch: relabel the unlabelled cause
+        raise NumericError(f"n={n_list[exc.chain]}: {exc.__cause__}", chain=exc.chain) from exc
     finals = {nv: traj.snapshots[-1].state for nv, traj in zip(n_list, trajs)}
 
     def distances(states, time):

@@ -34,13 +34,17 @@ def _in_plane(d: int, x: float, y: float) -> np.ndarray:
     return u
 
 
+def _along(n: int, u: np.ndarray) -> np.ndarray:
+    """The (n+1, d) rows ((n+1-k)/n) u for k = 1..n+1: the straight chain's
+    positions along u, or a rigid rotation's velocities."""
+    return np.outer(np.arange(n, -1, -1, dtype=float) / n, u)
+
+
 def straight_chain(n: int, d: int = 2, angle: float = 0.0) -> ChainState:
     """Stationary chain along a fixed direction; eta_k = ((n+1-k)/n) u with
     u = (cos angle, sin angle, 0, ..., 0)."""
     _require_links(n)
-    u = _in_plane(d, np.cos(angle), np.sin(angle))
-    c = np.arange(n, -1, -1, dtype=float) / n
-    eta = np.outer(c, u)
+    eta = _along(n, _in_plane(d, np.cos(angle), np.sin(angle)))
     return ChainState(eta, np.zeros_like(eta))
 
 
@@ -49,22 +53,15 @@ def rigid_rotation(n: int, omega: float = 1.0, d: int = 2) -> ChainState:
     end; an exact solution of the chain ODE with tension
     sigma_k = omega^2 k (2n+1-k) / (2 n^2)."""
     _require_links(n)
-    c = np.arange(n, -1, -1, dtype=float) / n
-    u, uperp = _in_plane(d, 1.0, 0.0), _in_plane(d, 0.0, 1.0)
-    eta = np.outer(c, u)
-    eta_dot = np.outer(c, omega * uperp)
-    return ChainState(eta, eta_dot)
+    return ChainState(_along(n, _in_plane(d, 1.0, 0.0)), _along(n, omega * _in_plane(d, 0.0, 1.0)))
 
 
 def rigid_rotation_exact(n: int, t: float, omega: float = 1.0, d: int = 2) -> ChainState:
     """Closed-form state of the rotating chain at time t (oracle for tests)."""
     _require_links(n)
-    c = np.arange(n, -1, -1, dtype=float) / n
     u = _in_plane(d, np.cos(omega * t), np.sin(omega * t))
     uperp = _in_plane(d, -np.sin(omega * t), np.cos(omega * t))
-    eta = np.outer(c, u)
-    eta_dot = np.outer(c, omega * uperp)
-    return ChainState(eta, eta_dot, time=t)
+    return ChainState(_along(n, u), _along(n, omega * uperp), time=t)
 
 
 def rigid_rotation_sigma(n: int, omega: float = 1.0) -> np.ndarray:

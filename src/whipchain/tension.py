@@ -310,10 +310,6 @@ class TensionSolution:
         object.__setattr__(self, "min_sigma", float(self.sigma[1:].min()))
         object.__setattr__(self, "positivity", self.min_sigma > 0.0)
 
-    @property
-    def n(self) -> int:
-        return self.sigma.shape[0] - 1
-
 
 def _operator(alpha: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     """A's diagonal n^2 (2, ..., 2, 1) and off-diagonal -alpha n^2 per block
@@ -350,7 +346,7 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n) -> np.ndarray:
         return w / diag
     _, _, sigma, info = dptsv(diag, off, w, overwrite_e=1)
     if info > 0:
-        chain = blocks.block_of(info - 1)
+        chain = int(np.searchsorted(blocks.ends, info - 1, side="right"))   # the block of row info - 1
         part = blocks.part(chain)
         worst = np.max(np.abs(alpha[part.start : part.stop - 1]), initial=0.0)
         raise NumericError(

@@ -599,6 +599,48 @@ class TestRunBatch:
                                   IntegratorConfig(t_end=1.0))
         assert info.value.chain == 1
 
+    @staticmethod
+    def _batch_step_goes_non_finite(monkeypatch, first_row):
+        """Make run_batch's stacked step non-finite from working row
+        ``first_row`` on; a chain re-stepped alone (given its n, not the
+        stack's _Blocks) steps as it would."""
+        advance = dynamics._advance
+
+        def advance_nan(t, t_dot, sigma, n, dt):
+            x, v = advance(t, t_dot, sigma, n, dt)
+            if isinstance(n, core._Blocks):
+                v[:, n.starts[first_row]:] = np.nan
+            return x, v
+
+        monkeypatch.setattr(dynamics, "_advance", advance_nan)
+
+    def test_a_chain_whose_lone_solve_fails_is_named(self, monkeypatch):
+        # every row goes non-finite; the n = 8 chain (row 0) steps soundly
+        # alone and the n = 12 chain's lone re-solve raises, so the batch
+        # names the n = 12 chain, input index 2
+        chains = [make_random_chain(n, seed=n) for n in (16, 8, 12)]
+        solve = dynamics._solve_sigma_arrays
+
+        def lone_fails(t, t_dot, n):
+            if n == 12:   # only a lone re-solve passes a number; the batch passes its _Blocks
+                raise NumericError("the lone solve fails", chain=0)
+            return solve(t, t_dot, n)
+
+        self._batch_step_goes_non_finite(monkeypatch, 0)
+        monkeypatch.setattr(dynamics, "_solve_sigma_arrays", lone_fails)
+        with pytest.raises(NumericError, match="^chain 2: non-finite state after step at t=0$") as info:
+            run_batch(chains, IntegratorConfig(t_end=1.0))
+        assert info.value.chain == 2
+
+    def test_the_first_non_finite_row_is_named_when_no_chain_fails_alone(self, monkeypatch):
+        # rows 1 and 2 (n = 12 and 16) go non-finite, yet each chain steps
+        # soundly alone: the batch names row 1's chain, input index 2
+        chains = [make_random_chain(n, seed=n) for n in (16, 8, 12)]
+        self._batch_step_goes_non_finite(monkeypatch, 1)
+        with pytest.raises(NumericError, match="^chain 2: non-finite state after step at t=0$") as info:
+            run_batch(chains, IntegratorConfig(t_end=1.0))
+        assert info.value.chain == 2
+
 
 class TestStepStartSolve:
     """Each iteration of the stepping loop makes one stacked tension solve at
@@ -815,7 +857,7 @@ class TestLinkStepping:
         links, links_dot = flat_links(chains)
         cfg = IntegratorConfig(t_end=1.0)
         sigma = dynamics._solve_sigma_arrays(links, links_dot, n)[0]
-        dt = np.repeat(dynamics._clamp_dt(dynamics._raw_dt(n, sigma.reshape(B, n), cfg), cfg), n)
+        dt = np.repeat(dynamics._clamp_dt(dynamics._chain_dt(sigma, core._Blocks([n] * B), cfg), cfg), n)
         unit, _, moved = dynamics._step_arrays(links, links_dot, sigma, n, np.zeros(B), dt, cfg)
         new_t, _ = dynamics._advance(links, links_dot, sigma, n, dt)
         want = np.sqrt(core._sq(core._anchored((unit - new_t).reshape(d, B, n))).max(axis=-1))
@@ -1065,7 +1107,7 @@ def _snapshot_stack(chains):
     """The arguments of dynamics._snapshot_pass for every row of ``chains``,
     stacked in the given order (run_batch's is that of n), each at its own
     time, from their stacked step-start solve."""
-    blocks = core._blocks_of([c.n for c in chains])
+    blocks = core._Blocks([c.n for c in chains])
     pos = [(np.stack([c.eta.T for c in chains[b0:b1]], axis=1), np.stack([c.eta_dot.T for c in chains[b0:b1]], axis=1))
            for _, b0, b1, _, _ in blocks.runs]
     sigma, alpha, w = tension._solve_sigma_arrays(*flat_links(chains), blocks)

@@ -1017,6 +1017,28 @@ class TestRunExperiment:
         assert cli_main(["run", str(path), "--quiet"]) == 3
         assert capsys.readouterr().err == "numeric failure: n=16: boom\n"
 
+    def test_convergence_invalid_initial_state_names_the_resolution(self, tmp_path, monkeypatch, capsys):
+        # the n = 16 start is stretched off the constraint manifold, so
+        # run_batch refuses it by name; the error names the resolution
+        to_eta = harness.theta_to_eta
+
+        def stretched(angles):
+            chain = to_eta(angles)
+            return dynamics.ChainState(1.001 * chain.eta, chain.eta_dot) if chain.n == 16 else chain
+
+        monkeypatch.setattr(harness, "theta_to_eta", stretched)
+        text = (
+            "kind = convergence\ninitial.generator = rigid_rotation\ninitial.n = 32,8,16\n"
+            f"integrator.t_end = 0.01\noutput.dir = {tmp_path / 'fail'}\n"
+        )
+        path = write_cfg(tmp_path, text)
+        message = "n=16: initial state link-length drift 1.000e-03 exceeds tolerance 1.0e-10"
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$") as info:
+            run_experiment(parse_config(path))
+        assert info.value.chain == 1
+        assert cli_main(["run", str(path), "--quiet"]) == 3
+        assert capsys.readouterr().err == f"numeric failure: {message}\n"
+
     def test_interrupted_run_marked_incomplete(self, tmp_path, monkeypatch):
         import whipchain.harness as hz
 

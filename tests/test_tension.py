@@ -3,6 +3,8 @@ certificates, sigma_dot, and the a/b/c and d_m diagnostics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whipchain.core import ChainState, _anchored, _Blocks, u0_v0
 from whipchain.dynamics import _advance
@@ -637,6 +639,61 @@ class TestCertifyStack:
                     part = x[b, lo:hi][::-1] if reverse else x[b, lo:hi]
                     want = ufunc.accumulate(part)
                     assert np.array_equal(got[b, lo:hi], want[::-1] if reverse else want)
+
+
+def _right_angle_chain(n, d, rng):
+    """A chain of axis-aligned links in R^d that turns to another axis at
+    about a third of its joints (alpha = 0 exactly, which splits it), folds
+    back at some (alpha = -1) and runs straight on at the rest."""
+    axis, sign, dirs = 0, 1.0, np.zeros((n, d))
+    for k in range(n):
+        move = rng.random() if k else 1.0
+        if move < 0.35:
+            axis, sign = (axis + int(rng.integers(1, d))) % d, float(rng.choice([-1.0, 1.0]))
+        elif move < 0.45:
+            sign = -sign
+        dirs[k, axis] = sign
+    eta = np.zeros((n + 1, d))
+    eta[:-1] = -np.cumsum(dirs[::-1], axis=0)[::-1] / n  # eta_{n+1} = 0
+    return ChainState(eta, np.zeros((n + 1, d)))
+
+
+@st.composite
+def _certify_layouts(draw):
+    """1-6 chains of one n in 1..96 and one d in {2, 3}: random chains of the
+    three turn families (planar ones turned out of the plane at d = 3) and
+    chains with exact right angles."""
+    d, n = draw(st.sampled_from([2, 3])), draw(st.integers(1, 96))
+    kinds = draw(st.lists(st.sampled_from([*sorted(_FAMILY_TURN), "right_angles"]), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    chains = []
+    for kind in kinds:
+        if kind == "right_angles":
+            chains.append(_right_angle_chain(n, d, rng))
+            continue
+        eta = np.zeros((n + 1, d))
+        eta[:, :2] = random_chain(n, rng, max_turn=_FAMILY_TURN[kind](n)).eta
+        if d > 2:
+            eta = eta @ np.linalg.qr(rng.normal(size=(d, d)))[0]
+        chains.append(ChainState(eta, np.zeros((n + 1, d))))
+    return chains
+
+
+@given(_certify_layouts())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_certify_stack_rows_on_random_layouts(chains):
+    # every row is bitwise the chain's own certificate, and its extremes are
+    # those a dense G gives over the blocks between its right angles (and 0
+    # for the lower ratio across them)
+    stack = tension.certify_stack(_position_stack(chains))
+    _assert_rows_match(stack, chains)
+    for b, ch in enumerate(chains):
+        cuts = np.flatnonzero(compute_alpha_beta(ch).alpha == 0.0) + 1
+        blocks = np.array(_dense_block_extremes(oracle_green(ch), cuts))
+        low = min(blocks[:, 2].min(), 0.0) if cuts.size else blocks[0, 2]
+        for key, want in zip(("max_abs_green_diff", "max_upper_ratio", "min_lower_ratio"),
+                             (blocks[:, 0].max(), blocks[:, 1].max(), low)):
+            assert stack[key][b] == pytest.approx(want, rel=1e-10, abs=1e-13), (b, key)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 every file they write, so two runs can be compared byte for byte.
 
     PYTHONPATH=src python tools/output_digests.py OUT_DIR
+    PYTHONPATH=src python tools/output_digests.py --against REV OUT_DIR
 
 Each line is ``<sha256>  <path relative to OUT_DIR>``, sorted by path;
 ``manifest.json`` is hashed without its ``started`` and ``finished`` times.
@@ -20,17 +21,27 @@ matrix products there round differently with the number of BLAS threads.
 Two listings of one checkout written into the same directory must be equal
 (nondeterministic output shows as a difference).  Run against two checkouts,
 each with its own ``src`` on PYTHONPATH and the same OUT_DIR path, the
-listings show whether a change left every output unchanged.
+listings show whether a change left every output unchanged.  ``--against
+REV`` does that comparison: it extracts ``git archive REV src`` into a
+temporary directory and writes REV's listing and then this checkout's into
+OUT_DIR, which must be absent or empty, each in a child process with that
+``src`` on PYTHONPATH.  It prints the lines that differ, ``-`` for REV and
+``+`` for this checkout, and exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
 
 from whipchain.cli import main  # noqa: E402
 from workloads import WORKLOADS, config_text  # noqa: E402
@@ -88,7 +99,32 @@ def digests(out: Path) -> list[str]:
     return [f"{_digest(p)}  {p.relative_to(out).as_posix()}" for p in files]
 
 
+def _listing(src: Path, out: Path) -> list[str]:
+    """The listing of the package in ``src``, written into ``out`` by a child."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, __file__, str(out)], env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return run.stdout.splitlines()
+
+
+def against(rev: str, out: Path) -> int:
+    """Print the lines in which REV's listing and this checkout's differ, both
+    written into ``out``; 1 if any do, else 0."""
+    if out.exists() and any(out.iterdir()):
+        raise SystemExit(f"{out} is not empty")
+    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, stdout=subprocess.PIPE, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        before = _listing(Path(tmp) / "src", out)
+    shutil.rmtree(out)   # all of it written by REV's run
+    after = _listing(ROOT / "src", out)
+    diff = [f"- {line}" for line in before if line not in after] + [f"+ {line}" for line in after if line not in before]
+    print("\n".join(diff) if diff else f"no difference in {len(after)} lines against {rev}")
+    return 1 if diff else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--against":
+        raise SystemExit(against(sys.argv[2], Path(sys.argv[3])))
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
     print("\n".join(digests(Path(sys.argv[1]))))
