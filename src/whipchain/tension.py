@@ -39,6 +39,7 @@ data is component-major, as in :mod:`whipchain.core`.
 from __future__ import annotations
 
 import importlib.util
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -61,9 +62,14 @@ from .core import (
 from .errors import NumericError
 
 
+#: the variables OpenBLAS reads for its thread count; a caller who set any keeps it
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _load_lapack():
     """LAPACK's ``dptsv``, ``dpttrf`` and ``dtbtrs`` from scipy's compiled
-    ``scipy.linalg._flapack`` module, loaded from its file.
+    ``scipy.linalg._flapack`` module, loaded from its file, with scipy's
+    OpenBLAS pinned to one thread.
 
     Importing ``scipy.linalg.lapack`` first runs the ``scipy`` and
     ``scipy.linalg`` package imports (about 0.3 s on a 2-core host), and the
@@ -71,23 +77,41 @@ def _load_lapack():
     a later ``import scipy.linalg`` is handed the same module.  When the
     file cannot be found or loaded, the routines come from
     ``scipy.linalg.lapack``.
+
+    The three routines are sequential recurrences that hand no work to a
+    BLAS thread, yet OpenBLAS starts its default pool when the library
+    loads, and the pool's worker spins through its timeout beside the main
+    thread (tens of ms of CPU on a 2-core host).  So the load runs with
+    ``OPENBLAS_NUM_THREADS=1``, which is removed again after it, and scipy's
+    OpenBLAS starts no worker.  A caller who set any of
+    :data:`_BLAS_THREAD_VARIABLES` keeps its setting, and a library that is
+    already loaded (``scipy.linalg`` imported first) keeps its pool, since
+    OpenBLAS reads the variable only when it loads.  numpy's OpenBLAS is
+    loaded before this module and is left alone.
     """
-    name = "scipy.linalg._flapack"
-    spec = importlib.util.find_spec("scipy")
-    if spec is not None and spec.submodule_search_locations:
-        folder = Path(spec.submodule_search_locations[0]) / "linalg"
-        for suffix in EXTENSION_SUFFIXES:
-            path = folder / f"_flapack{suffix}"
-            if path.is_file():
-                loader = ExtensionFileLoader(name, str(path))
-                try:
-                    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-                    loader.exec_module(module)
-                    return module.dptsv, module.dpttrf, module.dtbtrs
-                except ImportError:
-                    break
-    from scipy.linalg.lapack import dpttrf, dptsv, dtbtrs
-    return dptsv, dpttrf, dtbtrs
+    pin = not any(variable in os.environ for variable in _BLAS_THREAD_VARIABLES)
+    if pin:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        name = "scipy.linalg._flapack"
+        spec = importlib.util.find_spec("scipy")
+        if spec is not None and spec.submodule_search_locations:
+            folder = Path(spec.submodule_search_locations[0]) / "linalg"
+            for suffix in EXTENSION_SUFFIXES:
+                path = folder / f"_flapack{suffix}"
+                if path.is_file():
+                    loader = ExtensionFileLoader(name, str(path))
+                    try:
+                        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+                        loader.exec_module(module)
+                        return module.dptsv, module.dpttrf, module.dtbtrs
+                    except ImportError:
+                        break
+        from scipy.linalg.lapack import dpttrf, dptsv, dtbtrs
+        return dptsv, dpttrf, dtbtrs
+    finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 dptsv, dpttrf, dtbtrs = _load_lapack()

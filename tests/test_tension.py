@@ -1,6 +1,12 @@
 """Tridiagonal tension solves, the discrete Green function, bound
 certificates, sigma_dot, and the a/b/c and d_m diagnostics."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -893,10 +899,81 @@ def _assert_bitwise(got: dict, want: dict):
         np.testing.assert_array_equal(got[key], want[key], err_msg=key, strict=True)
 
 
+# Run in a fresh interpreter: ``body`` runs after numpy is imported, then the
+# thread count of each OpenBLAS that ``body`` mapped into the process (so not
+# numpy's) is read through its get_num_threads symbol, with the
+# OPENBLAS_NUM_THREADS the process is left with.
+_BLAS_PROBE = """
+import ctypes, json, os, sys
+def openblas():
+    with open("/proc/self/maps") as maps:
+        return {line.split()[-1] for line in maps if "openblas" in os.path.basename(line.split()[-1])}
+import numpy
+numpy_blas = openblas()
+exec(sys.argv[1])
+counts = []
+for path in sorted(openblas() - numpy_blas):
+    library = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+        if hasattr(library, symbol):
+            get = getattr(library, symbol)
+            get.argtypes, get.restype = [], ctypes.c_int
+            counts.append(get())
+            break
+print(json.dumps({"counts": counts, "variable": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+def _scipy_blas_threads(body: str, **variables) -> tuple[int, str | None]:
+    """(the thread count of scipy's OpenBLAS, the OPENBLAS_NUM_THREADS left
+    in os.environ) after ``body`` ran in a fresh interpreter whose
+    environment sets none of OpenBLAS's thread variables but ``variables``.
+    Skips where the count cannot be read."""
+    if not Path("/proc/self/maps").is_file():
+        pytest.skip("no /proc/self/maps to find the loaded OpenBLAS in")
+    src = str(Path(tension.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in tension._BLAS_THREAD_VARIABLES}
+    env.update(variables, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, body], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    if len(probe["counts"]) != 1:
+        pytest.skip(f"scipy's OpenBLAS thread count is not readable here ({len(probe['counts'])} libraries)")
+    return probe["counts"][0], probe["variable"]
+
+
+def _needs_two_cores():
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cores < 2:
+        pytest.skip("OpenBLAS caps its pool at the cores it may run on")
+
+
 class TestLapackLoad:
     """``tension._load_lapack`` loads scipy's ``_flapack`` extension from its
     file; the routines must be the ones ``scipy.linalg.lapack`` exports, and
-    any failure of the direct load falls back to that module."""
+    any failure of the direct load falls back to that module.  The load pins
+    scipy's OpenBLAS to one thread unless the caller chose a thread count
+    or the library was loaded before, and leaves the environment as it was."""
+
+    def test_import_pins_scipy_blas_to_one_thread(self):
+        assert _scipy_blas_threads("import whipchain.cli") == (1, None)
+
+    def test_caller_thread_count_is_kept(self):
+        _needs_two_cores()
+        assert _scipy_blas_threads("import whipchain.cli", OPENBLAS_NUM_THREADS="2") == (2, "2")
+
+    def test_scipy_linalg_imported_first_keeps_its_pool(self):
+        _needs_two_cores()
+        alone, _ = _scipy_blas_threads("import scipy.linalg")
+        assert alone > 1
+        assert _scipy_blas_threads("import scipy.linalg; import whipchain.cli") == (alone, None)
+
+    def test_fallback_load_is_pinned_too(self):
+        body = (
+            "import importlib.util; importlib.util.find_spec = lambda name, package=None: None; "
+            "import whipchain.cli; assert 'scipy.linalg.lapack' in sys.modules"
+        )
+        assert _scipy_blas_threads(body) == (1, None)
 
     def test_direct_load_is_bitwise_scipy_lapack(self, monkeypatch):
         from scipy.linalg import lapack
