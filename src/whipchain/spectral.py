@@ -155,10 +155,13 @@ def basis_q_table(n: int, modes: int | None = None) -> np.ndarray:
     q_m is even through the fixed end, so on the half grid k = 1..n it is
     the degree m-1 orthonormal polynomial in x = (k - n - 1/2)^2 for the
     weight rho_k / n (the symmetric-measure reduction of the Hahn family).
-    Row m+1 is x q_m Gram-Schmidt orthogonalized against rows 1..m, twice
-    for round-off, so every mode keeps a positive leading coefficient in x,
-    as Q_m does in (1-s)^2; hence q_m(1) has the sign (-1)^(m-1).  The
-    second half is the mirror image of the first.
+    Row m+1 is a Lanczos step with full reorthogonalization (Parlett, *The
+    Symmetric Eigenvalue Problem*, 1998, §13-8): x q_m less its components
+    along q_m and q_{m-1}, the three-term recurrence, then one Gram-Schmidt
+    pass against rows 1..m for round-off, and normalized.  So every mode
+    keeps a positive leading coefficient in x, as Q_m does in (1-s)^2; hence
+    q_m(1) has the sign (-1)^(m-1).  The second half is the mirror image of
+    the first.
 
     Row m reads only rows < m, so the leading rows cost O(modes^2 n) and are
     bitwise the first rows of the full O(n^3) table.  Tables are cached by
@@ -178,11 +181,16 @@ def _basis_q_rows(n: int, modes: int) -> np.ndarray:
     w = symmetric_weight(n, 1, n) / n
     half = np.empty((modes, n))
     half[0] = 1.0 / np.sqrt(np.sum(w))
+    b = 0.0
     for m in range(1, modes):
-        t = x * half[m - 1]
-        for _ in range(2):                        # twice-is-enough reorthogonalization
-            t = t - half[:m].T @ (half[:m] @ (w * t))
-        half[m] = t / np.sqrt(np.sum(w * t * t))
+        q = half[m - 1]
+        t = x * q
+        t -= np.dot(w * q, t) * q                 # a_m q_{m-1}
+        if m > 1:
+            t -= b * half[m - 2]                  # b_{m-1} q_{m-2}
+        t -= half[:m].T @ (half[:m] @ (w * t))    # one full reorthogonalization pass
+        b = np.sqrt(np.dot(w * t, t))
+        half[m] = t / b
     table = _mirrored(half, n)
     table.setflags(write=False)
     return table

@@ -283,6 +283,16 @@ class TestBasisQDiscrete:
             centre = basis_q_table(n)[:, n - 1]
             assert np.array_equal(np.sign(centre), (-1.0) ** np.arange(n))
 
+    @pytest.mark.parametrize("n, modes", [(64, 64), (256, 256), (512, 512), (512, 256)])
+    def test_weighted_gram_and_signs_at_working_sizes(self, n, modes):
+        # the full tables the acceptance suite and transfers read, and the
+        # (512, 256) rows a convergence ladder's n_ref = 512 transfer builds
+        table = basis_q_table(n, modes)
+        half = table[:, :n]
+        gram = (half * (symmetric_weight(n, 1, n) / n)) @ half.T
+        assert np.max(np.abs(gram - np.eye(modes))) <= 1e-13
+        assert np.array_equal(np.sign(table[:, n - 1]), (-1.0) ** np.arange(modes))
+
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
             basis_q(9, 8)

@@ -15,8 +15,10 @@ blowup_threshold of 60, under every resolution's curvature ceiling 2n (so
 the stepper takes the fallback of each whole-stack screen: it forms the
 curvature at every step and steps each chain by its own dt), a
 near_loop(48) blowup hunt, the inequality suite at seeds 0-4 and a
-green_certify run.  No run reaches n = 512 in the spectral maps, whose
-matrix products there round differently with the number of BLAS threads.
+green_certify run.  The two theta_power studies and ``convergence_ladder``
+continuize at n_ref = 512 (256 rows), whose bytes are the same on one BLAS
+thread and on two.  No run holds an n = 512 chain: its n_ref = 1024
+transfer rounds differently with the number of BLAS threads.
 
 Two listings of one checkout written into the same directory must be equal
 (nondeterministic output shows as a difference).  Run against two checkouts,
