@@ -52,11 +52,7 @@ def main(argv=None) -> int:
             f"{cfg.kind}: status={manifest.status} violations={manifest.violations}{term} "
             f"-> {cfg.output_dir}"
         )
-    if manifest.violations > 0:
-        return 4
-    if manifest.status != "complete":
-        return 3
-    return 0
+    return 4 if manifest.violations > 0 else 0
 
 
 if __name__ == "__main__":

@@ -188,11 +188,6 @@ def _anchored(links: np.ndarray) -> np.ndarray:
     return out
 
 
-def _component_major(x: np.ndarray) -> np.ndarray:
-    """Row-major (k, d) vectors as a contiguous component-major (d, k) array."""
-    return np.ascontiguousarray(x.T)
-
-
 def _lengths(v: np.ndarray) -> np.ndarray:
     """|v| over the component axis 0: np.linalg.norm(v, axis=0), bitwise for
     d = 2 and 3 (see :func:`_sq`), without its per-call checks."""
@@ -295,14 +290,15 @@ class ChainState:
         speed and below it stays ``tol_orth``."""
         if not (np.isfinite(self.eta).all() and np.isfinite(self.eta_dot).all()):
             raise ValueError("eta and eta_dot must be finite")
-        drift = self.constraint_drift()
+        with np.errstate(over="ignore", invalid="ignore"):
+            t, t_dot = _chain_links(self)
+            speed_sq = float(np.max(_sq(t_dot)))
+        drift = float(np.max(np.abs(_lengths(t) - 1.0)))
         if drift > tol_length:
             raise ValueError(f"link-length drift {drift:.3e} exceeds tolerance {tol_length:.1e}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            speed_sq = float(np.max(_sq(_links(self.eta_dot.T))))
         if not np.isfinite(speed_sq):
             raise ValueError("link speeds |D+ eta_dot_k| overflow: their squares are not finite")
-        orth = self.orthogonality_drift()
+        orth = float(np.max(np.abs(_dot(t, t_dot))))
         tol = tol_orth * max(1.0, np.sqrt(speed_sq))
         if orth > tol:
             raise ValueError(f"orthogonality drift {orth:.3e} exceeds tolerance {tol:.1e}")
@@ -311,7 +307,7 @@ class ChainState:
 
 def _chain_links(chain: ChainState) -> tuple[np.ndarray, np.ndarray]:
     """A chain's links and link velocities, component-major (d, n)."""
-    return _links(_component_major(chain.eta)), _links(_component_major(chain.eta_dot))
+    return _links(chain.eta.T), _links(chain.eta_dot.T)
 
 
 # ---------------------------------------------------------------------------
@@ -349,13 +345,15 @@ class _Blocks:
     index arrays, so a scaling is the same single IEEE operation per element
     either way.  Per-chain reductions run ``ufunc.reduceat`` at ``starts``,
     and ``runs`` holds (n, first block, end block, first link, end link) for
-    each run of consecutive blocks of one n.
+    each run of consecutive blocks of one n, in the order given; ``n_top``
+    is the largest n.
     """
 
     def __init__(self, sizes):
         sizes = [int(n) for n in sizes]
         ends = list(accumulate(sizes))
         self.sizes, self.ends = np.array(sizes, dtype=int), np.array(ends, dtype=int)
+        self.n_top = max(sizes, default=0)
         self.starts = self.ends - self.sizes
         self.stacked = len(sizes) > 1
         self.runs, a = [], 0
@@ -497,8 +495,7 @@ def _energies(sums: np.ndarray, n: int) -> np.ndarray:
 
 def _chain_ladder(chain: ChainState, m_max: int) -> list:
     """:func:`_squared_differences` of a chain's velocities and links."""
-    eta_dot = _component_major(chain.eta_dot)
-    return _squared_differences(eta_dot, _links(_component_major(chain.eta)), _links(eta_dot), m_max)
+    return _squared_differences(chain.eta_dot.T, *_chain_links(chain), m_max)
 
 
 def u0_v0(chain: ChainState) -> tuple[float, float]:

@@ -391,8 +391,8 @@ def _report_stack(eta: np.ndarray, eta_dot: np.ndarray, sigma: np.ndarray) -> li
     k = n reaches through the fixed end and is dropped).  sqrt is monotone,
     so the root of the largest square is the largest length.  Each kernel
     runs once for the stack, elementwise or along the last axis, so row i is
-    bitwise the report of chain i alone; a NumericError from the a/c checks
-    names the first row that fails one.
+    bitwise the report of chain i alone; a NumericError from the sigma_dot
+    solve names the first row whose system fails.
     """
     n = eta.shape[-1] - 1
     t, t_dot = _links(eta), _links(eta_dot)
@@ -421,16 +421,18 @@ def _snapshot_pass(pos: list, blocks: _Blocks, sigma: np.ndarray, alpha: np.ndar
     """The Snapshot of each working row in ``rows`` (ascending), at its
     ``time``, from the flat stacked system (``sigma``, ``alpha``, ``w``) laid
     out by ``blocks``, and from ``pos``, the positions and velocities per run
-    of one n.  The contract checks every row on the flat system; the reports
-    run per run of one n over the rows before its first breach.  A
-    NumericError names the working row of the first failing row."""
+    of one n.  The contract checks every row on the flat system first, and
+    its breach names the working row of the first row that breaks it; then
+    the reports run per run of one n, and a NumericError from one names its
+    working row."""
     err = np.zeros(len(time))
     err[rows] = _backward_error(alpha, sigma, w, blocks)[rows]
     breach = _contract_breach(err)   # names its working row
-    ok = rows if breach is None else rows[rows < breach.chain]
+    if breach is not None:
+        raise breach
     made = []
     for (n, b0, b1, a, b), (eta, eta_dot) in zip(blocks.runs, pos):
-        mine = ok[(ok >= b0) & (ok < b1)] - b0   # the run's rows, counted from its first
+        mine = rows[(rows >= b0) & (rows < b1)] - b0   # the run's rows, counted from its first
         if not mine.size:
             continue
         full = np.zeros((mine.size, n + 1))
@@ -442,8 +444,6 @@ def _snapshot_pass(pos: list, blocks: _Blocks, sigma: np.ndarray, alpha: np.ndar
             raise
         made += [Snapshot(ChainState(eta[:, i].T, eta_dot[:, i].T, time[b0 + i]), TensionSolution(s), rep)
                  for i, s, rep in zip(mine, full, reports)]
-    if breach is not None:
-        raise breach
     return made
 
 
@@ -500,9 +500,10 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
     snap)``, when given, is called with each snapshot of chain ``i`` as it is
     made: iteration by iteration, and within one by chain index.
 
-    The chains are stacked in order of n, as one flat (d, sum n) stack of
-    blocks whose edges one :class:`~whipchain.core._Blocks` describes per
-    set of running chains.  Each iteration starts with one stacked tension
+    The chains are stacked in the order given, as one flat (d, sum n) stack
+    of blocks whose edges one :class:`~whipchain.core._Blocks` describes per
+    set of running chains; consecutive chains of one n form one run of the
+    per-n kernels.  Each iteration starts with one stacked tension
     solve of the running chains' links, which the stop tests, dt, the step
     and the snapshots read: a chain is snapshotted there when its step
     count is a multiple of ``report_stride`` or it stops.  The iteration's
@@ -533,18 +534,17 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
     if len({c.d for c in initials}) != 1:
         raise ValueError(f"a batch needs chains of one d, got {sorted({c.d for c in initials})}")
     d = initials[0].d
-    live = np.arange(len(initials))   # the chain in each working row: in input order while validating
+    live = np.arange(len(initials))   # the chain in each working row
     try:
         for i, c in enumerate(initials):
             try:
                 c.validate()
             except ValueError as exc:
                 raise NumericError(f"initial state {exc}", chain=i) from exc
-        live = np.argsort([c.n for c in initials], kind="stable")   # then in order of n
-        blocks = _Blocks([initials[i].n for i in live])
-        pos = [(np.stack([initials[i].eta.T for i in live[b0:b1]], axis=1),   # per run of one n: (d, B_n, n+1)
-                np.stack([initials[i].eta_dot.T for i in live[b0:b1]], axis=1)) for _, b0, b1, _, _ in blocks.runs]
-        t = np.array([initials[i].time for i in live], dtype=float)
+        blocks = _Blocks([c.n for c in initials])
+        pos = [(np.stack([c.eta.T for c in initials[b0:b1]], axis=1),   # per run of one n: (d, B_n, n+1)
+                np.stack([c.eta_dot.T for c in initials[b0:b1]], axis=1)) for _, b0, b1, _, _ in blocks.runs]
+        t = np.array([c.time for c in initials], dtype=float)
         snapshots: list = [[] for _ in initials]
         logs: list = [[np.empty(0)] for _ in initials]   # per chain, its projection log in pieces
         moved: list = []   # each step's projection displacements since the running chains last changed
@@ -560,7 +560,7 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                 links, links_dot = (np.concatenate([_links(p[k]).reshape(d, -1) for p in pos], axis=1)
                                     for k in (0, 1))
             sigma, alpha, w = _solve_sigma_arrays(links, links_dot, blocks)
-            starts, n_top = blocks.starts, int(blocks.sizes[-1])   # the stack is in order of n
+            starts, n_top = blocks.starts, blocks.n_top
             capped = _curvature_capped(n_top, cfg)
             # no chain's CFL step is below `low`, the step of the stack's largest n and tension:
             # each rounding in _cfl_dt is monotone.  A NaN tension makes it NaN, which leaves
@@ -591,7 +591,7 @@ def run_batch(initials, cfg: IntegratorConfig, on_snapshot=None) -> list[Traject
                 pos = _positions(links, links_dot, blocks)
             shot = np.arange(live.size) if every else ending
             made = _snapshot_pass(pos, blocks, sigma, alpha, w, t, shot) if shot.size else ()
-            for row, snap in sorted(zip(shot.tolist(), made), key=lambda m: live[m[0]]):
+            for row, snap in zip(shot.tolist(), made):
                 snapshots[live[row]].append(snap)
                 if on_snapshot is not None:
                     on_snapshot(int(live[row]), snap)

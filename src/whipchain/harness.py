@@ -179,7 +179,8 @@ def parse_config(path) -> ExperimentConfig:
 
     Raises ConfigError with a message naming the offending key for any
     schema violation, unknown key, or unknown generator, and naming the file
-    when it is missing, not a file, unreadable or not UTF-8.
+    when it is missing, not a file, unreadable or not UTF-8 (a leading byte
+    order mark is dropped from the text, not from the hashed bytes).
     """
     path = Path(path)
     if not path.exists():
@@ -191,7 +192,7 @@ def parse_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"config file {path} cannot be read: {exc.strerror or exc}") from exc
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid UTF-8") from exc
 

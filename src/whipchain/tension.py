@@ -362,7 +362,10 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n) -> np.ndarray:
     :class:`~whipchain.core._Blocks`, whose blocks may differ in n.  Each
     block's first pivot is then d - 0 * 0 and the substitutions add 0 * x
     across block boundaries, so every block's solution is bitwise the one
-    its own solve gives.
+    its own solve gives.  The LDL^T solve of such a matrix has a
+    componentwise backward error of a small multiple of the unit roundoff at
+    any n and conditioning (Higham, SIAM J. Matrix Anal. Appl. 11, 1990),
+    which bounds the normwise one :func:`_backward_error` measures.
     """
     blocks = _layout(n, w.size)
     diag, off = _operator(alpha, blocks)
@@ -505,20 +508,25 @@ def _sigma_dot(t: np.ndarray, t_dot: np.ndarray, sigma: np.ndarray) -> np.ndarra
 
 def diagnostics_abc(chain: ChainState, sol: TensionSolution, sigma_dot: np.ndarray) -> tuple[float, float, float]:
     """a = max |D- sigma|, b = max s_k/sigma_k (inf when some sigma_k <= 0),
-    c = max |D- sigma_dot|.
+    c = max |D- sigma_dot|: the stack of one of :func:`_abc`.
 
-    Verifies the cumulative-sum consequences max sigma_k/s_k <= a and
-    max |sigma_dot_k|/s_k <= c before returning.  The stack of one of
-    :func:`_abc`.
+    sigma and sigma_dot hold indices 0..n, and a ValueError names either one
+    whose entry 0 is not 0.  With sigma_0 = 0, sigma_k is the sum of its
+    first differences up to k, so sigma_k/s_k <= a and likewise
+    |sigma_dot_k|/s_k <= c, to round-off.
     """
-    a, b, c = _abc(_tension_array(sol, chain.n), np.asarray(sigma_dot, dtype=float))
+    n = chain.n
+    sigma, sigma_dot = _tension_array(sol, n), _tension_array(sigma_dot, n)
+    for name, x in (("sigma", sigma), ("sigma_dot", sigma_dot)):
+        if x[0] != 0.0:
+            raise ValueError(f"{name}_0 must be 0, got {x[0]}")
+    a, b, c = _abc(sigma, sigma_dot)
     return float(a), float(b), float(c)
 
 
 def _abc(sigma: np.ndarray, sigma_dot: np.ndarray):
     """:func:`diagnostics_abc` of each chain of (..., n+1) stacks of sigma
-    and sigma_dot, one entry of a, b and c per chain; the NumericError of a
-    failed check names the first chain that fails one."""
+    and sigma_dot, one entry of a, b and c per chain."""
     n = sigma.shape[-1] - 1
     a = np.abs(_links(sigma, n)).max(axis=-1)
     c = np.abs(_links(sigma_dot, n)).max(axis=-1)
@@ -526,16 +534,6 @@ def _abc(sigma: np.ndarray, sigma_dot: np.ndarray):
     interior = sigma[..., 1:]
     with np.errstate(divide="ignore"):
         b = np.where((interior <= 0.0).any(axis=-1), np.inf, (s / interior).max(axis=-1))
-    slack = 1e-8
-    over_a, over_c = np.atleast_1d(
-        (interior / s).max(axis=-1) > a * (1 + slack) + slack,
-        (np.abs(sigma_dot[..., 1:]) / s).max(axis=-1) > c * (1 + slack) + slack,
-    )
-    failed = np.flatnonzero(over_a | over_c)
-    if failed.size:
-        row = int(failed[0])
-        quantity = "sigma" if over_a[row] else "sigma_dot"
-        raise NumericError(f"{quantity}_k/s_k exceeded max |D- {quantity}|; inconsistent solve", chain=row)
     return a, b, c
 
 

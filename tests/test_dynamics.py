@@ -481,6 +481,37 @@ class TestRunBatch:
                       for j in range(len(traj.snapshots)))
         assert [(i, snap) for i, snap in handed] == [(i, trajs[i].snapshots[j]) for _, i, j in made]
 
+    def test_chains_out_of_n_order_keep_their_order(self):
+        # the stack holds the chains in the order given: the two adjacent
+        # n = 16 chains are one run and the third a run of its own.  Each
+        # trajectory is bitwise its own run, and each iteration's snapshots
+        # are handed out in chain order
+        chains = [make_random_chain(16, seed=1, vel_scale=2.0), make_random_chain(16, seed=2), folded_chain(7),
+                  make_random_chain(64, seed=3, vel_scale=1.0), make_random_chain(2, seed=4, vel_scale=3.0),
+                  make_random_chain(16, seed=5, vel_scale=0.5)]
+        cfg = IntegratorConfig(t_end=0.3, dt_max=0.05, report_stride=1)
+        solve, layouts = dynamics._solve_sigma_arrays, []
+
+        def recorded(t, t_dot, blocks):
+            layouts.append(blocks)
+            return solve(t, t_dot, blocks)
+
+        handed = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_solve_sigma_arrays", recorded)
+            trajs = run_batch(chains, cfg, on_snapshot=lambda i, snap: handed.append((i, snap)))
+        first = layouts[0]
+        assert first.sizes.tolist() == [16, 16, 7, 64, 2, 16]
+        runs = [(16, 0, 2), (7, 2, 3), (64, 3, 4), (2, 4, 5), (16, 5, 6)]
+        assert [(n, b0, b1) for n, b0, b1, _, _ in first.runs] == runs
+        serial = [run(c, cfg) for c in chains]
+        assert len({t.n_steps for t in serial}) > 2
+        for got, want in zip(trajs, serial):
+            _assert_same_trajectory(got, want)
+        # at stride 1, snapshot j of a chain is made at iteration j
+        made = sorted((j, i) for i, traj in enumerate(trajs) for j in range(len(traj.snapshots)))
+        assert [(i, snap) for i, snap in handed] == [(i, trajs[i].snapshots[j]) for j, i in made]
+
     def test_mixed_n_steps_below_dt_max_and_underflow(self):
         # a fast n = 64 chain whose CFL step is under dt_min (it stops at
         # step 0 on dt_underflow), an n = 16 chain whose CFL step binds below
@@ -508,22 +539,24 @@ class TestRunBatch:
             _assert_same_trajectory(got, want)
 
     def test_numeric_error_in_a_mixed_batch_names_the_original_chain(self, monkeypatch):
-        # the stack is ordered by n, so working row 2 of the first step is
-        # the n = 16 chain, chain 0
+        # the folded n = 7 chain leaves the batch at step 0, so working row 1
+        # of the first step is the n = 8 chain, chain 2
         def fail(links, links_dot, sigma, n, time, dt, cfg):
-            raise NumericError("boom", chain=2)
+            raise NumericError("boom", chain=1)
 
         monkeypatch.setattr(dynamics, "_step_arrays", fail)
-        chains = [make_random_chain(16, seed=1), make_random_chain(8, seed=2), make_random_chain(12, seed=3)]
-        with pytest.raises(NumericError, match="^chain 0: boom") as info:
+        chains = [make_random_chain(16, seed=1), folded_chain(7), make_random_chain(8, seed=2),
+                  make_random_chain(12, seed=3)]
+        with pytest.raises(NumericError, match="^chain 2: boom") as info:
             run_batch(chains, IntegratorConfig(t_end=0.01))
-        assert info.value.chain == 0
+        assert info.value.chain == 2
 
     def test_contract_breach_in_a_ragged_batch_names_the_original_chain(self, monkeypatch):
-        # chains given out of n order; the step-start solve of iteration 2 (a
-        # snapshot iteration at stride 2; each step adds three stage solves)
-        # hands out the n = 9 chain's tensions scaled by 1 + 1e-6.  That chain
-        # is working row 2 of the stack ordered by n, and chain 4 of the batch
+        # chains given out of n order; the folded chain 1 leaves the batch at
+        # step 0.  The step-start solve of iteration 2 (a snapshot iteration
+        # at stride 2; each step adds three stage solves) hands out the n = 9
+        # chain's tensions scaled by 1 + 1e-6.  That chain is working row 4
+        # of the stack, which keeps the given order, and chain 5 of the batch
         solve, calls = dynamics._solve_sigma_arrays, []
 
         def perturbed(t, t_dot, blocks):
@@ -531,17 +564,18 @@ class TestRunBatch:
             calls.append(blocks)
             if len(calls) == 9:
                 sigma = sigma.copy()
-                sigma[blocks.part(2)] *= 1.0 + 1e-6
+                sigma[blocks.part(4)] *= 1.0 + 1e-6
             return sigma, alpha, w
 
         chains = [make_random_chain(n, seed=n) for n in (16, 5, 64, 1, 9)]
+        chains.insert(1, folded_chain(7))
         cfg = IntegratorConfig(t_end=0.05, report_stride=2)
-        assert min(traj.n_steps for traj in run_batch(chains, cfg)) > 2
+        assert [traj.n_steps > 2 for traj in run_batch(chains, cfg)] == [True, False, True, True, True, True]
         monkeypatch.setattr(dynamics, "_solve_sigma_arrays", perturbed)
-        with pytest.raises(NumericError, match="^chain 4: tension solve residual") as info:
+        with pytest.raises(NumericError, match="^chain 5: tension solve residual") as info:
             run_batch(chains, cfg)
-        assert info.value.chain == 4 and len(calls) == 9
-        assert calls[8].sizes.tolist() == [1, 5, 9, 16, 64]
+        assert info.value.chain == 5 and len(calls) == 9
+        assert calls[8].sizes.tolist() == [16, 5, 64, 1, 9]
 
     def test_numeric_error_names_the_original_chain(self, monkeypatch):
         # the folded chain leaves the batch at step 0, so working row 1 of the
@@ -615,9 +649,9 @@ class TestRunBatch:
         monkeypatch.setattr(dynamics, "_advance", advance_nan)
 
     def test_a_chain_whose_lone_solve_fails_is_named(self, monkeypatch):
-        # every row goes non-finite; the n = 8 chain (row 0) steps soundly
-        # alone and the n = 12 chain's lone re-solve raises, so the batch
-        # names the n = 12 chain, input index 2
+        # every row goes non-finite; the n = 16 and n = 8 chains (rows 0 and
+        # 1) step soundly alone and the n = 12 chain's lone re-solve raises,
+        # so the batch names the n = 12 chain, input index 2
         chains = [make_random_chain(n, seed=n) for n in (16, 8, 12)]
         solve = dynamics._solve_sigma_arrays
 
@@ -633,9 +667,11 @@ class TestRunBatch:
         assert info.value.chain == 2
 
     def test_the_first_non_finite_row_is_named_when_no_chain_fails_alone(self, monkeypatch):
-        # rows 1 and 2 (n = 12 and 16) go non-finite, yet each chain steps
+        # the folded chain 1 leaves the batch at step 0; rows 1 and 2 of the
+        # first step (n = 8 and 12) go non-finite, yet each chain steps
         # soundly alone: the batch names row 1's chain, input index 2
-        chains = [make_random_chain(n, seed=n) for n in (16, 8, 12)]
+        chains = [make_random_chain(16, seed=16), folded_chain(7), make_random_chain(8, seed=8),
+                  make_random_chain(12, seed=12)]
         self._batch_step_goes_non_finite(monkeypatch, 1)
         with pytest.raises(NumericError, match="^chain 2: non-finite state after step at t=0$") as info:
             run_batch(chains, IntegratorConfig(t_end=1.0))
@@ -1105,7 +1141,7 @@ def _mixed_chains(rows, n, d):
 
 def _snapshot_stack(chains):
     """The arguments of dynamics._snapshot_pass for every row of ``chains``,
-    stacked in the given order (run_batch's is that of n), each at its own
+    stacked in the given order, as run_batch stacks them, each at its own
     time, from their stacked step-start solve."""
     blocks = core._Blocks([c.n for c in chains])
     pos = [(np.stack([c.eta.T for c in chains[b0:b1]], axis=1), np.stack([c.eta_dot.T for c in chains[b0:b1]], axis=1))
@@ -1195,8 +1231,8 @@ def test_snapshot_pass_names_the_first_row_that_breaks_the_contract():
 
 
 def _ragged_chains():
-    """Chains of n = 1, 7, 16, 16, 64: a ragged stack in the order run_batch
-    stacks it, in order of n."""
+    """Chains of n = 1, 7, 16, 16, 64: a ragged stack whose two n = 16 chains
+    are one run."""
     return [make_random_chain(n, seed=s) for s, n in enumerate((1, 7, 16, 16, 64))]
 
 
@@ -1211,17 +1247,21 @@ def test_backward_error_of_a_ragged_stack_is_bitwise_each_block_alone():
 
 
 @pytest.mark.parametrize("bad", range(5))
-def test_snapshot_pass_names_the_breaking_row_of_a_ragged_stack(bad):
+def test_snapshot_pass_names_the_breaking_row_of_a_ragged_stack(bad, monkeypatch):
     pos, blocks, sigma, alpha, w, times = _snapshot_stack(_ragged_chains())
     part = blocks.part(bad)
     sigma = sigma.copy()
     sigma[part] *= 1.0 + 1e-6
     with pytest.raises(NumericError) as alone:
         tension._checked_solution(sigma[part], alpha[part.start : part.stop - 1], w[part])
+    report, reported = dynamics._report_stack, []
+    monkeypatch.setattr(dynamics, "_report_stack", lambda *args: reported.append(args) or report(*args))
     with pytest.raises(NumericError) as stacked:
         dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, np.arange(5))
     assert stacked.value.chain == bad and str(stacked.value) == str(alone.value)
-    # the rows before it are reported; a pass without it hands out every row
+    # the breach is raised before any row is reported; a pass without it
+    # hands out every row
+    assert not reported
     rows = np.delete(np.arange(5), bad)
     assert len(dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, rows)) == 4
 
@@ -1288,22 +1328,41 @@ def test_ragged_stack_kernels_bitwise_per_block(layout):
                 assert np.asarray(got_value).tobytes() == np.asarray(want_value).tobytes(), field.name
 
 
-def test_abc_stack_names_the_first_inconsistent_row():
-    # a constant sigma_dot fails the c check (as in the per-chain test); the
-    # stack names its row, with the message the chain alone gives
-    n = 8
-    chains = [rigid_rotation(n, 1.0), make_random_chain(n, seed=3), make_random_chain(n, seed=4)]
-    sigma = np.stack([solve_tension(c).sigma for c in chains])
-    sigma_dot = np.stack([tension.solve_sigma_dot(c, s) for c, s in zip(chains, sigma)])
-    sigma_dot[1] = 1.0
-    with pytest.raises(NumericError) as alone:
-        tension.diagnostics_abc(chains[1], sigma[1], sigma_dot[1])
-    with pytest.raises(NumericError) as stacked:
-        tension._abc(sigma, sigma_dot)
-    assert stacked.value.chain == 1 and str(stacked.value) == str(alone.value)
-    a, b, c = tension._abc(sigma[[0, 2]], sigma_dot[[0, 2]])
-    for i, row in enumerate((0, 2)):
-        assert (a[i], b[i], c[i]) == tension.diagnostics_abc(chains[row], sigma[row], sigma_dot[row])
+@st.composite
+def _tension_stacks(draw):
+    """n, and two (B, n+1) stacks with entry 0 zero: tensions and their
+    derivatives, the sums of first differences of either sign spread over
+    16 decades, a fifth of them zero."""
+    n, rows = draw(st.integers(1, 200)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def stack():
+        steps = rng.choice([-1.0, 1.0], (rows, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (rows, n))
+        steps[rng.random((rows, n)) < 0.2] = 0.0
+        out = np.zeros((rows, n + 1))
+        out[:, 1:] = np.cumsum(steps, axis=-1)
+        return out
+
+    return n, stack(), stack()
+
+
+@given(_tension_stacks())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_abc_bound_each_row_by_its_differences(stacks):
+    # with sigma_0 = 0, sigma_k is the sum of its first differences, so
+    # sigma_k/s_k <= a = max |D- sigma| and |sigma_dot_k|/s_k <= c, up to
+    # the four roundings of the differences, the scaling and the quotient;
+    # each row is bitwise diagnostics_abc of its chain alone
+    n, sigma, sigma_dot = stacks
+    a, b, c = tension._abc(sigma, sigma_dot)
+    s = np.arange(1, n + 1) / n
+    u = np.finfo(float).eps / 2
+    assert np.all((sigma[:, 1:] / s).max(axis=-1) <= a * (1 + 4 * u))
+    assert np.all((np.abs(sigma_dot[:, 1:]) / s).max(axis=-1) <= c * (1 + 4 * u))
+    chain = straight_chain(n)
+    for row in range(len(sigma)):
+        own = tension.diagnostics_abc(chain, sigma[row], sigma_dot[row])
+        assert np.array([a[row], b[row], c[row]]).tobytes() == np.array(own).tobytes()
 
 
 class TestResolutionConvergence:

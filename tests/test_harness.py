@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import re
@@ -647,8 +648,6 @@ class TestRunExperiment:
         assert declared and declared.group(1) == whipchain.__version__
 
     def test_manifest_hash_reproducible(self, tmp_path):
-        import hashlib
-
         path = write_cfg(tmp_path, MINIMAL + f"output.dir = {tmp_path/'out'}\n")
         cfg = parse_config(path)
         manifest = run_experiment(cfg)
@@ -1190,6 +1189,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"config error: config file {path} cannot be read: Permission denied\n"
         assert not (tmp_path / "o").exists()
+
+    def test_config_with_a_byte_order_mark_runs(self, tmp_path, capsys):
+        # an editor's UTF-8 BOM before the first key is not part of it; the
+        # manifest hashes the file's bytes, BOM and all
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + (MINIMAL.lstrip() + f"output.dir = {tmp_path / 'o'}\n").encode())
+        assert cli_main(["run", str(path), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config_hash"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize(
         "kind, key, value, rule",

@@ -342,6 +342,51 @@ class TestSolveTension:
         assert np.max(np.abs(lhs - rhs)) <= 1e-9 * scale
 
 
+#: the block lengths the solve-contract property draws from
+_CONTRACT_NS = (1, 2, 3, 7, 64, 100, 257, 1000, 1024, 4096)
+
+
+@st.composite
+def _adversarial_systems(draw):
+    """A flat stack of 1-4 tension systems, of one n (``flat``) or of any
+    ``_CONTRACT_NS`` (ragged), with cosines uniform in [-1, 1], within 1e-12
+    of +1, within 1e-14 of +1 or -1, or cosines of uniform angles, and a
+    source spread over 16 decades, a third of it zero when ``holes``.
+    Returns alpha (K - 1,), w (K,) and the block layout."""
+    flat = draw(st.booleans())
+    count = draw(st.integers(1, 4))
+    if flat:
+        sizes = [draw(st.sampled_from(_CONTRACT_NS))] * count
+    else:
+        sizes = draw(st.lists(st.sampled_from(_CONTRACT_NS), min_size=count, max_size=count))
+    family = draw(st.sampled_from(["uniform", "near_one", "near_signed_one", "angles"]))
+    holes = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = sum(sizes)
+    alpha = {
+        "uniform": lambda: rng.uniform(-1.0, 1.0, size - 1),
+        "near_one": lambda: 1.0 - rng.uniform(0.0, 1e-12, size - 1),
+        "near_signed_one": lambda: rng.choice([-1.0, 1.0], size - 1) * (1.0 - rng.uniform(0.0, 1e-14, size - 1)),
+        "angles": lambda: np.cos(rng.uniform(0.0, 2.0 * np.pi, size - 1)),
+    }[family]()
+    w = 10.0 ** rng.uniform(-8.0, 8.0, size)
+    if holes:
+        w[rng.random(size) < 1.0 / 3.0] = 0.0
+    return alpha, w, sizes[0] if flat else _Blocks(sizes)
+
+
+@given(_adversarial_systems())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_solve_meets_the_contract_on_adversarial_systems(system):
+    # the LDL^T solve is backward stable at any n and conditioning (Higham
+    # 1990), so every block meets SOLVE_RTOL, flat or ragged
+    alpha, w, n = system
+    sigma = tension._solve_tridiagonal(alpha, w, n)
+    err = tension._backward_error(alpha, sigma, w, n)
+    assert err.shape == (w.size // n if isinstance(n, int) else len(n.sizes),)
+    assert np.all(err <= tension.SOLVE_RTOL), err.max()
+
+
 def test_folded_chain_negative_tension():
     # antiparallel fold with angular velocity on the fixed-end side: the
     # product formula makes G_kj < 0 across the fold, so tension goes
@@ -826,11 +871,17 @@ def test_u0_conservation_identity():
 
 class TestNumericErrors:
     def test_inconsistent_sigma_dot_raises(self):
-        # a constant sigma_dot has max |D- sigma_dot| = 0 but sigma_dot_k/s_k > 0
+        # a constant sigma_dot has max |D- sigma_dot| = 0 but sigma_dot_k/s_k > 0:
+        # its nonzero sigma_dot_0 is refused by name, as is a nonzero sigma_0
         n = 8
         ch = rigid_rotation(n, 1.0)
-        with pytest.raises(NumericError, match="sigma_dot"):
-            diagnostics_abc(ch, solve_tension(ch), np.ones(n + 1))
+        sol = solve_tension(ch)
+        with pytest.raises(ValueError, match="^sigma_dot_0 must be 0, got 1.0$"):
+            diagnostics_abc(ch, sol, np.ones(n + 1))
+        with pytest.raises(ValueError, match="^sigma_0 must be 0, got nan$"):
+            diagnostics_abc(ch, np.concatenate([[np.nan], sol.sigma[1:]]), np.zeros(n + 1))
+        with pytest.raises(ValueError, match=r"shape \(9,\), got \(8,\)"):
+            diagnostics_abc(ch, sol, np.zeros(n))
 
     def test_residual_contract_raises(self, monkeypatch):
         import whipchain.tension as tension
