@@ -322,12 +322,13 @@ def _mirrored(x: np.ndarray, rows: int) -> np.ndarray:
     return np.concatenate([x, x[..., ::-1][..., :rows]], axis=-1)
 
 
-def _tension_array(sigma, n: int) -> np.ndarray:
+def _tension_array(sigma, n: int, name: str = "sigma") -> np.ndarray:
     """sigma_0..sigma_n as a float array, from an array or a tension solution's
-    ``.sigma``; ValueError unless its shape is (n+1,)."""
+    ``.sigma``; a ValueError naming the argument ``name`` unless its shape is
+    (n+1,)."""
     sig = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
     if sig.shape != (n + 1,):
-        raise ValueError(f"sigma must hold sigma_0..sigma_n, shape ({n + 1},), got {sig.shape}")
+        raise ValueError(f"{name} must hold {name}_0..{name}_n, shape ({n + 1},), got {sig.shape}")
     return sig
 
 

@@ -63,7 +63,7 @@ from .tension import (
     TensionSolution,
     _abc,
     _backward_error,
-    _contract_breach,
+    _check_contract,
     _sigma_dot,
     _sigma_sobolev,
     _solve_sigma_arrays,
@@ -421,15 +421,14 @@ def _snapshot_pass(pos: list, blocks: _Blocks, sigma: np.ndarray, alpha: np.ndar
     """The Snapshot of each working row in ``rows`` (ascending), at its
     ``time``, from the flat stacked system (``sigma``, ``alpha``, ``w``) laid
     out by ``blocks``, and from ``pos``, the positions and velocities per run
-    of one n.  The contract checks every row on the flat system first, and
-    its breach names the working row of the first row that breaks it; then
-    the reports run per run of one n, and a NumericError from one names its
-    working row."""
+    of one n.  First :func:`~whipchain.tension._check_contract` holds every
+    row's backward error on the flat system to the solve contract, and
+    raises for the first row that breaks it, a NaN included, naming its
+    working row; then the reports run per run of one n, and a NumericError
+    from one names its working row."""
     err = np.zeros(len(time))
     err[rows] = _backward_error(alpha, sigma, w, blocks)[rows]
-    breach = _contract_breach(err)   # names its working row
-    if breach is not None:
-        raise breach
+    _check_contract(err)   # names its working row
     made = []
     for (n, b0, b1, a, b), (eta, eta_dot) in zip(blocks.runs, pos):
         mine = rows[(rows >= b0) & (rows < b1)] - b0   # the run's rows, counted from its first
@@ -460,7 +459,9 @@ def _stops(t, sigma_min, top_sq, raw, cfg: IntegratorConfig, tiny: float) -> tup
     """The stop tests in the order of TERMINATIONS, which is their precedence,
     on each chain's values or on whole-stack extremes; ``top_sq`` is the
     larger of max w and the squared curvature (max w alone where
-    :func:`_curvature_capped` holds)."""
+    :func:`_curvature_capped` holds).  The halt reads ``sigma_min`` of the
+    step-start solve, never an RK stage's: a stage tension can go negative
+    one step earlier, and the halting snapshot then reads min_sigma < 0."""
     return (t >= cfg.t_end - tiny, (sigma_min < 0.0) & cfg.halt_on_negative_tension,
             np.sqrt(top_sq) > cfg.blowup_threshold, raw < cfg.dt_min)
 

@@ -672,7 +672,6 @@ def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
 def _basic_inequality_violations(n: int, r: float, batch: np.ndarray, slack: float = 1e-12):
     """Count violations of the three explicit weighted inequalities on a
     (B, n) batch of sequences."""
-    B = batch.shape[0]
     ks = np.arange(1, n + 1)
     w_r = rising_weight(ks, r, n)
     w_rm1 = rising_weight(ks, r - 1.0, n)

@@ -116,7 +116,7 @@ def _load_lapack():
 
 dptsv, dpttrf, dtbtrs = _load_lapack()
 
-#: bound on the normwise backward error of a tension solve (see _checked_solution)
+#: bound on a checked tension solve's normwise backward error; _check_contract refuses NaN too
 SOLVE_RTOL = 16 * np.finfo(float).eps
 
 
@@ -399,42 +399,32 @@ def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
 
     ``direct`` runs the O(n) LAPACK tridiagonal solve; ``green`` applies
     sigma_k = (1/n) sum_j G_kj w_j through the Green function's generators,
-    also in O(n).  Either result is checked by :func:`_checked_solution`.
+    also in O(n).  Either result is held to the solve contract
+    (:func:`_check_contract`) before it is returned.
     """
     t, t_dot = _chain_links(chain)
+    alpha, w = _alpha(t), _sq(t_dot)
     if method == "direct":
-        interior, alpha, w = _solve_sigma_arrays(t, t_dot, chain.n)
+        interior = _solve_tridiagonal(alpha, w, chain.n)
     elif method == "green":
-        alpha, w = _alpha(t), _sq(t_dot)
         interior = green_matrix(AlphaBeta(alpha)).apply(w)
     else:
         raise ValueError(f"unknown tension method {method!r}; use 'direct' or 'green'")
-    return _checked_solution(interior, alpha, w)
-
-
-def _checked_solution(interior: np.ndarray, alpha: np.ndarray, w: np.ndarray) -> TensionSolution:
-    """The solve contract: the interior tensions sigma_1..sigma_n, with
-    sigma_0 = 0 prepended, as the TensionSolution of the chain whose system
-    A sigma = w has cosines ``alpha`` and source ``w``, once its backward
-    error passes :func:`_contract_breach`; its NumericError otherwise.
-    """
-    breach = _contract_breach(_backward_error(alpha, interior, w, interior.size))
-    if breach is not None:
-        raise breach
+    _check_contract(_backward_error(alpha, interior, w, chain.n))
     return TensionSolution(np.concatenate([[0.0], interior]))
 
 
-def _contract_breach(err: np.ndarray) -> NumericError | None:
+def _check_contract(err: np.ndarray) -> None:
     """The solve contract on the backward errors ``err`` of a stack of
     systems (:func:`_backward_error`): each must be at most ``SOLVE_RTOL``, a
     small multiple of the unit roundoff that holds at every n and
-    conditioning for a backward-stable solve.  Returns the NumericError of
-    the first entry that breaks it, naming its index, or None."""
+    conditioning for a backward-stable solve.  Raises the NumericError of
+    the first entry that breaks it, a NaN included, naming its index."""
     broken = np.flatnonzero(~(err <= SOLVE_RTOL))   # NaN too
-    if not broken.size:
-        return None
-    row = int(broken[0])
-    return NumericError(f"tension solve residual: backward error {err[row]:.3e} exceeds {SOLVE_RTOL:.1e}", chain=row)
+    if broken.size:
+        row = int(broken[0])
+        raise NumericError(f"tension solve residual: backward error {err[row]:.3e} exceeds {SOLVE_RTOL:.1e}",
+                           chain=row)
 
 
 def _backward_error(alpha: np.ndarray, sigma: np.ndarray, w: np.ndarray, n) -> np.ndarray:
@@ -511,12 +501,12 @@ def diagnostics_abc(chain: ChainState, sol: TensionSolution, sigma_dot: np.ndarr
     c = max |D- sigma_dot|: the stack of one of :func:`_abc`.
 
     sigma and sigma_dot hold indices 0..n, and a ValueError names either one
-    whose entry 0 is not 0.  With sigma_0 = 0, sigma_k is the sum of its
-    first differences up to k, so sigma_k/s_k <= a and likewise
-    |sigma_dot_k|/s_k <= c, to round-off.
+    whose shape is not (n+1,) or whose entry 0 is not 0.  With sigma_0 = 0,
+    sigma_k is the sum of its first differences up to k, so sigma_k/s_k <= a
+    and likewise |sigma_dot_k|/s_k <= c, to round-off.
     """
     n = chain.n
-    sigma, sigma_dot = _tension_array(sol, n), _tension_array(sigma_dot, n)
+    sigma, sigma_dot = _tension_array(sol, n), _tension_array(sigma_dot, n, "sigma_dot")
     for name, x in (("sigma", sigma), ("sigma_dot", sigma_dot)):
         if x[0] != 0.0:
             raise ValueError(f"{name}_0 must be 0, got {x[0]}")

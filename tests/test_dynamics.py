@@ -27,6 +27,7 @@ from whipchain.initial_data import (
     folded_chain,
     near_loop,
     perturbed_vertical,
+    random_chain,
     rigid_rotation,
     rigid_rotation_exact,
     straight_chain,
@@ -303,6 +304,26 @@ class TestRun:
         traj = run(ch, IntegratorConfig(t_end=5.0, report_stride=50))
         assert traj.termination == "negative_tension"
         assert traj.snapshots[-1].state.time < 5.0
+
+    @pytest.mark.parametrize("seed", [1063938750, 1722851097])
+    def test_negative_tension_halt_reads_the_step_start_tension(self, seed, monkeypatch):
+        # two chains of the ensemble benchmark whose RK stage tension goes
+        # negative one step before the step-start tension does: the halt
+        # reads the step start, so it comes at the first snapshot whose own
+        # min_sigma is below 0, and the last row of a series explains it
+        stage_rhs, stage_min = dynamics._stage_rhs, []
+
+        def recorded(t, t_dot, n):
+            stage_min.append(tension._solve_sigma_arrays(t, t_dot, n)[0].min())
+            return stage_rhs(t, t_dot, n)
+
+        monkeypatch.setattr(dynamics, "_stage_rhs", recorded)
+        traj = run(random_chain(64, seed), IntegratorConfig(t_end=0.25))
+        mins = np.array([snap.tension.min_sigma for snap in traj.snapshots])
+        assert traj.termination == "negative_tension" and len(mins) == traj.n_steps + 1
+        assert mins[-1] < 0.0 and np.all(mins[:-1] >= 0.0)
+        stages = np.reshape(stage_min, (traj.n_steps, 3))   # the k2, k3 and k4 solves of each step
+        assert np.flatnonzero(stages.min(axis=1) < 0.0).tolist() == [traj.n_steps - 1]
 
     def test_projection_log(self):
         ch = perturbed_vertical(10, amplitude=0.5)
@@ -1220,7 +1241,8 @@ def test_snapshot_pass_names_the_first_row_that_breaks_the_contract():
     sigma[2 * n : 3 * n] *= 1.0 + 1e-6
     sigma[3 * n :] *= 1.0 + 1e-3
     with pytest.raises(NumericError) as alone:
-        tension._checked_solution(sigma[2 * n : 3 * n], alpha[2 * n : 3 * n - 1], w[2 * n : 3 * n])
+        tension._check_contract(
+            tension._backward_error(alpha[2 * n : 3 * n - 1], sigma[2 * n : 3 * n], w[2 * n : 3 * n], n))
     with pytest.raises(NumericError) as stacked:
         dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, np.arange(4))
     assert stacked.value.chain == 2 and str(stacked.value) == str(alone.value)
@@ -1253,7 +1275,8 @@ def test_snapshot_pass_names_the_breaking_row_of_a_ragged_stack(bad, monkeypatch
     sigma = sigma.copy()
     sigma[part] *= 1.0 + 1e-6
     with pytest.raises(NumericError) as alone:
-        tension._checked_solution(sigma[part], alpha[part.start : part.stop - 1], w[part])
+        tension._check_contract(
+            tension._backward_error(alpha[part.start : part.stop - 1], sigma[part], w[part], int(blocks.sizes[bad])))
     report, reported = dynamics._report_stack, []
     monkeypatch.setattr(dynamics, "_report_stack", lambda *args: reported.append(args) or report(*args))
     with pytest.raises(NumericError) as stacked:
@@ -1264,6 +1287,19 @@ def test_snapshot_pass_names_the_breaking_row_of_a_ragged_stack(bad, monkeypatch
     assert not reported
     rows = np.delete(np.arange(5), bad)
     assert len(dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, rows)) == 4
+
+
+@pytest.mark.parametrize("bad", range(5))
+def test_snapshot_pass_refuses_a_nan_tension(bad):
+    # a NaN backward error compares false with SOLVE_RTOL, and the contract
+    # still refuses it, naming the first row it reaches (the NaN sigma_n
+    # also reaches the next block's first residual, through 0 * NaN)
+    pos, blocks, sigma, alpha, w, times = _snapshot_stack(_ragged_chains())
+    sigma = sigma.copy()
+    sigma[blocks.part(bad).stop - 1] = np.nan
+    with pytest.raises(NumericError, match="^tension solve residual: backward error nan exceeds ") as info:
+        dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, np.arange(5))
+    assert info.value.chain == bad
 
 
 def test_snapshot_pass_names_the_working_row_of_a_failed_report(monkeypatch):

@@ -114,6 +114,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="kind"):
             build_config({"kind": "fly"})
 
+    def test_line_without_equals_names_its_line(self, tmp_path):
+        path = write_cfg(tmp_path, MINIMAL + "integrator.cfl 0.4\n")   # line 6: MINIMAL opens with a blank line
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:6: expected 'key = value', got 'integrator.cfl 0.4'")):
+            parse_config(path)
+
     def test_duplicate_key(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(write_cfg(tmp_path, MINIMAL + "kind = run\n"))
@@ -1189,6 +1194,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"config error: config file {path} cannot be read: Permission denied\n"
         assert not (tmp_path / "o").exists()
+
+    def test_exit_2_on_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes((MINIMAL + f"output.dir = {tmp_path / 'o'}\n# caf\u00e9\n").encode("latin-1"))   # a lone \xe9 byte
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'config file {path} is not valid UTF-8')}$"):
+            parse_config(path)
+        assert cli_main(["run", str(path), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: config file {path} is not valid UTF-8\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_summary_line_without_quiet(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        path = write_cfg(tmp_path, MINIMAL + f"output.dir = {out}\noutput.formats = csv\n")
+        assert cli_main(["run", str(path)]) == 0
+        assert capsys.readouterr().out == f"run: status=complete violations=0 termination=t_end_reached -> {out}\n"
 
     def test_config_with_a_byte_order_mark_runs(self, tmp_path, capsys):
         # an editor's UTF-8 BOM before the first key is not part of it; the

@@ -873,6 +873,7 @@ class TestNumericErrors:
     def test_inconsistent_sigma_dot_raises(self):
         # a constant sigma_dot has max |D- sigma_dot| = 0 but sigma_dot_k/s_k > 0:
         # its nonzero sigma_dot_0 is refused by name, as is a nonzero sigma_0
+        # and a sigma_dot of the wrong shape
         n = 8
         ch = rigid_rotation(n, 1.0)
         sol = solve_tension(ch)
@@ -880,7 +881,7 @@ class TestNumericErrors:
             diagnostics_abc(ch, sol, np.ones(n + 1))
         with pytest.raises(ValueError, match="^sigma_0 must be 0, got nan$"):
             diagnostics_abc(ch, np.concatenate([[np.nan], sol.sigma[1:]]), np.zeros(n + 1))
-        with pytest.raises(ValueError, match=r"shape \(9,\), got \(8,\)"):
+        with pytest.raises(ValueError, match=r"^sigma_dot must hold sigma_dot_0\.\.sigma_dot_n, shape \(9,\), got \(8,\)$"):
             diagnostics_abc(ch, sol, np.zeros(n))
 
     def test_residual_contract_raises(self, monkeypatch):

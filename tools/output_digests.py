@@ -13,9 +13,10 @@ convergence study at n = 32..256 (only its n = 256 chain steps below dt_max,
 so the resolutions step at different dt), the same study at a
 blowup_threshold of 60, under every resolution's curvature ceiling 2n (so
 the stepper takes the fallback of each whole-stack screen: it forms the
-curvature at every step and steps each chain by its own dt), a
-near_loop(48) blowup hunt, the inequality suite at seeds 0-4 and a
-green_certify run.  The two theta_power studies and ``convergence_ladder``
+curvature at every step and steps each chain by its own dt), a folded
+n = 32 chain run with the negative-tension halt off (it starts at
+min_sigma = -0.133 and runs to t_end), a near_loop(48) blowup hunt, the
+inequality suite at seeds 0-4 and a green_certify run.  The two theta_power studies and ``convergence_ladder``
 continuize at n_ref = 512 (256 rows), whose bytes are the same on one BLAS
 thread and on two.  No run holds an n = 512 chain: its n_ref = 1024
 transfer rounds differently with the number of BLAS threads.
@@ -69,6 +70,10 @@ RUNS = {
     "convergence_fallbacks": {
         "kind": "convergence", "initial.generator": "theta_power", "initial.vel_amp": 8,
         "initial.n": "32,64,128,256", "integrator.t_end": 0.01, "integrator.blowup_threshold": 60,
+    },
+    "folded_halt_off": {
+        "kind": "run", "initial.generator": "folded", "initial.n": 32, "integrator.t_end": 0.05,
+        "integrator.report_stride": 5, "integrator.halt_on_negative_tension": "false", "output.formats": "csv,jsonl",
     },
     "near_loop_hunt": {
         "kind": "blowup_hunt", "initial.generator": "near_loop", "initial.n": 48,
