@@ -21,12 +21,12 @@ Link data is component-major inside the package: an array of d-vectors is
 shaped (d, ..., k), components first.  Components are summed over axis 0,
 left to right, and differences run along the last axis.  A stack of
 chains is one flat (d, sum n) row of blocks of n_b links, coupled by
-nothing: the kernels that difference across links
-(:func:`_acceleration_arrays`, ``tension._solve_tridiagonal``) take the
-block length n of a stack of one n, or the stack's :class:`_Blocks`, and
-cut the stack at its block edges.  ``ChainState`` and every public
-function keep the row-major (n+1, d) and (n, d) forms and convert once at
-their boundary.
+nothing: every kernel on a flat stack (:func:`_acceleration_arrays`,
+``tension._solve_tridiagonal`` and the stepper's) takes the stack's
+:class:`_Blocks` and cuts the stack at its block edges; a per-chain entry
+point takes its layout from :func:`_equal_blocks`.  ``ChainState`` and
+every public function keep the row-major (n+1, d) and (n, d) forms and
+convert once at their boundary.
 
 All functions here are pure; states are immutable once constructed.
 """
@@ -387,28 +387,21 @@ class _Blocks:
         return slice(int(self.starts[b]), int(self.ends[b]))
 
 
-def _layout(n, size: int) -> _Blocks:
-    """``n`` itself when it is a :class:`_Blocks`, else the layout of a flat
-    stack of ``size`` links in equal blocks of n."""
-    return n if isinstance(n, _Blocks) else _equal_blocks(n, size // n)
-
-
 @lru_cache(maxsize=16)
 def _equal_blocks(n: int, count: int) -> _Blocks:
+    """The layout of ``count`` chains of n links, built once per key."""
     return _Blocks([n] * count)
 
 
-def _acceleration_arrays(f: np.ndarray, sigma: np.ndarray, n) -> np.ndarray:
+def _acceleration_arrays(f: np.ndarray, sigma: np.ndarray, blocks: _Blocks) -> np.ndarray:
     """D-D+ (sigma f)_k for k = 1..n of each block of links in (d, ..., K)
     link data f under the interior tensions sigma_1..sigma_n, shaped (..., K):
     with g_k = sigma_k f_k, g_0 = 0 at the free end and g_{n+1} = g_n by the
     even mirror at the fixed end, it is n^2 (g_{k+1} - 2 g_k + g_{k-1}) for
     k < n and -n^2 (g_n - g_{n-1}) at k = n.  On the links f = t = D+ eta it
-    is the link acceleration D+ eta_ddot.  ``n`` is the block length of a
-    stack of equal blocks or the stack's :class:`_Blocks`.  A flat stack is
-    one pass with its block edges cut: each block is bitwise its own
-    result."""
-    blocks = _layout(n, f.shape[-1])
+    is the link acceleration D+ eta_ddot.  A flat stack laid out by
+    ``blocks`` is one pass with its block edges cut: each block is bitwise
+    its own result."""
     g = sigma * f
     jump = g.copy()                       # g_k - g_{k-1}
     jump[..., 1:] -= g[..., :-1]

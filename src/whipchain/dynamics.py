@@ -48,8 +48,8 @@ from .core import (
     _energies,
     _energy_sums,
     _dot,
+    _equal_blocks,
     _frozen_array,
-    _layout,
     _lengths,
     _links,
     _s_weight,
@@ -113,13 +113,13 @@ def acceleration(chain: ChainState, sigma) -> np.ndarray:
     Returns shape (n+1, d): the positions of the link acceleration.
     """
     n = chain.n
-    return _anchored(_acceleration_arrays(_chain_links(chain)[0], _tension_array(sigma, n)[1:], n)).T
+    return _anchored(_acceleration_arrays(_chain_links(chain)[0], _tension_array(sigma, n)[1:], _equal_blocks(n, 1))).T
 
 
 def adaptive_dt(chain: ChainState, sigma, cfg: IntegratorConfig) -> float:
     """CFL step dt = clamp(cfl / (n sqrt(max sigma) + eps), dt_min, dt_max)."""
     n = chain.n
-    return float(_clamp_dt(_chain_dt(_tension_array(sigma, n)[1:], _layout(n, n), cfg), cfg)[0])
+    return float(_clamp_dt(_chain_dt(_tension_array(sigma, n)[1:], _equal_blocks(n, 1), cfg), cfg)[0])
 
 
 def _cfl_dt(n, top, cfg: IntegratorConfig):
@@ -153,20 +153,20 @@ def project(chain: ChainState) -> ChainState:
 # stepping
 
 
-def _stage_rhs(t: np.ndarray, t_dot: np.ndarray, n: int):
-    return t_dot, _acceleration_arrays(t, _solve_sigma_arrays(t, t_dot, n)[0], n)
+def _stage_rhs(t: np.ndarray, t_dot: np.ndarray, blocks: _Blocks):
+    return t_dot, _acceleration_arrays(t, _solve_sigma_arrays(t, t_dot, blocks)[0], blocks)
 
 
-def _advance(t, t_dot, sigma, n, dt):
+def _advance(t, t_dot, sigma, blocks: _Blocks, dt):
     """One RK4 step of the free ODE (no projection) on (d, K) links and
-    link velocities, blocks of n or of a ``_Blocks``; ``sigma`` is the
-    interior tension of (t, t_dot), so the first stage solves nothing.
-    ``dt`` is a number or one step per link, shaped (K,)."""
-    k1x, k1v = t_dot, _acceleration_arrays(t, sigma, n)
+    link velocities laid out by ``blocks``; ``sigma`` is the interior
+    tension of (t, t_dot), so the first stage solves nothing.  ``dt`` is a
+    number or one step per link, shaped (K,)."""
+    k1x, k1v = t_dot, _acceleration_arrays(t, sigma, blocks)
     half = 0.5 * dt
-    k2x, k2v = _stage_rhs(t + half * k1x, t_dot + half * k1v, n)
-    k3x, k3v = _stage_rhs(t + half * k2x, t_dot + half * k2v, n)
-    k4x, k4v = _stage_rhs(t + dt * k3x, t_dot + dt * k3v, n)
+    k2x, k2v = _stage_rhs(t + half * k1x, t_dot + half * k1v, blocks)
+    k3x, k3v = _stage_rhs(t + half * k2x, t_dot + half * k2v, blocks)
+    k4x, k4v = _stage_rhs(t + dt * k3x, t_dot + dt * k3v, blocks)
     sixth = dt / 6.0
     return _rk4_sum(t, sixth, k1x, k2x, k3x, k4x), _rk4_sum(t_dot, sixth, k1v, k2v, k3v, k4v)
 
@@ -182,10 +182,10 @@ def _rk4_sum(y, sixth, k1, k2, k3, k4):
     return out
 
 
-def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
+def _step_arrays(t, t_dot, sigma, blocks: _Blocks, time, dt, cfg: IntegratorConfig):
     """One full step of every chain in a flat (d, K) stack of links and
-    link velocities with interior tensions ``sigma`` (K,), in blocks of n or
-    of a ``_Blocks``: advance, reject non-finite state, project.  ``time``
+    link velocities with interior tensions ``sigma`` (K,), laid out by
+    ``blocks``: advance, reject non-finite state, project.  ``time``
     holds each chain's time, shaped (B,), and ``dt`` its step repeated over
     its links, shaped (K,), or the one number every chain steps by.
 
@@ -199,7 +199,6 @@ def _step_arrays(t, t_dot, sigma, n, time, dt, cfg: IntegratorConfig):
     reaches; only when a sum is not finite (also when finite entries
     overflow it) does the elementwise check run and name the failing chain.
     """
-    blocks = _layout(n, t.shape[-1])
     new_t, new_dot = _advance(t, t_dot, sigma, blocks, dt)
     if not (_finite_sum(new_t) and _finite_sum(new_dot)):
         finite = np.logical_and.reduceat((np.isfinite(new_t) & np.isfinite(new_dot)).all(axis=0), blocks.starts)
@@ -232,10 +231,10 @@ def _first_failing(t, t_dot, blocks, dt, finite) -> int:
     """
     rows = np.flatnonzero(~finite)
     for row in rows:
-        part, n = blocks.part(row), int(blocks.sizes[row])
+        part, alone = blocks.part(row), _equal_blocks(int(blocks.sizes[row]), 1)
         try:
-            sigma = _solve_sigma_arrays(t[:, part], t_dot[:, part], n)[0]
-            x, v = _advance(t[:, part], t_dot[:, part], sigma, n, np.broadcast_to(dt, t.shape[-1])[part])
+            sigma = _solve_sigma_arrays(t[:, part], t_dot[:, part], alone)[0]
+            x, v = _advance(t[:, part], t_dot[:, part], sigma, alone, np.broadcast_to(dt, t.shape[-1])[part])
         except NumericError:
             return int(row)
         if not (np.isfinite(x).all() and np.isfinite(v).all()):
@@ -246,12 +245,12 @@ def _first_failing(t, t_dot, blocks, dt, finite) -> int:
 def step(chain: ChainState, cfg: IntegratorConfig, dt: float | None = None) -> ChainState:
     """Advance one step.  dt defaults to the adaptive CFL value; the result is
     projected when cfg.project is set.  Raises NumericError on NaN state."""
-    n = chain.n
+    n, blocks = chain.n, _equal_blocks(chain.n, 1)
     t, t_dot = _chain_links(chain)
-    sigma = _solve_sigma_arrays(t, t_dot, n)[0]
+    sigma = _solve_sigma_arrays(t, t_dot, blocks)[0]
     if dt is None:
-        dt = float(_clamp_dt(_chain_dt(sigma, _layout(n, n), cfg), cfg)[0])
-    t, t_dot, _ = _step_arrays(t, t_dot, sigma, n, [chain.time], np.full(n, dt), cfg)
+        dt = float(_clamp_dt(_chain_dt(sigma, blocks, cfg), cfg)[0])
+    t, t_dot, _ = _step_arrays(t, t_dot, sigma, blocks, [chain.time], np.full(n, dt), cfg)
     return ChainState(_anchored(t).T, _anchored(t_dot).T, chain.time + dt)
 
 

@@ -49,14 +49,16 @@ import numpy as np
 
 from .core import (
     ChainState,
+    _Blocks,
     _acceleration_arrays,
     _chain_links,
     _dot,
+    _equal_blocks,
     _frozen_array,
-    _layout,
     _links,
     _sq,
     _tension_array,
+    _weight_row,
     _weighted_terms,
 )
 from .errors import NumericError
@@ -346,7 +348,7 @@ def _operator(alpha: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
     return blocks.diag, off
 
 
-def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n) -> np.ndarray:
+def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, blocks: _Blocks) -> np.ndarray:
     """Solve A sigma = w for the interior tensions sigma_1..sigma_n.
 
     A is symmetric positive definite whenever |alpha| <= 1 (diagonally
@@ -357,17 +359,15 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n) -> np.ndarray:
 
     A flat stack of systems, alpha of length K - 1 (:func:`_alpha` of the
     stacked links) and w of length K, solves as one block-diagonal system of
-    size K: the couplings between blocks are set to zero.  ``n`` is the
-    block length of a stack of equal blocks or the stack's
-    :class:`~whipchain.core._Blocks`, whose blocks may differ in n.  Each
-    block's first pivot is then d - 0 * 0 and the substitutions add 0 * x
-    across block boundaries, so every block's solution is bitwise the one
-    its own solve gives.  The LDL^T solve of such a matrix has a
-    componentwise backward error of a small multiple of the unit roundoff at
-    any n and conditioning (Higham, SIAM J. Matrix Anal. Appl. 11, 1990),
-    which bounds the normwise one :func:`_backward_error` measures.
+    size K laid out by ``blocks``, whose blocks may differ in n: the
+    couplings between blocks are set to zero.  Each block's first pivot is
+    then d - 0 * 0 and the substitutions add 0 * x across block boundaries,
+    so every block's solution is bitwise the one its own solve gives.  The
+    LDL^T solve of such a matrix has a componentwise backward error of a
+    small multiple of the unit roundoff at any n and conditioning (Higham,
+    SIAM J. Matrix Anal. Appl. 11, 1990), which bounds the normwise one
+    :func:`_backward_error` measures.
     """
-    blocks = _layout(n, w.size)
     diag, off = _operator(alpha, blocks)
     if w.size <= 1:  # one link, or no system: dptsv's wrapper refuses both
         return w / diag
@@ -383,15 +383,14 @@ def _solve_tridiagonal(alpha: np.ndarray, w: np.ndarray, n) -> np.ndarray:
     return sigma
 
 
-def _solve_sigma_arrays(t: np.ndarray, t_dot: np.ndarray, n):
+def _solve_sigma_arrays(t: np.ndarray, t_dot: np.ndarray, blocks: _Blocks):
     """Direct tension solve on (d, K) links t = D+ eta and link velocities
-    t_dot = D+ eta_dot, blocks of n links or the blocks of a
-    :class:`~whipchain.core._Blocks`: one solve for a flat stack of
+    t_dot = D+ eta_dot laid out by ``blocks``: one solve for a flat stack of
     chains.  Returns the interior tensions sigma_1..sigma_n of each block
     (K,) and the system's alpha (K - 1,) and w (K,), which the solve
     contract (:func:`_backward_error`) reads on the same flat stack."""
     alpha, w = _alpha(t), _sq(t_dot)
-    return _solve_tridiagonal(alpha, w, n), alpha, w
+    return _solve_tridiagonal(alpha, w, blocks), alpha, w
 
 
 def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
@@ -403,14 +402,14 @@ def solve_tension(chain: ChainState, method: str = "direct") -> TensionSolution:
     (:func:`_check_contract`) before it is returned.
     """
     t, t_dot = _chain_links(chain)
-    alpha, w = _alpha(t), _sq(t_dot)
+    alpha, w, blocks = _alpha(t), _sq(t_dot), _equal_blocks(chain.n, 1)
     if method == "direct":
-        interior = _solve_tridiagonal(alpha, w, chain.n)
+        interior = _solve_tridiagonal(alpha, w, blocks)
     elif method == "green":
         interior = green_matrix(AlphaBeta(alpha)).apply(w)
     else:
         raise ValueError(f"unknown tension method {method!r}; use 'direct' or 'green'")
-    _check_contract(_backward_error(alpha, interior, w, chain.n))
+    _check_contract(_backward_error(alpha, interior, w, blocks))
     return TensionSolution(np.concatenate([[0.0], interior]))
 
 
@@ -427,18 +426,19 @@ def _check_contract(err: np.ndarray) -> None:
                            chain=row)
 
 
-def _backward_error(alpha: np.ndarray, sigma: np.ndarray, w: np.ndarray, n) -> np.ndarray:
+def _backward_error(alpha: np.ndarray, sigma: np.ndarray, w: np.ndarray, blocks: _Blocks) -> np.ndarray:
     """Normwise backward error |A sigma - w| / (|A| |sigma| + |w|) in the
-    infinity norm (Rigal and Gaches) of each block of a flat stack, blocks
-    of n or of a ``_Blocks``, with A the :func:`_operator` pair the solve
-    factored.  A zero coupling adds 0 * sigma across a block edge and the
-    maxima reduce at ``blocks.starts``, so each entry is bitwise its block's
-    own."""
-    blocks = _layout(n, sigma.size)
+    infinity norm (Rigal and Gaches) of each block of a flat stack laid out
+    by ``blocks``, with A the :func:`_operator` pair the solve factored.  The
+    coupling products are zeroed at the block edges, so a NaN or inf sigma
+    stays in its block, and the maxima reduce at ``blocks.starts``: each
+    entry is bitwise its block's own."""
     diag, off = _operator(alpha, blocks)
     r = diag * sigma - w
-    r[1:] += off * sigma[:-1]
-    r[:-1] += off * sigma[1:]
+    below, above = off * sigma[:-1], off * sigma[1:]
+    below[blocks.cuts] = above[blocks.cuts] = 0.0   # else 0 * NaN crosses a block edge
+    r[1:] += below
+    r[:-1] += above
     np.abs(off, out=off)
     norm = diag.copy()
     norm[1:] += off
@@ -458,7 +458,7 @@ def tension_residual(chain: ChainState, sigma) -> float:
     """
     n = chain.n
     t, t_dot = _chain_links(chain)
-    lhs = _dot(t, _acceleration_arrays(t, _tension_array(sigma, n)[1:], n))
+    lhs = _dot(t, _acceleration_arrays(t, _tension_array(sigma, n)[1:], _equal_blocks(n, 1)))
     return float(np.max(np.abs(lhs + _sq(t_dot))))
 
 
@@ -481,14 +481,16 @@ def solve_sigma_dot(chain: ChainState, sigma) -> np.ndarray:
 def _sigma_dot(t: np.ndarray, t_dot: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """:func:`solve_sigma_dot` of each chain of (d, ..., n) links t and link
     velocities t_dot under its interior tensions sigma_1..sigma_n, shaped
-    (..., n): one flux pass over the flat stack and one stacked solve, each
-    chain bitwise its own (see :func:`_acceleration_arrays` and
-    :func:`_solve_tridiagonal`).  Returns (..., n+1)."""
+    (..., n): two flux passes over the flat stack and one stacked solve on
+    one layout, each chain bitwise its own (see :func:`_acceleration_arrays`
+    and :func:`_solve_tridiagonal`).  Returns (..., n+1)."""
     n, d = t.shape[-1], t.shape[0]
+    blocks = _equal_blocks(n, sigma.size // n)
     t, t_dot, flat = t.reshape(d, -1), t_dot.reshape(d, -1), sigma.ravel()
-    rhs = 3.0 * _dot(t_dot, _acceleration_arrays(t, flat, n)) + _dot(t, _acceleration_arrays(t_dot, flat, n))
+    rhs = 3.0 * _dot(t_dot, _acceleration_arrays(t, flat, blocks))
+    rhs += _dot(t, _acceleration_arrays(t_dot, flat, blocks))
     sd = np.zeros(sigma.shape[:-1] + (n + 1,))
-    sd[..., 1:] = _solve_tridiagonal(_alpha(t), rhs, n).reshape(sigma.shape)
+    sd[..., 1:] = _solve_tridiagonal(_alpha(t), rhs, blocks).reshape(sigma.shape)
     return sd
 
 
@@ -520,7 +522,7 @@ def _abc(sigma: np.ndarray, sigma_dot: np.ndarray):
     n = sigma.shape[-1] - 1
     a = np.abs(_links(sigma, n)).max(axis=-1)
     c = np.abs(_links(sigma_dot, n)).max(axis=-1)
-    s = np.arange(1, n + 1) / n
+    s = _weight_row(n, 1, 1, n)   # s_k = k/n
     interior = sigma[..., 1:]
     with np.errstate(divide="ignore"):
         b = np.where((interior <= 0.0).any(axis=-1), np.inf, (s / interior).max(axis=-1))

@@ -313,9 +313,9 @@ class TestRun:
         # min_sigma is below 0, and the last row of a series explains it
         stage_rhs, stage_min = dynamics._stage_rhs, []
 
-        def recorded(t, t_dot, n):
-            stage_min.append(tension._solve_sigma_arrays(t, t_dot, n)[0].min())
-            return stage_rhs(t, t_dot, n)
+        def recorded(t, t_dot, blocks):
+            stage_min.append(tension._solve_sigma_arrays(t, t_dot, blocks)[0].min())
+            return stage_rhs(t, t_dot, blocks)
 
         monkeypatch.setattr(dynamics, "_stage_rhs", recorded)
         traj = run(random_chain(64, seed), IntegratorConfig(t_end=0.25))
@@ -562,7 +562,7 @@ class TestRunBatch:
     def test_numeric_error_in_a_mixed_batch_names_the_original_chain(self, monkeypatch):
         # the folded n = 7 chain leaves the batch at step 0, so working row 1
         # of the first step is the n = 8 chain, chain 2
-        def fail(links, links_dot, sigma, n, time, dt, cfg):
+        def fail(links, links_dot, sigma, blocks, time, dt, cfg):
             raise NumericError("boom", chain=1)
 
         monkeypatch.setattr(dynamics, "_step_arrays", fail)
@@ -601,7 +601,7 @@ class TestRunBatch:
     def test_numeric_error_names_the_original_chain(self, monkeypatch):
         # the folded chain leaves the batch at step 0, so working row 1 of the
         # first step is chain 2
-        def fail(links, links_dot, sigma, n, time, dt, cfg):
+        def fail(links, links_dot, sigma, blocks, time, dt, cfg):
             raise NumericError("boom", chain=1)
 
         monkeypatch.setattr(dynamics, "_step_arrays", fail)
@@ -634,10 +634,11 @@ class TestRunBatch:
         chains = [make_random_chain(8, seed=s) for s in range(3)]
         links, links_dot = flat_links(chains)
         links_dot[0, 8] = np.nan   # chain 1's first link
-        sigma = dynamics._solve_sigma_arrays(links, links_dot, 8)[0]
+        blocks = core._equal_blocks(8, 3)
+        sigma = dynamics._solve_sigma_arrays(links, links_dot, blocks)[0]
         assert np.isnan(sigma.reshape(3, 8)).any(axis=1).all()
         with pytest.raises(NumericError, match="non-finite") as info:
-            dynamics._step_arrays(links, links_dot, sigma, 8, np.zeros(3), np.full(24, 1e-3),
+            dynamics._step_arrays(links, links_dot, sigma, blocks, np.zeros(3), np.full(24, 1e-3),
                                   IntegratorConfig(t_end=1.0))
         assert info.value.chain == 1
 
@@ -657,14 +658,14 @@ class TestRunBatch:
     @staticmethod
     def _batch_step_goes_non_finite(monkeypatch, first_row):
         """Make run_batch's stacked step non-finite from working row
-        ``first_row`` on; a chain re-stepped alone (given its n, not the
-        stack's _Blocks) steps as it would."""
+        ``first_row`` on; a chain re-stepped alone (on a layout of one
+        block, not the stack's) steps as it would."""
         advance = dynamics._advance
 
-        def advance_nan(t, t_dot, sigma, n, dt):
-            x, v = advance(t, t_dot, sigma, n, dt)
-            if isinstance(n, core._Blocks):
-                v[:, n.starts[first_row]:] = np.nan
+        def advance_nan(t, t_dot, sigma, blocks, dt):
+            x, v = advance(t, t_dot, sigma, blocks, dt)
+            if blocks.stacked:
+                v[:, blocks.starts[first_row]:] = np.nan
             return x, v
 
         monkeypatch.setattr(dynamics, "_advance", advance_nan)
@@ -676,10 +677,10 @@ class TestRunBatch:
         chains = [make_random_chain(n, seed=n) for n in (16, 8, 12)]
         solve = dynamics._solve_sigma_arrays
 
-        def lone_fails(t, t_dot, n):
-            if n == 12:   # only a lone re-solve passes a number; the batch passes its _Blocks
+        def lone_fails(t, t_dot, blocks):
+            if blocks.sizes.tolist() == [12]:   # only a lone re-solve has one block; the batch stacks three
                 raise NumericError("the lone solve fails", chain=0)
-            return solve(t, t_dot, n)
+            return solve(t, t_dot, blocks)
 
         self._batch_step_goes_non_finite(monkeypatch, 0)
         monkeypatch.setattr(dynamics, "_solve_sigma_arrays", lone_fails)
@@ -777,7 +778,8 @@ def _position_step(eta, eta_dot, dt):
 
     def rhs(e, v):
         sigma = np.zeros(n + 1)
-        sigma[1:] = tension._solve_tridiagonal(tension._alpha(core._links(e.T)), core._sq(core._links(v.T)), n)
+        sigma[1:] = tension._solve_tridiagonal(tension._alpha(core._links(e.T)), core._sq(core._links(v.T)),
+                                               core._equal_blocks(n, 1))
         flux = sigma[1:, None] * (e[1:] - e[:-1])
         acc = np.zeros_like(e)
         acc[:-1] = flux
@@ -812,9 +814,10 @@ class TestLinkStepping:
         ch = _links_chain(n, d, seed=n + d)
         cfg = IntegratorConfig(t_end=1.0)
         links, links_dot = flat_links([ch])
-        sigma = dynamics._solve_sigma_arrays(links, links_dot, n)[0]
+        blocks = core._equal_blocks(n, 1)
+        sigma = dynamics._solve_sigma_arrays(links, links_dot, blocks)[0]
         dt = adaptive_dt(ch, np.concatenate([[0.0], sigma]), cfg)
-        links, links_dot, moved = dynamics._step_arrays(links, links_dot, sigma, n, [0.0], np.full(n, dt), cfg)
+        links, links_dot, moved = dynamics._step_arrays(links, links_dot, sigma, blocks, [0.0], np.full(n, dt), cfg)
         eta, eta_dot = core._anchored(links).T, core._anchored(links_dot).T
         want_eta, want_dot, want_moved = _position_step(ch.eta, ch.eta_dot, dt)
         assert np.max(np.abs(eta - want_eta)) <= 1e-13 * np.max(np.abs(want_eta))
@@ -858,17 +861,18 @@ class TestLinkStepping:
         # its block edges: each block is the chain's own result bit for bit
         chains = [_links_chain(n, d, seed=100 + s) for s in range(5)]
         links, links_dot = flat_links(chains)
-        solved = tension._solve_sigma_arrays(links, links_dot, n)
-        acc = [core._acceleration_arrays(f, solved[0], n) for f in (links, links_dot)]
+        stacked, alone = core._equal_blocks(n, 5), core._equal_blocks(n, 1)
+        solved = tension._solve_sigma_arrays(links, links_dot, stacked)
+        acc = [core._acceleration_arrays(f, solved[0], stacked) for f in (links, links_dot)]
         for b, c in enumerate(chains):
             part = slice(b * n, (b + 1) * n)
             t, t_dot = c.link_dirs().T, c.link_dirs_dot().T
-            own = tension._solve_sigma_arrays(t, t_dot, n)
+            own = tension._solve_sigma_arrays(t, t_dot, alone)
             # sigma and w per link; alpha per joint, n - 1 to a chain
             for got, want, cut in zip(solved, own, (part, slice(b * n, b * n + n - 1), part)):
                 assert got[cut].tobytes() == want.tobytes()
             for got, f in zip(acc, (t, t_dot)):
-                assert got[:, part].tobytes() == core._acceleration_arrays(f, own[0], n).tobytes()
+                assert got[:, part].tobytes() == core._acceleration_arrays(f, own[0], alone).tobytes()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_ragged_stack_kernels_bitwise_per_chain(self, d):
@@ -883,11 +887,12 @@ class TestLinkStepping:
         for b, c in enumerate(chains):
             part = blocks.part(b)
             t, t_dot = c.link_dirs().T, c.link_dirs_dot().T
-            own = tension._solve_sigma_arrays(t, t_dot, c.n)
+            alone = core._equal_blocks(c.n, 1)
+            own = tension._solve_sigma_arrays(t, t_dot, alone)
             for got, want, cut in zip(solved, own, (part, slice(part.start, part.stop - 1), part)):
                 assert got[cut].tobytes() == want.tobytes()
             for got, f in zip(acc, (t, t_dot)):
-                assert got[:, part].tobytes() == core._acceleration_arrays(f, own[0], c.n).tobytes()
+                assert got[:, part].tobytes() == core._acceleration_arrays(f, own[0], alone).tobytes()
 
     def test_t0_snapshot_keeps_the_initial_arrays(self):
         # the links summed back need not give the caller's positions
@@ -913,10 +918,11 @@ class TestLinkStepping:
         chains = [_links_chain(n, d, seed=10 * B + s) for s in range(B)]
         links, links_dot = flat_links(chains)
         cfg = IntegratorConfig(t_end=1.0)
-        sigma = dynamics._solve_sigma_arrays(links, links_dot, n)[0]
-        dt = np.repeat(dynamics._clamp_dt(dynamics._chain_dt(sigma, core._Blocks([n] * B), cfg), cfg), n)
-        unit, _, moved = dynamics._step_arrays(links, links_dot, sigma, n, np.zeros(B), dt, cfg)
-        new_t, _ = dynamics._advance(links, links_dot, sigma, n, dt)
+        blocks = core._equal_blocks(n, B)
+        sigma = dynamics._solve_sigma_arrays(links, links_dot, blocks)[0]
+        dt = np.repeat(dynamics._clamp_dt(dynamics._chain_dt(sigma, blocks, cfg), cfg), n)
+        unit, _, moved = dynamics._step_arrays(links, links_dot, sigma, blocks, np.zeros(B), dt, cfg)
+        new_t, _ = dynamics._advance(links, links_dot, sigma, blocks, dt)
         want = np.sqrt(core._sq(core._anchored((unit - new_t).reshape(d, B, n))).max(axis=-1))
         assert moved.shape == (B,) and np.all(moved > 0.0)
         assert moved.tobytes() == want.tobytes()
@@ -1110,7 +1116,7 @@ def test_report_maxima_and_drift_bitwise_the_direct_kernels(n, d):
     sol = solve_tension(ch)
     rep = snapshot_report(ch, sol)
     links, links_dot = flat_links([ch])
-    _, _, w = tension._solve_sigma_arrays(links, links_dot, n)
+    _, _, w = tension._solve_sigma_arrays(links, links_dot, core._equal_blocks(n, 1))
     ang = np.sqrt(w.max(axis=-1))
     curv = core._lengths(core._links(links, n)).max(axis=-1, initial=0.0)
     links = n * (ch.eta[1:] - ch.eta[:-1])
@@ -1242,7 +1248,8 @@ def test_snapshot_pass_names_the_first_row_that_breaks_the_contract():
     sigma[3 * n :] *= 1.0 + 1e-3
     with pytest.raises(NumericError) as alone:
         tension._check_contract(
-            tension._backward_error(alpha[2 * n : 3 * n - 1], sigma[2 * n : 3 * n], w[2 * n : 3 * n], n))
+            tension._backward_error(alpha[2 * n : 3 * n - 1], sigma[2 * n : 3 * n], w[2 * n : 3 * n],
+                                    core._equal_blocks(n, 1)))
     with pytest.raises(NumericError) as stacked:
         dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, np.arange(4))
     assert stacked.value.chain == 2 and str(stacked.value) == str(alone.value)
@@ -1264,7 +1271,8 @@ def test_backward_error_of_a_ragged_stack_is_bitwise_each_block_alone():
     assert err.shape == (5,) and np.all(err <= tension.SOLVE_RTOL) and np.count_nonzero(err) >= 3
     for b, size in enumerate(blocks.sizes):
         part = blocks.part(b)
-        own = tension._backward_error(alpha[part.start : part.stop - 1], sigma[part], w[part], int(size))
+        own = tension._backward_error(alpha[part.start : part.stop - 1], sigma[part], w[part],
+                                      core._equal_blocks(int(size), 1))
         assert err[b : b + 1].tobytes() == own.tobytes()
 
 
@@ -1276,7 +1284,8 @@ def test_snapshot_pass_names_the_breaking_row_of_a_ragged_stack(bad, monkeypatch
     sigma[part] *= 1.0 + 1e-6
     with pytest.raises(NumericError) as alone:
         tension._check_contract(
-            tension._backward_error(alpha[part.start : part.stop - 1], sigma[part], w[part], int(blocks.sizes[bad])))
+            tension._backward_error(alpha[part.start : part.stop - 1], sigma[part], w[part],
+                                    core._equal_blocks(int(blocks.sizes[bad]), 1)))
     report, reported = dynamics._report_stack, []
     monkeypatch.setattr(dynamics, "_report_stack", lambda *args: reported.append(args) or report(*args))
     with pytest.raises(NumericError) as stacked:
@@ -1292,14 +1301,19 @@ def test_snapshot_pass_names_the_breaking_row_of_a_ragged_stack(bad, monkeypatch
 @pytest.mark.parametrize("bad", range(5))
 def test_snapshot_pass_refuses_a_nan_tension(bad):
     # a NaN backward error compares false with SOLVE_RTOL, and the contract
-    # still refuses it, naming the first row it reaches (the NaN sigma_n
-    # also reaches the next block's first residual, through 0 * NaN)
+    # still refuses it, naming the NaN's row.  A NaN at either block edge,
+    # sigma_1 or sigma_n, stays in its block: the zero coupling across the
+    # edge would add 0 * NaN to the neighbour's residual, and it is cut, so
+    # a pass over the other rows hands out every one of them
     pos, blocks, sigma, alpha, w, times = _snapshot_stack(_ragged_chains())
-    sigma = sigma.copy()
-    sigma[blocks.part(bad).stop - 1] = np.nan
-    with pytest.raises(NumericError, match="^tension solve residual: backward error nan exceeds ") as info:
-        dynamics._snapshot_pass(pos, blocks, sigma, alpha, w, times, np.arange(5))
-    assert info.value.chain == bad
+    part, others = blocks.part(bad), np.delete(np.arange(5), bad)
+    for edge in (part.start, part.stop - 1):
+        broken = sigma.copy()
+        broken[edge] = np.nan
+        with pytest.raises(NumericError, match="^tension solve residual: backward error nan exceeds ") as info:
+            dynamics._snapshot_pass(pos, blocks, broken, alpha, w, times, np.arange(5))
+        assert info.value.chain == bad
+        assert len(dynamics._snapshot_pass(pos, blocks, broken, alpha, w, times, others)) == 4
 
 
 def test_snapshot_pass_names_the_working_row_of_a_failed_report(monkeypatch):
@@ -1348,10 +1362,11 @@ def test_ragged_stack_kernels_bitwise_per_block(layout):
         part = blocks.part(b)
         t, t_dot = c.link_dirs().T, c.link_dirs_dot().T
         own_pos, own_blocks, own_sigma, own_alpha, own_w, _ = _snapshot_stack([c])
-        assert solved[part].tobytes() == tension._solve_tridiagonal(own_alpha, own_w, c.n).tobytes()
+        alone = core._equal_blocks(c.n, 1)
+        assert solved[part].tobytes() == tension._solve_tridiagonal(own_alpha, own_w, alone).tobytes()
         for got, f in zip(acc, (t, t_dot)):
-            assert got[:, part].tobytes() == core._acceleration_arrays(f, own_sigma, c.n).tobytes()
-        own_err = tension._backward_error(own_alpha, own_sigma, own_w, c.n)
+            assert got[:, part].tobytes() == core._acceleration_arrays(f, own_sigma, alone).tobytes()
+        own_err = tension._backward_error(own_alpha, own_sigma, own_w, alone)
         assert err[b : b + 1].tobytes() == own_err.tobytes()
         if b in snaps:
             got, (want,) = snaps[b], dynamics._snapshot_pass(own_pos, own_blocks, own_sigma, own_alpha, own_w,

@@ -409,6 +409,15 @@ class TestSplitJsonl:
         monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
         assert harness._jsonl_encoders(len(traj.snapshots), self._floats(traj.snapshots)) == 1
 
+    def test_cpu_count_is_the_affinity_mask(self, monkeypatch):
+        # the cores this process may run on; 1 where the platform cannot say
+        if hasattr(os, "sched_getaffinity"):
+            assert harness._cpu_count() == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert harness._cpu_count() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert harness._cpu_count() == 1
+
     @pytest.mark.parametrize(
         "initial, cfg, spelled",
         [
@@ -1006,7 +1015,7 @@ class TestRunExperiment:
 
     def test_convergence_numeric_error_names_the_resolution(self, tmp_path, monkeypatch, capsys):
         # the step fails on batch row 1, the n = 16 chain
-        def fail(links, links_dot, sigma, n, time, dt, cfg):
+        def fail(links, links_dot, sigma, blocks, time, dt, cfg):
             raise NumericError("boom", chain=1)
 
         monkeypatch.setattr(dynamics, "_step_arrays", fail)

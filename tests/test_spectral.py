@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 from whipchain import spectral
-from whipchain.core import ChainState, discrete_energy
+from whipchain.core import ChainState, discrete_energy, weighted_seminorm_sq
 from whipchain.initial_data import straight_chain, theta_power
 from whipchain.spectral import (
     AngleState,
@@ -509,6 +509,19 @@ class TestTransferResolution:
     def test_target_below_one_link_refused(self):
         with pytest.raises(ValueError, match="target resolution must be >= 1, got 0"):
             transfer_resolution(theta_power(8), 0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_theta_eta_norms_sum_the_orders_that_exist(n):
+    # order j reads j differences of theta_1..theta_n, so at n <= 3 the
+    # sums run over j < n only, and order n does not exist
+    ch = make_random_chain(n, seed=n)
+    theta = eta_to_theta(ch).theta
+    A = sum(weighted_seminorm_sq(theta, j + 1, j, n) for j in range(1, n))
+    B = sum(weighted_seminorm_sq(ch.eta, j + 1, j + 1, n) for j in range(1, n))
+    assert theta_eta_norms(ch) == (A, B) and A > 0.0 and B > 0.0
+    with pytest.raises(ValueError, match="does not support"):
+        weighted_seminorm_sq(theta, n + 1, n, n)
 
 
 def test_norm_equivalence_monitored(capsys):

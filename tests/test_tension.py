@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whipchain.core import ChainState, _anchored, _Blocks, u0_v0
+from whipchain.core import ChainState, _anchored, _Blocks, _equal_blocks, u0_v0
 from whipchain.dynamics import _advance
 from whipchain.errors import NumericError
 from whipchain.initial_data import (
@@ -253,9 +253,9 @@ class TestSolveTension:
         # B systems stacked into one solve with zero couplings give each
         # chain's own solve bit for bit
         chains = [make_random_chain(n, seed=s, vel_scale=1.0 + s) for s in range(5)]
-        stacked, alpha, w = tension._solve_sigma_arrays(*flat_links(chains), n)
+        stacked, alpha, w = tension._solve_sigma_arrays(*flat_links(chains), _equal_blocks(n, 5))
         for row, c in enumerate(chains):
-            own = tension._solve_sigma_arrays(c.link_dirs().T, c.link_dirs_dot().T, n)
+            own = tension._solve_sigma_arrays(c.link_dirs().T, c.link_dirs_dot().T, _equal_blocks(n, 1))
             part = slice(row * n, (row + 1) * n)
             for got, want in zip((stacked[part], alpha[row * n : row * n + n - 1], w[part]), own):
                 assert got.tobytes() == want.tobytes()
@@ -267,7 +267,7 @@ class TestSolveTension:
         links = np.concatenate([good.link_dirs().T, 2.0 * good.link_dirs().T, good.link_dirs().T], axis=1)
         links_dot = np.concatenate([good.link_dirs_dot().T] * 3, axis=1)
         with pytest.raises(NumericError, match="not positive definite") as info:
-            tension._solve_sigma_arrays(links, links_dot, 8)
+            tension._solve_sigma_arrays(links, links_dot, _equal_blocks(8, 3))
         assert info.value.chain == 1
 
     def test_ragged_stacked_solve_names_failing_chain(self):
@@ -372,7 +372,7 @@ def _adversarial_systems(draw):
     w = 10.0 ** rng.uniform(-8.0, 8.0, size)
     if holes:
         w[rng.random(size) < 1.0 / 3.0] = 0.0
-    return alpha, w, sizes[0] if flat else _Blocks(sizes)
+    return alpha, w, _equal_blocks(sizes[0], count) if flat else _Blocks(sizes)
 
 
 @given(_adversarial_systems())
@@ -380,10 +380,10 @@ def _adversarial_systems(draw):
 def test_solve_meets_the_contract_on_adversarial_systems(system):
     # the LDL^T solve is backward stable at any n and conditioning (Higham
     # 1990), so every block meets SOLVE_RTOL, flat or ragged
-    alpha, w, n = system
-    sigma = tension._solve_tridiagonal(alpha, w, n)
-    err = tension._backward_error(alpha, sigma, w, n)
-    assert err.shape == (w.size // n if isinstance(n, int) else len(n.sizes),)
+    alpha, w, blocks = system
+    sigma = tension._solve_tridiagonal(alpha, w, blocks)
+    err = tension._backward_error(alpha, sigma, w, blocks)
+    assert err.shape == (len(blocks.sizes),)
     assert np.all(err <= tension.SOLVE_RTOL), err.max()
 
 
@@ -771,7 +771,8 @@ class TestSigmaDot:
         h = 1e-5
         out = {}
         for sign in (+1, -1):
-            links, links_dot = _advance(ch.link_dirs().T, ch.link_dirs_dot().T, sol.sigma[1:], ch.n, sign * h)
+            links, links_dot = _advance(ch.link_dirs().T, ch.link_dirs_dot().T, sol.sigma[1:], _equal_blocks(ch.n, 1),
+                                     sign * h)
             out[sign] = solve_tension(ChainState(_anchored(links).T, _anchored(links_dot).T)).sigma
         fd = (out[+1] - out[-1]) / (2 * h)
         scale = max(np.max(np.abs(sd)), 1e-30)
@@ -908,9 +909,9 @@ class TestNumericErrors:
 
         solve = tension._solve_tridiagonal
 
-        def mutated(alpha, w, n):
-            sigma = solve(alpha, w, n).copy()
-            sigma[n // 2] *= 1.0 + 1e-8
+        def mutated(alpha, w, blocks):
+            sigma = solve(alpha, w, blocks).copy()
+            sigma[w.size // 2] *= 1.0 + 1e-8
             return sigma
 
         ch = rigid_rotation(n, 1.0)
@@ -940,7 +941,7 @@ def _lapack_results(routines, monkeypatch):
         monkeypatch.setattr(tension, name, func)
     rng = np.random.default_rng(21)
     chains = [random_chain(64, rng, max_turn=1.2, vel_scale=2.0) for _ in range(5)]
-    sigma, alpha, _ = tension._solve_sigma_arrays(*flat_links(chains), 64)
+    sigma, alpha, _ = tension._solve_sigma_arrays(*flat_links(chains), _equal_blocks(64, 5))
     beta = tension.beta_recursion(np.stack([alpha[b * 64 : b * 64 + 63] for b in range(5)]))
     return {"sigma": sigma, "beta": beta, **tension.certify_stack(_position_stack(chains))}
 

@@ -29,9 +29,10 @@ REV`` does that comparison: it extracts ``git archive REV src`` into a
 temporary directory and writes REV's listing and then this checkout's into
 OUT_DIR, which must be absent or empty, each in a child process with that
 ``src`` on PYTHONPATH.  It prints the lines that differ, ``-`` for REV and
-``+`` for this checkout, and exits 1 on any difference.  Its last line
-gives the line total of ``src/whipchain/*.py`` at REV and here, as
-``wc -l`` counts it.
+``+`` for this checkout, and exits 1 on any difference.  Then it gives
+the line count of each ``src/whipchain/*.py`` module at REV and here, with
+the change (0 for a module one side lacks), and in its last line their
+totals, as ``wc -l`` counts them.
 """
 
 from __future__ import annotations
@@ -115,26 +116,32 @@ def _listing(src: Path, out: Path) -> list[str]:
     return run.stdout.splitlines()
 
 
-def _line_total(src: Path) -> int:
-    """The number of lines of the package's modules, ``src/whipchain/*.py``."""
-    return sum(p.read_bytes().count(b"\n") for p in (src / "whipchain").glob("*.py"))
+def _line_counts(src: Path) -> dict[str, int]:
+    """The number of lines of each of the package's modules,
+    ``src/whipchain/*.py``, by file name."""
+    return {p.name: p.read_bytes().count(b"\n") for p in (src / "whipchain").glob("*.py")}
 
 
 def against(rev: str, out: Path) -> int:
     """Print the lines in which REV's listing and this checkout's differ, both
-    written into ``out``, then both line totals; 1 if any lines differ, else 0."""
+    written into ``out``, then the line counts of each module and their
+    totals; 1 if any lines differ, else 0."""
     if out.exists() and any(out.iterdir()):
         raise SystemExit(f"{out} is not empty")
     archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, stdout=subprocess.PIPE, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         before = _listing(Path(tmp) / "src", out)
-        lines_before = _line_total(Path(tmp) / "src")
+        lines_before = _line_counts(Path(tmp) / "src")
     shutil.rmtree(out)   # all of it written by REV's run
     after = _listing(ROOT / "src", out)
     diff = [f"- {line}" for line in before if line not in after] + [f"+ {line}" for line in after if line not in before]
     print("\n".join(diff) if diff else f"no difference in {len(after)} lines against {rev}")
-    print(f"src/whipchain/*.py: {lines_before} lines at {rev}, {_line_total(ROOT / 'src')} here")
+    lines = _line_counts(ROOT / "src")
+    for name in sorted(lines_before.keys() | lines.keys()):
+        old, new = lines_before.get(name, 0), lines.get(name, 0)
+        print(f"src/whipchain/{name}: {old} lines at {rev}, {new} here ({new - old:+d})")
+    print(f"src/whipchain/*.py: {sum(lines_before.values())} lines at {rev}, {sum(lines.values())} here")
     return 1 if diff else 0
 
 
