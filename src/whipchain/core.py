@@ -112,7 +112,7 @@ def rising_weight(k, r: float, n: int):
 
 
 def _rising_table(r: np.ndarray, n: np.ndarray, width: int) -> np.ndarray:
-    """Row i holds s_k^{(r_i)} at n_i for k = 0..width-1, every r_i > -1.
+    """Row i holds s_k^{(r_i)} at n_i for k = 0..width-1 (width >= 1), every r_i > -1.
 
     Integer r >= 0 uses the exact product k (k+1) ... (k+r-1) / n^r, the
     :func:`rising_product` of x_j = j.  Other r use the running product
@@ -120,20 +120,19 @@ def _rising_table(r: np.ndarray, n: np.ndarray, width: int) -> np.ndarray:
     product for all of them: its relative error stays near sqrt(k) eps,
     where a difference of log-gammas loses about k eps to cancellation.
     """
-    cols = max(width, 2)
-    out = np.empty((len(r), cols))
+    out = np.empty((len(r), width))
     whole = r == np.floor(r)
     for i in np.flatnonzero(whole):
         ri = int(r[i])
-        out[i] = rising_product(np.arange(float(cols + ri)), 0, cols, ri) / float(n[i]) ** ri
-    rf, j = r[~whole], np.arange(1.0, cols - 1)
-    ratios = np.ones((len(rf), cols))   # Gamma(k+r) / (Gamma(1+r) Gamma(k)) at k
+        out[i] = rising_product(np.arange(float(width + ri)), 0, width, ri) / float(n[i]) ** ri
+    rf, j = r[~whole], np.arange(1.0, width - 1)
+    ratios = np.ones((len(rf), width))   # Gamma(k+r) / (Gamma(1+r) Gamma(k)) at k
     ratios[:, 0] = 0.0
     ratios[:, 2:] = np.cumprod((j + rf[:, None]) / j, axis=1)
     lead = np.array([gamma(1.0 + ri) / float(ni) ** ri for ri, ni in zip(rf.tolist(), n[~whole].tolist())])
     ratios *= lead[:, None]
     out[~whole] = ratios
-    return out[:, :width]
+    return out
 
 
 @lru_cache(maxsize=128)

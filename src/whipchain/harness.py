@@ -34,7 +34,7 @@ import shutil
 import tempfile
 import time as _time
 from dataclasses import asdict, dataclass, field, replace
-from math import lgamma, prod
+from math import isfinite, lgamma, prod
 from pathlib import Path
 from typing import get_type_hints
 
@@ -69,7 +69,8 @@ _FLOAT = "%.17g"
 class ExperimentConfig:
     """One experiment.  The field defaults are the defaults of the config
     keys; every range check lives in ``__post_init__``, so a config changed
-    with ``dataclasses.replace`` is checked again."""
+    with ``dataclasses.replace`` is checked again, also for what no config
+    text can give (an empty ``seeds`` or ``suite_n_values``)."""
 
     kind: str
     generator: str | None = None
@@ -101,13 +102,15 @@ class ExperimentConfig:
             (len(set(self.n_list)) == len(self.n_list), "initial.n", "distinct", self.n_list),
             (d >= 2, "initial.d", "an integer >= 2", d),
             (d == 2 or self.kind != "convergence", "initial.d", "2 for convergence (the angle maps are planar)", d),
-            (all(seed >= 0 for seed in self.seeds), "seeds", "integers >= 0", self.seeds),
+            (self.seeds and all(seed >= 0 for seed in self.seeds), "seeds", "one or more integers >= 0", self.seeds),
             (len(set(self.seeds)) == len(self.seeds), "seeds", "distinct", self.seeds),
             (set(self.formats) <= set(FORMATS), "output.formats", "csv and/or jsonl", self.formats),
             (len(set(self.formats)) == len(self.formats), "output.formats", "distinct", self.formats),
             (self.suite_samples >= 0, "suite.samples", "an integer >= 0", self.suite_samples),
-            (all(nv >= 2 for nv in self.suite_n_values), "suite.n_values", "integers >= 2", self.suite_n_values),
-            (all(r > 0 for r in self.suite_r_values), "suite.r_values", "numbers > 0", self.suite_r_values),
+            (self.suite_n_values and all(nv >= 2 for nv in self.suite_n_values), "suite.n_values",
+             "one or more integers >= 2", self.suite_n_values),
+            (all(isfinite(r) and r > 0 for r in self.suite_r_values), "suite.r_values", "finite numbers > 0",
+             self.suite_r_values),
         ):
             if not ok:
                 raise ConfigError(f"key {key!r} must be {rule}, got {value!r}")
@@ -270,7 +273,8 @@ def _now() -> str:
 
 
 def _series_table(traj: Trajectory) -> tuple[list, np.ndarray]:
-    """The CSV header and rows: the series columns, then the ratios."""
+    """The CSV header and rows: the series columns, then the ratios.  The
+    Gronwall quotient divides differences of rows, so row 0's is NaN."""
     cols = traj.series()
     # monitored-only ratio columns (never asserted): a/e2, c/(e2^{3/2} e3^{1/2}),
     # d_m/e3 powers, and the discrete Gronwall quotient for e~_3
@@ -285,8 +289,7 @@ def _series_table(traj: Trajectory) -> tuple[list, np.ndarray]:
             "ratio_d3_e3p6": cols["d3"] / e3**6,
         }
         gron = np.full(len(t), np.nan)
-        if len(t) > 1:
-            gron[1:] = np.diff(et3) / (np.diff(t) * e3[:-1] ** 7)
+        gron[1:] = np.diff(et3) / (np.diff(t) * e3[:-1] ** 7)
         ratios["gronwall_et3_e3p7"] = gron
     return [*cols, *ratios], np.column_stack([*cols.values(), *ratios.values()])
 
@@ -339,8 +342,8 @@ def _cpu_count() -> int:
 
 def _jsonl_encoders(records: int, floats: int) -> int:
     """How many processes encode ``records`` JSON-lines records holding
-    ``floats`` floats in all: two (the parent and one forked child) from two
-    records and ``_MIN_CHILD_FLOATS`` floats on, given a second core and the
+    ``floats`` store-row entries in all: two (the parent and one forked child)
+    from two records and ``_MIN_CHILD_FLOATS`` on, given a second core and the
     ``fork`` start method; else one."""
     if records < 2 or floats < _MIN_CHILD_FLOATS or _cpu_count() < 2:
         return 1
@@ -403,7 +406,7 @@ class _JsonlWriter:
         if self._child is not None:
             self._rows.flush()   # before the release: the child reads the row from the file
             self._ready.release()
-        elif _jsonl_encoders(self._stored, self._stored * (self._layout[-1][2] - _STORE_NON_FLOATS)) > 1:
+        elif _jsonl_encoders(self._stored, self._stored * self._layout[-1][2]) > 1:
             self._start()
 
     def _start(self) -> None:
@@ -486,10 +489,6 @@ def _jsonl_row(idx: int, snap) -> np.ndarray:
     file index, then the fields of ``snapshot_to_json`` in order, flattened."""
     fields = map(_FIELDS.get, _JSONL_FIELDS)
     return np.concatenate([[idx], *(f.value(snap).ravel() if f.shape else [f.value(snap)] for f in fields)])
-
-
-#: how many entries of a store row are not floats: the file index, n, d and positivity
-_STORE_NON_FLOATS = 1 + sum(_FIELDS[name].kind is not float for name in _JSONL_FIELDS)
 
 
 def _store_layout(n: int, d: int) -> tuple:
@@ -698,18 +697,12 @@ def _basic_inequality_violations(n: int, r: float, batch: np.ndarray, slack: flo
 
 
 def _weight_bound_violations(rng: np.random.Generator, trials: int = 2000, slack: float = 1e-12) -> int:
-    """Spot-check the weight-ratio and shift bounds on random (p, q, j, k, n).
-    The draws are made trial by trial, in the order a scalar loop makes
-    them; the weights and bounds are then evaluated for all trials at once."""
-    draws = []
-    for _ in range(trials):
-        n = int(rng.integers(2, 200))
-        k = int(rng.integers(1, n + 1))
-        p = float(rng.uniform(0.05, 4.0))
-        q = float(rng.uniform(0.05, 4.0))
-        j = int(rng.integers(0, n - k + 1))
-        draws.append((n, k, p, q, j))
-    n, k, p, q, j = map(np.array, zip(*draws))
+    """Spot-check the weight-ratio and shift bounds on random (p, q, j, k, n),
+    each drawn as one array of ``trials`` and evaluated for all trials at once."""
+    n = rng.integers(2, 200, size=trials)
+    k = rng.integers(1, n + 1)
+    p, q = rng.uniform(0.05, 4.0, size=(2, trials))
+    j = rng.integers(0, n - k + 1)
     weights = _table_entries(np.concatenate([p, p + q, q, p]), np.tile(n, 4), np.concatenate([k, k, k, k + j]))
     skp, spq, sq, skj = weights.reshape(4, trials)
     ratio = spq / sq
@@ -739,14 +732,12 @@ def _binomial(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _product_bound_violations(rng: np.random.Generator, trials: int = 500, slack: float = 1e-12) -> int:
     """||fg||^2_{p+q,0} <= [Gamma(p+q+1)/(Gamma(p+1)Gamma(q+1))] [f]^2_{p,0} ||g||^2_{q,0}
-    on random (n, p, q, f, g), drawn trial by trial in the order a scalar
-    loop draws them, then evaluated at once with f and g zero-padded."""
+    on random (n, p, q, f, g), each drawn as one array of ``trials`` and
+    evaluated at once, f and g set to 0 past each trial's n."""
     top = 128   # n < top
-    n, p, q = np.empty(trials, dtype=int), np.empty(trials), np.empty(trials)
-    f, g = np.zeros((2, trials, top - 1))
-    for i in range(trials):
-        n[i], p[i], q[i] = rng.integers(2, top), rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)
-        f[i, : n[i]], g[i, : n[i]] = rng.normal(size=n[i]), rng.normal(size=n[i])
+    n = rng.integers(2, top, size=trials)
+    p, q = rng.uniform(0.0, 3.0, size=(2, trials))
+    f, g = np.where(np.arange(top - 1) < n[:, None], rng.normal(size=(2, trials, top - 1)), 0.0)
     table = _rising_table(np.concatenate([p + q, p, q]), np.tile(n, 3), top)
     s_pq, s_p, s_q = table[:, 1:].reshape(3, trials, -1)
     lhs = np.sum(s_pq * (f * g) ** 2, axis=1) / n

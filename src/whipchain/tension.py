@@ -19,7 +19,7 @@ p_kj = prod_{m=k}^{j-1} c_m, G_kj = G_kk p_kj for j >= k, and G is
 symmetric.  ``GreenMatrix`` holds only these O(n) generators, the diagonal
 G_kk and the ratios c_m.  The bound certificates and the ``green`` solve
 route work on them in O(n) time and memory; the dense n x n G is built only
-when ``GreenMatrix.G`` is read.
+when ``GreenMatrix.G`` is read, by one sweep of them over the unit vectors.
 
 The beta_i are the pivots of the LDL^T factorization of the operator with
 its rows and columns reversed, so LAPACK's ``dpttrf`` gives them in compiled
@@ -231,12 +231,10 @@ class GreenMatrix:
 
     @cached_property
     def G(self) -> np.ndarray:
-        """The dense n x n matrix, G_kj = G_kk p_kj for j >= k and symmetric."""
-        S, neg, zero = _ratio_logs(self.ratios)
-        block = np.concatenate([[0], np.cumsum(zero)])
-        upper = np.triu(np.ones((self.n, self.n), dtype=bool)) & (block[:, None] == block[None, :])
-        logp = np.where(upper, S[None, :] - S[:, None], -np.inf)
-        U = self.diag[:, None] * np.where(neg[:, None] ^ neg[None, :], -1.0, 1.0) * np.exp(logp)
+        """The dense n x n matrix, G_kj = G_kk p_kj for j >= k and exactly
+        symmetric.  One upper sweep of the generators, as in :meth:`apply`,
+        over the unit vectors: the sweep of e_j holds p_kj at k <= j."""
+        U = (self.diag * _unit_bidiagonal_solve(self.ratios, np.eye(self.n), lower=False)).T
         return _frozen_array(U + np.triu(U, 1).T)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
@@ -304,13 +302,11 @@ def upsilon_threehalves(chain: ChainState) -> float:
 
 def _upsilon(t: np.ndarray) -> np.ndarray:
     """:func:`upsilon_threehalves` of each chain of (d, ..., n) link vectors;
-    0 for a single link."""
+    0 for a single link, the maximum's initial value (every term is >= 0 or NaN)."""
     n = t.shape[-1]
-    if n < 2:
-        return np.zeros(t.shape[1:-1])
     # second differences at k = 1..n-1 need eta up to k+2 <= n+1: no extension
     curv = _links(t, n)
-    return np.max((np.arange(1, n) / n) ** 1.5 * _sq(curv), axis=-1)
+    return np.max((np.arange(1, n) / n) ** 1.5 * _sq(curv), axis=-1, initial=0.0)
 
 
 def green_matrix_for_chain(chain: ChainState) -> GreenMatrix:

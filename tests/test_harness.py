@@ -31,6 +31,7 @@ from whipchain.harness import (
     snapshot_to_json,
 )
 from whipchain.initial_data import (
+    folded_chain,
     make_initial,
     near_loop,
     perturbed_vertical,
@@ -152,6 +153,14 @@ class TestParseConfig:
         cfg = parse_config(write_cfg(tmp_path, MINIMAL + f"integrator.{key} = {raw}\n"))
         assert getattr(cfg.integrator, key) is value
 
+    @pytest.mark.parametrize("name, key", [("seeds", "seeds"), ("suite_n_values", "suite.n_values")])
+    def test_replace_refuses_an_empty_list(self, name, key):
+        # the parser cannot give an empty list, but every kind reads the
+        # first seed and green_certify cycles through suite.n_values
+        cfg = build_config({"kind": "green_certify"})
+        with pytest.raises(ConfigError, match=re.escape(f"key {key!r} must be one or more integers")):
+            dataclasses.replace(cfg, **{name: ()})
+
     def test_rng_is_not_a_key(self, tmp_path):
         # the random generator is seeded from `seeds`, never from initial.rng
         text = MINIMAL.replace("rigid_rotation", "random") + "initial.rng = 5\n"
@@ -240,7 +249,16 @@ class TestEmitSeries:
         snap = run(rigid_rotation(n, d=d), IntegratorConfig(t_end=0.002)).snapshots[-1]
         widths = [int(np.prod(_FIELDS[name].dims(n, d))) for name in _JSONL_FIELDS]
         assert harness._jsonl_row(0, snap).size == 1 + sum(widths) == size
-        assert size - harness._STORE_NON_FLOATS == 19 + (2 * d + 1) * (n + 1)
+        assert size == 4 + 19 + (2 * d + 1) * (n + 1)
+
+    def test_one_row_csv_has_a_nan_gronwall_quotient(self, tmp_path):
+        # a folded chain starts at negative tension and halts at step 0: one
+        # snapshot, so the Gronwall quotient has no difference to take
+        traj = run(folded_chain(32), IntegratorConfig(t_end=0.05))
+        assert (len(traj.snapshots), traj.termination) == (1, "negative_tension")
+        with open(emit_series(traj, "csv", tmp_path / "s.csv"), newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == 1 and header[-1] == "gronwall_et3_e3p7" and rows[0][-1] == "nan"
 
     def test_empty_trajectory_refused(self, tmp_path):
         traj = self._traj()
@@ -373,7 +391,7 @@ class TestSplitJsonl:
 
     @staticmethod
     def _floats(snaps) -> int:
-        return sum(harness._jsonl_row(0, s).size - harness._STORE_NON_FLOATS for s in snaps)
+        return sum(harness._jsonl_row(0, s).size for s in snaps)
 
     @staticmethod
     def _no_live_child():
@@ -681,18 +699,18 @@ class TestRunExperiment:
 
     @staticmethod
     def _weight_violations_per_trial(rng, trials=2000, slack=1e-12):
-        """The weight-bound check as a loop of scalar rising_weight calls."""
+        """The weight-bound check on the same draws, as a loop of scalar
+        rising_weight calls."""
         from math import exp, lgamma
 
         from whipchain.core import rising_weight
 
+        n = rng.integers(2, 200, size=trials)
+        k = rng.integers(1, n + 1)
+        p, q = rng.uniform(0.05, 4.0, size=(2, trials))
+        j = rng.integers(0, n - k + 1)
         bad = 0
-        for _ in range(trials):
-            n = int(rng.integers(2, 200))
-            k = int(rng.integers(1, n + 1))
-            p = float(rng.uniform(0.05, 4.0))
-            q = float(rng.uniform(0.05, 4.0))
-            j = int(rng.integers(0, n - k + 1))
+        for n, k, p, q, j in zip(n.tolist(), k.tolist(), p.tolist(), q.tolist(), j.tolist()):
             skp = rising_weight(k, p, n)
             ratio = rising_weight(k, p + q, n) / rising_weight(k, q, n)
             cpq = exp(lgamma(p + q + 1) - lgamma(p + 1) - lgamma(q + 1))
@@ -714,18 +732,18 @@ class TestRunExperiment:
 
     @staticmethod
     def _product_violations_per_trial(rng, trials=500, slack=1e-12):
-        """The product-bound check as a loop of per-trial weighted seminorms."""
+        """The product-bound check on the same draws, as a loop of per-trial
+        weighted seminorms."""
         from math import gamma
 
         from whipchain.core import weighted_seminorm_sq, weighted_supnorm_sq
 
+        n = rng.integers(2, 128, size=trials)
+        p, q = rng.uniform(0.0, 3.0, size=(2, trials))
+        fs, gs = rng.normal(size=(2, trials, 127))
         bad = 0
-        for _ in range(trials):
-            n = int(rng.integers(2, 128))
-            p = float(rng.uniform(0.0, 3.0))
-            q = float(rng.uniform(0.0, 3.0))
-            f = rng.normal(size=n)
-            g = rng.normal(size=n)
+        for n, p, q, f, g in zip(n.tolist(), p.tolist(), q.tolist(), fs, gs):
+            f, g = f[:n], g[:n]
             lhs = weighted_seminorm_sq(f * g, p + q, 0, n)
             rhs = gamma(p + q + 1) / (gamma(p + 1) * gamma(q + 1)) * weighted_supnorm_sq(
                 f, p, 0, n
@@ -744,6 +762,13 @@ class TestRunExperiment:
             assert got == want
             assert (got > 0) == (slack < 0)
             assert rng.random() == loop_rng.random()
+
+    def test_weight_and_product_bounds_hold_at_seeds_0_to_19(self):
+        # the suite's own trial counts at its default slack: no violation
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            assert harness._weight_bound_violations(rng) == 0, seed
+            assert harness._product_bound_violations(rng) == 0, seed
 
     def test_rising_weights_bitwise_scalar(self):
         # the suite's weight table (core._rising_table) against the scalar
@@ -1269,6 +1294,7 @@ class TestCli:
         [
             ("inequality_suite", "suite.r_values", "0", []),
             ("inequality_suite", "suite.r_values", "-0.5", []),
+            ("inequality_suite", "suite.r_values", "1,inf", []),
             ("inequality_suite", "suite.samples", "-3", []),
             ("green_certify", "suite.n_values", "1,4", []),
             ("inequality_suite", "seeds", "-1", []),
@@ -1277,6 +1303,7 @@ class TestCli:
         ids=[
             "inequality_suite-suite.r_values-0",
             "inequality_suite-suite.r_values--0.5",
+            "inequality_suite-suite.r_values-1,inf",
             "inequality_suite-suite.samples--3",
             "green_certify-suite.n_values-1,4",
             "inequality_suite-seeds--1",

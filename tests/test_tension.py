@@ -173,7 +173,7 @@ class TestGreenMatrix:
     def test_symmetry(self):
         ch = make_random_chain(16, seed=3, max_turn=3.0)
         gm = green_matrix_for_chain(ch)
-        assert np.max(np.abs(gm.G - gm.G.T)) < 1e-13
+        assert np.array_equal(gm.G, gm.G.T)
 
     def test_against_dense_inverse(self):
         for seed, n in [(0, 2), (1, 5), (2, 16)]:

@@ -29,10 +29,15 @@ REV`` does that comparison: it extracts ``git archive REV src`` into a
 temporary directory and writes REV's listing and then this checkout's into
 OUT_DIR, which must be absent or empty, each in a child process with that
 ``src`` on PYTHONPATH.  It prints the lines that differ, ``-`` for REV and
-``+`` for this checkout, and exits 1 on any difference.  Then it gives
-the line count of each ``src/whipchain/*.py`` module at REV and here, with
-the change (0 for a module one side lacks), and in its last line their
-totals, as ``wc -l`` counts them.
+``+`` for this checkout.  Then it gives the line count of each
+``src/whipchain/*.py`` module at REV and here, with the change (0 for a
+module one side lacks), and in its last line their totals, as ``wc -l``
+counts them.
+
+Exit codes: 0 when the listing is written, or with ``--against`` when the
+two listings are equal; 1 when they differ; 2, with one line on stderr, on
+any other failure (a usage error, an unknown REV, a non-empty OUT_DIR, a run
+that exits nonzero, a listing child that fails).
 """
 
 from __future__ import annotations
@@ -104,16 +109,25 @@ def digests(out: Path) -> list[str]:
         cfg.write_text(config_text(params), encoding="utf-8")
         code = main(["run", str(cfg), "--output-dir", str(out / name), "--quiet"])
         if code != 0:
-            raise SystemExit(f"{name}: whipchain exited with code {code}")
+            raise RuntimeError(f"{name}: whipchain exited with code {code}")
     files = sorted(p for p in out.rglob("*") if p.is_file())
     return [f"{_digest(p)}  {p.relative_to(out).as_posix()}" for p in files]
+
+
+def _run(args: list, **kwargs) -> bytes:
+    """The stdout of the child ``args``; a nonzero exit raises with the
+    last line it wrote to stderr."""
+    run = subprocess.run(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+    if run.returncode != 0:
+        last = (run.stderr.decode(errors="replace").splitlines() or [""])[-1]
+        raise RuntimeError(f"{Path(args[0]).name} exited with code {run.returncode}: {last}")
+    return run.stdout
 
 
 def _listing(src: Path, out: Path) -> list[str]:
     """The listing of the package in ``src``, written into ``out`` by a child."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, __file__, str(out)], env=env, stdout=subprocess.PIPE, text=True, check=True)
-    return run.stdout.splitlines()
+    return _run([sys.executable, __file__, str(out)], env=env).decode().splitlines()
 
 
 def _line_counts(src: Path) -> dict[str, int]:
@@ -127,10 +141,10 @@ def against(rev: str, out: Path) -> int:
     written into ``out``, then the line counts of each module and their
     totals; 1 if any lines differ, else 0."""
     if out.exists() and any(out.iterdir()):
-        raise SystemExit(f"{out} is not empty")
-    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, stdout=subprocess.PIPE, check=True).stdout
+        raise ValueError(f"{out} is not empty")
+    archive = _run(["git", "archive", rev, "src"], cwd=ROOT)
     with tempfile.TemporaryDirectory() as tmp:
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        _run(["tar", "-x", "-C", tmp], input=archive)
         before = _listing(Path(tmp) / "src", out)
         lines_before = _line_counts(Path(tmp) / "src")
     shutil.rmtree(out)   # all of it written by REV's run
@@ -146,8 +160,12 @@ def against(rev: str, out: Path) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 4 and sys.argv[1] == "--against":
-        raise SystemExit(against(sys.argv[2], Path(sys.argv[3])))
-    if len(sys.argv) != 2:
-        raise SystemExit(__doc__)
-    print("\n".join(digests(Path(sys.argv[1]))))
+    try:
+        if len(sys.argv) == 4 and sys.argv[1] == "--against":
+            raise SystemExit(against(sys.argv[2], Path(sys.argv[3])))
+        if len(sys.argv) != 2:
+            raise ValueError("usage: output_digests.py [--against REV] OUT_DIR")
+        print("\n".join(digests(Path(sys.argv[1]))))
+    except Exception as exc:   # every failure but a difference (SystemExit is no Exception)
+        print(f"output_digests: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
