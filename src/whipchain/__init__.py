@@ -15,7 +15,6 @@ __version__ = "0.1.0"   # before the submodules: the harness writes it into ever
 from .core import (
     ChainState,
     discrete_energy,
-    forward_diff,
     forward_diff_m,
     rising_weight,
     sigma_weighted_energy,
@@ -56,7 +55,6 @@ from .initial_data import (
 )
 from .spectral import (
     AngleState,
-    basis_q,
     continuize_Gn,
     discrete_symmetric_inner,
     discretize_Fn,

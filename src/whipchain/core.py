@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from math import gamma, isfinite
+from math import gamma, isfinite, lgamma, log
 
 import numpy as np
 
@@ -45,19 +45,11 @@ import numpy as np
 # difference calculus
 
 
-def forward_diff(f, n: int) -> np.ndarray:
-    """(D+ f)_k = n (f_{k+1} - f_k); output is one shorter than the input.
-
-    The entry ``out[i]`` carries the chain index of ``f[i]``.  The same array
-    is the backward difference (D- f)_k = n (f_k - f_{k-1}) with ``out[i]``
-    carrying the index of ``f[i+1]`` instead (D- = E^{-1} D+).
-    """
-    return forward_diff_m(f, n, 1)
-
-
 def forward_diff_m(f, n: int, m: int) -> np.ndarray:
     """m-fold forward difference along axis 0, :func:`_links` m times; output
-    is m shorter than the input."""
+    is m shorter than the input.  At m = 1 ``out[i]`` = (D+ f)_k carries the
+    chain index k of ``f[i]``; the same array is the backward difference
+    (D- f)_k = n (f_k - f_{k-1}) at the index of ``f[i+1]`` (D- = E^{-1} D+)."""
     if m < 0:
         raise ValueError(f"difference order must be nonnegative, got {m}")
     out = np.moveaxis(np.asarray(f, dtype=float), 0, -1)
@@ -107,8 +99,21 @@ def rising_weight(k, r: float, n: int):
     k = np.asarray(k)
     if np.any(k < 0):
         raise ValueError("weight index k must be >= 0")
-    out = _rising_table(np.array([float(r)]), np.array([n]), int(k.max(initial=0)) + 1)[0][k]
+    width = int(k.max(initial=0)) + 1
+    if _rising_overflows(r, n, width):
+        raise ValueError(f"weights s_k^(r) at r={r}, n={n}, k < {width} pass half the largest double")
+    out = _rising_table(np.array([float(r)]), np.array([n]), width)[0][k]
     return out if out.ndim else float(out)
+
+
+def _rising_overflows(r: float, n: int, width: int) -> bool:
+    """Whether Gamma(k+r)/Gamma(k) at the largest k < width (at least 1), or
+    n^r, passes half the largest double.  Each entry and intermediate of the
+    :func:`_rising_table` row s_k^{(r)}, k < width, is within a factor 1.13
+    of one of the two.  From log-gammas, so it allocates nothing; from
+    r = 171 on, r! alone passes the largest double."""
+    k = max(width - 1, 1)
+    return r >= 171 or max(lgamma(k + r) - lgamma(k), r * log(n)) > log(np.finfo(float).max / 2)
 
 
 def _rising_table(r: np.ndarray, n: np.ndarray, width: int) -> np.ndarray:

@@ -302,14 +302,13 @@ class Snapshot:
 @dataclass(frozen=True)
 class _Field:
     """One written field of a Snapshot.  ``name`` is its JSON-lines key and
-    ``source`` the dotted path from the snapshot to its value.  ``shape`` is
-    the value's shape, () for a scalar, with "n+1" and "d" for the chain's
-    node count and dimension; ``kind`` the type JSON writes a scalar as;
-    ``csv`` an array's CSV column names (a scalar's is its name)."""
+    ``source`` the dotted path from the snapshot to its value, an array or a
+    scalar, whose shape the value itself carries; ``kind`` the type JSON
+    writes a scalar as; ``csv`` an array's CSV column names (a scalar's is
+    its name)."""
 
     name: str
     source: str
-    shape: tuple = ()
     kind: type = float
     csv: tuple = ()
 
@@ -317,28 +316,25 @@ class _Field:
     def value(self):   # snapshot -> the field's value, one getter per field
         return attrgetter(self.source)
 
-    def dims(self, n: int, d: int) -> tuple:
-        return tuple({"n+1": n + 1, "d": d}.get(s, s) for s in self.shape)
-
 
 #: every field the CSV or the JSON lines write, by name
 _FIELDS = {f.name: f for f in (
     _Field("t", "state.time"),
     _Field("n", "state.n", kind=int),
     _Field("d", "state.d", kind=int),
-    _Field("eta", "state.eta", ("n+1", "d")),
-    _Field("eta_dot", "state.eta_dot", ("n+1", "d")),
-    _Field("sigma", "tension.sigma", ("n+1",)),
+    _Field("eta", "state.eta"),
+    _Field("eta_dot", "state.eta_dot"),
+    _Field("sigma", "tension.sigma"),
     _Field("min_sigma", "tension.min_sigma"),
     _Field("positivity", "tension.positivity", kind=bool),
-    _Field("e", "report.e", (4,), csv=("e0", "e1", "e2", "e3")),
-    _Field("e_tilde", "report.e_tilde", (4,), csv=("et0", "et1", "et2", "et3")),
+    _Field("e", "report.e", csv=("e0", "e1", "e2", "e3")),
+    _Field("e_tilde", "report.e_tilde", csv=("et0", "et1", "et2", "et3")),
     _Field("u0", "report.u0"),
     _Field("v0", "report.v0"),
     _Field("a", "report.a"),
     _Field("b", "report.b"),
     _Field("c", "report.c"),
-    _Field("d_norms", "report.d", (3,), csv=("d1", "d2", "d3")),
+    _Field("d_norms", "report.d", csv=("d1", "d2", "d3")),
     _Field("max_ang_vel", "report.max_ang_vel"),
     _Field("max_curvature", "report.max_curvature"),
     _Field("constraint_drift", "report.constraint_drift"),

@@ -41,7 +41,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .core import ChainState, _links, _rising_table, rising_weight
+from .core import ChainState, _links, _rising_overflows, _rising_table, rising_weight
 from .dynamics import IntegratorConfig, Trajectory, _FIELDS, _JSONL_FIELDS, detect_blowup, run_batch
 from .errors import ConfigError, FitRejected, NumericError
 from .initial_data import GENERATORS, _random_angles, make_initial, rigid_rotation_exact
@@ -88,6 +88,9 @@ class ExperimentConfig:
     def __post_init__(self):
         chain_kind = self.kind in _GENERATOR_KINDS
         d = self.generator_params.get("d", 2)
+        # order r+1 at the largest n bounds every weight the suite reads; 2 stands
+        # in for a suite.n_values the rule before it refuses
+        top = max((2, *self.suite_n_values))
         for ok, key, rule, value in (
             (self.kind in _KIND_RUNNERS, "kind", f"one of {', '.join(_KIND_RUNNERS)}", self.kind),
             (self.generator in (None, *GENERATORS), "initial.generator",
@@ -109,8 +112,9 @@ class ExperimentConfig:
             (self.suite_samples >= 0, "suite.samples", "an integer >= 0", self.suite_samples),
             (self.suite_n_values and all(nv >= 2 for nv in self.suite_n_values), "suite.n_values",
              "one or more integers >= 2", self.suite_n_values),
-            (all(isfinite(r) and r > 0 for r in self.suite_r_values), "suite.r_values", "finite numbers > 0",
-             self.suite_r_values),
+            (all(isfinite(r) and r > 0 and not _rising_overflows(r + 1, top, top + 1) for r in self.suite_r_values),
+             "suite.r_values", f"finite numbers > 0 whose weights s_k^(r+1), k <= {top} (the largest suite.n_values), "
+             "stay below half the largest double", self.suite_r_values),
         ):
             if not ok:
                 raise ConfigError(f"key {key!r} must be {rule}, got {value!r}")
@@ -400,7 +404,7 @@ class _JsonlWriter:
     def put(self, idx: int, snap) -> None:
         if self._rows is None:
             self._rows = tempfile.TemporaryFile(dir=next(iter(self._files)).parent)
-            self._layout = _store_layout(snap.state.n, snap.state.d)
+            self._layout = _store_layout(snap)
         self._rows.write(_jsonl_row(idx, snap))
         self._stored += 1
         if self._child is not None:
@@ -487,16 +491,16 @@ def _row_line(fd: int, i: int, layout) -> tuple[int, str]:
 def _jsonl_row(idx: int, snap) -> np.ndarray:
     """The store row of ``snap`` in file ``idx``: one float64 array of the
     file index, then the fields of ``snapshot_to_json`` in order, flattened."""
-    fields = map(_FIELDS.get, _JSONL_FIELDS)
-    return np.concatenate([[idx], *(f.value(snap).ravel() if f.shape else [f.value(snap)] for f in fields)])
+    values = (f.value(snap) for f in map(_FIELDS.get, _JSONL_FIELDS))
+    return np.concatenate([[idx], *(v.ravel() if isinstance(v, np.ndarray) else [v] for v in values)])
 
 
-def _store_layout(n: int, d: int) -> tuple:
-    """Each JSON-lines field's place in the store row of a chain of n links
-    in R^d: its name, its first and end offset, its kind and its shape."""
+def _store_layout(snap) -> tuple:
+    """Each JSON-lines field's place in the store row of ``snap`` and of every
+    snapshot of its n and d: its name, first and end offset, kind and shape."""
     layout, end = [], 1
     for f in map(_FIELDS.get, _JSONL_FIELDS):
-        shape = f.dims(n, d)
+        shape = np.shape(f.value(snap))
         start, end = end, end + prod(shape)
         layout.append((f.name, start, end, f.kind, shape))
     return tuple(layout)
@@ -516,7 +520,7 @@ def snapshot_to_json(snap) -> dict:
     """The JSON-lines record of ``snap``: the fields of
     ``dynamics._JSONL_FIELDS`` in order, arrays as nested lists."""
     fields = map(_FIELDS.get, _JSONL_FIELDS)
-    return {f.name: f.value(snap).tolist() if f.shape else f.kind(f.value(snap)) for f in fields}
+    return {f.name: v.tolist() if np.ndim(v := f.value(snap)) else f.kind(v) for f in fields}
 
 
 def snapshot_state_from_json(obj: dict) -> ChainState:
@@ -610,14 +614,15 @@ def _kind_convergence(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     For rigid_rotation the per-n error is max_k |eta_k - ((n+1-k)/n) u(t_end)|:
     particle k against the rotating whip at its arclength (k-1)/n from the
     free end, which is ``rigid_rotation_exact``.  Other generators are
-    compared pairwise between consecutive resolutions through the isometric
-    coefficient representation.  ``error_t0`` is the same distance on the
-    transferred chains before they step (against the rotation at t = 0), so
-    the transfer's own share of ``error`` can be read off.  For
-    rigid_rotation ``dynamics_error`` measures the integrator alone: the
-    distance max_k |eta_k - exact_k| from the rigid rotation of the
-    transferred chain's own angles, exact theta_k(t) = theta_k(0) +
-    theta_dot_k(0) t; other generators leave it empty.
+    compared through the isometric coefficient representation: row n holds
+    the distance from n to the next resolution, so the largest n has no row.
+    ``error_t0`` is the same distance on the transferred chains before they
+    step (against the rotation at t = 0), so the transfer's own share of
+    ``error`` can be read off.  For rigid_rotation ``dynamics_error``
+    measures the integrator alone: the distance max_k |eta_k - exact_k| from
+    the rigid rotation of the transferred chain's own angles, exact
+    theta_k(t) = theta_k(0) + theta_dot_k(0) t; other generators leave it
+    empty.
     """
     n_list = sorted(cfg.n_list)
     n_ref = 2 * n_list[-1]

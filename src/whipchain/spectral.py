@@ -82,14 +82,6 @@ def theta_positions(theta: np.ndarray) -> np.ndarray:
     return _anchored(np.stack([np.cos(theta), np.sin(theta)]))
 
 
-def even_extend_theta(theta: np.ndarray, n: int) -> np.ndarray:
-    """Extend theta_1..theta_n to k = 1..2n by theta_{2n+1-k} = theta_k."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape[-1] != n:
-        raise ValueError(f"expected {n} angles, got {theta.shape[-1]}")
-    return _mirrored(theta, n)
-
-
 # ---------------------------------------------------------------------------
 # symmetric weights and inner products
 
@@ -109,7 +101,7 @@ def discrete_symmetric_inner(f, g, j: int, n: int) -> float:
     """
     def differenced(x):
         x = np.asarray(x, dtype=float)
-        x = even_extend_theta(x, n) if x.shape[0] == n else x
+        x = _mirrored(x, n) if x.shape[0] == n else x   # theta_{2n+1-k} = theta_k
         if x.shape[0] != 2 * n:
             raise ValueError("inputs must have length n or 2n")
         return forward_diff_m(x, n, j)
@@ -198,15 +190,6 @@ def _basis_q_rows(n: int, modes: int) -> np.ndarray:
 
 basis_q_table.cache_info = _basis_q_rows.cache_info
 basis_q_table.cache_clear = _basis_q_rows.cache_clear
-
-
-def basis_q(m: int, n: int) -> np.ndarray:
-    """Discrete mode q_m(k/n) for k = 1..2n; symmetric under k -> 2n+1-k."""
-    if m < 1:
-        raise ValueError(f"mode index must be >= 1, got {m}")
-    if m > n:
-        raise ValueError(f"mode index m={m} exceeds the resolution n={n}")
-    return basis_q_table(n)[m - 1]
 
 
 # ---------------------------------------------------------------------------

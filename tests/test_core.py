@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,12 +16,12 @@ from whipchain.core import (
     _energy_sums,
     _links,
     _mirrored,
+    _rising_overflows,
     _s_weight,
     _sigma_weight,
     _sq,
     _squared_differences,
     discrete_energy,
-    forward_diff,
     forward_diff_m,
     rising_product,
     rising_weight,
@@ -58,35 +59,35 @@ def projected_state(n, d, seed):
 
 class TestDifferences:
     def test_two_point(self):
-        assert forward_diff([1.0, 3.0], 2) == pytest.approx([4.0])
+        assert forward_diff_m([1.0, 3.0], 2, 1) == pytest.approx([4.0])
 
     def test_constant_killed(self):
-        assert np.all(forward_diff(np.full(7, 3.25), 5) == 0.0)
+        assert np.all(forward_diff_m(np.full(7, 3.25), 5, 1) == 0.0)
 
     def test_unit_slope(self):
         n = 6
         f = np.arange(1, n + 1) / n
-        assert forward_diff(f, n) == pytest.approx(np.ones(n - 1))
+        assert forward_diff_m(f, n, 1) == pytest.approx(np.ones(n - 1))
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            forward_diff([1.0], 3)
+            forward_diff_m([1.0], 3, 1)
         with pytest.raises(ValueError, match="difference order must be nonnegative, got -1"):
             forward_diff_m([1.0, 2.0], 3, -1)
 
     def test_vector_valued(self):
         f = np.array([[0.0, 1.0], [1.0, 3.0]])
-        assert forward_diff(f, 2)[0] == pytest.approx([2.0, 4.0])
+        assert forward_diff_m(f, 2, 1)[0] == pytest.approx([2.0, 4.0])
 
 
 def test_summation_by_parts(rng):
     # (1/n) sum_{k=0}^{n-1} g_k D+f_k = -(1/n) sum_{k=1}^{n} f_k D-g_k + f_n g_n - f_0 g_0,
-    # with (D- g)_k for k = 1..n read off forward_diff(g) (D- = E^{-1} D+)
+    # with (D- g)_k for k = 1..n read off forward_diff_m(g, n, 1) (D- = E^{-1} D+)
     for n in (2, 5, 16):
         f = rng.normal(size=n + 1)
         g = rng.normal(size=n + 1)
-        lhs = np.sum(g[:-1] * forward_diff(f, n)) / n
-        rhs = -np.sum(f[1:] * forward_diff(g, n)) / n + f[-1] * g[-1] - f[0] * g[0]
+        lhs = np.sum(g[:-1] * forward_diff_m(f, n, 1)) / n
+        rhs = -np.sum(f[1:] * forward_diff_m(g, n, 1)) / n + f[-1] * g[-1] - f[0] * g[0]
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
 
@@ -158,6 +159,28 @@ class TestRisingWeight:
         assert rising_weight(0, 0.0, 4) == 1.0
         assert rising_weight(0, 2.0, 4) == 0.0
         assert rising_weight(0, 1.5, 4) == 0.0
+
+    @pytest.mark.parametrize("r", [150.0, 170.5, 1000.0, 1e300, math.inf])
+    def test_unrepresentable_weights_refused_by_name(self, r):
+        # refused before any product: no OverflowError, no RuntimeWarning (an
+        # error here) and no array of r floats
+        with pytest.raises(ValueError, match=re.escape(f"r={r}, n=64")):
+            rising_weight(np.arange(65), r, 64)
+
+    @pytest.mark.parametrize("n", [1, 4, 64, 1000])
+    def test_overflow_rule_is_half_the_largest_double(self, n):
+        # a row k <= n is refused exactly where Gamma(n+r)/Gamma(n) or n^r, in
+        # 40-digit arithmetic, passes half the largest double; an accepted row
+        # is built with no overflow (a RuntimeWarning is an error here)
+        import mpmath
+
+        with mpmath.workdps(40):
+            half = mpmath.mpf(np.finfo(float).max) / 2
+            for r in [*range(175), *np.arange(-0.5, 175, 0.75).tolist()]:
+                refused = max(mpmath.rf(n, r), mpmath.mpf(n) ** r) > half
+                assert _rising_overflows(r, n, n + 1) == refused, r
+                if not refused:
+                    assert np.isfinite(rising_weight(np.arange(n + 1), r, n)).all()
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

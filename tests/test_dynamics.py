@@ -30,10 +30,12 @@ from whipchain.initial_data import (
     random_chain,
     rigid_rotation,
     rigid_rotation_exact,
+    rigid_rotation_sigma,
     straight_chain,
     make_initial,
     theta_power,
 )
+from whipchain.spectral import basis_q_table
 from whipchain.tension import solve_tension, tension_residual
 
 from conftest import flat_links, make_random_chain
@@ -1433,6 +1435,60 @@ class TestResolutionConvergence:
             exact = rigid_rotation_exact(n, t_end).eta
             errs[n] = np.max(np.linalg.norm(fin.eta - exact, axis=1))
         assert errs[16] / errs[32] >= 1.5
+
+
+# ---------------------------------------------------------------------------
+# out-of-plane normal modes of the rotating chain
+
+
+def _out_of_plane_mode(n, m):
+    """z^{(m)}_k = -(1/n) sum_{j>=k} u_j, k = 1..n+1, whose links D+ z are
+    the Hahn row u = q_m(k/n), k = 1..n: the m-th out-of-plane mode of the
+    rigidly rotating chain, whose frequency is omega sqrt(m (2m-1)) at every n."""
+    z = np.zeros(n + 1)
+    z[:n] = -np.cumsum(basis_q_table(n)[m - 1, :n][::-1])[::-1] / n
+    return z
+
+
+class TestNormalModes:
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    @pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3, 16, 64, 1024) for m in sorted({1, 2, n}) if m <= n])
+    def test_acceleration_of_a_mode_is_its_eigenvalue(self, n, m, omega):
+        # z'' = n^2 [sigma_k (z_{k+1} - z_k) - sigma_{k-1} (z_k - z_{k-1})]
+        # under the exact rotating tension has eigenvalue -omega^2 m (2m-1) on
+        # z^{(m)}; the in-plane rows do not see z.  The n^2 scaling amplifies
+        # round-off: 4e-16 at n <= 3, 4e-11 at n = 1024, on one BLAS thread or two
+        chain, sigma, eps = rigid_rotation(n, omega, d=3), rigid_rotation_sigma(n, omega), 1e-3
+        z = _out_of_plane_mode(n, m)
+        eta = chain.eta.copy()
+        eta[:, 2] += eps * z
+        acc = acceleration(ChainState(eta, chain.eta_dot), sigma)
+        want = -(omega**2) * m * (2 * m - 1) * eps * z
+        assert np.max(np.abs(acc[:, 2] - want)) <= n * n * 1e-15 * np.max(np.abs(want))
+        assert np.array_equal(acc[:, :2], acceleration(chain, sigma)[:, :2])
+
+    def test_nonlinear_chain_oscillates_at_the_whip_frequency(self):
+        # the rotation (omega = 1) plus the m = 2 mode at largest |z_k| = 1e-4,
+        # in-plane links shortened to unit length, for 1.3 periods: the free
+        # end's z crosses zero at T/4, 3T/4 and 5T/4.  The tension moves at
+        # O(eps^2) only, so the frequency is omega sqrt(m (2m-1)) up to an eps^2
+        # shift: +1.4e-8 here, -4.2e-6 at eps = 1e-3
+        n, m, omega, eps = 16, 2, 1.0, 1e-4
+        z = _out_of_plane_mode(n, m)
+        lift = np.diff(z * (eps / np.max(np.abs(z)))) * n   # the links' z components
+        links = np.stack([np.sqrt(1.0 - lift**2), np.zeros(n), lift], axis=1)
+        eta = np.zeros((n + 1, 3))
+        eta[:n] = -np.cumsum(links[::-1], axis=0)[::-1] / n
+        chain = ChainState(eta, rigid_rotation(n, omega, d=3).eta_dot).validate()
+        freq = omega * np.sqrt(m * (2 * m - 1))
+        traj = run(chain, IntegratorConfig(t_end=1.3 * 2 * np.pi / freq, report_stride=10))
+        assert traj.termination == "t_end_reached"
+        t = np.array([snap.state.time for snap in traj.snapshots])
+        x = np.array([snap.state.eta[0, 2] for snap in traj.snapshots])
+        i = np.flatnonzero(np.sign(x[:-1]) != np.sign(x[1:]))
+        assert len(i) == 3
+        cross = t[i] - x[i] * (t[i + 1] - t[i]) / (x[i + 1] - x[i])
+        assert abs(2 * np.pi / (cross[2] - cross[0]) / freq - 1.0) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

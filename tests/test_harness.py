@@ -247,8 +247,8 @@ class TestEmitSeries:
         # and sigma, and 19 more (t, min_sigma, e and e_tilde of 4 each, u0,
         # v0, a, b, c, d_norms of 3 and constraint_drift)
         snap = run(rigid_rotation(n, d=d), IntegratorConfig(t_end=0.002)).snapshots[-1]
-        widths = [int(np.prod(_FIELDS[name].dims(n, d))) for name in _JSONL_FIELDS]
-        assert harness._jsonl_row(0, snap).size == 1 + sum(widths) == size
+        widths = [int(np.prod(np.shape(_FIELDS[name].value(snap)))) for name in _JSONL_FIELDS]
+        assert harness._jsonl_row(0, snap).size == 1 + sum(widths) == harness._store_layout(snap)[-1][2] == size
         assert size == 4 + 19 + (2 * d + 1) * (n + 1)
 
     def test_one_row_csv_has_a_nan_gronwall_quotient(self, tmp_path):
@@ -486,7 +486,7 @@ class TestSplitJsonl:
             run(rigid_rotation(1), IntegratorConfig(t_end=0.003)),
         ):
             for snap in traj.snapshots:
-                layout = harness._store_layout(snap.state.n, snap.state.d)
+                layout = harness._store_layout(snap)
                 line = harness._jsonl_line(harness._jsonl_row(0, snap), layout)
                 assert line == json.dumps(snapshot_to_json(snap)) + "\n"
 
@@ -1002,6 +1002,16 @@ class TestRunExperiment:
             assert abs(got - want) <= 1e-14
             assert got < 1e-10 < 1e-3 < summary["errors"][row["n"]]
 
+    @pytest.mark.parametrize("generator, rows", [("rigid_rotation", ["8", "16", "32"]), ("theta_power", ["8", "16"])])
+    def test_convergence_rows(self, tmp_path, generator, rows):
+        # against a closed form every resolution has a row; otherwise row n is
+        # the distance from n to the next resolution, and the largest has none
+        text = (f"kind = convergence\ninitial.generator = {generator}\ninitial.n = 16,32,8\n"
+                f"integrator.t_end = 0.002\noutput.dir = {tmp_path}\n")
+        summary = run_experiment(parse_config(write_cfg(tmp_path, text))).summary
+        with open(tmp_path / "convergence.csv", newline="", encoding="utf-8") as fh:
+            assert [row["n"] for row in csv.DictReader(fh)] == rows == list(summary["errors"])
+
     def test_convergence_random_byte_identical(self, tmp_path):
         text = (
             "kind = convergence\ninitial.generator = random\ninitial.n = 8,16\n"
@@ -1295,6 +1305,10 @@ class TestCli:
             ("inequality_suite", "suite.r_values", "0", []),
             ("inequality_suite", "suite.r_values", "-0.5", []),
             ("inequality_suite", "suite.r_values", "1,inf", []),
+            ("inequality_suite", "suite.r_values", "150", []),
+            ("inequality_suite", "suite.r_values", "170.5", []),
+            ("inequality_suite", "suite.r_values", "1000", []),
+            ("inequality_suite", "suite.r_values", "1e300", []),
             ("inequality_suite", "suite.samples", "-3", []),
             ("green_certify", "suite.n_values", "1,4", []),
             ("inequality_suite", "seeds", "-1", []),
@@ -1304,6 +1318,10 @@ class TestCli:
             "inequality_suite-suite.r_values-0",
             "inequality_suite-suite.r_values--0.5",
             "inequality_suite-suite.r_values-1,inf",
+            "inequality_suite-suite.r_values-150",
+            "inequality_suite-suite.r_values-170.5",
+            "inequality_suite-suite.r_values-1000",
+            "inequality_suite-suite.r_values-1e300",
             "inequality_suite-suite.samples--3",
             "green_certify-suite.n_values-1,4",
             "inequality_suite-seeds--1",
@@ -1314,6 +1332,14 @@ class TestCli:
         path = write_cfg(tmp_path, f"kind = {kind}\n{key} = {value}\noutput.dir = {tmp_path/'s'}\n")
         assert cli_main(["run", str(path), "--quiet", *args]) == 2
         assert key in capsys.readouterr().err
+
+    def test_r_values_bound_is_read_at_the_largest_n(self, tmp_path, capsys):
+        # r = 60 keeps every weight and intermediate below half the largest
+        # double at n = 64; r = 150 does not, and its refusal names that n
+        text = f"kind = inequality_suite\nsuite.samples = 50\nsuite.n_values = 4,64,16\noutput.dir = {tmp_path}\n"
+        assert cli_main(["run", str(write_cfg(tmp_path, text + "suite.r_values = 60\n")), "--quiet"]) == 0
+        assert cli_main(["run", str(write_cfg(tmp_path, text + "suite.r_values = 150\n")), "--quiet"]) == 2
+        assert "k <= 64 (the largest suite.n_values)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "kind, generator, n, key, value, named",

@@ -15,13 +15,11 @@ from whipchain.spectral import (
     AngleState,
     angle_coefficients,
     basis_Q_deriv,
-    basis_q,
     basis_q_table,
     continuize_Gn,
     discrete_symmetric_inner,
     discretize_Fn,
     eta_to_theta,
-    even_extend_theta,
     evaluate_discrete,
     r_coefficient,
     symmetric_weight,
@@ -176,14 +174,13 @@ class TestAngleMaps:
             assert np.array_equal(row, theta_to_eta(AngleState(th, np.ones(33))).eta)
 
     def test_evenness_extension(self):
-        th = np.array([0.3, -0.2, 1.1])
-        ext = even_extend_theta(th, 3)
-        for k in range(1, 7):
-            assert ext[k - 1] == ext[(2 * 3 + 1 - k) - 1]
+        # a half theta_1..theta_n is read as its extension theta_{2n+1-k} = theta_k
+        th, g = np.array([0.3, -0.2, 1.1]), np.array([0.5, 1.0, -0.7, -0.7, 1.0, 0.5])
+        ext = np.array([th[min(k, 7 - k) - 1] for k in range(1, 7)])
+        for j in range(4):
+            assert discrete_symmetric_inner(th, g, j, 3) == discrete_symmetric_inner(ext, g, j, 3)
 
     def test_wrong_lengths_refused(self):
-        with pytest.raises(ValueError, match="expected 4 angles, got 3"):
-            even_extend_theta(np.array([0.3, -0.2, 1.1]), 4)
         with pytest.raises(ValueError, match="inputs must have length n or 2n"):
             discrete_symmetric_inner(np.ones(5), np.ones(8), 0, 4)
 
@@ -236,7 +233,7 @@ class TestBasisQDiscrete:
     def test_symmetry_exact(self):
         for n in (8, 16):
             for m in range(1, n + 1):
-                q = basis_q(m, n)
+                q = basis_q_table(n, m)[m - 1]
                 assert np.array_equal(q, q[::-1])  # bitwise reflection identity
 
     def test_gram_identity_j0(self):
@@ -260,19 +257,19 @@ class TestBasisQDiscrete:
                         assert got == pytest.approx(expect, abs=1e-8 * max(1.0, expect))
 
     def test_value_example_n16_m2_j1(self):
-        q2 = basis_q(2, 16)
+        q2 = basis_q_table(16, 2)[1]
         assert discrete_symmetric_inner(q2, q2, 1, 16) == pytest.approx(10.0, abs=1e-8)
 
     def test_matches_rodrigues_oracle(self):
         n = 12
         for m in range(1, 7):
-            assert basis_q(m, n) == pytest.approx(q_rodrigues(m, n), abs=1e-9)
+            assert basis_q_table(n, m)[m - 1] == pytest.approx(q_rodrigues(m, n), abs=1e-9)
 
     def test_converges_to_continuous(self):
         errs = []
         for n in (8, 16, 32):
             s = np.arange(1, 2 * n + 1) / n
-            errs.append(np.max(np.abs(basis_q(2, n) - basis_Q_deriv(2, s, 0))))
+            errs.append(np.max(np.abs(basis_q_table(n, 2)[1] - basis_Q_deriv(2, s, 0))))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.5
 
@@ -294,10 +291,10 @@ class TestBasisQDiscrete:
         assert np.array_equal(np.sign(table[:, n - 1]), (-1.0) ** np.arange(modes))
 
     def test_mode_out_of_range(self):
-        with pytest.raises(ValueError):
-            basis_q(9, 8)
-        with pytest.raises(ValueError):
-            basis_q(0, 8)
+        with pytest.raises(ValueError, match="mode count must lie in 1..8, got 9"):
+            basis_q_table(8, 9)
+        with pytest.raises(ValueError, match="mode count must lie in 1..8, got 0"):
+            basis_q_table(8, 0)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 37, 512])
     def test_leading_rows_bitwise_the_full_table(self, n):
@@ -350,7 +347,7 @@ class TestTransferMaps:
             coeffs = np.zeros(m)
             coeffs = np.concatenate([np.zeros(m - 1), [1.0]])
             theta = evaluate_discrete(coeffs, n)
-            assert theta == pytest.approx(basis_q(m, n)[:n], abs=1e-13)
+            assert theta == pytest.approx(basis_q_table(n, m)[m - 1, :n], abs=1e-13)
 
     def test_Fn_Gn_identity(self):
         n = 12

@@ -323,14 +323,14 @@ class TestSolveTension:
         # the solved tension satisfies the equivalent rewrite
         # D-D+ sigma = (E sigma)/2 |D+^2 eta|^2 + (E^{-1} sigma)/2 |D-D+ eta|^2 - |D+ eta_dot|^2
         # componentwise (sigma extended evenly, eta oddly)
-        from whipchain.core import forward_diff
+        from whipchain.core import forward_diff_m
 
         ch = make_random_chain(12, seed=13, max_turn=2.5)
         n = ch.n
         sol = solve_tension(ch)
         sig = np.array(oracle_sigma_extend(sol.sigma, n)[: n + 2])  # sigma_0..sigma_{n+1}
         eta_ext = np.array(oracle_extend(ch)[0][: n + 3])
-        curv = forward_diff(forward_diff(eta_ext, n), n)  # D+^2 eta_j, j = 1..n+1
+        curv = forward_diff_m(eta_ext, n, 2)  # D+^2 eta_j, j = 1..n+1
         curv_sq = np.sum(curv * curv, axis=1)
         w = np.sum(ch.link_dirs_dot() ** 2, axis=1)
         lhs = n * n * (sig[2:] - 2.0 * sig[1:-1] + sig[:-2])  # D-D+ sigma_k, k = 1..n
