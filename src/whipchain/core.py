@@ -72,7 +72,10 @@ def rising_product(x: np.ndarray, k_start: int, count: int, r: int) -> np.ndarra
     of sigma mirrored evenly past sigma_n, and ``spectral``'s symmetric
     weights rho_k^{(r)} those of rho_j = j (2n+1-j) / n^2.
     """
-    return _rising_products(x, k_start, [count] * (r + 1))[-1]
+    out = np.ones(count)
+    for i in range(r):
+        out = out * x[..., k_start + i : k_start + i + count]
+    return out
 
 
 def _rising_products(x: np.ndarray, k_start: int, counts) -> list:

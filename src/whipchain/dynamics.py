@@ -245,12 +245,12 @@ def _first_failing(t, t_dot, blocks, dt, finite) -> int:
 def step(chain: ChainState, cfg: IntegratorConfig, dt: float | None = None) -> ChainState:
     """Advance one step.  dt defaults to the adaptive CFL value; the result is
     projected when cfg.project is set.  Raises NumericError on NaN state."""
-    n, blocks = chain.n, _equal_blocks(chain.n, 1)
+    blocks = _equal_blocks(chain.n, 1)
     t, t_dot = _chain_links(chain)
     sigma = _solve_sigma_arrays(t, t_dot, blocks)[0]
     if dt is None:
         dt = float(_clamp_dt(_chain_dt(sigma, blocks, cfg), cfg)[0])
-    t, t_dot, _ = _step_arrays(t, t_dot, sigma, blocks, [chain.time], np.full(n, dt), cfg)
+    t, t_dot, _ = _step_arrays(t, t_dot, sigma, blocks, [chain.time], dt, cfg)
     return ChainState(_anchored(t).T, _anchored(t_dot).T, chain.time + dt)
 
 

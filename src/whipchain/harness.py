@@ -44,7 +44,7 @@ from . import __version__
 from .core import ChainState, _links, _rising_overflows, _rising_table, rising_weight
 from .dynamics import IntegratorConfig, Trajectory, _FIELDS, _JSONL_FIELDS, detect_blowup, run_batch
 from .errors import ConfigError, FitRejected, NumericError
-from .initial_data import GENERATORS, _random_angles, make_initial, rigid_rotation_exact
+from .initial_data import GENERATORS, make_initial, rigid_rotation_exact
 from .spectral import (
     AngleState,
     angle_coefficients,
@@ -776,10 +776,10 @@ def _kind_green_certify(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     """Random admissible configurations (exact constraint by construction in
     angle space) swept through the full bound certificate.
 
-    Alternates generic bounded-turn states (all alpha > 0, exercising the
-    upper bounds and the corner minimum) with small-turn states whose
+    Every n gets half bounded-turn states (all alpha > 0, exercising the
+    upper bounds and the corner minimum) and half small-turn states whose
     per-link angles scale like n^{-3/4} so the curvature hypothesis of the
-    lower bound is actually met.
+    lower bound is actually met (``_certify_angle_stacks``).
     """
     stats = dict.fromkeys(("count", "applicable_upper", "upper_failures", "admissible_lower",
                            "lower_failures", "corner_failures", "minmax_failures"), 0)
@@ -806,33 +806,30 @@ def _kind_green_certify(cfg: ExperimentConfig, manifest: RunManifest) -> None:
 
 #: link angles in one certified stack.  A stack's certificate holds a few dozen
 #: work arrays of this many floats (64 KiB each), so a sweep's peak memory
-#: stays within about 2 MiB of a per-sample loop's whatever suite.samples is,
-#: while each numpy call still covers dozens of chains.
+#: stays near 2 MiB above the program's whatever suite.samples is, while each
+#: numpy call still covers dozens of chains.
 _CERTIFY_CHUNK_FLOATS = 1 << 13
 
 
 def _certify_angle_stacks(cfg: ExperimentConfig):
-    """The green_certify samples' link angles, as (B, n) stacks of one n each.
+    """The green_certify samples' link angles, as (B, n) stacks of one n and
+    one family each, drawn as arrays from one generator.
 
-    Sample i has n = suite.n_values[i mod len] and is drawn exactly as
-    ``random_chain`` draws it, in sample order from one generator, so each
-    chain is bitwise the one a per-sample loop builds.  The angular
-    velocities are drawn to keep that order and then dropped: no bound
-    reads them.  A stack is yielded once the pending samples would exceed
-    ``_CERTIFY_CHUNK_FLOATS`` angles.
+    suite.n_values[j] has the count of samples i with i mod len = j:
+    ceil(count/2) bounded-turn rows (increments uniform in +-1.45), then
+    floor(count/2) small-turn rows (+-0.6 n^{-3/4}), each a first angle
+    uniform on (-pi, pi) and its increments, cumulatively summed.  A stack
+    holds at most ``_CERTIFY_CHUNK_FLOATS`` angles, or one row.
     """
     rng = np.random.default_rng(cfg.seeds[0])
-    pending: dict = {}
-    held = 0
-    for i in range(cfg.suite_samples):
-        nv = cfg.suite_n_values[i % len(cfg.suite_n_values)]
-        if held + nv > _CERTIFY_CHUNK_FLOATS:
-            yield from map(np.array, pending.values())
-            pending, held = {}, 0
-        turn = 1.45 if i % 2 == 0 else 0.6 * nv**-0.75
-        pending.setdefault(nv, []).append(_random_angles(nv, rng, turn, 2.0)[0])
-        held += nv
-    yield from map(np.array, pending.values())
+    for j, nv in enumerate(cfg.suite_n_values):
+        count = len(range(j, cfg.suite_samples, len(cfg.suite_n_values)))
+        rows = max(_CERTIFY_CHUNK_FLOATS // nv, 1)
+        for turn, total in ((1.45, count - count // 2), (0.6 * nv**-0.75, count // 2)):
+            for start in range(0, total, rows):
+                b = min(rows, total - start)
+                first = rng.uniform(-np.pi, np.pi, size=(b, 1))
+                yield np.concatenate([first, rng.uniform(-turn, turn, size=(b, nv - 1))], axis=1).cumsum(axis=1)
 
 
 def _kind_blowup_hunt(cfg: ExperimentConfig, manifest: RunManifest) -> None:

@@ -142,25 +142,19 @@ def random_chain(
     vel_scale: float = 1.0,
 ) -> ChainState:
     """Random admissible planar chain: bounded-variation angles (so the
-    constraint holds exactly) and Gaussian angular velocities.
-
-    ``max_turn`` < pi/2 keeps every alpha_i > 0.
+    constraint holds exactly) and Gaussian angular velocities, drawn from
+    ``rng`` as n-1 increments in +-max_turn, a first angle on (-pi, pi), then
+    n velocities.  ``max_turn`` < pi/2 keeps every alpha_i > 0.
     """
     _require_links(n)
     if not 0.0 <= max_turn:
         raise ValueError(f"max turn must be nonnegative, got max_turn={max_turn}")
     if not 0.0 <= vel_scale:
         raise ValueError(f"velocity scale must be nonnegative, got vel_scale={vel_scale}")
-    theta, theta_dot = _random_angles(n, np.random.default_rng(rng), max_turn, vel_scale)
-    return theta_to_eta(AngleState(theta, theta_dot))
-
-
-def _random_angles(n: int, rng: np.random.Generator, max_turn: float, vel_scale: float):
-    """The angles and angular velocities of :func:`random_chain`, drawn from
-    ``rng`` by the same calls in the same order."""
+    rng = np.random.default_rng(rng)
     inc = rng.uniform(-max_turn, max_turn, size=n - 1)
     theta = np.concatenate([[rng.uniform(-np.pi, np.pi)], inc]).cumsum()
-    return theta, rng.normal(0.0, vel_scale, size=n)
+    return theta_to_eta(AngleState(theta, rng.normal(0.0, vel_scale, size=n)))
 
 
 GENERATORS = {

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from whipchain.core import (
     _links,
     _mirrored,
     _rising_overflows,
+    _rising_products,
     _s_weight,
     _sigma_weight,
     _sq,
@@ -181,6 +183,31 @@ class TestRisingWeight:
                 assert _rising_overflows(r, n, n + 1) == refused, r
                 if not refused:
                     assert np.isfinite(rising_weight(np.arange(n + 1), r, n)).all()
+
+    def test_integer_row_holds_one_product_at_a_time(self):
+        # the exact product of r = 60 factors holds one running row at a
+        # time, so the traced peak is a few rows' bytes, not r + 1 rows'
+        k = np.arange(1, 100_001)
+        rising_weight(k[:8], 60, 100_000)
+        tracemalloc.start()
+        try:
+            out = rising_weight(k, 60, 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * out.nbytes
+
+    def test_rising_product_is_the_last_of_the_running_rows(self):
+        # the same multiplications in the same order as _rising_products,
+        # on stacks of zero to two leading axes
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            r, count, k_start = int(rng.integers(0, 12)), int(rng.integers(1, 40)), int(rng.integers(0, 4))
+            lead = tuple(int(v) for v in rng.integers(1, 4, size=rng.integers(0, 3)))
+            x = rng.normal(size=(*lead, k_start + count + r))
+            want = _rising_products(x, k_start, [count] * (r + 1))[-1]
+            got = rising_product(x, k_start, count, r)
+            assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -848,33 +848,40 @@ class TestRunExperiment:
         assert stats["count"] == 40
 
     @staticmethod
-    def _certify_reference(seed, n_values, samples):
-        """green_certify.json as a loop certifying one random_chain per sample writes it."""
-        from whipchain.initial_data import random_chain
+    def _certify_reference(cfg):
+        """green_certify.json as a loop certifying the sweep's rows one chain at a time writes it."""
+        from whipchain.spectral import AngleState
         from whipchain.tension import certify_bounds, green_matrix_for_chain
 
-        rng = np.random.default_rng(seed)
         stats = dict.fromkeys(("count", "applicable_upper", "upper_failures", "admissible_lower",
                                "lower_failures", "corner_failures", "minmax_failures"), 0)
-        for i in range(samples):
-            nv = n_values[i % len(n_values)]
-            turn = 1.45 if i % 2 == 0 else 0.6 * nv**-0.75
-            chain = random_chain(nv, rng, max_turn=turn, vel_scale=2.0)
-            cert = certify_bounds(green_matrix_for_chain(chain), chain)
-            stats["count"] += 1
-            stats["minmax_failures"] += not cert.minmax_bound_ok
-            if cert.all_alpha_nonneg:
-                stats["applicable_upper"] += 1
-                stats["upper_failures"] += not (cert.diff_bound_ok and cert.ratio_bound_ok)
-                stats["corner_failures"] += not cert.corner_ok
-            if cert.upsilon_admissible:
-                stats["admissible_lower"] += 1
-                stats["lower_failures"] += not cert.lower_bound_ok
+        for theta in harness._certify_angle_stacks(cfg):
+            for row in theta:
+                chain = theta_to_eta(AngleState(row, np.zeros_like(row)))
+                cert = certify_bounds(green_matrix_for_chain(chain), chain)
+                stats["count"] += 1
+                stats["minmax_failures"] += not cert.minmax_bound_ok
+                if cert.all_alpha_nonneg:
+                    stats["applicable_upper"] += 1
+                    stats["upper_failures"] += not (cert.diff_bound_ok and cert.ratio_bound_ok)
+                    stats["corner_failures"] += not cert.corner_ok
+                if cert.upsilon_admissible:
+                    stats["admissible_lower"] += 1
+                    stats["lower_failures"] += not cert.lower_bound_ok
         return json.dumps(stats, indent=2, sort_keys=True) + "\n"
+
+    @staticmethod
+    def _certify_config(tmp_path, seed, n_values, samples):
+        out = tmp_path / f"gc_{seed}_{'_'.join(map(str, n_values))}_{samples}"
+        text = (
+            f"kind = green_certify\nsuite.samples = {samples}\nseeds = {seed}\n"
+            f"suite.n_values = {','.join(map(str, n_values))}\noutput.dir = {out}\n"
+        )
+        return parse_config(write_cfg(tmp_path, text))
 
     @pytest.mark.parametrize("chunk", [None, 100])
     def test_green_certify_matches_per_sample_loop(self, tmp_path, monkeypatch, chunk):
-        if chunk is not None:  # several stacks per n
+        if chunk is not None:  # several stacks per n and family
             monkeypatch.setattr(harness, "_CERTIFY_CHUNK_FLOATS", chunk)
         shapes = []
 
@@ -885,19 +892,35 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "certify_stack", recording)
         for seed in (1, 2, 3, 4):
             for n_values in ((64,), (64, 256), (2, 3, 17)):
-                out = tmp_path / f"gc_{seed}_{len(n_values)}"
-                text = (
-                    f"kind = green_certify\nsuite.samples = 45\nseeds = {seed}\n"
-                    f"suite.n_values = {','.join(map(str, n_values))}\noutput.dir = {out}\n"
-                )
-                manifest = run_experiment(parse_config(write_cfg(tmp_path, text)))
-                written = (out / "green_certify.json").read_text(encoding="utf-8")
-                assert written == self._certify_reference(seed, n_values, 45)
+                cfg = self._certify_config(tmp_path, seed, n_values, 45)
+                manifest = run_experiment(cfg)
+                written = (cfg.output_dir / "green_certify.json").read_text(encoding="utf-8")
+                assert written == self._certify_reference(cfg)
                 assert manifest.summary == json.loads(written)
         limit = harness._CERTIFY_CHUNK_FLOATS
         assert all(B * (rows - 1) <= max(limit, rows - 1) for B, rows in shapes)  # rows = n + 1
-        groups = 4 * (1 + 2 + 3)  # one stack per seed and n unless the limit cuts it
+        groups = 4 * 2 * (1 + 2 + 3)  # one stack per seed, n and family unless the limit cuts it
         assert len(shapes) == groups if chunk is None else len(shapes) > groups
+
+    def test_green_certify_gives_every_n_both_families(self, tmp_path):
+        # each n has its own samples' count, half of them bounded-turn and half
+        # small-turn, whatever the parity of len(suite.n_values)
+        cfg = self._certify_config(tmp_path, 0, (64, 256), 40)
+        turns = {64: [], 256: []}
+        for theta in harness._certify_angle_stacks(cfg):
+            turns[theta.shape[1]].extend(np.abs(np.diff(theta, axis=1)).max(axis=1))
+        for nv, largest in turns.items():
+            largest = np.array(largest)
+            small = largest <= 0.6 * nv**-0.75
+            assert len(largest) == 20 and np.count_nonzero(small) == 10
+            assert np.all(largest[~small] <= 1.45)
+
+    @pytest.mark.parametrize("n_values, samples", [((64, 256), 300), ((2, 3, 17), 45)], ids=["64,256", "2,3,17"])
+    def test_green_certify_has_no_violation_at_seeds_0_to_9(self, tmp_path, n_values, samples):
+        for seed in range(10):
+            cfg = self._certify_config(tmp_path, seed, n_values, samples)
+            manifest = run_experiment(cfg)
+            assert manifest.violations == 0 and manifest.summary["count"] == samples
 
     def test_convergence_decreasing(self, tmp_path):
         text = (
